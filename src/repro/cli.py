@@ -355,9 +355,12 @@ def cmd_lb(nics: int = 7, backends: int = 3, frames: int = 30,
 
     from repro.faults.plan import FaultPlan
     from repro.lb.rack import lb_rack_topology
-    from repro.reliability.chaos import _check_lb_case
+    from repro.reliability.chaos import (
+        _check_lb_case,
+        run_triad,
+        summarize_case,
+    )
     from repro.sim.clock import US, format_time
-    from repro.sim.shard import run_monolithic, run_sharded
 
     def parse_at(text: str, what: str):
         try:
@@ -390,11 +393,10 @@ def cmd_lb(nics: int = 7, backends: int = 3, frames: int = 30,
     print(f"lb: {nics}-NIC rack, VIP on nic0, {backends} backends, "
           f"{nics - backends - 1} clients x {frames} frames; "
           + ("; ".join(verbs) if verbs else "no churn"))
-    mono = run_monolithic(topology(), fault_plan=plan())
-    shard = (run_sharded(topology(), workers=workers, fault_plan=plan(),
-                         speculative=speculative)
-             if workers else None)
+    mono, shard, _ = run_triad(topology, plan, workers=workers,
+                               speculative=speculative, replay=False)
     violations = _check_lb_case(mono, shard, None, backends)
+    summary = summarize_case(mono, violations, affinity=True)
 
     steering = mono.reports["nic0"]["steering"]
     monitor = mono.reports["nic0"]["monitor"]
@@ -406,11 +408,6 @@ def cmd_lb(nics: int = 7, backends: int = 3, frames: int = 30,
                      len(mono.reports[f"nic{b}"]["deliveries"])])
     print(format_table(["Backend", "State", "Frames served"], rows,
                        title="Backend delivery split"))
-    sent = sum(r.get("sent", 0) for r in mono.reports.values())
-    delivered = sum(len(r.get("deliveries", ()))
-                    for r in mono.reports.values())
-    aborted = sum(len(r.get("failures", ()))
-                  for r in mono.reports.values())
     print("epochs installed      :", steering["epoch"] + 1,
           f"(gc removed {steering['gc_removed']} stale)")
     print("affinity table        :", steering["stats"])
@@ -419,13 +416,13 @@ def cmd_lb(nics: int = 7, backends: int = 3, frames: int = 30,
           {b: format_time(t) for b, t in monitor["detected"].items()}
           or "no failures detected")
     print("goodput               :",
-          f"{delivered}/{sent} = {delivered / sent:.3f}"
-          if sent else "n/a", f"({aborted} aborted flows)")
+          f"{summary['delivered']}/{summary['sent']} = "
+          f"{summary['goodput']:.3f}" if summary["sent"] else "n/a",
+          f"({summary['delivery_failures']} aborted flows)")
     if shard is not None:
-        identical = (mono.reports == shard.reports
-                     and mono.wire_stats == shard.wire_stats)
         print("bit-identical sharded :",
-              "yes" if identical else "NO (DIVERGENCE)")
+              "yes" if summary["invariants"]["mono_eq_sharded"]
+              else "NO (DIVERGENCE)")
     if out:
         with open(out, "w") as fh:
             json.dump({"reports": mono.reports,

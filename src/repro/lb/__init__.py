@@ -26,11 +26,7 @@ from repro.lb.monitor import (
     DEFAULT_HB_TIMEOUT_PS,
     attach_heartbeat_responder,
 )
-from repro.lb.rack import (
-    DEFAULT_VIP_IP,
-    build_lb_rack_nic,
-    lb_rack_topology,
-)
+from repro.lb.rack import DEFAULT_VIP_IP, lb_rack_topology
 from repro.lb.ring import DEFAULT_VNODES, HashRing
 from repro.lb.steering import DEFAULT_AFFINITY_SLOTS, LbSteering
 
@@ -44,6 +40,5 @@ __all__ = [
     "HashRing",
     "LbSteering",
     "attach_heartbeat_responder",
-    "build_lb_rack_nic",
     "lb_rack_topology",
 ]

@@ -45,10 +45,6 @@ HB_BYTES = _HB.size
 DEFAULT_HB_PERIOD_PS = 5 * US
 DEFAULT_HB_TIMEOUT_PS = 45 * US
 
-#: Stop instant: the periodic probe tick would otherwise keep the event
-#: heap alive forever.  Comfortably past the chaos horizon (100 us).
-DEFAULT_MONITOR_STOP_PS = 150 * US
-
 
 def pack_heartbeat(hb_type: int, index: int) -> bytes:
     return _HB.pack(HB_MAGIC, hb_type, index)

@@ -5,15 +5,17 @@ connections, DCQCN's loss-driven pacing); this package supplies the
 minimal host-side version of that story so rack experiments keep their
 delivery guarantees when :mod:`repro.faults.rack` makes the cables lie:
 
-* :class:`ReliableTransport` -- a go-back-N sender/receiver pair living
-  in host software above one NIC (per-flow sequence numbers, cumulative
-  ACKs, RTO with exponential backoff and seeded jitter, bounded retries
-  surfacing :class:`DeliveryFailed`, receiver-side duplicate
-  suppression);
-* :class:`SelectiveRepeatTransport` -- the upgrade: per-segment SACK
-  blocks, out-of-order receiver buffering with in-order delivery, and
-  an adaptive RTO from measured RTT (:class:`RttEstimator`, Karn's
-  rule) in a finite wrapping sequence space;
+* :class:`TransportCore` -- what every host transport shares: per-flow
+  state and sequence numbers, the window pump, the one timer-arming
+  rule, bounded retries surfacing :class:`DeliveryFailed`, seeded
+  jitter, RX demultiplexing and the reports.  Loss recovery is the
+  swappable part, supplied by a subclass:
+* :class:`ReliableTransport` -- go-back-N (cumulative ACKs, no receiver
+  buffer, RTO with exponential backoff, whole window resent);
+* :class:`SelectiveRepeatTransport` -- per-segment SACK blocks,
+  out-of-order receiver buffering with in-order delivery, and an
+  adaptive RTO from measured RTT (:class:`RttEstimator`, Karn's rule)
+  in a finite wrapping sequence space;
 * :mod:`repro.reliability.linklayer` -- LinkGuardian-style sub-RTT
   repair between adjacent hops, armed per wire via
   :meth:`repro.faults.plan.FaultPlan.link_local`, so most losses never
@@ -24,9 +26,9 @@ delivery guarantees when :mod:`repro.faults.rack` makes the cables lie:
 * :mod:`repro.reliability.chaos` -- seeded random fault plans plus the
   invariant checks (``no committed loss``, ``no duplicates``,
   ``mono == sharded``, ``replay determinism``) behind
-  ``benchmarks/chaos/run_chaos.py`` and ``python -m repro chaos``, now
-  running each seed under every requested transport config
-  (``gbn`` / ``sr`` / ``gbn+ll``).
+  ``benchmarks/chaos/run_chaos.py`` and ``python -m repro chaos``,
+  running each seed under every requested config
+  (``gbn`` / ``sr`` / ``gbn+ll`` / ``sr+ll`` / ``lb``).
 """
 
 from repro.reliability.linklayer import LinkLayer
@@ -43,6 +45,7 @@ from repro.reliability.transport import (
     DATA,
     DeliveryFailed,
     ReliableTransport,
+    TransportCore,
     default_rto_ps,
     parse_segment,
 )
@@ -56,6 +59,7 @@ __all__ = [
     "RttEstimator",
     "SEQ_SPACE",
     "SelectiveRepeatTransport",
+    "TransportCore",
     "default_rto_ps",
     "parse_segment",
     "parse_sr_segment",

@@ -106,6 +106,34 @@ SLOW_P = 0.4               # chance one engine is slowed (then recovered)
 CRASH_P = 0.15             # chance one engine is crashed outright
 
 
+def _all_wires(nics: int):
+    return [(i, j) for i in range(nics) for j in range(i + 1, nics)]
+
+
+def _seed_wire_loss(plan: FaultPlan, rng, wires, horizon_ps: int) -> None:
+    """Each wire may get a Bernoulli loss (and corruption) model."""
+    for i, j in wires:
+        if rng.random() < LOSS_WIRE_P:
+            drop_p = rng.uniform(*DROP_RANGE)
+            corrupt_p = (rng.uniform(*CORRUPT_RANGE)
+                         if rng.random() < CORRUPT_P else 0.0)
+            plan.wire_loss(rng.randint(0, horizon_ps // 4),
+                           wire_target(i, j),
+                           drop_p=drop_p, corrupt_p=corrupt_p)
+
+
+def _seed_slowdown(plan: FaultPlan, rng, nics: int, horizon_ps: int) -> None:
+    """One engine somewhere may be slowed, then recovered."""
+    if rng.random() < SLOW_P:
+        nic = rng.randint(0, nics - 1)
+        engine = rng.choice(CHAOS_ENGINES)
+        at = rng.randint(0, horizon_ps // 2)
+        plan.slow_engine(at, f"nic{nic}:{engine}",
+                         factor=rng.uniform(2.0, 6.0))
+        plan.recover_engine(at + rng.randint(10 * US, horizon_ps // 2),
+                            f"nic{nic}:{engine}")
+
+
 def generate_chaos_plan(seed: int, nics: int,
                         horizon_ps: int = 100 * US,
                         link_local: bool = False) -> FaultPlan:
@@ -119,33 +147,18 @@ def generate_chaos_plan(seed: int, nics: int,
     a ``gbn`` vs ``gbn+ll`` pair of cases faces identical weather).
     """
     plan = FaultPlan(seed=seed)
+    wires = _all_wires(nics)
     if link_local:
-        for i in range(nics):
-            for j in range(i + 1, nics):
-                plan.link_local(0, wire_target(i, j))
+        for i, j in wires:
+            plan.link_local(0, wire_target(i, j))
     rng = SeededRng(seed).fork("chaosplan")
-    wires = [(i, j) for i in range(nics) for j in range(i + 1, nics)]
-    for i, j in wires:
-        if rng.random() < LOSS_WIRE_P:
-            drop_p = rng.uniform(*DROP_RANGE)
-            corrupt_p = (rng.uniform(*CORRUPT_RANGE)
-                         if rng.random() < CORRUPT_P else 0.0)
-            plan.wire_loss(rng.randint(0, horizon_ps // 4),
-                           wire_target(i, j),
-                           drop_p=drop_p, corrupt_p=corrupt_p)
+    _seed_wire_loss(plan, rng, wires, horizon_ps)
     if rng.random() < FLAP_P:
         i, j = rng.choice(wires)
         down = rng.randint(horizon_ps // 10, horizon_ps // 2)
         plan.flap_wire(down, down + rng.randint(10 * US, horizon_ps // 2),
                        wire_target(i, j))
-    if rng.random() < SLOW_P:
-        nic = rng.randint(0, nics - 1)
-        engine = rng.choice(CHAOS_ENGINES)
-        at = rng.randint(0, horizon_ps // 2)
-        plan.slow_engine(at, f"nic{nic}:{engine}",
-                         factor=rng.uniform(2.0, 6.0))
-        plan.recover_engine(at + rng.randint(10 * US, horizon_ps // 2),
-                            f"nic{nic}:{engine}")
+    _seed_slowdown(plan, rng, nics, horizon_ps)
     if rng.random() < CRASH_P:
         # Crash the checksum lane of one *sender* (never the shared
         # incast receiver nic0): its flows abort with DeliveryFailed
@@ -202,23 +215,8 @@ def generate_lb_chaos_plan(seed: int, nics: int,
     """
     plan = FaultPlan(seed=seed)
     rng = SeededRng(seed).fork("lbchaos")
-    wires = [(i, j) for i in range(nics) for j in range(i + 1, nics)]
-    for i, j in wires:
-        if rng.random() < LOSS_WIRE_P:
-            drop_p = rng.uniform(*DROP_RANGE)
-            corrupt_p = (rng.uniform(*CORRUPT_RANGE)
-                         if rng.random() < CORRUPT_P else 0.0)
-            plan.wire_loss(rng.randint(0, horizon_ps // 4),
-                           wire_target(i, j),
-                           drop_p=drop_p, corrupt_p=corrupt_p)
-    if rng.random() < SLOW_P:
-        nic = rng.randint(0, nics - 1)
-        engine = rng.choice(CHAOS_ENGINES)
-        at = rng.randint(0, horizon_ps // 2)
-        plan.slow_engine(at, f"nic{nic}:{engine}",
-                         factor=rng.uniform(2.0, 6.0))
-        plan.recover_engine(at + rng.randint(10 * US, horizon_ps // 2),
-                            f"nic{nic}:{engine}")
+    _seed_wire_loss(plan, rng, _all_wires(nics), horizon_ps)
+    _seed_slowdown(plan, rng, nics, horizon_ps)
     if rng.random() < BACKEND_DOWN_P:
         backend = rng.randint(1, n_backends)
         plan.nic_down(rng.randint(horizon_ps // 4, (3 * horizon_ps) // 5),
@@ -245,46 +243,61 @@ def _check_modes(mono, shard, replay) -> List[str]:
     return violations
 
 
-def _check_case(mono, shard, replay) -> List[str]:
-    """All invariant violations of one chaos case (empty = pass)."""
-    violations = _check_modes(mono, shard, replay)
+def _delivered_pairs(name: str, report: dict,
+                     violations: List[str]) -> set:
+    """Receiver-side view of one NIC: its delivered ``(src, seq)``
+    pairs, flagging any pair the host saw twice."""
+    pairs = [(src, seq) for src, seq, _t, _q in report["deliveries"]]
+    if len(pairs) != len(set(pairs)):
+        violations.append(f"duplicate delivery to host on {name}")
+    return set(pairs)
 
-    # Receiver-side view: delivered (src, seq) pairs per NIC index.
-    delivered: Dict[int, set] = {}
-    for name, report in mono.reports.items():
-        rx = int(name[3:])
-        pairs = [(src, seq) for src, seq, _t, _q in report["deliveries"]]
-        if len(pairs) != len(set(pairs)):
-            violations.append(f"duplicate delivery to host on {name}")
-        delivered[rx] = set(pairs)
 
-    # Sender-side view vs receiver truth.
-    for name, report in mono.reports.items():
+def _check_senders(reports: Dict[str, dict], delivered_to, peer, sink: str,
+                   violations: List[str]) -> None:
+    """Sender-side view vs receiver truth, for every flow of every NIC:
+    ``delivered_to(dst)`` is the set of ``(src, seq)`` pairs that
+    reached flow destination ``dst`` (named ``peer(dst)`` in messages,
+    its receiving end described by ``sink``)."""
+    for name, report in reports.items():
         src = int(name[3:])
         aborted_flows = {f[0] for f in report.get("failures", ())}
         for dst, flow in report.get("tx_flows", {}).items():
+            where = f"{name}->{peer(dst)}"
             missing = [seq for seq in range(flow["acked"])
-                       if (src, seq) not in delivered.get(dst, set())]
+                       if (src, seq) not in delivered_to(dst)]
             if missing:
                 violations.append(
-                    f"committed loss {name}->nic{dst}: acked seqs "
-                    f"{missing[:5]} never reached the host"
+                    f"committed loss {where}: acked seqs "
+                    f"{missing[:5]} never reached {sink}"
                 )
             if flow["sent"] != flow["acked"] + flow["failed"]:
                 violations.append(
-                    f"accounting leak {name}->nic{dst}: "
+                    f"accounting leak {where}: "
                     f"sent={flow['sent']} acked={flow['acked']} "
                     f"failed={flow['failed']}"
                 )
             if flow["failed"] and not flow["aborted"]:
                 violations.append(
-                    f"unacked data without DeliveryFailed {name}->nic{dst}"
+                    f"unacked data without DeliveryFailed {where}"
                 )
             if flow["aborted"] and dst not in aborted_flows:
                 violations.append(
-                    f"aborted flow {name}->nic{dst} missing its "
+                    f"aborted flow {where} missing its "
                     f"DeliveryFailed record"
                 )
+
+
+def _check_case(mono, shard, replay) -> List[str]:
+    """All invariant violations of one chaos case (empty = pass)."""
+    violations = _check_modes(mono, shard, replay)
+    delivered = {
+        int(name[3:]): _delivered_pairs(name, report, violations)
+        for name, report in mono.reports.items()
+    }
+    _check_senders(mono.reports,
+                   lambda dst: delivered.get(dst, ()),
+                   lambda dst: f"nic{dst}", "the host", violations)
     return violations
 
 
@@ -300,17 +313,12 @@ def _check_lb_case(mono, shard, replay, n_backends: int) -> List[str]:
     sets, so epoch churn mid-flight cannot hide a forged ACK).
     """
     violations = _check_modes(mono, shard, replay)
-    backends = range(1, n_backends + 1)
-
     # Backend-side truth: which (client, seq) pairs each backend's host
     # actually received.
-    delivered_by: Dict[int, set] = {}
-    for b in backends:
-        pairs = [(src, seq) for src, seq, _t, _q
-                 in mono.reports[f"nic{b}"]["deliveries"]]
-        if len(pairs) != len(set(pairs)):
-            violations.append(f"duplicate delivery to host on nic{b}")
-        delivered_by[b] = set(pairs)
+    delivered_by = {
+        b: _delivered_pairs(f"nic{b}", mono.reports[f"nic{b}"], violations)
+        for b in range(1, n_backends + 1)
+    }
     union = set().union(*delivered_by.values())
 
     # Data-plane evidence from the balancer itself: with zero bypasses
@@ -327,41 +335,92 @@ def _check_lb_case(mono, shard, replay, n_backends: int) -> List[str]:
             f"affinity violation: {lb_stats['evictions']} affinity "
             f"slots evicted while flows were live"
         )
-
-    for name, report in mono.reports.items():
+    for name in mono.reports:
         src = int(name[3:])
-        aborted_flows = {f[0] for f in report.get("failures", ())}
-        servers = sorted(b for b in backends
-                         if any(s == src for s, _seq in delivered_by[b]))
+        servers = sorted(b for b, pairs in delivered_by.items()
+                         if any(s == src for s, _seq in pairs))
         if len(servers) > 1:
             violations.append(
                 f"affinity violation: flow from {name} delivered by "
                 f"backends {servers}"
             )
-        for dst, flow in report.get("tx_flows", {}).items():
-            missing = [seq for seq in range(flow["acked"])
-                       if (src, seq) not in union]
-            if missing:
-                violations.append(
-                    f"committed loss {name}->vip: acked seqs "
-                    f"{missing[:5]} never reached any backend host"
-                )
-            if flow["sent"] != flow["acked"] + flow["failed"]:
-                violations.append(
-                    f"accounting leak {name}->vip: "
-                    f"sent={flow['sent']} acked={flow['acked']} "
-                    f"failed={flow['failed']}"
-                )
-            if flow["failed"] and not flow["aborted"]:
-                violations.append(
-                    f"unacked data without DeliveryFailed {name}->vip"
-                )
-            if flow["aborted"] and dst not in aborted_flows:
-                violations.append(
-                    f"aborted flow {name}->vip missing its "
-                    f"DeliveryFailed record"
-                )
+    _check_senders(mono.reports, lambda _dst: union, lambda _dst: "vip",
+                   "any backend host", violations)
     return violations
+
+
+def run_triad(topology, plan, *, workers: int, speculative: bool = False,
+              replay: bool = True):
+    """Run one rack the three ways every gate compares: monolithic
+    (the reference), sharded over ``workers`` (None when 0), and a
+    monolithic re-run (None unless ``replay``).  ``topology`` and
+    ``plan`` are zero-argument factories, called afresh per leg so no
+    leg can inherit another's state."""
+    from repro.sim.shard import run_monolithic, run_sharded
+
+    mono = run_monolithic(topology(), fault_plan=plan())
+    shard = (run_sharded(topology(), workers=workers, fault_plan=plan(),
+                         speculative=speculative)
+             if workers else None)
+    again = (run_monolithic(topology(), fault_plan=plan())
+             if replay else None)
+    return mono, shard, again
+
+
+#: Invariant -> the violation-message fragments that falsify it.
+INVARIANTS = {
+    "no_committed_loss": ("committed loss",),
+    "no_affinity_violation": ("affinity violation",),
+    "no_duplicates": ("duplicate delivery",),
+    "accounting": ("accounting", "DeliveryFailed"),
+    "mono_eq_sharded": ("mono != sharded",),
+    "replay_deterministic": ("replay",),
+}
+_LL_KEYS = ("protected", "nacks", "retransmits", "repaired", "gave_up",
+            "bypassed")
+
+
+def summarize_case(mono, violations: List[str], *,
+                   affinity: bool = False) -> dict:
+    """The measured half of a case report: invariant verdicts, rack-wide
+    delivery and recovery counts, FCTs, and which wires hurt.
+    ``affinity`` includes the lb-only ``no_affinity_violation``."""
+    reports = mono.reports.values()
+    rel = [r["stats"].get("reliability", {}) for r in reports]
+    sent = sum(r.get("sent", 0) for r in reports)
+    delivered = sum(len(r.get("deliveries", ())) for r in reports)
+    fcts = [t for r in reports for t in r.get("fct", {}).values()]
+    return {
+        "invariants": {
+            name: not any(mark in v for v in violations for mark in marks)
+            for name, marks in INVARIANTS.items()
+            if affinity or name != "no_affinity_violation"
+        },
+        "violations": violations,
+        "passed": not violations,
+        "sent": sent,
+        "delivered": delivered,
+        "goodput": delivered / sent if sent else 1.0,
+        "retransmits": sum(r.get("retransmits", 0) for r in rel),
+        "rto_fired": sum(r.get("rto_fired", 0) for r in rel),
+        "delivery_failures": sum(len(r.get("failures", ()))
+                                 for r in reports),
+        "fct_mean_ps": int(sum(fcts) / len(fcts)) if fcts else 0,
+        "fct_max_ps": max(fcts) if fcts else 0,
+        # Zeros on racks that never arm link-local repair keep the
+        # per-config summary shape uniform.
+        "linklayer": {
+            key: sum(stats.get("linklayer", {}).get(key, 0)
+                     for stats in mono.wire_stats.values())
+            for key in _LL_KEYS
+        },
+        "wire_faults": {
+            label: stats
+            for label, stats in sorted(mono.wire_stats.items())
+            if stats["loss_drops"] or stats["corruptions"]
+            or stats["down_drops"]
+        },
+    }
 
 
 def run_chaos_case(
@@ -387,196 +446,61 @@ def run_chaos_case(
     sharded leg with speculative shard windows -- the mono-vs-sharded
     invariant must hold either way.  The ``lb`` config runs its own
     ``lb_nics``-node rack shape (``nics``/``pattern`` describe the
-    incast and do not apply to it).
+    incast and do not apply to it) and adds an ``lb`` block (drain,
+    epochs, affinity counters, monitor) to the report.
 
     ``invariants`` maps each invariant to a bool; ``violations`` lists
     the specifics when something broke.  ``goodput`` is delivered over
     offered across the rack.
     """
-    from repro.sim.shard import run_monolithic, run_sharded
-
-    if config == "lb":
-        return _run_lb_case(
-            seed, nics=lb_nics, frames=frames, workers=workers,
-            check_replay=check_replay, speculative=speculative,
-        )
-
     transport, link_local = split_config(config)
+    if config == "lb":
+        lb_layout(lb_nics, LB_BACKENDS)  # fail fast: no clients
+        drain = lb_drain_params(seed, LB_BACKENDS)
 
-    def topology():
-        return reliable_rack_topology(
-            nics=nics, pattern=pattern, frames=frames, seed=seed,
-            transport=transport, failover=failover,
-        )
+        def topology():
+            return lb_rack_topology(
+                nics=lb_nics, n_backends=LB_BACKENDS, frames=frames,
+                seed=seed, drain=drain,
+            )
 
-    def chaos_plan():
-        return generate_chaos_plan(seed, nics, link_local=link_local)
+        def plan():
+            return generate_lb_chaos_plan(seed, lb_nics, LB_BACKENDS)
+    else:
+        def topology():
+            return reliable_rack_topology(
+                nics=nics, pattern=pattern, frames=frames, seed=seed,
+                transport=transport, failover=failover,
+            )
 
-    plan = chaos_plan()
-    mono = run_monolithic(topology(), fault_plan=plan)
-    shard = run_sharded(topology(), workers=workers, fault_plan=chaos_plan(),
-                        speculative=speculative)
-    replay = (run_monolithic(topology(), fault_plan=chaos_plan())
-              if check_replay else None)
+        def plan():
+            return generate_chaos_plan(seed, nics, link_local=link_local)
 
-    violations = _check_case(mono, shard, replay)
-
-    sent = sum(r["sent"] for r in mono.reports.values())
-    delivered = sum(len(r["deliveries"]) for r in mono.reports.values())
-    retransmits = sum(
-        r["stats"]["reliability"]["retransmits"]
-        for r in mono.reports.values()
-    )
-    failures = sum(len(r.get("failures", ())) for r in mono.reports.values())
-    wire_faults = {
-        label: stats for label, stats in sorted(mono.wire_stats.items())
-        if stats["loss_drops"] or stats["corruptions"] or stats["down_drops"]
-    }
-    fcts = [t for r in mono.reports.values()
-            for t in r.get("fct", {}).values()]
-    linklayer = {
-        "protected": 0, "nacks": 0, "retransmits": 0,
-        "repaired": 0, "gave_up": 0, "bypassed": 0,
-    }
-    for stats in mono.wire_stats.values():
-        for key in linklayer:
-            linklayer[key] += stats.get("linklayer", {}).get(key, 0)
-    return {
+    mono, shard, replay = run_triad(
+        topology, plan, workers=workers, speculative=speculative,
+        replay=check_replay)
+    violations = (_check_lb_case(mono, shard, replay, LB_BACKENDS)
+                  if config == "lb" else _check_case(mono, shard, replay))
+    case = {
         "seed": seed,
         "config": config,
-        "plan": plan.describe(),
-        "events": len(plan),
-        "invariants": {
-            "no_committed_loss": not any(
-                "committed loss" in v for v in violations),
-            "no_duplicates": not any(
-                "duplicate delivery" in v for v in violations),
-            "accounting": not any(
-                ("accounting" in v or "DeliveryFailed" in v)
-                for v in violations),
-            "mono_eq_sharded": not any(
-                "mono != sharded" in v for v in violations),
-            "replay_deterministic": not any(
-                "replay" in v for v in violations),
-        },
-        "violations": violations,
-        "passed": not violations,
-        "sent": sent,
-        "delivered": delivered,
-        "goodput": delivered / sent if sent else 1.0,
-        "retransmits": retransmits,
-        "rto_fired": sum(
-            r["stats"]["reliability"]["rto_fired"]
-            for r in mono.reports.values()
-        ),
-        "delivery_failures": failures,
-        "fct_mean_ps": int(sum(fcts) / len(fcts)) if fcts else 0,
-        "fct_max_ps": max(fcts) if fcts else 0,
-        "linklayer": linklayer,
-        "wire_faults": wire_faults,
+        "plan": plan().describe(),
+        "events": len(plan()),
+        **summarize_case(mono, violations, affinity=config == "lb"),
     }
-
-
-def _run_lb_case(
-    seed: int,
-    *,
-    nics: int,
-    frames: int,
-    workers: int,
-    check_replay: bool,
-    speculative: bool,
-) -> dict:
-    """One seeded case of the ``lb`` config (see module docstring)."""
-    from repro.sim.shard import run_monolithic, run_sharded
-
-    n_backends = LB_BACKENDS
-    lb_layout(nics, n_backends)  # fail fast on shapes with no clients
-    drain = lb_drain_params(seed, n_backends)
-
-    def topology():
-        return lb_rack_topology(
-            nics=nics, n_backends=n_backends, frames=frames, seed=seed,
-            drain=drain,
-        )
-
-    def chaos_plan():
-        return generate_lb_chaos_plan(seed, nics, n_backends)
-
-    plan = chaos_plan()
-    mono = run_monolithic(topology(), fault_plan=plan)
-    shard = run_sharded(topology(), workers=workers, fault_plan=chaos_plan(),
-                        speculative=speculative)
-    replay = (run_monolithic(topology(), fault_plan=chaos_plan())
-              if check_replay else None)
-
-    violations = _check_lb_case(mono, shard, replay, n_backends)
-
-    reports = mono.reports
-    sent = sum(r.get("sent", 0) for r in reports.values())
-    delivered = sum(len(r.get("deliveries", ())) for r in reports.values())
-    retransmits = sum(
-        r["stats"].get("reliability", {}).get("retransmits", 0)
-        for r in reports.values()
-    )
-    rto_fired = sum(
-        r["stats"].get("reliability", {}).get("rto_fired", 0)
-        for r in reports.values()
-    )
-    failures = sum(len(r.get("failures", ())) for r in reports.values())
-    fcts = [t for r in reports.values() for t in r.get("fct", {}).values()]
-    wire_faults = {
-        label: stats for label, stats in sorted(mono.wire_stats.items())
-        if stats["loss_drops"] or stats["corruptions"] or stats["down_drops"]
-    }
-    lb = reports["nic0"]
-    return {
-        "seed": seed,
-        "config": "lb",
-        "plan": plan.describe(),
-        "events": len(plan),
-        "invariants": {
-            "no_committed_loss": not any(
-                "committed loss" in v for v in violations),
-            "no_affinity_violation": not any(
-                "affinity violation" in v for v in violations),
-            "no_duplicates": not any(
-                "duplicate delivery" in v for v in violations),
-            "accounting": not any(
-                ("accounting" in v or "DeliveryFailed" in v)
-                for v in violations),
-            "mono_eq_sharded": not any(
-                "mono != sharded" in v for v in violations),
-            "replay_deterministic": not any(
-                "replay" in v for v in violations),
-        },
-        "violations": violations,
-        "passed": not violations,
-        "sent": sent,
-        "delivered": delivered,
-        "goodput": delivered / sent if sent else 1.0,
-        "retransmits": retransmits,
-        "rto_fired": rto_fired,
-        "delivery_failures": failures,
-        "fct_mean_ps": int(sum(fcts) / len(fcts)) if fcts else 0,
-        "fct_max_ps": max(fcts) if fcts else 0,
-        # The lb rack never arms link-local repair; zeros keep the
-        # per-config summary shape uniform.
-        "linklayer": {
-            "protected": 0, "nacks": 0, "retransmits": 0,
-            "repaired": 0, "gave_up": 0, "bypassed": 0,
-        },
-        "wire_faults": wire_faults,
-        "lb": {
+    if config == "lb":
+        steering = mono.reports["nic0"]["steering"]
+        case["lb"] = {
             "drain": list(drain) if drain else None,
-            "epoch": lb["steering"]["epoch"],
-            "live_backends": lb["steering"]["backends"],
-            "draining": lb["steering"]["draining"],
-            "failed": lb["steering"]["failed"],
-            "gc_removed": lb["steering"]["gc_removed"],
-            "affinity": lb["steering"]["stats"],
-            "monitor": lb["monitor"],
-        },
-    }
+            "epoch": steering["epoch"],
+            "live_backends": steering["backends"],
+            "draining": steering["draining"],
+            "failed": steering["failed"],
+            "gc_removed": steering["gc_removed"],
+            "affinity": steering["stats"],
+            "monitor": mono.reports["nic0"]["monitor"],
+        }
+    return case
 
 
 def run_chaos(

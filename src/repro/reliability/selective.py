@@ -47,17 +47,10 @@ wire space.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.reliability.transport import (
-    DEFAULT_JITTER,
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_WINDOW,
-    DeliveryFailed,
-    MAGIC,
-    segment_offset,
-)
-from repro.sim.stats import Counter
+from repro.reliability.transport import MAGIC, TransportCore, TxFlow
 
 #: Segment types (disjoint from go-back-N's DATA=0/ACK=1).
 SR_DATA = 2
@@ -212,33 +205,20 @@ class RttEstimator:
         return int(min(max(rto, self.rto_min_ps), self.rto_max_ps))
 
 
-class _SrTxFlow:
-    """Sender state for one destination (absolute sequence numbers)."""
+class _SrTxFlow(TxFlow):
+    """Selective-repeat sender state (absolute sequence numbers)."""
 
-    __slots__ = ("dst", "payloads", "offered", "base", "next_seq",
-                 "sacked", "sent_at", "retransmitted", "fast_done",
-                 "retries", "backoff", "timer_gen", "aborted",
-                 "completed_ps", "rtt")
+    __slots__ = ("sacked", "sent_at", "retransmitted", "fast_done",
+                 "backoff", "rtt")
 
-    def __init__(self, dst: int, initial_seq: int, rtt: RttEstimator):
-        self.dst = dst
-        self.payloads: Dict[int, bytes] = {}  # abs seq -> app payload
-        self.offered = 0       # total payloads ever offered
-        self.base = initial_seq       # lowest unacknowledged
-        self.next_seq = initial_seq   # next never-sent
+    def __init__(self, dst: int, first_seq: int, rtt: RttEstimator):
+        super().__init__(dst, first_seq)
         self.sacked: Set[int] = set()  # SACKed beyond base
         self.sent_at: Dict[int, int] = {}   # abs seq -> first-TX time
         self.retransmitted: Set[int] = set()  # Karn-poisoned seqs
         self.fast_done: Set[int] = set()    # holes already fast-retx'd
-        self.retries = 0       # consecutive RTO expiries w/o progress
         self.backoff = 1       # RTO multiplier (doubles per expiry)
-        self.timer_gen = 0
-        self.aborted = False
-        self.completed_ps: Optional[int] = None
         self.rtt = rtt
-
-    def outstanding(self) -> bool:
-        return self.base < self.next_seq
 
 
 class _SrRxFlow:
@@ -251,15 +231,16 @@ class _SrRxFlow:
         self.buffer: Dict[int, bytes] = {}  # abs seq -> payload (OOO)
 
 
-class SelectiveRepeatTransport:
-    """Selective-repeat sender + receiver for one NIC's host software.
+class SelectiveRepeatTransport(TransportCore):
+    """Selective repeat: the recovery policy for lossy wires.
 
-    Drop-in alternative to
-    :class:`~repro.reliability.transport.ReliableTransport` -- same
-    constructor surface, same ``send``/``stats``/``flow_report``
-    contract -- differing in the wire format (SR segment types), the
-    receiver (buffers out of order, ACKs carry SACK blocks), and the
-    retransmission policy (per-hole, timer driven by measured RTT).
+    Same constructor surface and ``send``/``stats``/``flow_report``
+    contract as :class:`~repro.reliability.transport.ReliableTransport`
+    (both are :class:`~repro.reliability.transport.TransportCore`);
+    differs in the wire format (SR segment types), the receiver
+    (buffers out of order, ACKs carry SACK blocks), and the
+    retransmission policy (per-hole, timer driven by measured RTT,
+    floored at ``rto_min_ps``).
 
     ``initial_seq`` offsets the absolute sequence space; production
     flows start at 0, wraparound tests start just below
@@ -267,171 +248,69 @@ class SelectiveRepeatTransport:
     of a flow must agree on it.
     """
 
-    def __init__(
-        self,
-        nic,
-        index: int,
-        *,
-        frame_builder: Callable[[int, bytes], bytes],
-        rng,
-        rto_initial_ps: int,
-        rto_min_ps: Optional[int] = None,
-        rto_max_ps: Optional[int] = None,
-        window: int = DEFAULT_WINDOW,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        jitter: float = DEFAULT_JITTER,
-        on_deliver: Optional[Callable[[int, int, bytes, int], None]] = None,
-        tx_queue: int = 0,
-        initial_seq: int = 0,
-        accept_dst: Optional[set] = None,
-        reply_as: Optional[int] = None,
-    ):
-        if not 1 <= window <= SEQ_HALF // 4:
-            raise ValueError(
-                f"window must be in 1..{SEQ_HALF // 4} (unwrap safety), "
-                f"got {window}")
-        if rto_initial_ps <= 0:
-            raise ValueError(
-                f"rto_initial_ps must be > 0, got {rto_initial_ps}")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
+    LABEL = "sr"
+    DATA = SR_DATA
+    ACK = SR_ACK
+    STATS = ("data_sent", "retransmits", "rto_fired", "fast_retransmits",
+             "acks_sent", "acks_received", "dup_acks", "sack_blocks_rx",
+             "rtt_samples", "delivered", "buffered_ooo",
+             "duplicates_suppressed", "out_of_order_dropped",
+             "parse_rejects")
+    MAX_WINDOW = SEQ_HALF // 4
+    # Historical, and pinned by every SR-under-loss digest (each arming
+    # draws jitter): the RTO also restarts when new data joins an
+    # outstanding window.  Harmless here -- a stuck window stops
+    # admitting new data after ``window`` segments, and SACK-driven
+    # fast retransmit repairs most holes without the timer.
+    RESTART_RTO_ON_NEW_DATA = True
+
+    def __init__(self, nic, index: int, *,
+                 rto_min_ps: Optional[int] = None, initial_seq: int = 0,
+                 **core_args):
         if initial_seq < 0:
             raise ValueError(f"initial_seq must be >= 0, got {initial_seq}")
-        self.nic = nic
-        self.sim = nic.sim
-        self.index = index
-        self.frame_builder = frame_builder
-        self.rng = rng
-        self.window = window
-        self.rto_initial_ps = rto_initial_ps
-        self.rto_min_ps = rto_min_ps or max(1, rto_initial_ps // 8)
-        self.rto_max_ps = rto_max_ps or 16 * rto_initial_ps
-        self.max_retries = max_retries
-        self.jitter = jitter
-        self.on_deliver = on_deliver
-        self.tx_queue = tx_queue
         self.initial_seq = initial_seq
-        # Direct-server-return serving (repro.lb): accept the virtual
-        # index, answer as the virtual index (see ReliableTransport).
-        self.accept_dst = frozenset(accept_dst or ())
-        self.reply_as = self.index if reply_as is None else reply_as
-
-        self._tx: Dict[int, _SrTxFlow] = {}
+        super().__init__(nic, index, **core_args)
+        self.rto_min_ps = rto_min_ps or max(1, self.rto_initial_ps // 8)
         self._rx: Dict[int, _SrRxFlow] = {}
-        self.failures: List[DeliveryFailed] = []
 
-        label = f"{nic.name}.sr"
-        self.data_sent = Counter(f"{label}.data_sent")
-        self.retransmits = Counter(f"{label}.retransmits")
-        self.rto_fired = Counter(f"{label}.rto_fired")
-        self.fast_retransmits = Counter(f"{label}.fast_retransmits")
-        self.acks_sent = Counter(f"{label}.acks_sent")
-        self.acks_received = Counter(f"{label}.acks_received")
-        self.dup_acks = Counter(f"{label}.dup_acks")
-        self.sack_blocks_rx = Counter(f"{label}.sack_blocks_rx")
-        self.rtt_samples = Counter(f"{label}.rtt_samples")
-        self.delivered = Counter(f"{label}.delivered")
-        self.buffered_ooo = Counter(f"{label}.buffered_ooo")
-        self.duplicates_suppressed = Counter(f"{label}.dups_suppressed")
-        self.out_of_order_dropped = Counter(f"{label}.ooo_dropped")
-        self.parse_rejects = Counter(f"{label}.parse_rejects")
-
-        self._trace_ctx = None
-        self._tracer = None
-        if nic.telemetry is not None:
-            self._tracer = nic.telemetry.tracer
-            self._trace_ctx = self._tracer.flow_ctx()
-
-        nic.host.software_handler = self._on_host_rx
-        nic.transport = self
+    _pack_data = staticmethod(pack_sr_data)
+    _parse = staticmethod(parse_sr_segment)
 
     # ------------------------------------------------------------------
     # Sender
     # ------------------------------------------------------------------
 
-    def send(self, dst: int, payload: bytes) -> None:
-        """Offer one application payload to flow ``dst``."""
-        flow = self._tx.get(dst)
-        if flow is None:
-            flow = self._tx[dst] = _SrTxFlow(
-                dst, self.initial_seq,
-                RttEstimator(self.rto_initial_ps, self.rto_min_ps,
-                             self.rto_max_ps),
-            )
-        flow.payloads[self.initial_seq + flow.offered] = bytes(payload)
-        flow.offered += 1
-        flow.completed_ps = None
-        self._pump(flow)
+    def _new_flow(self, dst: int) -> _SrTxFlow:
+        return _SrTxFlow(
+            dst, self.initial_seq,
+            RttEstimator(self.rto_initial_ps, self.rto_min_ps,
+                         self.rto_max_ps),
+        )
 
-    def _pump(self, flow: _SrTxFlow) -> None:
-        if flow.aborted:
-            return
-        limit = flow.base + self.window
-        top = self.initial_seq + flow.offered
-        pumped = False
-        while flow.next_seq < limit and flow.next_seq < top:
-            self._transmit(flow, flow.next_seq, first=True)
-            flow.next_seq += 1
-            self.data_sent.add()
-            pumped = True
-        if pumped and flow.outstanding():
-            self._arm_timer(flow)
+    def _rto_ps(self, flow: _SrTxFlow) -> int:
+        return flow.rtt.rto_ps() * flow.backoff
+
+    def _timer_delay_ps(self, flow: _SrTxFlow) -> int:
+        return self._jittered(min(self._rto_ps(flow), self.rto_max_ps))
 
     def _transmit(self, flow: _SrTxFlow, seq: int, first: bool) -> None:
         if first:
             flow.sent_at[seq] = self.sim.now
         else:
             flow.retransmitted.add(seq)  # Karn: sample never taken
-        segment = pack_sr_data(self.index, flow.dst, seq, flow.payloads[seq])
-        self.nic.host.enqueue_tx(
-            self.frame_builder(flow.dst, segment), self.tx_queue
-        )
+        super()._transmit(flow, seq, first)
 
-    def _arm_timer(self, flow: _SrTxFlow) -> None:
-        flow.timer_gen += 1
-        rto = min(flow.rtt.rto_ps() * flow.backoff, self.rto_max_ps)
-        rto = max(1, int(rto * (
-            1.0 + self.rng.uniform(-self.jitter, self.jitter)
-        )))
-        self.sim.schedule_at(
-            self.sim.now + rto, self._on_timer, flow, flow.timer_gen
-        )
-
-    def _on_timer(self, flow: _SrTxFlow, gen: int) -> None:
-        if gen != flow.timer_gen or flow.aborted or not flow.outstanding():
-            return
-        self.rto_fired.add()
-        flow.retries += 1
-        self._trace("rel_rto", (("dst", flow.dst),
-                                ("rto_ps", flow.rtt.rto_ps() * flow.backoff),
-                                ("retries", flow.retries)))
-        if flow.retries > self.max_retries:
-            self._abort(flow)
-            return
+    def _on_timeout(self, flow: _SrTxFlow) -> None:
         flow.backoff = min(flow.backoff * 2, 1 << 14)
-        # Selective repeat: resend only the oldest hole, not the window.
-        self._transmit(flow, flow.base, first=False)
-        self.retransmits.add()
+        # Resend only the oldest hole, not the window.
+        self._retransmit(flow, flow.base)
         self._trace("rel_retransmit", (("dst", flow.dst),
                                        ("seq", flow.base),
                                        ("kind", "rto")))
-        self._arm_timer(flow)
 
-    def _abort(self, flow: _SrTxFlow) -> None:
-        flow.aborted = True
-        flow.timer_gen += 1
-        self.failures.append(DeliveryFailed(
-            dst=flow.dst, first_seq=flow.base, at_ps=self.sim.now,
-            retries=flow.retries,
-        ))
-        self._trace("rel_abort", (("dst", flow.dst),
-                                  ("first_seq", flow.base)))
-
-    def _on_ack(self, src: int, cum_wire: int,
+    def _on_ack(self, flow: _SrTxFlow, cum_wire: int,
                 blocks: Tuple[Tuple[int, int], ...]) -> None:
-        flow = self._tx.get(src)
-        if flow is None or flow.aborted:
-            return
         cum = seq_unwrap(cum_wire, flow.base)
         if cum < flow.base:
             self.dup_acks.add()
@@ -480,14 +359,7 @@ class SelectiveRepeatTransport:
             flow.retries = 0
             flow.backoff = 1
         self._fast_retransmit(flow)
-        self._pump(flow)
-        if flow.outstanding():
-            if progressed:
-                self._arm_timer(flow)  # restart RTO for the new oldest
-        else:
-            flow.timer_gen += 1  # nothing in flight: disarm
-            if flow.offered and flow.base == self.initial_seq + flow.offered:
-                flow.completed_ps = self.sim.now
+        self._ack_processed(flow, progressed)
 
     def _fast_retransmit(self, flow: _SrTxFlow) -> None:
         """SACK-inferred loss: a hole with ``FAST_RETX_DUPTHRESH`` SACKed
@@ -498,11 +370,10 @@ class SelectiveRepeatTransport:
         for seq in range(flow.base, sacked_sorted[-1]):
             if seq in flow.sacked or seq in flow.fast_done:
                 continue
-            above = len(flow.sacked) - _count_le(sacked_sorted, seq)
+            above = len(flow.sacked) - bisect_right(sacked_sorted, seq)
             if above >= FAST_RETX_DUPTHRESH:
                 flow.fast_done.add(seq)
-                self._transmit(flow, seq, first=False)
-                self.retransmits.add()
+                self._retransmit(flow, seq)
                 self.fast_retransmits.add()
                 self._trace("rel_retransmit", (("dst", flow.dst),
                                                ("seq", seq),
@@ -512,49 +383,31 @@ class SelectiveRepeatTransport:
     # Receiver
     # ------------------------------------------------------------------
 
-    def _on_host_rx(self, packet, queue: int) -> None:
-        parsed = parse_sr_segment(packet.data[segment_offset(packet):])
-        if parsed is None:
-            self.parse_rejects.add()
-            return
-        seg_type, src, dst, seq, tail = parsed
-        if dst != self.index and dst not in self.accept_dst:
-            self.parse_rejects.add()
-            return
-        if seg_type == SR_ACK:
-            self._on_ack(src, seq, tail)
-            return
+    def _on_data(self, src: int, seq: int, payload: bytes,
+                 queue: int) -> None:
         rx = self._rx.get(src)
         if rx is None:
             rx = self._rx[src] = _SrRxFlow(self.initial_seq)
         seq_abs = seq_unwrap(seq, rx.rcv_next)
-        just_buffered = False
+        latest = None
         if seq_abs < rx.rcv_next or seq_abs in rx.buffer:
             self.duplicates_suppressed.add()
         elif seq_abs >= rx.rcv_next + 4 * self.window:
             # Far beyond any plausible send window: refuse to buffer.
             self.out_of_order_dropped.add()
         else:
-            rx.buffer[seq_abs] = tail
-            just_buffered = True
+            rx.buffer[seq_abs] = payload
+            latest = seq_abs
             if seq_abs != rx.rcv_next:
                 self.buffered_ooo.add()
             while rx.rcv_next in rx.buffer:
-                payload = rx.buffer.pop(rx.rcv_next)
-                self.delivered.add()
-                if self.on_deliver is not None:
-                    self.on_deliver(src, rx.rcv_next, payload, queue)
+                self._deliver(src, rx.rcv_next, rx.buffer.pop(rx.rcv_next),
+                              queue)
                 rx.rcv_next += 1
-        self._send_ack(rx, src, seq_abs if just_buffered else None)
-
-    def _send_ack(self, rx: _SrRxFlow, src: int,
-                  latest: Optional[int]) -> None:
-        """Advertise the cumulative front plus SACK blocks.
-
-        The block containing the segment that triggered this ACK rides
-        first (freshest information), then the remaining OOO ranges in
-        ascending order, capped at :data:`SACK_MAX_BLOCKS`.
-        """
+        # Advertise the cumulative front plus SACK blocks: the block
+        # holding the segment that triggered this ACK rides first
+        # (freshest information), then the remaining out-of-order
+        # ranges ascending, capped at SACK_MAX_BLOCKS.
         blocks: List[Tuple[int, int]] = []
         if rx.buffer:
             ranges = _contiguous_ranges(sorted(rx.buffer))
@@ -566,69 +419,8 @@ class SelectiveRepeatTransport:
                         break
             blocks.extend(ranges)
             blocks = blocks[:SACK_MAX_BLOCKS]
-        ack = pack_sr_ack(self.reply_as, src, rx.rcv_next, tuple(blocks))
-        self.nic.host.enqueue_tx(self.frame_builder(src, ack), self.tx_queue)
-        self.acks_sent.add()
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def _trace(self, kind: str, args: Tuple) -> None:
-        if self._tracer is not None:
-            self._tracer.instant(self._trace_ctx, kind,
-                                 f"{self.nic.name}.reliability",
-                                 self.sim.now, args)
-
-    def stats(self) -> Dict[str, int]:
-        """The ``stats()["reliability"]`` block of the owning NIC.
-
-        Shares the go-back-N keys the chaos harness aggregates
-        (``retransmits``/``rto_fired``/``delivery_failures``) and adds
-        the selective-repeat-specific ones.
-        """
-        return {
-            "data_sent": self.data_sent.value,
-            "retransmits": self.retransmits.value,
-            "rto_fired": self.rto_fired.value,
-            "fast_retransmits": self.fast_retransmits.value,
-            "acks_sent": self.acks_sent.value,
-            "acks_received": self.acks_received.value,
-            "dup_acks": self.dup_acks.value,
-            "sack_blocks_rx": self.sack_blocks_rx.value,
-            "rtt_samples": self.rtt_samples.value,
-            "delivered": self.delivered.value,
-            "buffered_ooo": self.buffered_ooo.value,
-            "duplicates_suppressed": self.duplicates_suppressed.value,
-            "out_of_order_dropped": self.out_of_order_dropped.value,
-            "parse_rejects": self.parse_rejects.value,
-            "delivery_failures": len(self.failures),
-        }
-
-    def flow_report(self) -> Dict[int, Dict[str, int]]:
-        """Per-destination accounting; ``acked`` is the *cumulative*
-        prefix (SACKed-but-not-contiguous segments at abort time count
-        as failed -- the sender never confirmed them to the app)."""
-        out: Dict[int, Dict[str, int]] = {}
-        for dst, flow in sorted(self._tx.items()):
-            sent = flow.offered
-            acked = min(flow.base - self.initial_seq, sent)
-            out[dst] = {
-                "sent": sent,
-                "acked": acked,
-                "failed": sent - acked,
-                "aborted": int(flow.aborted),
-            }
-        return out
-
-    def fct_report(self) -> Dict[int, int]:
-        """Flow completion times: dst -> instant the last offered
-        payload was cumulatively acknowledged (completed flows only)."""
-        return {
-            dst: flow.completed_ps
-            for dst, flow in sorted(self._tx.items())
-            if flow.completed_ps is not None
-        }
+        self._send_ack(src, pack_sr_ack(self.reply_as, src, rx.rcv_next,
+                                        tuple(blocks)))
 
     def rtt_report(self) -> Dict[int, Dict[str, float]]:
         """Per-flow estimator state (srtt/rttvar/rto in ps)."""
@@ -641,10 +433,6 @@ class SelectiveRepeatTransport:
                 "samples": flow.rtt.samples,
             }
         return out
-
-    def failure_report(self) -> List[tuple]:
-        """Picklable ``DeliveryFailed`` records."""
-        return [tuple(f) for f in self.failures]
 
 
 def _contiguous_ranges(seqs: List[int]) -> List[Tuple[int, int]]:
@@ -662,10 +450,3 @@ def _contiguous_ranges(seqs: List[int]) -> List[Tuple[int, int]]:
     if start is not None:
         ranges.append((start, prev + 1))
     return ranges
-
-
-def _count_le(sorted_seqs: List[int], value: int) -> int:
-    """How many entries of ``sorted_seqs`` are <= ``value`` (bisect)."""
-    import bisect
-
-    return bisect.bisect_right(sorted_seqs, value)

@@ -1,14 +1,34 @@
-"""Host-side go-back-N reliable transport.
+"""Host-side reliable transport: the shared core and go-back-N.
 
-One :class:`ReliableTransport` per NIC plays both roles: sender for the
-flows this host originates, receiver (cumulative-ACK generator plus
-duplicate suppressor) for the flows arriving from peers.  It lives in
-host software -- segments enter the NIC through the normal
-``host.enqueue_tx`` doorbell path and come back out through the
-interrupt-driven ``software_handler`` -- so the NIC pipeline under test
-is exactly the one unreliable datagrams use.
+One transport per NIC plays both roles: sender for the flows this host
+originates, receiver (ACK generator plus duplicate suppressor) for the
+flows arriving from peers.  It lives in host software -- segments enter
+the NIC through the normal ``host.enqueue_tx`` doorbell path and come
+back out through the interrupt-driven ``software_handler`` -- so the NIC
+pipeline under test is exactly the one unreliable datagrams use.
 
-Wire format (inside the UDP payload)::
+:class:`TransportCore` is everything loss recovery does not decide: the
+flow table, the window pump, the one rule for (re)starting the
+retransmission timer, the retry budget and abort, the seeded jitter
+stream, direct-server-return addressing (``accept_dst``/``reply_as``),
+RX demultiplexing, tracer hooks and the four reports.  A *recovery
+policy* is a subclass supplying only what differs:
+
+=====================  ===============================================
+``DATA``/``ACK``,      the wire codec: segment type codes, DATA
+``_pack_data``,        serialisation, and ``_parse`` returning
+``_parse``             ``(type, src, dst, seq, tail)`` or None
+``_on_ack``            ACK processing (ends in ``_ack_processed``)
+``_on_timeout``        what an RTO expiry backs off and resends
+``_on_data``           receiver buffering and what the ACK advertises
+``_rto_ps``            where the RTO comes from
+=====================  ===============================================
+
+:class:`ReliableTransport` (this module) is go-back-N;
+:class:`~repro.reliability.selective.SelectiveRepeatTransport` is
+selective repeat with SACK and a measured RTO.
+
+Go-back-N wire format (inside the UDP payload)::
 
     0       2     3      5      7              15
     +-------+-----+------+------+---------------+----------------+
@@ -111,26 +131,29 @@ class DeliveryFailed(NamedTuple):
     retries: int
 
 
-class _TxFlow:
-    """Sender state for one destination."""
+class TxFlow:
+    """Sender state for one destination, common to every policy."""
 
-    __slots__ = ("dst", "payloads", "base", "next_seq", "rto_ps",
-                 "retries", "timer_gen", "aborted", "completed_ps")
+    __slots__ = ("dst", "payloads", "base", "next_seq", "end", "retries",
+                 "timer_gen", "aborted", "completed_ps")
 
-    def __init__(self, dst: int):
+    def __init__(self, dst: int, first_seq: int):
         self.dst = dst
-        self.payloads: List[bytes] = []
-        self.base = 0        # lowest unacknowledged sequence number
-        self.next_seq = 0    # next never-sent sequence number
-        self.rto_ps = 0      # current (backed-off) RTO
+        self.payloads: Dict[int, bytes] = {}  # seq -> app payload
+        self.base = first_seq      # lowest unacknowledged sequence number
+        self.next_seq = first_seq  # next never-sent sequence number
+        self.end = first_seq       # next never-offered sequence number
         self.retries = 0     # consecutive expiries without progress
         self.timer_gen = 0   # invalidates stale timer events
         self.aborted = False
         self.completed_ps: Optional[int] = None  # last payload acked at
 
+    def outstanding(self) -> bool:
+        return self.base < self.next_seq
 
-class ReliableTransport:
-    """Go-back-N sender + receiver for one NIC's host software.
+
+class TransportCore:
+    """Flow table, window, timer, retry budget, RX demux and reports.
 
     Parameters
     ----------
@@ -150,8 +173,33 @@ class ReliableTransport:
         workload seed; never share a stream the simulation draws from).
     on_deliver:
         ``on_deliver(src, seq, app_payload, queue)`` called exactly once
-        per in-order segment -- duplicates are suppressed before it.
+        per segment, in order -- duplicates are suppressed before it.
+    accept_dst, reply_as:
+        Direct-server-return serving (:mod:`repro.lb`): a backend also
+        accepts segments addressed to the virtual index (``accept_dst``)
+        and stamps its ACKs with it (``reply_as``), so clients talk to
+        the VIP and never learn which backend served them.
     """
+
+    #: Counter-name suffix under the NIC's name.
+    LABEL = ""
+    #: ``stats()`` keys in report order; each names a Counter attribute.
+    STATS: Tuple[str, ...] = ()
+    #: Largest window the policy's sequence arithmetic stays sound for.
+    MAX_WINDOW: Optional[int] = None
+    #: First sequence number of every flow (both ends must agree).
+    initial_seq = 0
+    #: Restart the RTO whenever new data enters flight, not only when
+    #: the flow leaves idle (see ``_pump``).
+    RESTART_RTO_ON_NEW_DATA = False
+
+    @classmethod
+    def check_window(cls, window: int) -> None:
+        """Raise unless ``window`` is one this policy can run with."""
+        if window < 1 or (cls.MAX_WINDOW and window > cls.MAX_WINDOW):
+            bound = (f"in 1..{cls.MAX_WINDOW} (unwrap safety)"
+                     if cls.MAX_WINDOW else ">= 1")
+            raise ValueError(f"window must be {bound}, got {window}")
 
     def __init__(
         self,
@@ -170,8 +218,7 @@ class ReliableTransport:
         accept_dst: Optional[set] = None,
         reply_as: Optional[int] = None,
     ):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
+        self.check_window(window)
         if rto_initial_ps <= 0:
             raise ValueError(f"rto_initial_ps must be > 0, got {rto_initial_ps}")
         if not 0.0 <= jitter < 1.0:
@@ -179,11 +226,6 @@ class ReliableTransport:
         self.nic = nic
         self.sim = nic.sim
         self.index = index
-        # Direct-server-return serving (repro.lb): a backend accepts
-        # segments addressed to the virtual index too (``accept_dst``)
-        # and stamps its ACKs with the virtual index (``reply_as``), so
-        # clients talk to the VIP and never learn which backend served
-        # them.
         self.accept_dst = frozenset(accept_dst or ())
         self.reply_as = self.index if reply_as is None else reply_as
         self.frame_builder = frame_builder
@@ -196,21 +238,10 @@ class ReliableTransport:
         self.on_deliver = on_deliver
         self.tx_queue = tx_queue
 
-        self._tx: Dict[int, _TxFlow] = {}
-        self._rx_expected: Dict[int, int] = {}  # src -> next in-order seq
+        self._tx: Dict[int, TxFlow] = {}
         self.failures: List[DeliveryFailed] = []
-
-        label = f"{nic.name}.rel"
-        self.data_sent = Counter(f"{label}.data_sent")
-        self.retransmits = Counter(f"{label}.retransmits")
-        self.rto_fired = Counter(f"{label}.rto_fired")
-        self.acks_sent = Counter(f"{label}.acks_sent")
-        self.acks_received = Counter(f"{label}.acks_received")
-        self.dup_acks = Counter(f"{label}.dup_acks")
-        self.delivered = Counter(f"{label}.delivered")
-        self.duplicates_suppressed = Counter(f"{label}.dups_suppressed")
-        self.out_of_order_dropped = Counter(f"{label}.ooo_dropped")
-        self.parse_rejects = Counter(f"{label}.parse_rejects")
+        for key in self.STATS:
+            setattr(self, key, Counter(f"{nic.name}.{self.LABEL}.{key}"))
 
         # Telemetry: control events land on a dedicated flow context,
         # allocated at construction so the trace id is mode-independent.
@@ -227,71 +258,111 @@ class ReliableTransport:
     # Sender
     # ------------------------------------------------------------------
 
+    def _new_flow(self, dst: int) -> TxFlow:
+        return TxFlow(dst, self.initial_seq)
+
     def send(self, dst: int, payload: bytes) -> None:
         """Offer one application payload to flow ``dst``.
 
-        Transmitted immediately if the go-back-N window has room,
-        otherwise once earlier segments are acknowledged.
+        Transmitted immediately if the window has room, otherwise once
+        earlier segments are acknowledged.
         """
         flow = self._tx.get(dst)
         if flow is None:
-            flow = self._tx[dst] = _TxFlow(dst)
-            flow.rto_ps = self.rto_initial_ps
-        flow.payloads.append(bytes(payload))
+            flow = self._tx[dst] = self._new_flow(dst)
+        flow.payloads[flow.end] = bytes(payload)
+        flow.end += 1
         flow.completed_ps = None
         self._pump(flow)
 
-    def _pump(self, flow: _TxFlow) -> None:
-        """Send everything the window allows; keep the timer honest."""
+    def _pump(self, flow: TxFlow) -> bool:
+        """Send everything the window allows; True if anything went.
+
+        The timer-arming rule, half one: the RTO starts when a flow
+        leaves idle (nothing outstanding -> something outstanding).  New
+        data joining an already-outstanding window does *not* push the
+        deadline out -- otherwise a sender that keeps offering never
+        repairs a loss until it stops.
+        """
         if flow.aborted:
-            return
-        limit = flow.base + self.window
-        while flow.next_seq < limit and flow.next_seq < len(flow.payloads):
-            self._transmit(flow, flow.next_seq)
+            return False
+        was_idle = flow.base >= flow.next_seq
+        limit = min(flow.base + self.window, flow.end)
+        if flow.next_seq >= limit:
+            return False
+        while flow.next_seq < limit:
+            self._transmit(flow, flow.next_seq, first=True)
             flow.next_seq += 1
             self.data_sent.add()
-        if flow.base < flow.next_seq:
+        if was_idle or self.RESTART_RTO_ON_NEW_DATA:
             self._arm_timer(flow)
+        return True
 
-    def _transmit(self, flow: _TxFlow, seq: int) -> None:
-        segment = pack_segment(DATA, self.index, flow.dst, seq,
-                               flow.payloads[seq])
+    def _ack_processed(self, flow: TxFlow, progressed: bool) -> None:
+        """Common tail of ACK processing, once ``base`` is updated.
+
+        The timer-arming rule, half two: an ACK that advanced ``base``
+        restarts the RTO for the new oldest segment; with nothing left
+        in flight the timer is disarmed and, if nothing is left to
+        offer either, the flow is complete.
+        """
+        self._pump(flow)
+        if flow.base < flow.next_seq:
+            if progressed:
+                self._arm_timer(flow)
+        else:
+            flow.timer_gen += 1
+            if flow.base == flow.end:
+                flow.completed_ps = self.sim.now
+
+    def _transmit(self, flow: TxFlow, seq: int, first: bool) -> None:
+        segment = self._pack_data(self.index, flow.dst, seq,
+                                  flow.payloads[seq])
         self.nic.host.enqueue_tx(
             self.frame_builder(flow.dst, segment), self.tx_queue
         )
 
-    def _arm_timer(self, flow: _TxFlow) -> None:
+    def _retransmit(self, flow: TxFlow, seq: int) -> None:
+        self._transmit(flow, seq, first=False)
+        self.retransmits.add()
+
+    def _send_ack(self, src: int, segment: bytes) -> None:
+        self.nic.host.enqueue_tx(self.frame_builder(src, segment),
+                                 self.tx_queue)
+        self.acks_sent.add()
+
+    def _jittered(self, ps: float) -> int:
+        """``ps`` spread by the seeded jitter: timers that backed off in
+        lockstep would otherwise fire at the same instant forever."""
+        return max(1, int(ps * (
+            1.0 + self.rng.uniform(-self.jitter, self.jitter)
+        )))
+
+    def _timer_delay_ps(self, flow: TxFlow) -> int:
+        return self._rto_ps(flow)
+
+    def _arm_timer(self, flow: TxFlow) -> None:
         flow.timer_gen += 1
         self.sim.schedule_at(
-            self.sim.now + flow.rto_ps, self._on_timer, flow, flow.timer_gen
+            self.sim.now + self._timer_delay_ps(flow),
+            self._on_timer, flow, flow.timer_gen,
         )
 
-    def _on_timer(self, flow: _TxFlow, gen: int) -> None:
+    def _on_timer(self, flow: TxFlow, gen: int) -> None:
         if gen != flow.timer_gen or flow.aborted or flow.base >= flow.next_seq:
             return  # stale timer, or nothing outstanding anymore
         self.rto_fired.add()
         flow.retries += 1
-        self._trace("rel_rto", (("dst", flow.dst), ("rto_ps", flow.rto_ps),
+        self._trace("rel_rto", (("dst", flow.dst),
+                                ("rto_ps", self._rto_ps(flow)),
                                 ("retries", flow.retries)))
         if flow.retries > self.max_retries:
             self._abort(flow)
             return
-        # Exponential backoff with seeded jitter: doubling alone would
-        # fire every sender's timer at the same instant forever.
-        backoff = min(flow.rto_ps * 2, self.rto_max_ps)
-        flow.rto_ps = max(1, int(backoff * (
-            1.0 + self.rng.uniform(-self.jitter, self.jitter)
-        )))
-        # Go-back-N: resend the entire outstanding window.
-        for seq in range(flow.base, flow.next_seq):
-            self._transmit(flow, seq)
-            self.retransmits.add()
-        self._trace("rel_retransmit", (("dst", flow.dst),
-                                       ("seq_from", flow.base),
-                                       ("seq_to", flow.next_seq - 1)))
+        self._on_timeout(flow)
         self._arm_timer(flow)
 
-    def _abort(self, flow: _TxFlow) -> None:
+    def _abort(self, flow: TxFlow) -> None:
         flow.aborted = True
         flow.timer_gen += 1
         self.failures.append(DeliveryFailed(
@@ -301,54 +372,31 @@ class ReliableTransport:
         self._trace("rel_abort", (("dst", flow.dst),
                                   ("first_seq", flow.base)))
 
-    def _on_ack(self, src: int, ack_no: int) -> None:
-        flow = self._tx.get(src)
-        if flow is None or flow.aborted:
-            return
-        if ack_no <= flow.base:
-            self.dup_acks.add()
-            return
-        self.acks_received.add()
-        flow.base = min(ack_no, flow.next_seq)
-        flow.retries = 0
-        flow.rto_ps = self.rto_initial_ps
-        if flow.base >= flow.next_seq and flow.next_seq >= len(flow.payloads):
-            flow.timer_gen += 1  # flow complete: disarm
-            flow.completed_ps = self.sim.now
-        self._pump(flow)
-
     # ------------------------------------------------------------------
     # Receiver
     # ------------------------------------------------------------------
 
     def _on_host_rx(self, packet, queue: int) -> None:
-        parsed = parse_segment(packet.data[segment_offset(packet):])
+        parsed = self._parse(packet.data[segment_offset(packet):])
         if parsed is None:
             self.parse_rejects.add()
             return
-        seg_type, src, dst, seq, payload = parsed
+        seg_type, src, dst, seq, tail = parsed
         if dst != self.index and dst not in self.accept_dst:
             self.parse_rejects.add()
             return
-        if seg_type == ACK:
-            self._on_ack(src, seq)
-            return
-        expected = self._rx_expected.get(src, 0)
-        if seq == expected:
-            self._rx_expected[src] = expected + 1
-            self.delivered.add()
-            if self.on_deliver is not None:
-                self.on_deliver(src, seq, payload, queue)
-        elif seq < expected:
-            self.duplicates_suppressed.add()
+        if seg_type == self.ACK:
+            flow = self._tx.get(src)
+            if flow is not None and not flow.aborted:
+                self._on_ack(flow, seq, tail)
         else:
-            # Go-back-N receiver: no reorder buffer; the sender will
-            # resend from `expected` on its next timeout.
-            self.out_of_order_dropped.add()
-        # Always (re-)advertise the cumulative front, so lost ACKs heal.
-        ack = pack_segment(ACK, self.reply_as, src, self._rx_expected.get(src, 0))
-        self.nic.host.enqueue_tx(self.frame_builder(src, ack), self.tx_queue)
-        self.acks_sent.add()
+            self._on_data(src, seq, tail, queue)
+
+    def _deliver(self, src: int, seq: int, payload: bytes,
+                 queue: int) -> None:
+        self.delivered.add()
+        if self.on_deliver is not None:
+            self.on_deliver(src, seq, payload, queue)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -361,29 +409,24 @@ class ReliableTransport:
                                  self.sim.now, args)
 
     def stats(self) -> Dict[str, int]:
-        """The ``stats()["reliability"]`` block of the owning NIC."""
-        return {
-            "data_sent": self.data_sent.value,
-            "retransmits": self.retransmits.value,
-            "rto_fired": self.rto_fired.value,
-            "acks_sent": self.acks_sent.value,
-            "acks_received": self.acks_received.value,
-            "dup_acks": self.dup_acks.value,
-            "delivered": self.delivered.value,
-            "duplicates_suppressed": self.duplicates_suppressed.value,
-            "out_of_order_dropped": self.out_of_order_dropped.value,
-            "parse_rejects": self.parse_rejects.value,
-            "delivery_failures": len(self.failures),
-        }
+        """The ``stats()["reliability"]`` block of the owning NIC.  Both
+        policies share the keys the chaos harness aggregates
+        (``retransmits``/``rto_fired``/``delivery_failures``)."""
+        out = {key: getattr(self, key).value for key in self.STATS}
+        out["delivery_failures"] = len(self.failures)
+        return out
 
     def flow_report(self) -> Dict[int, Dict[str, int]]:
         """Per-destination accounting: ``sent == acked + failed`` holds
         for every flow once the simulation drains (the chaos harness's
-        accounting invariant)."""
+        accounting invariant).  ``acked`` is the *cumulative* prefix:
+        segments confirmed out of order but not contiguously at abort
+        time count as failed -- the sender never confirmed them to the
+        application."""
         out: Dict[int, Dict[str, int]] = {}
         for dst, flow in sorted(self._tx.items()):
-            sent = len(flow.payloads)
-            acked = min(flow.base, sent)
+            sent = flow.end - self.initial_seq
+            acked = min(flow.base - self.initial_seq, sent)
             out[dst] = {
                 "sent": sent,
                 "acked": acked,
@@ -404,3 +447,84 @@ class ReliableTransport:
     def failure_report(self) -> List[tuple]:
         """Picklable ``DeliveryFailed`` records."""
         return [tuple(f) for f in self.failures]
+
+
+class _GbnTxFlow(TxFlow):
+    __slots__ = ("rto_ps",)  # current (backed-off) RTO
+
+
+class ReliableTransport(TransportCore):
+    """Go-back-N: cumulative ACKs, no receiver buffer, a fixed initial
+    RTO that doubles per expiry, and the whole outstanding window resent
+    on timeout.  Constructor parameters: :class:`TransportCore`."""
+
+    LABEL = "rel"
+    DATA = DATA
+    ACK = ACK
+    STATS = ("data_sent", "retransmits", "rto_fired", "acks_sent",
+             "acks_received", "dup_acks", "delivered",
+             "duplicates_suppressed", "out_of_order_dropped",
+             "parse_rejects")
+    # Parent-commit behaviour, kept so this restructuring commit is
+    # bit-identical: the RTO restarts on *every* pump with data
+    # outstanding, so a sender that keeps offering starves its own
+    # timer.  The next commit deletes this attribute and the override.
+    RESTART_RTO_ON_NEW_DATA = True
+
+    def __init__(self, nic, index: int, **core_args):
+        super().__init__(nic, index, **core_args)
+        self._rx_expected: Dict[int, int] = {}  # src -> next in-order seq
+
+    _parse = staticmethod(parse_segment)
+
+    @staticmethod
+    def _pack_data(src: int, dst: int, seq: int, payload: bytes) -> bytes:
+        return pack_segment(DATA, src, dst, seq, payload)
+
+    def _new_flow(self, dst: int) -> _GbnTxFlow:
+        flow = _GbnTxFlow(dst, 0)
+        flow.rto_ps = self.rto_initial_ps
+        return flow
+
+    def _rto_ps(self, flow: _GbnTxFlow) -> int:
+        return flow.rto_ps
+
+    def _pump(self, flow: _GbnTxFlow) -> bool:
+        pumped = super()._pump(flow)
+        if not pumped and not flow.aborted and flow.outstanding():
+            self._arm_timer(flow)
+        return pumped
+
+    def _on_timeout(self, flow: _GbnTxFlow) -> None:
+        flow.rto_ps = self._jittered(min(flow.rto_ps * 2, self.rto_max_ps))
+        for seq in range(flow.base, flow.next_seq):
+            self._retransmit(flow, seq)
+        self._trace("rel_retransmit", (("dst", flow.dst),
+                                       ("seq_from", flow.base),
+                                       ("seq_to", flow.next_seq - 1)))
+
+    def _on_ack(self, flow: _GbnTxFlow, ack_no: int, _tail) -> None:
+        if ack_no <= flow.base:
+            self.dup_acks.add()
+            return
+        self.acks_received.add()
+        flow.base = min(ack_no, flow.next_seq)
+        flow.retries = 0
+        flow.rto_ps = self.rto_initial_ps
+        self._ack_processed(flow, progressed=False)
+
+    def _on_data(self, src: int, seq: int, payload: bytes,
+                 queue: int) -> None:
+        expected = self._rx_expected.get(src, 0)
+        if seq == expected:
+            expected += 1
+            self._rx_expected[src] = expected
+            self._deliver(src, seq, payload, queue)
+        elif seq < expected:
+            self.duplicates_suppressed.add()
+        else:
+            # No reorder buffer: the sender will resend from `expected`
+            # on its next timeout.
+            self.out_of_order_dropped.add()
+        # Always (re-)advertise the cumulative front, so lost ACKs heal.
+        self._send_ack(src, pack_segment(ACK, self.reply_as, src, expected))

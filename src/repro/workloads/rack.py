@@ -37,13 +37,17 @@ attribute every delivery exactly -- the shard equivalence tests compare
 these ``(src, seq, t, queue)`` tuples bit-for-bit between execution
 modes.
 
-``build_rack_nic`` is module-level and picklable by reference, as the
-shard workers require.
+Every rack workload -- this plain one, the reliable rack
+(:mod:`repro.reliability.rack`) and the load-balanced rack
+(:mod:`repro.lb.rack`) -- is the same :class:`RackNode` under the same
+:func:`all_pairs_topology`; they differ only in the role attached to
+each node.  Node builders are module-level and picklable by reference,
+as the shard workers require.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 from repro.core.config import PanicConfig
 from repro.core.panic import PanicNic
@@ -114,133 +118,151 @@ def rack_mesh_size(ports: int, offloads: int = 1, rmt_tiles: int = 1) -> int:
     return side
 
 
-def build_rack_nic(
-    sim: Simulator,
-    name: str,
-    *,
-    index: int,
-    n_nics: int,
-    frames: int,
-    gap_ps: int = 2 * US,
-    payload_bytes: int = 256,
-    pattern: str = "symmetric",
-    seed: int = 0,
-    fast_path: bool = True,
-    telemetry=None,
-    batch: bool = False,
-    flow_id: str = "auto",
-    int_=None,
-) -> Tuple[PanicNic, Callable[[], dict]]:
-    """Build rack node ``index`` of ``n_nics``: a PANIC NIC with one port
-    per peer, TX routes steering each flow's identity class (DSCP or
-    payload tag) onto its cable, per-source RX slack classes, scheduled
-    senders, and a delivery recorder.
+#: Accepted traffic patterns.
+PATTERNS = ("symmetric", "fanin")
 
-    Returns ``(nic, report)`` where ``report()`` yields a picklable dict:
-    ``stats`` (the NIC's stats tree), ``deliveries`` (sorted
-    ``(src, seq, arrival_ps, queue)`` tuples) and ``sent``; with
-    ``telemetry`` set, also ``trace`` (the NIC's canonical span list)
-    and ``trace_summary`` (ring-buffer accounting incl. dropped spans);
-    with ``int_`` (an :class:`~repro.telemetry.config.IntConfig`) set,
-    also ``int`` (the sink's sorted postcard list -- feed it to an
-    :class:`~repro.telemetry.int_.IntCollector`).
-    """
-    if pattern not in ("symmetric", "fanin"):
-        raise ValueError(f"unknown rack pattern {pattern!r}")
-    flow_id = resolve_flow_id(flow_id, n_nics)
-    tagged = flow_id == "tag"
-    mesh_side = rack_mesh_size(n_nics - 1)
-    config = PanicConfig(
-        ports=n_nics - 1,
-        offloads=("checksum",),
-        seed=seed + index,
-        fast_path=fast_path,
-        telemetry=telemetry,
-        batch_execution=batch,
-        mesh_width=mesh_side,
-        mesh_height=mesh_side,
-        int_=int_,
-    )
-    nic = PanicNic(sim, config, name=name)
+#: Racks that run a periodic monitor (checksum-lane failover, the LB's
+#: backend heartbeats) stop it at this instant so the event heap drains
+#: -- the tick would otherwise keep ``sim.run()`` alive forever.
+#: Comfortably past the chaos horizon (100 us) plus worst-case detection
+#: latency (timeout + period).
+DEFAULT_MONITOR_STOP_PS = 150 * US
 
-    peers = [peer for peer in range(n_nics) if peer != index]
-    for peer in peers:
-        # Outbound: this flow's identity class leaves on the cable to
-        # `peer`, via the checksum lane so TX exercises an offload hop
-        # too.  Inbound: per-source slack, so the on-NIC scheduler treats
-        # each remote sender as a distinct tenant class.
-        if tagged:
-            nic.control.route_tag_tx(
-                flow_tag(index, peer, n_nics),
-                chain=["checksum"],
-                egress_port=rack_port(index, peer),
-            )
-            nic.control.set_tag_slack(
-                flow_tag(peer, index, n_nics), (1 + peer) * 200 * US
-            )
-        else:
-            nic.control.route_dscp_tx(
-                flow_dscp(index, peer, n_nics),
-                chain=["checksum"],
-                egress_port=rack_port(index, peer),
-            )
-            nic.control.set_dscp_slack(
-                flow_dscp(peer, index, n_nics), (1 + peer) * 200 * US
-            )
 
-    deliveries = []
-    shim = RACK_TAG_BYTES if tagged else 0
+def check_pattern(pattern: str) -> None:
+    if pattern not in PATTERNS:
+        raise ValueError(
+            f"unknown rack pattern {pattern!r}; expected {PATTERNS}")
 
-    def on_rx(packet, queue: int) -> None:
-        payload = packet.data[_PAYLOAD_OFFSET + shim:]
-        seq = int.from_bytes(payload[:8], "big")
-        src = int.from_bytes(payload[8:10], "big")
-        deliveries.append((src, seq, sim.now, queue))
 
-    nic.host.software_handler = on_rx
-
+def pattern_targets(pattern: str, index: int, n_nics: int) -> List[int]:
+    """The peers node ``index`` streams at under ``pattern``."""
     if pattern == "symmetric":
-        targets = peers
-    else:  # fanin: everyone streams at NIC 0
-        targets = [0] if index != 0 else []
+        return [peer for peer in range(n_nics) if peer != index]
+    return [0] if index != 0 else []  # fanin: everyone streams at NIC 0
 
-    pad = max(0, payload_bytes - 10 - shim)
-    sent = 0
-    for dst in targets:
-        dscp = 0 if tagged else flow_dscp(index, dst, n_nics)
-        prefix = (
-            flow_tag(index, dst, n_nics).to_bytes(2, "big") if tagged
-            else b""
+
+class RackNode:
+    """One NIC of an all-pairs rack, before any role is attached.
+
+    Builds the PANIC NIC (one port per peer, mesh sized to seat them,
+    checksum lane, optionally a spare lane and checksum verification),
+    resolves the flow-identity encoding, and installs per peer the TX
+    route steering this node's flow class onto the peer's cable (via
+    the checksum lane, so TX exercises an offload hop too) and the RX
+    slack class that makes each remote sender a distinct tenant for the
+    on-NIC scheduler.  Routes and slack cover ALL peers whatever the
+    traffic pattern: ACKs flow against the data direction.
+
+    A *role* is what a rack then attaches: scheduled senders and a
+    recorder (:func:`build_rack_nic`), a reliable endpoint
+    (:mod:`repro.reliability.rack`), VIP steering, a backend responder
+    or a client flow (:mod:`repro.lb.rack`).  Roles build frames with
+    :meth:`frame`, log host deliveries with :meth:`record`, and
+    contribute report keys through :attr:`report_parts`.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        *,
+        index: int,
+        n_nics: int,
+        seed: int = 0,
+        fast_path: bool = True,
+        telemetry=None,
+        batch: bool = False,
+        flow_id: str = "auto",
+        int_=None,
+        spare_checksum: bool = False,
+        verify_checksums: bool = False,
+    ):
+        self.sim = sim
+        self.index = index
+        self.n_nics = n_nics
+        self.tagged = resolve_flow_id(flow_id, n_nics) == "tag"
+        offloads = (("checksum", "checksum1") if spare_checksum
+                    else ("checksum",))
+        mesh_side = rack_mesh_size(n_nics - 1, len(offloads))
+        self.nic = nic = PanicNic(sim, PanicConfig(
+            ports=n_nics - 1,
+            offloads=offloads,
+            seed=seed + index,
+            fast_path=fast_path,
+            telemetry=telemetry,
+            batch_execution=batch,
+            mesh_width=mesh_side,
+            mesh_height=mesh_side,
+            int_=int_,
+            verify_checksums=verify_checksums,
+        ), name=name)
+
+        control = nic.control
+        route, slack = (
+            (control.route_tag_tx, control.set_tag_slack) if self.tagged
+            else (control.route_dscp_tx, control.set_dscp_slack))
+        self.peers = [peer for peer in range(n_nics) if peer != index]
+        for peer in self.peers:
+            route(self.flow(index, peer), chain=["checksum"],
+                  egress_port=rack_port(index, peer))
+            slack(self.flow(peer, index), (1 + peer) * 200 * US)
+
+        #: Offset of the application payload in a received frame: past
+        #: Ethernet + IPv4 + UDP and, in tag mode, the flow-tag shim.
+        self.payload_offset = _PAYLOAD_OFFSET + (
+            RACK_TAG_BYTES if self.tagged else 0)
+        #: ``(src, seq, arrival_ps, queue)`` per host delivery.
+        self.deliveries: List[tuple] = []
+        #: Application payloads this node's role offered.
+        self.sent = 0
+        #: Callables returning extra report keys, one per attached role.
+        self.report_parts: List[Callable[[], dict]] = []
+
+    def flow(self, src: int, dst: int) -> int:
+        """Flow-identity class of ``src -> dst`` (DSCP value or tag)."""
+        return (flow_tag if self.tagged else flow_dscp)(
+            src, dst, self.n_nics)
+
+    def frame(self, dst: int, payload: bytes, *, dst_ip: str = "",
+              identification: int = 0) -> bytes:
+        """A UDP frame from this node to peer ``dst`` carrying this
+        flow's identity class.  ``dst_ip`` overrides the peer's host
+        address (the LB rack's clients address the VIP)."""
+        flow = self.flow(self.index, dst)
+        if self.tagged:
+            payload = flow.to_bytes(2, "big") + payload
+        return build_udp_frame(
+            src_mac="02:00:00:00:00:%02x" % (self.index + 1),
+            dst_mac="02:00:00:00:00:%02x" % (dst + 1),
+            src_ip=f"10.0.{self.index}.1",
+            dst_ip=dst_ip or f"10.0.{dst}.1",
+            src_port=40000 + self.index,
+            dst_port=RACK_TAG_UDP_PORT if self.tagged else 9000,
+            payload=payload,
+            dscp=0 if self.tagged else flow,
+            identification=identification,
         )
-        for seq in range(frames):
-            payload = (
-                prefix + seq.to_bytes(8, "big")
-                + index.to_bytes(2, "big") + bytes(pad)
-            )
-            frame = build_udp_frame(
-                src_mac="02:00:00:00:00:%02x" % (index + 1),
-                dst_mac="02:00:00:00:00:%02x" % (dst + 1),
-                src_ip=f"10.0.{index}.1",
-                dst_ip=f"10.0.{dst}.1",
-                src_port=40000 + index,
-                dst_port=RACK_TAG_UDP_PORT if tagged else 9000,
-                payload=payload,
-                dscp=dscp,
-                identification=seq & 0xFFFF,
-            )
-            # Senders are aligned across the rack on purpose: every node
-            # releases frame k at the same instant, producing the incast.
-            sim.schedule_at(seq * gap_ps, nic.host.enqueue_tx, frame)
-            sent += 1
 
-    total_sent = sent
+    def record(self, src: int, seq: int, _payload: bytes = b"",
+               queue: int = 0) -> None:
+        """Log one host delivery; also the transports' ``on_deliver``."""
+        self.deliveries.append((src, seq, self.sim.now, queue))
 
-    def report() -> dict:
-        rep = {
-            "stats": nic.stats(),
-            "deliveries": sorted(deliveries),
-            "sent": total_sent,
-        }
+    def traffic_report(self) -> dict:
+        """The report part of any role that sends or receives."""
+        return {"deliveries": sorted(self.deliveries), "sent": self.sent}
+
+    def report(self) -> dict:
+        """The node's picklable result: ``stats`` (the NIC's stats
+        tree), then whatever the attached roles contribute; with
+        telemetry armed also ``trace`` (canonical span list) and
+        ``trace_summary`` (ring-buffer accounting incl. dropped spans);
+        with INT armed also ``int`` (the sink's sorted postcards)."""
+        nic = self.nic
+        rep = {"stats": nic.stats()}
+        for part in self.report_parts:
+            rep.update(part())
         if nic.telemetry is not None:
             rep["trace"] = nic.telemetry.trace_report()
             # seen/sampled/spans/dropped_spans are simulated-state
@@ -251,7 +273,71 @@ def build_rack_nic(
             rep["int"] = nic.int_agent.postcards()
         return rep
 
-    return nic, report
+
+def build_rack_nic(
+    sim: Simulator,
+    name: str,
+    *,
+    frames: int,
+    gap_ps: int = 2 * US,
+    payload_bytes: int = 256,
+    pattern: str = "symmetric",
+    **node_params,
+) -> Tuple[PanicNic, Callable[[], dict]]:
+    """Build one node of the plain rack: a :class:`RackNode`
+    (``node_params`` are its keywords) whose role is scheduled senders
+    plus a delivery recorder.
+
+    Returns ``(nic, report)`` where ``report()`` yields a picklable dict:
+    ``stats``, ``deliveries`` (sorted ``(src, seq, arrival_ps, queue)``
+    tuples) and ``sent``, plus the telemetry keys of
+    :meth:`RackNode.report`.
+    """
+    check_pattern(pattern)
+    node = RackNode(sim, name, **node_params)
+    nic, index, offset = node.nic, node.index, node.payload_offset
+
+    def on_rx(packet, queue: int) -> None:
+        payload = packet.data[offset:]
+        node.record(int.from_bytes(payload[8:10], "big"),
+                    int.from_bytes(payload[:8], "big"), queue=queue)
+
+    nic.host.software_handler = on_rx
+
+    pad = bytes(max(0, payload_bytes - 10 - (offset - _PAYLOAD_OFFSET)))
+    source = index.to_bytes(2, "big")
+    for dst in pattern_targets(pattern, index, node.n_nics):
+        for seq in range(frames):
+            # Senders are aligned across the rack on purpose: every node
+            # releases frame k at the same instant, producing the incast.
+            sim.schedule_at(seq * gap_ps, nic.host.enqueue_tx, node.frame(
+                dst, seq.to_bytes(8, "big") + source + pad,
+                identification=seq & 0xFFFF))
+            node.sent += 1
+    node.report_parts.append(node.traffic_report)
+    return nic, node.report
+
+
+def all_pairs_topology(builder, nics: int, propagation_ps: int,
+                       params: dict) -> RackTopology:
+    """``nics`` nodes built by ``builder(sim, name, index=, n_nics=,
+    **params)``, every unordered pair joined by one full-duplex cable;
+    the port numbering is :func:`rack_port` on both ends."""
+    specs = [
+        NicSpec(f"nic{i}", builder, {"index": i, "n_nics": nics, **params})
+        for i in range(nics)
+    ]
+    links = [
+        LinkSpec(
+            f"nic{i}", f"nic{j}",
+            port_a=rack_port(i, j),
+            port_b=rack_port(j, i),
+            propagation_ps=propagation_ps,
+        )
+        for i in range(nics)
+        for j in range(i + 1, nics)
+    ]
+    return RackTopology(specs, links)
 
 
 def rack_topology(
@@ -269,40 +355,19 @@ def rack_topology(
     int_=None,
 ) -> RackTopology:
     """An all-pairs-cabled rack of ``nics`` PANIC NICs running the given
-    traffic pattern.  Every unordered pair gets one full-duplex cable;
-    the port numbering is :func:`rack_port` on both ends.  ``flow_id``
-    picks the flow-identity encoding (module docstring): ``"dscp"`` caps
-    the rack at 7 NICs, ``"tag"`` at 255, ``"auto"`` switches at 8."""
-    flow_id = resolve_flow_id(flow_id, nics)
-    specs = [
-        NicSpec(
-            f"nic{i}",
-            build_rack_nic,
-            {
-                "index": i,
-                "n_nics": nics,
-                "frames": frames,
-                "gap_ps": gap_ps,
-                "payload_bytes": payload_bytes,
-                "pattern": pattern,
-                "seed": seed,
-                "fast_path": fast_path,
-                "telemetry": telemetry,
-                "batch": batch,
-                "flow_id": flow_id,
-                "int_": int_,
-            },
-        )
-        for i in range(nics)
-    ]
-    links = [
-        LinkSpec(
-            f"nic{i}", f"nic{j}",
-            port_a=rack_port(i, j),
-            port_b=rack_port(j, i),
-            propagation_ps=propagation_ps,
-        )
-        for i in range(nics)
-        for j in range(i + 1, nics)
-    ]
-    return RackTopology(specs, links)
+    traffic pattern.  ``flow_id`` picks the flow-identity encoding
+    (module docstring): ``"dscp"`` caps the rack at 7 NICs, ``"tag"`` at
+    255, ``"auto"`` switches at 8."""
+    check_pattern(pattern)
+    return all_pairs_topology(build_rack_nic, nics, propagation_ps, {
+        "frames": frames,
+        "gap_ps": gap_ps,
+        "payload_bytes": payload_bytes,
+        "pattern": pattern,
+        "seed": seed,
+        "fast_path": fast_path,
+        "telemetry": telemetry,
+        "batch": batch,
+        "flow_id": resolve_flow_id(flow_id, nics),
+        "int_": int_,
+    })

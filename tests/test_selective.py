@@ -284,13 +284,6 @@ class TestSenderSack:
         assert transport._tx[1].base == 2
         assert transport.stats()["dup_acks"] == 1
 
-    def test_window_bounds_outstanding_segments(self):
-        sim = Simulator()
-        nic, transport = _bench_transport(sim, window=2, max_retries=1)
-        for _ in range(5):
-            transport.send(1, b"p")
-        assert set(_tx_data_seqs(nic)) == {0, 1}
-
     def test_constructor_validates_window_against_seq_space(self):
         with pytest.raises(ValueError, match="window"):
             _bench_transport(Simulator(), window=SEQ_SPACE)
