@@ -465,12 +465,6 @@ class ReliableTransport(TransportCore):
              "acks_received", "dup_acks", "delivered",
              "duplicates_suppressed", "out_of_order_dropped",
              "parse_rejects")
-    # Parent-commit behaviour, kept so this restructuring commit is
-    # bit-identical: the RTO restarts on *every* pump with data
-    # outstanding, so a sender that keeps offering starves its own
-    # timer.  The next commit deletes this attribute and the override.
-    RESTART_RTO_ON_NEW_DATA = True
-
     def __init__(self, nic, index: int, **core_args):
         super().__init__(nic, index, **core_args)
         self._rx_expected: Dict[int, int] = {}  # src -> next in-order seq
@@ -489,12 +483,6 @@ class ReliableTransport(TransportCore):
     def _rto_ps(self, flow: _GbnTxFlow) -> int:
         return flow.rto_ps
 
-    def _pump(self, flow: _GbnTxFlow) -> bool:
-        pumped = super()._pump(flow)
-        if not pumped and not flow.aborted and flow.outstanding():
-            self._arm_timer(flow)
-        return pumped
-
     def _on_timeout(self, flow: _GbnTxFlow) -> None:
         flow.rto_ps = self._jittered(min(flow.rto_ps * 2, self.rto_max_ps))
         for seq in range(flow.base, flow.next_seq):
@@ -511,7 +499,7 @@ class ReliableTransport(TransportCore):
         flow.base = min(ack_no, flow.next_seq)
         flow.retries = 0
         flow.rto_ps = self.rto_initial_ps
-        self._ack_processed(flow, progressed=False)
+        self._ack_processed(flow, progressed=True)
 
     def _on_data(self, src: int, seq: int, payload: bytes,
                  queue: int) -> None:

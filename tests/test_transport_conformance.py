@@ -33,6 +33,7 @@ from repro.reliability.transport import (
     DATA,
     DeliveryFailed,
     ReliableTransport,
+    default_rto_ps,
     pack_segment,
     parse_segment,
 )
@@ -40,6 +41,7 @@ from repro.sim.clock import US
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 from repro.sim.shard import run_monolithic
+from repro.workloads.wire import DEFAULT_PROPAGATION_PS
 
 RTO_PS = 10 * US
 HOP_PS = 1 * US
@@ -259,6 +261,30 @@ class TestRetryBudget:
         for bad in ({"window": 0}, {"jitter": 1.0}, {"rto_initial_ps": 0}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 _endpoint(Simulator(), policy, 0, **bad)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_mid_flow_loss_is_repaired_while_the_sender_keeps_offering(policy):
+    """A 5 us cable cut at t=100 us of a 300-frame flow.  Go-back-N
+    used to restart its RTO on every offered payload, so the frames
+    lost in the cut were not resent until the sender ran dry 500 us
+    later (p50 317 us, max 537 us); the timer-arming rule now lives in
+    the core and only a flow leaving idle or an ACK advancing the
+    window restarts it."""
+    gap_ps = 2 * US
+    result = run_monolithic(
+        reliable_rack_topology(nics=2, pattern="fanin", frames=300,
+                               gap_ps=gap_ps, transport=policy.name),
+        fault_plan=FaultPlan().flap_wire(100 * US, 105 * US,
+                                         wire_target(0, 1)))
+    deliveries = result.reports["nic0"]["deliveries"]
+    assert [seq for _src, seq, _t, _q in deliveries] == list(range(300))
+    rel = result.reports["nic1"]["stats"]["reliability"]
+    assert rel["retransmits"] > 0
+    latencies = sorted(t - seq * gap_ps for _src, seq, t, _q in deliveries)
+    rto_ps = default_rto_ps(DEFAULT_PROPAGATION_PS)
+    assert latencies[-1] < 2 * rto_ps
+    assert latencies[len(latencies) // 2] < 10 * US
 
 
 VIP = 0
