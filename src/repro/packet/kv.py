@@ -42,6 +42,17 @@ class KvStatus(enum.IntEnum):
     ERROR = 2
 
 
+def _wire_enum(kind, value: int):
+    """``kind(value)``, with a byte no member claims reported as the
+    malformed header it is (a bare ``ValueError`` would escape every
+    ``except HeaderError`` on the parse path and abort the simulation)."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise HeaderError(
+            f"{value} is not a valid {kind.__name__}") from None
+
+
 @dataclass
 class KvRequest:
     """A client request (GET / SET / DELETE)."""
@@ -56,7 +67,7 @@ class KvRequest:
     HEADER_LEN = struct.calcsize(HEADER_FMT)
 
     def __post_init__(self) -> None:
-        self.opcode = KvOpcode(self.opcode)
+        self.opcode = _wire_enum(KvOpcode, self.opcode)
         if self.opcode == KvOpcode.RESPONSE:
             raise HeaderError("KvRequest cannot carry the RESPONSE opcode")
         if not 0 <= self.tenant <= 0xFFFF:
@@ -91,7 +102,7 @@ class KvRequest:
             raise HeaderError("truncated KV request body")
         key = data[cls.HEADER_LEN : cls.HEADER_LEN + key_len]
         value = data[cls.HEADER_LEN + key_len : end]
-        return cls(KvOpcode(opcode), tenant, request_id, key, value), data[end:]
+        return cls(opcode, tenant, request_id, key, value), data[end:]
 
 
 @dataclass
@@ -107,7 +118,7 @@ class KvResponse:
     HEADER_LEN = struct.calcsize(HEADER_FMT)
 
     def __post_init__(self) -> None:
-        self.status = KvStatus(self.status)
+        self.status = _wire_enum(KvStatus, self.status)
         if not 0 <= self.tenant <= 0xFFFF:
             raise HeaderError(f"tenant id out of range: {self.tenant}")
         if not 0 <= self.request_id < 1 << 32:
@@ -137,11 +148,11 @@ class KvResponse:
         if len(data) < end:
             raise HeaderError("truncated KV response body")
         value = data[cls.HEADER_LEN : end]
-        return cls(KvStatus(status), tenant, request_id, value), data[end:]
+        return cls(status, tenant, request_id, value), data[end:]
 
 
 def peek_opcode(data: bytes) -> KvOpcode:
     """Cheap inspection of the opcode byte (used by RMT parse graphs)."""
     if not data:
         raise HeaderError("empty KV message")
-    return KvOpcode(data[0])
+    return _wire_enum(KvOpcode, data[0])

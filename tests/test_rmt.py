@@ -26,14 +26,15 @@ from repro.rmt import (
 from repro.rmt.action import decode_chain, standard_actions
 
 
-def udp_frame(payload=b"data", dscp=0, dst_ip="10.0.0.2", src_port=1234):
+def udp_frame(payload=b"data", dscp=0, dst_ip="10.0.0.2", src_port=1234,
+              dst_port=9999):
     return build_udp_frame(
         src_mac="02:00:00:00:00:01",
         dst_mac="02:00:00:00:00:02",
         src_ip="10.0.0.1",
         dst_ip=dst_ip,
         src_port=src_port,
-        dst_port=9999,
+        dst_port=dst_port,
         payload=payload,
         dscp=dscp,
     )
@@ -97,6 +98,24 @@ class TestParser:
     def test_malformed_packet_sets_parse_error(self):
         phv = default_parse_graph().parse(b"\x00" * 13)  # truncated L2
         assert phv.get_or("meta.parse_error", 0) == 1
+
+    @pytest.mark.parametrize("src_port,dst_port",
+                             [(40000, 11211), (11211, 40000)])
+    def test_unknown_kv_opcode_is_a_parse_error_not_a_crash(
+            self, src_port, dst_port):
+        # First payload byte 9 is no KvOpcode: this used to escape the
+        # parser as a bare ValueError and abort the whole simulation.
+        frame = udp_frame(src_port=src_port, dst_port=dst_port,
+                          payload=b"\x09" + bytes(63))
+        phv = default_parse_graph().parse(frame)
+        assert phv.get("meta.parse_error") == 1
+        assert phv.get("meta.parse_error_state") == b"kv"
+
+    def test_unknown_kv_status_is_a_parse_error_too(self):
+        response = bytes([KvOpcode.RESPONSE, 7]) + bytes(10)
+        phv = default_parse_graph().parse(
+            udp_frame(src_port=11211, dst_port=40000, payload=response))
+        assert phv.get("meta.parse_error") == 1
 
     def test_mac_padding_trimmed_by_ip_length(self):
         frame = udp_frame(payload=b"x")

@@ -1,10 +1,15 @@
 """Property-based tests on the RMT substrate: table semantics against
 brute-force reference implementations, and parser totality."""
 
+import struct
+
 from hypothesis import given, settings, strategies as st
 
-from repro.packet import build_udp_frame
+from repro.core import PanicConfig, PanicNic
+from repro.packet import Packet, build_udp_frame
+from repro.packet.kv import KV_UDP_PORT
 from repro.rmt import MatchKey, MatchKind, Phv, Table, default_parse_graph
+from repro.sim import Simulator
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +115,47 @@ def test_parser_total_on_arbitrary_bytes(data):
     # Either a clean parse or an explicit parse_error marker -- never an
     # exception, and meta.payload always set.
     assert phv.is_valid("meta.payload") or phv.get_or("meta.parse_error", 0)
+
+
+@st.composite
+def _kv_shaped(draw):
+    """Bytes laid out like a KV request/response whose lengths add up,
+    so the parser gets past the truncation checks to the opcode and
+    status bytes -- which are arbitrary."""
+    key = draw(st.binary(max_size=8))
+    value = draw(st.binary(max_size=8))
+    opcode = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        head = struct.pack("!BHIHI", opcode, draw(st.integers(0, 0xFFFF)),
+                           draw(st.integers(0, 2**32 - 1)),
+                           len(key), len(value))
+        return head + key + value
+    head = struct.pack("!BBHII", 0x80, opcode, draw(st.integers(0, 0xFFFF)),
+                       draw(st.integers(0, 2**32 - 1)), len(value))
+    return head + value
+
+
+@given(st.one_of(st.binary(max_size=80), _kv_shaped()), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_bytes_on_the_kv_port_never_abort_a_run(payload, reply):
+    # Unlike the totality test above, the frame is well-formed down to
+    # UDP, so every example reaches the KV parse state: unknown opcode
+    # or status bytes, truncated bodies, a GET carrying a value ...
+    # all must end as a parse error inside the NIC, none as an
+    # exception out of sim.run().
+    sim = Simulator()
+    nic = PanicNic(sim, PanicConfig(ports=1, offloads=("kvcache",)))
+    nic.control.enable_kv_cache()
+    ports = (KV_UDP_PORT, 40000) if reply else (40000, KV_UDP_PORT)
+    frame = build_udp_frame(
+        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+        src_ip="10.1.2.3", dst_ip="10.4.5.6",
+        src_port=ports[0], dst_port=ports[1], payload=payload,
+    )
+    phv = default_parse_graph().parse(frame)
+    assert phv.is_valid("meta.payload") or phv.get("meta.parse_error") == 1
+    nic.inject(Packet(frame))
+    sim.run()
 
 
 @given(
