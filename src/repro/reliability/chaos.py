@@ -481,11 +481,12 @@ def run_chaos_case(
         replay=check_replay)
     violations = (_check_lb_case(mono, shard, replay, LB_BACKENDS)
                   if config == "lb" else _check_case(mono, shard, replay))
+    described = plan()
     case = {
         "seed": seed,
         "config": config,
-        "plan": plan().describe(),
-        "events": len(plan()),
+        "plan": described.describe(),
+        "events": len(described),
         **summarize_case(mono, violations, affinity=config == "lb"),
     }
     if config == "lb":

@@ -16,14 +16,10 @@ from typing import Callable, Optional, Tuple
 from repro.core.panic import PanicNic
 from repro.core.topology import RackTopology
 from repro.faults.monitor import attach_health_monitor
-from repro.reliability.selective import (
-    SR_HEADER_BYTES,
-    SelectiveRepeatTransport,
-)
+from repro.reliability.selective import SelectiveRepeatTransport
 from repro.reliability.transport import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_WINDOW,
-    HEADER_BYTES,
     ReliableTransport,
     TransportCore,
     default_rto_ps,
@@ -36,16 +32,12 @@ from repro.workloads.rack import (
     RackNode,
     all_pairs_topology,
     check_pattern,
-    pattern_targets,
     resolve_flow_id,
 )
 from repro.workloads.wire import DEFAULT_PROPAGATION_PS
 
-#: Transport selection vocabulary: name -> (policy, DATA header bytes).
-TRANSPORTS = {
-    "gbn": (ReliableTransport, HEADER_BYTES),
-    "sr": (SelectiveRepeatTransport, SR_HEADER_BYTES),
-}
+#: Transport selection vocabulary: name -> recovery policy.
+TRANSPORTS = {"gbn": ReliableTransport, "sr": SelectiveRepeatTransport}
 
 
 def check_transport(transport: str, window: int) -> None:
@@ -53,7 +45,7 @@ def check_transport(transport: str, window: int) -> None:
     if transport not in TRANSPORTS:
         raise ValueError(
             f"unknown transport {transport!r}; have {tuple(TRANSPORTS)}")
-    TRANSPORTS[transport][0].check_window(window)
+    TRANSPORTS[transport].check_window(window)
 
 
 def attach_reliable_endpoint(
@@ -73,7 +65,7 @@ def attach_reliable_endpoint(
     the endpoint also answer for a virtual index (direct server
     return); ``frame_builder`` replaces ``node.frame``."""
     check_transport(transport, window)
-    proto = TRANSPORTS[transport][0](
+    proto = TRANSPORTS[transport](
         node.nic, node.index,
         frame_builder=frame_builder or node.frame,
         rng=SeededRng(node.nic.config.seed).fork("reliability"),
@@ -152,9 +144,9 @@ def build_reliable_node(
     proto = attach_reliable_endpoint(
         node, transport, rto_initial_ps=default_rto_ps(propagation_ps),
         window=window, max_retries=max_retries)
-    for dst in pattern_targets(pattern, node.index, node.n_nics):
+    for dst in node.targets(pattern):
         offer_flow(node, proto, dst, frames=frames, gap_ps=gap_ps,
-                   payload_bytes=payload_bytes - TRANSPORTS[transport][1])
+                   payload_bytes=payload_bytes - proto.HEADER_BYTES)
     return nic, node.report
 
 

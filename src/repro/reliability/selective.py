@@ -251,6 +251,7 @@ class SelectiveRepeatTransport(TransportCore):
     LABEL = "sr"
     DATA = SR_DATA
     ACK = SR_ACK
+    HEADER_BYTES = SR_HEADER_BYTES
     STATS = ("data_sent", "retransmits", "rto_fired", "fast_retransmits",
              "acks_sent", "acks_received", "dup_acks", "sack_blocks_rx",
              "rtt_samples", "delivered", "buffered_ooo",

@@ -185,6 +185,8 @@ class TransportCore:
     LABEL = ""
     #: ``stats()`` keys in report order; each names a Counter attribute.
     STATS: Tuple[str, ...] = ()
+    #: Bytes the DATA header takes out of a frame's UDP payload.
+    HEADER_BYTES = 0
     #: Largest window the policy's sequence arithmetic stays sound for.
     MAX_WINDOW: Optional[int] = None
     #: First sequence number of every flow (both ends must agree).
@@ -461,6 +463,7 @@ class ReliableTransport(TransportCore):
     LABEL = "rel"
     DATA = DATA
     ACK = ACK
+    HEADER_BYTES = HEADER_BYTES
     STATS = ("data_sent", "retransmits", "rto_fired", "acks_sent",
              "acks_received", "dup_acks", "delivered",
              "duplicates_suppressed", "out_of_order_dropped",

@@ -135,13 +135,6 @@ def check_pattern(pattern: str) -> None:
             f"unknown rack pattern {pattern!r}; expected {PATTERNS}")
 
 
-def pattern_targets(pattern: str, index: int, n_nics: int) -> List[int]:
-    """The peers node ``index`` streams at under ``pattern``."""
-    if pattern == "symmetric":
-        return [peer for peer in range(n_nics) if peer != index]
-    return [0] if index != 0 else []  # fanin: everyone streams at NIC 0
-
-
 class RackNode:
     """One NIC of an all-pairs rack, before any role is attached.
 
@@ -223,6 +216,12 @@ class RackNode:
         """Flow-identity class of ``src -> dst`` (DSCP value or tag)."""
         return (flow_tag if self.tagged else flow_dscp)(
             src, dst, self.n_nics)
+
+    def targets(self, pattern: str) -> List[int]:
+        """The peers this node streams at under ``pattern``."""
+        if pattern == "symmetric":
+            return self.peers
+        return [0] if self.index != 0 else []  # fanin: all stream at NIC 0
 
     def frame(self, dst: int, payload: bytes, *, dst_ip: str = "",
               identification: int = 0) -> bytes:
@@ -306,7 +305,7 @@ def build_rack_nic(
 
     pad = bytes(max(0, payload_bytes - 10 - (offset - _PAYLOAD_OFFSET)))
     source = index.to_bytes(2, "big")
-    for dst in pattern_targets(pattern, index, node.n_nics):
+    for dst in node.targets(pattern):
         for seq in range(frames):
             # Senders are aligned across the rack on purpose: every node
             # releases frame k at the same instant, producing the incast.
