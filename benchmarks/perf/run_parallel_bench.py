@@ -49,7 +49,7 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run_parallel_bench.py \
         --out BENCH_parallel.json [--workers 1,2,4] [--nics 32] \
         [--modes conservative,speculative] [--frames 8] [--repeats 2] \
-        [--floor benchmarks/perf/floor.json] [--min-speedup 2.5]
+        [--floor benchmarks/perf/floor.json] [--min-speedup 1.0]
 
 ``--floor`` compares the *monolithic* ``events_per_sec`` against the
 checked-in ``parallel_events_per_sec`` floor and exits non-zero below

@@ -191,8 +191,7 @@ def fault_recovery(fast_path: bool = True, seed: int = 3,
     }
 
 
-#: Registry consumed by run_kernel_bench / sweep.  Order matters only
-#: for display.
+#: Registry consumed by run_kernel_bench.  Order matters only for display.
 WORKLOADS: Dict[str, Callable[..., dict]] = {
     "chaining_uncontended": chaining_uncontended,
     "chaining_contended": chaining_contended,

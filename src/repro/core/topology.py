@@ -3,14 +3,18 @@
 A :class:`RackTopology` is a declarative description of a rack-scale
 experiment: which NICs exist (each built by a picklable builder
 function), and which external wires cable them together.  The same
-description drives both execution modes in :mod:`repro.sim.shard`:
+description drives every execution mode in :mod:`repro.sim.shard`
+through one build (a shard assignment decides which wires are real and
+which are boundaries):
 
-* **monolithic** -- every NIC in one :class:`~repro.sim.kernel.Simulator`
-  with real :class:`~repro.workloads.wire.Wire` components (the reference
-  semantics);
+* **monolithic** -- every NIC on one shard in the calling process, so
+  every wire is a real :class:`~repro.workloads.wire.Wire` (the
+  reference semantics);
 * **sharded** -- NICs partitioned across worker processes, cross-shard
   wires replaced by :class:`~repro.workloads.wire.ShardBoundary` halves
-  synchronized with conservative time windows.
+  synchronized by one window protocol whose rounds span ``H``
+  lookaheads: ``H = 1`` is the conservative run, ``H > 1`` (opt-in
+  ``speculative=True``) adds fork checkpoints and rollback.
 
 Builders must be module-level functions (picklable by reference) with
 signature ``builder(sim, name, **params) -> (nic, report)`` where

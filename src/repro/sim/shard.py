@@ -1,61 +1,60 @@
-"""Rack-scale sharded execution with conservative time windows.
+"""Rack-scale sharded execution: one window protocol, parameterised by horizon.
 
 Runs a :class:`~repro.core.topology.RackTopology` either **monolithically**
 (every NIC in one :class:`~repro.sim.kernel.Simulator` cabled by real
 :class:`~repro.workloads.wire.Wire` components -- the reference semantics)
-or **sharded** across worker processes, one ``Simulator`` per worker,
-synchronized with a conservative window protocol:
+or **sharded** across worker processes, one ``Simulator`` per worker.
+Both go through :func:`_build_shard`; the monolithic run is the build
+with every NIC on shard 0, run to completion in this process.
+
+Sharded runs synchronize in rounds.  ``L`` is the **lookahead** -- the
+minimum propagation delay over all cross-shard wires -- and ``H >= 1``
+the round's **horizon** in lookaheads:
 
 1. Every shard reports the timestamp of its earliest pending event.
-2. The coordinator computes the window end ``E = m + L`` where ``m`` is
-   the global minimum over those timestamps (and any in-flight cross-shard
-   frame arrivals) and ``L`` is the **lookahead** -- the minimum
-   propagation delay over all cross-shard wires.
-3. Each shard runs its events up to ``E - 1`` inclusive.  Any frame it
-   transmits during the window leaves at ``tx >= m`` and arrives at
-   ``tx + prop >= m + L = E``, i.e. strictly beyond the window -- so no
-   shard can receive anything it should already have processed.
-4. At the barrier, egress frames (captured per window by
-   :class:`~repro.workloads.wire.ShardBoundary`) are exchanged as
-   serialized batches and scheduled at their exact arrival timestamps
-   before the next window opens.
+2. The coordinator opens the window ``[m, m + H * L)`` where ``m`` is the
+   global minimum over those timestamps and any in-flight cross-shard
+   arrivals.  Windows are half-open on purpose: shards run ``until
+   m + H * L - 1`` so that a frame arriving exactly at the window end is
+   scheduled *before* any local event at that instant fires.
+3. Egress frames (captured per window by
+   :class:`~repro.workloads.wire.ShardBoundary`) come back as serialized
+   batches.  The **commit point** ``W`` is the low-water mark of every
+   new cross-shard arrival, capped at the window end.  A frame sent at
+   ``tx >= m`` arrives at ``tx + prop >= m + L``, so ``W >= m + L``:
+   every round commits at least one lookahead and progress is guaranteed.
+4. Capsules created below ``W`` are scheduled at their exact arrival
+   timestamps before the next window opens; ``W`` rides along on that
+   window's message.
 
-Windows are half-open on purpose: shards run ``until E - 1`` so that a
-frame arriving exactly at ``E`` is scheduled *before* any local event at
-``E`` fires.  Progress is guaranteed because ``m`` advances by at least
-``L`` per round (every event at or before ``E - 1`` has fired, so the
-next candidate is at least ``E = m + L``).
+**Conservative** runs (``speculative=False``) pin ``H = 1``.  Then
+``W`` is the window end by construction, no shard can have received
+anything it should already have processed, and nothing is ever undone:
+no checkpoint, no ``os.fork``, no fired-timestamp log.  With no
+cross-shard wires at all (``L == 0``) the run is one unbounded round.
 
-The sharded run reproduces the monolithic run bit-for-bit: identical
-per-NIC ``stats()`` trees and delivery timestamps (enforced by
-``tests/test_shard_equivalence.py``).  See DESIGN.md section 10 for the
-determinism argument and its one residual tie-breaking caveat.
+**Speculative** runs (``speculative=True``) let ``H`` adapt between 1
+and :data:`SPEC_HORIZON` (halved after a round that rolled back,
+doubled after a clean one) and, whenever ``H > 1``, checkpoint every
+shard first with a copy-on-write ``os.fork`` (the parent freezes as the
+checkpoint; the child speculates).  A shard that mutated state at or
+past ``W`` (detected through the kernel's fired-timestamp log, which
+also sees batched train hops) is a *straggler victim*: it hands the
+unprocessed message to its frozen checkpoint and exits; the parent
+wakes, replays deterministically to ``W - 1`` (its RNG, heap, and
+sequence state are the exact pre-speculation bits, so the replay is
+bit-identical and its re-emitted capsules are dropped as duplicates),
+and carries on.  Clean shards release the checkpoint and rewind their
+clock to ``W - 1``.  Capsules created at or past ``W`` are discarded at
+the barrier -- the rolled-back sender will re-emit them.
 
-Speculative windows (opt-in)
-----------------------------
-
-``run_sharded(..., speculative=True)`` replaces the conservative window
-with an optimistic one: every shard runs ``spec_horizon`` lookaheads past
-the safe point, checkpointing its entire state first with a
-copy-on-write ``os.fork`` (the parent freezes as the checkpoint; the
-child speculates).  At the barrier the coordinator computes the **commit
-point** ``W`` -- the low-water mark of every new cross-shard arrival,
-capped at the speculation horizon -- and piggybacks it on the next
-round's message.  A shard that mutated state at or past ``W`` (detected
-through the kernel's fired-timestamp log, which also sees batched train
-hops) is a *straggler victim*: it hands the unprocessed message to its
-frozen checkpoint and exits; the parent wakes, replays deterministically
-to ``W - 1`` (its RNG, heap, and sequence state are the exact
-pre-speculation bits, so the replay is bit-identical and its re-emitted
-capsules are dropped as duplicates), and speculates onward.  Clean
-shards release the checkpoint and rewind their clock to ``W - 1``.
-Capsules created at or past ``W`` are discarded at the barrier -- the
-rolled-back sender will re-emit them.  ``W >= m + lookahead`` always, so
-a speculative round commits at least the conservative window; the
-horizon adapts (halves on rollback, doubles on clean rounds).  The
-commit sweep preserves bit-identical results by construction: every
-event below ``W`` fired with complete information, exactly once, in the
-surviving process lineage.  See DESIGN.md section 15.
+Either way the sharded run reproduces the monolithic run bit-for-bit
+(identical per-NIC ``stats()`` trees and delivery timestamps, enforced
+by ``tests/test_shard_equivalence.py`` and ``tests/test_speculative.py``):
+every event below ``W`` fired with complete information, exactly once,
+in the surviving process lineage.  See DESIGN.md section 10 for the
+determinism argument and its one residual tie-breaking caveat, and
+section 15 for speculation.
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.topology import LinkSpec, RackTopology
 from repro.sim.kernel import DeadlockError, SimError, Simulator
@@ -78,12 +76,11 @@ from repro.sim.kernel import DeadlockError, SimError, Simulator
 #: summary instead of hanging the barrier forever.
 DEFAULT_WINDOW_EVENT_BUDGET = 50_000_000
 
-#: Default speculation horizon: how many conservative lookahead windows a
-#: shard optimistically runs past the safe point before the barrier.  The
-#: coordinator adapts the live horizon between 1 (pure conservative
-#: behaviour) and this cap: halved after any rollback, doubled after an
-#: all-clean round.
-DEFAULT_SPEC_HORIZON = 8
+#: Speculation horizon cap: how many lookaheads a speculative round may
+#: span.  The coordinator adapts the live horizon between 1 (a
+#: conservative window) and this cap: halved after any rollback, doubled
+#: after an all-clean round.
+SPEC_HORIZON = 8
 
 
 class ShardError(SimError):
@@ -143,7 +140,6 @@ class ShardRunResult:
     wall_seconds: float
     rounds: int = 0                # sync barriers (0 for monolithic)
     lookahead_ps: int = 0
-    final_ps: Dict[str, int] = field(default_factory=dict)  # per-NIC sim.now
     #: Merged telemetry: nic name -> canonical span list, or None when no
     #: NIC ran with telemetry.  Span ids are execution-mode independent,
     #: so this merge is comparable between monolithic and sharded runs.
@@ -154,8 +150,9 @@ class ShardRunResult:
     wire_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: True when the run used (or requested) the speculative protocol.
     speculative: bool = False
-    #: Horizon cap the speculative coordinator adapted under (0 when the
-    #: protocol could not engage, e.g. no cross-shard wires).
+    #: Horizon cap the coordinator adapted under: :data:`SPEC_HORIZON`
+    #: when speculation engaged, 0 otherwise (conservative run, or no
+    #: cross-shard wires to speculate past).
     spec_horizon: int = 0
     #: Speculation outcome counters, summed across shards: checkpoints
     #: abandoned (rollbacks), events re-fired during deterministic replay,
@@ -163,17 +160,18 @@ class ShardRunResult:
     rollbacks: int = 0
     replayed_events: int = 0
     discarded_events: int = 0
-    #: One entry per synchronization round:
+    #: One entry per bounded synchronization round:
     #: ``(commit_ps, dirty_shards, cumulative_rollbacks,
-    #: cumulative_replayed_events)``.  Conservative rounds log
-    #: ``(window_end + 1, 0, 0, 0)``.  Feeds the Perfetto counter track
+    #: cumulative_replayed_events)``; a conservative round commits its
+    #: whole window, ``(window_end + 1, 0, 0, 0)``.  Feeds the Perfetto
+    #: counter track
     #: (:func:`repro.telemetry.export.shard_window_counters`).
     window_log: List[Tuple[int, int, int, int]] = field(default_factory=list)
-    #: Speculation cost profile (speculative runs only): duplicate
-    #: cross-shard capsules re-emitted and discarded during deterministic
-    #: replays, wall seconds the woken parents spent replaying, and the
-    #: horizon (in lookaheads) each round speculated under -- the
-    #: adaptation trajectory, one entry per round.
+    #: Speculation cost profile (zero/empty unless speculation engaged):
+    #: duplicate cross-shard capsules re-emitted and discarded during
+    #: deterministic replays, wall seconds the woken parents spent
+    #: replaying, and the horizon (in lookaheads) each round speculated
+    #: under -- the adaptation trajectory, one entry per round.
     capsules_replayed: int = 0
     rollback_wall_seconds: float = 0.0
     horizon_history: Tuple[int, ...] = ()
@@ -213,84 +211,7 @@ def _mp_context():
 
 
 # ---------------------------------------------------------------------------
-# Monolithic reference run
-# ---------------------------------------------------------------------------
-
-
-def run_monolithic(
-    topology: RackTopology,
-    fault_plan=None,
-    profile: bool = False,
-) -> ShardRunResult:
-    """Run the whole topology in this process: the reference semantics
-    every sharded run must reproduce bit-for-bit.
-
-    ``fault_plan`` is an optional rack-scoped
-    :class:`~repro.faults.plan.FaultPlan` (targets ``"<nic>:<target>"``
-    and ``"wire_<i>_<j>"``) armed through :mod:`repro.faults.rack`.
-    ``profile=True`` installs the kernel's per-component wall-time sink
-    (:meth:`~repro.sim.kernel.Simulator.set_profile`) and surfaces the
-    attribution rows in ``result.profile`` -- simulated results stay
-    bit-identical, only this process's wall time is measured.
-    """
-    from repro.faults.rack import (
-        arm_rack_faults, wire_direction_label, wire_ends,
-    )
-    from repro.workloads.wire import Wire
-
-    t0 = time.perf_counter()
-    sim = Simulator()
-    if profile:
-        sim.set_profile({})
-    nics: Dict[str, Any] = {}
-    reports: Dict[str, Callable[[], dict]] = {}
-    for spec in topology.nics:
-        nic, report = spec.builder(sim, spec.name, **spec.params)
-        nics[spec.name] = nic
-        reports[spec.name] = report
-    wires = []
-    ends: Dict[Tuple[int, str], Any] = {}
-    for index, link in enumerate(topology.links):
-        wire = Wire(
-            sim, nics[link.nic_a], nics[link.nic_b],
-            name=f"wire{index}.{link.nic_a}-{link.nic_b}",
-            propagation_ps=link.propagation_ps,
-            port_a=link.port_a, port_b=link.port_b,
-            fault_labels={
-                end: wire_direction_label(index, link, end)
-                for end in ("a", "b")
-            },
-        )
-        wires.append(wire)
-        ends.update(wire_ends(wire, index))
-    arm_rack_faults(fault_plan, topology, sim, nics, ends)
-    fired = sim.run()
-    wall = time.perf_counter() - t0
-    from repro.telemetry.export import merge_trace_reports
-
-    gathered = {name: report() for name, report in reports.items()}
-    wire_stats: Dict[str, Dict[str, int]] = {}
-    for wire in wires:
-        wire_stats.update(wire.wire_stats())
-    return ShardRunResult(
-        mode="monolithic",
-        workers=1,
-        reports=gathered,
-        events_fired=fired,
-        wall_seconds=wall,
-        final_ps={name: sim.now for name in nics},
-        trace=merge_trace_reports(gathered),
-        wire_stats=wire_stats,
-        profile=sim.profile_report() if profile else None,
-        shard_profiles=(
-            {0: {"busy_seconds": wall, "profile": sim.profile_report()}}
-            if profile else None
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Worker process
+# Shard build (shared by every execution mode)
 # ---------------------------------------------------------------------------
 
 # Cross-shard boundaries are keyed by (link index, end) where end is "a"
@@ -373,96 +294,72 @@ def _shard_wire_stats(wires, boundaries) -> Dict[str, Dict[str, int]]:
     return wire_stats
 
 
-def _shard_worker_main(
-    conn,
-    shard: int,
+# ---------------------------------------------------------------------------
+# Monolithic reference run
+# ---------------------------------------------------------------------------
+
+
+def run_monolithic(
     topology: RackTopology,
-    assignment: Dict[str, int],
-    window_budget: Optional[int],
     fault_plan=None,
     profile: bool = False,
-) -> None:
-    """Entry point of one shard process.
+) -> ShardRunResult:
+    """Run the whole topology in this process: the reference semantics
+    every sharded run must reproduce bit-for-bit.
 
-    Protocol (tuples over a duplex pipe):
+    The build is :func:`_build_shard` with every NIC on shard 0, so all
+    wires are real :class:`~repro.workloads.wire.Wire` components and no
+    boundary exists.
 
-    * -> ``("ready", next_ps)`` after construction.
-    * <- ``("run", until_ps | None, ingress)`` where ``ingress`` is a list
-      of ``(boundary_key, [PacketCapsule, ...])``; runs the window and
-      replies ``("done", next_ps, fired, outbox)`` with ``outbox`` keyed
-      by *destination* boundary.
-    * <- ``("finish",)``; replies
-      ``("reports", {nic: report}, now_ps, wire_stats, profile_rows,
-      busy_seconds)`` where the last two carry the kernel's wall-time
-      attribution and the time this worker spent inside ``sim.run``
-      windows (both zero/empty unless ``profile``).
-    * Budget exhaustion replies ``("deadlock", summary)``; any other
-      failure replies ``("error", traceback)``.
+    ``fault_plan`` is an optional rack-scoped
+    :class:`~repro.faults.plan.FaultPlan` (targets ``"<nic>:<target>"``
+    and ``"wire_<i>_<j>"``) armed through :mod:`repro.faults.rack`.
+    ``profile=True`` installs the kernel's per-component wall-time sink
+    (:meth:`~repro.sim.kernel.Simulator.set_profile`) and surfaces the
+    attribution rows in ``result.profile`` -- simulated results stay
+    bit-identical, only this process's wall time is measured.
     """
-    try:
-        sim = Simulator()
-        nics, reports, boundaries, wires = _build_shard(
-            sim, shard, topology, assignment, fault_plan
-        )
-        if profile:
-            sim.set_profile({})
-        busy = 0.0
+    from repro.telemetry.export import merge_trace_reports
 
-        conn.send(("ready", sim.next_event_ps()))
-
-        while True:
-            message = conn.recv()
-            if message[0] == "finish":
-                conn.send((
-                    "reports",
-                    {name: report() for name, report in reports.items()},
-                    sim.now,
-                    _shard_wire_stats(wires, boundaries),
-                    sim.profile_report(),
-                    busy,
-                ))
-                return
-            if message[0] != "run":  # pragma: no cover - protocol misuse
-                raise ShardError(f"shard {shard}: unexpected {message[0]!r}")
-            _, until_ps, ingress = message
-            for key, capsules in ingress:
-                boundaries[key].schedule_deliveries(capsules)
-            window_t0 = time.perf_counter()
-            try:
-                # Batched execution (repro.core.train) needs no shard
-                # awareness: run(until_ps=...) sets the kernel's
-                # train_horizon to until_ps + 1, so a train can never
-                # commit state beyond the synchronization window that a
-                # cross-shard delivery could land in.
-                fired = sim.run(
-                    until_ps=until_ps,
-                    max_events=window_budget,
-                    on_max_events="raise",
-                )
-            except DeadlockError as exc:
-                conn.send((
-                    "deadlock",
-                    f"{exc}\n{_shard_pending_detail(nics)}",
-                ))
-                return
-            busy += time.perf_counter() - window_t0
-            outbox = [
-                ((index, _OTHER_END[end]), batch)
-                for (index, end), boundary in boundaries.items()
-                for batch in (boundary.take_outbox(),)
-                if batch
-            ]
-            conn.send(("done", sim.next_event_ps(), fired, outbox))
-    except Exception:  # pragma: no cover - ships the traceback out
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
+    t0 = time.perf_counter()
+    sim = Simulator()
+    _nics, reports, boundaries, wires = _build_shard(
+        sim, 0, topology, topology.assign_shards(1), fault_plan
+    )
+    if profile:
+        sim.set_profile({})
+    run_t0 = time.perf_counter()
+    fired = sim.run()
+    done = time.perf_counter()
+    gathered = {name: report() for name, report in reports.items()}
+    return ShardRunResult(
+        mode="monolithic",
+        workers=1,
+        reports=gathered,
+        events_fired=fired,
+        wall_seconds=done - t0,
+        trace=merge_trace_reports(gathered),
+        wire_stats=_shard_wire_stats(wires, boundaries),
+        profile=sim.profile_report() if profile else None,
+        shard_profiles=(
+            {0: {"busy_seconds": done - run_t0,
+                 "profile": sim.profile_report()}}
+            if profile else None
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
-# Speculative worker process (fork-based copy-on-write checkpoints)
+# Worker process
 # ---------------------------------------------------------------------------
+
+
+#: The speculation cost counters each worker accumulates and the
+#: coordinator sums into :class:`ShardRunResult` fields of the same names.
+_NO_SPECULATION_COST = {
+    "rollbacks": 0, "replayed_events": 0, "discarded_events": 0,
+    "capsules_replayed": 0, "rollback_wall_seconds": 0.0,
+}
 
 
 def _send_verdict(fd: int, verdict: tuple) -> None:
@@ -511,7 +408,7 @@ def _spec_checkpoint():
     return verdict[1], None
 
 
-def _spec_worker_main(
+def _worker_main(
     conn,
     shard: int,
     topology: RackTopology,
@@ -520,28 +417,37 @@ def _spec_worker_main(
     fault_plan=None,
     profile: bool = False,
 ) -> None:
-    """Entry point of one speculative shard process.
+    """Entry point of one shard process.
 
     Protocol (tuples over a duplex pipe):
 
     * -> ``("ready", next_ps)`` after construction.
-    * <- ``("spec", commit_ps, until_ps, checkpoint, ingress)``: first
+    * <- ``("window", commit_ps, until_ps, checkpoint, ingress)``: first
       resolve the *previous* round at the piggybacked commit point
       (release the frozen checkpoint and rewind, or roll back to it and
-      replay), then schedule ingress, fork a fresh checkpoint (skipped
-      when ``checkpoint`` is false -- the coordinator proves the round
-      commits whole), and speculate to ``until_ps``.  Replies ``("spec_done", next_ps, fired,
+      replay; nothing to do when that round ran without a checkpoint),
+      then schedule ``ingress`` -- a list of ``(boundary_key,
+      [PacketCapsule, ...])`` -- fork a fresh checkpoint when
+      ``checkpoint`` is set (the coordinator clears it when the round
+      provably commits whole, i.e. at horizon 1), and run to ``until_ps``
+      (``None``: to completion).  Replies ``("window_done", next_ps,
       fired_times, outbox, counters)`` where ``fired_times`` is the
-      kernel's distinct mutation-timestamp log for the speculation and
-      ``counters`` the cumulative speculation counters.
+      kernel's distinct mutation-timestamp log for a checkpointed window
+      (empty otherwise -- the log is only installed while a checkpoint
+      is live), ``outbox`` is keyed by *destination* boundary, and
+      ``counters`` are the cumulative speculation counters.
     * <- ``("finish", commit_ps)``: resolve (necessarily clean -- the
       coordinator only finishes after a round with no new cross-shard
-      capsules), then reply ``("reports", {nic: report}, now_ps,
-      wire_stats, counters, events_fired, profile_rows, busy_seconds)``.
+      capsules), then reply ``("reports", {nic: report}, wire_stats,
+      counters, events_fired, profile_rows, busy_seconds)``.
       ``events_fired`` counts the surviving process lineage only, i.e.
-      each committed event exactly once; the last two mirror the
-      conservative worker's profile payload.
+      each committed event exactly once; the last two carry the kernel's
+      wall-time attribution (empty unless ``profile``) and the time this
+      worker spent inside ``sim.run`` windows.
+    * Budget exhaustion replies ``("deadlock", summary)``; any other
+      failure replies ``("error", traceback)``.
     """
+    nics: Dict[str, Any] = {}
     try:
         sim = Simulator()
         nics, reports, boundaries, wires = _build_shard(
@@ -550,19 +456,26 @@ def _spec_worker_main(
         if profile:
             sim.set_profile({})
         busy = 0.0
-        fired_log: List[int] = []
-        sim.set_fired_log(fired_log)
         # Cumulative speculation counters.  Copy-on-write keeps these
         # lineage-consistent: a child that commits carries its increments
         # forward; a child that rolls back dies and the woken parent's
         # pre-fork copy resumes, so only surviving work is ever counted
         # (the parent itself adds the rollback costs below).
-        counters = {
-            "rollbacks": 0, "replayed_events": 0, "discarded_events": 0,
-            "capsules_replayed": 0, "rollback_wall_seconds": 0.0,
-        }
+        counters = dict(_NO_SPECULATION_COST)
         verdict_fd: Optional[int] = None  # pipe to the frozen checkpoint
-        spec_fired = 0  # events fired by this process's last speculation
+        fired_log: List[int] = []  # installed only while verdict_fd is live
+        window_fired = 0  # events fired by this process's last window
+
+        def run_to(until_ps: Optional[int]) -> int:
+            # Batched execution (repro.core.train) needs no shard
+            # awareness: run(until_ps=...) sets the kernel's
+            # train_horizon to until_ps + 1, so a train can never commit
+            # state beyond the window a cross-shard delivery could land in.
+            return sim.run(
+                until_ps=until_ps,
+                max_events=window_budget,
+                on_max_events="raise",
+            )
 
         conn.send(("ready", sim.next_event_ps()))
         message = conn.recv()
@@ -579,85 +492,60 @@ def _spec_worker_main(
                     # point.  Forward the unprocessed message to the
                     # checkpoint and vanish; the parent takes over.
                     _send_verdict(
-                        verdict_fd, ("rollback", (message, spec_fired))
+                        verdict_fd, ("rollback", (message, window_fired))
                     )
                     os._exit(0)
                 _send_verdict(verdict_fd, ("release",))
                 verdict_fd = None
+                sim.set_fired_log(None)
+                del fired_log[:]
                 if commit_ps - 1 < sim.now:
                     sim.rewind_clock(commit_ps - 1)
             if kind == "finish":
                 conn.send((
                     "reports",
                     {name: report() for name, report in reports.items()},
-                    sim.now,
                     _shard_wire_stats(wires, boundaries),
-                    dict(counters),
+                    counters,
                     sim.events_fired,
                     sim.profile_report(),
                     busy,
                 ))
                 return
-            if kind != "spec":  # pragma: no cover - protocol misuse
+            if kind != "window":  # pragma: no cover - protocol misuse
                 raise ShardError(f"shard {shard}: unexpected {kind!r}")
-            _, _, until_ps, do_ckpt, ingress = message
+            _, _, until_ps, checkpoint, ingress = message
 
             # Phase B: schedule this round's cross-shard arrivals (all at
-            # or beyond the commit point), checkpoint, speculate.  The
-            # coordinator clears do_ckpt when the window provably commits
-            # whole (horizon 1), making the fork unnecessary.
+            # or beyond the commit point), checkpoint, run the window.
             for key, capsules in ingress:
                 boundaries[key].schedule_deliveries(capsules)
-            payload, child_fd = (
-                _spec_checkpoint() if do_ckpt else (None, None)
-            )
-            if payload is not None:
-                # Parent, woken by a rollback: replay deterministically
-                # to the commit point the child could not honour, drop
-                # the duplicate capsules the replay re-emits (the
-                # coordinator kept the originals), and process the
-                # forwarded message as the live worker.
-                message, dirty_fired = payload
-                counters["rollbacks"] += 1
-                counters["discarded_events"] += dirty_fired
-                del fired_log[:]
-                replay_t0 = time.perf_counter()
-                try:
-                    counters["replayed_events"] += sim.run(
-                        until_ps=message[1] - 1,
-                        max_events=window_budget,
-                        on_max_events="raise",
-                    )
-                except DeadlockError as exc:
-                    conn.send((
-                        "deadlock", f"{exc}\n{_shard_pending_detail(nics)}",
-                    ))
-                    return
-                for boundary in boundaries.values():
-                    # Duplicates of capsules the coordinator already
-                    # holds -- drop them, but count the re-serialization
-                    # work the rollback forced.
-                    counters["capsules_replayed"] += len(
-                        boundary.take_outbox())
-                replay_elapsed = time.perf_counter() - replay_t0
-                counters["rollback_wall_seconds"] += replay_elapsed
-                busy += replay_elapsed
-                continue
-            # Child: speculate past the horizon.
-            verdict_fd = child_fd
-            del fired_log[:]
+            if checkpoint:
+                payload, verdict_fd = _spec_checkpoint()
+                if payload is not None:
+                    # Parent, woken by a rollback: replay deterministically
+                    # to the commit point the child could not honour, drop
+                    # the duplicate capsules the replay re-emits (the
+                    # coordinator kept the originals), and process the
+                    # forwarded message as the live worker.
+                    message, dirty_fired = payload
+                    counters["rollbacks"] += 1
+                    counters["discarded_events"] += dirty_fired
+                    replay_t0 = time.perf_counter()
+                    counters["replayed_events"] += run_to(message[1] - 1)
+                    for boundary in boundaries.values():
+                        # Count the re-serialization work the rollback
+                        # forced.
+                        counters["capsules_replayed"] += len(
+                            boundary.take_outbox())
+                    replay_elapsed = time.perf_counter() - replay_t0
+                    counters["rollback_wall_seconds"] += replay_elapsed
+                    busy += replay_elapsed
+                    continue
+                # Child: speculate past the safe point, logging where.
+                sim.set_fired_log(fired_log)
             window_t0 = time.perf_counter()
-            try:
-                spec_fired = sim.run(
-                    until_ps=until_ps,
-                    max_events=window_budget,
-                    on_max_events="raise",
-                )
-            except DeadlockError as exc:
-                conn.send((
-                    "deadlock", f"{exc}\n{_shard_pending_detail(nics)}",
-                ))
-                return
+            window_fired = run_to(until_ps)
             busy += time.perf_counter() - window_t0
             outbox = [
                 ((index, _OTHER_END[end]), batch)
@@ -666,10 +554,12 @@ def _spec_worker_main(
                 if batch
             ]
             conn.send((
-                "spec_done", sim.next_event_ps(), spec_fired,
-                list(fired_log), outbox, dict(counters),
+                "window_done", sim.next_event_ps(), fired_log, outbox,
+                counters,
             ))
             message = conn.recv()
+    except DeadlockError as exc:
+        conn.send(("deadlock", f"{exc}\n{_shard_pending_detail(nics)}"))
     except (EOFError, BrokenPipeError):
         # Coordinator went away (abort path); frozen ancestors unwind
         # through their verdict-pipe EOFs.
@@ -692,15 +582,15 @@ def run_sharded(
     window_event_budget: Optional[int] = DEFAULT_WINDOW_EVENT_BUDGET,
     fault_plan=None,
     speculative: bool = False,
-    spec_horizon: int = DEFAULT_SPEC_HORIZON,
     profile: bool = False,
 ) -> ShardRunResult:
     """Run ``topology`` partitioned across ``workers`` processes.
 
-    With one worker (or no cross-shard links) the single shard runs one
+    With one worker (or no cross-shard links) every shard runs one
     unbounded window -- no barriers, identical to monolithic semantics in
     a child process.  Raises :class:`ShardDeadlockError` when a shard
-    exhausts ``window_event_budget`` with work pending, and
+    exhausts ``window_event_budget`` with work pending,
+    :class:`ShardError` when a worker fails or dies, and
     :class:`~repro.core.topology.TopologyError` when a cross-shard wire
     is shorter than the minimum lookahead.
 
@@ -709,15 +599,14 @@ def run_sharded(
     :mod:`repro.faults.rack`), so a faulty sharded run reproduces the
     faulty monolithic run bit-for-bit.
 
-    ``speculative=True`` switches to optimistic windows with
-    fork-checkpoint rollback (module docstring): shards run up to
-    ``spec_horizon`` lookaheads past the safe point and roll back on
-    stragglers.  Results stay bit-identical to the monolithic run; the
+    ``speculative=True`` lets the round horizon grow past one lookahead
+    (up to :data:`SPEC_HORIZON`) with fork-checkpoint rollback (module
+    docstring).  Results stay bit-identical to the monolithic run; the
     :class:`ShardRunResult` additionally carries rollback/replay
-    counters and a per-round window log.  Requires POSIX ``os.fork``.
+    counters and the horizon trajectory.  Requires POSIX ``os.fork``.
     When the topology has no cross-shard wires there is nothing to
-    speculate past, so the conservative single-window path runs instead
-    (the result still reports ``speculative=True`` with zero counters).
+    speculate past (the result still reports ``speculative=True`` with
+    zero counters and ``spec_horizon == 0``).
 
     ``profile=True`` installs each worker's kernel wall-time sink and
     gathers the merged attribution plus per-shard busy seconds into
@@ -726,14 +615,12 @@ def run_sharded(
     """
     assignment = topology.assign_shards(workers)
     lookahead = topology.lookahead_ps(assignment)
-    spec_live = bool(speculative and lookahead)
-    if spec_live and not hasattr(os, "fork"):  # pragma: no cover
+    spec_horizon = SPEC_HORIZON if speculative and lookahead else 0
+    if spec_horizon and not hasattr(os, "fork"):  # pragma: no cover
         raise ShardError(
             "speculative mode requires POSIX fork for copy-on-write "
             "checkpoints"
         )
-    if spec_live and spec_horizon < 1:
-        raise ShardError(f"spec_horizon must be >= 1, got {spec_horizon}")
 
     # Destination boundary key -> owning shard, for routing outboxes.
     key_shard: Dict[Tuple[int, str], int] = {}
@@ -750,7 +637,7 @@ def run_sharded(
         for shard in range(workers):
             parent, child = ctx.Pipe(duplex=True)
             proc = ctx.Process(
-                target=_spec_worker_main if spec_live else _shard_worker_main,
+                target=_worker_main,
                 args=(child, shard, topology, assignment,
                       window_event_budget, fault_plan, profile),
                 name=f"repro-shard-{shard}",
@@ -761,15 +648,23 @@ def run_sharded(
             pipes.append(parent)
             procs.append(proc)
 
-        def expect(shard: int, *kinds: str):
-            reply = pipes[shard].recv()
+        def expect(shard: int, kind: str):
+            try:
+                reply = pipes[shard].recv()
+            except (EOFError, ConnectionError):
+                procs[shard].join(timeout=5)
+                raise ShardError(
+                    f"shard {shard} worker died without replying "
+                    f"(exit code {procs[shard].exitcode}) while the "
+                    f"coordinator waited for {kind!r}"
+                ) from None
             if reply[0] == "deadlock":
                 raise ShardDeadlockError(shard, reply[1])
             if reply[0] == "error":
                 raise ShardError(f"shard {shard} failed:\n{reply[1]}")
-            if reply[0] not in kinds:  # pragma: no cover
+            if reply[0] != kind:  # pragma: no cover
                 raise ShardError(
-                    f"shard {shard}: expected {kinds}, got {reply[0]!r}"
+                    f"shard {shard}: expected {kind!r}, got {reply[0]!r}"
                 )
             return reply
 
@@ -779,168 +674,113 @@ def run_sharded(
         inbox: List[Dict[Tuple[int, str], list]] = [
             {} for _ in range(workers)
         ]
-        total_fired = 0
         rounds = 0
         window_log: List[Tuple[int, int, int, int]] = []
-        rollbacks = replayed = discarded = 0
-        capsules_replayed = 0
-        rollback_wall = 0.0
         horizon_history: List[int] = []
-
-        if spec_live:
-            commit_ps: Optional[int] = None
-            horizon = 1 if spec_horizon < 1 else spec_horizon
-            while True:
-                candidates = [t for t in next_ps if t is not None]
-                candidates.extend(
-                    capsule.arrival_ps
-                    for shard_inbox in inbox
-                    for batch in shard_inbox.values()
-                    for capsule in batch
-                )
-                if not candidates:
-                    break
-                until = min(candidates) + horizon * lookahead - 1
-                rounds += 1
-                horizon_history.append(horizon)
-                # At horizon 1 every new arrival lands at or beyond
-                # until + 1, so the round provably commits whole: skip
-                # the checkpoint fork, the round degenerates to a
-                # conservative window.
-                do_ckpt = horizon > 1
-                for shard in range(workers):
-                    pipes[shard].send((
-                        "spec", commit_ps, until, do_ckpt,
-                        sorted(inbox[shard].items()),
-                    ))
-                    inbox[shard] = {}
-                replies = [
-                    expect(shard, "spec_done") for shard in range(workers)
-                ]
-                # Commit point: low-water mark of every new cross-shard
-                # arrival, capped at the horizon.  Conservative on
-                # purpose -- arrivals of capsules that will themselves be
-                # rolled back still lower it; that only costs extra
-                # replay, never correctness, and W >= m + lookahead
-                # keeps each round committing at least the conservative
-                # window.
-                commit_ps = until + 1
-                for _, _, _, _, outbox, _ in replies:
-                    for _key, batch in outbox:
-                        for capsule in batch:
-                            if capsule.arrival_ps < commit_ps:
-                                commit_ps = capsule.arrival_ps
-                dirty = 0
-                rollbacks = replayed = discarded = 0
-                for shard, reply in enumerate(replies):
-                    _, next_at_s, _fired, fired_times, outbox, ctrs = reply
-                    # The shard's corrected next event after the commit
-                    # sweep: the first rolled-back timestamp, if any,
-                    # else its post-speculation head.
-                    first_rolled = next(
-                        (t for t in fired_times if t >= commit_ps), None
-                    )
-                    if first_rolled is not None:
-                        dirty += 1
-                        next_ps[shard] = (
-                            first_rolled if next_at_s is None
-                            else min(first_rolled, next_at_s)
-                        )
-                    else:
-                        next_ps[shard] = next_at_s
-                    rollbacks += ctrs["rollbacks"]
-                    replayed += ctrs["replayed_events"]
-                    discarded += ctrs["discarded_events"]
-                    for key, batch in outbox:
-                        kept = [
-                            c for c in batch if c.created_ps < commit_ps
-                        ]
-                        if kept:
-                            inbox[key_shard[key]].setdefault(
-                                key, []
-                            ).extend(kept)
-                # Counters lag one round: a rollback forced by this W
-                # shows up in the next reply.  Good enough for a gauge.
-                window_log.append((commit_ps, dirty, rollbacks, replayed))
-                horizon = (
-                    max(1, horizon // 2) if dirty
-                    else min(spec_horizon, horizon * 2)
-                )
-        else:
-            while True:
-                candidates = [t for t in next_ps if t is not None]
-                candidates.extend(
-                    capsule.arrival_ps
-                    for shard_inbox in inbox
-                    for batch in shard_inbox.values()
-                    for capsule in batch
-                )
-                if not candidates:
-                    break
-                if lookahead:
-                    # Half-open window: run to E - 1 so a frame arriving
-                    # at exactly E is scheduled before any local event at
-                    # E fires.
-                    until: Optional[int] = min(candidates) + lookahead - 1
-                else:
-                    until = None  # no cross-shard wires: unbounded window
-                rounds += 1
-                for shard in range(workers):
-                    pipes[shard].send((
-                        "run", until, sorted(inbox[shard].items()),
-                    ))
-                    inbox[shard] = {}
-                exchanged = False
-                for shard in range(workers):
-                    _, shard_next, fired, outbox = expect(shard, "done")
-                    next_ps[shard] = shard_next
-                    total_fired += fired
-                    for key, batch in outbox:
-                        inbox[key_shard[key]].setdefault(key, []).extend(batch)
-                        exchanged = True
-                if until is not None:
-                    window_log.append((until + 1, 0, 0, 0))
-                if until is None and not exchanged:
-                    break
-
-        reports: Dict[str, dict] = {}
-        final_ps: Dict[str, int] = {}
-        wire_stats: Dict[str, Dict[str, int]] = {}
-        for shard in range(workers):
-            pipes[shard].send(
-                ("finish", commit_ps) if spec_live else ("finish",)
+        commit_ps: Optional[int] = None
+        horizon = horizon_cap = spec_horizon or 1
+        while True:
+            candidates = [t for t in next_ps if t is not None]
+            candidates.extend(
+                capsule.arrival_ps
+                for shard_inbox in inbox
+                for batch in shard_inbox.values()
+                for capsule in batch
             )
-        if spec_live:
-            rollbacks = replayed = discarded = 0
-            capsules_replayed = 0
-            rollback_wall = 0.0
-            total_fired = 0
-        shard_profiles: Dict[int, dict] = {}
-        for shard in range(workers):
-            reply = expect(shard, "reports")
-            shard_reports, now_ps, shard_wires = reply[1], reply[2], reply[3]
-            if spec_live:
-                ctrs, lineage_fired = reply[4], reply[5]
+            if not candidates:
+                break
+            # Half-open window: run to E - 1 so a frame arriving at
+            # exactly E is scheduled before any local event at E fires.
+            # No cross-shard wires: one unbounded round drains every shard.
+            until = (min(candidates) + horizon * lookahead - 1
+                     if lookahead else None)
+            rounds += 1
+            if spec_horizon:
+                horizon_history.append(horizon)
+            # At horizon 1 every new arrival lands at or beyond
+            # until + 1, so the round provably commits whole and needs
+            # no checkpoint: a conservative window.
+            checkpoint = horizon > 1
+            for shard in range(workers):
+                pipes[shard].send((
+                    "window", commit_ps, until, checkpoint,
+                    sorted(inbox[shard].items()),
+                ))
+                inbox[shard] = {}
+            replies = [
+                expect(shard, "window_done") for shard in range(workers)
+            ]
+            if until is None:
+                # Unbounded round: nothing crossed, nothing to commit.
+                next_ps = [reply[1] for reply in replies]
+                continue
+            # Commit point: low-water mark of every new cross-shard
+            # arrival, capped at the window end.  Conservative on
+            # purpose -- arrivals of capsules that will themselves be
+            # rolled back still lower it; that only costs extra
+            # replay, never correctness, and W >= m + lookahead
+            # keeps each round committing at least one lookahead.
+            commit_ps = until + 1
+            for _, _, _, outbox, _ in replies:
+                for _key, batch in outbox:
+                    for capsule in batch:
+                        if capsule.arrival_ps < commit_ps:
+                            commit_ps = capsule.arrival_ps
+            dirty = rollbacks = replayed = 0
+            for shard, reply in enumerate(replies):
+                _, next_at_s, fired_times, outbox, ctrs = reply
+                # The shard's corrected next event after the commit
+                # sweep: the first rolled-back timestamp, if any,
+                # else its post-window head.
+                first_rolled = next(
+                    (t for t in fired_times if t >= commit_ps), None
+                )
+                if first_rolled is not None:
+                    dirty += 1
+                    next_ps[shard] = (
+                        first_rolled if next_at_s is None
+                        else min(first_rolled, next_at_s)
+                    )
+                else:
+                    next_ps[shard] = next_at_s
                 rollbacks += ctrs["rollbacks"]
                 replayed += ctrs["replayed_events"]
-                discarded += ctrs["discarded_events"]
-                capsules_replayed += ctrs["capsules_replayed"]
-                rollback_wall += ctrs["rollback_wall_seconds"]
-                # The surviving lineage fired each committed event
-                # exactly once; per-round sums would double-count
-                # rolled-back work.
-                total_fired += lineage_fired
-                profile_rows, busy = reply[6], reply[7]
-            else:
-                profile_rows, busy = reply[4], reply[5]
-            if profile:
-                shard_profiles[shard] = {
-                    "busy_seconds": busy, "profile": profile_rows,
-                }
+                for key, batch in outbox:
+                    kept = [
+                        c for c in batch if c.created_ps < commit_ps
+                    ]
+                    if kept:
+                        inbox[key_shard[key]].setdefault(
+                            key, []
+                        ).extend(kept)
+            # Counters lag one round: a rollback forced by this W
+            # shows up in the next reply.  Good enough for a gauge.
+            window_log.append((commit_ps, dirty, rollbacks, replayed))
+            horizon = (
+                max(1, horizon // 2) if dirty
+                else min(horizon_cap, horizon * 2)
+            )
+
+        for shard in range(workers):
+            pipes[shard].send(("finish", commit_ps))
+        reports: Dict[str, dict] = {}
+        wire_stats: Dict[str, Dict[str, int]] = {}
+        totals = dict(_NO_SPECULATION_COST)
+        total_fired = 0
+        shard_profiles: Dict[int, dict] = {}
+        for shard in range(workers):
+            (_, shard_reports, shard_wires, ctrs, lineage_fired,
+             profile_rows, busy) = expect(shard, "reports")
             reports.update(shard_reports)
             wire_stats.update(shard_wires)
-            for name in shard_reports:
-                final_ps[name] = now_ps
+            for name, value in ctrs.items():
+                totals[name] += value
+            # The surviving lineage fired each committed event exactly
+            # once; per-round sums would double-count rolled-back work.
+            total_fired += lineage_fired
+            shard_profiles[shard] = {
+                "busy_seconds": busy, "profile": profile_rows,
+            }
         wall = time.perf_counter() - t0
         for proc in procs:
             proc.join(timeout=30)
@@ -954,17 +794,16 @@ def run_sharded(
             wall_seconds=wall,
             rounds=rounds,
             lookahead_ps=lookahead,
-            final_ps=final_ps,
             trace=merge_trace_reports(reports),
             wire_stats=wire_stats,
             speculative=speculative,
-            spec_horizon=spec_horizon if spec_live else 0,
-            rollbacks=rollbacks,
-            replayed_events=replayed,
-            discarded_events=discarded,
+            spec_horizon=spec_horizon,
+            rollbacks=totals["rollbacks"],
+            replayed_events=totals["replayed_events"],
+            discarded_events=totals["discarded_events"],
             window_log=window_log,
-            capsules_replayed=capsules_replayed,
-            rollback_wall_seconds=rollback_wall,
+            capsules_replayed=totals["capsules_replayed"],
+            rollback_wall_seconds=totals["rollback_wall_seconds"],
             horizon_history=tuple(horizon_history),
             profile=(
                 _merge_profile_rows(
@@ -973,100 +812,6 @@ def run_sharded(
             ),
             shard_profiles=shard_profiles if profile else None,
         )
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        for pipe in pipes:
-            pipe.close()
-
-
-# ---------------------------------------------------------------------------
-# Generic process pool on the same plumbing (used by benchmarks/perf)
-# ---------------------------------------------------------------------------
-
-
-def _map_worker_main(conn, fn: Callable[[Any], Any]) -> None:
-    """Worker loop for :func:`parallel_map`: receive ``(index, item)``
-    jobs, reply ``("done", index, result)`` until ``("stop",)``."""
-    try:
-        while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                return
-            _, index, item = message
-            conn.send(("done", index, fn(item)))
-    except Exception:  # pragma: no cover
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    jobs: Optional[int] = None,
-) -> List[Any]:
-    """Map ``fn`` over ``items`` across worker processes, preserving
-    order.  ``fn`` must be a module-level (picklable) function.  Jobs are
-    dispatched dynamically, so heterogeneous item costs balance out.
-    Falls back to an in-process loop for a single job or a single item.
-    """
-    work = list(items)
-    if not work:
-        return []
-    jobs = max(1, min(jobs or os.cpu_count() or 1, len(work)))
-    if jobs == 1:
-        return [fn(item) for item in work]
-
-    ctx = _mp_context()
-    results: List[Any] = [None] * len(work)
-    pending = iter(enumerate(work))
-    outstanding = 0
-    pipes = []
-    procs = []
-    try:
-        for job in range(jobs):
-            parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_map_worker_main, args=(child, fn),
-                name=f"repro-map-{job}", daemon=True,
-            )
-            proc.start()
-            child.close()
-            pipes.append(parent)
-            procs.append(proc)
-
-        for pipe in pipes:
-            try:
-                index, item = next(pending)
-            except StopIteration:
-                break
-            pipe.send(("job", index, item))
-            outstanding += 1
-
-        while outstanding:
-            for pipe in _conn_wait(pipes):
-                reply = pipe.recv()
-                if reply[0] == "error":
-                    raise ShardError(f"parallel_map worker failed:\n{reply[1]}")
-                _, index, result = reply
-                results[index] = result
-                outstanding -= 1
-                try:
-                    index, item = next(pending)
-                except StopIteration:
-                    continue
-                pipe.send(("job", index, item))
-                outstanding += 1
-
-        for pipe in pipes:
-            pipe.send(("stop",))
-        for proc in procs:
-            proc.join(timeout=30)
-        return results
     finally:
         for proc in procs:
             if proc.is_alive():

@@ -164,15 +164,75 @@ def _trace_wire_drop(nic, packet: Packet, label: str, now: int,
                                  (("reason", reason),))
 
 
-def _refresh_packet(
-    data: bytes,
-    kind: MessageKind,
-    created_ps: int,
-    tenant: Optional[int],
-    request_ctx: Any,
-    e2e_t0: Any,
-    int_state: Any = None,
-) -> Packet:
+@dataclass
+class PacketCapsule:
+    """A frame in transit on an external wire: what :func:`_egress` let
+    through, in picklable form.  A :class:`Wire` turns it straight back
+    into a packet; a :class:`ShardBoundary` ships it to the peer shard.
+
+    ``arrival_ps`` is the absolute delivery timestamp (TX time plus the
+    wire's propagation delay); ``link_seq`` is the per-boundary transmit
+    sequence number, used to keep same-instant deliveries on one wire in
+    FIFO order after the batch crosses process boundaries.
+
+    ``request_ctx`` and ``e2e_t0`` mirror the annotations a monolithic
+    :class:`Wire` preserves; in a sharded run they must be picklable.
+    ``int_state`` carries the side-channel INT hop stack (a plain tuple
+    of record tuples -- picklable by construction); in-band INT stacks
+    ride inside ``data`` instead.
+    """
+
+    data: bytes
+    kind: str
+    created_ps: int
+    arrival_ps: int
+    link_seq: int
+    tenant: Optional[int] = None
+    request_ctx: Any = None
+    e2e_t0: Any = None
+    int_state: Any = None
+
+
+def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
+            propagation_ps: int, link_seq: int = 0,
+            ) -> Optional[PacketCapsule]:
+    """Judge one frame ``nic`` transmits at ``now`` onto the direction
+    ``faults`` guards: the single egress decision of :class:`Wire` and
+    :class:`ShardBoundary`, so both execution modes draw the same RNG
+    sequence, drop for the same reason and carry the same annotations.
+
+    Returns the frame as it will reach the far end -- surviving bytes,
+    handoff timestamp (propagation, plus repair delay when a link layer
+    is armed), carried annotations -- or None when it is lost, after
+    recording the drop on the packet's trace."""
+    linklayer = faults.linklayer
+    if linklayer is None:
+        data = faults.process(packet.data)
+        handoff_ps = now + propagation_ps
+    else:
+        carried = linklayer.transmit(packet.data, now)
+        data, handoff_ps = carried if carried is not None else (None, 0)
+    if data is None:
+        reason = ("down" if faults.down
+                  else "ll_gave_up" if linklayer is not None else "loss")
+        _trace_wire_drop(nic, packet, faults.label, now, reason)
+        return None
+    meta = packet.meta
+    annotations = meta.annotations
+    return PacketCapsule(
+        data=data,
+        kind=packet.kind.value,
+        created_ps=now,
+        arrival_ps=handoff_ps,
+        link_seq=link_seq,
+        tenant=meta.tenant,
+        request_ctx=annotations.get("request_ctx"),
+        e2e_t0=annotations.get("e2e_t0"),
+        int_state=getattr(annotations.get("__int__"), "carry", None),
+    )
+
+
+def _refresh_packet(capsule: PacketCapsule) -> Packet:
     """A frame entering a new NIC is a new packet life: fresh metadata,
     same bytes.  Shared by :class:`Wire` and :class:`ShardBoundary` so
     both execution modes hand the receiving NIC an identical packet.
@@ -181,15 +241,15 @@ def _refresh_packet(
     records, see :mod:`repro.telemetry.int_`); the receiving NIC's
     ``inject`` normalizes it into live per-packet state.  In-band INT
     stacks travel inside ``data`` and need no side-channel."""
-    fresh = Packet(data, kind)
-    fresh.meta.created_ps = created_ps
-    fresh.meta.tenant = tenant
-    if request_ctx is not None:
-        fresh.meta.annotations["request_ctx"] = request_ctx
-    if e2e_t0 is not None:
-        fresh.meta.annotations["e2e_t0"] = e2e_t0
-    if int_state is not None:
-        fresh.meta.annotations["__int__"] = int_state
+    fresh = Packet(capsule.data, MessageKind(capsule.kind))
+    fresh.meta.created_ps = capsule.created_ps
+    fresh.meta.tenant = capsule.tenant
+    if capsule.request_ctx is not None:
+        fresh.meta.annotations["request_ctx"] = capsule.request_ctx
+    if capsule.e2e_t0 is not None:
+        fresh.meta.annotations["e2e_t0"] = capsule.e2e_t0
+    if capsule.int_state is not None:
+        fresh.meta.annotations["__int__"] = capsule.int_state
     return fresh
 
 
@@ -273,63 +333,15 @@ class Wire(Component):
 
     def _transfer(self, packet: Packet, faults: LinkFaults, src_nic,
                   dst_nic, dst_port: int) -> None:
-        linklayer = faults.linklayer
-        if linklayer is None:
-            data = faults.process(packet.data)
-            handoff_ps = self.now + self.propagation_ps
-        else:
-            carried = linklayer.transmit(packet.data, self.now)
-            data, handoff_ps = carried if carried is not None else (None, 0)
-        if data is None:
-            reason = ("down" if faults.down
-                      else "ll_gave_up" if linklayer is not None else "loss")
-            _trace_wire_drop(src_nic, packet, faults.label, self.now, reason)
-            return
-        meta = packet.meta
-        self.sim.schedule_at(
-            handoff_ps, self._deliver, dst_nic, dst_port,
-            _refresh_packet(
-                data,
-                packet.kind,
-                self.now,
-                meta.tenant,
-                meta.annotations.get("request_ctx"),
-                meta.annotations.get("e2e_t0"),
-                getattr(meta.annotations.get("__int__"), "carry", None),
-            ),
-        )
+        capsule = _egress(faults, src_nic, packet, self.now,
+                          self.propagation_ps)
+        if capsule is not None:
+            self.sim.schedule_at(capsule.arrival_ps, self._deliver, dst_nic,
+                                 dst_port, _refresh_packet(capsule))
 
     @staticmethod
     def _deliver(nic, port: int, packet: Packet) -> None:
         nic.inject(packet, port)
-
-
-@dataclass
-class PacketCapsule:
-    """A frame in transit between shards: everything a :class:`Wire`
-    would carry across, in picklable form.
-
-    ``arrival_ps`` is the absolute delivery timestamp (TX time plus the
-    wire's propagation delay); ``link_seq`` is the per-boundary transmit
-    sequence number, used to keep same-instant deliveries on one wire in
-    FIFO order after the batch crosses process boundaries.
-
-    ``request_ctx`` and ``e2e_t0`` mirror the annotations a monolithic
-    :class:`Wire` preserves; in a sharded run they must be picklable.
-    ``int_state`` carries the side-channel INT hop stack (a plain tuple
-    of record tuples -- picklable by construction); in-band INT stacks
-    ride inside ``data`` instead.
-    """
-
-    data: bytes
-    kind: str
-    created_ps: int
-    arrival_ps: int
-    link_seq: int
-    tenant: Optional[int] = None
-    request_ctx: Any = None
-    e2e_t0: Any = None
-    int_state: Any = None
 
 
 class ShardBoundary(Component):
@@ -409,34 +421,12 @@ class ShardBoundary(Component):
     def _capture(self, packet: Packet) -> None:
         if (packet.meta.egress_port or 0) != self.port:
             return
-        linklayer = self.faults.linklayer
-        if linklayer is None:
-            data = self.faults.process(packet.data)
-            handoff_ps = self.now + self.propagation_ps
-        else:
-            carried = linklayer.transmit(packet.data, self.now)
-            data, handoff_ps = carried if carried is not None else (None, 0)
-        if data is None:
-            reason = ("down" if self.faults.down
-                      else "ll_gave_up" if linklayer is not None else "loss")
-            _trace_wire_drop(self.nic, packet, self.faults.label, self.now,
-                             reason)
-            return
-        meta = packet.meta
-        self._outbox.append(PacketCapsule(
-            data=data,
-            kind=packet.kind.value,
-            created_ps=self.now,
-            arrival_ps=handoff_ps,
-            link_seq=self._tx_seq,
-            tenant=meta.tenant,
-            request_ctx=meta.annotations.get("request_ctx"),
-            e2e_t0=meta.annotations.get("e2e_t0"),
-            int_state=getattr(meta.annotations.get("__int__"), "carry",
-                              None),
-        ))
-        self._tx_seq += 1
-        self.tx_captured.add()
+        capsule = _egress(self.faults, self.nic, packet, self.now,
+                          self.propagation_ps, self._tx_seq)
+        if capsule is not None:
+            self._outbox.append(capsule)
+            self._tx_seq += 1
+            self.tx_captured.add()
 
     def take_outbox(self) -> List[PacketCapsule]:
         """Drain the egress batch accumulated during the last window."""
@@ -459,15 +449,4 @@ class ShardBoundary(Component):
 
     def _deliver(self, capsule: PacketCapsule) -> None:
         self.rx_delivered.add()
-        self.nic.inject(
-            _refresh_packet(
-                capsule.data,
-                MessageKind(capsule.kind),
-                capsule.created_ps,
-                capsule.tenant,
-                capsule.request_ctx,
-                capsule.e2e_t0,
-                capsule.int_state,
-            ),
-            self.port,
-        )
+        self.nic.inject(_refresh_packet(capsule), self.port)

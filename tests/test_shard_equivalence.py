@@ -25,11 +25,16 @@ from repro.core.topology import (
 from repro.sim.clock import NS, US
 from repro.sim.shard import (
     ShardDeadlockError,
-    parallel_map,
+    ShardError,
     run_monolithic,
     run_sharded,
 )
 from repro.workloads.rack import build_rack_nic, rack_port, rack_topology
+
+#: Both settings of ``speculative`` drive the same worker and coordinator
+#: loops (horizon pinned to 1 vs adaptive), so every protocol edge is
+#: checked under each -- looped inside the test, which keeps its id stable.
+PROTOCOLS = (False, True)
 
 
 def _assert_identical(mono, sharded):
@@ -114,40 +119,54 @@ class TestProtocolEdges:
         # A tiny window budget turns the first busy window into a
         # deadlock report instead of a hung barrier.
         topo = rack_topology(nics=2, frames=50, gap_ps=100 * NS)
-        with pytest.raises(ShardDeadlockError) as excinfo:
-            run_sharded(topo, workers=2, window_event_budget=10)
-        assert "pending" in str(excinfo.value)
-        assert excinfo.value.shard in (0, 1)
+        for speculative in PROTOCOLS:
+            with pytest.raises(ShardDeadlockError) as excinfo:
+                run_sharded(topo, workers=2, window_event_budget=10,
+                            speculative=speculative)
+            assert "pending" in str(excinfo.value)
+            assert excinfo.value.shard in (0, 1)
 
     def test_deadlock_report_names_shard_nics_and_starved_engines(self):
         # The report must say *where* to look: which NICs live on the
         # wedged shard, and which engines still hold work (or an explicit
         # statement that none do, pointing at wires/host timers instead).
         topo = rack_topology(nics=2, frames=50, gap_ps=100 * NS)
-        with pytest.raises(ShardDeadlockError) as excinfo:
-            run_sharded(topo, workers=2, window_event_budget=10)
-        message = str(excinfo.value)
-        assert "shard NICs:" in message
-        named = [n for n in ("nic0", "nic1") if n in message]
-        assert named, message
-        assert ("starved engines:" in message
-                or "no engine holds work" in message), message
+        for speculative in PROTOCOLS:
+            with pytest.raises(ShardDeadlockError) as excinfo:
+                run_sharded(topo, workers=2, window_event_budget=10,
+                            speculative=speculative)
+            message = str(excinfo.value)
+            assert "shard NICs:" in message
+            named = [n for n in ("nic0", "nic1") if n in message]
+            assert named, message
+            assert ("starved engines:" in message
+                    or "no engine holds work" in message), message
 
     def test_single_worker_runs_one_window(self):
         topo = rack_topology(nics=3, frames=4)
-        result = run_sharded(topo, workers=1)
-        assert result.rounds == 1
-        assert result.lookahead_ps == 0
+        for speculative in PROTOCOLS:
+            result = run_sharded(topo, workers=1, speculative=speculative)
+            assert result.rounds == 1
+            assert result.lookahead_ps == 0
+            assert result.window_log == []
 
-    def test_parallel_map_matches_serial(self):
-        items = list(range(13))
-        assert parallel_map(_square, items, jobs=4) == [i * i for i in items]
-        assert parallel_map(_square, items, jobs=1) == [i * i for i in items]
-        assert parallel_map(_square, [], jobs=4) == []
+    def test_worker_death_names_the_shard(self):
+        # A worker that dies without replying must surface as a
+        # ShardError naming the shard, not a bare EOFError from the pipe.
+        specs = [NicSpec(f"nic{i}", _build_or_die,
+                         {"index": i, "n_nics": 2, "frames": 2})
+                 for i in range(2)]
+        topo = RackTopology(specs, [LinkSpec("nic0", "nic1")])
+        for speculative in PROTOCOLS:
+            with pytest.raises(ShardError, match="shard 1 .*died") as excinfo:
+                run_sharded(topo, workers=2, speculative=speculative)
+            assert "exit code 3" in str(excinfo.value)
 
 
-def _square(x):
-    return x * x
+def _build_or_die(sim, name, **params):
+    if name == "nic1":
+        os._exit(3)
+    return build_rack_nic(sim, name, **params)
 
 
 class TestTopology:

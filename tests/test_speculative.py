@@ -24,12 +24,7 @@ from repro.lb.rack import lb_rack_topology
 from repro.reliability.rack import reliable_rack_topology
 from repro.sim.clock import NS, US
 from repro.sim.kernel import SimError, Simulator
-from repro.sim.shard import (
-    DEFAULT_SPEC_HORIZON,
-    ShardError,
-    run_monolithic,
-    run_sharded,
-)
+from repro.sim.shard import SPEC_HORIZON, run_monolithic, run_sharded
 from repro.workloads.rack import rack_topology
 
 pytestmark = pytest.mark.skipif(
@@ -168,20 +163,31 @@ class TestSpeculationCounters:
         assert len(cons.window_log) == cons.rounds
         assert all(entry[1:] == (0, 0, 0) for entry in cons.window_log)
 
+    def test_conservative_run_never_checkpoints(self, monkeypatch):
+        # Conservative mode is the same worker loop with the horizon
+        # pinned to 1: it must never fork a checkpoint nor install the
+        # kernel's fired log.  Forked workers inherit these patches, so
+        # a violation comes back as a ShardError carrying the traceback.
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("conservative run used speculation state")
+
+        monkeypatch.setattr("repro.sim.shard._spec_checkpoint", forbidden)
+        monkeypatch.setattr(Simulator, "set_fired_log", forbidden)
+        topo = rack_topology(nics=4, frames=6, gap_ps=1 * US)
+        cons = run_sharded(topo, workers=2, speculative=False)
+        assert (cons.rollbacks == cons.replayed_events
+                == cons.discarded_events == cons.capsules_replayed == 0)
+        assert cons.spec_horizon == 0 and cons.horizon_history == ()
+        assert len(cons.window_log) == cons.rounds
+        _assert_identical(run_monolithic(topo), cons)
+
     def test_horizon_reported(self):
         topo = rack_topology(nics=4, frames=6)
         spec = run_sharded(topo, workers=2, speculative=True)
-        assert spec.spec_horizon == DEFAULT_SPEC_HORIZON
-        narrow = run_sharded(topo, workers=2, speculative=True,
-                             spec_horizon=1)
-        # Horizon 1 degenerates to conservative windows: provably clean.
-        assert narrow.rollbacks == 0
-        _assert_identical(run_monolithic(topo), narrow)
-
-    def test_bad_horizon_rejected(self):
-        topo = rack_topology(nics=4, frames=2)
-        with pytest.raises(ShardError):
-            run_sharded(topo, workers=2, speculative=True, spec_horizon=0)
+        assert spec.spec_horizon == SPEC_HORIZON
+        assert len(spec.horizon_history) == spec.rounds
+        assert 1 <= min(spec.horizon_history)
+        assert max(spec.horizon_history) <= SPEC_HORIZON
 
     def test_single_worker_has_no_cross_wires(self):
         # No cross-shard wires -> no lookahead -> the speculative

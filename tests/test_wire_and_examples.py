@@ -1,7 +1,9 @@
 """Unit tests for the external Wire, plus example-script smoke tests."""
 
+import random
 import runpy
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +11,7 @@ from repro.core import PanicConfig, PanicNic
 from repro.packet import Packet, build_udp_frame
 from repro.sim import Simulator
 from repro.sim.clock import NS
-from repro.workloads import Wire
+from repro.workloads import ShardBoundary, Wire
 
 
 def frame(ident=0):
@@ -65,6 +67,93 @@ class TestWireUnit:
         sim.run()
         assert received == []
         assert wire.a_to_b.value == 0
+
+
+class _StubNic:
+    """The NIC surface a wire uses, plus a tracer that records drops."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.listeners = []
+        self.injected = []
+        self.drops = []
+        self.telemetry = SimpleNamespace(tracer=self)
+
+    def on_transmit(self, listener):
+        self.listeners.append(listener)
+
+    def transmit(self, packet):
+        for listener in self.listeners:
+            listener(packet)
+
+    def inject(self, packet, port):
+        self.injected.append(
+            (self.sim.now, packet.meta.created_ps, packet.data))
+
+    def flow_ctx(self):
+        return "ll"
+
+    def instant(self, ctx, name, label, now, attrs=()):
+        if name == "ext_wire_drop":
+            self.drops.append((ctx, label, now, dict(attrs)["reason"]))
+
+
+class TestSharedEgress:
+    """Wire and ShardBoundary judge egress through one function: the same
+    frames under the same seed must survive, die (and say why) and be
+    accounted identically, whichever one carries them."""
+
+    LABEL = "wire0.a->b"
+
+    def drive(self, cable):
+        sim = Simulator()
+        a, b = _StubNic(sim), _StubNic(sim)
+        if cable == "wire":
+            wire = Wire(sim, a, b, fault_labels={"a": self.LABEL})
+            set_loss = lambda *args: wire.set_loss("a", *args)
+            set_linklayer = lambda params: wire.set_linklayer("a", params)
+        else:
+            wire = ShardBoundary(sim, a, 0, peer_nic="b",
+                                 fault_label=self.LABEL)
+            set_loss, set_linklayer = wire.set_loss, wire.set_linklayer
+        rng = random.Random(7)
+        ident = 0
+
+        def send(count):
+            nonlocal ident
+            for _ in range(count):
+                sim.run(until_ps=sim.now + 100 * NS)
+                packet = Packet(frame(ident))
+                packet.meta.annotations["__trace__"] = ident
+                ident += 1
+                a.transmit(packet)
+
+        set_loss(0.3, 0.2, rng)              # Bernoulli loss + bit flips
+        send(20)
+        wire.set_down(True)                  # cable cut
+        send(4)
+        wire.set_down(False)
+        set_loss(0.6, 0.0, rng)
+        set_linklayer({"max_repair": 1})     # repair that often gives up
+        send(20)
+        sim.run()
+        if cable == "wire":
+            arrived = b.injected
+        else:
+            arrived = [(c.arrival_ps, c.created_ps, c.data)
+                       for c in wire.take_outbox()]
+        return wire.wire_stats()[self.LABEL], a.drops, arrived
+
+    def test_wire_and_boundary_agree_on_every_frame(self):
+        stats, drops, arrived = self.drive("wire")
+        assert self.drive("boundary") == (stats, drops, arrived)
+        assert {reason for *_, reason in drops} \
+            == {"loss", "down", "ll_gave_up"}
+        assert stats["offered"] > 44          # repairs re-offer frames
+        assert stats["down_drops"] == 4
+        assert stats["corruptions"] > 0
+        assert stats["linklayer"]["gave_up"] > 0
+        assert len(arrived) + len(drops) == 44
 
 
 class TestExampleScripts:
