@@ -457,13 +457,13 @@ class PanicNic:
                 e.blackholed.value for e in self.engines.values()
             ),
             "link_corruptions": sum(
-                ch.corrupted.value for ch in self.mesh.channels
+                ch.corrupted.value for ch in self.mesh.fault_channels
             ),
             "link_drops": sum(
-                ch.dropped_flits.value for ch in self.mesh.channels
+                ch.dropped_flits.value for ch in self.mesh.fault_channels
             ),
             "leaked_credits": sum(
-                ch.leaked_credits.value for ch in self.mesh.channels
+                ch.leaked_credits.value for ch in self.mesh.fault_channels
             ),
             "pifo_rank_corruptions": sum(
                 e.queue.rank_corruptions.value for e in self.engines.values()

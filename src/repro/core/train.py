@@ -58,9 +58,9 @@ Three mechanisms enforce it:
   same order and by the same amounts as the scalar path.  The hot hop
   and service recipes inline their scalar counterparts
   (``PifoQueue.transit``, ``LatencyTracker.observe``,
-  ``NocChannel._account_express_hop``,
-  ``NocRouter._account_express_forward``, ``RateMeter.record``) --
-  each inlined block cites the method it replays; keep them in sync.
+  ``RateMeter.record``) -- each inlined block cites the method it
+  replays; keep them in sync.  NoC hops are not copied: the ride calls
+  the express path's own ``account_hops``/``account_forwards``.
 
 The lane's own counters live outside ``PanicNic.stats()`` -- they count
 simulator mechanics, not NIC behaviour, and stats trees must not differ
@@ -75,6 +75,7 @@ from repro.engines.base import Engine
 from repro.engines.checksum_engine import ChecksumEngine, _rx_verdict
 from repro.engines.ethernet import EthernetPort
 from repro.engines.rmt_engine import RmtPipelineEngine
+from repro.noc.express import account_forwards, account_hops
 from repro.noc.message import NocMessage, _message_ids
 from repro.noc.router import Router
 from repro.packet.packet import Direction, MessageKind, Packet
@@ -190,7 +191,7 @@ class TrainLane:
                     or getattr(notify, "__func__", None) is not Router.pump
                     or notify.__self__ is not router
                     or cls.pump is not Router.pump
-                    or cls._pump_once is not Router._pump_once):
+                    or cls._pump_passes is not Router._pump_passes):
                 router = False
             self._routers[key] = router
         return router
@@ -597,7 +598,7 @@ class TrainLane:
             if path is None or (
                     inj._transfer_in_progress or inj._pending
                     or inj._express_flight is not None
-                    or inj._fault_drops or inj._fault_corruptions
+                    or inj._faults is not None
                     or inj._credits <= 0):
                 break
             channels, mid_routers, final_router, checks = path
@@ -608,8 +609,7 @@ class TrainLane:
                         or out._transfer_in_progress
                         or out._pending
                         or out._credits <= 0
-                        or out._fault_drops
-                        or out._fault_corruptions):
+                        or out._faults is not None):
                     busy = True
                     break
             if (busy or final_router._buffered
@@ -637,16 +637,8 @@ class TrainLane:
             if (trouter is False or trouter._buffered
                     or trouter._express_flights):
                 break
-            # packet.chip_bits inline (pointer-mode noc_bits override is
-            # impossible here -- payload_buffer engines refuse rides --
-            # but honour it anyway to stay a faithful copy).
-            override = ann.get("noc_bits")
-            if override is not None:
-                bits = int(override)
-            else:
-                header = packet.panic
-                extra = header.length if header is not None else 0
-                bits = (len(packet.data) + extra) * 8
+            # The size NocMessage would fix at injection.
+            bits = packet.chip_bits
             ser = ser_cache.get(bits)
             if ser is None:
                 ser = inj._serialization_ps(bits)
@@ -659,25 +651,10 @@ class TrainLane:
             sim.now = t_send  # t_send = now + lookup_delay
             mid = next(_message_ids)
             injected.value += 1
-            # ExpressFlight._finish: arithmetic hop windows.  Per
-            # channel, _account_express_hop(bits, begin, begin + ser)
-            # inline; the credit debit and return cancel.
-            end = t_send
-            for channel in channels:
-                end += ser
-                channel.sent.value += 1
-                channel.bits_sent.value += bits
-                channel._busy_accum_ps += ser
-                if end > channel._busy_until:
-                    channel._busy_until = end
-            # Per forwarding router, _account_express_forward() inline:
-            # one forwarded count + the pump pass's two rotations.
-            for router in mid_routers:
-                router.forwarded.value += 1
-                rr = router._rr_order
-                if rr:
-                    rr.append(rr.pop(0))
-                    rr.append(rr.pop(0))
+            # ExpressFlight._finish: the arithmetic hop windows and the
+            # forwarding routers' crossings.
+            account_hops(channels, bits, t_send, ser)
+            account_forwards(mid_routers)
             # Final delivery: on_deliver -> pump -> endpoint accept.
             # The express credit debit and the pump's release_credit
             # cancel; the delivery counts once, the pump pass rotates

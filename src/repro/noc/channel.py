@@ -18,7 +18,7 @@ Timing model (store-and-forward):
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.sim.clock import Clock
 from repro.sim.kernel import Component, Simulator
@@ -49,8 +49,10 @@ class Channel(Component):
     credits:
         Number of downstream buffer slots, i.e. the credit pool.
     on_drain:
-        Optional callback fired whenever a transfer *starts*, freeing the
-        sender-side slot -- routers use it to resume stalled forwarding.
+        Optional callback fired whenever a *queued* message starts,
+        freeing the sender-side slot -- routers use it to resume stalled
+        forwarding.  (A message that starts the moment it is submitted
+        never held the slot; :meth:`submit` says so by returning True.)
     """
 
     def __init__(
@@ -74,10 +76,15 @@ class Channel(Component):
         self.on_drain = on_drain
         self._credits = credits
         self._max_credits = credits
-        self._pending: Deque["NocMessage"] = deque()
+        # Sender-side queue: messages waiting for the wire or a credit.
+        # Routers forward only into an empty one, so it is one deep on
+        # mesh links; only injection can stack it higher.
+        self._pending: List["NocMessage"] = []
         self._busy_until = 0
         self._busy_accum_ps = 0
         self._transfer_in_progress = False
+        # bits -> serialization delay.  A fabric whose channels share one
+        # width and clock points them all at one dict (see Mesh._adopt).
         self._ser_cache: dict = {}
         # Cut-through fast path (see repro.noc.express): the fabric wires
         # `_express_route` on channels whose receiver is a router; while a
@@ -92,16 +99,19 @@ class Channel(Component):
         # route cannot be expressed (unroutable / single hop).  Topology
         # never changes after build, so entries are computed once.
         self._express_paths: dict = {}
-        # Pending injected faults (see inject_corruption / inject_drop):
-        # each entry applies to one future transfer completion.
-        self._fault_corruptions: Deque[tuple] = deque()
-        self._fault_drops: Deque[bool] = deque()
+        # Armed one-shot faults (see inject_corruption / inject_drop): a
+        # ``(drops, corruptions)`` pair of queues, each entry applying to
+        # one future transfer completion; None whenever nothing is armed,
+        # which is the only state the data path ever tests.  The fabric
+        # may supply ``_fault_log``, where a channel lists itself the
+        # first time it is armed.
+        self._faults: Optional[tuple] = None
+        self._fault_log: Optional[list] = None
         # Set by repro.telemetry; None-checked on the completion path only.
         self._tracer = None
         # Statistics.
         self.sent = Counter(f"{name}.sent")
         self.bits_sent = Counter(f"{name}.bits")
-        self.stall_events = Counter(f"{name}.stalls")
         self.corrupted = Counter(f"{name}.corrupted")
         self.dropped_flits = Counter(f"{name}.dropped_flits")
         self.leaked_credits = Counter(f"{name}.leaked_credits")
@@ -110,15 +120,23 @@ class Channel(Component):
     # Sender interface
     # ------------------------------------------------------------------
 
-    def submit(self, message: "NocMessage") -> None:
-        """Queue a message for transmission (never drops)."""
+    def submit(self, message: "NocMessage") -> bool:
+        """Hand over a message for transmission (never drops).
+
+        Returns True when it left at once -- onto the idle wire, or as an
+        express flight -- so the sender-side slot is already free again;
+        a queued message announces that later, through ``on_drain``.
+        """
         flight = self._express_flight
         if flight is not None:
             # New traffic on a reserved channel: de-speculate the express
             # flight first so this message sees exact slow-path state.
             flight.materialize()
-        self._pending.append(message)
-        self._try_start()
+        if self._pending or self._transfer_in_progress or self._credits <= 0:
+            self._pending.append(message)
+            return False
+        self._start(message)
+        return True
 
     @property
     def queue_len(self) -> int:
@@ -130,15 +148,6 @@ class Channel(Component):
         """Credits currently available."""
         return self._credits
 
-    def can_accept(self, limit: int = 1) -> bool:
-        """True when the sender-side queue is below ``limit``.
-
-        Routers use this to decide whether moving a message here would
-        simply relocate a queue; keeping the limit small propagates
-        backpressure toward the source instead of hiding it.
-        """
-        return len(self._pending) < limit
-
     # ------------------------------------------------------------------
     # Receiver interface
     # ------------------------------------------------------------------
@@ -148,7 +157,8 @@ class Channel(Component):
         if self._credits >= self._max_credits:
             raise RuntimeError(f"{self.name}: credit overflow")
         self._credits += 1
-        self._try_start()
+        if self._pending:
+            self._start_next()
 
     @property
     def max_credits(self) -> int:
@@ -172,10 +182,7 @@ class Channel(Component):
         message still delivers -- detection is the receiver's job, at
         checksum/ICV verification points.
         """
-        flight = self._express_flight
-        if flight is not None:
-            flight.materialize()
-        self._fault_corruptions.append((rng, bits, offset))
+        self._arm()[1].append((rng, bits, offset))
 
     def inject_drop(self, leak_credit: bool = True) -> None:
         """Arm a one-shot fault: the next message completing a transfer
@@ -184,10 +191,21 @@ class Channel(Component):
         returned, permanently shrinking the channel's pool -- the classic
         leak that eventually wedges a lossless mesh.
         """
+        self._arm()[0].append(leak_credit)
+
+    def _arm(self) -> tuple:
+        """The ``(drops, corruptions)`` queues, allocated on demand; a
+        flight holding this channel de-speculates first, so the fault
+        meets exact slow-path state."""
         flight = self._express_flight
         if flight is not None:
             flight.materialize()
-        self._fault_drops.append(leak_credit)
+        if self._faults is None:
+            self._faults = (deque(), deque())
+            log = self._fault_log
+            if log is not None and self not in log:
+                log.append(self)
+        return self._faults
 
     # ------------------------------------------------------------------
     # Internals
@@ -203,35 +221,41 @@ class Channel(Component):
             self._ser_cache[bits] = result
         return result
 
-    def _try_start(self) -> None:
-        if self._transfer_in_progress or not self._pending:
-            return
-        if self._credits <= 0:
-            self.stall_events.add()
-            return
-        if (self._express_route is not None
-                and len(self._pending) == 1
+    def _start(self, message: "NocMessage") -> None:
+        """Send ``message`` now.  The caller has checked that the wire is
+        idle, a credit is in hand and nothing waits ahead of it."""
+        route = self._express_route
+        if (route is not None
+                and not self._pending
                 and self._express_flight is None
-                and not self._fault_drops
-                and not self._fault_corruptions
-                and self._express_route(self._pending[0], self)):
+                and self._faults is None
+                and route(message, self)):
             # The whole route was idle: the message now travels as an
-            # ExpressFlight; the sender-side slot is free, as below.
-            self._pending.popleft()
-            if self.on_drain is not None:
-                self.on_drain()
+            # ExpressFlight.
             return
-        message = self._pending.popleft()
         bits = message.bits
         self._credits -= 1
         self._transfer_in_progress = True
-        start = max(self.now, self._busy_until)
-        duration = self._serialization_ps(bits)
-        self._busy_until = start + duration
+        now = self.sim.now
+        end = self._busy_until
+        if end < now:
+            end = now
+        duration = self._ser_cache.get(bits)
+        if duration is None:
+            duration = self._serialization_ps(bits)
+        end += duration
+        self._busy_until = end
         self._busy_accum_ps += duration
-        self.schedule(self._busy_until - self.now, self._complete, message)
+        self.schedule(end - now, self._complete, message)
         self.sent.value += 1
         self.bits_sent.value += bits
+
+    def _start_next(self) -> None:
+        """The wire or a credit just freed: send the head of the queue if
+        both are now there for it, and tell the sender its slot is free."""
+        if self._transfer_in_progress or self._credits <= 0:
+            return
+        self._start(self._pending.pop(0))
         if self.on_drain is not None:
             self.on_drain()
 
@@ -240,30 +264,41 @@ class Channel(Component):
         tracer = self._tracer
         ctx = (message.packet.meta.annotations.get("__trace__")
                if tracer is not None else None)
-        if self._fault_drops:
-            leak = self._fault_drops.popleft()
-            self.dropped_flits.add()
-            if leak:
-                self.leaked_credits.add()
-            else:
-                self._credits += 1
-            if ctx is not None:
-                tracer.instant(ctx, "wire_drop", self.name, self.now)
-            self._try_start()
+        if self._faults is not None and self._spend_fault(message, tracer, ctx):
+            if self._pending:
+                self._start_next()
             return
-        if self._fault_corruptions:
-            rng, bits, offset = self._fault_corruptions.popleft()
-            self._apply_corruption(message, rng, bits, offset)
         message.hops += 1
         if ctx is not None:
             # The transfer window is [now - serialization, now]: identical
             # to the arithmetic window express flights synthesize, so
             # fast- and slow-path traces line up span for span.
+            now = self.sim.now
             tracer.hop(ctx, self.name,
-                       self.now - self._serialization_ps(message.bits),
-                       self.now)
+                       now - self._serialization_ps(message.bits), now)
         self.deliver(message, self)
-        self._try_start()
+        if self._pending:
+            self._start_next()
+
+    def _spend_fault(self, message: "NocMessage", tracer, ctx) -> bool:
+        """Apply the oldest armed fault to the transfer completing now: a
+        drop if one is armed, else a corruption.  True when the message
+        vanished."""
+        drops, corruptions = self._faults
+        dropped = bool(drops)
+        if dropped:
+            self.dropped_flits.add()
+            if drops.popleft():
+                self.leaked_credits.add()
+            else:
+                self._credits += 1
+            if ctx is not None:
+                tracer.instant(ctx, "wire_drop", self.name, self.sim.now)
+        else:
+            self._apply_corruption(message, *corruptions.popleft())
+        if not drops and not corruptions:
+            self._faults = None
+        return dropped
 
     def _apply_corruption(self, message: "NocMessage", rng, bits: int,
                           offset: Optional[int]) -> None:
@@ -282,19 +317,6 @@ class Channel(Component):
     # ------------------------------------------------------------------
     # Express (cut-through) bookkeeping -- see repro.noc.express
     # ------------------------------------------------------------------
-
-    def _account_express_hop(self, bits: int, start: int, end: int) -> None:
-        """Retroactively apply a collapsed hop's statistics.
-
-        The hop occupied the wires during ``[start, end]``; credits were
-        consumed at ``start`` and returned at ``end`` by the downstream
-        router's forward, so their net effect is zero.
-        """
-        self.sent.value += 1
-        self.bits_sent.value += bits
-        self._busy_accum_ps += end - start
-        if end > self._busy_until:
-            self._busy_until = end
 
     def _materialize_transfer(self, message: "NocMessage", start: int,
                               end: int) -> None:

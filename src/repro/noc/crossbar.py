@@ -49,9 +49,6 @@ class _CrossbarPort:
         self._crossbar.route(message)
         return message
 
-    def send_message(self, message: NocMessage) -> None:
-        self._crossbar.route(message)
-
     @property
     def backlog(self) -> int:
         return 0

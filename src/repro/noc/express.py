@@ -53,13 +53,48 @@ arithmetically instead of materializing a per-hop schedule.
 
 from __future__ import annotations
 
-from typing import Tuple, TYPE_CHECKING
+from typing import Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.noc.channel import Channel
     from repro.noc.message import NocMessage
     from repro.noc.router import Router
     from repro.sim.kernel import Simulator
+
+
+def account_hops(channels: Sequence["Channel"], bits: int, start: int,
+                 ser: int) -> None:
+    """Retroactively apply collapsed hops' channel statistics.
+
+    Hop ``i`` occupied ``channels[i]`` during
+    ``[start + i*ser, start + (i+1)*ser]``; its credit was consumed at
+    the window's start and returned at its end by the downstream router's
+    forward, so the net effect on credits is zero.
+    """
+    end = start
+    for channel in channels:
+        end += ser
+        channel.sent.value += 1
+        channel.bits_sent.value += bits
+        channel._busy_accum_ps += ser
+        if end > channel._busy_until:
+            channel._busy_until = end
+
+
+def account_forwards(routers: Sequence["Router"]) -> None:
+    """Retroactively apply one collapsed forward per router.
+
+    Replays exactly what an uncontended slow-path forward does to a
+    router's observable state: one ``forwarded`` count and two
+    round-robin rotations (the arbitration pass's own, and the one its
+    output channel's immediate start asks for) -- keeping future
+    arbitration order bit-identical.
+    """
+    for router in routers:
+        router.forwarded.value += 1
+        rr = router._rr_order
+        rr.append(rr.pop(0))
+        rr.append(rr.pop(0))
 
 
 class ExpressFlight:
@@ -130,28 +165,31 @@ class ExpressFlight:
             return
         self._unregister()
         message = self.message
-        bits = self.bits
-        ser = self.ser
-        end = self.start
-        tracer = self.channels[0]._tracer
-        ctx = (message.packet.meta.annotations.get("__trace__")
-               if tracer is not None else None)
-        for channel in self.channels:
-            begin = end
-            end += ser
-            channel._account_express_hop(bits, begin, end)
-            if ctx is not None:
-                # Synthesized from the arithmetic hop windows: identical
-                # to the spans a slow-path walk would have emitted.
-                tracer.hop(ctx, channel.name, begin, end)
-            message.hops += 1
-        for router in self.routers[self.committed:]:
-            router._account_express_forward()
-        final_channel = self.channels[-1]
+        channels = self.channels
+        account_hops(channels, self.bits, self.start, self.ser)
+        if channels[0]._tracer is not None:
+            self._trace_hops(len(channels))
+        message.hops += len(channels)
+        account_forwards(self.routers[self.committed:])
+        final_channel = channels[-1]
         # The delivery below releases (or parks) this credit exactly as a
         # slow-path arrival would.
         final_channel._credits -= 1
         self.final_router.on_deliver(message, final_channel)
+
+    def _trace_hops(self, count: int) -> None:
+        """Emit the first ``count`` hops' spans for a sampled message,
+        synthesized from the arithmetic hop windows: identical to the
+        spans a slow-path walk would have emitted."""
+        tracer = self.channels[0]._tracer
+        ctx = self.message.packet.meta.annotations.get("__trace__")
+        if ctx is None:
+            return
+        end = self.start
+        for channel in self.channels[:count]:
+            begin = end
+            end += self.ser
+            tracer.hop(ctx, channel.name, begin, end)
 
     def materialize(self) -> None:
         """De-speculate: reconstruct the exact slow-path state at ``now``.
@@ -168,31 +206,22 @@ class ExpressFlight:
             return
         self._unregister()
         self.event.cancel()
-        now = self.sim.now
-        message = self.message
-        bits = self.bits
+        start = self.start
         ser = self.ser
-        routers = self.routers
-        end = self.start
-        tracer = self.channels[0]._tracer
-        ctx = (message.packet.meta.annotations.get("__trace__")
-               if tracer is not None else None)
-        for index, channel in enumerate(self.channels):
-            begin = end
-            end += ser
-            if end < now:
-                channel._account_express_hop(bits, begin, end)
-                if ctx is not None:
-                    tracer.hop(ctx, channel.name, begin, end)
-                message.hops += 1
-                if index >= self.committed:
-                    routers[index]._account_express_forward()
-            else:
-                channel._materialize_transfer(message, begin, end)
-                return
-        raise RuntimeError(
-            "express flight outlived its delivery event"
-        )  # pragma: no cover - _finish fires at the last hop's end
+        channels = self.channels
+        # Hop i ends at start + (i+1)*ser: those strictly before now.
+        done = max(0, (self.sim.now - start - 1) // ser)
+        if done >= len(channels):
+            raise RuntimeError(
+                "express flight outlived its delivery event"
+            )  # pragma: no cover - _finish fires at the last hop's end
+        account_hops(channels[:done], self.bits, start, ser)
+        if channels[0]._tracer is not None:
+            self._trace_hops(done)
+        self.message.hops += done
+        account_forwards(self.routers[self.committed:done])
+        begin = start + done * ser
+        channels[done]._materialize_transfer(self.message, begin, begin + ser)
 
     def interfere(self, router: "Router") -> None:
         """A foreign message was delivered into a router this flight
@@ -213,8 +242,8 @@ class ExpressFlight:
         if self.start + (index + 1) * self.ser >= self.sim.now:
             self.materialize()
             return
-        while self.committed <= index:
-            crossed = self.routers[self.committed]
-            crossed._account_express_forward()
-            crossed._express_flights.remove(self)
-            self.committed += 1
+        crossed = self.routers[self.committed:index + 1]
+        account_forwards(crossed)
+        for passed in crossed:
+            passed._express_flights.remove(self)
+        self.committed = index + 1

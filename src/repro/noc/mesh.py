@@ -91,10 +91,6 @@ class NocPort:
         self._channel.submit(message)
         return message
 
-    def send_message(self, message: NocMessage) -> None:
-        """Re-inject an existing envelope (e.g. after local re-routing)."""
-        self._channel.submit(message)
-
     @property
     def backlog(self) -> int:
         """Messages waiting in the injection channel."""
@@ -112,8 +108,17 @@ class Mesh:
         self._routers: Dict[Tuple[int, int], Router] = {}
         self._endpoints: Dict[int, Endpoint] = {}
         self.channels: List[Channel] = []
+        self._channel_by_name: Dict[str, Channel] = {}
         # Receiver router of every channel, for express route walks.
         self._channel_sink: Dict[Channel, Router] = {}
+        # Every channel shares one width and clock, hence one table of
+        # serialization delays by message size.
+        self._ser_cache: Dict[int, int] = {}
+        #: Channels a fault was ever armed on: the only ones whose fault
+        #: counters can be non-zero.
+        self.fault_channels: List[Channel] = []
+        # One bound method for every channel to call (None: per-hop only).
+        self._express_route = self._try_express if config.fast_path else None
         self._build()
 
     # ------------------------------------------------------------------
@@ -139,15 +144,8 @@ class Mesh:
         for y in range(cfg.height):
             for x in range(cfg.width):
                 address = self.address_of(x, y)
-                router = Router(
-                    self.sim,
-                    f"{self.name}.r{x}_{y}",
-                    x,
-                    y,
-                    address,
-                    self.coords_of,
-                )
-                self._routers[(x, y)] = router
+                self._routers[(x, y)] = Router(
+                    self.sim, f"{self.name}.r{x}_{y}", x, y, address)
         # Wire neighbours with one channel per direction.
         for (x, y), router in self._routers.items():
             for dx, dy, direction in (
@@ -170,11 +168,35 @@ class Mesh:
                     on_drain=router.pump,
                 )
                 router.attach_output(direction, channel)
-                neighbour.register_input(channel)
-                self.channels.append(channel)
-                self._channel_sink[channel] = neighbour
-                if cfg.fast_path:
-                    channel._express_route = self._try_express
+                self._adopt(channel, neighbour)
+        self._build_routes()
+
+    def _adopt(self, channel: Channel, sink: Router) -> None:
+        """Register a new channel delivering into ``sink`` and point it
+        at the state every channel of this mesh shares."""
+        sink.register_input(channel)
+        self.channels.append(channel)
+        self._channel_by_name[channel.name] = channel
+        self._channel_sink[channel] = sink
+        channel._ser_cache = self._ser_cache
+        channel._fault_log = self.fault_channels
+        channel._express_route = self._express_route
+
+    def _build_routes(self) -> None:
+        """Render dimension-ordered routing into each router's static
+        next-hop table: X first (east/west until the destination column),
+        then Y, and None -- deliver locally -- on the destination tile.
+        The forwarding path and the express route walk both read it."""
+        cfg = self.config
+        for (x, y), router in self._routers.items():
+            out = router._out.get
+            table: List[Optional[Channel]] = []
+            for dest_y in range(cfg.height):
+                column = (None if dest_y == y
+                          else out("south" if dest_y > y else "north"))
+                table += ([out("west")] * x + [column]
+                          + [out("east")] * (cfg.width - 1 - x))
+            router._next_hop = table
 
     # ------------------------------------------------------------------
     # Endpoint binding
@@ -200,11 +222,7 @@ class Mesh:
             router.on_deliver,
             credits=self.config.credits,
         )
-        router.register_input(inject)
-        self.channels.append(inject)
-        self._channel_sink[inject] = router
-        if self.config.fast_path:
-            inject._express_route = self._try_express
+        self._adopt(inject, router)
         return NocPort(self, endpoint, inject)
 
     # ------------------------------------------------------------------
@@ -218,23 +236,21 @@ class Mesh:
         ``dest``, or None when express can never apply (single-hop routes
         save no events; unroutable destinations must raise on the slow
         path at their normal simulated time)."""
+        if not 0 <= dest < self.config.tiles:
+            return None
         sink = self._channel_sink
         router = sink[channel]
-        if router.address == dest:
-            return None
         channels = [channel]
         routers: List[Router] = []
-        while router.address != dest:
-            try:
-                direction = router.route(dest)
-            except ValueError:
-                return None
-            out = router._out.get(direction)
+        while True:
+            out = router._next_hop[dest]
             if out is None:
-                return None
+                break
             routers.append(router)
             channels.append(out)
             router = sink[out]
+        if not routers:
+            return None
         # Pair each forwarding router with its outgoing channel so the
         # per-message idle scan is one fused loop.
         checks = tuple(zip(routers, channels[1:]))
@@ -265,14 +281,15 @@ class Mesh:
                     or out._transfer_in_progress
                     or out._pending
                     or out._credits <= 0
-                    or out._fault_drops
-                    or out._fault_corruptions):
+                    or out._faults is not None):
                 return False
         bits = message.bits
         # Every channel in a mesh shares one width and clock, so one
         # serialization delay covers every hop: hop i's window follows
         # arithmetically from (now, ser) inside the flight.
-        ser = channel._serialization_ps(bits)
+        ser = self._ser_cache.get(bits)
+        if ser is None:
+            ser = channel._serialization_ps(bits)
         ExpressFlight(self.sim, message, channels, routers, final_router,
                       bits, self.sim.now, ser)
         return True
@@ -304,10 +321,11 @@ class Mesh:
 
     def channel(self, name: str) -> Channel:
         """Look up a channel by its full name (e.g. ``mesh.inj_0_0``)."""
-        for channel in self.channels:
-            if channel.name == name:
-                return channel
-        raise ValueError(f"no channel named {name!r} in {self.name}")
+        try:
+            return self._channel_by_name[name]
+        except KeyError:
+            raise ValueError(
+                f"no channel named {name!r} in {self.name}") from None
 
     def router_at(self, x: int, y: int) -> Router:
         return self._routers[(x, y)]

@@ -26,6 +26,11 @@ class NocMessage:
     inject_ps: int = 0
     hops: int = 0
     message_id: int = field(default_factory=lambda: next(_message_ids))
+    #: Bits this message occupies on a channel (packet + chain header, or
+    #: the pointer-mode descriptor), fixed when the envelope is made: the
+    #: packet is not resized between injection and delivery, so every hop
+    #: and every express attempt reads one stored size.
+    bits: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.dest_addr < 0 or self.src_addr < 0:
@@ -33,11 +38,7 @@ class NocMessage:
                 f"engine addresses must be non-negative "
                 f"(src={self.src_addr}, dest={self.dest_addr})"
             )
-
-    @property
-    def bits(self) -> int:
-        """Bits this message occupies on a channel (packet + chain header)."""
-        return self.packet.chip_bits
+        self.bits = self.packet.chip_bits
 
     def __repr__(self) -> str:
         return (

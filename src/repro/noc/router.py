@@ -4,7 +4,8 @@ Every PANIC engine contains a router (Figure 3a); routers connect to their
 north/south/east/west neighbours and to the local engine.  Routing is XY
 (dimension-ordered): a message first travels along the X axis to the
 destination column, then along Y -- deadlock-free on a mesh without
-virtual channels.
+virtual channels.  The mesh renders that rule once, into each router's
+static next-hop table (see ``Mesh._build_routes``).
 
 Input buffering is per-upstream-channel FIFO with credits (see
 :mod:`repro.noc.channel`); the router moves head-of-line messages to output
@@ -14,8 +15,7 @@ backpressure toward the source.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.noc.channel import Channel
 from repro.noc.message import NocMessage
@@ -61,9 +61,6 @@ class Router(Component):
         Tile coordinates in the mesh.
     address:
         NoC address of the endpoint attached to this tile.
-    coords_of:
-        Resolver from any NoC address to tile coordinates (owned by the
-        :class:`~repro.noc.mesh.Mesh`).
     """
 
     DIRECTIONS = ("east", "west", "north", "south")
@@ -75,17 +72,18 @@ class Router(Component):
         x: int,
         y: int,
         address: int,
-        coords_of: Callable[[int], Tuple[int, int]],
     ):
         super().__init__(sim, name)
         self.x = x
         self.y = y
         self.address = address
-        self._coords_of = coords_of
         self.endpoint: Optional[Endpoint] = None
         self._out: Dict[str, Channel] = {}
-        # One FIFO of (message, in_channel) per upstream channel.
-        self._inputs: Dict[Channel, Deque[Tuple[NocMessage, Channel]]] = {}
+        # Destination address -> output channel toward it, None for this
+        # tile's own endpoint; filled in by the mesh once it is wired.
+        self._next_hop: List[Optional[Channel]] = []
+        # One FIFO per upstream channel, at most its credit pool deep.
+        self._inputs: Dict[Channel, List[NocMessage]] = {}
         self._rr_order: List[Channel] = []
         self._pumping = False
         self._pump_again = False
@@ -119,7 +117,7 @@ class Router(Component):
         """Declare an upstream channel (its deliveries arrive here)."""
         if channel in self._inputs:
             raise ValueError(f"{self.name}: input channel already registered")
-        self._inputs[channel] = deque()
+        self._inputs[channel] = []
         self._rr_order.append(channel)
 
     # ------------------------------------------------------------------
@@ -127,59 +125,84 @@ class Router(Component):
     # ------------------------------------------------------------------
 
     def on_deliver(self, message: NocMessage, channel: Channel) -> None:
-        """Channel delivery callback: buffer the message, then pump."""
+        """Channel delivery callback: forward the message, or buffer it."""
         if self._express_flights:
             # Arriving traffic can contend with flights crossing this
             # router: commit crossings already past, de-speculate the rest.
             for flight in list(self._express_flights):
                 flight.interfere(self)
-        queue = self._inputs.get(channel)
-        if queue is None:
-            raise RuntimeError(f"{self.name}: delivery from unregistered channel")
-        queue.append((message, channel))
-        self._buffered += 1
-        self.pump()
+        try:
+            queue = self._inputs[channel]
+        except KeyError:
+            raise RuntimeError(
+                f"{self.name}: delivery from unregistered channel") from None
+        if self._buffered or self._pumping:
+            queue.append(message)
+            self._buffered += 1
+            self.pump()
+            return
+        # A sole message into an idle router: the arbitration pass is one
+        # forward attempt, so the message skips the FIFO unless it has to
+        # park.  It counts as buffered while the attempt runs, as it would
+        # sitting at the head of its queue.
+        self._pumping = True
+        self._buffered = 1
+        try:
+            if self._forward(message):
+                self._buffered = 0
+                channel.release_credit()
+            else:
+                queue.append(message)
+            rr = self._rr_order
+            rr.append(rr.pop(0))
+            if self._pump_again:
+                if self._buffered:
+                    self._pump_passes()
+                else:
+                    # Nothing parked to retry: the pass that was asked
+                    # for comes down to its fairness rotation.
+                    self._pump_again = False
+                    rr.append(rr.pop(0))
+        finally:
+            self._pumping = False
 
     def pump(self) -> None:
         """Move head-of-line messages onward while progress is possible.
 
-        Re-entrant calls (a channel's ``on_drain`` firing while this router
-        is already pumping) are coalesced into one extra pass.
+        Re-entrant calls (an endpoint's ``notify_space`` firing while this
+        router is already pumping) are coalesced into one extra pass.
         """
         if self._pumping:
             self._pump_again = True
             return
         self._pumping = True
+        self._pump_again = True
         try:
-            self._pump_once()
-            while self._pump_again:
-                self._pump_again = False
-                self._pump_once()
+            self._pump_passes()
         finally:
             self._pumping = False
 
-    def _pump_once(self) -> None:
-        # Scanning empty queues has no side effects, so an idle router
-        # skips straight to the fairness rotation.
-        if self._buffered:
-            progress = True
-            while progress:
+    def _pump_passes(self) -> None:
+        """Arbitration passes, one per request (``_pump_again``) made
+        before or during the last; each ends with the round-robin
+        fairness rotation of the service order."""
+        rr = self._rr_order
+        while self._pump_again:
+            self._pump_again = False
+            # Scanning empty queues has no side effects, so an idle
+            # router skips straight to the rotation.
+            while self._buffered:
                 progress = False
-                for channel in self._rr_order:
+                for channel in rr:
                     queue = self._inputs[channel]
-                    if not queue:
-                        continue
-                    message, in_channel = queue[0]
-                    if self._forward(message):
-                        queue.popleft()
+                    if queue and self._forward(queue[0]):
+                        del queue[0]
                         self._buffered -= 1
-                        in_channel.release_credit()
+                        channel.release_credit()
                         progress = True
-                if not self._buffered:
+                if not progress:
                     break
-        # Round-robin fairness: rotate the service order.
-        if self._rr_order:
-            self._rr_order.append(self._rr_order.pop(0))
+            rr.append(rr.pop(0))
 
     def _forward(self, message: NocMessage) -> bool:
         """Try to move one message toward its destination.
@@ -187,7 +210,14 @@ class Router(Component):
         Returns True when the message was consumed (delivered locally or
         handed to an output channel).
         """
-        if message.dest_addr == self.address:
+        try:
+            out = self._next_hop[message.dest_addr]
+        except IndexError:
+            raise ValueError(
+                f"{self.name}: address {message.dest_addr} outside the "
+                f"{len(self._next_hop)}-tile mesh"
+            ) from None
+        if out is None:
             if self.endpoint is None:
                 raise RuntimeError(
                     f"{self.name}: message for local endpoint but none attached"
@@ -204,48 +234,16 @@ class Router(Component):
                 return False
             self.delivered.value += 1
             return True
-        direction = self.route(message.dest_addr)
-        out = self._out.get(direction)
-        if out is None:
-            raise RuntimeError(
-                f"{self.name}: no {direction} link toward address "
-                f"{message.dest_addr}"
-            )
-        if not out.can_accept():
+        if out._pending:
+            # Moving the message would only relocate a queue; holding it
+            # propagates backpressure toward the source instead.
             return False
         self.forwarded.value += 1
-        out.submit(message)
+        if out.submit(message):
+            # It went straight out, so the sender slot is free already:
+            # what the channel's on_drain would come back to say.
+            self._pump_again = True
         return True
-
-    def route(self, dest_addr: int) -> str:
-        """Dimension-ordered (X first, then Y) next-hop decision."""
-        dx, dy = self._coords_of(dest_addr)
-        if dx > self.x:
-            return "east"
-        if dx < self.x:
-            return "west"
-        if dy > self.y:
-            return "south"
-        if dy < self.y:
-            return "north"
-        raise ValueError(
-            f"{self.name}: routing to self (address {dest_addr}); "
-            "local delivery should have been taken"
-        )
-
-    def _account_express_forward(self) -> None:
-        """Retroactively apply one collapsed express forward.
-
-        Replays exactly what an uncontended slow-path forward does to this
-        router's observable state: one ``forwarded`` count, and the two
-        round-robin rotations of the pump pass plus its ``on_drain``
-        re-entry -- keeping future arbitration order bit-identical.
-        """
-        self.forwarded.value += 1
-        rr = self._rr_order
-        if rr:
-            rr.append(rr.pop(0))
-            rr.append(rr.pop(0))
 
     @property
     def buffered_messages(self) -> int:

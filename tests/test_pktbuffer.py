@@ -135,6 +135,42 @@ class TestPointerModeNic:
             loads[mode] = sum(c.bits_sent.value for c in nic.mesh.channels)
         assert loads["pointer"] < loads["full"] / 3
 
+    def test_message_size_is_fixed_between_injection_and_delivery(self, sim):
+        """``noc_bits`` is set and popped only inside endpoints (the RX
+        MAC parks the payload; the TX MAC and DMA free it), never while
+        an envelope is on the wires -- so the size a NocMessage fixed at
+        injection is still what its packet reports at every hop."""
+        from repro.noc.pktbuffer import DESCRIPTOR_BITS
+        from repro.packet import build_udp_frame, Packet
+
+        nic = PanicNic(sim, PanicConfig(ports=1, payload_mode="pointer",
+                                        fast_path=False),
+                       name="panic_sizes")
+        nic.control.enable_kv_cache()
+        seen = {}
+
+        def watch(deliver):
+            def on_hop(message, channel):
+                assert message.bits == message.packet.chip_bits
+                seen.setdefault(message.message_id, set()).add(message.bits)
+                deliver(message, channel)
+            return on_hop
+
+        for channel in nic.mesh.channels:
+            channel.deliver = watch(channel.deliver)
+        nic.offload("kvcache").cache_put(b"k", b"v")
+        nic.inject(build_kv_request_frame(KvRequest(KvOpcode.GET, 1, 1, b"k")))
+        nic.inject(Packet(build_udp_frame(
+            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+            src_ip="10.0.0.1", dst_ip="10.0.0.2",
+            src_port=1, dst_port=2, payload=bytes(600))))
+        sim.run()
+        assert len(nic.transmitted) == 1                 # the GET's reply
+        assert all(len(sizes) == 1 for sizes in seen.values())
+        sizes = set().union(*seen.values())
+        assert DESCRIPTOR_BITS in sizes                  # parked payloads
+        assert len(sizes) > 1                            # and whole frames
+
     def test_full_mode_has_no_buffer(self, sim):
         nic = self.build(sim, "full")
         assert nic.payload_buffer is None

@@ -414,6 +414,14 @@ class TestCorruptionDetection:
         assert channel.leaked_credits.value == 1
         assert channel.credit_deficit == 1
         assert "leaked" in nic.mesh.stuck_report()
+        # stats() sums only channels a fault was ever armed on; that is
+        # the same as summing every channel.
+        assert nic.mesh.fault_channels == [channel]
+        faults = nic.stats()["faults"]
+        assert faults["link_drops"] == sum(
+            ch.dropped_flits.value for ch in nic.mesh.channels) == 1
+        assert faults["leaked_credits"] == 1
+        assert channel._faults is None                   # spent, not armed
 
     def test_pifo_rank_corruption_counted(self, sim, nic):
         from repro.sim.rng import SeededRng
