@@ -236,10 +236,10 @@ class Mesh:
         ``dest``, or None when express can never apply (single-hop routes
         save no events; unroutable destinations must raise on the slow
         path at their normal simulated time)."""
-        if not 0 <= dest < self.config.tiles:
-            return None
         sink = self._channel_sink
         router = sink[channel]
+        if not 0 <= dest < len(router._next_hop):
+            return None
         channels = [channel]
         routers: List[Router] = []
         while True:

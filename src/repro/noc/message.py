@@ -25,7 +25,7 @@ class NocMessage:
     src_addr: int
     inject_ps: int = 0
     hops: int = 0
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    message_id: int = field(default_factory=_message_ids.__next__)
     #: Bits this message occupies on a channel (packet + chain header, or
     #: the pointer-mode descriptor), fixed when the envelope is made: the
     #: packet is not resized between injection and delivery, so every hop

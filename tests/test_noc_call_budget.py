@@ -64,7 +64,7 @@ def noc_calls_per_message(fast_path: bool, far: tuple) -> float:
 
 #: (calls reached when this gate was written, ceiling).
 SCALAR_HOP = (11, 13)
-EXPRESS_FLIGHT_7_HOPS = (57, 60)
+EXPRESS_FLIGHT_7_HOPS = (55, 58)
 EXPRESS_EXTRA_HOP = (6, 7)
 
 
