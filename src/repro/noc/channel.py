@@ -53,6 +53,10 @@ class Channel(Component):
         freeing the sender-side slot -- routers use it to resume stalled
         forwarding.  (A message that starts the moment it is submitted
         never held the slot; :meth:`submit` says so by returning True.)
+    ser_cache:
+        Table of serialization delays by message size.  A fabric whose
+        channels share one width and clock passes them all the same
+        dict; a standalone channel gets its own.
     """
 
     def __init__(
@@ -64,6 +68,7 @@ class Channel(Component):
         deliver: Callable[["NocMessage", "Channel"], None],
         credits: int = 4,
         on_drain: Optional[Callable[[], None]] = None,
+        ser_cache: Optional[dict] = None,
     ):
         super().__init__(sim, name)
         if width_bits <= 0:
@@ -83,9 +88,7 @@ class Channel(Component):
         self._busy_until = 0
         self._busy_accum_ps = 0
         self._transfer_in_progress = False
-        # bits -> serialization delay.  A fabric whose channels share one
-        # width and clock points them all at one dict (see Mesh._adopt).
-        self._ser_cache: dict = {}
+        self._ser_cache: dict = {} if ser_cache is None else ser_cache
         # Cut-through fast path (see repro.noc.express): the fabric wires
         # `_express_route` on channels whose receiver is a router; while a
         # flight holds this channel, `_express_flight` marks the

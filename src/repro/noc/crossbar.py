@@ -83,6 +83,7 @@ class Crossbar:
         self.credits = credits
         self._endpoints: Dict[int, Endpoint] = {}
         self._outputs: Dict[int, Channel] = {}
+        self._ser_cache: Dict[int, int] = {}
         self._next_address = 0
         self.routed = Counter(f"{name}.routed")
 
@@ -101,6 +102,7 @@ class Crossbar:
             self.clock,
             self._deliver,
             credits=self.credits,
+            ser_cache=self._ser_cache,
         )
         return _CrossbarPort(self, endpoint)
 

@@ -21,7 +21,7 @@ from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint, Router
 from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, Clock
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimError, Simulator
 from repro.sim.stats import Counter
 
 
@@ -108,7 +108,6 @@ class Mesh:
         self._routers: Dict[Tuple[int, int], Router] = {}
         self._endpoints: Dict[int, Endpoint] = {}
         self.channels: List[Channel] = []
-        self._channel_by_name: Dict[str, Channel] = {}
         # Receiver router of every channel, for express route walks.
         self._channel_sink: Dict[Channel, Router] = {}
         # Every channel shares one width and clock, hence one table of
@@ -166,19 +165,17 @@ class Mesh:
                     neighbour.on_deliver,
                     credits=cfg.credits,
                     on_drain=router.pump,
+                    ser_cache=self._ser_cache,
                 )
                 router.attach_output(direction, channel)
                 self._adopt(channel, neighbour)
         self._build_routes()
 
     def _adopt(self, channel: Channel, sink: Router) -> None:
-        """Register a new channel delivering into ``sink`` and point it
-        at the state every channel of this mesh shares."""
+        """Register a new channel delivering into ``sink``."""
         sink.register_input(channel)
         self.channels.append(channel)
-        self._channel_by_name[channel.name] = channel
         self._channel_sink[channel] = sink
-        channel._ser_cache = self._ser_cache
         channel._fault_log = self.fault_channels
         channel._express_route = self._express_route
 
@@ -187,16 +184,15 @@ class Mesh:
         next-hop table: X first (east/west until the destination column),
         then Y, and None -- deliver locally -- on the destination tile.
         The forwarding path and the express route walk both read it."""
-        cfg = self.config
+        width, height = self.config.width, self.config.height
         for (x, y), router in self._routers.items():
             out = router._out.get
-            table: List[Optional[Channel]] = []
-            for dest_y in range(cfg.height):
-                column = (None if dest_y == y
-                          else out("south" if dest_y > y else "north"))
-                table += ([out("west")] * x + [column]
-                          + [out("east")] * (cfg.width - 1 - x))
-            router._next_hop = table
+            # One table row per mesh row of destinations: this tile's
+            # own row, then the rows above and below it.
+            here = [out("west")] * x + [None] + [out("east")] * (width - 1 - x)
+            above, below = here.copy(), here.copy()
+            above[x], below[x] = out("north"), out("south")
+            router._next_hop = above * y + here + below * (height - 1 - y)
 
     # ------------------------------------------------------------------
     # Endpoint binding
@@ -221,6 +217,7 @@ class Mesh:
             self.clock,
             router.on_deliver,
             credits=self.config.credits,
+            ser_cache=self._ser_cache,
         )
         self._adopt(inject, router)
         return NocPort(self, endpoint, inject)
@@ -322,10 +319,12 @@ class Mesh:
     def channel(self, name: str) -> Channel:
         """Look up a channel by its full name (e.g. ``mesh.inj_0_0``)."""
         try:
-            return self._channel_by_name[name]
-        except KeyError:
-            raise ValueError(
-                f"no channel named {name!r} in {self.name}") from None
+            found = self.sim.component(name)  # the kernel's name registry
+        except SimError:
+            found = None
+        if found not in self._channel_sink:
+            raise ValueError(f"no channel named {name!r} in {self.name}")
+        return found
 
     def router_at(self, x: int, y: int) -> Router:
         return self._routers[(x, y)]
