@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.engines.base import Engine, EngineOutput
+from repro.engines.base import FAULT_CRASH, Engine, EngineOutput
 from repro.noc.message import NocMessage
 from repro.packet.packet import Packet
 from repro.rmt.phv import Phv
@@ -133,8 +133,6 @@ class RmtPipelineEngine(Engine):
             self.schedule(finish - self.now, self._finish_rmt, message, start)
 
     def _finish_rmt(self, message: NocMessage, started_ps: int) -> None:
-        from repro.engines.base import FAULT_CRASH
-
         tracer = self._tracer
         ctx = (message.packet.meta.annotations.get("__trace__")
                if tracer is not None else None)

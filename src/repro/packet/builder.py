@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 from repro.packet.addresses import IPv4Address, MacAddress
 from repro.packet.headers import (
+    ETH_IPV4_UDP,
     ETHERTYPE_IPV4,
     IP_PROTO_ESP,
     IP_PROTO_TCP,
@@ -75,13 +76,15 @@ def parse_frame(data: bytes) -> ParsedFrame:
     The result is memoized by frame bytes and shared between callers;
     treat it as read-only.
     """
+    if data.__class__ is not bytes:
+        data = bytes(data)  # bytearray / memoryview: hashable memo key
     cached = _PARSE_MEMO.get(data)
     if cached is not None:
         return cached
     parsed = _parse_frame_uncached(data)
     if len(_PARSE_MEMO) >= _PARSE_MEMO_MAX:
         _PARSE_MEMO.clear()
-    _PARSE_MEMO[bytes(data)] = parsed
+    _PARSE_MEMO[data] = parsed
     return parsed
 
 
@@ -125,34 +128,35 @@ def frame_checksums_ok(data: bytes) -> bool:
     corruption.  This is the RX-side detection point the fault-injection
     harness relies on: link bit-flips land here (or at the IPSec ICV) and
     are dropped with accounting instead of propagating.
-    """
-    from repro.packet.checksum import verify_internet_checksum
 
-    try:
-        eth, rest = EthernetHeader.unpack(data)
-        if eth.ethertype != ETHERTYPE_IPV4:
-            return True
-        if len(rest) < Ipv4Header.LENGTH:
-            return True
-        ip_bytes = rest[: Ipv4Header.LENGTH]
-        ipv4, after_ip = Ipv4Header.unpack(rest)
-    except HeaderError:
+    The frame is read in place at its fixed offsets; each ``return True``
+    below is a shape the header classes would refuse to unpack, or a
+    length field that disagrees with the bytes present.
+    """
+    size = len(data)
+    if (size < 34 or data[12] != 0x08 or data[13] != 0x00
+            or data[14] != 0x45):
+        return True  # runt, not IPv4, or not an option-less IPv4 header
+    total_length = (data[16] << 8) | data[17]
+    if total_length < 20:
         return True
-    if not verify_internet_checksum(ip_bytes):
+    # The header sums to 0xFFFF iff its value is a multiple of 0xFFFF
+    # (never zero: the version byte is set).
+    if int.from_bytes(data[14:34], "big") % 0xFFFF:
         return False
-    if ipv4.protocol == IP_PROTO_UDP:
-        l3_len = ipv4.total_length - Ipv4Header.LENGTH
-        if not 0 <= l3_len <= len(after_ip):
-            return True
-        try:
-            udp, _rest = UdpHeader.unpack(after_ip)
-        except HeaderError:
-            return True
-        if udp.checksum != 0 and udp.length <= l3_len:
-            datagram = after_ip[: udp.length]
-            pseudo = ipv4.pseudo_header(udp.length)
-            return verify_internet_checksum(pseudo + datagram)
-    return True
+    if data[23] != IP_PROTO_UDP or total_length > size - 14 or size < 42:
+        return True  # not UDP, or lengths the bytes present cannot back
+    udp_len = (data[38] << 8) | data[39]
+    if (udp_len < 8 or udp_len > total_length - 20
+            or not (data[40] or data[41])):
+        return True  # bad length, or checksum zero: sender opted out
+    # Pseudo-header (addresses, protocol, length) + datagram, summed as
+    # one integer mod 0xFFFF; an odd datagram is padded on the right.
+    datagram = int.from_bytes(data[34:34 + udp_len], "big")
+    if udp_len & 1:
+        datagram <<= 8
+    return (int.from_bytes(data[26:34], "big") + IP_PROTO_UDP + udp_len
+            + datagram) % 0xFFFF == 0
 
 
 def build_eth_frame(
@@ -163,6 +167,29 @@ def build_eth_frame(
 ) -> bytes:
     """A raw Ethernet frame (padded to the 64-byte minimum by the MAC)."""
     return EthernetHeader(MacAddress(dst), MacAddress(src), ethertype).pack() + payload
+
+
+#: Text address -> int, per address family.  Workloads name endpoints by
+#: the same few strings frame after frame; bounded by wholesale clearing.
+_IP_INTS: dict = {}
+_MAC_INTS: dict = {}
+_ADDRESS_MEMO_MAX = 4096
+
+
+def _address_int(value, kind, memo: dict) -> int:
+    """``kind(value).value`` -- same validation, same errors -- with the
+    text spelling memoised."""
+    if value.__class__ is kind:
+        return value.value
+    if value.__class__ is not str:
+        return kind(value).value
+    number = memo.get(value)
+    if number is None:
+        number = kind(value).value
+        if len(memo) >= _ADDRESS_MEMO_MAX:
+            memo.clear()
+        memo[value] = number
+    return number
 
 
 def build_udp_frame(
@@ -179,21 +206,42 @@ def build_udp_frame(
     ttl: int = 64,
     identification: int = 0,
 ) -> bytes:
-    """A full Ethernet/IPv4/UDP frame with valid lengths and checksums."""
-    udp_len = UdpHeader.LENGTH + len(payload)
-    ipv4 = Ipv4Header(
-        src=IPv4Address(src_ip),
-        dst=IPv4Address(dst_ip),
-        protocol=IP_PROTO_UDP,
-        total_length=Ipv4Header.LENGTH + udp_len,
-        dscp=dscp,
-        ecn=ecn,
-        ttl=ttl,
-        identification=identification,
-    )
-    udp = UdpHeader(src_port, dst_port, udp_len)
-    eth = EthernetHeader(MacAddress(dst_mac), MacAddress(src_mac), ETHERTYPE_IPV4)
-    return eth.pack() + ipv4.pack() + udp.pack_with_checksum(ipv4, payload) + payload
+    """A full Ethernet/IPv4/UDP frame with valid lengths and checksums.
+
+    One ``struct`` pack of the 42-byte header from ints.  Both checksums
+    are ones'-complement sums taken arithmetically: a big-endian integer
+    is congruent mod 0xFFFF to the sum of its 16-bit words, so the 32-bit
+    addresses and the whole payload enter as single terms.
+    """
+    size = len(payload)
+    src = _address_int(src_ip, IPv4Address, _IP_INTS)
+    dst = _address_int(dst_ip, IPv4Address, _IP_INTS)
+    udp_len = 8 + size
+    total_length = 28 + size
+    if not (total_length <= 0xFFFF and 0 <= ttl <= 0xFF and 0 <= dscp <= 0x3F
+            and 0 <= ecn <= 3 and 0 <= identification <= 0xFFFF
+            and 0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+        # Out of range: the header classes name the field, in their order.
+        Ipv4Header(src, dst, IP_PROTO_UDP, total_length, ttl, dscp, ecn,
+                   identification)
+        UdpHeader(src_port, dst_port, udp_len)
+    dst_hw = _address_int(dst_mac, MacAddress, _MAC_INTS)
+    src_hw = _address_int(src_mac, MacAddress, _MAC_INTS)
+    tos = (dscp << 2) | ecn
+    ip_sum = (0x4500 + tos + total_length + identification + 0x4000
+              + (ttl << 8) + IP_PROTO_UDP + src + dst)
+    body = int.from_bytes(payload, "big")
+    if size & 1:
+        body <<= 8  # the RFC 1071 zero pad byte
+    udp_sum = (src + dst + IP_PROTO_UDP + udp_len
+               + src_port + dst_port + udp_len + body)
+    return ETH_IPV4_UDP.pack(
+        (dst_hw << 16) | (src_hw >> 32), src_hw & 0xFFFFFFFF, ETHERTYPE_IPV4,
+        0x45, tos, total_length, identification, 0x4000, ttl, IP_PROTO_UDP,
+        -ip_sum % 0xFFFF, src, dst,
+        # RFC 768: a computed zero is transmitted as all-ones.
+        src_port, dst_port, udp_len, -udp_sum % 0xFFFF or 0xFFFF,
+    ) + payload
 
 
 def build_kv_request_frame(

@@ -41,6 +41,14 @@ class HeaderError(ValueError):
     """Raised when bytes cannot be parsed as the requested header."""
 
 
+#: Ethernet II + option-less IPv4 + UDP as one 42-byte record, for the
+#: one-pass builder and parser.  The MAC pair travels as a 64 + 32 bit
+#: split: ``dst << 16 | src >> 32`` and ``src & 0xFFFFFFFF``.
+ETH_IPV4_UDP = struct.Struct("!QIHBBHHHBBHIIHHHH")
+_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_UDP = struct.Struct("!HHHH")
+
+
 @dataclass
 class EthernetHeader:
     """A 14-byte Ethernet II header (FCS is modelled, not stored)."""
@@ -105,6 +113,9 @@ class Ipv4Header:
             raise HeaderError(f"dscp out of range: {self.dscp}")
         if not 0 <= self.ecn <= 3:
             raise HeaderError(f"ecn out of range: {self.ecn}")
+        if not 0 <= self.identification <= 0xFFFF:
+            raise HeaderError(
+                f"identification out of range: {self.identification}")
 
     def pack(self) -> bytes:
         """Serialize with a freshly computed header checksum."""
@@ -141,7 +152,7 @@ class Ipv4Header:
             _cksum,
             src,
             dst,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[: cls.LENGTH])
+        ) = _IPV4.unpack_from(data)
         version = version_ihl >> 4
         ihl = version_ihl & 0xF
         if version != 4:
@@ -209,7 +220,7 @@ class UdpHeader:
     def unpack(cls, data: bytes) -> Tuple["UdpHeader", bytes]:
         if len(data) < cls.LENGTH:
             raise HeaderError(f"truncated UDP header: {len(data)} bytes")
-        src_port, dst_port, length, checksum = struct.unpack("!HHHH", data[:8])
+        src_port, dst_port, length, checksum = _UDP.unpack_from(data)
         # Ports from a !H are always in range; only the length check of
         # __post_init__ can fail on wire input.
         if length < cls.LENGTH:

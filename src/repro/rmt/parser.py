@@ -9,10 +9,13 @@ reference program: Ethernet -> IPv4 -> {UDP -> {KV | rack_tag} | TCP | ESP}.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.packet.headers import (
+    ETH_IPV4_UDP,
     ETHERTYPE_IPV4,
     IP_PROTO_ESP,
     IP_PROTO_TCP,
@@ -37,14 +40,24 @@ Extractor = Callable[[bytes, Phv], Tuple[bytes, Optional[int]]]
 ACCEPT = "accept"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParserState:
-    """One node of the parse graph."""
+    """One node of the parse graph.
+
+    Immutable, transitions included (a read-only copy is taken): a graph
+    decides once, as states are added, whether it is the stock UDP spine
+    the one-pass walk may serve, and nothing can change under it later.
+    To reprogram a parser, build another graph.
+    """
 
     name: str
     extractor: Extractor
     #: Map from select value to next state name; ``None`` key is default.
-    transitions: Dict[Optional[int], str] = field(default_factory=dict)
+    transitions: Mapping[Optional[int], str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "transitions", MappingProxyType(dict(self.transitions)))
 
     def next_state(self, select: Optional[int]) -> str:
         if select is not None and select in self.transitions:
@@ -56,13 +69,25 @@ class ParseGraph:
     """A programmable parser: a named set of states plus a start state."""
 
     def __init__(self, start: str):
-        self.start = start
+        self._start = start
         self._states: Dict[str, ParserState] = {}
+        #: True while this graph *is* the stock UDP spine, so ``parse``
+        #: may try the one-pass walk; re-decided by every ``add_state``.
+        self._fused = False
+
+    @property
+    def start(self) -> str:
+        return self._start
 
     def add_state(self, state: ParserState) -> "ParseGraph":
         if state.name in self._states:
             raise ValueError(f"duplicate parser state {state.name!r}")
         self._states[state.name] = state
+        self._fused = self._start == "ethernet" and all(
+            name in self._states
+            and self._states[name].extractor is extractor
+            and self._states[name].transitions == transitions
+            for name, (extractor, transitions) in _STOCK_SPINE.items())
         return self
 
     def parse(self, data: bytes, phv: Optional[Phv] = None) -> Phv:
@@ -75,10 +100,10 @@ class ParseGraph:
         """
         if phv is None:
             phv = Phv()
-        if (self.start == "ethernet" and len(data) >= 42
-                and _fused_default_parse(self._states, data, phv._fields)):
+        if (self._fused and len(data) >= 42
+                and _fused_default_parse(data, phv._fields)):
             return phv
-        state_name = self.start
+        state_name = self._start
         remaining = data
         steps = 0
         while state_name != ACCEPT:
@@ -195,111 +220,113 @@ def extract_kv(data: bytes, phv: Phv) -> Tuple[bytes, Optional[int]]:
     return rest, None
 
 
-#: Canonical transition maps of the default graph's UDP spine, used both
-#: to build it and to recognize it in the fused fast parse below.
-_ETH_TRANSITIONS = {ETHERTYPE_IPV4: "ipv4", None: ACCEPT}
-_IPV4_TRANSITIONS = {
-    IP_PROTO_UDP: "udp",
-    IP_PROTO_TCP: "tcp",
-    IP_PROTO_ESP: "esp",
-    None: ACCEPT,
+#: The default graph's UDP spine, state by state: what ``default_parse_graph``
+#: builds, and what ``ParseGraph.add_state`` holds a graph to before the
+#: one-pass walk below may stand in for it.  ``tcp`` and ``esp`` are not
+#: listed: the walk declines their traffic, so they may be anything.
+_STOCK_SPINE = {
+    "ethernet": (extract_ethernet, {ETHERTYPE_IPV4: "ipv4", None: ACCEPT}),
+    "ipv4": (extract_ipv4, {IP_PROTO_UDP: "udp", IP_PROTO_TCP: "tcp",
+                            IP_PROTO_ESP: "esp", None: ACCEPT}),
+    "udp": (extract_udp, {KV_UDP_PORT: "kv", RACK_TAG_UDP_PORT: "rack_tag",
+                          None: ACCEPT}),
+    "kv": (extract_kv, {None: ACCEPT}),
+    "rack_tag": (extract_rack_tag, {None: ACCEPT}),
 }
-_UDP_TRANSITIONS = {
-    KV_UDP_PORT: "kv",
-    RACK_TAG_UDP_PORT: "rack_tag",
-    None: ACCEPT,
-}
+
+_KV_REQUEST = struct.Struct(KvRequest.HEADER_FMT)
+_KV_RESPONSE = struct.Struct(KvResponse.HEADER_FMT)
+_KV_RESPONSE_OPCODE = int(KvOpcode.RESPONSE)
+_KV_SET_OPCODE = int(KvOpcode.SET)
 
 
-def _fused_default_parse(states, data: bytes, fields: dict) -> bool:
-    """One-pass Ethernet/IPv4/UDP walk for the default graph's spine.
+def _fused_default_parse(data: bytes, fields: dict) -> bool:
+    """One-pass Ethernet/IPv4/UDP/{KV, rack tag} walk of the stock spine.
 
-    The per-state FSM walk above costs three extractor calls, three
-    header ``unpack``s and the address objects they build -- all to
-    produce fifteen PHV integers whose wire offsets are fixed once the
-    frame is known to be plain non-KV UDP-in-IPv4.  This reads them
-    directly.  Eligibility is re-checked per call (the three spine
-    states must carry the stock extractors and transition maps, so a
-    reprogrammed graph never takes the shortcut), every header
-    validation the FSM would apply is replicated as a pure read, and
-    any mismatch -- other EtherType or protocol, IPv4 options, KV
-    traffic, truncation -- returns False before writing a single field,
-    leaving the FSM to produce its exact result (including the
-    ``meta.parse_error`` paths).  Field write order matches the FSM's.
+    The per-state FSM walk costs an extractor call, a header ``unpack``
+    and the address / message objects it builds per state -- all to
+    produce some twenty PHV values whose wire offsets are fixed once the
+    frame is known to be UDP-in-IPv4.  This reads them in place.  Only
+    a graph ``add_state`` found to be the stock spine gets here, with at
+    least 42 bytes.  Every validation the FSM would apply (including
+    ``KvRequest`` / ``KvResponse``'s) is replicated as a pure read, and
+    any mismatch -- other EtherType or protocol, IPv4 options,
+    truncation, a malformed KV message -- returns False before writing
+    a single field, leaving the FSM to produce its exact result
+    (including the ``meta.parse_error`` paths).  Field write order
+    matches the FSM's.
     """
-    eth_s = states.get("ethernet")
-    ipv4_s = states.get("ipv4")
-    udp_s = states.get("udp")
-    tag_s = states.get("rack_tag")
-    if (eth_s is None or ipv4_s is None or udp_s is None or tag_s is None
-            or eth_s.extractor is not extract_ethernet
-            or ipv4_s.extractor is not extract_ipv4
-            or udp_s.extractor is not extract_udp
-            or tag_s.extractor is not extract_rack_tag
-            or eth_s.transitions != _ETH_TRANSITIONS
-            or ipv4_s.transitions != _IPV4_TRANSITIONS
-            or udp_s.transitions != _UDP_TRANSITIONS
-            or tag_s.transitions != {None: ACCEPT}):
-        return False
-    if (data[12] << 8) | data[13] != ETHERTYPE_IPV4:
-        return False
-    if data[14] != 0x45:  # version 4, IHL 5: the only unpackable shape
-        return False
-    total_length = (data[16] << 8) | data[17]
-    if total_length < 20 or data[23] != IP_PROTO_UDP:
-        return False
-    rest = data[34:]
-    l3_payload = total_length - 20
-    if l3_payload <= len(rest):  # extract_ipv4's MAC-padding trim
-        rest = rest[:l3_payload]
-    if len(rest) < 8:
-        return False  # truncated UDP: the FSM's parse_error path
-    src_port = (rest[0] << 8) | rest[1]
-    dst_port = (rest[2] << 8) | rest[3]
-    udp_len = (rest[4] << 8) | rest[5]
-    if (udp_len < 8 or src_port == KV_UDP_PORT
-            or dst_port == KV_UDP_PORT):
-        return False  # bad length / KV traffic: keep walking the FSM
-    rack_tagged = dst_port == RACK_TAG_UDP_PORT
-    if rack_tagged and len(rest) < 8 + RACK_TAG_BYTES:
-        return False  # truncated tag shim: the FSM's parse_error path
-    fields["eth.dst"] = int.from_bytes(data[0:6], "big")
-    fields["eth.src"] = int.from_bytes(data[6:12], "big")
+    (macs, src_low, ethertype, version_ihl, tos, total_length, ident,
+     _fragment, ttl, protocol, _ip_checksum, ip_src, ip_dst,
+     src_port, dst_port, udp_len, _checksum) = ETH_IPV4_UDP.unpack_from(data)
+    if (ethertype != ETHERTYPE_IPV4 or version_ihl != 0x45
+            or total_length < 28 or protocol != IP_PROTO_UDP
+            or udp_len < 8):
+        return False  # total_length < 28 truncates UDP: a parse_error
+    # extract_ipv4's MAC-padding trim: the L3 payload ends at ``end``.
+    end = len(data)
+    if 14 + total_length < end:
+        end = 14 + total_length
+    opcode = key = tag = None
+    payload_at = 42
+    if src_port == KV_UDP_PORT or dst_port == KV_UDP_PORT:
+        if end == 42:
+            return False  # empty KV payload
+        opcode = data[42]
+        if opcode == _KV_RESPONSE_OPCODE:
+            if end < 54:
+                return False
+            _, status, tenant, request_id, value_len = (
+                _KV_RESPONSE.unpack_from(data, 42))
+            payload_at = 54 + value_len
+            if payload_at > end or status > 2:  # truncated / no such status
+                return False
+        else:
+            if end < 55 or not 1 <= opcode <= 3:
+                return False
+            _, tenant, request_id, key_len, value_len = (
+                _KV_REQUEST.unpack_from(data, 42))
+            payload_at = 55 + key_len + value_len
+            if payload_at > end or (value_len and opcode != _KV_SET_OPCODE):
+                return False  # truncated / a value only SET may carry
+            key = data[55:55 + key_len]
+    elif dst_port == RACK_TAG_UDP_PORT:
+        if end < 42 + RACK_TAG_BYTES:
+            return False  # truncated tag shim
+        tag = (data[42] << 8) | data[43]
+    fields["eth.dst"] = macs >> 16
+    fields["eth.src"] = (macs & 0xFFFF) << 32 | src_low
     fields["eth.type"] = ETHERTYPE_IPV4
-    fields["ipv4.src"] = int.from_bytes(data[26:30], "big")
-    fields["ipv4.dst"] = int.from_bytes(data[30:34], "big")
+    fields["ipv4.src"] = ip_src
+    fields["ipv4.dst"] = ip_dst
     fields["ipv4.proto"] = IP_PROTO_UDP
-    fields["ipv4.ttl"] = data[22]
-    tos = data[15]
+    fields["ipv4.ttl"] = ttl
     fields["ipv4.dscp"] = tos >> 2
     fields["ipv4.ecn"] = tos & 0x3
     fields["ipv4.len"] = total_length
-    fields["ipv4.id"] = (data[18] << 8) | data[19]
+    fields["ipv4.id"] = ident
     fields["udp.src_port"] = src_port
     fields["udp.dst_port"] = dst_port
     fields["udp.len"] = udp_len
-    if rack_tagged:
-        fields["rack.tag"] = (rest[8] << 8) | rest[9]
-    fields["meta.payload"] = rest[8:]
+    if opcode is not None:
+        fields["kv.opcode"] = opcode
+        fields["kv.tenant"] = tenant
+        fields["kv.request_id"] = request_id
+        if key is None:
+            fields["kv.status"] = status
+        else:
+            fields["kv.key"] = key
+    elif tag is not None:
+        fields["rack.tag"] = tag
+    fields["meta.payload"] = data[payload_at:end]
     return True
 
 
 def default_parse_graph() -> ParseGraph:
     """Ethernet -> IPv4 -> {UDP -> KV, TCP, ESP} parse graph."""
     graph = ParseGraph(start="ethernet")
-    graph.add_state(
-        ParserState("ethernet", extract_ethernet, dict(_ETH_TRANSITIONS))
-    )
-    graph.add_state(
-        ParserState("ipv4", extract_ipv4, dict(_IPV4_TRANSITIONS))
-    )
-    graph.add_state(
-        ParserState("udp", extract_udp, dict(_UDP_TRANSITIONS))
-    )
+    for name, (extractor, transitions) in _STOCK_SPINE.items():
+        graph.add_state(ParserState(name, extractor, transitions))
     graph.add_state(ParserState("tcp", extract_tcp, {None: ACCEPT}))
     graph.add_state(ParserState("esp", extract_esp, {None: ACCEPT}))
-    graph.add_state(ParserState("kv", extract_kv, {None: ACCEPT}))
-    graph.add_state(
-        ParserState("rack_tag", extract_rack_tag, {None: ACCEPT})
-    )
     return graph

@@ -230,3 +230,81 @@ class TestUdpTcpEsp:
     def test_esp_range_validated(self):
         with pytest.raises(HeaderError):
             EspHeader(spi=1 << 32, seq=0)
+
+
+class TestBuilderFailsWithHeaderError:
+    """Every out-of-range field of a built frame is the library's error,
+    raised at build time -- the IPv4 identification included, which used
+    to escape as ``struct.error`` from the pack."""
+
+    KWARGS = dict(
+        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2,
+        payload=b"x",
+    )
+
+    @pytest.mark.parametrize("identification", [70000, 0x10000, -1])
+    def test_identification_out_of_range(self, identification):
+        from repro.packet import build_udp_frame
+
+        with pytest.raises(HeaderError, match="identification out of range"):
+            build_udp_frame(identification=identification, **self.KWARGS)
+        with pytest.raises(HeaderError, match="identification out of range"):
+            Ipv4Header(src="10.0.0.1", dst="10.0.0.2",
+                       identification=identification)
+
+    def test_identification_bounds_accepted(self):
+        from repro.packet import build_udp_frame
+
+        for identification in (0, 0xFFFF):
+            frame = build_udp_frame(identification=identification,
+                                    **self.KWARGS)
+            assert int.from_bytes(frame[18:20], "big") == identification
+
+    def test_kv_builders_mask_the_request_id_and_validate_the_rest(self):
+        from repro.packet import (
+            KvOpcode,
+            KvRequest,
+            KvResponse,
+            KvStatus,
+            build_kv_request_frame,
+            build_kv_response_frame,
+        )
+
+        request = KvRequest(KvOpcode.GET, 1, 70000, b"k")
+        packet = build_kv_request_frame(request)
+        assert int.from_bytes(packet.data[18:20], "big") == 70000 & 0xFFFF
+        response = KvResponse(KvStatus.OK, 1, 0xFFFF_FFFF)
+        packet = build_kv_response_frame(response)
+        assert int.from_bytes(packet.data[18:20], "big") == 0xFFFF
+        for bad in (dict(dscp=64), dict(ecn=4), dict(src_port=0x10000)):
+            with pytest.raises(HeaderError):
+                build_kv_request_frame(request, **bad)
+        with pytest.raises(HeaderError):
+            build_kv_response_frame(response, dst_port=-1)
+
+    def test_rack_node_frame(self):
+        from repro.sim import Simulator
+        from repro.workloads.rack import RackNode
+
+        node = RackNode(Simulator(), "nic0", index=0, n_nics=3)
+        assert node.frame(1, b"p", identification=0xFFFF)[18:20] == b"\xff\xff"
+        for identification in (70000, -1):
+            with pytest.raises(HeaderError, match="identification"):
+                node.frame(1, b"p", identification=identification)
+
+
+class TestParseFrameInputTypes:
+    def test_bytearray_and_memoryview_parse_like_bytes(self):
+        # The memo is keyed by the frame bytes; a bytearray used to reach
+        # the lookup unnormalised: "TypeError: unhashable type".
+        from repro.packet import build_udp_frame, parse_frame
+
+        frame = build_udp_frame(
+            identification=4242, **TestBuilderFailsWithHeaderError.KWARGS)
+        expected = parse_frame(frame)
+        for spelling in (bytearray(frame), memoryview(frame),
+                         bytearray(frame)):
+            parsed = parse_frame(spelling)
+            assert parsed is expected  # one memo entry, keyed by value
+            assert type(parsed.payload) is bytes
