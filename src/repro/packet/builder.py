@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.packet.addresses import IPv4Address, MacAddress
+from repro.packet.checksum import verify_internet_checksum
 from repro.packet.headers import (
     ETH_IPV4_UDP,
     ETHERTYPE_IPV4,
@@ -134,15 +135,13 @@ def frame_checksums_ok(data: bytes) -> bool:
     length field that disagrees with the bytes present.
     """
     size = len(data)
-    if (size < 34 or data[12] != 0x08 or data[13] != 0x00
+    if (size < 34 or (data[12] << 8) | data[13] != ETHERTYPE_IPV4
             or data[14] != 0x45):
         return True  # runt, not IPv4, or not an option-less IPv4 header
     total_length = (data[16] << 8) | data[17]
     if total_length < 20:
         return True
-    # The header sums to 0xFFFF iff its value is a multiple of 0xFFFF
-    # (never zero: the version byte is set).
-    if int.from_bytes(data[14:34], "big") % 0xFFFF:
+    if not verify_internet_checksum(data[14:34]):
         return False
     if data[23] != IP_PROTO_UDP or total_length > size - 14 or size < 42:
         return True  # not UDP, or lengths the bytes present cannot back

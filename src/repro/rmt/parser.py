@@ -71,8 +71,10 @@ class ParseGraph:
     def __init__(self, start: str):
         self._start = start
         self._states: Dict[str, ParserState] = {}
-        #: True while this graph *is* the stock UDP spine, so ``parse``
-        #: may try the one-pass walk; re-decided by every ``add_state``.
+        #: States added so far that equal their ``_STOCK_SPINE`` entry;
+        #: with all of them in (none can be replaced or removed) the graph
+        #: *is* the stock UDP spine and ``parse`` may try the one-pass walk.
+        self._stock_states = 0
         self._fused = False
 
     @property
@@ -83,11 +85,11 @@ class ParseGraph:
         if state.name in self._states:
             raise ValueError(f"duplicate parser state {state.name!r}")
         self._states[state.name] = state
-        self._fused = self._start == "ethernet" and all(
-            name in self._states
-            and self._states[name].extractor is extractor
-            and self._states[name].transitions == transitions
-            for name, (extractor, transitions) in _STOCK_SPINE.items())
+        stock = _STOCK_SPINE.get(state.name)
+        if (state.extractor, state.transitions) == stock:
+            self._stock_states += 1
+            self._fused = (self._start == "ethernet"
+                           and self._stock_states == len(_STOCK_SPINE))
         return self
 
     def parse(self, data: bytes, phv: Optional[Phv] = None) -> Phv:
