@@ -7,45 +7,9 @@ the qualitative *shape* (who wins, by roughly what factor).
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Dict, List, Sequence
 
 from repro.packet import Packet, build_udp_frame
-from repro.sim.kernel import total_events_fired
-
-#: Where bench timings accumulate.  Every ``run_once`` call records its
-#: wall-clock seconds and events fired here, so the whole benchmark
-#: suite feeds the perf trajectory for free.  Override the path with
-#: ``REPRO_BENCH_JSON``; set it to the empty string to disable.
-_DEFAULT_BENCH_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_suite.json",
-)
-
-
-def record_bench(name: str, wall_seconds: float, events_fired: int) -> None:
-    """Merge one bench's timing into the shared bench-JSON file."""
-    path = os.environ.get("REPRO_BENCH_JSON", _DEFAULT_BENCH_JSON)
-    if not path:
-        return
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        data = {"bench": "suite_trajectory"}
-    benches = data.setdefault("benches", {})
-    benches[name] = {
-        "wall_seconds": round(wall_seconds, 6),
-        "events_fired": events_fired,
-        "events_per_sec": (
-            round(events_fired / wall_seconds) if wall_seconds > 0 else None
-        ),
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def banner(title: str) -> None:
@@ -85,18 +49,6 @@ def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing.
 
     Simulation experiments are deterministic; repeating them only burns
-    wall-clock, so every bench uses one round / one iteration.  The
-    wall-clock seconds and kernel events fired are also recorded into
-    the shared bench-JSON file (see :func:`record_bench`).
+    wall-clock, so every bench uses one round / one iteration.
     """
-    name = getattr(benchmark, "name", None) or getattr(
-        fn, "__name__", "anonymous")
-    events_before = total_events_fired()
-    start = time.perf_counter()
-    result = benchmark.pedantic(fn, rounds=1, iterations=1)
-    record_bench(
-        name,
-        time.perf_counter() - start,
-        total_events_fired() - events_before,
-    )
-    return result
+    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -3,8 +3,8 @@
 Runs the canonical workloads (see :mod:`workloads`) three times each --
 fast path off (the per-hop reference slow path), fast path on (kernel
 fast lanes + cut-through ExpressFlights), and batched (fast path +
-``PanicConfig.batch_execution``: trajectory/frame trains with
-vectorized per-frame work) -- and writes ``BENCH_kernel.json``.
+``PanicConfig.batch_execution``: trajectory trains, one frame's whole
+path in one kernel event) -- and writes ``BENCH_kernel.json``.
 
 Metrics per workload
 --------------------

@@ -31,9 +31,9 @@ Workloads mirror the repo's canonical scenarios:
     forces the NoC fast path to stand down on the faulted lanes.
 
 Every workload also takes ``batch`` (``PanicConfig.batch_execution``):
-on top of the fast path, the kernel coalesces whole frame trajectories
-and same-chain frame trains into single events (``repro.core.train``),
-again bit-identical to the scalar run.
+on top of the fast path, the kernel coalesces a frame's whole
+trajectory into a single event (``repro.core.train``), again
+bit-identical to the scalar run.
 
 Each runner returns a dict with ``wall_seconds`` (event-loop time),
 ``events_fired``, ``sim_ps`` (final simulated time), ``bits_delivered``

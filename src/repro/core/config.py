@@ -106,10 +106,10 @@ class PanicConfig:
     # repro.noc.placement for optimizers that produce these maps.
     placement: Optional[Dict[str, Tuple[int, int]]] = None
 
-    # Batched execution (repro.core.train): trajectory trains replay a
-    # frame's whole path in one kernel event over quiescent windows, and
-    # frame trains service a backlogged engine's queue as one batch with
-    # vectorized per-frame work.  Same equivalence contract as fast_path
+    # Batched execution (repro.core.train): a trajectory train replays
+    # one frame's whole path in one kernel event over a quiescent
+    # window, boarding at RX arrival or, absorbing the arrival event
+    # too, at the wire inject.  Same equivalence contract as fast_path
     # and rmt_memo -- stats, timestamps, deliveries, and RNG draws are
     # bit-identical with it on or off; trains break up (refuse or hand
     # off to the scalar machinery) whenever contention, armed faults,

@@ -146,8 +146,8 @@ class PanicNic:
             from repro.core.train import TrainLane
 
             self.train_lane = TrainLane(self)
-            for engine in self.engines.values():
-                engine._train_lane = self.train_lane
+            for eth in self.ports:
+                eth._train_lane = self.train_lane
         #: Host-side reliable transport, when the workload attaches one
         #: (see :mod:`repro.reliability`); surfaces in ``stats()``.
         self.transport = None

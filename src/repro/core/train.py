@@ -1,4 +1,4 @@
-"""Frame trains: batched engine execution over quiescent windows.
+"""The train lane: batched engine execution over quiescent windows.
 
 The scalar simulator charges every frame roughly 27 kernel events end to
 end: wire arrival, a loopback enqueue, per-engine pop/finish pairs, a NoC
@@ -9,24 +9,17 @@ timestamp follows arithmetically, exactly like
 :class:`~repro.noc.express.ExpressFlight` collapses an idle NoC route
 into one delivery event.
 
-:class:`TrainLane` generalizes that idea from wires to whole engines.  It
-provides the two train shapes behind ``PanicConfig.batch_execution``:
-
-**Trajectory trains** (:meth:`try_ride`) fire at RX arrival: one kernel
-event carries a single frame across its *entire* trajectory -- MAC
-service, the express hop to the RMT pipeline, classification, every
-chain engine, DMA, and PCIe -- committing the same state mutations the
-scalar path would, at the same simulated timestamps, by shifting the
-kernel clock forward inside the event before each genuine
-``handle``/``decide``/``service_time_ps`` call.
-
-**Frame trains** (:meth:`try_batch`) fire when an idle engine's PIFO
-holds several eligible frames (e.g. the drain after a stall fault
-recovers): one event pops the whole batch
-(:meth:`~repro.sched.pifo.PifoQueue.pop_batch`), computes the per-frame
-service windows arithmetically, and vectorizes the per-frame payload
-work through the engine's ``service_many`` hook
-(:mod:`repro.packet.vectorized`).
+:class:`TrainLane` generalizes that idea from wires to whole engines.
+``PanicConfig.batch_execution`` means exactly one thing: a **trajectory
+train**, one kernel event carrying a single frame across its *entire*
+trajectory -- MAC service, the express hop to the RMT pipeline,
+classification, every chain engine, DMA, and PCIe -- committing the same
+state mutations the scalar path would, at the same simulated timestamps,
+by shifting the kernel clock forward inside the event before each
+genuine ``handle``/``decide``/``service_time_ps`` call.  A frame boards
+at one of two instants: at RX arrival (:meth:`TrainLane.try_ride`), or
+already at the wire inject, absorbing the arrival event as well
+(:meth:`TrainLane.deferred_wire_ride`).
 
 Equivalence contract
 --------------------
@@ -57,7 +50,7 @@ Three mechanisms enforce it:
   PIFO sequence numbers, message ids, and RNG draws are advanced in the
   same order and by the same amounts as the scalar path.  The hot hop
   and service recipes inline their scalar counterparts
-  (``PifoQueue.transit``, ``LatencyTracker.observe``,
+  (``PifoQueue.push`` + ``pop``, ``LatencyTracker.observe``,
   ``RateMeter.record``) -- each inlined block cites the method it
   replays; keep them in sync.  NoC hops are not copied: the ride calls
   the express path's own ``account_hops``/``account_forwards``.
@@ -124,8 +117,6 @@ class TrainLane:
         self.trajectory_hops = 0
         self.handoffs = 0
         self.refusals = 0
-        self.batches = 0
-        self.batched_frames = 0
 
     def stats(self) -> Dict[str, int]:
         """Lane diagnostics (separate from the NIC's stats tree)."""
@@ -134,8 +125,6 @@ class TrainLane:
             "trajectory_hops": self.trajectory_hops,
             "handoffs": self.handoffs,
             "refusals": self.refusals,
-            "batches": self.batches,
-            "batched_frames": self.batched_frames,
         }
 
     # ------------------------------------------------------------------
@@ -200,17 +189,22 @@ class TrainLane:
         """Would the scalar path serve ``packet`` at ``engine``
         immediately, with no interference the lane cannot replay?
 
-        Reference predicate; the hot paths (:meth:`try_ride`,
-        :meth:`_try_hop`) inline these exact checks."""
-        if self._kind_of(engine) is None:
+        The boarding check of both once-per-frame entry points
+        (:meth:`try_ride`, :meth:`try_wire_ride`); :meth:`_ride` inlines
+        these exact tests once per hop.  On True, ``_kinds`` and
+        ``_routers`` hold the engine's entries."""
+        ann = packet.meta.annotations
+        if "__trace__" in ann or "__int__" in ann:
+            # Sampled telemetry must observe every intermediate span,
+            # and INT must observe genuine depths and egress instants.
             return False
-        if (engine.fault_mode is not None
+        if (self._kind_of(engine) is None
+                or engine.fault_mode is not None
                 or engine.slowdown != 1.0
                 or engine.payload_buffer is not None
                 or engine._busy_lanes
-                or not engine.queue.is_empty):
-            return False
-        if packet.kind is _CONTROL:
+                or not engine.queue.is_empty
+                or packet.kind is _CONTROL):
             return False
         router = self._router_of(engine)
         if router is False or router._buffered or router._express_flights:
@@ -233,33 +227,7 @@ class TrainLane:
         """
         sim = self.sim
         horizon = sim.train_horizon()
-        if horizon is None:
-            self.refusals += 1
-            return False
-        ann = packet.meta.annotations
-        if "__trace__" in ann or "__int__" in ann:
-            # Sampled telemetry must observe every intermediate span,
-            # and INT must observe genuine depths and egress instants.
-            self.refusals += 1
-            return False
-        # Inlined _engine_ready(port, packet).
-        key = id(port)
-        kind = self._kinds.get(key, _MISS)
-        if kind is _MISS:
-            kind = self._kind_of(port)
-        if (kind is None
-                or port.fault_mode is not None
-                or port.slowdown != 1.0
-                or port.payload_buffer is not None
-                or port._busy_lanes
-                or port.queue._heap
-                or packet.kind is _CONTROL):
-            self.refusals += 1
-            return False
-        router = self._routers.get(key)
-        if router is None:
-            router = self._router_of(port)
-        if router is False or router._buffered or router._express_flights:
+        if horizon is None or not self._engine_ready(port, packet):
             self.refusals += 1
             return False
         self._h = horizon
@@ -269,9 +237,11 @@ class TrainLane:
         # only if the ride hands off mid-service.
         mid = next(_message_ids)
         self.trajectories += 1
+        key = id(port)
         addr = port.address
         now = sim.now
-        self._ride(port, kind, router, packet, now, mid, addr, addr, now, 0)
+        self._ride(port, self._kinds[key], self._routers[key], packet, now,
+                   mid, addr, addr, now, 0)
         return True
 
     def deferred_wire_ride(self, port, packet: Packet, t_arr: int,
@@ -318,39 +288,14 @@ class TrainLane:
         replay inside this (deferred) slot of the injecting event.
         Returns False (mutating nothing) when ineligible.
         """
-        sim = self.sim
-        meta = packet.meta
-        if ("__trace__" in meta.annotations
-                or "__int__" in meta.annotations):
-            # Sampled telemetry must observe every intermediate span,
-            # and INT must observe genuine depths and egress instants.
-            self.refusals += 1
-            return False
         # The arrival body below is a replay of the stock _rx_arrival;
         # an override must run scalar.
-        if type(port)._rx_arrival is not _STOCK_RX_ARRIVAL:
+        if (type(port)._rx_arrival is not _STOCK_RX_ARRIVAL
+                or not self._engine_ready(port, packet)):
             self.refusals += 1
             return False
-        # Inlined _engine_ready(port, packet), as in try_ride.
-        key = id(port)
-        kind = self._kinds.get(key, _MISS)
-        if kind is _MISS:
-            kind = self._kind_of(port)
-        if (kind is None
-                or port.fault_mode is not None
-                or port.slowdown != 1.0
-                or port.payload_buffer is not None
-                or port._busy_lanes
-                or port.queue._heap
-                or packet.kind is _CONTROL):
-            self.refusals += 1
-            return False
-        router = self._routers.get(key)
-        if router is None:
-            router = self._router_of(port)
-        if router is False or router._buffered or router._express_flights:
-            self.refusals += 1
-            return False
+        sim = self.sim
+        meta = packet.meta
         self._h = horizon
         # EthernetPort._rx_arrival at the arrival instant (its
         # payload_buffer branch is unreachable: the readiness check
@@ -364,9 +309,10 @@ class TrainLane:
         port.rx_bits.record(t_arr, packet.wire_bits)
         mid = next(_message_ids)
         self.trajectories += 1
+        key = id(port)
         addr = port.address
-        self._ride(port, kind, router, packet, t_arr, mid, addr, addr,
-                   t_arr, 0)
+        self._ride(port, self._kinds[key], self._routers[key], packet,
+                   t_arr, mid, addr, addr, t_arr, 0)
         return True
 
     def _ride(self, engine: Engine, kind: str, erouter, packet: Packet,
@@ -418,7 +364,8 @@ class TrainLane:
             # removal.  The rank (_rank_of) is drawn from pure reads
             # and never outlives the fused push/pop.
             ann.pop("enqueue_ps", None)
-            # PifoQueue.transit inline: the push's seq draw + counters.
+            # PifoQueue.push + pop on an empty queue, inline: the
+            # push's seq draw and counters; the heap never changes.
             next(qseq)
             qpushed.value += 1
             if queue.max_occupancy < 1:
@@ -618,7 +565,8 @@ class TrainLane:
             target = final_router.endpoint
             if target is None:
                 break
-            # Inlined _engine_ready(target, packet).
+            # Inlined _engine_ready(target, packet); its telemetry
+            # test ran with the t_send check above.
             key = id(target)
             tkind = kinds.get(key, _MISS)
             if tkind is _MISS:
@@ -743,127 +691,3 @@ class TrainLane:
                 engine.schedule(lookup_delay, engine.send, out_packet, dest)
             else:
                 engine.send(out_packet, dest)
-
-    # ------------------------------------------------------------------
-    # Frame trains (multi-frame batch at one engine)
-    # ------------------------------------------------------------------
-
-    def try_batch(self, engine: Engine) -> bool:
-        """Service an idle engine's queued frames as one train.
-
-        Called from ``Engine._try_start`` when the queue holds more than
-        one frame and no lane is busy (the shape left behind by a stall
-        fault recovering, or backpressure releasing).  Computes each
-        frame's service window arithmetically, vectorizes the payload
-        work through ``service_many``, and replays the scalar
-        bookkeeping: per-pop round-robin rotations ride real events at
-        their scalar timestamps, sends are scheduled at
-        ``finish + lookup``, and a sentinel event at the last finish
-        restores the lane.  Returns False (mutating nothing) when any
-        frame in pop order fails eligibility before a 2-frame prefix.
-        """
-        if engine.service_many is Engine.service_many:
-            return False
-        if (engine.lanes != 1
-                or engine.slowdown != 1.0
-                or engine.payload_buffer is not None
-                or engine.overflow == "backpressure" and engine.queue.is_full):
-            return False
-        if self._kind_of(engine) != "base":
-            return False
-        sim = self.sim
-        horizon = sim.train_horizon()
-        if horizon is None:
-            return False
-        router = self._router_of(engine)
-        if router is False or router._buffered or router._express_flights:
-            return False
-        address = engine.address
-        plan = []
-        t = sim.now
-        for message, _rank, _droppable in engine.queue.peek_batch():
-            packet = message.packet
-            if (packet.kind is _CONTROL
-                    or "__trace__" in packet.meta.annotations
-                    or "__int__" in packet.meta.annotations):
-                break
-            header = packet.panic
-            if header is None or header.exhausted:
-                # Lookup-table routing and terminal/loopback shapes stay
-                # scalar; chains give a statically checkable route.
-                break
-            if address in header.chain[header.cursor:]:
-                # The chain revisits this engine: the return could land
-                # mid-train and contend with pre-popped frames.
-                break
-            delay = engine.service_time_ps(packet)  # pure by contract
-            finish = t + delay
-            if finish >= horizon:
-                break
-            plan.append((message, t, finish))
-            t = finish
-        if len(plan) < 2:
-            return False
-        packets = [entry[0].packet for entry in plan]
-        outs = engine.service_many(packets)
-        if outs is None or len(outs) != len(plan):
-            return False
-        # -- Commit.  The batch equals this scalar interleaving: pop_1 at
-        # now, finish_1 at f_1 (which pops frame 2), ... finish_N at f_N.
-        popped = engine.queue.pop_batch(len(plan))
-        assert [m for m, _r in popped] == [entry[0] for entry in plan]
-        lookup_ps = engine._lookup_ps
-        last_finish = plan[-1][2]
-        for index, ((message, start, finish), frame_outs) in enumerate(
-                zip(plan, outs)):
-            packet = message.packet
-            enq = packet.meta.annotations.pop("enqueue_ps", start)
-            engine.queue_latency.observe(enq, start)
-            if index == 0:
-                # Pop 1 happens inside this very _try_start call: its
-                # notify_space (one rotation) fires now, like scalar.
-                if engine.notify_space is not None:
-                    engine.notify_space()
-            else:
-                # Pops 2..N happen inside _finish at the previous
-                # frame's finish; their rotations must interleave with
-                # any traffic pumping this router mid-train, so they
-                # ride real events at the scalar timestamps.
-                sim.schedule_at(start, self._batch_rotation, engine)
-            engine.processed.value += 1
-            engine.service_latency.observe(start, finish)
-            packet.touch(engine.name)
-            lookup_delay = 0
-            for out_packet, dest in frame_outs:
-                if dest is None:
-                    dest = engine._route_by_chain(out_packet)
-                    lookup_delay = lookup_ps
-                if dest is None:
-                    sim.schedule_at(finish, engine.terminal, out_packet)
-                elif dest == address:
-                    sim.schedule_at(finish + lookup_delay,
-                                    engine._loopback, out_packet)
-                elif lookup_delay:
-                    sim.schedule_at(finish + lookup_delay,
-                                    engine.send, out_packet, dest)
-                else:
-                    sim.schedule_at(finish, engine.send, out_packet, dest)
-            self.batched_frames += 1
-        # The lane stays busy until the last finish; the sentinel then
-        # mirrors _finish's trailing _try_start (serving anything that
-        # arrived exactly at the boundary).
-        engine._busy_lanes += 1
-        sim.schedule_at(last_finish, self._batch_release, engine)
-        self.batches += 1
-        return True
-
-    def _batch_rotation(self, engine: Engine) -> None:
-        """One scalar pop's notify_space, at its scalar timestamp."""
-        if engine.notify_space is not None:
-            engine.notify_space()
-
-    def _batch_release(self, engine: Engine) -> None:
-        """Sentinel at the train's last finish: free the lane and resume
-        the scalar service loop."""
-        engine._busy_lanes -= 1
-        engine._try_start()

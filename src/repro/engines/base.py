@@ -108,13 +108,9 @@ class Engine(Component, Endpoint):
     #: upstream credit loop (section 6's lossless flow control).
     OVERFLOW_POLICIES = ("raise", "backpressure")
 
-    #: The NIC's :class:`~repro.core.train.TrainLane` when
-    #: ``PanicConfig.batch_execution`` is on, else None.  With the
-    #: default None every instrumented path costs one attribute check.
-    _train_lane = None
-
     #: The NIC's :class:`~repro.telemetry.int_.IntAgent` when
-    #: ``PanicConfig.int_`` is on, else None (same zero-cost contract).
+    #: ``PanicConfig.int_`` is on, else None.  With the default None
+    #: every instrumented path costs one attribute check.
     _int_tap = None
 
     def __init__(
@@ -252,10 +248,6 @@ class Engine(Component, Endpoint):
         if self.fault_mode is not None:
             # Crashed or stalled engines serve nothing; a stalled engine's
             # queue keeps filling until backpressure (or drops) kick in.
-            return
-        lane = self._train_lane
-        if (lane is not None and self._busy_lanes == 0
-                and len(self.queue) > 1 and lane.try_batch(self)):
             return
         freed_space = False
         while self._busy_lanes < self.lanes and not self.queue.is_empty:
@@ -431,31 +423,6 @@ class Engine(Component, Endpoint):
         The default is a pure pass-through that follows the chain.
         """
         return [(packet, None)]
-
-    def service_many(
-        self, packets: List[Packet]
-    ) -> Optional[List[List[EngineOutput]]]:
-        """Batched :meth:`handle` for the frame-train lane, or None.
-
-        Engines that opt into batched execution override this to apply
-        :meth:`handle`'s per-packet effects (annotations, counters,
-        payload transforms) for the whole batch -- vectorized where the
-        work allows (:mod:`repro.packet.vectorized`) -- returning one
-        output list per packet, in order.  The contract, enforced by the
-        batch-equivalence suite:
-
-        * effects must be bit-identical to calling :meth:`handle` on
-          each packet in order (including memo/cache bookkeeping);
-        * no reads of ``self.now``, no scheduling, no RNG -- the lane
-          calls this once for service windows it computed arithmetically
-          (``service_time_ps`` must likewise be pure for such engines);
-        * returning None declines the batch *before any mutation*; the
-          lane then falls back to scalar service.
-
-        The default declines everything (identity-checked by the lane,
-        so plain engines never even reach a call).
-        """
-        return None
 
     def terminal(self, packet: Packet) -> None:
         """Called when a packet has nowhere further to go.

@@ -13,7 +13,6 @@ from typing import List, Optional
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.builder import build_udp_frame
 from repro.packet.checksum import internet_checksum, verify_internet_checksum
-from repro.packet.vectorized import rx_verdicts_many
 from repro.packet.headers import (
     EthernetHeader,
     HeaderError,
@@ -111,56 +110,6 @@ class ChecksumEngine(Engine):
                 return [(packet, None)]
             return [(self._regenerate(packet, eth, ipv4, after_ip), None)]
         return [(self._verify(packet), None)]
-
-    def service_many(self, packets):
-        """Batched RX verification for the frame-train lane.
-
-        Vectorizes the checksum folds over the batch's distinct frames
-        (:func:`repro.packet.vectorized.rx_verdicts_many`), then replays
-        the scalar path's per-packet effects in order: the
-        ``_RX_VERDICT_MEMO`` get/insert/clear sequence, the ``csum_ok``
-        annotation, and the verified/bad counters.  TX frames decline the
-        whole batch (regeneration allocates new packets; it stays
-        scalar), before any mutation, per the ``service_many`` contract.
-        """
-        for packet in packets:
-            if packet.meta.direction == Direction.TX:
-                return None
-        # Verdicts for every distinct frame: memo hits read out, misses
-        # computed vectorized.  A mid-batch memo clear (replayed below)
-        # can turn a hit back into a miss, but the verdict is a pure
-        # function of the bytes, so the precomputed value still matches
-        # what the scalar path would recompute.
-        known: dict = {}
-        misses = []
-        for packet in packets:
-            data = packet.data
-            if data in known:
-                continue
-            verdict = _RX_VERDICT_MEMO.get(data, _MISSING)
-            if verdict is _MISSING:
-                misses.append(data)
-            known[data] = verdict
-        if misses:
-            for data, verdict in zip(misses, rx_verdicts_many(misses)):
-                known[data] = verdict
-        outs = []
-        for packet in packets:
-            data = packet.data
-            verdict = _RX_VERDICT_MEMO.get(data, _MISSING)
-            if verdict is _MISSING:
-                verdict = known[data]
-                if len(_RX_VERDICT_MEMO) >= _RX_VERDICT_MAX:
-                    _RX_VERDICT_MEMO.clear()
-                _RX_VERDICT_MEMO[bytes(data)] = verdict
-            if verdict is not None:
-                packet.meta.annotations["csum_ok"] = verdict
-                if verdict:
-                    self.verified.value += 1
-                else:
-                    self.bad_checksums.value += 1
-            outs.append([(packet, None)])
-        return outs
 
     def _verify(self, packet: Packet) -> Packet:
         ok = _rx_verdict(packet.data)

@@ -41,6 +41,11 @@ class EthernetPort(Engine):
     #: record is finalized (and, in-band, the trailer grows the frame).
     _int_agent = None
 
+    #: The NIC's :class:`~repro.core.train.TrainLane` when
+    #: ``PanicConfig.batch_execution`` is on, else None: both of the
+    #: lane's entry points sit at the MAC (wire inject, RX arrival).
+    _train_lane = None
+
     def __init__(
         self,
         sim: Simulator,

@@ -42,12 +42,6 @@ from repro.packet.packet import (
     wire_bits,
 )
 from repro.packet.panic_hdr import PanicHeader
-from repro.packet.vectorized import (
-    HAVE_NUMPY,
-    fold_many,
-    rx_verdicts_many,
-    verify_many,
-)
 from repro.packet.builder import (
     build_eth_frame,
     build_kv_request_frame,
@@ -90,12 +84,8 @@ __all__ = [
     "build_udp_frame",
     "frame_checksums_ok",
     "crc32",
-    "fold_many",
-    "HAVE_NUMPY",
     "internet_checksum",
     "parse_frame",
-    "rx_verdicts_many",
     "verify_internet_checksum",
-    "verify_many",
     "wire_bits",
 ]

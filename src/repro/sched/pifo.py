@@ -148,60 +148,6 @@ class PifoQueue(Generic[T]):
         rank, _seq, _droppable, item = heapq.heappop(self._heap)
         return item, rank
 
-    def transit(self, item: T, rank: int, droppable: bool = False) -> None:
-        """Push-then-immediately-pop, fused.
-
-        The train lane services a frame the instant it arrives at an idle
-        engine; under scalar execution that is a ``push`` followed by a
-        ``pop`` in the same picosecond.  The fusion must leave every
-        observable identical to that pair: the sequence counter advances
-        once (the push's draw), ``pushed`` increments, and occupancy
-        peaks at least at 1.  Only valid on an empty queue -- with
-        residents the pop might not return ``item``.
-        """
-        if self._heap:
-            raise RuntimeError(
-                f"transit through non-empty PIFO {self.name!r}"
-            )
-        next(self._seq)
-        self.pushed.value += 1
-        if self.max_occupancy < 1:
-            self.max_occupancy = 1
-
-    def peek_batch(self, limit: Optional[int] = None) -> List[Tuple[T, int, bool]]:
-        """The next ``limit`` items in pop order, without removing them.
-
-        Returns ``(item, rank, droppable)`` triples ordered exactly as a
-        sequence of :meth:`pop` calls would serve them (rank, then
-        arrival seq).  Used by the train lane to vet a batch's
-        eligibility before committing to :meth:`pop_batch`.
-        """
-        entries = sorted(self._heap)
-        if limit is not None:
-            entries = entries[:limit]
-        return [(item, rank, droppable)
-                for (rank, _seq, droppable, item) in entries]
-
-    def pop_batch(self, count: int) -> List[Tuple[T, int]]:
-        """Remove the ``count`` best-ranked items in pop order.
-
-        Equivalent to ``count`` consecutive :meth:`pop` calls (and
-        returns the same ``(item, rank)`` pairs), amortizing the
-        per-item heap discipline for the train lane.
-        """
-        heap = self._heap
-        if count > len(heap):
-            raise IndexError(
-                f"pop_batch({count}) from PIFO {self.name!r} "
-                f"holding {len(heap)}"
-            )
-        if count == len(heap):
-            batch = sorted(heap)
-            heap.clear()
-        else:
-            batch = [heapq.heappop(heap) for _ in range(count)]
-        return [(item, rank) for (rank, _seq, _droppable, item) in batch]
-
     def peek_rank(self) -> int:
         """Rank of the head item without removing it."""
         if not self._heap:

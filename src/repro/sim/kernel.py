@@ -94,17 +94,6 @@ class Event:
         return f"Event(@{format_time(self.when)} {name}{state})"
 
 
-#: Process-wide accumulator of events fired across every Simulator.run();
-#: the benchmark harness snapshots it around timed sections so wall-clock
-#: measurements can report events/sec without holding the Simulator.
-_TOTALS = {"events_fired": 0}
-
-
-def total_events_fired() -> int:
-    """Events fired by every :meth:`Simulator.run` call in this process."""
-    return _TOTALS["events_fired"]
-
-
 class Simulator:
     """Discrete-event simulator with integer picosecond time."""
 
@@ -137,11 +126,10 @@ class Simulator:
         # Used by the train lane to absorb just-scheduled wire arrivals
         # (see defer()).
         self._deferred: Deque[Tuple[Callable[..., None], tuple]] = deque()
-        # Optional caller-owned list of the distinct timestamps at which
-        # state was mutated: every fired event (step()) and every train
-        # hop (advance_clock()).  The speculative shard runtime installs
-        # one to detect execution past a commit point; None keeps the
-        # hot path branch-free enough to be unmeasurable.
+        # Optional caller-owned list of the distinct timestamps of fired
+        # events (step()).  The speculative shard runtime installs one
+        # to detect execution past a commit point; None keeps the hot
+        # path branch-free enough to be unmeasurable.
         self._fired_log: Optional[List[int]] = None
         # Optional caller-owned wall-time attribution sink: component
         # name -> [calls, seconds].  None (default) keeps the hot path
@@ -393,7 +381,7 @@ class Simulator:
         return self._peek_when()
 
     def train_horizon(self) -> Optional[float]:
-        """First instant a batched frame train may *not* touch.
+        """First instant a train ride may *not* touch.
 
         The train lane (:mod:`repro.core.train`) may only commit state
         mutations with timestamps **strictly below** this horizon: at the
@@ -416,40 +404,21 @@ class Simulator:
             horizon = self._run_until + 1
         return horizon
 
-    def advance_clock(self, when_ps: int) -> None:
-        """Move ``now`` forward inside the currently-executing event.
-
-        Used by the train lane to replay a frame's whole trajectory in
-        one event: genuine component methods (``handle``, ``decide``,
-        ``service_time_ps``) read ``self.now`` and schedule relative
-        delays, so the lane shifts the clock to each emulated hop's
-        timestamp before invoking them.  Monotonic only -- the kernel's
-        heap invariants do not survive time travel.
-        """
-        if when_ps < self.now:
-            raise SimError(
-                f"advance_clock cannot move backwards "
-                f"({when_ps} < {self.now})"
-            )
-        self.now = when_ps
-        log = self._fired_log
-        if log is not None and (not log or log[-1] != when_ps):
-            # Trains mutate component state at emulated hop timestamps
-            # without firing heap events; the speculation dirty check
-            # must see those instants too.
-            log.append(when_ps)
-
     def set_fired_log(self, log: Optional[List[int]]) -> None:
-        """Install (or remove, with ``None``) a mutation-timestamp log.
+        """Install (or remove, with ``None``) a fired-timestamp log.
 
-        While installed, the kernel appends every *distinct* timestamp at
-        which component state may have changed -- each fired event's
-        ``when`` and each train-lane :meth:`advance_clock` target -- in
-        non-decreasing order.  The speculative shard runtime uses it to
-        decide whether a shard executed past a commit point and must roll
-        back (``log[-1] >= commit_ps``), and to locate the first
-        rolled-back timestamp.  The caller owns the list and may clear it
-        between windows.
+        While installed, the kernel appends each fired event's ``when``
+        -- every *distinct* value, in non-decreasing order -- and
+        nothing else.  A train-lane ride (:mod:`repro.core.train`)
+        assigns ``now`` directly while it replays later hops inside one
+        event, so the log holds the instant the ride's event fired, not
+        the instants the ride went on to touch.  The speculative shard
+        runtime uses the log to decide whether a shard executed past a
+        commit point and must roll back (``log[-1] >= commit_ps``), and
+        to locate the first rolled-back timestamp; a ride that boards
+        below the commit point and runs past it escapes that check
+        (DESIGN.md section 15, "Known hole").  The caller owns the list
+        and may clear it between windows.
         """
         self._fired_log = log
 
@@ -647,7 +616,6 @@ class Simulator:
                     pool.append(event)
                 if deferred:
                     self._drain_deferred()
-            _TOTALS["events_fired"] += fired
             return fired
         try:
             while True:
@@ -656,7 +624,6 @@ class Simulator:
                     break
                 if max_events is not None and fired >= max_events:
                     if on_max_events == "raise" and self.live_pending_events:
-                        _TOTALS["events_fired"] += fired
                         raise DeadlockError(
                             f"run() exhausted max_events={max_events} at "
                             f"{format_time(self.now)} with work still pending "
@@ -672,7 +639,6 @@ class Simulator:
             self._run_until = None
         if until_ps is not None and self.now < until_ps:
             self.now = until_ps
-        _TOTALS["events_fired"] += fired
         return fired
 
     def pending_summary(self, limit: int = 8) -> str:
