@@ -2,18 +2,9 @@
 
 Usage::
 
-    python -m repro table1      # offload taxonomy
-    python -m repro table2      # line-rate PPS model
-    python -m repro table3      # mesh bisection BW / chain length
-    python -m repro demo        # the quickstart KV GET, end to end
-    python -m repro faults      # crash-and-failover fault-tolerance demo
-    python -m repro rack        # sharded rack-scale run vs monolithic
-    python -m repro trace       # per-packet telemetry -> trace.json + timeline
-    python -m repro chaos       # seeded chaos: lossy rack + invariant gate
-    python -m repro lb          # RMT-resident L4 LB: live drain/failover
-    python -m repro int-report  # in-band telemetry rack flight record
-    python -m repro bench-report  # BENCH_*.json vs floor.json summary
-    python -m repro all         # everything above (except rack/trace/chaos)
+    python -m repro --help            # the commands (``COMMANDS`` below)
+    python -m repro <command> --help  # that command's own options
+    python -m repro table2            # e.g. the line-rate PPS model
 
 The heavier experiments (HOL blocking, isolation, ablations) live in
 ``benchmarks/`` where pytest-benchmark records their runtimes.
@@ -22,6 +13,7 @@ The heavier experiments (HOL blocking, isolation, ablations) live in
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -250,8 +242,7 @@ def cmd_trace(frames: int = 32, sample_every: int = 1,
 def cmd_chaos(seeds: int = 5, first_seed: int = 0, nics: int = 4,
               workers: int = 2, frames: int = 30, pattern: str = "fanin",
               transport: str = "gbn", out: str = "",
-              trace_out: str = "", speculative: bool = False,
-              floor_file: str = "benchmarks/chaos/floor.json") -> None:
+              trace_out: str = "", speculative: bool = False) -> None:
     """Break the rack on purpose: run seeded chaos cases on the reliable
     incast and gate on the delivery invariants (DESIGN.md section 12).
 
@@ -259,29 +250,17 @@ def cmd_chaos(seeds: int = 5, first_seed: int = 0, nics: int = 4,
     (selective repeat + adaptive RTO), ``gbn+ll``/``sr+ll`` (either
     transport with link-local repair armed on every wire), or ``lb``
     (the load-balanced rack with live drains and backend crashes,
-    DESIGN.md section 17).  Goodput floors are per config, read from
-    ``floor_file`` (configs absent from its ``floors`` map are
-    ungated).  Exits non-zero if any invariant -- or a floor -- is
-    violated, the same gate the CI ``chaos-smoke`` job runs via
-    ``benchmarks/chaos/run_chaos.py``.
+    DESIGN.md section 17).  Goodput floors are per config
+    (:data:`repro.reliability.chaos.GOODPUT_FLOORS`; ``gbn`` and ``sr``
+    are ungated).  Exits non-zero if any invariant -- or a floor -- is
+    violated; the CI ``chaos-smoke`` job runs this once per config.
 
     ``trace_out`` (``--trace-out``) additionally reruns the first seed
     with telemetry enabled -- same fault weather, the plan regenerates
     from the seed -- and writes the merged Perfetto trace there; the
     gated runs themselves stay untraced.
     """
-    import json
-
-    from repro.reliability.chaos import DEFAULT_GOODPUT_FLOOR, run_chaos
-
-    try:
-        with open(floor_file) as fh:
-            floors = {config: float(floor)
-                      for config, floor in json.load(fh)["floors"].items()}
-    except (FileNotFoundError, KeyError, ValueError):
-        floors = DEFAULT_GOODPUT_FLOOR
-        print(f"note: no per-config floors at {floor_file}; gating "
-              f"link-local configs at {floors:.2f}")
+    from repro.reliability.chaos import GOODPUT_FLOORS, run_chaos
 
     def progress(case: dict) -> None:
         verdict = "pass" if case["passed"] else "FAIL"
@@ -298,19 +277,15 @@ def cmd_chaos(seeds: int = 5, first_seed: int = 0, nics: int = 4,
           f"mono + {workers}-worker sharded ({protocol})")
     report = run_chaos(seed_list, nics=nics, pattern=pattern, frames=frames,
                        workers=workers, progress=progress,
-                       configs=(transport,), goodput_floor=floors,
-                       speculative=speculative)
+                       configs=(transport,), speculative=speculative)
     print(f"goodput min/mean      : {report['goodput_min']:.3f} / "
           f"{report['goodput_mean']:.3f}")
     print("invariants            :",
           "all hold" if report["passed"]
           else f"VIOLATED on seeds {report['failed_seeds']}")
-    gate = (floors.get(transport) if isinstance(floors, dict)
-            else (floors if "+" in transport else None))
-    if gate is not None:
-        print("goodput floor         :",
-              f"{gate:.2f} "
-              + ("held" if report["floor_ok"] else "BREACHED"))
+    if transport in GOODPUT_FLOORS:
+        print(f"goodput floor         : {GOODPUT_FLOORS[transport]:.2f}",
+              "held" if report["floor_ok"] else "BREACHED")
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -351,8 +326,6 @@ def cmd_lb(nics: int = 7, backends: int = 3, frames: int = 30,
     the affinity and zero-committed-loss invariants and exits non-zero
     on any violation.
     """
-    import json
-
     from repro.faults.plan import FaultPlan
     from repro.lb.rack import lb_rack_topology
     from repro.reliability.chaos import (
@@ -453,8 +426,6 @@ def cmd_int_report(nics: int = 4, frames: int = 40, gap_ns: int = 2000,
     side channel.  ``out`` writes the report JSON; ``trace_out`` writes
     the collector's Perfetto counter/instant tracks.
     """
-    import json
-
     from repro.sim.clock import NS
     from repro.sim.shard import run_monolithic, run_sharded
     from repro.telemetry.config import IntConfig
@@ -497,126 +468,116 @@ def cmd_int_report(nics: int = 4, frames: int = 40, gap_ns: int = 2000,
               "(load it at https://ui.perfetto.dev)")
 
 
-def cmd_bench_report(bench: Optional[List[str]] = None,
-                     floor: str = "benchmarks/perf/floor.json",
-                     tolerance: float = 0.30) -> None:
-    """One-screen regression summary: load ``BENCH_*.json`` envelopes,
-    diff every gated metric against the checked-in floor, and exit
-    non-zero on any regression.  CI runs this over its bench artifacts;
-    humans run it over a local ``BENCH_*.json`` glob.
-
-    Gates applied (matching the bench harnesses' own ``--floor`` logic):
-    throughput floors (``events_per_sec``, ``events_per_sec_batched``,
-    ``parallel_events_per_sec``) pass above ``(1 - tolerance) * floor``;
-    overhead caps (``telemetry_overhead_max_frac``,
-    ``int_overhead_max_frac``), the chaos invariant/floor flags, and the
-    lb migration gates (``lb_goodput_min`` on the ``lb_*`` workloads'
-    goodput, exact ``invariants_ok``/``bit_identical`` flags) are exact.
-    Ungated series are summarized, not judged.
-    """
-    import glob as globlib
-    import json
-
-    paths: List[str] = []
-    for pattern in bench or ["BENCH_*.json"]:
-        matches = sorted(globlib.glob(pattern))
-        paths.extend(matches if matches else [pattern])
-    try:
-        with open(floor) as fh:
-            floors = json.load(fh)
-    except FileNotFoundError:
-        floors = {}
-        print(f"note: no floor file at {floor}; nothing is gated")
-    rate_gates = {
-        "events_per_sec": floors.get("events_per_sec", {}),
-        "events_per_sec_batched": floors.get("events_per_sec_batched", {}),
-    }
-    parallel_gates = floors.get("parallel_events_per_sec", {})
-    overhead_gates = {
-        "telemetry_idle": floors.get("telemetry_overhead_max_frac"),
-        "int_idle": floors.get("int_overhead_max_frac"),
-    }
-    lb_floor = floors.get("lb_goodput_min")
-    rows = []          # (status_ok, line)
-    ungated_points = 0
-    for path in paths:
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (FileNotFoundError, ValueError) as exc:
-            rows.append((False, f"  {path}: unreadable ({exc})"))
-            continue
-        bench_name = payload.get("bench", "?")
-        series = payload.get("series", [])
-        print(f"{path}: bench {bench_name!r}, "
-              f"generated {payload.get('generated', '?')}, "
-              f"{len(payload.get('workloads', {}))} workloads, "
-              f"{len(series)} series points")
-        for point in series:
-            workload = point.get("workload")
-            metric = point.get("metric")
-            value = point.get("value")
-            bound = None
-            if metric in rate_gates and workload in rate_gates[metric]:
-                bound = rate_gates[metric][workload]
-            elif metric == "events_per_sec" and workload in parallel_gates:
-                bound = parallel_gates[workload]
-            if bound is not None:
-                allowed = bound * (1.0 - tolerance)
-                ok = value >= allowed
-                rows.append((ok, (
-                    f"  {workload} [{metric}]: {value:,.0f} vs floor "
-                    f"{bound:,.0f} (min {allowed:,.0f}) -> "
-                    + ("ok" if ok else "REGRESSION"))))
-            elif (metric == "overhead_frac"
-                    and overhead_gates.get(workload) is not None):
-                cap = overhead_gates[workload]
-                ok = value <= cap
-                rows.append((ok, (
-                    f"  {workload} [{metric}]: {value:+.2%} vs max "
-                    f"{cap:.0%} -> " + ("ok" if ok else "REGRESSION"))))
-            elif (workload == "chaos_batch"
-                    and metric in ("all_pass", "floor_ok")):
-                ok = bool(value)
-                rows.append((ok, (
-                    f"  chaos {metric}: "
-                    + ("ok" if ok else "VIOLATED"))))
-            elif (workload.startswith("lb_") and metric == "goodput"
-                    and lb_floor is not None):
-                ok = value >= lb_floor
-                rows.append((ok, (
-                    f"  {workload} [goodput]: {value:.4f} vs floor "
-                    f"{lb_floor:.2f} -> "
-                    + ("ok" if ok else "REGRESSION"))))
-            elif (workload.startswith("lb_")
-                    and metric in ("invariants_ok", "bit_identical")):
-                ok = bool(value)
-                rows.append((ok, (
-                    f"  {workload} [{metric}]: "
-                    + ("ok" if ok else "VIOLATED"))))
-            else:
-                ungated_points += 1
-    for _ok, line in rows:
-        print(line)
-    failures = sum(1 for ok, _line in rows if not ok)
-    print(f"{len(rows)} gated checks, {failures} failing, "
-          f"{ungated_points} ungated series points")
-    if failures:
-        raise SystemExit(f"{failures} bench gate(s) failing")
+def cmd_all() -> None:
+    # rack spawns worker processes and trace writes a file; keep "all"
+    # single-process and side-effect free.
+    for run in (cmd_table1, cmd_table2, cmd_table3, cmd_demo, cmd_faults):
+        run()
+        print()
 
 
+def _opt(*flags: str, **kwargs):
+    return flags, kwargs
+
+
+def _nics(default: int):
+    return _opt("--nics", type=int, default=default,
+                help="NICs in the rack (2..7 with DSCP flow ids, up to "
+                     "255 with the payload tag; default %(default)s)")
+
+
+def _workers(default: int, meaning: str = ""):
+    return _opt("--workers", type=int, default=default,
+                help=f"worker processes (default: {meaning or default})")
+
+
+def _pattern(default: str):
+    return _opt("--pattern", choices=("symmetric", "fanin"),
+                default=default,
+                help="traffic pattern (default: %(default)s)")
+
+
+_FRAMES = _opt("--frames", type=int, default=40,
+               help="frames per directed flow (default: %(default)s)")
+_GAP_NS = _opt("--gap-ns", type=int, default=2000,
+               help="inter-frame gap per sender, ns")
+_PROP_NS = _opt("--prop-ns", type=int, default=500,
+                help="wire propagation delay, ns (the lookahead)")
+_SPECULATIVE = _opt("--speculative", action="store_true",
+                    help="shard with speculative windows + capsule "
+                         "rollback instead of conservative barriers")
+_TRACE_OUT = _opt("--trace-out", default="",
+                  help="also write a Chrome trace-event JSON here")
+
+#: command -> (runner, summary, options).  Every option's ``dest`` is a
+#: keyword of the runner, so dispatch is ``runner(**parsed)``.
 COMMANDS = {
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
-    "demo": cmd_demo,
-    "faults": cmd_faults,
-    "rack": cmd_rack,
-    "trace": cmd_trace,
-    "chaos": cmd_chaos,
-    "lb": cmd_lb,
-    "int-report": cmd_int_report,
-    "bench-report": cmd_bench_report,
+    "table1": (cmd_table1, "offload taxonomy", ()),
+    "table2": (cmd_table2, "line-rate PPS model", ()),
+    "table3": (cmd_table3, "mesh bisection BW / chain length", ()),
+    "demo": (cmd_demo, "the quickstart KV GET, end to end", ()),
+    "faults": (cmd_faults, "crash-and-failover fault-tolerance demo", ()),
+    "all": (cmd_all, "the three tables, demo and faults", ()),
+    "rack": (cmd_rack, "sharded rack-scale run vs monolithic", (
+        _nics(4), _workers(0, "min(4, nics)"), _FRAMES, _GAP_NS, _PROP_NS,
+        _pattern("symmetric"), _SPECULATIVE,
+        _opt("--flow-id", choices=("auto", "dscp", "tag"), default="auto",
+             help="rack flow-identity encoding (auto: DSCP through 7 "
+                  "NICs, payload tag beyond)"),
+    )),
+    "trace": (cmd_trace, "per-packet telemetry -> trace.json + timeline", (
+        _FRAMES,
+        _opt("--sample-every", type=int, default=1,
+             help="trace 1 in N injected frames (0: predicate only)"),
+        _opt("--timeline", type=int, default=3,
+             help="packet timelines to print"),
+        _opt("--trace-out", dest="out", default="trace.json",
+             help="Chrome trace-event JSON output path "
+                  "(default: %(default)s)"),
+    )),
+    "chaos": (cmd_chaos, "seeded chaos: lossy rack + invariant gate", (
+        _opt("--seeds", type=int, default=5,
+             help="number of chaos seeds to run"),
+        _opt("--first-seed", type=int, default=0,
+             help="first seed of the range"),
+        _nics(4), _workers(2), _FRAMES, _pattern("fanin"),
+        _opt("--transport", default="gbn",
+             choices=("gbn", "sr", "gbn+ll", "sr+ll", "lb"),
+             help="config: go-back-N, selective repeat, either + "
+                  "link-local repair, or the load-balanced rack"),
+        _opt("--chaos-out", dest="out", default="",
+             help="write the chaos report JSON here"),
+        _TRACE_OUT, _SPECULATIVE,
+    )),
+    "lb": (cmd_lb, "RMT-resident L4 LB: live drain/failover", (
+        _nics(7),
+        _opt("--backends", type=int, default=3,
+             help="backends serving the VIP (rack indices 1..N; the rest "
+                  "are clients)"),
+        _FRAMES, _workers(2), _SPECULATIVE,
+        _opt("--drain", default="2@25",
+             help="planned live drain, BACKEND@MICROSECONDS ('' to "
+                  "disable)"),
+        _opt("--crash", default="",
+             help="backend NIC crash, BACKEND@MICROSECONDS (the health "
+                  "monitor must fail it out)"),
+        _opt("--lb-out", dest="out", default="",
+             help="write the lb run report JSON here"),
+    )),
+    "int-report": (cmd_int_report, "in-band telemetry rack flight record", (
+        _nics(4), _FRAMES, _GAP_NS, _PROP_NS, _pattern("fanin"),
+        _workers(0, "0, monolithic"), _SPECULATIVE,
+        _opt("--inband", action="store_true",
+             help="carry the INT hop stack as real in-band trailer bytes "
+                  "(frames grow on the wire) instead of the zero-cost "
+                  "side channel"),
+        _opt("--burst-depth", type=int, default=8,
+             help="engine queue depth that counts as a microburst "
+                  "crossing"),
+        _opt("--int-out", dest="out", default="",
+             help="write the INT report JSON here"),
+        _TRACE_OUT,
+    )),
 }
 
 
@@ -625,138 +586,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro",
         description="PANIC (HotNets 2018) reproduction: paper tables & demo",
     )
-    parser.add_argument(
-        "command",
-        choices=sorted(COMMANDS) + ["all"],
-        help="which artifact to print",
-    )
-    rack = parser.add_argument_group("rack options")
-    rack.add_argument("--nics", type=int, default=None,
-                      help="NICs in the rack (2..7 with DSCP flow ids, "
-                           "up to 255 with the payload tag; default 4, "
-                           "7 for lb)")
-    rack.add_argument("--workers", type=int, default=0,
-                      help="worker processes (default: min(4, nics))")
-    rack.add_argument("--speculative", action="store_true",
-                      help="shard with speculative windows + capsule "
-                           "rollback instead of conservative barriers")
-    rack.add_argument("--flow-id", choices=("auto", "dscp", "tag"),
-                      default="auto",
-                      help="rack flow-identity encoding (auto: DSCP "
-                           "through 7 NICs, payload tag beyond)")
-    rack.add_argument("--frames", type=int, default=40,
-                      help="frames per directed flow")
-    rack.add_argument("--gap-ns", type=int, default=2000,
-                      help="inter-frame gap per sender, ns")
-    rack.add_argument("--prop-ns", type=int, default=500,
-                      help="wire propagation delay, ns (the lookahead)")
-    rack.add_argument("--pattern", choices=("symmetric", "fanin"),
-                      default=None,
-                      help="traffic pattern (default: symmetric for rack, "
-                           "fanin for chaos)")
-    trace = parser.add_argument_group("trace options (--frames applies too)")
-    trace.add_argument("--sample-every", type=int, default=1,
-                       help="trace 1 in N injected frames (0: predicate only)")
-    trace.add_argument("--trace-out", default=None,
-                       help="Chrome trace-event JSON output path "
-                            "(trace: default trace.json; chaos/int-report: "
-                            "off unless given)")
-    trace.add_argument("--timeline", type=int, default=3,
-                       help="packet timelines to print")
-    chaos = parser.add_argument_group(
-        "chaos options (--nics/--workers/--frames/--pattern apply too)")
-    chaos.add_argument("--seeds", type=int, default=5,
-                       help="number of chaos seeds to run")
-    chaos.add_argument("--first-seed", type=int, default=0,
-                       help="first seed of the range")
-    chaos.add_argument("--transport", default="gbn",
-                       choices=("gbn", "sr", "gbn+ll", "sr+ll", "lb"),
-                       help="config: go-back-N, selective repeat, either "
-                            "+ link-local repair, or the load-balanced "
-                            "rack")
-    chaos.add_argument("--chaos-out", default="",
-                       help="write the chaos report JSON here")
-    chaos.add_argument("--chaos-floor", default="benchmarks/chaos/floor.json",
-                       help="per-config goodput floor JSON "
-                            "({\"floors\": {config: floor}})")
-    lb_group = parser.add_argument_group(
-        "lb options (--nics/--workers/--frames/--speculative apply too)")
-    lb_group.add_argument("--backends", type=int, default=3,
-                          help="backends serving the VIP (rack indices "
-                               "1..N; the rest are clients)")
-    lb_group.add_argument("--drain", default="2@25",
-                          help="planned live drain, BACKEND@MICROSECONDS "
-                               "('' to disable)")
-    lb_group.add_argument("--crash", default="",
-                          help="backend NIC crash, BACKEND@MICROSECONDS "
-                               "(the health monitor must fail it out)")
-    lb_group.add_argument("--lb-out", default="",
-                          help="write the lb run report JSON here")
-    int_group = parser.add_argument_group(
-        "int-report options (--nics/--workers/--frames/--gap-ns/--prop-ns/"
-        "--pattern/--speculative/--trace-out apply too)")
-    int_group.add_argument("--inband", action="store_true",
-                           help="carry the INT hop stack as real in-band "
-                                "trailer bytes (frames grow on the wire) "
-                                "instead of the zero-cost side channel")
-    int_group.add_argument("--burst-depth", type=int, default=8,
-                           help="engine queue depth that counts as a "
-                                "microburst crossing")
-    int_group.add_argument("--int-out", default="",
-                           help="write the INT report JSON here")
-    bench_group = parser.add_argument_group("bench-report options")
-    bench_group.add_argument("--bench", action="append", default=None,
-                             metavar="GLOB",
-                             help="BENCH_*.json path or glob (repeatable; "
-                                  "default: BENCH_*.json)")
-    bench_group.add_argument("--bench-floor",
-                             default="benchmarks/perf/floor.json",
-                             help="floor JSON with the gated bounds")
-    bench_group.add_argument("--tolerance", type=float, default=0.30,
-                             help="allowed fraction under a throughput "
-                                  "floor before it counts as a regression")
-    args = parser.parse_args(argv)
-    if args.command == "all":
-        # rack spawns worker processes and trace writes a file; keep
-        # "all" single-process and side-effect free.
-        for name in ("table1", "table2", "table3", "demo", "faults"):
-            COMMANDS[name]()
-            print()
-    elif args.command == "rack":
-        cmd_rack(nics=args.nics or 4, workers=args.workers,
-                 frames=args.frames,
-                 gap_ns=args.gap_ns, prop_ns=args.prop_ns,
-                 pattern=args.pattern or "symmetric",
-                 speculative=args.speculative, flow_id=args.flow_id)
-    elif args.command == "trace":
-        cmd_trace(frames=args.frames, sample_every=args.sample_every,
-                  timeline=args.timeline,
-                  out=args.trace_out or "trace.json")
-    elif args.command == "chaos":
-        cmd_chaos(seeds=args.seeds, first_seed=args.first_seed,
-                  nics=args.nics or 4, workers=args.workers or 2,
-                  frames=args.frames, pattern=args.pattern or "fanin",
-                  transport=args.transport, out=args.chaos_out,
-                  trace_out=args.trace_out or "",
-                  speculative=args.speculative,
-                  floor_file=args.chaos_floor)
-    elif args.command == "lb":
-        cmd_lb(nics=args.nics or 7, backends=args.backends,
-               frames=args.frames, workers=args.workers or 2,
-               speculative=args.speculative,
-               drain=args.drain, crash=args.crash, out=args.lb_out)
-    elif args.command == "int-report":
-        cmd_int_report(nics=args.nics or 4, frames=args.frames,
-                       gap_ns=args.gap_ns, prop_ns=args.prop_ns,
-                       pattern=args.pattern or "fanin",
-                       workers=args.workers, speculative=args.speculative,
-                       inband=args.inband, burst_depth=args.burst_depth,
-                       out=args.int_out, trace_out=args.trace_out or "")
-    elif args.command == "bench-report":
-        cmd_bench_report(bench=args.bench, floor=args.bench_floor,
-                         tolerance=args.tolerance)
-    else:
-        COMMANDS[args.command]()
+    commands = parser.add_subparsers(required=True, metavar="command")
+    for name, (run, summary, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=summary, description=summary)
+        sub.set_defaults(run=run)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+    parsed = vars(parser.parse_args(argv))
+    parsed.pop("run")(**parsed)
     return 0
 
 

@@ -25,9 +25,8 @@ delivery guarantees when :mod:`repro.faults.rack` makes the cables lie:
   chaos harness;
 * :mod:`repro.reliability.chaos` -- seeded random fault plans plus the
   invariant checks (``no committed loss``, ``no duplicates``,
-  ``mono == sharded``, ``replay determinism``) behind
-  ``benchmarks/chaos/run_chaos.py`` and ``python -m repro chaos``,
-  running each seed under every requested config
+  ``mono == sharded``, ``replay determinism``) behind ``python -m
+  repro chaos``, running each seed under every requested config
   (``gbn`` / ``sr`` / ``gbn+ll`` / ``sr+ll`` / ``lb``).
 """
 

@@ -50,17 +50,16 @@ worker count, conservative and speculative:
    epoch churn the drain/fail verbs caused mid-flight, every
    cumulatively-acknowledged sequence number landed on some backend.
 
-Goodput floors are per-config: pass ``goodput_floor`` a mapping
-``{config: floor}`` (what ``benchmarks/chaos/floor.json`` holds) and
-each config is gated against its own entry; a bare float keeps the
-legacy behaviour of gating link-local configs only.  Floor breaches
-land in ``floor_failures`` without flipping ``passed`` -- invariants
-and floors fail independently.
+Goodput floors are per-config: ``goodput_floor`` is a mapping
+``{config: floor}`` (default :data:`GOODPUT_FLOORS`) and each config is
+gated against its own entry; a config absent from it is ungated.  Floor
+breaches land in ``floor_failures`` without flipping ``passed`` --
+invariants and floors fail independently.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.faults.rack import wire_target
@@ -73,17 +72,31 @@ from repro.sim.rng import SeededRng
 #: load-balanced rack).
 TRANSPORT_CONFIGS = ("gbn", "sr", "gbn+ll", "sr+ll", "lb")
 
-#: Per-seed goodput floor enforced for link-local configs (CI gate)
-#: when ``goodput_floor`` is given as a bare float.
-DEFAULT_GOODPUT_FLOOR = 0.95
+#: Per-seed goodput floors, by config; ``gbn`` and ``sr`` are ungated
+#: (a plan that cuts a wire for good legitimately sinks their goodput).
+GOODPUT_FLOORS: Mapping[str, float] = {
+    # Sub-RTT wire repair on every cable plus checksum-lane failover on
+    # every NIC: the chaos mix (1-3% wire loss, corruption, flaps,
+    # engine slowdowns and crashes) must not sink any seed below this.
+    # The unhardened rack bottomed at 0.822 over 15 seeds (EXPERIMENTS
+    # E12); the hardened one holds 1.0 on the same seeds (E13).
+    "gbn+ll": 0.95,
+    # Link repair hides the loss before SACK ever sees it, so selective
+    # repeat behind armed wires carries the go-back-N bar.
+    "sr+ll": 0.95,
+    # Backends crash dark on purpose (BACKEND_DOWN_P) and their pinned
+    # flows abort after bounded retries: correct, and gated by the
+    # committed-loss and affinity invariants.  This floor only catches
+    # collapse.  Worst observed: 0.667 over 15 seeds at frames=20,
+    # 0.556 at frames=30, 0.500 at frames=40, where seed 1 crashes the
+    # backend serving half the offered frames (E17).
+    "lb": 0.45,
+}
 
 
 def split_config(config: str):
     """``"gbn+ll"`` -> ``("gbn", True)``; validates the vocabulary.
-
-    ``"lb"`` is a rack choice rather than a transport choice; it splits
-    to ``("lb", False)`` so floor bookkeeping treats it uniformly.
-    """
+    ``"lb"`` is a rack choice, not a transport: ``("lb", False)``."""
     if config == "lb":
         return "lb", False
     transport, _sep, suffix = config.partition("+")
@@ -432,7 +445,6 @@ def run_chaos_case(
     workers: int = 2,
     check_replay: bool = True,
     config: str = "gbn",
-    failover: bool = True,
     speculative: bool = False,
     lb_nics: int = LB_NICS,
 ) -> dict:
@@ -441,13 +453,12 @@ def run_chaos_case(
     ``config`` picks the recovery strategy (see
     :data:`TRANSPORT_CONFIGS`); the fault mix depends only on the seed,
     so cases differing only in ``config`` are directly comparable.
-    ``failover`` arms the spare checksum lane + health monitor on every
-    NIC (the hardened rack CI gates on).  ``speculative`` runs the
-    sharded leg with speculative shard windows -- the mono-vs-sharded
-    invariant must hold either way.  The ``lb`` config runs its own
-    ``lb_nics``-node rack shape (``nics``/``pattern`` describe the
-    incast and do not apply to it) and adds an ``lb`` block (drain,
-    epochs, affinity counters, monitor) to the report.
+    Every incast NIC carries the spare checksum lane + health monitor.
+    ``speculative`` runs the sharded leg with speculative shard windows
+    -- the mono-vs-sharded invariant must hold either way.  The ``lb``
+    config runs its own ``lb_nics``-node rack shape (``nics``/``pattern``
+    describe the incast and do not apply to it) and adds an ``lb`` block
+    (drain, epochs, affinity counters, monitor) to the report.
 
     ``invariants`` maps each invariant to a bool; ``violations`` lists
     the specifics when something broke.  ``goodput`` is delivered over
@@ -470,7 +481,7 @@ def run_chaos_case(
         def topology():
             return reliable_rack_topology(
                 nics=nics, pattern=pattern, frames=frames, seed=seed,
-                transport=transport, failover=failover,
+                transport=transport, failover=True,
             )
 
         def plan():
@@ -514,9 +525,7 @@ def run_chaos(
     check_replay: bool = True,
     progress: Optional[callable] = None,
     configs=("gbn",),
-    failover: bool = True,
-    goodput_floor: Union[float, Dict[str, float], None] = (
-        DEFAULT_GOODPUT_FLOOR),
+    goodput_floor: Mapping[str, float] = GOODPUT_FLOORS,
     speculative: bool = False,
     lb_nics: int = LB_NICS,
 ) -> dict:
@@ -525,13 +534,10 @@ def run_chaos(
     Each seed runs once per entry of ``configs`` (same fault weather,
     different recovery strategy); ``by_config`` summarises each
     strategy so the comparison reads off directly.  ``goodput_floor``
-    may be a mapping ``{config: floor}`` (per-config CI gates, the
-    shape ``benchmarks/chaos/floor.json`` holds -- configs absent from
-    the mapping are ungated) or a bare float, which keeps the legacy
-    behaviour of gating link-local configs only.  Floor breaches land
-    in ``floor_failures`` without flipping ``passed`` (invariants and
-    floors fail independently; the benchmark runner exits nonzero on
-    either).
+    maps ``{config: floor}``; configs absent from it are ungated.
+    Floor breaches land in ``floor_failures`` without flipping
+    ``passed`` (invariants and floors fail independently; ``python -m
+    repro chaos`` exits nonzero on either).
     """
     for config in configs:
         split_config(config)  # fail fast on vocabulary typos
@@ -541,8 +547,7 @@ def run_chaos(
             case = run_chaos_case(
                 seed, nics=nics, pattern=pattern, frames=frames,
                 workers=workers, check_replay=check_replay,
-                config=config, failover=failover,
-                speculative=speculative, lb_nics=lb_nics,
+                config=config, speculative=speculative, lb_nics=lb_nics,
             )
             cases.append(case)
             if progress is not None:
@@ -566,19 +571,11 @@ def run_chaos(
             "ll_gave_up": sum(c["linklayer"]["gave_up"] for c in rows),
         }
 
-    def floor_for(config: str) -> Optional[float]:
-        if goodput_floor is None:
-            return None
-        if isinstance(goodput_floor, dict):
-            return goodput_floor.get(config)
-        return goodput_floor if split_config(config)[1] else None
-
     floor_failures = [
         {"seed": c["seed"], "config": c["config"],
-         "goodput": c["goodput"], "floor": floor_for(c["config"])}
+         "goodput": c["goodput"], "floor": goodput_floor[c["config"]]}
         for c in cases
-        if floor_for(c["config"]) is not None
-        and c["goodput"] < floor_for(c["config"])
+        if c["goodput"] < goodput_floor.get(c["config"], 0.0)
     ]
 
     goodputs = [case["goodput"] for case in cases]
@@ -586,8 +583,8 @@ def run_chaos(
         "params": {
             "nics": nics, "pattern": pattern, "frames": frames,
             "workers": workers, "seeds": list(seeds),
-            "configs": list(configs), "failover": failover,
-            "goodput_floor": goodput_floor,
+            "configs": list(configs),
+            "goodput_floor": dict(goodput_floor),
             "speculative": speculative, "lb_nics": lb_nics,
         },
         "cases": cases,
@@ -610,7 +607,6 @@ def write_chaos_trace(
     frames: int = 30,
     workers: int = 2,
     config: str = "gbn",
-    failover: bool = True,
 ) -> int:
     """Re-run one chaos case sharded with telemetry enabled and write
     the coordinator-merged Perfetto trace to ``path``; returns the
@@ -633,7 +629,7 @@ def write_chaos_trace(
     transport, link_local = split_config(config)
     topology = reliable_rack_topology(
         nics=nics, pattern=pattern, frames=frames, seed=seed,
-        transport=transport, failover=failover,
+        transport=transport, failover=True,
         telemetry=TelemetryConfig(),
     )
     plan = generate_chaos_plan(seed, nics, link_local=link_local)

@@ -38,8 +38,9 @@ and :data:`SPEC_HORIZON` (halved after a round that rolled back,
 doubled after a clean one) and, whenever ``H > 1``, checkpoint every
 shard first with a copy-on-write ``os.fork`` (the parent freezes as the
 checkpoint; the child speculates).  A shard that mutated state at or
-past ``W`` (detected through the kernel's fired-timestamp log, which
-also sees batched train hops) is a *straggler victim*: it hands the
+past ``W`` (detected through the kernel's fired-timestamp log; batched
+train rides never reach it, so speculative runs refuse NICs built with
+``batch_execution``) is a *straggler victim*: it hands the
 unprocessed message to its frozen checkpoint and exits; the parent
 wakes, replays deterministically to ``W - 1`` (its RNG, heap, and
 sequence state are the exact pre-speculation bits, so the replay is
@@ -416,6 +417,7 @@ def _worker_main(
     window_budget: Optional[int],
     fault_plan=None,
     profile: bool = False,
+    speculative: bool = False,
 ) -> None:
     """Entry point of one shard process.
 
@@ -453,6 +455,17 @@ def _worker_main(
         nics, reports, boundaries, wires = _build_shard(
             sim, shard, topology, assignment, fault_plan
         )
+        if speculative:
+            # A train ride moves sim.now inside one event and never
+            # reaches the fired log the dirty check reads, so a ride
+            # across a commit point would commit as clean.
+            for name, nic in nics.items():
+                if getattr(nic, "train_lane", None) is not None:
+                    raise ShardError(
+                        f"{name} was built with batch_execution=True, "
+                        "which speculative windows cannot run soundly; "
+                        "use speculative=False or batch_execution=False"
+                    )
         if profile:
             sim.set_profile({})
         busy = 0.0
@@ -606,7 +619,9 @@ def run_sharded(
     counters and the horizon trajectory.  Requires POSIX ``os.fork``.
     When the topology has no cross-shard wires there is nothing to
     speculate past (the result still reports ``speculative=True`` with
-    zero counters and ``spec_horizon == 0``).
+    zero counters and ``spec_horizon == 0``).  A NIC built with
+    ``batch_execution=True`` is refused (:class:`ShardError`, before the
+    first window): train rides are invisible to the dirty check.
 
     ``profile=True`` installs each worker's kernel wall-time sink and
     gathers the merged attribution plus per-shard busy seconds into
@@ -639,7 +654,7 @@ def run_sharded(
             proc = ctx.Process(
                 target=_worker_main,
                 args=(child, shard, topology, assignment,
-                      window_event_budget, fault_plan, profile),
+                      window_event_budget, fault_plan, profile, speculative),
                 name=f"repro-shard-{shard}",
                 daemon=True,
             )

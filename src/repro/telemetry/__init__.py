@@ -64,8 +64,8 @@ class Telemetry:
         # Attach component tracers only when a packet can actually be
         # sampled: with sample_every=0 and no predicate, no trace ctx can
         # ever exist, so the per-event ctx lookups would be pure waste --
-        # this keeps the enabled-but-idle configuration (what the perf
-        # gate measures) at near-zero overhead.
+        # this keeps the enabled-but-idle configuration at two calls per
+        # frame (tests/test_telemetry_call_budget.py).
         if config.sample_every > 0 or config.flow_predicate is not None:
             for engine in nic.engines.values():
                 engine._tracer = tracer

@@ -19,7 +19,7 @@ class TelemetryConfig:
     Attaching a ``TelemetryConfig`` to ``PanicConfig.telemetry`` turns
     telemetry on for that NIC; the default ``PanicConfig`` carries
     ``None`` (fully disabled, near-zero overhead -- see DESIGN.md
-    section 11 and the ``telemetry_idle`` gate in ``BENCH_kernel``).
+    section 11 and ``tests/test_telemetry_call_budget.py``).
     """
 
     #: Master switch; ``enabled=False`` behaves exactly like carrying no

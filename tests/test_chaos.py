@@ -5,7 +5,7 @@ plan, runs the reliable rack incast monolithically and sharded under it,
 and checks the invariants of DESIGN.md section 12.  These tests pin the
 harness itself: plan generation is a pure function of the seed, the
 invariants hold across a handful of seeds (kept small -- CI runs the
-bigger batch through ``benchmarks/chaos/run_chaos.py``), and the checker
+bigger batch through ``python -m repro chaos``), and the checker
 actually catches the violations it claims to, so a green batch means
 something.
 """
@@ -105,16 +105,18 @@ class TestTransportConfigs:
         assert stripped == "\n".join(base.splitlines()[1:])
 
     def test_goodput_floor_breach_is_surfaced_not_passed_over(self):
-        # An impossible floor (1.01) must flag every link-local case
+        # An impossible floor (1.01) must flag every gated case
         # without flipping the invariant verdict.
         report = run_chaos([0], frames=10, check_replay=False,
-                           configs=("gbn+ll",), goodput_floor=1.01)
+                           configs=("gbn+ll",),
+                           goodput_floor={"gbn+ll": 1.01})
         assert report["passed"]  # invariants are independent of floors
         assert not report["floor_ok"]
         assert report["floor_failures"][0]["config"] == "gbn+ll"
-        # And the floor never applies to configs without link-local.
+        # And a config absent from the mapping is ungated.
         report = run_chaos([0], frames=10, check_replay=False,
-                           configs=("gbn",), goodput_floor=1.01)
+                           configs=("gbn",),
+                           goodput_floor={"gbn+ll": 1.01})
         assert report["floor_ok"]
 
 

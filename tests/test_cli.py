@@ -40,6 +40,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["tableX"])
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--nics", "9"],       # a rack option on a table
+        ["trace", "--transport", "sr"],  # a chaos option on trace
+    ])
+    def test_option_the_command_does_not_take_is_an_error(
+            self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_lists_only_the_commands_own_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["trace", "--help"])
+        out = capsys.readouterr().out
+        assert "--sample-every" in out and "--trace-out" in out
+        assert "--nics" not in out and "--transport" not in out
+
     def test_rack_reports_equivalence(self, capsys):
         assert main(["rack", "--nics", "3", "--frames", "4",
                      "--workers", "2"]) == 0
@@ -77,41 +95,3 @@ class TestIntReportCli:
         out = capsys.readouterr().out
         assert "in-band" in out
         assert "INT flight record" in out
-
-
-class TestBenchReportCli:
-    def _fake_bench(self, tmp_path, eps):
-        import json
-        payload = {
-            "schema": "repro-bench/2", "bench": "kernel",
-            "generated": "2026-01-01T00:00:00Z",
-            "workloads": {"isolation": {}},
-            "series": [
-                {"workload": "isolation", "metric": "events_per_sec",
-                 "value": eps},
-                {"workload": "telemetry_idle", "metric": "overhead_frac",
-                 "value": 0.01},
-                {"workload": "int_idle", "metric": "overhead_frac",
-                 "value": 0.10},
-                {"workload": "isolation", "metric": "wall_seconds",
-                 "value": 1.5},
-            ],
-        }
-        path = tmp_path / "BENCH_kernel.json"
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_passing_summary(self, capsys, tmp_path):
-        path = self._fake_bench(tmp_path, eps=50000)
-        assert main(["bench-report", "--bench", path]) == 0
-        out = capsys.readouterr().out
-        assert "gated checks, 0 failing" in out
-        assert "isolation [events_per_sec]" in out
-        assert "-> ok" in out
-
-    def test_regression_fails(self, capsys, tmp_path):
-        path = self._fake_bench(tmp_path, eps=100)  # way below floor
-        with pytest.raises(SystemExit):
-            main(["bench-report", "--bench", path])
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
