@@ -30,7 +30,7 @@ Three mechanisms enforce it:
 
 * **Quiescence.**  A train only forms when
   :meth:`~repro.sim.kernel.Simulator.train_horizon` yields a horizon: no
-  same-timestamp FIFO event pending, no after-event hooks (telemetry
+  live event due at ``now`` itself, no after-event hooks (telemetry
   probes observe every intermediate step, so their presence disables
   trains entirely), and every mutation timestamp strictly below the next
   heap event and the current ``run()`` deadline.  The deadline bound is

@@ -9,18 +9,19 @@ Determinism: events that share a timestamp fire in scheduling order (a
 monotonic sequence number breaks ties), so a run with a fixed RNG seed is
 exactly reproducible.
 
-Fast lanes
-----------
+One queue, one loop
+-------------------
 
-The kernel keeps the (when, seq) firing order bit-identical while cutting
-the Python-level cost per event:
+Every event, zero-delay ones included, is a ``(when, seq, event)`` tuple
+on one heap, so the (when, seq) firing order holds by construction and
+``heapq`` compares C-level ints instead of calling :meth:`Event.__lt__`.
+:meth:`Simulator.run` has one drain loop -- peek the head, stop on the
+deadline or the event budget, pop, fire -- that serves unbounded,
+bounded, observed and single-step (:meth:`Simulator.step`) execution
+alike.  Two mechanisms cut the per-event cost without touching that
+order, each kept because removing it measured slower (EXPERIMENTS.md
+E22):
 
-* heap entries are ``(when, seq, event)`` tuples, so ``heapq`` compares
-  C-level ints instead of calling :meth:`Event.__lt__`;
-* events scheduled *at the current timestamp* bypass the heap entirely and
-  ride a FIFO lane -- their sequence numbers are necessarily larger than
-  anything already pending at ``now``, except same-timestamp heap entries,
-  which the pop logic orders by ``seq`` across both lanes;
 * fired events are recycled through a small free list instead of being
   reallocated (only when no outside reference is held, so ``cancel()``
   handles stay safe);
@@ -46,7 +47,7 @@ _COMPACT_MIN = 1024
 
 
 class SimError(RuntimeError):
-    """Raised for kernel misuse (time travel, running a finished sim, ...)."""
+    """Raised for kernel misuse (scheduling in the past, duplicate names, ...)."""
 
 
 class DeadlockError(SimError):
@@ -78,7 +79,8 @@ class Event:
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
+        """Prevent the event from firing.  Idempotent, and a no-op on an
+        event that already fired (the kernel detached it)."""
         if not self.cancelled:
             self.cancelled = True
             sim = self._sim
@@ -101,13 +103,9 @@ class Simulator:
         self.now: int = 0
         # Heap entries are (when, seq, event) so comparisons stay in C.
         self._heap: List[Tuple[int, int, Event]] = []
-        # Same-timestamp lane: events scheduled at exactly `now` in FIFO
-        # (= seq) order; drains before time can advance.
-        self._fifo: Deque[Event] = deque()
         self._seq: int = 0
         self._components: Dict[str, "Component"] = {}
         self._events_fired: int = 0
-        self._finished = False
         self._pool: List[Event] = []
         self._cancelled_pending = 0
         # Deadline of the run() call currently executing (None when the
@@ -118,8 +116,7 @@ class Simulator:
         # why trains can never leak across shard barriers.
         self._run_until: Optional[int] = None
         # Passive observers called after every fired event (telemetry
-        # probes).  Empty on the hot path: run()'s inlined drain loop is
-        # taken only when no hooks are installed.
+        # probes).
         self._after_hooks: List[Callable[[int], None]] = []
         # Deferred slots: callbacks run after the currently-executing
         # event's callback returns, when the event schedule is sealed.
@@ -127,14 +124,11 @@ class Simulator:
         # (see defer()).
         self._deferred: Deque[Tuple[Callable[..., None], tuple]] = deque()
         # Optional caller-owned list of the distinct timestamps of fired
-        # events (step()).  The speculative shard runtime installs one
-        # to detect execution past a commit point; None keeps the hot
-        # path branch-free enough to be unmeasurable.
+        # events.  The speculative shard runtime installs one to detect
+        # execution past a commit point.
         self._fired_log: Optional[List[int]] = None
         # Optional caller-owned wall-time attribution sink: component
-        # name -> [calls, seconds].  None (default) keeps the hot path
-        # on the inlined drain loop with zero profiling cost; a sink
-        # routes every event through step()'s perf_counter wrap.
+        # name -> [calls, seconds]; None (default) times nothing.
         self._profile: Optional[Dict[str, list]] = None
 
     # ------------------------------------------------------------------
@@ -186,10 +180,7 @@ class Simulator:
             event.cancelled = False
         else:
             event = Event(when, seq, fn, args, self)
-        if when == self.now:
-            self._fifo.append(event)
-        else:
-            heapq.heappush(self._heap, (when, seq, event))
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def schedule_at(self, when_ps: int, fn: Callable[..., None], *args: Any) -> Event:
@@ -211,12 +202,7 @@ class Simulator:
             event.cancelled = False
         else:
             event = Event(when, seq, fn, args, self)
-        if when == self.now:
-            # FIFO lane: seq order equals append order, and every entry
-            # shares the current timestamp, so no heap needed.
-            self._fifo.append(event)
-        else:
-            heapq.heappush(self._heap, (when, seq, event))
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def defer(self, fn: Callable[..., None], *args: Any) -> None:
@@ -265,11 +251,9 @@ class Simulator:
     def commit_event(self, event: Event) -> None:
         """Enqueue an event from :meth:`make_event`.
 
-        Always heap-bound, even at ``when == now``: the pop loops break
-        same-timestamp ties between the heap and the FIFO lane by
-        sequence number, so an old-seq event committed late still fires
-        in its reserved order (the FIFO deque alone could not host it --
-        its order is append order).
+        The heap orders it by the sequence number it reserved, so an
+        old-seq event committed late -- even at ``when == now`` -- still
+        fires ahead of every same-timestamp event scheduled since.
         """
         heapq.heappush(self._heap, (event.when, event.seq, event))
 
@@ -285,10 +269,10 @@ class Simulator:
         Hooks are pure *observers*: they must not schedule or cancel
         events, advance time, or mutate component state -- the kernel
         gives no ordering or reentrancy guarantees beyond "after the
-        event's callback returned".  Installing any hook routes ``run()``
-        through the generic step loop instead of the inlined drain loop
-        (identical semantics, measurably slower), which is why telemetry
-        installs one only when probes are actually configured.
+        event's callback returned".  A hook costs one Python call per
+        fired event and forbids train rides (:meth:`train_horizon`),
+        which is why telemetry installs one only when probes are
+        actually configured.
         """
         self._after_hooks.append(hook)
 
@@ -298,87 +282,43 @@ class Simulator:
 
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
-        heap = self._heap
         if (self._cancelled_pending > _COMPACT_MIN
-                and self._cancelled_pending * 2 > len(heap) + len(self._fifo)):
+                and self._cancelled_pending * 2 > len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
         """Drop lazily-cancelled events so heap ops track live work.
 
-        Mutates the heap list and FIFO deque *in place*: the drain loop in
-        :meth:`run` holds local aliases to both across callback invocations.
+        Mutates the heap list *in place*: the drain loop in :meth:`run`
+        holds a local alias to it across callback invocations.
         """
         live = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(live)
         self._heap[:] = live
-        if any(event.cancelled for event in self._fifo):
-            survivors = [e for e in self._fifo if not e.cancelled]
-            self._fifo.clear()
-            self._fifo.extend(survivors)
         self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def _pop_next(self) -> Optional[Event]:
-        """Pop the next live event across both lanes, or None."""
-        heap = self._heap
-        fifo = self._fifo
-        while heap or fifo:
-            if fifo:
-                head = fifo[0]
-                if heap:
-                    when, seq, _ = heap[0]
-                    # FIFO entries sit at the current timestamp; a heap
-                    # entry wins only with the same `when` and older seq.
-                    if when < head.when or (when == head.when and seq < head.seq):
-                        head = heapq.heappop(heap)[2]
-                    else:
-                        fifo.popleft()
-                else:
-                    fifo.popleft()
-            else:
-                head = heapq.heappop(heap)[2]
-            if head.cancelled:
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
-                if len(self._pool) < _POOL_MAX and sys.getrefcount(head) == 2:
-                    head.fn = None
-                    head.args = ()
-                    self._pool.append(head)
-                continue
-            return head
-        return None
-
-    def _peek_when(self) -> Optional[int]:
-        """Timestamp of the next live event, discarding cancelled heads."""
-        fifo = self._fifo
-        while fifo and fifo[0].cancelled:
-            fifo.popleft()
-            if self._cancelled_pending:
-                self._cancelled_pending -= 1
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            if self._cancelled_pending:
-                self._cancelled_pending -= 1
-        if fifo and (not heap or heap[0][0] >= fifo[0].when):
-            return fifo[0].when
-        if heap:
-            return heap[0][0]
-        return None
-
     def next_event_ps(self) -> Optional[int]:
         """Timestamp of the next live event, or None when drained.
 
-        Used by the sharded runner (:mod:`repro.sim.shard`) to compute
-        conservative synchronization windows: a shard whose next event is
-        at ``t`` cannot emit anything onto a cross-shard wire before
-        ``t``, so every shard may safely run to ``min_t + lookahead``.
+        Cancelled events at the head of the heap are discarded on the
+        way.  Used by the sharded runner (:mod:`repro.sim.shard`) to
+        compute conservative synchronization windows: a shard whose next
+        event is at ``t`` cannot emit anything onto a cross-shard wire
+        before ``t``, so every shard may safely run to
+        ``min_t + lookahead``.
         """
-        return self._peek_when()
+        heap = self._heap
+        while heap:
+            if not heap[0][2].cancelled:
+                return heap[0][0]
+            heapq.heappop(heap)
+            if self._cancelled_pending:
+                self._cancelled_pending -= 1
+        return None
 
     def train_horizon(self) -> Optional[float]:
         """First instant a train ride may *not* touch.
@@ -388,17 +328,19 @@ class Simulator:
         horizon itself a pending event (necessarily carrying an older
         sequence number) would fire first under scalar execution and
         could observe the pre-mutation state.  Returns ``None`` when the
-        simulator is not quiescent -- a same-timestamp FIFO event is
-        still pending, or after-event hooks (telemetry probes) are
+        simulator is not quiescent -- the next live event is due at
+        ``now`` itself, or after-event hooks (telemetry probes) are
         installed and must observe every intermediate step.  Returns
         ``inf`` for a fully drained, unbounded run.
 
         ``run(until_ps=...)`` fires events *at* ``until_ps``, so the
         horizon inside a bounded window is ``until_ps + 1``.
         """
-        if self._fifo or self._after_hooks:
+        if self._after_hooks:
             return None
-        nxt = self._peek_when()
+        nxt = self.next_event_ps()
+        if nxt == self.now:
+            return None
         horizon: float = float("inf") if nxt is None else nxt
         if self._run_until is not None and self._run_until + 1 < horizon:
             horizon = self._run_until + 1
@@ -418,7 +360,8 @@ class Simulator:
         to locate the first rolled-back timestamp; a ride that boards
         below the commit point and runs past it escapes that check
         (DESIGN.md section 15, "Known hole").  The caller owns the list
-        and may clear it between windows.
+        and may clear it between windows; ``run()`` reads the setting on
+        entry.
         """
         self._fired_log = log
 
@@ -433,8 +376,9 @@ class Simulator:
         of *this* process, not simulated state -- they are
         nondeterministic and must never feed reports that are compared
         across execution modes.  Simulated results are bit-identical
-        with a sink installed or not (the sink only reroutes ``run()``
-        off the inlined drain loop, which preserves firing order).
+        with a sink installed or not (the timing wraps the callback; it
+        does not touch firing order).  ``run()`` reads the setting on
+        entry.
         """
         self._profile = sink
 
@@ -452,8 +396,9 @@ class Simulator:
         """Move ``now`` *backward* to a quiescent instant.
 
         Only legal when nothing separates the two clock readings: no
-        same-timestamp FIFO events, no deferred slots, and no pending
-        event earlier than the target.  The speculative shard runtime
+        deferred slots and no pending event earlier than the target (an
+        event due at the old ``now`` is an ordinary future event once
+        the clock is back at the target).  The speculative shard runtime
         rewinds a cleanly-committed shard from its speculation horizon
         back to the commit point so the next window's cross-shard
         deliveries (all at or beyond the commit point) schedule onto a
@@ -465,9 +410,9 @@ class Simulator:
             raise SimError(
                 f"rewind_clock cannot move forwards ({when} > {self.now})"
             )
-        if self._fifo or self._deferred:
-            raise SimError("rewind_clock with same-timestamp work pending")
-        nxt = self._peek_when()
+        if self._deferred:
+            raise SimError("rewind_clock with deferred slots pending")
+        nxt = self.next_event_ps()
         if nxt is not None and nxt < when:
             raise SimError(
                 f"rewind_clock past a pending event ({nxt} < {when})"
@@ -476,49 +421,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if none remain."""
-        event = self._pop_next()
-        if event is None:
-            return False
-        when = event.when
-        if when < self.now:
-            raise SimError("event heap corrupted: time went backwards")
-        self.now = when
-        self._events_fired += 1
-        log = self._fired_log
-        if log is not None and (not log or log[-1] != when):
-            log.append(when)
-        fn = event.fn
-        args = event.args
-        profile = self._profile
-        if profile is None:
-            fn(*args)
-        else:
-            t0 = _perf_counter()
-            fn(*args)
-            elapsed = _perf_counter() - t0
-            try:
-                key = fn.__self__.name
-            except AttributeError:
-                key = getattr(fn, "__qualname__", repr(fn))
-            cell = profile.get(key)
-            if cell is None:
-                profile[key] = [1, elapsed]
-            else:
-                cell[0] += 1
-                cell[1] += elapsed
-        # Recycle the Event unless the caller kept the schedule() handle
-        # (refcount: this local + getrefcount's argument).
-        if len(self._pool) < _POOL_MAX and sys.getrefcount(event) == 2:
-            event.fn = None
-            event.args = ()
-            self._pool.append(event)
-        if self._deferred:
-            self._drain_deferred()
-        if self._after_hooks:
-            now = self.now
-            for hook in self._after_hooks:
-                hook(now)
-        return True
+        return self.run(max_events=1) == 1
 
     def run(
         self,
@@ -532,7 +435,9 @@ class Simulator:
         Returns the number of events fired by this call.  When ``until_ps``
         is given, simulated time is advanced to exactly ``until_ps`` even if
         the heap drains earlier, so back-to-back ``run`` calls see a
-        consistent clock.
+        consistent clock.  (A budget spent with an event still due inside
+        the window leaves the clock at the last fired event instead, so
+        the same call can be repeated to resume.)
 
         ``on_max_events`` controls what happens when the event budget is
         exhausted with live events still pending: ``"return"`` (default)
@@ -540,55 +445,63 @@ class Simulator:
         :meth:`pending_summary` -- a budget exhausted with work pending is
         almost always a deadlock or a credit leak, and the summary names
         the callbacks keeping the heap alive.
+
+        The fired log and the profile sink are read on entry: one
+        installed by a callback takes effect at the next ``run()``.
         """
         if on_max_events not in ("return", "raise"):
             raise SimError(
                 f"on_max_events must be 'return' or 'raise', got {on_max_events!r}"
             )
         fired = 0
+        bounded = until_ps is not None
+        budget = -1 if max_events is None else max(max_events, 0)
+        # ``_compact`` mutates the heap in place, keeping the alias valid.
+        heap = self._heap
+        pool = self._pool
+        deferred = self._deferred
+        hooks = self._after_hooks
+        log = self._fired_log
+        profile = self._profile
+        watched = log is not None or profile is not None
+        heappop = heapq.heappop
+        getrefcount = sys.getrefcount
         # Expose the window deadline to the train lane for the duration
         # of this call (None = unbounded); see train_horizon().
         self._run_until = until_ps
-        if self._deferred:
-            # Slots queued by calls made outside the event loop (e.g. a
-            # direct nic.inject before run()): the caller's schedule is
-            # sealed once run() is entered.
-            self._drain_deferred()
-        if (until_ps is None and max_events is None
-                and not self._after_hooks and self._fired_log is None
-                and self._profile is None):
-            # No deadline, no budget, no observers: drain with the
-            # pop/fire machinery of step()/_pop_next() inlined -- two call
-            # levels per event is measurable at this volume.  ``_compact``
-            # mutates the heap and FIFO in place, keeping the local
-            # aliases valid.  (After-event hooks route through the
-            # generic step() loop below instead.)
-            heap = self._heap
-            fifo = self._fifo
-            pool = self._pool
-            deferred = self._deferred
-            heappop = heapq.heappop
-            getrefcount = sys.getrefcount
+        try:
+            if deferred:
+                # Slots queued by calls made outside the event loop (e.g.
+                # a direct nic.inject before run()): the caller's schedule
+                # is sealed once run() is entered.
+                self._drain_deferred()
+            # Shape measured, not understood (EXPERIMENTS.md E22): the
+            # flat ``while heap: ... continue`` form of this loop read 9 %
+            # slower on chain_sparse; dropping ``event`` before the next
+            # peek, as here, reads parity with the two-lane kernel.
             while True:
                 event = None
-                while heap or fifo:
-                    if fifo:
-                        event = fifo[0]
-                        if heap:
-                            # Subscript (rather than unpack) the heap head:
-                            # a lingering local reference to its event
-                            # would defeat the refcount-gated recycling.
-                            hw = heap[0][0]
-                            if hw < event.when or (
-                                hw == event.when and heap[0][1] < event.seq
-                            ):
-                                event = heappop(heap)[2]
-                            else:
-                                fifo.popleft()
-                        else:
-                            fifo.popleft()
-                    else:
-                        event = heappop(heap)[2]
+                while heap:
+                    if fired == budget:
+                        head_when = self.next_event_ps()
+                        if head_when is not None:
+                            if on_max_events == "raise":
+                                raise DeadlockError(
+                                    f"run() exhausted max_events={max_events} at "
+                                    f"{format_time(self.now)} with work still "
+                                    f"pending (likely deadlock or livelock)\n"
+                                    + self.pending_summary()
+                                )
+                            if not bounded or head_when <= until_ps:
+                                # Window unfinished: the clock stays at
+                                # the last fired event for a resumption.
+                                return fired
+                        break
+                    # Subscript the head, never unpack it: a local holding
+                    # its event would defeat the refcount-gated recycling.
+                    if bounded and heap[0][0] > until_ps:
+                        break
+                    event = heappop(heap)[2]
                     if event.cancelled:
                         if self._cancelled_pending:
                             self._cancelled_pending -= 1
@@ -609,35 +522,46 @@ class Simulator:
                 fired += 1
                 fn = event.fn
                 args = event.args
-                fn(*args)
+                if not watched:
+                    fn(*args)
+                else:
+                    if log is not None and (not log or log[-1] != when):
+                        log.append(when)
+                    if profile is None:
+                        fn(*args)
+                    else:
+                        t0 = _perf_counter()
+                        fn(*args)
+                        elapsed = _perf_counter() - t0
+                        try:
+                            key = fn.__self__.name
+                        except AttributeError:
+                            key = getattr(fn, "__qualname__", repr(fn))
+                        cell = profile.get(key)
+                        if cell is None:
+                            profile[key] = [1, elapsed]
+                        else:
+                            cell[0] += 1
+                            cell[1] += elapsed
+                # Recycle the Event unless the caller kept the schedule()
+                # handle (refcount: this local + getrefcount's argument);
+                # a kept handle is detached, so a late cancel() cannot
+                # count a cancellation that is no longer pending.
                 if len(pool) < _POOL_MAX and getrefcount(event) == 2:
                     event.fn = None
                     event.args = ()
                     pool.append(event)
+                else:
+                    event._sim = None
                 if deferred:
                     self._drain_deferred()
-            return fired
-        try:
-            while True:
-                head_when = self._peek_when()
-                if head_when is None:
-                    break
-                if max_events is not None and fired >= max_events:
-                    if on_max_events == "raise" and self.live_pending_events:
-                        raise DeadlockError(
-                            f"run() exhausted max_events={max_events} at "
-                            f"{format_time(self.now)} with work still pending "
-                            f"(likely deadlock or livelock)\n"
-                            + self.pending_summary()
-                        )
-                    break
-                if until_ps is not None and head_when > until_ps:
-                    break
-                if self.step():
-                    fired += 1
+                if hooks:
+                    now = self.now
+                    for hook in hooks:
+                        hook(now)
         finally:
             self._run_until = None
-        if until_ps is not None and self.now < until_ps:
+        if bounded and self.now < until_ps:
             self.now = until_ps
         return fired
 
@@ -649,9 +573,7 @@ class Simulator:
         ``_complete`` that never delivers) rather than a bare number.
         """
         groups: Dict[str, List[int]] = {}
-        pending = [entry[2] for entry in self._heap]
-        pending.extend(self._fifo)
-        for event in pending:
+        for _, _, event in self._heap:
             if event.cancelled:
                 continue
             name = getattr(event.fn, "__qualname__", repr(event.fn))
@@ -671,8 +593,7 @@ class Simulator:
     @property
     def live_pending_events(self) -> int:
         """Number of non-cancelled events still in the heap."""
-        live = sum(1 for entry in self._heap if not entry[2].cancelled)
-        return live + sum(1 for event in self._fifo if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     @property
     def events_fired(self) -> int:
@@ -682,7 +603,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still in the heap (including cancelled ones)."""
-        return len(self._heap) + len(self._fifo)
+        return len(self._heap)
 
     def __repr__(self) -> str:
         return (

@@ -43,7 +43,7 @@ class TelemetryConfig:
 
     #: Simulated-time cadence for component probes (gauges), in ps.
     #: ``0`` disables probes entirely -- no kernel hook is installed, so
-    #: the event loop keeps its fully inlined drain path.
+    #: the event loop makes no call per event and train rides stay legal.
     probe_period_ps: int = 0
 
     #: Bound on retained samples per probe time-series.

@@ -1,0 +1,192 @@
+"""The kernel's (when, seq) contract over generated schedules.
+
+Hypothesis draws a *program*: a tree of kernel calls, each node run once,
+either up front or from inside the callback of its parent.  The same
+program is played against :class:`Oracle` -- a reference kernel that
+keeps a plain list and fires ``min`` by ``(when, seq)`` -- and against
+the real :class:`Simulator` under every way of driving it: one
+``run()``, ``run(until_ps=, max_events=)`` windows of drawn widths and
+budgets with resumption, and a ``while sim.step()`` loop.  Firing order,
+``now`` at each firing, ``events_fired`` and the clock after each window
+must all agree.
+
+Zero delays are over-represented (same-timestamp ties are where a
+kernel's ordering can go wrong), ``tie`` nodes aim ``schedule_at`` at the
+timestamp of an event that is already pending, ``make`` nodes reserve a
+sequence number and enqueue it late -- after younger same-timestamp
+events exist -- and ``cancel`` nodes hit pending, fired and
+already-cancelled handles alike.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import Simulator
+
+
+class Oracle:
+    """Reference kernel: live entries in a list, fire the (when, seq) min."""
+
+    class Entry:
+        def __init__(self, when, seq, fn, args):
+            self.when, self.seq, self.fn, self.args = when, seq, fn, args
+            self.cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self.now = self.seq = self.events_fired = 0
+        self.pending, self.deferred = [], []
+
+    def make_event(self, when, fn, *args):
+        self.seq += 1
+        return self.Entry(when, self.seq, fn, args)
+
+    def commit_event(self, entry):
+        self.pending.append(entry)
+
+    def schedule_at(self, when, fn, *args):
+        entry = self.make_event(when, fn, *args)
+        self.pending.append(entry)
+        return entry
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def defer(self, fn, *args):
+        self.deferred.append((fn, args))
+
+    def run(self):
+        while True:
+            while self.deferred:
+                fn, args = self.deferred.pop(0)
+                fn(*args)
+            live = [e for e in self.pending if not e.cancelled]
+            if not live:
+                return
+            entry = min(live, key=lambda e: (e.when, e.seq))
+            self.pending.remove(entry)
+            self.now = entry.when
+            self.events_fired += 1
+            entry.fn(*entry.args)
+
+
+# -- programs ---------------------------------------------------------------
+
+DELAYS = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 40))
+
+
+def _nodes(children):
+    return st.lists(st.one_of(
+        st.tuples(st.just("schedule"), DELAYS, st.booleans(), children),
+        st.tuples(st.just("tie"), st.integers(0, 15), children),
+        st.tuples(st.just("cancel"), st.integers(0, 15)),
+        st.tuples(st.just("make"), DELAYS,
+                  st.sampled_from(("drop", "commit", "defer")), children),
+        st.tuples(st.just("defer"), children),
+    ), max_size=4)
+
+
+PROGRAMS = st.recursive(st.just([]), _nodes, max_leaves=30)
+
+
+def play(sim, nodes, path, trace, handles):
+    """Issue ``nodes`` against ``sim`` at its current instant.
+
+    A node's label is its path in the tree, so two kernels that fire the
+    same callbacks in a different order produce different traces.
+    """
+    late = []
+    for index, node in enumerate(nodes):
+        label = path + (index,)
+
+        def fire(label=label, children=node[-1]):
+            trace.append((label, sim.now))
+            play(sim, children, label, trace, handles)
+
+        kind = node[0]
+        if kind == "schedule":
+            handle = sim.schedule(node[1], fire)
+            if node[2]:
+                handles.append(handle)
+        elif kind == "tie":
+            # An absolute timestamp some handle already holds (pending or
+            # not), clamped to the present.
+            when = handles[node[1] % len(handles)].when if handles else 0
+            handles.append(sim.schedule_at(max(when, sim.now), fire))
+        elif kind == "cancel":
+            if handles:
+                handles[node[1] % len(handles)].cancel()
+        elif kind == "make":
+            event = sim.make_event(sim.now + node[1], fire)
+            if node[2] == "commit":
+                late.append(event)  # enqueued after its younger siblings
+            elif node[2] == "defer":
+                sim.defer(sim.commit_event, event)
+        else:
+            sim.defer(fire)
+    for event in late:
+        sim.commit_event(event)
+
+
+def expected(program):
+    oracle, trace = Oracle(), []
+    play(oracle, program, (), trace, [])
+    oracle.run()
+    return trace, oracle
+
+
+@settings(max_examples=120, deadline=None)
+@given(PROGRAMS)
+def test_run_fires_in_when_seq_order(program):
+    want, oracle = expected(program)
+    sim, trace = Simulator(), []
+    play(sim, program, (), trace, [])
+    assert sim.run() == oracle.events_fired
+    assert trace == want
+    assert sim.events_fired == oracle.events_fired
+    assert sim.now == oracle.now
+    assert sim.next_event_ps() is None and sim.live_pending_events == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(PROGRAMS)
+def test_step_loop_equals_run(program):
+    want, oracle = expected(program)
+    sim, trace = Simulator(), []
+    play(sim, program, (), trace, [])
+    while sim.step():
+        pass
+    sim.run()  # slots deferred by a program that schedules no event
+    assert trace == want
+    assert (sim.events_fired, sim.now) == (oracle.events_fired, oracle.now)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PROGRAMS,
+       st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.lists(st.integers(1, 5), min_size=1, max_size=3))
+def test_bounded_windows_with_resumption_equal_run(program, widths, budgets):
+    want, oracle = expected(program)
+    sim, trace = Simulator(), []
+    play(sim, program, (), trace, [])
+    until = calls = 0
+    while sim.next_event_ps() is not None or not calls:
+        until += widths[calls % len(widths)]
+        while True:  # one window, resumed until its budget suffices
+            budget = budgets[calls % len(budgets)]
+            before = sim.now
+            fired = sim.run(until_ps=until, max_events=budget)
+            calls += 1
+            assert fired <= budget
+            assert len(trace) <= len(want) and trace == want[:len(trace)]
+            nxt = sim.next_event_ps()
+            if nxt is None or nxt > until:
+                assert sim.now == until  # window complete: clock lands on it
+                break
+            # Stopped early: only an exhausted budget may leave an event
+            # due inside the window, and the clock stays where it fired.
+            assert fired == budget
+            assert sim.now == (trace[-1][1] if fired else before)
+    assert trace == want
+    assert sim.events_fired == oracle.events_fired

@@ -84,6 +84,26 @@ class TestCancellation:
         assert fired == ["keep1", "keep2"]
 
 
+    def test_cancel_after_fire_counts_nothing_pending(self, sim):
+        handles = [sim.schedule(1 + i, lambda: None) for i in range(3000)]
+        sim.run()
+        for handle in handles:
+            handle.cancel()
+        assert sim._cancelled_pending == 0
+        assert sim.pending_events == 0
+
+    def test_cancel_pending_still_counts_and_stays_idempotent(self, sim):
+        fired = []
+        victim = sim.schedule(10, fired.append, "gone")
+        sim.schedule(10, fired.append, "kept")
+        victim.cancel()
+        victim.cancel()
+        assert sim._cancelled_pending == 1
+        assert sim.run() == 1
+        assert fired == ["kept"]
+        assert sim._cancelled_pending == 0
+
+
 class TestRunControl:
     def test_run_until_stops_at_boundary(self, sim):
         fired = []
@@ -112,6 +132,53 @@ class TestRunControl:
 
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
+
+    @pytest.mark.parametrize("drive", [
+        lambda sim: sim.run(), lambda sim: sim.step()], ids=["run", "step"])
+    def test_deferred_slot_runs_before_the_next_event(self, sim, drive):
+        order = []
+        sim.schedule(10, lambda: order.append(("event", sim.now)))
+        sim.defer(lambda: order.append(("slot", sim.now)))
+        drive(sim)
+        assert order == [("slot", 0), ("event", 10)]
+
+    def test_budget_spent_inside_a_window_can_be_resumed(self, sim):
+        fired = []
+        for i in range(6):
+            sim.schedule(10 * (i + 1), fired.append, i)
+        assert sim.run(until_ps=45, max_events=3) == 3
+        assert sim.now == 30  # event 3 is still due inside the window
+        assert sim.run(until_ps=45, max_events=3) == 1
+        assert sim.now == 45
+        assert sim.run(until_ps=100) == 2
+        assert fired == list(range(6))
+
+    def test_run_until_is_visible_to_train_horizon_and_cleared(self, sim):
+        seen = []
+        sim.schedule(10, lambda: seen.append(sim.train_horizon()))
+        sim.run(until_ps=50)
+        assert seen == [51] and sim._run_until is None
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        sim.schedule(10, boom)
+        with pytest.raises(RuntimeError):
+            sim.run(until_ps=500)
+        assert sim._run_until is None
+
+    def test_train_horizon_is_none_while_an_event_is_due_now(self, sim):
+        seen = []
+
+        def probe():
+            seen.append(sim.train_horizon())
+            sim.schedule(0, lambda: None)
+            seen.append(sim.train_horizon())
+
+        sim.schedule(10, probe)
+        sim.schedule(25, lambda: None)
+        sim.run()
+        assert seen == [25, None]
 
     def test_events_fired_counter(self, sim):
         for i in range(5):
