@@ -101,20 +101,22 @@ class PanicConfig:
     verify_checksums: bool = False
 
     # Optional explicit engine placement: engine key -> (x, y) tile.
-    # Keys: "eth0"..., "rmt", "dma", "pcie", and offload names.  Engines
+    # Keys: "eth0"..., "rmt" ("rmt1"... for further tiles), "dma",
+    # "pcie", and offload names; any other key is an error.  Engines
     # without an entry fall back to the default Figure-3c layout.  See
     # repro.noc.placement for optimizers that produce these maps.
     placement: Optional[Dict[str, Tuple[int, int]]] = None
 
     # Batched execution (repro.core.train): a trajectory train replays
-    # one frame's whole path in one kernel event over a quiescent
-    # window, boarding at RX arrival or, absorbing the arrival event
-    # too, at the wire inject.  Same equivalence contract as fast_path
-    # and rmt_memo -- stats, timestamps, deliveries, and RNG draws are
+    # one frame's whole path inside its RX-arrival event, over a
+    # quiescent window.  Same equivalence contract as fast_path and
+    # rmt_memo -- stats, timestamps, deliveries, and RNG draws are
     # bit-identical with it on or off; trains break up (refuse or hand
     # off to the scalar machinery) whenever contention, armed faults,
     # sampled telemetry, or a run()/shard window boundary could observe
-    # an intermediate state.
+    # an intermediate state.  Settings under which no frame could ever
+    # board (pointer-mode payloads, telemetry probes, tracing every
+    # frame, INT) are refused at build time.
     batch_execution: bool = False
 
     # In-sim telemetry (repro.telemetry): per-packet spans + component
@@ -156,11 +158,53 @@ class PanicConfig:
             raise ValueError(f"duplicate offload names in {self.offloads}")
         if self.rmt_tiles < 1:
             raise ValueError(f"need at least one RMT tile, got {self.rmt_tiles}")
+        stray = sorted(set(self.offload_params) - set(self.offloads))
+        if stray:
+            raise ValueError(
+                f"offload_params for {stray}, which are not in offloads "
+                f"{self.offloads}"
+            )
+        tile_keys = [
+            *(f"eth{i}" for i in range(self.ports)),
+            "rmt", *(f"rmt{k}" for k in range(1, self.rmt_tiles)),
+            "dma", "pcie", *self.offloads,
+        ]
+        stray = sorted(set(self.placement or ()) - set(tile_keys))
+        if stray:
+            raise ValueError(
+                f"placement for {stray}, which this NIC does not build; "
+                f"valid keys: {tile_keys}"
+            )
         tiles_needed = self.ports + 2 + self.rmt_tiles + len(self.offloads)
         if tiles_needed > self.mesh_width * self.mesh_height:
             raise ValueError(
                 f"{tiles_needed} engines do not fit a "
                 f"{self.mesh_width}x{self.mesh_height} mesh"
+            )
+        if self.batch_execution:
+            self._check_trains_can_board()
+
+    def _check_trains_can_board(self) -> None:
+        """A train lane that refuses every frame is a silent fallback
+        to scalar execution: name the setting that forbids all rides."""
+        telemetry = self.telemetry
+        if telemetry is not None and not telemetry.enabled:
+            telemetry = None
+        blocker = None
+        if self.payload_mode == "pointer":
+            blocker = ("payload_mode='pointer' (the MAC parks every "
+                       "payload before a frame could board)")
+        elif telemetry is not None and telemetry.probe_period_ps > 0:
+            blocker = ("telemetry.probe_period_ps > 0 (the probe hook "
+                       "must observe every event)")
+        elif telemetry is not None and telemetry.sample_every == 1:
+            blocker = "telemetry.sample_every=1 (every frame is traced)"
+        elif self.int_ is not None and self.int_.enabled:
+            blocker = "int_ (every Ethernet frame carries an INT stack)"
+        if blocker is not None:
+            raise ValueError(
+                f"batch_execution=True with {blocker}: no frame could "
+                f"ever ride a train; drop one of the two"
             )
 
     @property

@@ -17,9 +17,11 @@ classification, every chain engine, DMA, and PCIe -- committing the same
 state mutations the scalar path would, at the same simulated timestamps,
 by shifting the kernel clock forward inside the event before each
 genuine ``handle``/``decide``/``service_time_ps`` call.  A frame boards
-at one of two instants: at RX arrival (:meth:`TrainLane.try_ride`), or
-already at the wire inject, absorbing the arrival event as well
-(:meth:`TrainLane.deferred_wire_ride`).
+at exactly one instant, its RX arrival at the MAC
+(:meth:`TrainLane.try_ride`, the last statement of
+``EthernetPort._rx_arrival``): an uncontended ``chain_sparse`` frame
+then costs 4 kernel events (its injection, the arrival that carries the
+ride, the PCIe coalescing timer, the host's software pass) against 27.
 
 Equivalence contract
 --------------------
@@ -66,7 +68,6 @@ from typing import Dict, List, Optional
 
 from repro.engines.base import Engine
 from repro.engines.checksum_engine import ChecksumEngine, _rx_verdict
-from repro.engines.ethernet import EthernetPort
 from repro.engines.rmt_engine import RmtPipelineEngine
 from repro.noc.express import account_forwards, account_hops
 from repro.noc.message import NocMessage, _message_ids
@@ -86,8 +87,6 @@ _CONTROL = MessageKind.CONTROL
 _CHECKSUM_HANDLE = ChecksumEngine.handle
 _CHECKSUM_SVC = ChecksumEngine.service_time_ps
 _TX = Direction.TX
-_RX = Direction.RX
-_STOCK_RX_ARRIVAL = EthernetPort._rx_arrival
 
 
 class TrainLane:
@@ -189,10 +188,9 @@ class TrainLane:
         """Would the scalar path serve ``packet`` at ``engine``
         immediately, with no interference the lane cannot replay?
 
-        The boarding check of both once-per-frame entry points
-        (:meth:`try_ride`, :meth:`try_wire_ride`); :meth:`_ride` inlines
-        these exact tests once per hop.  On True, ``_kinds`` and
-        ``_routers`` hold the engine's entries."""
+        The once-per-frame boarding check of :meth:`try_ride`;
+        :meth:`_ride` inlines these exact tests once per hop.  On True,
+        ``_kinds`` and ``_routers`` hold the engine's entries."""
         ann = packet.meta.annotations
         if "__trace__" in ann or "__int__" in ann:
             # Sampled telemetry must observe every intermediate span,
@@ -242,77 +240,6 @@ class TrainLane:
         now = sim.now
         self._ride(port, self._kinds[key], self._routers[key], packet, now,
                    mid, addr, addr, now, 0)
-        return True
-
-    def deferred_wire_ride(self, port, packet: Packet, t_arr: int,
-                           event) -> None:
-        """Try to absorb an un-enqueued wire-arrival event as a train.
-
-        :meth:`EthernetPort.inject_rx` allocates the per-frame
-        ``_rx_arrival`` event (reserving its sequence number, hence
-        every same-timestamp tie) without enqueuing it, and defers this
-        attempt via :meth:`Simulator.defer`.  The kernel runs it only
-        after the *injecting* event's callback has fully returned, when
-        the event schedule is sealed: anything that callback scheduled
-        after the inject call is now pending and bounds the horizon,
-        which an inline ride at inject time could never see.  On success
-        the event is simply dropped; on refusal it is committed and
-        fires exactly as if scheduled at inject time (getting its own
-        :meth:`try_ride` chance at arrival time).
-        """
-        sim = self.sim
-        if sim._deferred:
-            # Another slot is queued behind this one (several injections
-            # in one callback): its own un-enqueued arrival is invisible
-            # to the horizon, so only the last slot of a drain may ride.
-            self.refusals += 1
-            sim.commit_event(event)
-            return
-        horizon = sim.train_horizon()
-        if horizon is None or t_arr >= horizon:
-            self.refusals += 1
-            sim.commit_event(event)
-            return
-        if not self.try_wire_ride(port, packet, t_arr, horizon):
-            sim.commit_event(event)
-
-    def try_wire_ride(self, port, packet: Packet, t_arr: int,
-                      horizon: float) -> bool:
-        """Absorb the wire-arrival event and ride from its inject event.
-
-        ``horizon`` is the first instant the ride may *not* touch,
-        computed by :meth:`deferred_wire_ride` with the frame's own
-        pending arrival event excluded; the caller has already checked
-        ``t_arr < horizon``.  When the port would serve the frame
-        immediately, the arrival bookkeeping and the whole trajectory
-        replay inside this (deferred) slot of the injecting event.
-        Returns False (mutating nothing) when ineligible.
-        """
-        # The arrival body below is a replay of the stock _rx_arrival;
-        # an override must run scalar.
-        if (type(port)._rx_arrival is not _STOCK_RX_ARRIVAL
-                or not self._engine_ready(port, packet)):
-            self.refusals += 1
-            return False
-        sim = self.sim
-        meta = packet.meta
-        self._h = horizon
-        # EthernetPort._rx_arrival at the arrival instant (its
-        # payload_buffer branch is unreachable: the readiness check
-        # above required payload_buffer is None).
-        sim.now = t_arr
-        meta.ingress_port = port.port_index
-        meta.direction = _RX
-        meta.nic_arrival_ps = t_arr
-        meta.annotations["mac_rx"] = True
-        port.rx_frames.add()
-        port.rx_bits.record(t_arr, packet.wire_bits)
-        mid = next(_message_ids)
-        self.trajectories += 1
-        key = id(port)
-        addr = port.address
-        self._ride(port, self._kinds[key], self._routers[key], packet,
-                   t_arr, mid, addr, addr, t_arr, 0)
         return True
 
     def _ride(self, engine: Engine, kind: str, erouter, packet: Packet,

@@ -30,7 +30,7 @@ from repro.sim.stats import Counter
 #: frame has no parseable Ethernet/IPv4 layer, else whether the IPv4 (and
 #: any non-zero UDP) checksum verified.  The verdict is a pure function of
 #: the bytes, and chained checksum engines verify the same frame
-#: repeatedly.  Bounded by wholesale clearing, like the parse memo.
+#: repeatedly.  Bounded by wholesale clearing.
 _RX_VERDICT_MEMO: dict = {}
 _RX_VERDICT_MAX = 256
 _MISSING = object()

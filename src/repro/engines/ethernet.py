@@ -42,8 +42,8 @@ class EthernetPort(Engine):
     _int_agent = None
 
     #: The NIC's :class:`~repro.core.train.TrainLane` when
-    #: ``PanicConfig.batch_execution`` is on, else None: both of the
-    #: lane's entry points sit at the MAC (wire inject, RX arrival).
+    #: ``PanicConfig.batch_execution`` is on, else None: a frame boards
+    #: the lane at one place, the end of :meth:`_rx_arrival`.
     _train_lane = None
 
     def __init__(
@@ -87,20 +87,7 @@ class EthernetPort(Engine):
         start = max(self.now, self._rx_wire_free_ps)
         arrival = start + self.wire_time_ps(packet)
         self._rx_wire_free_ps = arrival
-        lane = self._train_lane
-        if lane is None:
-            self.schedule(arrival - self.now, self._rx_arrival, packet)
-            return arrival
-        # Reserve the arrival's place in the tie-break order now, but
-        # enqueue nothing yet: after the injecting event's callback
-        # returns (so everything it schedules is visible to the train
-        # horizon), the lane either absorbs the arrival -- bookkeeping
-        # plus the whole trajectory replayed in place (repro.core.train)
-        # -- or commits this event, which then fires exactly as if
-        # scheduled here.
-        sim = self.sim
-        event = sim.make_event(arrival, self._rx_arrival, packet)
-        sim.defer(lane.deferred_wire_ride, self, packet, arrival, event)
+        self.schedule(arrival - self.now, self._rx_arrival, packet)
         return arrival
 
     def _rx_arrival(self, packet: Packet) -> None:

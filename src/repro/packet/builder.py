@@ -57,39 +57,15 @@ class ParsedFrame:
         return response
 
 
-#: Memo of recently parsed frames.  Several engines on a chain parse the
-#: same immutable frame bytes; keying by the bytes value (whose hash
-#: CPython caches on the object) makes repeat parses a dict hit.  Bounded
-#: by wholesale clearing -- entries are tiny and regenerate on demand.
-#: Callers must treat returned frames as immutable (they all do: engines
-#: build new frames rather than editing parsed ones).
-_PARSE_MEMO: dict = {}
-_PARSE_MEMO_MAX = 256
-
-
 def parse_frame(data: bytes) -> ParsedFrame:
     """Parse an Ethernet frame down to the transport payload.
 
     Unknown EtherTypes stop at L2; unknown IP protocols stop at L3.  ESP
     packets stop at the ESP header (the remainder is ciphertext only the
     IPSec engine can interpret).
-
-    The result is memoized by frame bytes and shared between callers;
-    treat it as read-only.
     """
     if data.__class__ is not bytes:
-        data = bytes(data)  # bytearray / memoryview: hashable memo key
-    cached = _PARSE_MEMO.get(data)
-    if cached is not None:
-        return cached
-    parsed = _parse_frame_uncached(data)
-    if len(_PARSE_MEMO) >= _PARSE_MEMO_MAX:
-        _PARSE_MEMO.clear()
-    _PARSE_MEMO[data] = parsed
-    return parsed
-
-
-def _parse_frame_uncached(data: bytes) -> ParsedFrame:
+        data = bytes(data)  # bytearray / memoryview: payloads come out bytes
     eth, rest = EthernetHeader.unpack(data)
     parsed = ParsedFrame(eth=eth, payload=rest)
     if eth.ethertype != ETHERTYPE_IPV4:

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections import deque
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import format_time
 
@@ -118,11 +117,6 @@ class Simulator:
         # Passive observers called after every fired event (telemetry
         # probes).
         self._after_hooks: List[Callable[[int], None]] = []
-        # Deferred slots: callbacks run after the currently-executing
-        # event's callback returns, when the event schedule is sealed.
-        # Used by the train lane to absorb just-scheduled wire arrivals
-        # (see defer()).
-        self._deferred: Deque[Tuple[Callable[..., None], tuple]] = deque()
         # Optional caller-owned list of the distinct timestamps of fired
         # events.  The speculative shard runtime installs one to detect
         # execution past a commit point.
@@ -204,64 +198,6 @@ class Simulator:
             event = Event(when, seq, fn, args, self)
         heapq.heappush(self._heap, (when, seq, event))
         return event
-
-    def defer(self, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` once the current event's callback returns.
-
-        Deferred slots exist for speculation that must wait until the
-        running event has *finished scheduling*: an optimisation fired
-        mid-callback could commit against a horizon that is missing
-        events the rest of the callback is about to schedule.  Slots run
-        in FIFO order at the current timestamp, before the next event is
-        popped (for calls made outside the loop, at the next ``run()``
-        or ``step()``).  A slot may defer further slots; they join the
-        same drain.
-        """
-        self._deferred.append((fn, args))
-
-    def make_event(self, when_ps: int, fn: Callable[..., None],
-                   *args: Any) -> Event:
-        """Allocate an event with the *current* sequence number without
-        enqueuing it.
-
-        Companion to :meth:`defer`: a deferred slot that may absorb the
-        event entirely (a train ride) reserves its place in the global
-        tie-break order now, and either drops the event (absorbed) or
-        enqueues it via :meth:`commit_event` -- where it fires exactly
-        as if it had been scheduled here, including against later
-        same-timestamp events.
-        """
-        if when_ps < self.now:
-            raise SimError(
-                f"cannot make an event in the past ({when_ps} < {self.now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.when = when_ps
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            return event
-        return Event(when_ps, seq, fn, args, self)
-
-    def commit_event(self, event: Event) -> None:
-        """Enqueue an event from :meth:`make_event`.
-
-        The heap orders it by the sequence number it reserved, so an
-        old-seq event committed late -- even at ``when == now`` -- still
-        fires ahead of every same-timestamp event scheduled since.
-        """
-        heapq.heappush(self._heap, (event.when, event.seq, event))
-
-    def _drain_deferred(self) -> None:
-        deferred = self._deferred
-        while deferred:
-            fn, args = deferred.popleft()
-            fn(*args)
 
     def add_after_event_hook(self, hook: Callable[[int], None]) -> None:
         """Register ``hook(now_ps)`` to run after every fired event.
@@ -396,22 +332,20 @@ class Simulator:
         """Move ``now`` *backward* to a quiescent instant.
 
         Only legal when nothing separates the two clock readings: no
-        deferred slots and no pending event earlier than the target (an
-        event due at the old ``now`` is an ordinary future event once
-        the clock is back at the target).  The speculative shard runtime
-        rewinds a cleanly-committed shard from its speculation horizon
-        back to the commit point so the next window's cross-shard
-        deliveries (all at or beyond the commit point) schedule onto a
-        consistent clock.  State is untouched -- by the clean-commit
-        check, no component mutated anything past the target.
+        pending event earlier than the target (an event due at the old
+        ``now`` is an ordinary future event once the clock is back at
+        the target).  The speculative shard runtime rewinds a
+        cleanly-committed shard from its speculation horizon back to the
+        commit point so the next window's cross-shard deliveries (all at
+        or beyond the commit point) schedule onto a consistent clock.
+        State is untouched -- by the clean-commit check, no component
+        mutated anything past the target.
         """
         when = int(when_ps)
         if when > self.now:
             raise SimError(
                 f"rewind_clock cannot move forwards ({when} > {self.now})"
             )
-        if self._deferred:
-            raise SimError("rewind_clock with deferred slots pending")
         nxt = self.next_event_ps()
         if nxt is not None and nxt < when:
             raise SimError(
@@ -459,7 +393,6 @@ class Simulator:
         # ``_compact`` mutates the heap in place, keeping the alias valid.
         heap = self._heap
         pool = self._pool
-        deferred = self._deferred
         hooks = self._after_hooks
         log = self._fired_log
         profile = self._profile
@@ -470,11 +403,6 @@ class Simulator:
         # of this call (None = unbounded); see train_horizon().
         self._run_until = until_ps
         try:
-            if deferred:
-                # Slots queued by calls made outside the event loop (e.g.
-                # a direct nic.inject before run()): the caller's schedule
-                # is sealed once run() is entered.
-                self._drain_deferred()
             # Shape measured, not understood (EXPERIMENTS.md E22): the
             # flat ``while heap: ... continue`` form of this loop read 9 %
             # slower on chain_sparse; dropping ``event`` before the next
@@ -553,8 +481,6 @@ class Simulator:
                     pool.append(event)
                 else:
                     event._sim = None
-                if deferred:
-                    self._drain_deferred()
                 if hooks:
                     now = self.now
                     for hook in hooks:

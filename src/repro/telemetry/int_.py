@@ -52,6 +52,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.packet.checksum import internet_checksum
 from repro.sim.clock import US
 from repro.sim.stats import TimeSeries
 from repro.telemetry.config import IntConfig
@@ -72,22 +73,10 @@ FOOTER_STRUCT = struct.Struct("<IHH")
 TRAILER_MAGIC = 0x31544E49
 
 
-def _internet_checksum(blob: bytes) -> int:
-    """RFC 1071 ones'-complement sum over ``blob`` (zero-padded)."""
-    if len(blob) & 1:
-        blob += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", blob):
-        total += word
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
 def encode_stack(records: Tuple[tuple, ...]) -> bytes:
     """Serialize a hop-record stack into the in-band trailer bytes."""
     blob = b"".join(RECORD_STRUCT.pack(*record) for record in records)
-    checksum = _internet_checksum(blob)
+    checksum = internet_checksum(blob)
     return blob + FOOTER_STRUCT.pack(TRAILER_MAGIC, len(records), checksum)
 
 
@@ -112,7 +101,7 @@ def parse_stack(data: bytes) -> Optional[Tuple[Tuple[tuple, ...], int, bool]]:
     if trailer_len > len(data):
         return None
     blob = data[-trailer_len:-FOOTER_STRUCT.size]
-    if _internet_checksum(blob) != checksum:
+    if internet_checksum(blob) != checksum:
         return (), trailer_len, False
     records = tuple(RECORD_STRUCT.iter_unpack(blob))
     return records, trailer_len, True

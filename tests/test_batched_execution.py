@@ -1,10 +1,9 @@
 """Batched execution must be invisible in simulated results.
 
 ``PanicConfig.batch_execution`` enables the train lane
-(:mod:`repro.core.train`): trajectory trains replay a frame's whole
-path inside one kernel event, and wire rides absorb the per-frame
-arrival event as well.  All of it is a pure wall-clock optimisation: the
-equivalence contract (DESIGN.md, "Batched execution") is that every
+(:mod:`repro.core.train`): a trajectory train replays a frame's whole
+path inside its RX-arrival event.  It is a pure wall-clock optimisation:
+the equivalence contract (DESIGN.md, "Batched execution") is that every
 simulated observable -- delivery order, picosecond timestamps, the
 full ``PanicNic.stats()`` tree, telemetry traces, sharded rack
 reports -- is bit-identical with batching forced on and forced off.
@@ -16,10 +15,12 @@ rack shards at several worker counts), and separately prove the lane
 actually fires (else it is dead code and the equivalence is vacuous).
 """
 
+import functools
 import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PanicConfig, PanicNic
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
@@ -27,7 +28,7 @@ from repro.packet import Packet, build_udp_frame
 from repro.sim import Simulator
 from repro.sim.clock import NS, US
 from repro.sim.shard import run_monolithic, run_sharded
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.config import IntConfig, TelemetryConfig
 from repro.workloads.rack import rack_topology
 
 
@@ -197,8 +198,8 @@ def run_control_race(batch):
     # timestamp as frame 20's injection.
     sim.schedule_at(20 * gap, nic.control.route_dscp,
                     2, ["checksum", "checksum1"])
-    # Two injections at one instant: the second is pending (same-time
-    # FIFO) while the first's deferred ride runs, which must refuse.
+    # Two injections at one instant: the second frame's arrival, one
+    # wire time behind the first's, bounds the first's ride.
     sim.schedule_at(30 * gap, nic.inject,
                     _udp_packet(b"w" * 200, seq=100, dscp=1))
     sim.run()
@@ -293,6 +294,165 @@ def test_traced_frames_hand_off_but_neighbours_still_ride():
     # Untraced frames ride; traced ones are refused into scalar events.
     assert 0 < lane["trajectories"] < 80
     assert len(nic.telemetry.trace_report()) > 0
+
+
+@pytest.mark.parametrize("never_rides", [
+    dict(payload_mode="pointer"),
+    dict(telemetry=TelemetryConfig(sample_every=0, probe_period_ps=US)),
+    dict(telemetry=TelemetryConfig(sample_every=1)),
+    dict(int_=IntConfig()),
+], ids=["pointer", "probes", "trace_every_frame", "int"])
+def test_a_lane_that_could_never_ride_is_refused_at_build(never_rides):
+    # Each of these used to build a lane that refused 50 frames of 50.
+    with pytest.raises(ValueError, match="batch_execution=True with"):
+        PanicConfig(batch_execution=True, **never_rides)
+    PanicConfig(batch_execution=False, **never_rides)
+
+
+def test_disabled_telemetry_and_int_do_not_forbid_the_lane():
+    PanicConfig(batch_execution=True,
+                telemetry=TelemetryConfig(enabled=False, sample_every=1,
+                                          probe_period_ps=US),
+                int_=IntConfig(enabled=False))
+
+
+# ----------------------------------------------------------------------
+# Generated drivers: lane on == lane off, however frames reach the MAC
+# ----------------------------------------------------------------------
+
+POOL = ("checksum", "regex", "compression", "ipsec")
+CHAINS = st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique=True)
+#: Inter-frame gaps: back to back; inside one engine service; about one
+#: service; the PCIe coalescing timeout to the picosecond (the ride's
+#: PCIe leg then finishes exactly on the previous frame's timer -- with
+#: ``host_mem_jitter_ps=0`` below, a tie at the horizon); idle.
+GAPS_PS = (0, 150 * NS, 600 * NS, 10 * US, 25 * US)
+ISOLATED_PS = 10 * US
+
+
+@functools.lru_cache(maxsize=None)
+def _state_change_offsets(payload_bytes):
+    """Every instant, relative to its injection, at which one unrouted
+    frame alone on a scalar NIC fires an event (0 = the injection)."""
+    sim = Simulator()
+    nic = PanicNic(sim, PanicConfig(ports=1, offloads=POOL))
+    log = [0]
+    sim.set_fired_log(log)
+    nic.inject(_udp_packet(b"g" * payload_bytes, seq=0, dscp=1))
+    sim.run()
+    return tuple(log)
+
+
+@st.composite
+def drives(draw):
+    # 20-56 frames in phases of one gap each, so that queues get to
+    # form, drain, and leave frames with the NIC to themselves.
+    phases = draw(st.lists(
+        st.tuples(st.sampled_from(GAPS_PS), st.integers(4, 7)),
+        min_size=5, max_size=8))
+    return {
+        "chain": tuple(draw(CHAINS)),
+        "sizes": draw(st.lists(st.sampled_from((18, 200, 1200)),
+                               min_size=1, max_size=2)),
+        "gaps": [gap for gap, length in phases for _ in range(length)],
+        "jitter_ps": draw(st.sampled_from((0, 20 * NS))),
+        # Unbounded engine queues, or two-deep with backpressure: refused
+        # messages then park in the routers, whose round-robin order the
+        # lane's rotations must have kept in step.
+        "queue_capacity": draw(st.sampled_from((None, 2))),
+        # each: one schedule_at per frame.  source: a callback injects,
+        # *then* schedules its successor.  grouped: several injections
+        # inside one callback.  burst: a head injected before run().
+        "shape": draw(st.sampled_from(("each", "source", "grouped", "burst"))),
+        "group": draw(st.integers(2, 5)),
+        "window_ps": draw(st.sampled_from((None, 1 * US, 7 * US, 40 * US))),
+        # Every fourth frame is class 2, unrouted (RMT -> DMA) until a
+        # control-plane event routes it: at one such frame's injection
+        # instant (state 0), or at the instant that frame, riding alone,
+        # would fire its n-th event (1 arrival, 2 MAC served, 3 sent,
+        # 4 at the RMT, 5 classified); scheduled before or after the
+        # up-front injections it may tie with.
+        "control": (3 + 4 * draw(st.integers(0, 4)), draw(st.integers(0, 5)),
+                    tuple(draw(CHAINS)), draw(st.booleans())),
+    }
+
+
+def run_drive(drive, batch):
+    sim = Simulator()
+    nic = PanicNic(sim, PanicConfig(
+        ports=1, offloads=POOL, batch_execution=batch,
+        host_mem_jitter_ps=drive["jitter_ps"],
+        queue_capacity=drive["queue_capacity"], overflow="backpressure",
+    ))
+    chain, sizes, gaps = drive["chain"], drive["sizes"], drive["gaps"]
+    nic.control.route_dscp(1, list(chain))
+    deliveries = _watch_deliveries(sim, nic)
+    due, packets = [], []
+    for i, gap in enumerate(gaps):
+        due.append(gap + (due[-1] if due else 0))
+        packets.append(_udp_packet(b"g" * sizes[i % len(sizes)], seq=i,
+                                   dscp=2 if i % 4 == 3 else 1,
+                                   src_port=7000 + i % 3))
+    frame, state, new_chain, control_first = drive["control"]
+    control = functools.partial(
+        sim.schedule_at,
+        due[frame] + _state_change_offsets(sizes[frame % len(sizes)])[state],
+        nic.control.route_dscp, 2, list(new_chain))
+
+    def inject_group(start):
+        for packet in packets[start:start + drive["group"]]:
+            nic.inject(packet)
+
+    def source(i):
+        nic.inject(packets[i])
+        if i + 1 < len(packets):
+            sim.schedule_at(due[i + 1], source, i + 1)
+
+    if control_first:
+        control()  # older than every injection it ties with
+    if drive["shape"] == "source":
+        sim.schedule_at(due[0], source, 0)
+    elif drive["shape"] == "grouped":
+        for start in range(0, len(packets), drive["group"]):
+            sim.schedule_at(due[start], inject_group, start)
+    else:
+        head = drive["group"] if drive["shape"] == "burst" else 0
+        for packet in packets[:head]:
+            nic.inject(packet)
+        for i in range(head, len(packets)):
+            sim.schedule_at(due[i], nic.inject, packets[i])
+    if not control_first:
+        control()  # younger than the injections scheduled up front
+
+    clocks = []
+    if drive["window_ps"] is not None:
+        until = 0
+        while sim.next_event_ps() is not None:
+            until += drive["window_ps"]
+            sim.run(until_ps=until)
+            clocks.append(sim.now)
+    sim.run()
+    nic.mesh.assert_drained()
+    lane = nic.train_lane.stats() if batch else None
+    # Every router's round-robin order is state the next contended
+    # arbitration reads; nic.stats() does not show it.
+    arbitration = [[channel.name for channel in router._rr_order]
+                   for router in nic.mesh.routers]
+    return (deliveries, clocks, sim.now, nic.stats(), arbitration), lane
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drives())
+def test_generated_drives_are_bit_identical(drive):
+    on, lane = run_drive(drive, batch=True)
+    off, _ = run_drive(drive, batch=False)
+    assert on == off
+    assert len(on[0]) == len(drive["gaps"])
+    gaps = drive["gaps"] + [ISOLATED_PS]
+    if any(before >= ISOLATED_PS and after >= ISOLATED_PS
+           for before, after in zip(gaps, gaps[1:])):
+        # A frame with the NIC to itself must ride, not fall back.
+        assert lane["trajectories"] > 0
 
 
 # ----------------------------------------------------------------------

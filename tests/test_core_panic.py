@@ -54,6 +54,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PanicConfig(offloads=("warp_drive",))
 
+    def test_config_rejects_params_for_an_offload_it_does_not_build(self):
+        with pytest.raises(ValueError, match=r"offload_params.*ipsek"):
+            PanicConfig(offload_params={"ipsek": {"drop_on_auth_failure": True}})
+        PanicConfig(offloads=("ipsec", "ipsec1"),
+                    offload_params={"ipsec1": {"drop_on_auth_failure": True}})
+
+    def test_config_rejects_placement_of_an_engine_it_does_not_build(self):
+        with pytest.raises(ValueError, match=r"placement.*ipsek.*valid keys"):
+            PanicConfig(placement={"ipsek": (0, 0)})
+        for key in ("eth2", "rmt2", "rmt0", "checksum"):
+            with pytest.raises(ValueError, match=key):
+                PanicConfig(rmt_tiles=2, placement={key: (2, 2)})
+        PanicConfig(rmt_tiles=2, placement={
+            "eth0": (0, 0), "eth1": (0, 1), "rmt": (1, 0), "rmt1": (1, 1),
+            "dma": (3, 0), "pcie": (3, 1), "ipsec": (2, 0), "rdma": (2, 2)})
+
     def test_offload_lookup(self, nic):
         assert nic.offload("ipsec") is nic.engines["ipsec"]
         with pytest.raises(KeyError):

@@ -18,6 +18,7 @@ the tracer ring-buffer overflow accounting across the sharded merge.
 """
 
 import os
+import struct
 
 import pytest
 
@@ -85,6 +86,24 @@ class TestTrailerCodec:
         blob = encode_stack(())
         records, trailer_len, valid = parse_stack(b"x" + blob)
         assert valid and records == () and trailer_len == len(blob)
+
+    @pytest.mark.parametrize("records", [
+        RECORDS, (), ((0xFFFF, 0, 0, 0, 0, 0),), ((0, 0, 0, 0, 0, 0),),
+    ], ids=["mixed", "empty", "sums_to_0xffff", "all_zero"])
+    def test_footer_checksum_is_the_per_word_rfc1071_sum(self, records):
+        # The trailer is checksummed by repro.packet.checksum's integer
+        # helper; the word-by-word sum below is RFC 1071 as written.  A
+        # record region summing to a multiple of 0xFFFF is where the two
+        # could disagree (0x0000 against 0xFFFF).
+        blob = encode_stack(records)
+        region = blob[:-FOOTER_STRUCT.size]
+        total = sum(struct.unpack(f"!{len(region) // 2}H", region))
+        while total >> 16:
+            total = (total & 0xFFFF) + (total >> 16)
+        assert FOOTER_STRUCT.unpack(blob[-FOOTER_STRUCT.size:])[2] \
+            == ~total & 0xFFFF
+        assert parse_stack(b"udp payload" + blob) == (
+            tuple(records), len(blob), True)
 
     def test_no_trailer_is_none(self):
         assert parse_stack(b"") is None

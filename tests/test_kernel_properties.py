@@ -12,10 +12,8 @@ must all agree.
 
 Zero delays are over-represented (same-timestamp ties are where a
 kernel's ordering can go wrong), ``tie`` nodes aim ``schedule_at`` at the
-timestamp of an event that is already pending, ``make`` nodes reserve a
-sequence number and enqueue it late -- after younger same-timestamp
-events exist -- and ``cancel`` nodes hit pending, fired and
-already-cancelled handles alike.
+timestamp of an event that is already pending, and ``cancel`` nodes hit
+pending, fired and already-cancelled handles alike.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -36,31 +34,19 @@ class Oracle:
 
     def __init__(self):
         self.now = self.seq = self.events_fired = 0
-        self.pending, self.deferred = [], []
-
-    def make_event(self, when, fn, *args):
-        self.seq += 1
-        return self.Entry(when, self.seq, fn, args)
-
-    def commit_event(self, entry):
-        self.pending.append(entry)
+        self.pending = []
 
     def schedule_at(self, when, fn, *args):
-        entry = self.make_event(when, fn, *args)
+        self.seq += 1
+        entry = self.Entry(when, self.seq, fn, args)
         self.pending.append(entry)
         return entry
 
     def schedule(self, delay, fn, *args):
         return self.schedule_at(self.now + delay, fn, *args)
 
-    def defer(self, fn, *args):
-        self.deferred.append((fn, args))
-
     def run(self):
         while True:
-            while self.deferred:
-                fn, args = self.deferred.pop(0)
-                fn(*args)
             live = [e for e in self.pending if not e.cancelled]
             if not live:
                 return
@@ -81,9 +67,6 @@ def _nodes(children):
         st.tuples(st.just("schedule"), DELAYS, st.booleans(), children),
         st.tuples(st.just("tie"), st.integers(0, 15), children),
         st.tuples(st.just("cancel"), st.integers(0, 15)),
-        st.tuples(st.just("make"), DELAYS,
-                  st.sampled_from(("drop", "commit", "defer")), children),
-        st.tuples(st.just("defer"), children),
     ), max_size=4)
 
 
@@ -96,7 +79,6 @@ def play(sim, nodes, path, trace, handles):
     A node's label is its path in the tree, so two kernels that fire the
     same callbacks in a different order produce different traces.
     """
-    late = []
     for index, node in enumerate(nodes):
         label = path + (index,)
 
@@ -117,16 +99,6 @@ def play(sim, nodes, path, trace, handles):
         elif kind == "cancel":
             if handles:
                 handles[node[1] % len(handles)].cancel()
-        elif kind == "make":
-            event = sim.make_event(sim.now + node[1], fire)
-            if node[2] == "commit":
-                late.append(event)  # enqueued after its younger siblings
-            elif node[2] == "defer":
-                sim.defer(sim.commit_event, event)
-        else:
-            sim.defer(fire)
-    for event in late:
-        sim.commit_event(event)
 
 
 def expected(program):
@@ -157,7 +129,6 @@ def test_step_loop_equals_run(program):
     play(sim, program, (), trace, [])
     while sim.step():
         pass
-    sim.run()  # slots deferred by a program that schedules no event
     assert trace == want
     assert (sim.events_fired, sim.now) == (oracle.events_fired, oracle.now)
 

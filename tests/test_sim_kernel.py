@@ -133,15 +133,6 @@ class TestRunControl:
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 
-    @pytest.mark.parametrize("drive", [
-        lambda sim: sim.run(), lambda sim: sim.step()], ids=["run", "step"])
-    def test_deferred_slot_runs_before_the_next_event(self, sim, drive):
-        order = []
-        sim.schedule(10, lambda: order.append(("event", sim.now)))
-        sim.defer(lambda: order.append(("slot", sim.now)))
-        drive(sim)
-        assert order == [("slot", 0), ("event", 10)]
-
     def test_budget_spent_inside_a_window_can_be_resumed(self, sim):
         fired = []
         for i in range(6):
