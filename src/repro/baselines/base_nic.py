@@ -181,12 +181,30 @@ class BaseNic:
         self._tx_callbacks: List[Callable[[Packet], None]] = []
         self.rx_count = Counter(f"{name}.rx")
         self.nic_latency = LatencyTracker(f"{name}.latency")
+        self._rx_wire_free = 0
+        self._tx_wire_free = 0
 
     def wire_time_ps(self, packet: Packet) -> int:
         return int(packet.wire_bits * SEC / self.line_rate_bps)
 
     def inject(self, packet: Packet, port: int = 0) -> int:
+        """Serialise ``packet`` onto the RX wire; ``_rx_arrival`` (the
+        subclass's front end) sees it once the last bit is in."""
+        start = max(self.sim.now, self._rx_wire_free)
+        arrival = start + self.wire_time_ps(packet)
+        self._rx_wire_free = arrival
+        self.sim.schedule_at(arrival, self._rx_arrival, packet)
+        return arrival
+
+    def _rx_arrival(self, packet: Packet) -> None:
         raise NotImplementedError
+
+    def _transmit(self, packet: Packet) -> None:
+        """Serialise ``packet`` onto the TX wire, then record it sent."""
+        start = max(self.sim.now, self._tx_wire_free)
+        done = start + self.wire_time_ps(packet)
+        self._tx_wire_free = done
+        self.sim.schedule_at(done, self._record_tx, packet)
 
     def on_transmit(self, callback: Callable[[Packet], None]) -> None:
         self._tx_callbacks.append(callback)

@@ -62,8 +62,6 @@ class ManycoreNic(BaseNic):
         self.per_offload_call_ps = per_offload_call_ps
         self._cores = [_Core(i) for i in range(cores)]
         self._rr_next = 0
-        self._rx_wire_free = 0
-        self._tx_wire_free = 0
         self.dma = SimpleDma(sim, f"{name}.dma", self.host)
         self.stations: Dict[str, OffloadStage] = {}
         for index, (offload_name, engine) in enumerate(offload_engines):
@@ -80,13 +78,6 @@ class ManycoreNic(BaseNic):
     # ------------------------------------------------------------------
     # RX
     # ------------------------------------------------------------------
-
-    def inject(self, packet: Packet, port: int = 0) -> int:
-        start = max(self.sim.now, self._rx_wire_free)
-        arrival = start + self.wire_time_ps(packet)
-        self._rx_wire_free = arrival
-        self.sim.schedule_at(arrival, self._rx_arrival, packet)
-        return arrival
 
     def _rx_arrival(self, packet: Packet) -> None:
         packet.meta.direction = Direction.RX
@@ -160,13 +151,3 @@ class ManycoreNic(BaseNic):
         core.queue.append(packet)
         self._core_try_start(core)
         return packet
-
-    def _transmit(self, packet: Packet) -> None:
-        start = max(self.sim.now, self._tx_wire_free)
-        done = start + self.wire_time_ps(packet)
-        self._tx_wire_free = done
-        self.sim.schedule_at(done, self._record_tx, packet)
-
-    @property
-    def busy_cores(self) -> int:
-        return sum(1 for core in self._cores if core.busy)

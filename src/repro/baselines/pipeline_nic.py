@@ -50,8 +50,6 @@ class PipelineNic(BaseNic):
         self.stage_names = [offload_name for offload_name, _ in offload_line]
         self.stages: List[OffloadStage] = []
         self.recirculations = Counter(f"{name}.recirculations")
-        self._rx_wire_free = 0
-        self._tx_wire_free = 0
         self.dma = SimpleDma(sim, f"{name}.dma", self.host)
         for index, (offload_name, engine) in enumerate(offload_line):
             stage = OffloadStage(
@@ -66,13 +64,6 @@ class PipelineNic(BaseNic):
     # ------------------------------------------------------------------
     # RX path
     # ------------------------------------------------------------------
-
-    def inject(self, packet: Packet, port: int = 0) -> int:
-        start = max(self.sim.now, self._rx_wire_free)
-        arrival = start + self.wire_time_ps(packet)
-        self._rx_wire_free = arrival
-        self.sim.schedule_at(arrival, self._rx_arrival, packet)
-        return arrival
 
     def _rx_arrival(self, packet: Packet) -> None:
         packet.meta.direction = Direction.RX
@@ -150,13 +141,3 @@ class PipelineNic(BaseNic):
         packet.meta.annotations.setdefault("recirculations", 0)
         self._enter_stage(packet, 0)
         return packet
-
-    def _transmit(self, packet: Packet) -> None:
-        start = max(self.sim.now, self._tx_wire_free)
-        done = start + self.wire_time_ps(packet)
-        self._tx_wire_free = done
-        self.sim.schedule_at(done, self._record_tx, packet)
-
-    @property
-    def total_backlog(self) -> int:
-        return sum(stage.backlog for stage in self.stages)

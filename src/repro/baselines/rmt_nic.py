@@ -56,8 +56,6 @@ class RmtNic(BaseNic):
         self.clock = Clock(freq_hz)
         self.rx_queues = rx_queues
         self._next_accept = 0
-        self._rx_wire_free = 0
-        self._tx_wire_free = 0
         self.dma = SimpleDma(sim, f"{name}.dma", self.host)
         self.steered = Counter(f"{name}.steered")
         self.dropped = Counter(f"{name}.dropped")
@@ -96,13 +94,6 @@ class RmtNic(BaseNic):
     # ------------------------------------------------------------------
     # RX
     # ------------------------------------------------------------------
-
-    def inject(self, packet: Packet, port: int = 0) -> int:
-        start = max(self.sim.now, self._rx_wire_free)
-        arrival = start + self.wire_time_ps(packet)
-        self._rx_wire_free = arrival
-        self.sim.schedule_at(arrival, self._rx_arrival, packet)
-        return arrival
 
     def _rx_arrival(self, packet: Packet) -> None:
         packet.meta.direction = Direction.RX
@@ -146,8 +137,3 @@ class RmtNic(BaseNic):
         self.sim.schedule_at(start + self.latency_ps, self._transmit, packet)
         return packet
 
-    def _transmit(self, packet: Packet) -> None:
-        start = max(self.sim.now, self._tx_wire_free)
-        done = start + self.wire_time_ps(packet)
-        self._tx_wire_free = done
-        self.sim.schedule_at(done, self._record_tx, packet)

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.packet.builder import parse_frame
+from repro.packet.builder import kv_reply_frame, parse_frame
 from repro.packet.headers import HeaderError
-from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus, KV_UDP_PORT
+from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Packet
 from repro.sim.clock import NS, US
 from repro.sim.kernel import Component, Simulator
@@ -209,17 +209,5 @@ class HostKvServer:
             response = KvResponse(status, request.tenant, request.request_id)
         else:
             return
-        from repro.packet.builder import build_udp_frame
-
-        assert frame.ipv4 is not None and frame.udp is not None
-        reply = build_udp_frame(
-            src_mac=frame.eth.dst,
-            dst_mac=frame.eth.src,
-            src_ip=frame.ipv4.dst,
-            dst_ip=frame.ipv4.src,
-            src_port=KV_UDP_PORT,
-            dst_port=frame.udp.src_port,
-            payload=response.pack(),
-            identification=request.request_id & 0xFFFF,
-        )
-        self.host.enqueue_tx(reply, queue % len(self.host.tx_rings))
+        self.host.enqueue_tx(kv_reply_frame(frame, response),
+                             queue % len(self.host.tx_rings))

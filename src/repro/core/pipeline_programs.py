@@ -298,18 +298,6 @@ class PanicControl:
             [DIR_TX, dscp], "set_chain", {"chain": hops}
         )
 
-    def route_tag(self, tag: int, chain: Sequence,
-                  append_dma: bool = True) -> None:
-        """Send RX traffic of a rack flow tag through ``chain``.  The
-        tag-keyed twin of :meth:`route_dscp`, for racks too large for the
-        6-bit DSCP flow encoding."""
-        hops = self.resolve_chain(chain)
-        if append_dma:
-            hops = hops + [self._dma_addr]
-        self.program.table("tag_route").add(
-            [DIR_RX, tag], "set_chain", {"chain": hops}
-        )
-
     def route_tag_tx(self, tag: int, chain: Sequence = (),
                      egress_port: int = 0) -> None:
         """Send TX traffic of a rack flow tag through ``chain`` and out

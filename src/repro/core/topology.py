@@ -4,15 +4,15 @@ A :class:`RackTopology` is a declarative description of a rack-scale
 experiment: which NICs exist (each built by a picklable builder
 function), and which external wires cable them together.  The same
 description drives every execution mode in :mod:`repro.sim.shard`
-through one build (a shard assignment decides which wires are real and
-which are boundaries):
+through one build: every NIC gets a
+:class:`~repro.workloads.wire.LinkEnd` per cable it holds, and the shard
+assignment only decides which ends find their far NIC beside them:
 
 * **monolithic** -- every NIC on one shard in the calling process, so
-  every wire is a real :class:`~repro.workloads.wire.Wire` (the
-  reference semantics);
+  every end delivers to its peer directly (the reference semantics);
 * **sharded** -- NICs partitioned across worker processes, cross-shard
-  wires replaced by :class:`~repro.workloads.wire.ShardBoundary` halves
-  synchronized by one window protocol whose rounds span ``H``
+  ends handing their frames over at the barriers of one window
+  protocol whose rounds span ``H``
   lookaheads: ``H = 1`` is the conservative run, ``H > 1`` (opt-in
   ``speculative=True``) adds fork checkpoints and rollback.
 

@@ -36,7 +36,7 @@ Three mechanisms enforce it:
   probes observe every intermediate step, so their presence disables
   trains entirely), and every mutation timestamp strictly below the next
   heap event and the current ``run()`` deadline.  The deadline bound is
-  what keeps trains inside a ShardBoundary sync window -- sharded and
+  what keeps trains inside a shard sync window -- sharded and
   monolithic runs stay bit-identical at any worker count.
 * **Flush-on-anything.**  Per-hop eligibility checks mirror the express
   path's idle scan: armed faults, slowdowns, crashed engines, buffered

@@ -384,13 +384,6 @@ class Engine(Component, Endpoint):
     def failed(self) -> bool:
         return self.fault_mode is not None
 
-    def scaled_service_time_ps(self, packet: Packet) -> int:
-        """Service time with any injected slowdown factor applied."""
-        delay = self.service_time_ps(packet)
-        if self.slowdown != 1.0:
-            delay = int(delay * self.slowdown)
-        return delay
-
     def _echo_heartbeat(self, packet: Packet) -> bool:
         """Answer a health-monitor probe; True when ``packet`` was one.
 

@@ -162,9 +162,5 @@ class EthernetPort(Engine):
             self.on_transmit(packet)
 
     @property
-    def rx_rate_bps(self) -> float:
-        return self.rx_bits.rate_per_sec(self.now)
-
-    @property
     def tx_rate_bps(self) -> float:
         return self.tx_bits.rate_per_sec(self.now)

@@ -19,9 +19,9 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.engines.base import Engine, EngineOutput
-from repro.packet.builder import build_udp_frame, parse_frame
+from repro.packet.builder import kv_reply_frame, parse_frame
 from repro.packet.headers import HeaderError
-from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus, KV_UDP_PORT
+from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
@@ -158,18 +158,7 @@ class KvCacheEngine(Engine):
 
     def _respond(self, packet: Packet, frame, request: KvRequest, value: bytes) -> Packet:
         response = KvResponse(KvStatus.OK, request.tenant, request.request_id, value)
-        assert frame.ipv4 is not None and frame.udp is not None
-        data = build_udp_frame(
-            src_mac=frame.eth.dst,
-            dst_mac=frame.eth.src,
-            src_ip=frame.ipv4.dst,
-            dst_ip=frame.ipv4.src,
-            src_port=KV_UDP_PORT,
-            dst_port=frame.udp.src_port,
-            payload=response.pack(),
-            identification=request.request_id & 0xFFFF,
-        )
-        out = Packet(data, MessageKind.ETHERNET)
+        out = Packet(kv_reply_frame(frame, response), MessageKind.ETHERNET)
         out.meta.direction = Direction.TX
         out.meta.tenant = request.tenant
         out.meta.nic_arrival_ps = packet.meta.nic_arrival_ps

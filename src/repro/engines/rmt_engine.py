@@ -121,15 +121,22 @@ class RmtPipelineEngine(Engine):
             return
         while not self.queue.is_empty:
             message, _rank = self.queue.pop()
+            interval_ps = self.initiation_interval_ps
+            latency_ps = self.latency_ps
+            if self.slowdown != 1.0:
+                # An injected slowdown stretches the whole pipeline:
+                # admissions come slower and each takes longer.
+                interval_ps = int(interval_ps * self.slowdown)
+                latency_ps = int(latency_ps * self.slowdown)
             start = max(self.now, self._next_accept_ps)
-            self._next_accept_ps = start + self.initiation_interval_ps
+            self._next_accept_ps = start + interval_ps
             enq = message.packet.meta.annotations.pop("enqueue_ps", self.now)
             self.queue_latency.observe(enq, self.now)
             if self._tracer is not None:
                 ctx = message.packet.meta.annotations.get("__trace__")
                 if ctx is not None:
                     ctx.service_start = start
-            finish = start + self.latency_ps
+            finish = start + latency_ps
             self.schedule(finish - self.now, self._finish_rmt, message, start)
 
     def _finish_rmt(self, message: NocMessage, started_ps: int) -> None:

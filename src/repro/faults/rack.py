@@ -14,18 +14,16 @@ forms:
 
 :func:`resolve_rack_plan` validates the plan against a topology without
 building anything; :func:`arm_rack_faults` schedules the events into a
-live simulation.  ``run_monolithic`` passes every NIC and both ends of
-every :class:`~repro.workloads.wire.Wire`; a shard worker passes only
-its local NICs, intra-shard wires, and
-:class:`~repro.workloads.wire.ShardBoundary` halves -- each process
-arms exactly the subset it hosts, with RNG forks salted by the
+live simulation.  Each process passes the NICs it hosts and their
+:class:`~repro.workloads.wire.LinkEnd` s (all of them in a monolithic
+run) and arms exactly that subset, with RNG forks salted by the
 *plan-global* event index and the wire direction, so the fault
 trajectory is bit-identical at any worker count.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.topology import LinkSpec, RackTopology
 from repro.faults.injector import FaultInjector
@@ -146,32 +144,10 @@ def resolve_rack_plan(
     return resolved
 
 
-class WireEnd(NamedTuple):
-    """Arming adapter for one transmit direction of one cable: a
-    monolithic :class:`Wire` contributes both ends, a shard worker's
-    :class:`ShardBoundary` exactly one."""
-
-    set_loss: Callable[[float, float, SeededRng], None]
-    set_down: Callable[[bool], None]
-    set_linklayer: Callable[[dict], None]
-
-
-def wire_ends(wire, index: int) -> Dict[Tuple[int, str], WireEnd]:
-    """Both directions of a monolithic (or intra-shard) ``Wire``."""
-    return {
-        (index, "a"): WireEnd(
-            lambda d, c, r: wire.set_loss("a", d, c, r), wire.set_down,
-            lambda params: wire.set_linklayer("a", params)),
-        (index, "b"): WireEnd(
-            lambda d, c, r: wire.set_loss("b", d, c, r), wire.set_down,
-            lambda params: wire.set_linklayer("b", params)),
-    }
-
-
-def boundary_end(boundary, index: int, end: str) -> Dict[Tuple[int, str], WireEnd]:
-    """The locally-transmitting direction of a cross-shard boundary."""
-    return {(index, end): WireEnd(boundary.set_loss, boundary.set_down,
-                                  boundary.set_linklayer)}
+def wire_ends(wire, index: int) -> Dict[Tuple[int, str], Any]:
+    """The two link ends of ``wire``, keyed as link ``index`` of the
+    topology for :func:`arm_rack_faults`."""
+    return {(index, end): link_end for end, link_end in wire.ends.items()}
 
 
 class RackFaultSession:
@@ -190,13 +166,13 @@ def arm_rack_faults(
     topology: RackTopology,
     sim,
     nics: Dict[str, object],
-    ends: Dict[Tuple[int, str], WireEnd],
+    ends: Dict[Tuple[int, str], Any],
 ) -> RackFaultSession:
     """Arm the subset of ``plan`` hosted by this process.
 
     ``nics`` maps local NIC names to built NICs; ``ends`` maps
-    ``(link_index, end)`` to arming adapters for locally-transmitting
-    wire directions.  Events for NICs/directions not present here are
+    ``(link_index, end)`` to the link end of each locally-transmitting
+    wire direction.  Events for NICs/directions not present here are
     skipped -- the process hosting them arms them instead.  Every RNG
     fork is salted with the plan-global event index (and, for wires,
     the direction), so the union over processes reproduces the
@@ -209,25 +185,25 @@ def arm_rack_faults(
     for gidx, event, resolution in resolve_rack_plan(plan, topology):
         if resolution[0] == "wire":
             link_index = resolution[1]
-            for (idx, end), adapter in sorted(ends.items()):
+            for (idx, end), link_end in sorted(ends.items()):
                 if idx != link_index:
                     continue
                 session.wire_events.append(
                     (event.at_ps, event.kind, event.target))
                 if event.kind == WIRE_DOWN:
-                    sim.schedule_at(event.at_ps, adapter.set_down, True)
+                    sim.schedule_at(event.at_ps, link_end.set_down, True)
                 elif event.kind == WIRE_UP:
-                    sim.schedule_at(event.at_ps, adapter.set_down, False)
+                    sim.schedule_at(event.at_ps, link_end.set_down, False)
                 elif event.kind == WIRE_LOSS:
                     rng = base.fork(f"wire{link_index}.{end}.ev{gidx}")
                     sim.schedule_at(
-                        event.at_ps, adapter.set_loss,
+                        event.at_ps, link_end.set_loss,
                         event.params["drop_p"], event.params["corrupt_p"],
                         rng,
                     )
                 elif event.kind == WIRE_LINKLAYER:
                     sim.schedule_at(
-                        event.at_ps, adapter.set_linklayer,
+                        event.at_ps, link_end.set_linklayer,
                         dict(event.params),
                     )
         else:

@@ -32,27 +32,14 @@ from typing import Callable, Optional, Tuple
 
 from repro.core.panic import PanicNic
 from repro.core.topology import RackTopology
-from repro.lb.monitor import (
-    BackendHealthMonitor,
-    DEFAULT_HB_PERIOD_PS,
-    DEFAULT_HB_TIMEOUT_PS,
-    attach_heartbeat_responder,
-)
-from repro.lb.steering import (
-    DEFAULT_AFFINITY_SLOTS,
-    DEFAULT_IDLE_PS,
-    LbSteering,
-)
+from repro.lb.monitor import BackendHealthMonitor, attach_heartbeat_responder
+from repro.lb.steering import DEFAULT_AFFINITY_SLOTS, LbSteering
 from repro.reliability.rack import (
     attach_reliable_endpoint,
     check_transport,
     offer_flow,
 )
-from repro.reliability.transport import (
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_WINDOW,
-    default_rto_ps,
-)
+from repro.reliability.transport import DEFAULT_WINDOW, default_rto_ps
 from repro.sim.clock import US
 from repro.sim.kernel import Simulator
 from repro.workloads.rack import (
@@ -105,15 +92,9 @@ def build_lb_node(
     gap_ps: int = 2 * US,
     stagger_ps: int = 10 * US,
     payload_bytes: int = 256,
-    propagation_ps: int = DEFAULT_PROPAGATION_PS,
     window: int = DEFAULT_WINDOW,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     transport: str = "gbn",
-    vip_ip: str = DEFAULT_VIP_IP,
     slots: int = DEFAULT_AFFINITY_SLOTS,
-    idle_ps: int = DEFAULT_IDLE_PS,
-    hb_period_ps: int = DEFAULT_HB_PERIOD_PS,
-    hb_timeout_ps: int = DEFAULT_HB_TIMEOUT_PS,
     monitor_stop_ps: int = DEFAULT_MONITOR_STOP_PS,
     drain: Optional[Tuple[int, int]] = None,
     **node_params,
@@ -141,18 +122,15 @@ def build_lb_node(
         # ``dst == VIP_INDEX`` addresses the *virtual* IP; heartbeats
         # use ``node.frame`` to reach the LB's real host.
         return node.frame(dst, segment,
-                          dst_ip=vip_ip if dst == VIP_INDEX else "")
+                          dst_ip=DEFAULT_VIP_IP if dst == VIP_INDEX else "")
 
     if role == "lb":
         steering = LbSteering(
-            nic, vip_ip,
-            {b: rack_port(index, b) for b in backends},
-            slots=slots, idle_ps=idle_ps,
+            nic, DEFAULT_VIP_IP,
+            {b: rack_port(index, b) for b in backends}, slots=slots,
         )
         monitor = BackendHealthMonitor(
             nic, index, steering, node.frame,
-            period_ps=hb_period_ps,
-            timeout_ps=hb_timeout_ps,
             payload_offset=node.payload_offset,
         )
         monitor.start()
@@ -170,8 +148,8 @@ def build_lb_node(
     serving = role == "backend"
     proto = attach_reliable_endpoint(
         node, transport,
-        rto_initial_ps=default_rto_ps(2 * propagation_ps),
-        window=window, max_retries=max_retries,
+        rto_initial_ps=default_rto_ps(2 * DEFAULT_PROPAGATION_PS),
+        window=window,
         serve_as=VIP_INDEX if serving else None,
         frame_builder=vip_frame,
     )
@@ -193,20 +171,11 @@ def lb_rack_topology(
     gap_ps: int = 2 * US,
     stagger_ps: int = 10 * US,
     payload_bytes: int = 256,
-    propagation_ps: int = DEFAULT_PROPAGATION_PS,
     seed: int = 0,
-    fast_path: bool = True,
-    telemetry=None,
-    int_=None,
     window: int = DEFAULT_WINDOW,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     transport: str = "gbn",
     flow_id: str = "auto",
-    vip_ip: str = DEFAULT_VIP_IP,
     slots: int = DEFAULT_AFFINITY_SLOTS,
-    idle_ps: int = DEFAULT_IDLE_PS,
-    hb_period_ps: int = DEFAULT_HB_PERIOD_PS,
-    hb_timeout_ps: int = DEFAULT_HB_TIMEOUT_PS,
     monitor_stop_ps: int = DEFAULT_MONITOR_STOP_PS,
     drain: Optional[Tuple[int, int]] = None,
 ) -> RackTopology:
@@ -214,26 +183,17 @@ def lb_rack_topology(
     backends, the remaining NICs clients (module docstring)."""
     check_transport(transport, window)
     lb_layout(nics, n_backends)  # validate the shape up front
-    return all_pairs_topology(build_lb_node, nics, propagation_ps, {
+    return all_pairs_topology(build_lb_node, nics, {
         "n_backends": n_backends,
         "frames": frames,
         "gap_ps": gap_ps,
         "stagger_ps": stagger_ps,
         "payload_bytes": payload_bytes,
         "seed": seed,
-        "fast_path": fast_path,
-        "telemetry": telemetry,
-        "int_": int_,
-        "propagation_ps": propagation_ps,
         "window": window,
-        "max_retries": max_retries,
         "transport": transport,
         "flow_id": resolve_flow_id(flow_id, nics),
-        "vip_ip": vip_ip,
         "slots": slots,
-        "idle_ps": idle_ps,
-        "hb_period_ps": hb_period_ps,
-        "hb_timeout_ps": hb_timeout_ps,
         "monitor_stop_ps": monitor_stop_ps,
         "drain": drain,
     })

@@ -120,12 +120,6 @@ class Crossbar:
         channel.release_credit()
         endpoint.receive(message)
 
-    def endpoint_at(self, address: int) -> Endpoint:
-        try:
-            return self._endpoints[address]
-        except KeyError:
-            raise ValueError(f"no endpoint bound at address {address}") from None
-
     @property
     def in_flight(self) -> int:
         return sum(channel.queue_len for channel in self._outputs.values())

@@ -301,12 +301,6 @@ class Mesh:
         }
         return len(flights)
 
-    def endpoint_at(self, address: int) -> Endpoint:
-        try:
-            return self._endpoints[address]
-        except KeyError:
-            raise ValueError(f"no endpoint bound at address {address}") from None
-
     def unbound_tiles(self) -> List[Tuple[int, int]]:
         """Tiles with no endpoint attached (free for monitors, spares...)."""
         return [
@@ -325,9 +319,6 @@ class Mesh:
         if found not in self._channel_sink:
             raise ValueError(f"no channel named {name!r} in {self.name}")
         return found
-
-    def router_at(self, x: int, y: int) -> Router:
-        return self._routers[(x, y)]
 
     @property
     def routers(self) -> List[Router]:
@@ -401,14 +392,3 @@ class Mesh:
         messages remain buffered in routers or queued on channels."""
         if self.in_flight != 0:
             raise MeshStuckError(self.stuck_report())
-
-    def bisection_bandwidth_bps(self) -> float:
-        """Analytical bisection bandwidth of this mesh (both directions)."""
-        from repro.noc.analysis import MeshAnalysis
-
-        return MeshAnalysis(
-            self.config.width,
-            self.config.height,
-            self.config.channel_bits,
-            self.config.freq_hz,
-        ).bisection_bw_bps

@@ -248,6 +248,22 @@ def build_kv_request_frame(
     return packet
 
 
+def kv_reply_frame(request_frame: ParsedFrame, response: KvResponse) -> bytes:
+    """The frame answering a parsed KV request: its MACs and IPs
+    swapped, from the KV port back to the port that asked."""
+    assert request_frame.ipv4 is not None and request_frame.udp is not None
+    return build_udp_frame(
+        src_mac=request_frame.eth.dst,
+        dst_mac=request_frame.eth.src,
+        src_ip=request_frame.ipv4.dst,
+        dst_ip=request_frame.ipv4.src,
+        src_port=KV_UDP_PORT,
+        dst_port=request_frame.udp.src_port,
+        payload=response.pack(),
+        identification=response.request_id & 0xFFFF,
+    )
+
+
 def build_kv_response_frame(
     response: KvResponse,
     *,

@@ -149,10 +149,3 @@ class KvResponse:
             raise HeaderError("truncated KV response body")
         value = data[cls.HEADER_LEN : end]
         return cls(status, tenant, request_id, value), data[end:]
-
-
-def peek_opcode(data: bytes) -> KvOpcode:
-    """Cheap inspection of the opcode byte (used by RMT parse graphs)."""
-    if not data:
-        raise HeaderError("empty KV message")
-    return _wire_enum(KvOpcode, data[0])

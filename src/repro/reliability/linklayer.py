@@ -39,8 +39,8 @@ identical between monolithic and sharded execution (the same argument
 that makes :class:`~repro.workloads.wire.LinkFaults` mode-independent).
 Retransmission draws therefore consume the direction's fault RNG in a
 mode-independent order, and the computed delivery timestamp is simply
-scheduled (monolithic ``Wire``) or shipped as the capsule's
-``arrival_ps`` (sharded ``ShardBoundary``).  The cost of this choice is
+the capsule's ``arrival_ps``, scheduled at once when the far NIC shares
+the process and shipped to its shard when not.  The cost of this choice is
 a documented modelling simplification: a retransmission at ``t + 2
 x prop`` meets the fault state (loss probabilities, outage flag) frozen
 at ``t``, so flap edges bind at frame-transmit granularity.  Outages

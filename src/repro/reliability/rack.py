@@ -18,7 +18,6 @@ from repro.core.topology import RackTopology
 from repro.faults.monitor import attach_health_monitor
 from repro.reliability.selective import SelectiveRepeatTransport
 from repro.reliability.transport import (
-    DEFAULT_MAX_RETRIES,
     DEFAULT_WINDOW,
     ReliableTransport,
     TransportCore,
@@ -54,7 +53,6 @@ def attach_reliable_endpoint(
     *,
     rto_initial_ps: int,
     window: int,
-    max_retries: int,
     serve_as: Optional[int] = None,
     frame_builder: Optional[Callable[[int, bytes], bytes]] = None,
 ) -> TransportCore:
@@ -71,7 +69,6 @@ def attach_reliable_endpoint(
         rng=SeededRng(node.nic.config.seed).fork("reliability"),
         rto_initial_ps=rto_initial_ps,
         window=window,
-        max_retries=max_retries,
         on_deliver=node.record,
         accept_dst=None if serve_as is None else {serve_as},
         reply_as=serve_as,
@@ -108,9 +105,7 @@ def build_reliable_node(
     gap_ps: int = 2 * US,
     payload_bytes: int = 256,
     pattern: str = "symmetric",
-    propagation_ps: int = DEFAULT_PROPAGATION_PS,
     window: int = DEFAULT_WINDOW,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     transport: str = "gbn",
     failover: bool = False,
     **node_params,
@@ -142,8 +137,8 @@ def build_reliable_node(
         monitor.start()
         sim.schedule_at(DEFAULT_MONITOR_STOP_PS, monitor.stop)
     proto = attach_reliable_endpoint(
-        node, transport, rto_initial_ps=default_rto_ps(propagation_ps),
-        window=window, max_retries=max_retries)
+        node, transport,
+        rto_initial_ps=default_rto_ps(DEFAULT_PROPAGATION_PS), window=window)
     for dst in node.targets(pattern):
         offer_flow(node, proto, dst, frames=frames, gap_ps=gap_ps,
                    payload_bytes=payload_bytes - proto.HEADER_BYTES)
@@ -156,12 +151,9 @@ def reliable_rack_topology(
     frames: int = 40,
     gap_ps: int = 2 * US,
     payload_bytes: int = 256,
-    propagation_ps: int = DEFAULT_PROPAGATION_PS,
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     window: int = DEFAULT_WINDOW,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     transport: str = "gbn",
     failover: bool = False,
 ) -> RackTopology:
@@ -170,17 +162,14 @@ def reliable_rack_topology(
     check_pattern(pattern)
     check_transport(transport, window)
     resolve_flow_id("dscp", nics)
-    return all_pairs_topology(build_reliable_node, nics, propagation_ps, {
+    return all_pairs_topology(build_reliable_node, nics, {
         "frames": frames,
         "gap_ps": gap_ps,
         "payload_bytes": payload_bytes,
         "pattern": pattern,
         "seed": seed,
-        "fast_path": fast_path,
         "telemetry": telemetry,
-        "propagation_ps": propagation_ps,
         "window": window,
-        "max_retries": max_retries,
         "transport": transport,
         "failover": failover,
     })

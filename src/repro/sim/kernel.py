@@ -111,7 +111,7 @@ class Simulator:
         # run is unbounded).  The batched train lane reads it through
         # :meth:`train_horizon` so a train never commits state beyond the
         # window a caller asked for -- in the sharded runner that window
-        # is the conservative ShardBoundary sync window, which is exactly
+        # is the conservative shard sync window, which is exactly
         # why trains can never leak across shard barriers.
         self._run_until: Optional[int] = None
         # Passive observers called after every fired event (telemetry

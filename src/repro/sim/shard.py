@@ -1,11 +1,11 @@
 """Rack-scale sharded execution: one window protocol, parameterised by horizon.
 
 Runs a :class:`~repro.core.topology.RackTopology` either **monolithically**
-(every NIC in one :class:`~repro.sim.kernel.Simulator` cabled by real
-:class:`~repro.workloads.wire.Wire` components -- the reference semantics)
-or **sharded** across worker processes, one ``Simulator`` per worker.
-Both go through :func:`_build_shard`; the monolithic run is the build
-with every NIC on shard 0, run to completion in this process.
+(every NIC in one :class:`~repro.sim.kernel.Simulator` -- the reference
+semantics) or **sharded** across worker processes, one ``Simulator`` per
+worker.  Both go through :func:`_build_shard` and cable their NICs with
+the same :class:`~repro.workloads.wire.LinkEnd`; the monolithic run is
+the build with every NIC on shard 0, run to completion in this process.
 
 Sharded runs synchronize in rounds.  ``L`` is the **lookahead** -- the
 minimum propagation delay over all cross-shard wires -- and ``H >= 1``
@@ -17,12 +17,13 @@ the round's **horizon** in lookaheads:
    arrivals.  Windows are half-open on purpose: shards run ``until
    m + H * L - 1`` so that a frame arriving exactly at the window end is
    scheduled *before* any local event at that instant fires.
-3. Egress frames (captured per window by
-   :class:`~repro.workloads.wire.ShardBoundary`) come back as serialized
-   batches.  The **commit point** ``W`` is the low-water mark of every
-   new cross-shard arrival, capped at the window end.  A frame sent at
-   ``tx >= m`` arrives at ``tx + prop >= m + L``, so ``W >= m + L``:
-   every round commits at least one lookahead and progress is guaranteed.
+3. Egress frames (parked per window in the outbox of each
+   :class:`~repro.workloads.wire.LinkEnd` whose far NIC is on another
+   shard) come back as serialized batches.  The **commit point** ``W``
+   is the low-water mark of every new cross-shard arrival, capped at
+   the window end.  A frame sent at ``tx >= m`` arrives at
+   ``tx + prop >= m + L``, so ``W >= m + L``: every round commits at
+   least one lookahead and progress is guaranteed.
 4. Capsules created below ``W`` are scheduled at their exact arrival
    timestamps before the next window opens; ``W`` rides along on that
    window's message.
@@ -215,9 +216,9 @@ def _mp_context():
 # Shard build (shared by every execution mode)
 # ---------------------------------------------------------------------------
 
-# Cross-shard boundaries are keyed by (link index, end) where end is "a"
-# or "b"; the key names the *receiving* boundary, so a capsule captured at
-# end "a" of link 7 is routed to key (7, "b").
+# A link end is keyed by (link index, end) where end is "a" or "b", the
+# side it transmits from; a capsule that end "a" of link 7 parks in its
+# outbox is delivered by the end keyed (7, "b").
 
 _OTHER_END = {"a": "b", "b": "a"}
 
@@ -234,12 +235,12 @@ def _build_shard(
     fault_plan=None,
 ):
     """Construct shard ``shard``'s slice of the topology inside ``sim``:
-    its NICs, intra-shard wires, cross-shard boundaries, and armed
-    faults.  Returns ``(nics, reports, boundaries, wires)``."""
-    from repro.faults.rack import (
-        arm_rack_faults, boundary_end, wire_direction_label, wire_ends,
-    )
-    from repro.workloads.wire import ShardBoundary, Wire
+    its NICs, one :class:`~repro.workloads.wire.LinkEnd` per cable end
+    those NICs hold, and armed faults.  An end whose far NIC was built
+    here delivers to it directly; one whose far NIC was not has no peer
+    and fills its outbox.  Returns ``(nics, reports, ends)``."""
+    from repro.faults.rack import arm_rack_faults, wire_direction_label
+    from repro.workloads.wire import LinkEnd
 
     nics: Dict[str, Any] = {}
     reports: Dict[str, Callable[[], dict]] = {}
@@ -250,48 +251,27 @@ def _build_shard(
         nics[spec.name] = nic
         reports[spec.name] = report
 
-    boundaries: Dict[Tuple[int, str], Any] = {}
-    wires = []
     ends: Dict[Tuple[int, str], Any] = {}
     for index, link in enumerate(topology.links):
-        shard_a = assignment[link.nic_a]
-        shard_b = assignment[link.nic_b]
-        if shard_a == shard and shard_b == shard:
-            wire = Wire(
-                sim, nics[link.nic_a], nics[link.nic_b],
-                name=f"wire{index}.{link.nic_a}-{link.nic_b}",
-                propagation_ps=link.propagation_ps,
-                port_a=link.port_a, port_b=link.port_b,
-                fault_labels={
-                    end: wire_direction_label(index, link, end)
-                    for end in ("a", "b")
-                },
-            )
-            wires.append(wire)
-            ends.update(wire_ends(wire, index))
-        elif shard_a == shard or shard_b == shard:
-            end = "a" if shard_a == shard else "b"
+        for end in ("a", "b"):
             nic_name, port = _link_end(link, end)
-            peer_name, _ = _link_end(link, _OTHER_END[end])
-            boundary = ShardBoundary(
-                sim, nics[nic_name], port,
-                peer_nic=peer_name,
-                propagation_ps=link.propagation_ps,
-                name=f"boundary{index}.{nic_name}.p{port}",
+            if nic_name not in nics:
+                continue
+            peer_name, peer_port = _link_end(link, _OTHER_END[end])
+            ends[(index, end)] = LinkEnd(
+                sim, nics[nic_name], port, nics.get(peer_name), peer_port,
+                link.propagation_ps,
+                name=f"wire{index}.{nic_name}.p{port}",
                 fault_label=wire_direction_label(index, link, end),
             )
-            boundaries[(index, end)] = boundary
-            ends.update(boundary_end(boundary, index, end))
     arm_rack_faults(fault_plan, topology, sim, nics, ends)
-    return nics, reports, boundaries, wires
+    return nics, reports, ends
 
 
-def _shard_wire_stats(wires, boundaries) -> Dict[str, Dict[str, int]]:
+def _shard_wire_stats(ends) -> Dict[str, Dict[str, int]]:
     wire_stats: Dict[str, Dict[str, int]] = {}
-    for wire in wires:
-        wire_stats.update(wire.wire_stats())
-    for boundary in boundaries.values():
-        wire_stats.update(boundary.wire_stats())
+    for link_end in ends.values():
+        wire_stats.update(link_end.wire_stats())
     return wire_stats
 
 
@@ -308,9 +288,8 @@ def run_monolithic(
     """Run the whole topology in this process: the reference semantics
     every sharded run must reproduce bit-for-bit.
 
-    The build is :func:`_build_shard` with every NIC on shard 0, so all
-    wires are real :class:`~repro.workloads.wire.Wire` components and no
-    boundary exists.
+    The build is :func:`_build_shard` with every NIC on shard 0, so
+    every link end has its far NIC beside it and no outbox ever fills.
 
     ``fault_plan`` is an optional rack-scoped
     :class:`~repro.faults.plan.FaultPlan` (targets ``"<nic>:<target>"``
@@ -324,7 +303,7 @@ def run_monolithic(
 
     t0 = time.perf_counter()
     sim = Simulator()
-    _nics, reports, boundaries, wires = _build_shard(
+    _nics, reports, ends = _build_shard(
         sim, 0, topology, topology.assign_shards(1), fault_plan
     )
     if profile:
@@ -340,7 +319,7 @@ def run_monolithic(
         events_fired=fired,
         wall_seconds=done - t0,
         trace=merge_trace_reports(gathered),
-        wire_stats=_shard_wire_stats(wires, boundaries),
+        wire_stats=_shard_wire_stats(ends),
         profile=sim.profile_report() if profile else None,
         shard_profiles=(
             {0: {"busy_seconds": done - run_t0,
@@ -452,9 +431,12 @@ def _worker_main(
     nics: Dict[str, Any] = {}
     try:
         sim = Simulator()
-        nics, reports, boundaries, wires = _build_shard(
+        nics, reports, ends = _build_shard(
             sim, shard, topology, assignment, fault_plan
         )
+        # The ends whose outboxes fill: their far NIC is on another shard.
+        boundaries = {key: link_end for key, link_end in ends.items()
+                      if link_end.peer_nic is None}
         if speculative:
             # A train ride moves sim.now inside one event and never
             # reaches the fired log the dirty check reads, so a ride
@@ -518,7 +500,7 @@ def _worker_main(
                 conn.send((
                     "reports",
                     {name: report() for name, report in reports.items()},
-                    _shard_wire_stats(wires, boundaries),
+                    _shard_wire_stats(ends),
                     counters,
                     sim.events_fired,
                     sim.profile_report(),

@@ -19,7 +19,7 @@ from repro.workloads.kvs import (
 )
 from repro.workloads.dos import DosFlood
 from repro.workloads.traces import TraceRecorder, TraceReplayer, TraceRecord
-from repro.workloads.wire import PacketCapsule, ShardBoundary, Wire
+from repro.workloads.wire import LinkEnd, PacketCapsule, Wire
 from repro.workloads.rack import build_rack_nic, rack_topology
 
 __all__ = [
@@ -27,10 +27,10 @@ __all__ = [
     "DosFlood",
     "KvsClient",
     "KvsWorkload",
+    "LinkEnd",
     "OnOffSource",
     "PacketCapsule",
     "PoissonSource",
-    "ShardBoundary",
     "TenantSpec",
     "TraceRecord",
     "TraceRecorder",

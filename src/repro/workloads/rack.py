@@ -163,7 +163,6 @@ class RackNode:
         index: int,
         n_nics: int,
         seed: int = 0,
-        fast_path: bool = True,
         telemetry=None,
         batch: bool = False,
         flow_id: str = "auto",
@@ -182,7 +181,6 @@ class RackNode:
             ports=n_nics - 1,
             offloads=offloads,
             seed=seed + index,
-            fast_path=fast_path,
             telemetry=telemetry,
             batch_execution=batch,
             mesh_width=mesh_side,
@@ -317,8 +315,10 @@ def build_rack_nic(
     return nic, node.report
 
 
-def all_pairs_topology(builder, nics: int, propagation_ps: int,
-                       params: dict) -> RackTopology:
+def all_pairs_topology(
+    builder, nics: int, params: dict,
+    propagation_ps: int = DEFAULT_PROPAGATION_PS,
+) -> RackTopology:
     """``nics`` nodes built by ``builder(sim, name, index=, n_nics=,
     **params)``, every unordered pair joined by one full-duplex cable;
     the port numbering is :func:`rack_port` on both ends."""
@@ -347,7 +347,6 @@ def rack_topology(
     payload_bytes: int = 256,
     propagation_ps: int = DEFAULT_PROPAGATION_PS,
     seed: int = 0,
-    fast_path: bool = True,
     telemetry=None,
     batch: bool = False,
     flow_id: str = "auto",
@@ -358,15 +357,14 @@ def rack_topology(
     (module docstring): ``"dscp"`` caps the rack at 7 NICs, ``"tag"`` at
     255, ``"auto"`` switches at 8."""
     check_pattern(pattern)
-    return all_pairs_topology(build_rack_nic, nics, propagation_ps, {
+    return all_pairs_topology(build_rack_nic, nics, {
         "frames": frames,
         "gap_ps": gap_ps,
         "payload_bytes": payload_bytes,
         "pattern": pattern,
         "seed": seed,
-        "fast_path": fast_path,
         "telemetry": telemetry,
         "batch": batch,
         "flow_id": resolve_flow_id(flow_id, nics),
         "int_": int_,
-    })
+    }, propagation_ps)

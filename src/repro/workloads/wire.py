@@ -1,22 +1,21 @@
-"""A point-to-point external wire connecting two NICs.
+"""The external cable between two NICs, as two link ends.
 
 Lets experiments build the full picture the paper's introduction sketches
 -- clients talking to a PANIC-equipped server across a network -- by
 cabling the TX side of one NIC to the RX side of another, with a
 configurable one-way propagation delay (rack-local ~500 ns, cross-DC
-~micro/milliseconds for the WAN tenants of section 2.2).
+~micro/milliseconds for the WAN tenants of section 2.2).  Any pair of
+PANIC/baseline NICs can be cabled: an end needs only ``on_transmit`` to
+observe egress and ``inject`` to offer ingress.
 
-Both ends expose the common NIC surface this library uses everywhere
-(``on_transmit`` to observe egress, ``inject`` to offer ingress), so any
-pair of PANIC/baseline NICs can be cabled.
-
-:class:`ShardBoundary` is the sharded-execution variant (see
-:mod:`repro.sim.shard`): one *half* of a wire whose far end lives in
-another worker process.  Egress frames are captured into per-window
-batches of picklable :class:`PacketCapsule` records instead of being
-scheduled locally; ingress capsules received at a window barrier are
-scheduled for delivery at exactly the timestamp the monolithic
-:class:`Wire` would have used, so the sharded run stays bit-identical.
+:class:`LinkEnd` is the one class that moves a frame: one per NIC per
+cable, in every execution mode.  It judges what its NIC transmits
+(:class:`LinkFaults`, :func:`_egress`), then either schedules the
+delivery at the far NIC or, when that NIC lives in another shard
+worker (:mod:`repro.sim.shard`), parks the picklable
+:class:`PacketCapsule` for the window barrier -- which delivers it at
+the very timestamp, so a sharded run stays bit-identical.
+:class:`Wire` is the two ends of a cable whose NICs share a process.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ class LinkFaults:
 
     Holds the seeded Bernoulli loss model (armed by a ``WIRE_LOSS``
     fault event) and the scheduled-outage flag (``WIRE_DOWN``/
-    ``WIRE_UP``).  Both :class:`Wire` directions and each
-    :class:`ShardBoundary` own one, and both call :meth:`process` at
+    ``WIRE_UP``).  Every :class:`LinkEnd` owns one and consults it at
     *transmit* time -- the one instant that happens in identical
     per-direction FIFO order in monolithic and sharded execution, so
     the RNG draw sequence (and therefore every drop and bit flip) is
@@ -126,57 +124,19 @@ class LinkFaults:
         return out
 
 
-def arm_linklayer(faults: LinkFaults, nic, propagation_ps: int,
-                  params: dict) -> None:
-    """Attach a :class:`~repro.reliability.linklayer.LinkLayer` to one
-    transmit direction (the WIRE_LINKLAYER arming path).
-
-    ``nic`` is the *transmitting* NIC: its tracer (when telemetry is on)
-    records the ``ll_*`` repair instants on a flow context of its own,
-    exactly like the host transport's ``rel_*`` instants.  Re-arming
-    replaces the previous link layer (fresh counters and hold buffer).
-    """
-    from repro.reliability.linklayer import LinkLayer
-
-    tracer = ctx = None
-    telemetry = getattr(nic, "telemetry", None)
-    if telemetry is not None:
-        tracer = telemetry.tracer
-        ctx = tracer.flow_ctx()
-    faults.linklayer = LinkLayer(
-        faults, propagation_ps, tracer=tracer, trace_ctx=ctx, **params
-    )
-
-
-def _trace_wire_drop(nic, packet: Packet, label: str, now: int,
-                     reason: str) -> None:
-    """Record a traced packet vanishing on an external wire.
-
-    ``label`` is the :class:`LinkFaults` label, identical between
-    execution modes, so traced runs stay mono==sharded comparable.
-    """
-    telemetry = getattr(nic, "telemetry", None)
-    if telemetry is None:
-        return
-    ctx = packet.meta.annotations.get("__trace__")
-    if ctx is not None:
-        telemetry.tracer.instant(ctx, "ext_wire_drop", label, now,
-                                 (("reason", reason),))
-
-
 @dataclass
 class PacketCapsule:
     """A frame in transit on an external wire: what :func:`_egress` let
-    through, in picklable form.  A :class:`Wire` turns it straight back
-    into a packet; a :class:`ShardBoundary` ships it to the peer shard.
+    through, in picklable form, until :func:`_refresh_packet` turns it
+    back into a packet at the far NIC.
 
     ``arrival_ps`` is the absolute delivery timestamp (TX time plus the
-    wire's propagation delay); ``link_seq`` is the per-boundary transmit
+    wire's propagation delay); ``link_seq`` is the per-direction transmit
     sequence number, used to keep same-instant deliveries on one wire in
     FIFO order after the batch crosses process boundaries.
 
-    ``request_ctx`` and ``e2e_t0`` mirror the annotations a monolithic
-    :class:`Wire` preserves; in a sharded run they must be picklable.
+    ``request_ctx`` and ``e2e_t0`` are the annotations a cable
+    preserves; in a sharded run they must be picklable.
     ``int_state`` carries the side-channel INT hop stack (a plain tuple
     of record tuples -- picklable by construction); in-band INT stacks
     ride inside ``data`` instead.
@@ -194,17 +154,17 @@ class PacketCapsule:
 
 
 def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
-            propagation_ps: int, link_seq: int = 0,
-            ) -> Optional[PacketCapsule]:
+            propagation_ps: int, link_seq: int) -> Optional[PacketCapsule]:
     """Judge one frame ``nic`` transmits at ``now`` onto the direction
-    ``faults`` guards: the single egress decision of :class:`Wire` and
-    :class:`ShardBoundary`, so both execution modes draw the same RNG
-    sequence, drop for the same reason and carry the same annotations.
+    ``faults`` guards: the single egress decision, so every execution
+    mode draws the same RNG sequence, drops for the same reason and
+    carries the same annotations.
 
     Returns the frame as it will reach the far end -- surviving bytes,
     handoff timestamp (propagation, plus repair delay when a link layer
     is armed), carried annotations -- or None when it is lost, after
-    recording the drop on the packet's trace."""
+    recording the drop on the packet's trace (under the direction's
+    label, so traced runs stay comparable between execution modes)."""
     linklayer = faults.linklayer
     if linklayer is None:
         data = faults.process(packet.data)
@@ -213,9 +173,13 @@ def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
         carried = linklayer.transmit(packet.data, now)
         data, handoff_ps = carried if carried is not None else (None, 0)
     if data is None:
-        reason = ("down" if faults.down
-                  else "ll_gave_up" if linklayer is not None else "loss")
-        _trace_wire_drop(nic, packet, faults.label, now, reason)
+        telemetry = getattr(nic, "telemetry", None)
+        ctx = packet.meta.annotations.get("__trace__")
+        if telemetry is not None and ctx is not None:
+            reason = ("down" if faults.down
+                      else "ll_gave_up" if linklayer is not None else "loss")
+            telemetry.tracer.instant(ctx, "ext_wire_drop", faults.label, now,
+                                     (("reason", reason),))
         return None
     meta = packet.meta
     annotations = meta.annotations
@@ -234,8 +198,7 @@ def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
 
 def _refresh_packet(capsule: PacketCapsule) -> Packet:
     """A frame entering a new NIC is a new packet life: fresh metadata,
-    same bytes.  Shared by :class:`Wire` and :class:`ShardBoundary` so
-    both execution modes hand the receiving NIC an identical packet.
+    same bytes.
 
     ``int_state`` is the side-channel INT hop stack (a plain tuple of
     records, see :mod:`repro.telemetry.int_`); the receiving NIC's
@@ -253,15 +216,154 @@ def _refresh_packet(capsule: PacketCapsule) -> Packet:
     return fresh
 
 
-class Wire(Component):
-    """A full-duplex cable between two NICs.
+class LinkEnd(Component):
+    """One end of one cable: the frames ``nic`` transmits on ``port``,
+    and the delivery of the frames the far end sends back.
 
-    Perfect by default; a rack fault plan (``WIRE_LOSS``/``WIRE_DOWN``,
-    see :mod:`repro.faults.rack`) arms the per-direction
-    :class:`LinkFaults` via :meth:`set_loss`/:meth:`set_down`.
-    ``fault_labels`` overrides the labels used for loss accounting and
-    telemetry so a sharded run's :class:`ShardBoundary` halves can
-    report under identical names.
+    Every frame the NIC transmits on the cabled port is counted
+    (:attr:`transmitted`) and judged by :func:`_egress` against this
+    direction's own :class:`LinkFaults`.  What becomes of a surviving
+    :class:`PacketCapsule` depends on the one thing the end can see,
+    where the far NIC lives:
+
+    * ``peer_nic`` is in this process: its delivery is scheduled there
+      and then, at the capsule's ``arrival_ps``;
+    * ``peer_nic`` is None (a cross-shard cable): the capsule waits in
+      the outbox.  The shard runner drains :meth:`take_outbox` at every
+      window barrier and hands the batch to the far shard's end of the
+      cable, whose :meth:`schedule_deliveries` does the scheduling.
+
+    Both routes end in :meth:`_deliver`, and the window protocol gets a
+    capsule to the far shard before its arrival window opens, so the
+    receiving NIC cannot tell them apart: the link layer of monolithic
+    == sharded holds because this is the only copy of it.
+
+    A zero-length cable is legal only in-process; between processes the
+    propagation delay is the lookahead.  ``fault_label`` (default: the
+    name) is this direction in fault accounting and telemetry; racks
+    pass :func:`repro.faults.rack.wire_direction_label`, which does not
+    depend on the shard assignment.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        nic,
+        port: int,
+        peer_nic,
+        peer_port: int,
+        propagation_ps: int,
+        name: str,
+        fault_label: Optional[str] = None,
+    ):
+        super().__init__(sim, name)
+        if propagation_ps < 0:
+            raise ValueError(f"{name}: negative propagation delay")
+        if peer_nic is None and propagation_ps == 0:
+            raise ValueError(
+                f"{name}: a cable between processes needs a positive "
+                "propagation delay")
+        self.nic = nic
+        self.port = port
+        self.peer_nic = peer_nic
+        self.peer_port = peer_port
+        self.propagation_ps = propagation_ps
+        self.faults = LinkFaults(fault_label or name)
+        #: Frames the NIC offered on this port, lost or not.
+        self.transmitted = Counter(f"{name}.tx")
+        self._outbox: List[PacketCapsule] = []
+        self._tx_seq = 0
+        nic.on_transmit(self._transmit)
+
+    # -- fault arming (repro.faults.rack) -------------------------------
+
+    def set_loss(self, drop_p: float, corrupt_p: float, rng) -> None:
+        """Arm Bernoulli loss on this transmit direction."""
+        self.faults.set_loss(drop_p, corrupt_p, rng)
+
+    def set_down(self, down: bool) -> None:
+        """Cut (or restore) this transmit direction; a cable cut arms
+        both ends at the same instant, wherever they live."""
+        self.faults.down = down
+
+    def set_linklayer(self, params: dict) -> None:
+        """Arm sub-RTT link-local repair on this transmit direction
+        (``WIRE_LINKLAYER``); re-arming replaces the previous link
+        layer, counters and hold buffer included.
+
+        The repair trajectory is computed entirely at TX time (see
+        :mod:`repro.reliability.linklayer`), so a capsule just carries
+        the post-repair handoff timestamp and the far end needs no
+        protocol state; windows stay safe because repair only *adds*
+        delay beyond the lookahead.  With telemetry on, the transmitting
+        NIC's tracer records the ``ll_*`` instants on a flow context of
+        their own, like the host transport's ``rel_*`` instants.
+        """
+        from repro.reliability.linklayer import LinkLayer
+
+        tracer = ctx = None
+        telemetry = getattr(self.nic, "telemetry", None)
+        if telemetry is not None:
+            tracer = telemetry.tracer
+            ctx = tracer.flow_ctx()
+        self.faults.linklayer = LinkLayer(
+            self.faults, self.propagation_ps, tracer=tracer, trace_ctx=ctx,
+            **params
+        )
+
+    def wire_stats(self) -> Dict[str, Dict[str, int]]:
+        """This direction's fault accounting, keyed by its label."""
+        return {self.faults.label: self.faults.stats()}
+
+    # -- egress ---------------------------------------------------------
+
+    def _transmit(self, packet: Packet) -> None:
+        if (packet.meta.egress_port or 0) != self.port:
+            return  # a different cable serves that port
+        self.transmitted.add()
+        capsule = _egress(self.faults, self.nic, packet, self.sim.now,
+                          self.propagation_ps, self._tx_seq)
+        if capsule is None:
+            return
+        self._tx_seq += 1
+        if self.peer_nic is None:
+            self._outbox.append(capsule)
+        else:
+            self.sim.schedule_at(capsule.arrival_ps, self._deliver,
+                                 self.peer_nic, self.peer_port, capsule)
+
+    def take_outbox(self) -> List[PacketCapsule]:
+        """Drain the capsules bound for another process."""
+        batch, self._outbox = self._outbox, []
+        return batch
+
+    # -- ingress --------------------------------------------------------
+
+    def schedule_deliveries(self, capsules: List[PacketCapsule]) -> None:
+        """Schedule capsules the far end shipped here, each at its exact
+        arrival time, in ``(arrival_ps, link_seq)`` order: simultaneous
+        arrivals then fire in transmit order, as they do when the far
+        end schedules them itself one transmission at a time."""
+        for capsule in sorted(
+            capsules, key=lambda c: (c.arrival_ps, c.link_seq)
+        ):
+            self.sim.schedule_at(capsule.arrival_ps, self._deliver,
+                                 self.nic, self.port, capsule)
+
+    @staticmethod
+    def _deliver(nic, port: int, capsule: PacketCapsule) -> None:
+        nic.inject(_refresh_packet(capsule), port)
+
+
+class Wire:
+    """A full-duplex cable between two NICs of one process: two
+    :class:`LinkEnd` s, each with the other's NIC as its peer.
+
+    Perfect by default; a rack fault plan (``WIRE_LOSS``/``WIRE_DOWN``/
+    ``WIRE_LINKLAYER``, see :mod:`repro.faults.rack`) arms the ends.
+    ``end`` is ``"a"`` or ``"b"``, naming the transmitting NIC;
+    ``fault_labels`` overrides the per-direction labels used in loss
+    accounting and telemetry (default ``<name>.a`` / ``<name>.b``).
     """
 
     def __init__(
@@ -275,178 +377,35 @@ class Wire(Component):
         port_b: int = 0,
         fault_labels: Optional[Dict[str, str]] = None,
     ):
-        super().__init__(sim, name)
-        if propagation_ps < 0:
-            raise ValueError(f"{name}: negative propagation delay")
-        self.nic_a = nic_a
-        self.nic_b = nic_b
-        self.propagation_ps = propagation_ps
-        self.port_a = port_a
-        self.port_b = port_b
-        self.a_to_b = Counter(f"{name}.a_to_b")
-        self.b_to_a = Counter(f"{name}.b_to_a")
         labels = fault_labels or {}
-        self.faults: Dict[str, LinkFaults] = {
-            "a": LinkFaults(labels.get("a", f"{name}.a")),
-            "b": LinkFaults(labels.get("b", f"{name}.b")),
+        self.ends: Dict[str, LinkEnd] = {
+            "a": LinkEnd(sim, nic_a, port_a, nic_b, port_b, propagation_ps,
+                         f"{name}.a", labels.get("a")),
+            "b": LinkEnd(sim, nic_b, port_b, nic_a, port_a, propagation_ps,
+                         f"{name}.b", labels.get("b")),
         }
-        nic_a.on_transmit(self._from_a)
-        nic_b.on_transmit(self._from_b)
-
-    # -- fault arming (repro.faults.rack) -------------------------------
+        self.faults: Dict[str, LinkFaults] = {
+            end: link_end.faults for end, link_end in self.ends.items()}
+        #: Frames each NIC offered on its cabled port.
+        self.a_to_b = self.ends["a"].transmitted
+        self.b_to_a = self.ends["b"].transmitted
 
     def set_loss(self, end: str, drop_p: float, corrupt_p: float,
                  rng) -> None:
         """Arm Bernoulli loss on the direction transmitting at ``end``."""
-        self.faults[end].set_loss(drop_p, corrupt_p, rng)
+        self.ends[end].set_loss(drop_p, corrupt_p, rng)
 
     def set_down(self, down: bool) -> None:
         """Cut (or restore) the whole cable, both directions."""
-        self.faults["a"].down = down
-        self.faults["b"].down = down
+        for link_end in self.ends.values():
+            link_end.set_down(down)
 
     def set_linklayer(self, end: str, params: dict) -> None:
-        """Arm sub-RTT link-local repair on the direction transmitting
-        at ``end`` (the ``WIRE_LINKLAYER`` fault kind)."""
-        nic = self.nic_a if end == "a" else self.nic_b
-        arm_linklayer(self.faults[end], nic, self.propagation_ps, params)
+        """Arm link-local repair on the direction transmitting at
+        ``end``."""
+        self.ends[end].set_linklayer(params)
 
     def wire_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-direction fault accounting, keyed by the fault label."""
-        return {f.label: f.stats() for f in self.faults.values()}
-
-    # -- transfer --------------------------------------------------------
-
-    def _from_a(self, packet: Packet) -> None:
-        if (packet.meta.egress_port or 0) != self.port_a:
-            return  # a different cable serves that port
-        self.a_to_b.add()
-        self._transfer(packet, self.faults["a"], self.nic_a,
-                       self.nic_b, self.port_b)
-
-    def _from_b(self, packet: Packet) -> None:
-        if (packet.meta.egress_port or 0) != self.port_b:
-            return
-        self.b_to_a.add()
-        self._transfer(packet, self.faults["b"], self.nic_b,
-                       self.nic_a, self.port_a)
-
-    def _transfer(self, packet: Packet, faults: LinkFaults, src_nic,
-                  dst_nic, dst_port: int) -> None:
-        capsule = _egress(faults, src_nic, packet, self.now,
-                          self.propagation_ps)
-        if capsule is not None:
-            self.sim.schedule_at(capsule.arrival_ps, self._deliver, dst_nic,
-                                 dst_port, _refresh_packet(capsule))
-
-    @staticmethod
-    def _deliver(nic, port: int, packet: Packet) -> None:
-        nic.inject(packet, port)
-
-
-class ShardBoundary(Component):
-    """One shard's half of a cross-shard wire.
-
-    The egress side observes the local NIC's transmissions on the cabled
-    port and buffers them as :class:`PacketCapsule` batches; the shard
-    runner drains :meth:`take_outbox` at every window barrier and ships
-    the batch to the peer shard.  The ingress side receives the peer's
-    capsules via :meth:`schedule_deliveries` and injects each frame at
-    its exact arrival timestamp.
-
-    Because the conservative window protocol guarantees every capsule
-    arrives at the consumer before its ``arrival_ps`` window opens, the
-    receiving NIC cannot distinguish a :class:`ShardBoundary` from a real
-    :class:`Wire`.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        nic,
-        port: int,
-        peer_nic: str,
-        propagation_ps: int = DEFAULT_PROPAGATION_PS,
-        name: Optional[str] = None,
-        fault_label: Optional[str] = None,
-    ):
-        super().__init__(sim, name or f"boundary.{peer_nic}.p{port}")
-        if propagation_ps <= 0:
-            raise ValueError(f"{self.name}: propagation must be positive")
-        self.nic = nic
-        self.port = port
-        self.peer_nic = peer_nic
-        self.propagation_ps = propagation_ps
-        self._outbox: List[PacketCapsule] = []
-        self._tx_seq = 0
-        self.tx_captured = Counter(f"{self.name}.tx")
-        self.rx_delivered = Counter(f"{self.name}.rx")
-        #: TX-direction fault state; ``fault_label`` must match the
-        #: monolithic Wire's label for this direction so fault stats and
-        #: telemetry stay mode-independent.
-        self.faults = LinkFaults(fault_label or self.name)
-        nic.on_transmit(self._capture)
-
-    # -- fault arming (repro.faults.rack) -------------------------------
-
-    def set_loss(self, drop_p: float, corrupt_p: float, rng) -> None:
-        """Arm Bernoulli loss on the locally-transmitting direction."""
-        self.faults.set_loss(drop_p, corrupt_p, rng)
-
-    def set_down(self, down: bool) -> None:
-        """Cut (or restore) the locally-transmitting direction.
-
-        The peer shard arms its own half at the same fault timestamp, so
-        the whole cable goes down exactly as in the monolithic run.
-        """
-        self.faults.down = down
-
-    def set_linklayer(self, params: dict) -> None:
-        """Arm link-local repair on the locally-transmitting direction.
-
-        The repair trajectory is computed entirely at TX time (see
-        :mod:`repro.reliability.linklayer`), so the capsule simply ships
-        with the post-repair handoff timestamp -- the peer shard needs
-        no protocol state at all, and conservative windows stay safe
-        because repair only ever *adds* delay beyond the propagation
-        lookahead.
-        """
-        arm_linklayer(self.faults, self.nic, self.propagation_ps, params)
-
-    def wire_stats(self) -> Dict[str, Dict[str, int]]:
-        return {self.faults.label: self.faults.stats()}
-
-    # -- egress ---------------------------------------------------------
-
-    def _capture(self, packet: Packet) -> None:
-        if (packet.meta.egress_port or 0) != self.port:
-            return
-        capsule = _egress(self.faults, self.nic, packet, self.now,
-                          self.propagation_ps, self._tx_seq)
-        if capsule is not None:
-            self._outbox.append(capsule)
-            self._tx_seq += 1
-            self.tx_captured.add()
-
-    def take_outbox(self) -> List[PacketCapsule]:
-        """Drain the egress batch accumulated during the last window."""
-        batch, self._outbox = self._outbox, []
-        return batch
-
-    # -- ingress --------------------------------------------------------
-
-    def schedule_deliveries(self, capsules: List[PacketCapsule]) -> None:
-        """Schedule every received capsule at its exact arrival time.
-
-        Capsules are ordered by ``(arrival_ps, link_seq)`` before
-        scheduling so simultaneous arrivals on this wire fire in the FIFO
-        order the monolithic wire would have produced.
-        """
-        for capsule in sorted(
-            capsules, key=lambda c: (c.arrival_ps, c.link_seq)
-        ):
-            self.sim.schedule_at(capsule.arrival_ps, self._deliver, capsule)
-
-    def _deliver(self, capsule: PacketCapsule) -> None:
-        self.rx_delivered.add()
-        self.nic.inject(_refresh_packet(capsule), self.port)
+        return {label: stats for link_end in self.ends.values()
+                for label, stats in link_end.wire_stats().items()}

@@ -492,6 +492,43 @@ class TestFaultPlan:
         sim.run()
         assert nic.offload("ipsec").slowdown == 1.0
 
+    @pytest.mark.parametrize("engine", ["compression", "rmt"])
+    def test_slowdown_multiplies_service_time_until_recover(self, engine):
+        """DESIGN section 8: a slowdown is a service-time multiplier on
+        whichever engine it names -- the RMT tile, which runs its own
+        service loop, included."""
+        def run(plan):
+            sim = Simulator()
+            nic = PanicNic(sim, PanicConfig(ports=1))
+            nic.control.route_dscp(10, ["compression"])
+            FaultInjector(nic, plan).arm()
+            for i in range(10):
+                sim.schedule_at((1 + i) * US, nic.inject,
+                                Packet(good_frame(dscp=10)))
+            sim.run()
+            return nic.offload(engine).service_latency.mean, sim.now
+
+        nominal, finished = run(FaultPlan())
+        slowed = run(FaultPlan().slow_engine(0, engine, factor=4.0))
+        assert slowed[0] == 4 * nominal and slowed[1] > finished
+        assert run(FaultPlan().slow_engine(0, engine, factor=4.0)
+                   .recover_engine(0, engine)) == (nominal, finished)
+
+    def test_flap_nic_goes_dark_and_comes_back(self, sim, nic):
+        """``flap_nic`` is ``flap_wire``'s whole-NIC twin and the only
+        caller of ``nic_up``: frames offered in the dark interval are
+        dropped at the MAC and counted, frames after it get through."""
+        FaultInjector(nic, FaultPlan().flap_nic(10 * US, 20 * US)).arm()
+        delivered = []
+        nic.host.software_handler = lambda p, q: delivered.append(sim.now)
+        for at_us in (5, 12, 15, 25):
+            sim.schedule_at(at_us * US, nic.inject, Packet(good_frame()))
+        sim.run()
+        assert nic.stats()["faults"]["dark_rx_drops"] == 2
+        assert len(delivered) == 2 and delivered[1] > 25 * US
+        with pytest.raises(ValueError, match="come back up"):
+            FaultPlan().flap_nic(20 * US, 20 * US)
+
 
 class TestDeadlockDiagnostics:
     def test_exhausted_budget_raises_with_pending_summary(self, sim):

@@ -11,7 +11,7 @@ from repro.core import PanicConfig, PanicNic
 from repro.packet import Packet, build_udp_frame
 from repro.sim import Simulator
 from repro.sim.clock import NS
-from repro.workloads import ShardBoundary, Wire
+from repro.workloads import LinkEnd, Wire
 
 
 def frame(ident=0):
@@ -99,61 +99,92 @@ class _StubNic:
 
 
 class TestSharedEgress:
-    """Wire and ShardBoundary judge egress through one function: the same
-    frames under the same seed must survive, die (and say why) and be
-    accounted identically, whichever one carries them."""
+    """One class carries a frame whether or not the far NIC shares the
+    process: the same frames under the same seeds must survive, die
+    (and say why), be accounted and reach the far NIC identically,
+    in both directions, whichever way the cable was built."""
 
-    LABEL = "wire0.a->b"
+    LABELS = {"a": "wire0.a->b", "b": "wire0.b->a"}
 
     def drive(self, cable):
         sim = Simulator()
-        a, b = _StubNic(sim), _StubNic(sim)
+        nics = {"a": _StubNic(sim), "b": _StubNic(sim)}
         if cable == "wire":
-            wire = Wire(sim, a, b, fault_labels={"a": self.LABEL})
-            set_loss = lambda *args: wire.set_loss("a", *args)
-            set_linklayer = lambda params: wire.set_linklayer("a", params)
+            wire = Wire(sim, nics["a"], nics["b"], fault_labels=self.LABELS)
+            ends, set_down = wire.ends, wire.set_down
         else:
-            wire = ShardBoundary(sim, a, 0, peer_nic="b",
-                                 fault_label=self.LABEL)
-            set_loss, set_linklayer = wire.set_loss, wire.set_linklayer
-        rng = random.Random(7)
+            # Each NIC in a "process" of its own: no peer, so survivors
+            # wait in the outbox for ``barrier`` to carry them across.
+            ends = {end: LinkEnd(sim, nics[end], 0, None, 0, 500 * NS,
+                                 f"cut.{end}", self.LABELS[end])
+                    for end in "ab"}
+
+            def set_down(down):
+                for link_end in ends.values():
+                    link_end.set_down(down)
+        rngs = {"a": random.Random(7), "b": random.Random(8)}
         ident = 0
 
-        def send(count):
-            nonlocal ident
-            for _ in range(count):
-                sim.run(until_ps=sim.now + 100 * NS)
-                packet = Packet(frame(ident))
-                packet.meta.annotations["__trace__"] = ident
-                ident += 1
-                a.transmit(packet)
+        def barrier():
+            for src, dst in ("ab", "ba"):
+                batch = ends[src].take_outbox()
+                # Handed over backwards: same-instant arrivals must
+                # still fire in transmit (link_seq) order, as the wire's.
+                ends[dst].schedule_deliveries(batch[::-1])
 
-        set_loss(0.3, 0.2, rng)              # Bernoulli loss + bit flips
-        send(20)
-        wire.set_down(True)                  # cable cut
-        send(4)
-        wire.set_down(False)
-        set_loss(0.6, 0.0, rng)
-        set_linklayer({"max_repair": 1})     # repair that often gives up
-        send(20)
+        def send(steps):
+            nonlocal ident
+            for _ in range(steps):
+                sim.run(until_ps=sim.now + 100 * NS)
+                # Two frames per NIC per instant: same-instant arrivals.
+                for end in "abab":
+                    packet = Packet(frame(ident))
+                    packet.meta.annotations["__trace__"] = ident
+                    ident += 1
+                    nics[end].transmit(packet)
+                if cable != "wire":
+                    barrier()
+
+        for end in "ab":                     # Bernoulli loss + bit flips
+            ends[end].set_loss(0.3, 0.2, rngs[end])
+        send(10)
+        set_down(True)                       # cable cut, both directions
+        send(2)
+        set_down(False)
+        for end in "ab":
+            ends[end].set_loss(0.6, 0.0, rngs[end])
+            ends[end].set_linklayer({"max_repair": 1})  # often gives up
+        send(10)
         sim.run()
-        if cable == "wire":
-            arrived = b.injected
-        else:
-            arrived = [(c.arrival_ps, c.created_ps, c.data)
-                       for c in wire.take_outbox()]
-        return wire.wire_stats()[self.LABEL], a.drops, arrived
+        stats = {}
+        for link_end in ends.values():
+            stats.update(link_end.wire_stats())
+        return stats, {end: (nic.drops, nic.injected)
+                       for end, nic in nics.items()}
 
     def test_wire_and_boundary_agree_on_every_frame(self):
-        stats, drops, arrived = self.drive("wire")
-        assert self.drive("boundary") == (stats, drops, arrived)
-        assert {reason for *_, reason in drops} \
-            == {"loss", "down", "ll_gave_up"}
-        assert stats["offered"] > 44          # repairs re-offer frames
-        assert stats["down_drops"] == 4
-        assert stats["corruptions"] > 0
-        assert stats["linklayer"]["gave_up"] > 0
-        assert len(arrived) + len(drops) == 44
+        stats, seen = self.drive("wire")
+        assert self.drive("boundary") == (stats, seen)
+        assert stats[self.LABELS["a"]] != stats[self.LABELS["b"]]
+        for end, far in ("ab", "ba"):
+            direction = stats[self.LABELS[end]]
+            drops, arrived = seen[end][0], seen[far][1]
+            assert {reason for *_, reason in drops} \
+                == {"loss", "down", "ll_gave_up"}
+            assert direction["offered"] > 44  # repairs re-offer frames
+            assert direction["down_drops"] == 4
+            assert direction["corruptions"] > 0
+            assert direction["linklayer"]["gave_up"] > 0
+            assert len(arrived) + len(drops) == 44
+
+    def test_zero_length_cable_is_legal_only_in_process(self, sim):
+        a, b = _StubNic(sim), _StubNic(sim)
+        Wire(sim, a, b, propagation_ps=0)
+        a.transmit(Packet(frame()))
+        sim.run()
+        assert [now for now, *_ in b.injected] == [0]
+        with pytest.raises(ValueError, match="between processes"):
+            LinkEnd(sim, a, 0, None, 0, 0, "cut")
 
 
 class TestExampleScripts:
