@@ -47,6 +47,19 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 from repro.sim.stats import Counter
 
+#: Offload base name (``KNOWN_OFFLOADS``) -> the engine class built for it.
+_OFFLOAD_ENGINES = {
+    "ipsec": IpsecEngine,
+    "compression": CompressionEngine,
+    "kvcache": KvCacheEngine,
+    "rdma": RdmaEngine,
+    "checksum": ChecksumEngine,
+    "regex": RegexEngine,
+    "ratelimit": RateLimiterEngine,
+    "dcqcn": DcqcnEngine,
+    "ecnmark": EcnMarkerEngine,
+}
+
 
 class PanicNic:
     """A fully assembled PANIC NIC simulation."""
@@ -261,25 +274,14 @@ class PanicNic:
             queue_capacity=cfg.queue_capacity,
             overflow=cfg.overflow,
         )
-        factories = {
-            "ipsec": lambda nm, p: IpsecEngine(self.sim, nm, **common, **p),
-            "compression": lambda nm, p: CompressionEngine(self.sim, nm, **common, **p),
-            "kvcache": lambda nm, p: KvCacheEngine(self.sim, nm, **common, **p),
-            "rdma": lambda nm, p: RdmaEngine(self.sim, nm, **common, **p),
-            "checksum": lambda nm, p: ChecksumEngine(self.sim, nm, **common, **p),
-            "regex": lambda nm, p: RegexEngine(self.sim, nm, **common, **p),
-            "ratelimit": lambda nm, p: RateLimiterEngine(self.sim, nm, **common, **p),
-            "dcqcn": lambda nm, p: DcqcnEngine(self.sim, nm, **common, **p),
-            "ecnmark": lambda nm, p: EcnMarkerEngine(self.sim, nm, **common, **p),
-        }
         reserved = set(overrides.values())
         tiles = (t for t in self._tile_iter()
                  if t not in used and t not in reserved)
         for offload_name in cfg.offloads:
             x, y = overrides.get(offload_name) or next(tiles)
             params = cfg.offload_params.get(offload_name, {})
-            factory = factories[offload_base(offload_name)]
-            engine = factory(f"{self.name}.{offload_name}", params)
+            engine = _OFFLOAD_ENGINES[offload_base(offload_name)](
+                self.sim, f"{self.name}.{offload_name}", **common, **params)
             place(engine, offload_name, x, y)
 
         self.control = PanicControl(

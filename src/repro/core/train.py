@@ -53,9 +53,17 @@ Three mechanisms enforce it:
   same order and by the same amounts as the scalar path.  The hot hop
   and service recipes inline their scalar counterparts
   (``PifoQueue.push`` + ``pop``, ``LatencyTracker.observe``,
-  ``RateMeter.record``) -- each inlined block cites the method it
+  ``Packet.touch``) -- each inlined block cites the method it
   replays; keep them in sync.  NoC hops are not copied: the ride calls
   the express path's own ``account_hops``/``account_forwards``.
+
+One leg serves every tile: the RMT pipeline finishes through
+``Engine._finish`` and works in a genuine ``handle`` like any engine, so
+a pass of :meth:`TrainLane._ride` differs by kind only in how it
+computes ``(start, t_fin)`` -- a base tile starts at arrival and takes
+``service_time_ps`` (its freed slot pumps the local router once); the
+pipeline starts at its next initiation slot, takes its fixed latency,
+and charges no lookup cycle because its ``_lookup_ps`` is 0.
 
 The lane's own counters live outside ``PanicNic.stats()`` -- they count
 simulator mechanics, not NIC behaviour, and stats trees must not differ
@@ -131,35 +139,30 @@ class TrainLane:
     # ------------------------------------------------------------------
 
     def _kind_of(self, engine: Engine) -> Optional[str]:
-        """``"base"``/``"rmt"`` when the engine's service loop is the
-        stock one the lane knows how to replay, else None.
+        """``"base"``/``"rmt"`` -- whose ``_try_start`` admits -- when
+        the engine's service loop is the stock one the lane knows how
+        to replay, else None.
 
         Identity checks on the unbound methods: an engine subclass that
         overrides any part of the receive/service/route machinery gets
-        scalar execution -- ``handle``/``service_time_ps``/``decide``
-        overrides are fine (the lane calls them genuinely)."""
+        scalar execution -- ``handle``/``service_time_ps`` overrides
+        are fine (the lane calls them genuinely)."""
         key = id(engine)
         cached = self._kinds.get(key, _MISS)
         if cached is not _MISS:
             return cached
         cls = type(engine)
         kind: Optional[str] = None
-        if isinstance(engine, RmtPipelineEngine):
-            if (cls._try_start is RmtPipelineEngine._try_start
-                    and cls._finish_rmt is RmtPipelineEngine._finish_rmt
-                    and cls.receive is Engine.receive
-                    and cls.try_receive is Engine.try_receive
-                    and cls._rank_of is Engine._rank_of
-                    and cls._route_by_chain is Engine._route_by_chain):
-                kind = "rmt"
-        elif (cls._try_start is Engine._try_start
-                and cls._finish is Engine._finish
+        if (cls._finish is Engine._finish
                 and cls.receive is Engine.receive
                 and cls.try_receive is Engine.try_receive
                 and cls._rank_of is Engine._rank_of
                 and cls._route_by_chain is Engine._route_by_chain
                 and cls._loopback is Engine._loopback):
-            kind = "base"
+            if cls._try_start is Engine._try_start:
+                kind = "base"
+            elif cls._try_start is RmtPipelineEngine._try_start:
+                kind = "rmt"
         self._kinds[key] = kind
         self._kind_obj[key] = engine  # keep ids stable while cached
         return kind
@@ -248,8 +251,8 @@ class TrainLane:
         """Replay the whole remaining trajectory, one leg per loop pass.
 
         Each pass serves ``packet`` at an idle ``engine`` -- mirroring
-        ``Engine.receive`` + ``Engine._try_start`` + ``Engine._finish``
-        (base) or the ``RmtPipelineEngine`` pair (rmt) -- then attempts
+        ``Engine.receive``, the kind's own ``_try_start`` and
+        ``Engine._finish`` -- then attempts
         to commit the next NoC traversal arithmetically (mirroring
         ``Mesh._try_express`` + ``ExpressFlight._finish`` and the final
         router's delivery pump) and continues at the target.  Any leg
@@ -283,8 +286,7 @@ class TrainLane:
                 rec = self._recipe_of(engine, kind)
             (queue, qseq, qpushed, qlat, slat, processed, name,
              csum_handle, csum_svc, address, lookup_table, lookup_ps,
-             inj, expr_cache, ser_cache, injected, meter, ii_ps,
-             lat_ps) = rec
+             inj, expr_cache, ser_cache, injected, ii_ps, lat_ps) = rec
             sim.now = t_arr  # monotonic: t_arr >= now on entry
             # receive(): enqueue_ps is stamped then immediately popped
             # by the service start; net effect on annotations is
@@ -300,6 +302,7 @@ class TrainLane:
             # queue_latency.observe(t_arr, t_arr) inline: a zero sample.
             qlat._samples.append(0)
             qlat._sorted = False
+            # The admission: the only step the two kinds do differently.
             if kind == "rmt":
                 # RmtPipelineEngine._try_start (no notify_space there).
                 start = engine._next_accept_ps
@@ -307,50 +310,6 @@ class TrainLane:
                     start = t_arr
                 engine._next_accept_ps = start + ii_ps
                 t_fin = start + lat_ps
-                if t_fin >= h:
-                    sim.schedule_at(
-                        t_fin, engine._finish_rmt,
-                        NocMessage(packet, dest, src, inject_ps, hops, mid),
-                        start)
-                    self.handoffs += 1
-                    return
-                # RmtPipelineEngine._finish_rmt at t_fin.
-                sim.now = t_fin
-                processed.value += 1
-                # pps_meter.record(t_fin) inline.
-                meter.total += 1.0
-                meter.last_ps = t_fin
-                slat._samples.append(t_fin - start)
-                slat._total += t_fin - start
-                slat._sorted = False
-                # packet.touch(name) inline; the cached trail list is
-                # dropped after every genuine handle()/decide() call and
-                # on packet replacement, so it can never go stale.
-                if trail is None:
-                    trail = ann.get("trail")
-                    if trail is None:
-                        ann["trail"] = trail = []
-                trail.append(name)
-                seq = sim._seq
-                phv = engine.pipeline.process(
-                    packet.data,
-                    metadata=engine._intrinsic_metadata(packet),
-                    now_ps=t_fin,
-                )
-                engine.decisions.value += 1
-                outputs = engine.decide(packet, phv)
-                trail = None
-                rmt = True
-                if sim._seq != seq or sim._after_hooks:
-                    # decide() scheduled events: they may lie below the
-                    # old horizon and shrink what the ride may touch.
-                    horizon = sim.train_horizon()
-                    h = float("-inf") if horizon is None else horizon
-                    self._h = h
-                if len(outputs) != 1:
-                    self._route_multi(engine, outputs, rmt)
-                    return
-                out_packet, ndest = outputs[0]
             else:
                 # Engine._try_start: freed_space -> one notify_space().
                 # That is erouter.pump (validated by _router_of) on a
@@ -371,68 +330,72 @@ class TrainLane:
                         svc[skey] = delay
                 else:
                     delay = engine.service_time_ps(packet)
-                # slowdown == 1.0 and payload_buffer is None by
-                # eligibility, so the scalar path's remaining delay
-                # adjustments are identity.
-                t_fin = t_arr + delay
-                if t_fin >= h:
-                    # Hand off mid-service: exactly the state _try_start
-                    # leaves behind -- a busy lane + a pending _finish.
-                    engine._busy_lanes += 1
-                    sim.schedule_at(
-                        t_fin, engine._finish,
-                        NocMessage(packet, dest, src, inject_ps, hops, mid),
-                        t_arr)
-                    self.handoffs += 1
-                    return
                 if delay < 0:
                     # Scalar schedule() would refuse; never move the
                     # clock backwards.
                     raise ValueError(
                         f"{name}: negative service time {delay}")
-                # Engine._finish at t_fin.
-                sim.now = t_fin
-                processed.value += 1
-                slat._samples.append(delay)
-                slat._total += delay
-                slat._sorted = False
+                # slowdown == 1.0 and payload_buffer is None by
+                # eligibility, so the scalar path's remaining delay
+                # adjustments are identity.
+                start = t_arr
+                t_fin = t_arr + delay
+            if t_fin >= h:
+                # Hand off mid-service: exactly the state _try_start
+                # leaves behind -- a counted lane + a pending _finish.
+                engine._busy_lanes += 1
+                sim.schedule_at(
+                    t_fin, engine._finish,
+                    NocMessage(packet, dest, src, inject_ps, hops, mid),
+                    start)
+                self.handoffs += 1
+                return
+            # Engine._finish at t_fin.
+            sim.now = t_fin
+            processed.value += 1
+            delay = t_fin - start
+            slat._samples.append(delay)
+            slat._total += delay
+            slat._sorted = False
+            # packet.touch(name) inline; the cached trail list is
+            # dropped after every genuine handle() call and on packet
+            # replacement, so it can never go stale.
+            if trail is None:
+                trail = ann.get("trail")
                 if trail is None:
-                    trail = ann.get("trail")
-                    if trail is None:
-                        ann["trail"] = trail = []
-                trail.append(name)
-                rmt = False
-                if csum_handle and packet.meta.direction is not _TX:
-                    # ChecksumEngine.handle RX inline (stock by
-                    # identity): _verify's memoized verdict, annotation
-                    # and counter -- schedules nothing, single
-                    # pass-through output, so the refresh and unpack
-                    # below are skipped outright.
-                    ok = _rx_verdict(packet.data)
-                    if ok is not None:
-                        ann["csum_ok"] = ok
-                        if ok:
-                            engine.verified.value += 1
-                        else:
-                            engine.bad_checksums.value += 1
-                    out_packet = packet
-                    ndest = None
-                else:
-                    seq = sim._seq
-                    outputs = engine.handle(packet)
-                    trail = None
-                    if sim._seq != seq or sim._after_hooks:
-                        # handle() scheduled events (TX wire, timers):
-                        # they may lie below the old horizon and shrink
-                        # what the ride may touch.
-                        horizon = sim.train_horizon()
-                        h = float("-inf") if horizon is None else horizon
-                        self._h = h
-                    if len(outputs) != 1:
-                        self._route_multi(engine, outputs, rmt)
-                        return
-                    out_packet, ndest = outputs[0]
-            # The routing step of _finish/_finish_rmt.
+                    ann["trail"] = trail = []
+            trail.append(name)
+            if csum_handle and packet.meta.direction is not _TX:
+                # ChecksumEngine.handle RX inline (stock by
+                # identity): _verify's memoized verdict, annotation
+                # and counter -- schedules nothing, single
+                # pass-through output, so the refresh and unpack
+                # below are skipped outright.
+                ok = _rx_verdict(packet.data)
+                if ok is not None:
+                    ann["csum_ok"] = ok
+                    if ok:
+                        engine.verified.value += 1
+                    else:
+                        engine.bad_checksums.value += 1
+                out_packet = packet
+                ndest = None
+            else:
+                seq = sim._seq
+                outputs = engine.handle(packet)
+                trail = None
+                if sim._seq != seq or sim._after_hooks:
+                    # handle() scheduled events (TX wire, timers, a
+                    # decision handler's): they may lie below the old
+                    # horizon and shrink what the ride may touch.
+                    horizon = sim.train_horizon()
+                    h = float("-inf") if horizon is None else horizon
+                    self._h = h
+                if len(outputs) != 1:
+                    self._route_multi(engine, outputs)
+                    return
+                out_packet, ndest = outputs[0]
+            # The routing step of _finish.
             lookup_delay = 0
             if ndest is None:
                 # Engine._route_by_chain inline (stock by whitelist):
@@ -443,17 +406,12 @@ class TrainLane:
                     header.cursor += 1
                 else:
                     ndest = lookup_table.lookup(out_packet.kind)
-                if not rmt:
-                    lookup_delay = lookup_ps
+                lookup_delay = lookup_ps
             if ndest is None:
                 engine.terminal(out_packet)
                 return
             if ndest == address:
-                if rmt:
-                    engine._loopback(out_packet)
-                else:
-                    engine.schedule(lookup_delay, engine._loopback,
-                                    out_packet)
+                engine.schedule(lookup_delay, engine._loopback, out_packet)
                 return
             # -- Attempt the next traversal: Mesh._try_express's idle
             # scan over the cached express path.  Any failed check falls
@@ -584,19 +542,18 @@ class TrainLane:
             cls.service_time_ps is _CHECKSUM_SVC,
             engine.address,
             engine.lookup_table,
-            0 if rmt else engine._lookup_ps,
+            engine._lookup_ps,
             inj,
             inj._express_paths,
             inj._ser_cache,
             port.injected,
-            engine.pps_meter if rmt else None,
             engine.initiation_interval_ps if rmt else 0,
             engine.latency_ps if rmt else 0,
         )
         self._recipes[id(engine)] = rec
         return rec
 
-    def _route_multi(self, engine: Engine, outputs, rmt: bool) -> None:
+    def _route_multi(self, engine: Engine, outputs) -> None:
         """Multicast/drop outputs: the scalar routing loop verbatim
         (``lookup_delay`` latches across iterations exactly as
         ``_finish``'s does), ending the ride."""
@@ -604,16 +561,11 @@ class TrainLane:
         for out_packet, dest in outputs:
             if dest is None:
                 dest = engine._route_by_chain(out_packet)
-                if not rmt:
-                    lookup_delay = engine._lookup_ps
+                lookup_delay = engine._lookup_ps
             if dest is None:
                 engine.terminal(out_packet)
             elif dest == engine.address:
-                if rmt:
-                    engine._loopback(out_packet)
-                else:
-                    engine.schedule(lookup_delay, engine._loopback,
-                                    out_packet)
+                engine.schedule(lookup_delay, engine._loopback, out_packet)
             elif lookup_delay:
                 engine.schedule(lookup_delay, engine.send, out_packet, dest)
             else:

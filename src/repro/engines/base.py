@@ -364,9 +364,15 @@ class Engine(Component, Endpoint):
             )
         self.fault_mode = mode
         if mode == FAULT_CRASH:
-            lost = len(self.queue)
-            self.queue.drain()
-            self.blackholed.add(lost)
+            lost = self.queue.drain()
+            self.blackholed.add(len(lost))
+            tracer = self._tracer
+            if tracer is not None:
+                # The trace must show where each queued message died.
+                for message in lost:
+                    ctx = message.packet.meta.annotations.get("__trace__")
+                    if ctx is not None:
+                        tracer.end_engine(ctx, self.now, status="blackholed")
             if self.notify_space is not None:
                 # The router may hold refused messages; let it deliver
                 # them so they are sunk (and counted) rather than wedged.

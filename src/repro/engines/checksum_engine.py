@@ -8,7 +8,7 @@ and recomputes them on transmit.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.builder import build_udp_frame
@@ -21,7 +21,6 @@ from repro.packet.headers import (
     UdpHeader,
 )
 from repro.packet.packet import Direction, Packet
-from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 
@@ -85,12 +84,9 @@ class ChecksumEngine(Engine):
         name: str,
         fixed_cycles: int = 8,
         cycles_per_byte: float = 0.0625,  # 16 bytes per cycle
-        freq_hz: float = 500 * MHZ,
-        queue_capacity: Optional[int] = None,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         self.fixed_cycles = fixed_cycles
         self.cycles_per_byte = cycles_per_byte
         self.verified = Counter(f"{name}.verified")

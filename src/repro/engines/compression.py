@@ -29,7 +29,6 @@ from repro.packet.headers import (
     UdpHeader,
 )
 from repro.packet.packet import Packet
-from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 
@@ -142,12 +141,9 @@ class CompressionEngine(Engine):
         name: str,
         fixed_cycles: int = 24,
         cycles_per_byte: float = 1.0,
-        freq_hz: float = 500 * MHZ,
-        queue_capacity: Optional[int] = None,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         self.fixed_cycles = fixed_cycles
         self.cycles_per_byte = cycles_per_byte
         self.compressed = Counter(f"{name}.compressed")

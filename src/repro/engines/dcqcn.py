@@ -216,10 +216,9 @@ class DcqcnEngine(Engine):
         name: str,
         line_rate_bps: float = 100e9,
         timer_period_ps: int = 50 * US,
-        freq_hz: float = 500 * MHZ,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         self.controller = DcqcnRateController(line_rate_bps)
         self.timer_period_ps = timer_period_ps
         #: The RateLimiterEngine this controller actuates.

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Direction, MessageKind, Packet, PacketMetadata
-from repro.sim.clock import MHZ, SEC
+from repro.sim.clock import SEC
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 
@@ -44,12 +44,9 @@ class DmaEngine(Engine):
         name: str,
         pcie_bps: float = DEFAULT_PCIE_BPS,
         descriptor_cycles: int = DEFAULT_DESCRIPTOR_CYCLES,
-        freq_hz: float = 500 * MHZ,
-        queue_capacity: Optional[int] = None,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         if pcie_bps <= 0:
             raise ValueError(f"{name}: PCIe bandwidth must be positive")
         self.pcie_bps = pcie_bps

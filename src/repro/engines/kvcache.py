@@ -23,7 +23,6 @@ from repro.packet.builder import kv_reply_frame, parse_frame
 from repro.packet.headers import HeaderError
 from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Direction, MessageKind, Packet
-from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 
@@ -38,12 +37,9 @@ class KvCacheEngine(Engine):
         capacity_bytes: int = 1 << 20,
         lookup_cycles: int = 8,
         cycles_per_value_byte: float = 0.125,
-        freq_hz: float = 500 * MHZ,
-        queue_capacity: Optional[int] = None,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         if capacity_bytes <= 0:
             raise ValueError(f"{name}: capacity must be positive")
         self.capacity_bytes = capacity_bytes

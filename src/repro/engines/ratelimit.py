@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Packet
-from repro.sim.clock import MHZ, SEC
+from repro.sim.clock import SEC
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 
@@ -70,12 +70,9 @@ class RateLimiterEngine(Engine):
         sim: Simulator,
         name: str,
         check_cycles: int = 4,
-        freq_hz: float = 500 * MHZ,
-        queue_capacity: Optional[int] = None,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         self.check_cycles = check_cycles
         self._buckets: Dict[int, TokenBucket] = {}
         self.shaped = Counter(f"{name}.shaped")

@@ -22,7 +22,6 @@ from repro.packet.builder import kv_reply_frame, parse_frame
 from repro.packet.headers import HeaderError
 from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Direction, MessageKind, Packet
-from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 
@@ -35,12 +34,9 @@ class RdmaEngine(Engine):
         sim: Simulator,
         name: str,
         request_cycles: int = 16,
-        freq_hz: float = 500 * MHZ,
-        queue_capacity: Optional[int] = None,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         self.request_cycles = request_cycles
         #: The DMA engine's NoC address; set by the NIC builder.
         self.dma_addr: Optional[int] = None

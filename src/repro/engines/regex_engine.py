@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.builder import parse_frame
 from repro.packet.headers import HeaderError
 from repro.packet.packet import Packet
-from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter
 
@@ -125,12 +124,9 @@ class RegexEngine(Engine):
         block_patterns: Iterable[bytes] = (),
         fixed_cycles: int = 16,
         cycles_per_byte: float = 1.0,
-        freq_hz: float = 500 * MHZ,
-        queue_capacity: Optional[int] = None,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         block = [bytes(p) for p in block_patterns]
         watch = [bytes(p) for p in patterns]
         self._block_count = len(block)

@@ -7,6 +7,11 @@ seconds regardless of pipeline depth, and each packet's latency is the
 stage count (parser + M+A stages + deparser) times the cycle time,
 multiplied by the number of chained RMT engines.
 
+The tile is otherwise an ordinary :class:`Engine`: only admission
+(``_try_start``) and the work (``handle``) are the pipeline's own; the
+queue, faults, tracing, heartbeat echo and output routing are
+``Engine.receive`` / ``Engine._finish``, shared with every offload.
+
 What happens to a processed packet is delegated to a ``decision_handler``
 -- the PANIC core installs one that converts the PHV into a chain header
 and slack deadline; the FlexNIC baseline installs a simpler queue-steering
@@ -15,11 +20,9 @@ handler.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from repro.engines.base import FAULT_CRASH, Engine, EngineOutput
-from repro.noc.message import NocMessage
+from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Packet
 from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
@@ -84,6 +87,10 @@ class RmtPipelineEngine(Engine):
         self.chained_engines = chained_engines
         self.decision_handler = decision_handler
         self._next_accept_ps = 0
+        # Outputs are steered by the heavyweight tables: no lookup cycle.
+        self._lookup_ps = 0
+        # The pipeline's depth in packets, for the ``busy_frac`` gauge.
+        self.lanes = self.latency_ps // self.initiation_interval_ps
         self.pps_meter = RateMeter(f"{name}.pps")
         self.decisions = Counter(f"{name}.decisions")
 
@@ -116,11 +123,13 @@ class RmtPipelineEngine(Engine):
     def _try_start(self) -> None:
         # Admit from the scheduling queue at the initiation interval; each
         # admitted packet completes `latency` later.  No lane blocking --
-        # the pipeline is, well, a pipeline.
+        # the pipeline is, well, a pipeline: ``_busy_lanes`` only counts
+        # the packets inside it, for ``_finish`` to count back down.
         if self.fault_mode is not None:
             return
         while not self.queue.is_empty:
             message, _rank = self.queue.pop()
+            self._busy_lanes += 1
             interval_ps = self.initiation_interval_ps
             latency_ps = self.latency_ps
             if self.slowdown != 1.0:
@@ -137,43 +146,24 @@ class RmtPipelineEngine(Engine):
                 if ctx is not None:
                     ctx.service_start = start
             finish = start + latency_ps
-            self.schedule(finish - self.now, self._finish_rmt, message, start)
+            self.schedule(finish - self.now, self._finish, message, start)
 
-    def _finish_rmt(self, message: NocMessage, started_ps: int) -> None:
-        tracer = self._tracer
-        ctx = (message.packet.meta.annotations.get("__trace__")
-               if tracer is not None else None)
-        if self.fault_mode == FAULT_CRASH:
-            self.blackholed.add()
-            if ctx is not None and ctx.open_component is not None:
-                tracer.end_engine(ctx, self.now, status="blackholed")
-            return
-        self.processed.add()
-        self.pps_meter.record(self.now)
-        self.service_latency.observe(started_ps, self.now)
-        if ctx is not None:
-            tracer.end_engine(ctx, self.now)
-        packet = message.packet
-        if self._echo_heartbeat(packet):
-            self._try_start()
-            return
-        packet.touch(self.name)
+    def handle(self, packet: Packet) -> List[EngineOutput]:
+        """One pass through the match+action program, then the decision."""
+        now = self.sim.now
+        self.pps_meter.record(now)
         phv = self.pipeline.process(
             packet.data,
             metadata=self._intrinsic_metadata(packet),
-            now_ps=self.now,
+            now_ps=now,
         )
-        self.decisions.add()
-        outputs = self.decide(packet, phv)
-        for out_packet, dest in outputs:
-            if dest is None:
-                dest = self._route_by_chain(out_packet)
-            if dest is None:
-                self.terminal(out_packet)
-            elif dest == self.address:
-                self._loopback(out_packet)
-            else:
-                self.send(out_packet, dest)
+        self.decisions.value += 1
+        if self.decision_handler is None:
+            raise RuntimeError(
+                f"{self.name}: no decision handler installed; the NIC "
+                "builder must provide one"
+            )
+        return self.decision_handler(packet, phv)
 
     def _intrinsic_metadata(self, packet: Packet) -> dict:
         meta = packet.meta
@@ -205,12 +195,3 @@ class RmtPipelineEngine(Engine):
             _INTRINSIC_MEMO.clear()
         _INTRINSIC_MEMO[key] = fields
         return fields
-
-    def decide(self, packet: Packet, phv: Phv) -> List[EngineOutput]:
-        """Turn the pipeline's PHV into routing decisions."""
-        if self.decision_handler is None:
-            raise RuntimeError(
-                f"{self.name}: no decision handler installed; the NIC "
-                "builder must provide one"
-            )
-        return self.decision_handler(packet, phv)

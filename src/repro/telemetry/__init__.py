@@ -107,7 +107,10 @@ class Telemetry:
                 lambda _e=engine: len(_e.queue), unit="msgs")
             probes.add_gauge(
                 f"{engine.name}.busy_frac",
-                lambda _e=engine: _e._busy_lanes / _e.lanes, unit="frac")
+                # An RMT tile's lanes are its pipeline depth; a burst
+                # beyond that waits at its mouth, and the pipeline is full.
+                lambda _e=engine: min(1.0, _e._busy_lanes / _e.lanes),
+                unit="frac")
         for router in self.nic.mesh.routers:
             probes.add_gauge(
                 f"{router.name}.buffered",

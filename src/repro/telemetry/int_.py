@@ -53,6 +53,7 @@ import struct
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.packet.checksum import internet_checksum
+from repro.packet.packet import MessageKind
 from repro.sim.clock import US
 from repro.sim.stats import TimeSeries
 from repro.telemetry.config import IntConfig
@@ -177,8 +178,6 @@ class IntAgent:
         a side-channel tuple seeded by the wire, or an in-band trailer
         in the frame bytes -- into a live :class:`IntState`.
         """
-        from repro.packet.packet import MessageKind
-
         if packet.kind is not MessageKind.ETHERNET:
             return
         ann = packet.meta.annotations
@@ -206,8 +205,6 @@ class IntAgent:
         the ``engine_depth`` high-water mark.  A TX frame born on this
         NIC (host doorbell) gets its state lazily here.
         """
-        from repro.packet.packet import MessageKind
-
         if packet.kind is not MessageKind.ETHERNET:
             return
         ann = packet.meta.annotations
@@ -237,8 +234,6 @@ class IntAgent:
         the serialization window, so the grown frame pays its own wire
         time.
         """
-        from repro.packet.packet import MessageKind
-
         if packet.kind is not MessageKind.ETHERNET:
             return
         ann = packet.meta.annotations
@@ -267,8 +262,6 @@ class IntAgent:
         Appends the sink hop, strips the in-band trailer (the host sees
         the original frame bytes), and retains the postcard.
         """
-        from repro.packet.packet import MessageKind
-
         if packet.kind is not MessageKind.ETHERNET:
             return
         ann = packet.meta.annotations

@@ -23,6 +23,25 @@ PacketFactory = Callable[[int], Packet]
 InjectFn = Callable[[Packet], int]
 
 
+def _cookie_frame(seq: int, payload_bytes: int, src_ip: str, dst_ip: str,
+                  dst_port: int, dscp: int) -> Packet:
+    """One UDP frame whose payload opens with the 8-byte sequence cookie."""
+    frame = build_udp_frame(
+        src_mac="02:00:00:00:00:01",
+        dst_mac="02:00:00:00:00:02",
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        src_port=40000 + (seq % 1000),
+        dst_port=dst_port,
+        payload=seq.to_bytes(8, "big") + bytes(payload_bytes - 8),
+        dscp=dscp,
+        identification=seq & 0xFFFF,
+    )
+    packet = Packet(frame)
+    packet.meta.annotations["seq"] = seq
+    return packet
+
+
 def simple_udp_factory(
     payload_bytes: int = 64,
     src_ip: str = "10.0.0.1",
@@ -35,21 +54,8 @@ def simple_udp_factory(
         raise ValueError(f"payload must hold the 8-byte cookie: {payload_bytes}")
 
     def factory(seq: int) -> Packet:
-        payload = seq.to_bytes(8, "big") + bytes(payload_bytes - 8)
-        frame = build_udp_frame(
-            src_mac="02:00:00:00:00:01",
-            dst_mac="02:00:00:00:00:02",
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=40000 + (seq % 1000),
-            dst_port=dst_port,
-            payload=payload,
-            dscp=dscp,
-            identification=seq & 0xFFFF,
-        )
-        packet = Packet(frame)
-        packet.meta.annotations["seq"] = seq
-        return packet
+        return _cookie_frame(seq, payload_bytes, src_ip, dst_ip, dst_port,
+                             dscp)
 
     return factory
 
@@ -78,23 +84,9 @@ def imix_factory(
     header_overhead = 14 + 20 + 8  # eth + ipv4 + udp
 
     def factory(seq: int) -> Packet:
-        frame_bytes = rng.choice(sizes)
-        payload_bytes = max(8, frame_bytes - header_overhead)
-        payload = seq.to_bytes(8, "big") + bytes(payload_bytes - 8)
-        frame = build_udp_frame(
-            src_mac="02:00:00:00:00:01",
-            dst_mac="02:00:00:00:00:02",
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=40000 + (seq % 1000),
-            dst_port=dst_port,
-            payload=payload,
-            dscp=dscp,
-            identification=seq & 0xFFFF,
-        )
-        packet = Packet(frame)
-        packet.meta.annotations["seq"] = seq
-        return packet
+        payload_bytes = max(8, rng.choice(sizes) - header_overhead)
+        return _cookie_frame(seq, payload_bytes, src_ip, dst_ip, dst_port,
+                             dscp)
 
     return factory
 

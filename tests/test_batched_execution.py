@@ -278,6 +278,36 @@ def test_trains_actually_fire_and_elide_events():
     assert on_events < off_events // 3
 
 
+@pytest.mark.parametrize("gaps_ps, mechanics", [
+    # Sparse: every frame rides MAC -> RMT -> three offloads -> DMA ->
+    # PCIe without meeting another.
+    ((20_000_000,), (50, 300, 0, 0)),
+    # Contended: of each four frames two are refused at boarding, and
+    # the two that board hand off where they catch up with another.
+    ((150_000, 150_000, 1_500_000, 500_000), (25, 49, 25, 25)),
+], ids=["sparse", "contended"])
+def test_lane_mechanics_are_pinned(gaps_ps, mechanics):
+    """Exact (trajectories, hops, handoffs, refusals) of two fixed
+    drives: a change to where the ride boards, breaks off or hands off
+    moves these before it moves any wall-clock number."""
+    sim = Simulator()
+    nic = PanicNic(sim, PanicConfig(
+        ports=1, offloads=("regex", "checksum", "checksum1"),
+        batch_execution=True,
+        offload_params={"regex": {"patterns": [b"x"],
+                                  "cycles_per_byte": 0.5}},
+    ))
+    nic.control.route_dscp(1, ["checksum", "regex", "checksum1"])
+    at = 0
+    for i in range(50):
+        at += gaps_ps[i % len(gaps_ps)]
+        sim.schedule_at(at, nic.inject,
+                        _udp_packet(b"y" * 200, seq=i, dscp=1))
+    sim.run()
+    nic.mesh.assert_drained()
+    assert tuple(nic.train_lane.stats().values()) == mechanics
+
+
 def test_traced_frames_hand_off_but_neighbours_still_ride():
     sim = Simulator()
     telemetry = TelemetryConfig(sample_every=4, probe_period_ps=0)

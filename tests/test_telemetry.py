@@ -226,6 +226,41 @@ class TestStatusSpans:
             assert statuses & {"evicted", "dropped_at_enqueue"}
         assert "ok" in statuses
 
+    def test_crash_closes_the_span_of_every_queued_message(self):
+        """A crash loses the PIFO's contents along with the message in
+        service; each one's trace must end at the engine that lost it."""
+        sim = Simulator()
+        nic = PanicNic(sim, PanicConfig(
+            ports=1, offloads=("ipsec",),
+            telemetry=TelemetryConfig(sample_every=1),
+        ))
+        nic.control.route_dscp(1, ["ipsec"])
+        frame = _frame(payload_bytes=1200)
+        for _ in range(12):
+            nic.inject(Packet(frame, MessageKind.ETHERNET))
+        ipsec = nic.offload("ipsec")
+        queued = []
+
+        def crash():
+            queued.append(len(ipsec.queue))
+            ipsec.fail("crash")
+
+        sim.schedule_at(3 * US, crash)
+        sim.run()
+        assert queued == [10] and ipsec.blackholed.value == 11
+        statuses = {}
+        for tid, _seq, kind, component, _s, end_ps, args in (
+                nic.telemetry.trace_report()):
+            if kind == "engine" and component == ipsec.name:
+                statuses.setdefault(dict(args)["status"], []).append(
+                    (tid, end_ps))
+        assert len(statuses["ok"]) == 1
+        lost = statuses["blackholed"]
+        assert len({tid for tid, _ in lost}) == 11
+        # The queued ten close at the crash; the one in service closes
+        # when its (lost) service would have finished.
+        assert sorted(end for _, end in lost)[:10] == [3 * US] * 10
+
 
 class TestPifoEvictHook:
     def test_on_evict_fires_with_the_evicted_item(self):
@@ -268,6 +303,41 @@ class TestProbes:
         # distinct 1us buckets.
         buckets = [t // (1 * US) for t in times]
         assert len(set(buckets)) == len(buckets)
+
+    def test_rmt_busy_frac_is_occupancy_over_pipeline_depth(self):
+        def drive(gap_ps, frames, stall_until_ps=0):
+            sim = Simulator()
+            nic = PanicNic(sim, PanicConfig(
+                ports=2, offloads=("checksum",),
+                telemetry=TelemetryConfig(sample_every=0,
+                                          probe_period_ps=1 * NS),
+            ))
+            nic.control.route_dscp(1, ["checksum"])
+            frame = _frame(payload_bytes=18)
+            for i in range(frames):
+                for port in range(2):
+                    sim.schedule_at(i * gap_ps, nic.inject,
+                                    Packet(frame, MessageKind.ETHERNET), port)
+            if stall_until_ps:
+                nic.rmt.fail("stall")
+                sim.schedule_at(stall_until_ps, nic.rmt.recover)
+            sim.run()
+            assert not nic.rmt.busy
+            series = nic.telemetry.probes.series()
+            return nic.rmt, [value for _t, value in
+                             series[f"{nic.name}.rmt.busy_frac"].items()]
+
+        rmt, idle = drive(gap_ps=10 * US, frames=10)
+        assert rmt.lanes == rmt.latency_ps // rmt.initiation_interval_ps > 2
+        # One frame per port at a time: never more than two inside.
+        assert 0 < max(idle) <= 2 / rmt.lanes
+        _, saturated = drive(gap_ps=0, frames=40)
+        assert max(idle) < max(saturated) <= 1.0
+        assert min(saturated) == 0.0
+        # A recovered stall admits its whole backlog at once: more
+        # packets than the pipeline is deep still read as "full".
+        _, burst = drive(gap_ps=0, frames=40, stall_until_ps=5 * US)
+        assert max(burst) == 1.0
 
     def test_no_probe_period_installs_no_hook(self):
         sim, nic = _run_chain(TelemetryConfig(sample_every=1))
