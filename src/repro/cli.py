@@ -98,7 +98,8 @@ def cmd_faults() -> None:
     from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
     from repro.packet import build_udp_frame
     from repro.packet.packet import MessageKind, Packet
-    from repro.sim.clock import NS, US, format_time
+    from repro.sim.clock import NS, SEC, US, format_time
+    from repro.workloads import CbrSource
 
     sim = Simulator()
     nic = PanicNic(sim, PanicConfig(
@@ -112,19 +113,16 @@ def cmd_faults() -> None:
     FaultInjector(nic, plan).arm()
     print(plan.describe())
 
-    def spray(i: int = 0) -> None:
-        if i >= 200:
-            return
-        frame = build_udp_frame(
+    def frame(seq: int) -> Packet:
+        return Packet(build_udp_frame(
             src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
             src_ip="10.0.0.1", dst_ip="10.0.0.2",
-            src_port=1000 + i, dst_port=9, dscp=10,
+            src_port=1000 + seq, dst_port=9, dscp=10,
             payload=bytes(64),
-        )
-        nic.inject(Packet(frame, MessageKind.ETHERNET))
-        sim.schedule(300 * NS, spray, i + 1)
+        ), MessageKind.ETHERNET)
 
-    spray()
+    CbrSource(sim, "spray", nic.inject, frame,
+              rate_pps=SEC / (300 * NS), count=200).start()
     sim.run(until_ps=120 * US)
     monitor.stop()
     sim.run()

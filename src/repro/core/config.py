@@ -31,11 +31,13 @@ def offload_base(name: str) -> str:
 
 @dataclass
 class PanicConfig:
-    """Every knob of the reference PANIC NIC.
+    """The knobs of the reference PANIC NIC that some experiment turns.
 
     Defaults follow the paper's reference design point: a two-port
     100 Gbps NIC, a 500 MHz on-chip clock, and a 4x4 mesh large enough
-    for the section 3.2 example's engine set.
+    for the section 3.2 example's engine set.  Constants nothing varies
+    (NoC credits, host memory base latency and software delay, packet
+    buffer capacity) are the defaults of the components that own them.
     """
 
     # External interfaces.
@@ -47,7 +49,6 @@ class PanicConfig:
     mesh_height: int = 4
     channel_bits: int = 128
     freq_hz: float = 500 * MHZ
-    noc_credits: int = 8
     # Cut-through express transfers over idle NoC paths (repro.noc.express).
     # Purely a simulator-speed optimisation: simulated timestamps, delivery
     # order, and quiesced statistics are identical with it off.
@@ -71,9 +72,7 @@ class PanicConfig:
     tx_queues: int = 4
     coalesce_count: int = 8
     coalesce_timeout_ps: int = 10 * US
-    host_mem_base_ps: int = 90 * NS
     host_mem_jitter_ps: int = 20 * NS
-    host_software_delay_ps: int = 2 * US
 
     # Which offload engines to instantiate, and their constructor kwargs.
     # A numeric suffix instantiates another lane of the same engine type
@@ -91,7 +90,6 @@ class PanicConfig:
     # frames between engines; "pointer" parks payloads in a shared
     # packet buffer and carries descriptors only.
     payload_mode: str = "full"
-    pktbuf_capacity_bytes: int = 2 << 20
     pktbuf_ports: int = 2
 
     # RX integrity: verify IPv4/UDP checksums at classification and drop
@@ -188,8 +186,6 @@ class PanicConfig:
         """A train lane that refuses every frame is a silent fallback
         to scalar execution: name the setting that forbids all rides."""
         telemetry = self.telemetry
-        if telemetry is not None and not telemetry.enabled:
-            telemetry = None
         blocker = None
         if self.payload_mode == "pointer":
             blocker = ("payload_mode='pointer' (the MAC parks every "
@@ -199,7 +195,7 @@ class PanicConfig:
                        "must observe every event)")
         elif telemetry is not None and telemetry.sample_every == 1:
             blocker = "telemetry.sample_every=1 (every frame is traced)"
-        elif self.int_ is not None and self.int_.enabled:
+        elif self.int_ is not None:
             blocker = "int_ (every Ethernet frame carries an INT stack)"
         if blocker is not None:
             raise ValueError(

@@ -100,7 +100,6 @@ class PanicNic:
                 height=self.config.mesh_height,
                 channel_bits=self.config.channel_bits,
                 freq_hz=self.config.freq_hz,
-                credits=self.config.noc_credits,
                 fast_path=self.config.fast_path,
             ),
             name=f"{name}.mesh",
@@ -110,9 +109,7 @@ class PanicNic:
             name=f"{name}.host",
             rx_queues=self.config.rx_queues,
             tx_queues=self.config.tx_queues,
-            mem_base_ps=self.config.host_mem_base_ps,
             mem_jitter_ps=self.config.host_mem_jitter_ps,
-            software_delay_ps=self.config.host_software_delay_ps,
             rng=self.rng.fork("hostmem"),
         )
         self.payload_buffer: Optional[PacketBuffer] = None
@@ -120,7 +117,6 @@ class PanicNic:
             self.payload_buffer = PacketBuffer(
                 sim,
                 name=f"{name}.pktbuf",
-                capacity_bytes=self.config.pktbuf_capacity_bytes,
                 ports=self.config.pktbuf_ports,
                 freq_hz=self.config.freq_hz,
             )
@@ -129,8 +125,7 @@ class PanicNic:
         self._build_engines()
         self._wire()
         self.telemetry = None
-        tcfg = self.config.telemetry
-        if tcfg is not None and tcfg.enabled:
+        if self.config.telemetry is not None:
             from repro.telemetry import Telemetry
 
             self.telemetry = Telemetry(self)
@@ -138,10 +133,11 @@ class PanicNic:
         #: keeps every hook on a single attribute check.
         self.int_agent = None
         icfg = self.config.int_
-        if icfg is not None and icfg.enabled:
+        if icfg is not None:
             from repro.telemetry.int_ import IntAgent
 
-            digits = "".join(c for c in name if c.isdigit())
+            # The name's trailing integer ("rack1.nic2" -> 2), else 0.
+            digits = name[len(name.rstrip("0123456789")):]
             self.int_agent = IntAgent(
                 self, icfg,
                 node_id=int(digits) if digits else 0,

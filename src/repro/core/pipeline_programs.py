@@ -232,6 +232,17 @@ class PanicControl:
             hop if isinstance(hop, int) else self.addr(hop) for hop in chain
         ]
 
+    def _route(self, table: str, direction: int, key: int, chain: Sequence,
+               terminal_addr: Optional[int]) -> None:
+        """Install ``chain`` (names or addresses) for ``key`` in a route
+        table, ending at ``terminal_addr`` when there is one."""
+        hops = self.resolve_chain(chain)
+        if terminal_addr is not None:
+            hops.append(terminal_addr)
+        self.program.table(table).add(
+            [direction, key], "set_chain", {"chain": hops}
+        )
+
     # -- IPSec ----------------------------------------------------------
 
     def enable_ipsec_rx(self) -> None:
@@ -255,12 +266,8 @@ class PanicControl:
 
     def route_kv_opcode(self, opcode: KvOpcode, chain: Sequence, append_dma: bool = True) -> None:
         """Send a KV opcode through ``chain`` (names or addresses)."""
-        hops = self.resolve_chain(chain)
-        if append_dma:
-            hops = hops + [self._dma_addr]
-        self.program.table("kv_route").add(
-            [DIR_RX, int(opcode)], "set_chain", {"chain": hops}
-        )
+        self._route("kv_route", DIR_RX, int(opcode), chain,
+                    self._dma_addr if append_dma else None)
 
     def enable_kv_cache(self) -> None:
         """GET/SET/DELETE flow through the on-NIC cache (section 3.2)."""
@@ -271,21 +278,13 @@ class PanicControl:
     # -- Tenant policy ----------------------------------------------------
 
     def route_tenant(self, tenant: int, chain: Sequence, append_dma: bool = True) -> None:
-        hops = self.resolve_chain(chain)
-        if append_dma:
-            hops = hops + [self._dma_addr]
-        self.program.table("tenant_route").add(
-            [DIR_RX, tenant], "set_chain", {"chain": hops}
-        )
+        self._route("tenant_route", DIR_RX, tenant, chain,
+                    self._dma_addr if append_dma else None)
 
     def route_dscp(self, dscp: int, chain: Sequence, append_dma: bool = True) -> None:
         """Send RX traffic of a DSCP class through ``chain``."""
-        hops = self.resolve_chain(chain)
-        if append_dma:
-            hops = hops + [self._dma_addr]
-        self.program.table("dscp_route").add(
-            [DIR_RX, dscp], "set_chain", {"chain": hops}
-        )
+        self._route("dscp_route", DIR_RX, dscp, chain,
+                    self._dma_addr if append_dma else None)
 
     def route_dscp_tx(self, dscp: int, chain: Sequence = (),
                       egress_port: int = 0) -> None:
@@ -293,39 +292,29 @@ class PanicControl:
         ``egress_port``.  The default TX route always picks port 0, so
         multi-port NICs (rack fabrics cabling one port per peer) classify
         egress traffic by DSCP to pick the cable."""
-        hops = self.resolve_chain(chain) + [self._port_addrs[egress_port]]
-        self.program.table("dscp_route").add(
-            [DIR_TX, dscp], "set_chain", {"chain": hops}
-        )
+        self._route("dscp_route", DIR_TX, dscp, chain,
+                    self._port_addrs[egress_port])
 
     def route_tag_tx(self, tag: int, chain: Sequence = (),
                      egress_port: int = 0) -> None:
         """Send TX traffic of a rack flow tag through ``chain`` and out
         ``egress_port``; the tag-keyed twin of :meth:`route_dscp_tx`."""
-        hops = self.resolve_chain(chain) + [self._port_addrs[egress_port]]
-        self.program.table("tag_route").add(
-            [DIR_TX, tag], "set_chain", {"chain": hops}
-        )
+        self._route("tag_route", DIR_TX, tag, chain,
+                    self._port_addrs[egress_port])
 
     def route_udp_port(self, dst_port: int, chain: Sequence,
                        append_dma: bool = True) -> None:
         """Send RX traffic for a UDP destination port through ``chain``
         (e.g. steer CNP congestion notifications to the DCQCN engine)."""
-        hops = self.resolve_chain(chain)
-        if append_dma:
-            hops = hops + [self._dma_addr]
-        self.program.table("port_route").add(
-            [DIR_RX, dst_port], "set_chain", {"chain": hops}
-        )
+        self._route("port_route", DIR_RX, dst_port, chain,
+                    self._dma_addr if append_dma else None)
 
     def route_tenant_tx(self, tenant: int, chain: Sequence,
                         egress_port: int = 0) -> None:
         """Send a tenant's *transmit* traffic through ``chain`` before it
         leaves on ``egress_port`` (e.g. a rate limiter)."""
-        hops = self.resolve_chain(chain) + [self._port_addrs[egress_port]]
-        self.program.table("tenant_route").add(
-            [DIR_TX, tenant], "set_chain", {"chain": hops}
-        )
+        self._route("tenant_route", DIR_TX, tenant, chain,
+                    self._port_addrs[egress_port])
 
     def set_tenant_slack(self, tenant: int, slack_ps: int) -> None:
         """Program the logical scheduler's deadline for a tenant."""
@@ -420,7 +409,7 @@ def panic_decision_factory(nic):
     # Decoded (and header-validated) chains by wire blob: route tables
     # emit the same ``meta.chain`` bytes for every frame of a flow, so
     # decode + validation runs once per distinct blob.  Bounded by
-    # wholesale clearing, like the parse memo.
+    # wholesale clearing.
     chain_cache: dict = {}
 
     def decide(packet, phv):

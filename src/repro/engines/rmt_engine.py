@@ -28,7 +28,7 @@ from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
 from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter, RateMeter
+from repro.sim.stats import Counter
 
 #: Extra cycles charged for the parser and deparser surrounding the
 #: match+action stages.
@@ -91,7 +91,6 @@ class RmtPipelineEngine(Engine):
         self._lookup_ps = 0
         # The pipeline's depth in packets, for the ``busy_frac`` gauge.
         self.lanes = self.latency_ps // self.initiation_interval_ps
-        self.pps_meter = RateMeter(f"{name}.pps")
         self.decisions = Counter(f"{name}.decisions")
 
     # ------------------------------------------------------------------
@@ -150,12 +149,10 @@ class RmtPipelineEngine(Engine):
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         """One pass through the match+action program, then the decision."""
-        now = self.sim.now
-        self.pps_meter.record(now)
         phv = self.pipeline.process(
             packet.data,
             metadata=self._intrinsic_metadata(packet),
-            now_ps=now,
+            now_ps=self.sim.now,
         )
         self.decisions.value += 1
         if self.decision_handler is None:

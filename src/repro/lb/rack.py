@@ -75,14 +75,6 @@ def lb_layout(n_nics: int, n_backends: int) -> Tuple[Tuple[int, ...],
     return backends, clients
 
 
-def client_flow_key(index: int) -> Tuple[int, int]:
-    """The affinity-field values a client's frames carry: (src IP as
-    int, UDP source port).  Mirrors ``RackNode.frame``; tests use it to
-    prove a rack shape is collision-free in the affinity table."""
-    ip = (10 << 24) | (index << 8) | 1  # 10.0.<index>.1
-    return ip, 40000 + index
-
-
 def build_lb_node(
     sim: Simulator,
     name: str,

@@ -8,8 +8,8 @@ affinity table pins established flows anyway, but new flows that *would*
 have hashed to a surviving backend still do.
 
 The ring is pure data.  :meth:`HashRing.as_param` renders it as the
-sorted point tuple the ``affinity_steer``/``consistent_select`` actions
-binary-search per packet (see :mod:`repro.rmt.action`); the control
+sorted point tuple the ``affinity_steer`` action binary-searches per
+packet (see :mod:`repro.rmt.action`); the control
 plane snapshots it into a table entry's params, so mutating the ring
 never changes an installed epoch retroactively.
 """

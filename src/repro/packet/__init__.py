@@ -43,7 +43,6 @@ from repro.packet.packet import (
 )
 from repro.packet.panic_hdr import PanicHeader
 from repro.packet.builder import (
-    build_eth_frame,
     build_kv_request_frame,
     build_kv_response_frame,
     build_udp_frame,
@@ -78,7 +77,6 @@ __all__ = [
     "TcpHeader",
     "UdpHeader",
     "WIRE_OVERHEAD_BYTES",
-    "build_eth_frame",
     "build_kv_request_frame",
     "build_kv_response_frame",
     "build_udp_frame",

@@ -134,16 +134,6 @@ def frame_checksums_ok(data: bytes) -> bool:
             + datagram) % 0xFFFF == 0
 
 
-def build_eth_frame(
-    dst: Union[str, MacAddress],
-    src: Union[str, MacAddress],
-    payload: bytes,
-    ethertype: int = ETHERTYPE_IPV4,
-) -> bytes:
-    """A raw Ethernet frame (padded to the 64-byte minimum by the MAC)."""
-    return EthernetHeader(MacAddress(dst), MacAddress(src), ethertype).pack() + payload
-
-
 #: Text address -> int, per address family.  Workloads name endpoints by
 #: the same few strings frame after frame; bounded by wholesale clearing.
 _IP_INTS: dict = {}

@@ -30,13 +30,6 @@ from repro.rmt.action import (
     standard_actions,
 )
 from repro.rmt.pipeline import RmtPipeline, RmtProgram, Stage
-from repro.rmt.snapshot import (
-    SnapshotError,
-    diff_programs,
-    export_program,
-    export_table,
-    import_program,
-)
 
 __all__ = [
     "Action",
@@ -51,16 +44,11 @@ __all__ = [
     "Register",
     "RmtPipeline",
     "RmtProgram",
-    "SnapshotError",
     "Stage",
     "Table",
     "TableEntry",
     "TableError",
     "default_parse_graph",
-    "diff_programs",
-    "export_program",
-    "export_table",
-    "import_program",
     "standard_actions",
     "ternary_match",
 ]

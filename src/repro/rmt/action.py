@@ -157,32 +157,9 @@ def set_slack(phv: Phv, ctx: ActionContext, *, slack_ps: int) -> None:
     phv.set("meta.slack_deadline_ps", ctx.now_ps + slack_ps)
 
 
-def set_priority(phv: Phv, ctx: ActionContext, *, priority: int) -> None:
-    phv.set("meta.priority", priority)
-
-
 def set_queue(phv: Phv, ctx: ActionContext, *, queue: int) -> None:
     """Steer to a host receive queue (RSS-style)."""
     phv.set("meta.rx_queue", queue)
-
-
-def set_egress(phv: Phv, ctx: ActionContext, *, port: int) -> None:
-    phv.set("meta.egress_port", port)
-
-
-def set_tenant(phv: Phv, ctx: ActionContext, *, tenant: int) -> None:
-    phv.set("meta.tenant", tenant)
-
-
-def mark_needs_rmt(phv: Phv, ctx: ActionContext) -> None:
-    """Flag that the chain must return to the RMT pipeline (section 3.1.2,
-    e.g. encrypted packets whose inner chain is unknown until decrypted)."""
-    phv.set("meta.needs_rmt", 1)
-
-
-def mark_droppable(phv: Phv, ctx: ActionContext) -> None:
-    """Flag the message as lossy (droppable under memory pressure)."""
-    phv.set("meta.droppable", 1)
 
 
 def count(phv: Phv, ctx: ActionContext, *, register: str, index: int = 0) -> None:
@@ -210,7 +187,7 @@ def load_balance(
 #: Memoized FNV results for ``hash_select``: the hash is a pure function
 #: of the field values and ``ways``, and RSS steering hashes flow-stable
 #: fields, so back-to-back frames of one flow hit the same entry.
-#: Bounded by wholesale clearing, like the parse memo.
+#: Bounded by wholesale clearing.
 _HASH_SELECT_MEMO: Dict[tuple, int] = {}
 _HASH_SELECT_MAX = 512
 
@@ -296,23 +273,6 @@ def ring_lookup(ring, key: int) -> int:
     return ring[lo][1]
 
 
-def consistent_select(
-    phv: Phv,
-    ctx: ActionContext,
-    *,
-    fields: List[str],
-    ring,
-    dst: str = "meta.lb_backend",
-) -> None:
-    """Steer onto a consistent-hash ring of backends (no affinity state).
-
-    Flow-stable like :func:`hash_select`, but membership-hashed: removing
-    one backend only moves the flows that mapped to it, the property the
-    load balancer's drain/migration protocol relies on."""
-    values = tuple(phv.get(name) for name in fields)
-    phv.set(dst, ring_lookup(ring, flow_key64(values)))
-
-
 def affinity_steer(
     phv: Phv,
     ctx: ActionContext,
@@ -386,17 +346,11 @@ def standard_actions() -> Dict[str, Action]:
         "set_chain": set_chain,
         "push_chain": push_chain,
         "set_slack": set_slack,
-        "set_priority": set_priority,
         "set_queue": set_queue,
-        "set_egress": set_egress,
-        "set_tenant": set_tenant,
-        "mark_needs_rmt": mark_needs_rmt,
-        "mark_droppable": mark_droppable,
         "count": count,
         "load_balance": load_balance,
         "hash_select": hash_select,
         "decrement_ttl": decrement_ttl,
-        "consistent_select": consistent_select,
         "affinity_steer": affinity_steer,
     }
 

@@ -8,24 +8,18 @@ implement any arbitrary local scheduling algorithm" (citing Universal
 Packet Scheduling).
 
 This package provides the PIFO (push-in, first-out) queue used at every
-engine plus the slack-assignment policies that program it.
+engine plus the one stateful slack policy (weighted fair sharing).
 """
 
 from repro.sched.pifo import PifoQueue, PifoFullError
 from repro.sched.slack import (
-    DeadlineSlackPolicy,
-    FifoSlackPolicy,
     SlackPolicy,
-    StrictPrioritySlackPolicy,
     WeightedShareSlackPolicy,
 )
 
 __all__ = [
-    "DeadlineSlackPolicy",
-    "FifoSlackPolicy",
     "PifoFullError",
     "PifoQueue",
     "SlackPolicy",
-    "StrictPrioritySlackPolicy",
     "WeightedShareSlackPolicy",
 ]

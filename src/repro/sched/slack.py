@@ -1,22 +1,18 @@
 """Slack-assignment policies.
 
 The RMT pipeline stamps every message with an absolute deadline
-(``arrival + slack``); engines dequeue in deadline order.  Different
-policies turn high-level intent (latency SLOs, tenant weights, strict
-priority) into slack values -- section 3.1.3 notes that computing slack to
-enforce a high-level policy is the interesting open problem; these classes
-are the concrete policies the benchmarks use.
-
-Each policy exposes ``slack_ps(tenant, now_ps)`` so it can be used both by
-RMT table entries (precomputed per-tenant constants) and directly by
-baseline simulators.
+(``arrival + slack``); engines dequeue in deadline order.  A policy
+turns high-level intent into those deadlines -- section 3.1.3 notes that
+computing slack to enforce a high-level policy is the interesting open
+problem.  Constant per-tenant slack needs no policy object (it is a
+``set_slack`` table entry); the one concrete policy here, weighted fair
+sharing, carries state between packets and is installed by
+:meth:`repro.core.pipeline_programs.PanicControl.enable_wfq`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
-
-from repro.sim.clock import US
 
 
 class SlackPolicy:
@@ -24,64 +20,6 @@ class SlackPolicy:
 
     def deadline_ps(self, tenant: Optional[int], now_ps: int) -> int:
         raise NotImplementedError
-
-    def slack_ps(self, tenant: Optional[int]) -> int:
-        """The relative slack this policy grants ``tenant``."""
-        return self.deadline_ps(tenant, 0)
-
-
-class FifoSlackPolicy(SlackPolicy):
-    """No differentiation: deadline == arrival, so the PIFO degenerates to
-    FIFO (the baseline the isolation experiment compares against)."""
-
-    def deadline_ps(self, tenant: Optional[int], now_ps: int) -> int:
-        return now_ps
-
-
-class DeadlineSlackPolicy(SlackPolicy):
-    """Per-tenant latency targets: slack = the tenant's SLO budget.
-
-    A latency-sensitive tenant with a 10 us SLO gets a much earlier
-    deadline than a batch tenant with a 1 ms SLO arriving at the same
-    instant, so it bypasses queued batch work (the paper's section 3.2
-    "high-priority messages bypass other pending DMA requests").
-    """
-
-    def __init__(self, targets_ps: Dict[int, int], default_ps: int = 1000 * US):
-        if not targets_ps and default_ps <= 0:
-            raise ValueError("deadline policy needs targets or a positive default")
-        for tenant, target in targets_ps.items():
-            if target <= 0:
-                raise ValueError(f"tenant {tenant} target must be positive: {target}")
-        self.targets_ps = dict(targets_ps)
-        self.default_ps = default_ps
-
-    def deadline_ps(self, tenant: Optional[int], now_ps: int) -> int:
-        if tenant is not None and tenant in self.targets_ps:
-            return now_ps + self.targets_ps[tenant]
-        return now_ps + self.default_ps
-
-
-class StrictPrioritySlackPolicy(SlackPolicy):
-    """Priority classes as widely separated slack bands.
-
-    Class 0 gets slack 0, class 1 gets ``band_ps``, class 2 gets
-    ``2 * band_ps``...  With a band wider than any realistic queueing
-    delay this reproduces strict priority exactly.
-    """
-
-    def __init__(self, tenant_class: Dict[int, int], band_ps: int = 100_000 * US):
-        if band_ps <= 0:
-            raise ValueError(f"band must be positive, got {band_ps}")
-        for tenant, cls in tenant_class.items():
-            if cls < 0:
-                raise ValueError(f"tenant {tenant} class must be >= 0: {cls}")
-        self.tenant_class = dict(tenant_class)
-        self.band_ps = band_ps
-
-    def deadline_ps(self, tenant: Optional[int], now_ps: int) -> int:
-        cls = self.tenant_class.get(tenant, max(self.tenant_class.values(), default=0) + 1)
-        return now_ps + cls * self.band_ps
 
 
 class WeightedShareSlackPolicy(SlackPolicy):

@@ -51,8 +51,7 @@ class Telemetry:
         # the simulation itself uses, keeping traced runs bit-identical.
         self.tracer = PacketTracer(config, nic.rng.fork("telemetry"),
                                    name=nic.name)
-        self.probes = ProbeRegistry(config.probe_period_ps,
-                                    config.probe_max_samples)
+        self.probes = ProbeRegistry(config.probe_period_ps)
         self._wire()
 
     # ------------------------------------------------------------------

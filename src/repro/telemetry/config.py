@@ -22,10 +22,6 @@ class TelemetryConfig:
     section 11 and ``tests/test_telemetry_call_budget.py``).
     """
 
-    #: Master switch; ``enabled=False`` behaves exactly like carrying no
-    #: TelemetryConfig at all (nothing is wired).
-    enabled: bool = True
-
     #: Deterministic 1-in-N packet sampling at ``PanicNic.inject``,
     #: drawn from the NIC's seeded RNG (fork ``"telemetry"``), so the
     #: sampled capsule set is identical across runs *and* across shard
@@ -46,9 +42,6 @@ class TelemetryConfig:
     #: the event loop makes no call per event and train rides stay legal.
     probe_period_ps: int = 0
 
-    #: Bound on retained samples per probe time-series.
-    probe_max_samples: int = 4096
-
     def __post_init__(self) -> None:
         if self.sample_every < 0:
             raise ValueError(
@@ -59,10 +52,6 @@ class TelemetryConfig:
         if self.probe_period_ps < 0:
             raise ValueError(
                 f"probe_period_ps must be >= 0, got {self.probe_period_ps}"
-            )
-        if self.probe_max_samples <= 0:
-            raise ValueError(
-                f"probe_max_samples must be positive, got {self.probe_max_samples}"
             )
 
 
@@ -86,10 +75,6 @@ class IntConfig:
     checksum.  Either way the postcard stream is bit-identical between
     monolithic and sharded execution at any worker count.
     """
-
-    #: Master switch; ``enabled=False`` behaves exactly like carrying no
-    #: IntConfig at all (no agent is built, no hooks installed).
-    enabled: bool = True
 
     #: Carry hop records as real payload bytes (a checksummed trailer
     #: appended at MAC egress, stripped at the sink host) instead of the

@@ -7,7 +7,6 @@ egress frames and collect per-tenant latency/throughput statistics.
 
 from repro.workloads.generator import (
     CbrSource,
-    OnOffSource,
     PoissonSource,
     TrafficSource,
     simple_udp_factory,
@@ -18,7 +17,6 @@ from repro.workloads.kvs import (
     TenantSpec,
 )
 from repro.workloads.dos import DosFlood
-from repro.workloads.traces import TraceRecorder, TraceReplayer, TraceRecord
 from repro.workloads.wire import LinkEnd, PacketCapsule, Wire
 from repro.workloads.rack import build_rack_nic, rack_topology
 
@@ -28,13 +26,9 @@ __all__ = [
     "KvsClient",
     "KvsWorkload",
     "LinkEnd",
-    "OnOffSource",
     "PacketCapsule",
     "PoissonSource",
     "TenantSpec",
-    "TraceRecord",
-    "TraceRecorder",
-    "TraceReplayer",
     "TrafficSource",
     "Wire",
     "build_rack_nic",

@@ -1,4 +1,4 @@
-"""Traffic sources: constant bit rate, Poisson, and on/off bursts.
+"""Traffic sources: constant bit rate and Poisson.
 
 A source owns a packet factory (``seq -> Packet``) and an injection
 function (``packet -> arrival_ps``), so the same source drives PANIC,
@@ -168,26 +168,3 @@ class PoissonSource(TrafficSource):
     def next_gap_ps(self) -> int:
         return int(self.rng.exponential(self.mean_gap_ps))
 
-
-class OnOffSource(TrafficSource):
-    """Bursty traffic: CBR during ON periods, silent during OFF periods."""
-
-    def __init__(
-        self, sim, name, inject, factory, rate_pps: float,
-        on_ps: int, off_ps: int, **kwargs,
-    ):
-        super().__init__(sim, name, inject, factory, **kwargs)
-        if rate_pps <= 0 or on_ps <= 0 or off_ps < 0:
-            raise ValueError(f"{name}: bad on/off parameters")
-        self.gap_ps = int(SEC / rate_pps)
-        self.on_ps = on_ps
-        self.off_ps = off_ps
-        self._phase_start = 0
-
-    def next_gap_ps(self) -> int:
-        elapsed = self.now - self._phase_start
-        if elapsed + self.gap_ps <= self.on_ps:
-            return self.gap_ps
-        # Burst over: sleep through the OFF period, start a new burst.
-        self._phase_start = self._phase_start + self.on_ps + self.off_ps
-        return max(1, self._phase_start - self.now)

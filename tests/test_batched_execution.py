@@ -339,13 +339,6 @@ def test_a_lane_that_could_never_ride_is_refused_at_build(never_rides):
     PanicConfig(batch_execution=False, **never_rides)
 
 
-def test_disabled_telemetry_and_int_do_not_forbid_the_lane():
-    PanicConfig(batch_execution=True,
-                telemetry=TelemetryConfig(enabled=False, sample_every=1,
-                                          probe_period_ps=US),
-                int_=IntConfig(enabled=False))
-
-
 # ----------------------------------------------------------------------
 # Generated drivers: lane on == lane off, however frames reach the MAC
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.packet import (
 )
 from repro.sim import Simulator
 from repro.sim.clock import US
+from repro.telemetry.config import IntConfig
 
 
 def udp(payload=b"x", dscp=0):
@@ -155,3 +156,14 @@ class TestConfigCorners:
 
         assert jitters(1) != jitters(2)
         assert jitters(3) == jitters(3)
+
+    def test_int_node_id_is_the_names_trailing_integer(self, sim):
+        # Every digit of the name used to be concatenated, so
+        # "rack1.nic2" and "nic12" were both node 12 and their
+        # postcards' paths could not be told apart.
+        def node_id(name):
+            return PanicNic(sim, PanicConfig(ports=1, int_=IntConfig()),
+                            name=name).int_agent.node_id
+
+        assert [node_id(n) for n in ("rack1.nic2", "nic12", "nic3", "lb")] \
+            == [2, 12, 3, 0]

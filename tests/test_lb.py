@@ -26,7 +26,7 @@ from repro.lb.monitor import (
     pack_heartbeat,
     parse_heartbeat,
 )
-from repro.lb.rack import client_flow_key, lb_layout, lb_rack_topology
+from repro.lb.rack import lb_layout, lb_rack_topology
 from repro.lb.ring import HashRing, ring_points
 from repro.lb.steering import LbSteering
 from repro.reliability.chaos import (
@@ -225,6 +225,12 @@ class TestLbSteering:
 # ----------------------------------------------------------------------
 # Affinity-table sizing: the shipped rack shapes are collision-free
 # ----------------------------------------------------------------------
+
+def client_flow_key(index):
+    """The affinity-field values ``RackNode.frame`` gives client
+    ``index``: (source IP 10.0.<index>.1 as int, UDP source port)."""
+    return (10 << 24) | (index << 8) | 1, 40000 + index
+
 
 class TestAffinitySizing:
     @pytest.mark.parametrize("nics,backends,slots", [

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.packet import (
+    EthernetHeader,
     HeaderError,
     KV_UDP_PORT,
     KvOpcode,
@@ -10,6 +11,7 @@ from repro.packet import (
     KvResponse,
     KvStatus,
     MIN_FRAME_BYTES,
+    MacAddress,
     Packet,
     PanicHeader,
     build_kv_request_frame,
@@ -226,11 +228,10 @@ class TestBuilders:
             parse_frame(bytes(frame))
 
     def test_non_ip_frame_stops_at_l2(self):
-        from repro.packet import build_eth_frame
-
-        frame = build_eth_frame(
-            "02:00:00:00:00:02", "02:00:00:00:00:01", b"raw", ethertype=0x88B5
-        )
+        frame = EthernetHeader(
+            MacAddress("02:00:00:00:00:02"), MacAddress("02:00:00:00:00:01"),
+            0x88B5,
+        ).pack() + b"raw"
         parsed = parse_frame(frame)
         assert parsed.ipv4 is None
         assert parsed.payload == b"raw"

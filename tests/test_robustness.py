@@ -8,8 +8,9 @@ from repro.engines import IpsecSa
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
 from repro.packet import (
     ETHERTYPE_PANIC,
+    EthernetHeader,
+    MacAddress,
     Packet,
-    build_eth_frame,
     build_kv_request_frame,
     build_udp_frame,
     KvOpcode,
@@ -41,10 +42,10 @@ class TestMalformedInput:
     def test_unknown_ethertype_routed_to_host(self, sim, nic):
         delivered = []
         nic.host.software_handler = lambda p, q: delivered.append(p)
-        nic.inject(Packet(build_eth_frame(
-            "02:00:00:00:00:02", "02:00:00:00:00:01", b"mystery",
-            ethertype=ETHERTYPE_PANIC,
-        )))
+        nic.inject(Packet(EthernetHeader(
+            MacAddress("02:00:00:00:00:02"), MacAddress("02:00:00:00:00:01"),
+            ETHERTYPE_PANIC,
+        ).pack() + b"mystery"))
         sim.run()
         assert len(delivered) == 1
 

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.sched import (
-    DeadlineSlackPolicy,
-    FifoSlackPolicy,
     PifoFullError,
     PifoQueue,
-    StrictPrioritySlackPolicy,
     WeightedShareSlackPolicy,
 )
-from repro.sim.clock import US
 
 
 class TestPifoQueue:
@@ -93,38 +89,6 @@ class TestPifoQueue:
 
 
 class TestSlackPolicies:
-    def test_fifo_deadline_is_arrival(self):
-        policy = FifoSlackPolicy()
-        assert policy.deadline_ps(1, 500) == 500
-        assert policy.deadline_ps(None, 0) == 0
-
-    def test_deadline_policy_prefers_tight_slo(self):
-        policy = DeadlineSlackPolicy({1: 10 * US, 2: 1000 * US})
-        assert policy.deadline_ps(1, 0) < policy.deadline_ps(2, 0)
-
-    def test_deadline_policy_default(self):
-        policy = DeadlineSlackPolicy({1: 10 * US}, default_ps=77)
-        assert policy.deadline_ps(99, 0) == 77
-
-    def test_deadline_policy_validates_targets(self):
-        with pytest.raises(ValueError):
-            DeadlineSlackPolicy({1: 0})
-
-    def test_strict_priority_bands(self):
-        policy = StrictPrioritySlackPolicy({1: 0, 2: 1}, band_ps=1000)
-        assert policy.deadline_ps(1, 0) == 0
-        assert policy.deadline_ps(2, 0) == 1000
-        # Unknown tenants land below every configured class.
-        assert policy.deadline_ps(99, 0) == 2000
-
-    def test_strict_priority_order_survives_arrival_skew(self):
-        # A class-0 message arriving *after* class-1 still wins if the
-        # band exceeds the arrival gap.
-        policy = StrictPrioritySlackPolicy({0: 0, 1: 1}, band_ps=10**9)
-        late_high = policy.deadline_ps(0, 1000)
-        early_low = policy.deadline_ps(1, 0)
-        assert late_high < early_low
-
     def test_weighted_share_favours_heavy_weight(self):
         policy = WeightedShareSlackPolicy({1: 10.0, 2: 1.0})
         # Same arrival, same cost: heavier weight gets earlier deadline
@@ -142,7 +106,3 @@ class TestSlackPolicies:
     def test_weighted_share_validates_weights(self):
         with pytest.raises(ValueError):
             WeightedShareSlackPolicy({1: 0})
-
-    def test_slack_ps_helper(self):
-        policy = DeadlineSlackPolicy({1: 42})
-        assert policy.slack_ps(1) == 42
