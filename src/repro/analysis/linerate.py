@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.packet.packet import MIN_FRAME_BYTES, WIRE_OVERHEAD_BYTES, wire_bits
+from repro.packet.packet import MIN_FRAME_BYTES, wire_bits
 
 #: Bits per minimal frame on the wire (84 bytes).
 MIN_FRAME_WIRE_BITS = wire_bits(MIN_FRAME_BYTES)

@@ -6,7 +6,7 @@ reproduces next to the values the paper reports.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 
 def format_table(

@@ -11,7 +11,7 @@ docs.  Two views:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 CELL_WIDTH = 13
 
@@ -46,7 +46,7 @@ def mesh_map(nic) -> str:
 
     header = (
         f"{nic.name}: {width}x{height} mesh, "
-        f"{nic.config.channel_bits}-bit channels"
+        f"{nic.mesh.config.channel_bits}-bit channels"
     )
     return header + "\n" + _grid_lines(width, height, cell)
 

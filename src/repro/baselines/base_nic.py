@@ -4,7 +4,7 @@ Baselines reuse the *functional* engines (their ``handle`` transforms and
 ``service_time_ps`` cost models) but arrange them in their own topologies
 instead of PANIC's mesh.  :class:`OffloadStage` adapts an engine into a
 FIFO-served stage; :class:`BaseNic` provides the common external
-interface (inject / transmitted / host) so experiments can swap NICs.
+interface (inject / host) so experiments can swap NICs.
 
 Which offloads a packet *needs* is carried in
 ``packet.meta.annotations["needs"]`` (a tuple of offload names) -- the
@@ -15,12 +15,12 @@ parser rich enough to decide this are noted per class.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Optional
 
 from repro.core.host import Host
 from repro.engines.base import Engine
-from repro.packet.packet import Direction, MessageKind, Packet
-from repro.sim.clock import MHZ, SEC
+from repro.packet.packet import Packet
+from repro.sim.clock import SEC
 from repro.sim.kernel import Component, Simulator
 from repro.sim.stats import Counter, LatencyTracker
 
@@ -164,7 +164,7 @@ class SimpleDma(Component):
 
 
 class BaseNic:
-    """Common NIC surface: ports in, host behind, transmitted out."""
+    """Common NIC surface: ports in, host behind."""
 
     def __init__(
         self,
@@ -177,12 +177,8 @@ class BaseNic:
         self.name = name
         self.line_rate_bps = line_rate_bps
         self.host = host if host is not None else Host(sim, f"{name}.host")
-        self.transmitted: List[Packet] = []
-        self._tx_callbacks: List[Callable[[Packet], None]] = []
         self.rx_count = Counter(f"{name}.rx")
-        self.nic_latency = LatencyTracker(f"{name}.latency")
         self._rx_wire_free = 0
-        self._tx_wire_free = 0
 
     def wire_time_ps(self, packet: Packet) -> int:
         return int(packet.wire_bits * SEC / self.line_rate_bps)
@@ -198,21 +194,3 @@ class BaseNic:
 
     def _rx_arrival(self, packet: Packet) -> None:
         raise NotImplementedError
-
-    def _transmit(self, packet: Packet) -> None:
-        """Serialise ``packet`` onto the TX wire, then record it sent."""
-        start = max(self.sim.now, self._tx_wire_free)
-        done = start + self.wire_time_ps(packet)
-        self._tx_wire_free = done
-        self.sim.schedule_at(done, self._record_tx, packet)
-
-    def on_transmit(self, callback: Callable[[Packet], None]) -> None:
-        self._tx_callbacks.append(callback)
-
-    def _record_tx(self, packet: Packet) -> None:
-        packet.meta.nic_departure_ps = self.sim.now
-        if packet.meta.nic_arrival_ps is not None:
-            self.nic_latency.observe(packet.meta.nic_arrival_ps, self.sim.now)
-        self.transmitted.append(packet)
-        for callback in self._tx_callbacks:
-            callback(packet)

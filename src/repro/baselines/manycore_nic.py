@@ -16,7 +16,7 @@ cores), then hands the packet to the DMA path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence, Tuple
 
 from repro.baselines.base_nic import BaseNic, OffloadStage, SimpleDma, next_required
 from repro.core.host import Host
@@ -131,23 +131,5 @@ class ManycoreNic(BaseNic):
         started = packet.meta.annotations.pop("core_start_ps", self.sim.now)
         self.core_latency.observe(started, self.sim.now)
         core.busy = False
-        if packet.meta.direction == Direction.TX:
-            self._transmit(packet)
-        else:
-            self.dma.accept(packet)
+        self.dma.accept(packet)
         self._core_try_start(core)
-
-    # ------------------------------------------------------------------
-    # TX
-    # ------------------------------------------------------------------
-
-    def send_from_host(self, frame: bytes, needs: Tuple[str, ...] = ()) -> Packet:
-        packet = Packet(frame)
-        packet.meta.direction = Direction.TX
-        packet.meta.nic_arrival_ps = self.sim.now
-        packet.meta.annotations["needs"] = needs
-        core = self._cores[self._rr_next]
-        self._rr_next = (self._rr_next + 1) % len(self._cores)
-        core.queue.append(packet)
-        self._core_try_start(core)
-        return packet

@@ -13,12 +13,11 @@ limitations emerge directly from this structure:
    costing a full extra traversal of on-NIC bandwidth.
 
 RX: wire -> stage_1 -> ... -> stage_N -> DMA -> host.
-TX: host -> stages (reverse order) -> wire.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.base_nic import BaseNic, OffloadStage, SimpleDma, packet_needs
 from repro.core.host import Host
@@ -110,12 +109,7 @@ class PipelineNic(BaseNic):
             # the (shared) internal wire, like the paper describes.
             self._enter_stage(packet, 0)
             return
-        if packet.meta.direction == Direction.TX or packet.meta.annotations.get(
-            "from_host"
-        ):
-            self._transmit(packet)
-        else:
-            self.dma.accept(packet)
+        self.dma.accept(packet)
 
     def _unserved_offloads(self, packet: Packet) -> List[str]:
         """Offloads the packet needs, in order, that no stage applied yet."""
@@ -126,18 +120,3 @@ class PipelineNic(BaseNic):
             for offload_name in needed
             if offload_name in self.stage_names and offload_name not in served
         ]
-
-    # ------------------------------------------------------------------
-    # TX path
-    # ------------------------------------------------------------------
-
-    def send_from_host(self, frame: bytes, needs: Tuple[str, ...] = ()) -> Packet:
-        """Host hands the NIC a frame to transmit (through the line)."""
-        packet = Packet(frame)
-        packet.meta.direction = Direction.TX
-        packet.meta.nic_arrival_ps = self.sim.now
-        packet.meta.annotations["needs"] = needs
-        packet.meta.annotations["from_host"] = True
-        packet.meta.annotations.setdefault("recirculations", 0)
-        self._enter_stage(packet, 0)
-        return packet

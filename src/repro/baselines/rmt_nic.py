@@ -2,8 +2,7 @@
 
 Incoming packets flow through a programmable match+action pipeline that
 parses them, steers flows to receive queues, and can rewrite headers --
-all at line rate -- before a DMA stage writes them to the host.  Egress
-symmetrically passes a TX pipeline.
+all at line rate -- before a DMA stage writes them to the host.
 
 The characteristic *limitation* (section 2.3.3) is enforced, not merely
 documented: every stage must finish in bounded per-stage work, so
@@ -15,12 +14,11 @@ does at full line rate, which the throughput benches confirm.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.baselines.base_nic import BaseNic, SimpleDma
 from repro.core.host import Host
 from repro.packet.packet import Direction, Packet
-from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
 from repro.sim.clock import MHZ, Clock
 from repro.sim.kernel import Simulator
@@ -48,13 +46,11 @@ class RmtNic(BaseNic):
         freq_hz: float = 500 * MHZ,
         line_rate_bps: float = 100e9,
         host: Optional[Host] = None,
-        rx_queues: int = 4,
     ):
         super().__init__(sim, name, line_rate_bps, host)
         self.pipeline = RmtPipeline(program)
         self.pipelines = pipelines
         self.clock = Clock(freq_hz)
-        self.rx_queues = rx_queues
         self._next_accept = 0
         self.dma = SimpleDma(sim, f"{name}.dma", self.host)
         self.steered = Counter(f"{name}.steered")
@@ -121,19 +117,3 @@ class RmtNic(BaseNic):
             packet = Packet(rewritten, packet.kind, packet.meta)
         self.steered.add()
         self.dma.accept(packet)
-
-    # ------------------------------------------------------------------
-    # TX
-    # ------------------------------------------------------------------
-
-    def send_from_host(self, frame: bytes, needs: Tuple[str, ...] = ()) -> Packet:
-        for offload_name in needs:
-            self.attach_offload(offload_name)  # raises if unsupported
-        packet = Packet(frame)
-        packet.meta.direction = Direction.TX
-        packet.meta.nic_arrival_ps = self.sim.now
-        start = max(self.sim.now, self._next_accept)
-        self._next_accept = start + self.initiation_interval_ps
-        self.sim.schedule_at(start + self.latency_ps, self._transmit, packet)
-        return packet
-

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.sim.clock import MHZ, NS, US
+from repro.sim.clock import NS, US
 from repro.telemetry.config import IntConfig, TelemetryConfig
 
 #: Offload engines the builder knows how to instantiate.
@@ -33,22 +33,21 @@ def offload_base(name: str) -> str:
 class PanicConfig:
     """The knobs of the reference PANIC NIC that some experiment turns.
 
-    Defaults follow the paper's reference design point: a two-port
-    100 Gbps NIC, a 500 MHz on-chip clock, and a 4x4 mesh large enough
-    for the section 3.2 example's engine set.  Constants nothing varies
-    (NoC credits, host memory base latency and software delay, packet
-    buffer capacity) are the defaults of the components that own them.
+    Defaults follow the paper's reference design point: a two-port NIC
+    and a 4x4 mesh large enough for the section 3.2 example's engine
+    set.  Constants nothing varies (100 Gbps MACs, the 500 MHz on-chip
+    clock, 4 RX / 4 TX host queues, NoC credits, host memory base
+    latency and software delay, packet buffer capacity) are the defaults
+    of the components that own them; :class:`~repro.core.panic.PanicNic`
+    names the one it overrides, the 128-bit mesh channel.
     """
 
     # External interfaces.
     ports: int = 2
-    line_rate_bps: float = 100e9
 
     # On-chip network (Table 3 parameters).
     mesh_width: int = 4
     mesh_height: int = 4
-    channel_bits: int = 128
-    freq_hz: float = 500 * MHZ
     # Cut-through express transfers over idle NoC paths (repro.noc.express).
     # Purely a simulator-speed optimisation: simulated timestamps, delivery
     # order, and quiesced statistics are identical with it off.
@@ -68,8 +67,6 @@ class PanicConfig:
     rmt_tiles: int = 1
 
     # Host interface.
-    rx_queues: int = 4
-    tx_queues: int = 4
     coalesce_count: int = 8
     coalesce_timeout_ps: int = 10 * US
     host_mem_jitter_ps: int = 20 * NS
@@ -137,8 +134,6 @@ class PanicConfig:
     def __post_init__(self) -> None:
         if self.ports < 1:
             raise ValueError(f"need at least one Ethernet port, got {self.ports}")
-        if self.line_rate_bps <= 0:
-            raise ValueError("line rate must be positive")
         if self.payload_mode not in ("full", "pointer"):
             raise ValueError(
                 f"payload_mode must be 'full' or 'pointer', got "

@@ -45,6 +45,11 @@ class Host(Component):
         super().__init__(sim, name)
         if rx_queues < 1 or tx_queues < 1:
             raise ValueError(f"{name}: need at least one RX and TX queue")
+        for param, value in (("mem_base_ps", mem_base_ps),
+                             ("mem_jitter_ps", mem_jitter_ps),
+                             ("software_delay_ps", software_delay_ps)):
+            if value < 0:
+                raise ValueError(f"{name}: {param} must be >= 0, got {value}")
         self.rx_rings: List[Deque[Packet]] = [deque() for _ in range(rx_queues)]
         self.tx_rings: List[Deque[bytes]] = [deque() for _ in range(tx_queues)]
         self.memory: Dict[bytes, bytes] = {}
@@ -144,10 +149,6 @@ class Host(Component):
                 self.software_latency.observe(arrived, self.now)
                 if self.software_handler is not None:
                     self.software_handler(packet, queue)
-
-    @property
-    def rx_backlog(self) -> int:
-        return sum(len(ring) for ring in self.rx_rings)
 
 
 class HostKvServer:

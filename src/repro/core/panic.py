@@ -18,7 +18,7 @@ frames at a port, and :attr:`transmitted` to observe egress.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import PanicConfig, offload_base
 from repro.core.host import Host
@@ -46,6 +46,10 @@ from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 from repro.sim.stats import Counter
+
+#: Mesh channel width of the reference NIC (Table 3); ``MeshConfig``'s
+#: own default, 64, is for standalone meshes.
+_CHANNEL_BITS = 128
 
 #: Offload base name (``KNOWN_OFFLOADS``) -> the engine class built for it.
 _OFFLOAD_ENGINES = {
@@ -98,8 +102,7 @@ class PanicNic:
             MeshConfig(
                 width=self.config.mesh_width,
                 height=self.config.mesh_height,
-                channel_bits=self.config.channel_bits,
-                freq_hz=self.config.freq_hz,
+                channel_bits=_CHANNEL_BITS,
                 fast_path=self.config.fast_path,
             ),
             name=f"{name}.mesh",
@@ -107,8 +110,6 @@ class PanicNic:
         self.host = Host(
             sim,
             name=f"{name}.host",
-            rx_queues=self.config.rx_queues,
-            tx_queues=self.config.tx_queues,
             mem_jitter_ps=self.config.host_mem_jitter_ps,
             rng=self.rng.fork("hostmem"),
         )
@@ -118,7 +119,6 @@ class PanicNic:
                 sim,
                 name=f"{name}.pktbuf",
                 ports=self.config.pktbuf_ports,
-                freq_hz=self.config.freq_hz,
             )
         self.engines: Dict[str, Engine] = {}
         self.ports: List[EthernetPort] = []
@@ -203,8 +203,6 @@ class PanicNic:
                 self.sim,
                 f"{self.name}.eth{i}",
                 port_index=i,
-                line_rate_bps=cfg.line_rate_bps,
-                freq_hz=cfg.freq_hz,
                 on_transmit=self._on_transmit,
             )
             x, y = overrides.get(f"eth{i}") or next(eth_tiles)
@@ -216,7 +214,6 @@ class PanicNic:
         self.dma = DmaEngine(
             self.sim,
             f"{self.name}.dma",
-            freq_hz=cfg.freq_hz,
             queue_capacity=cfg.queue_capacity,
             overflow=cfg.overflow,
         )
@@ -226,7 +223,6 @@ class PanicNic:
             f"{self.name}.pcie",
             coalesce_count=cfg.coalesce_count,
             coalesce_timeout_ps=cfg.coalesce_timeout_ps,
-            freq_hz=cfg.freq_hz,
         )
         place(self.pcie, "pcie", east, 1 % cfg.mesh_height)
 
@@ -237,7 +233,6 @@ class PanicNic:
         program = build_panic_program(
             dma_addr=self.dma.address,
             port_addrs=port_addrs,
-            rx_queues=cfg.rx_queues,
         )
         decision = panic_decision_factory(self)
         self.rmt_tiles: List[RmtPipelineEngine] = []
@@ -256,7 +251,6 @@ class PanicNic:
                 program,
                 pipelines=cfg.rmt_pipelines,
                 chained_engines=cfg.rmt_chained_engines,
-                freq_hz=cfg.freq_hz,
                 memo=cfg.rmt_memo,
             )
             place(engine, f"rmt{suffix}", rmt_x, rmt_y)
@@ -266,7 +260,6 @@ class PanicNic:
 
         # Offload engines on the remaining tiles.
         common = dict(
-            freq_hz=cfg.freq_hz,
             queue_capacity=cfg.queue_capacity,
             overflow=cfg.overflow,
         )

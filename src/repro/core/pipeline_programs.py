@@ -8,8 +8,9 @@ The program built here has these stages (tables):
 
 1. ``ipsec_rx``      -- ESP packets get chain [ipsec]; after decryption
                         the packet re-enters the pipeline (second pass).
-2. ``ipsec_tx``      -- TX packets to configured WAN subnets get an
-                        encrypt annotation and chain [ipsec, port].
+2. ``ipsec_tx``      -- LPM on TX destinations; no control-plane call
+                        programs it, but every stage counts in the
+                        tile's latency.
 3. ``kv_route``      -- KV opcodes choose the cache/RDMA fast path.
 4. ``tenant_route``  -- per-tenant custom offload chains.
 5. ``tenant_slack``  -- per-tenant slack for the logical scheduler.
@@ -47,15 +48,6 @@ def set_chain_if_empty(phv: Phv, ctx: ActionContext, *, chain: List[int]) -> Non
         phv.set("meta.chain", blob)
 
 
-def encrypt_via(
-    phv: Phv, ctx: ActionContext, *, spi: int, chain: List[int]
-) -> None:
-    """Mark a TX packet for ESP encryption and route it via IPSec."""
-    phv.set("meta.ipsec_spi", spi)
-    blob = b"".join(addr.to_bytes(2, "big") for addr in chain)
-    phv.set("meta.chain", blob)
-
-
 def police(phv: Phv, ctx: ActionContext, *, slack_ps: int) -> None:
     """Worst-class traffic: maximal-slack deadline *and* droppable.
 
@@ -76,9 +68,7 @@ def build_panic_program(
     entries are expected; defaults functional out of the box)."""
     program = RmtProgram("panic-reference")
     program.add_action("set_chain_if_empty", set_chain_if_empty)
-    program.add_action("encrypt_via", encrypt_via)
     program.add_action("police", police)
-    program.add_register("rr_queue", 1)
 
     # Stage 1: ESP on receive -> decrypt first.
     program.add_table(
@@ -86,7 +76,7 @@ def build_panic_program(
         [MatchKey("meta.direction"), MatchKey("ipv4.proto")],
         requires="ipv4.proto",
     )
-    # Stage 2: encrypt selected TX destinations (LPM on outer dst).
+    # Stage 2: TX encryption by outer destination (LPM); left empty.
     program.add_table(
         "ipsec_tx",
         [MatchKey("meta.direction"), MatchKey("ipv4.dst", MatchKind.LPM)],
@@ -250,16 +240,6 @@ class PanicControl:
         ipsec = self.addr("ipsec")
         self.program.table("ipsec_rx").add(
             [DIR_RX, IP_PROTO_ESP], "set_chain", {"chain": [ipsec]}
-        )
-
-    def encrypt_subnet(self, prefix: int, prefix_len: int, spi: int, port: int = 0) -> None:
-        """ESP-encrypt TX packets whose destination matches the prefix."""
-        ipsec = self.addr("ipsec")
-        self.program.table("ipsec_tx").add(
-            [DIR_TX, (prefix, prefix_len)],
-            "encrypt_via",
-            {"spi": spi, "chain": [ipsec, self._port_addrs[port]]},
-            priority=prefix_len,
         )
 
     # -- KV fast path ----------------------------------------------------

@@ -72,7 +72,7 @@ between modes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.engines.base import Engine
 from repro.engines.checksum_engine import ChecksumEngine, _rx_verdict

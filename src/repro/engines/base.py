@@ -18,7 +18,7 @@ messages to :meth:`receive`; processed messages leave through the engine's
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint

@@ -12,7 +12,7 @@ from typing import List
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.builder import build_udp_frame
-from repro.packet.checksum import internet_checksum, verify_internet_checksum
+from repro.packet.checksum import verify_internet_checksum
 from repro.packet.headers import (
     EthernetHeader,
     HeaderError,

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.builder import build_udp_frame, parse_frame
 from repro.packet.headers import EthernetHeader, HeaderError, Ipv4Header
-from repro.packet.packet import Direction, MessageKind, Packet
+from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, US
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.engines.base import Engine, EngineOutput
-from repro.packet.packet import Direction, MessageKind, Packet, PacketMetadata
+from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.clock import SEC
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.engines.base import Engine, EngineOutput
-from repro.packet.packet import Direction, MessageKind, Packet
+from repro.packet.packet import Direction, Packet
 from repro.sim.clock import MHZ, SEC
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Counter, LatencyTracker, RateMeter
@@ -160,7 +160,3 @@ class EthernetPort(Engine):
             self.nic_latency.observe(packet.meta.nic_arrival_ps, self.now)
         if self.on_transmit is not None:
             self.on_transmit(packet)
-
-    @property
-    def tx_rate_bps(self) -> float:
-        return self.tx_bits.rate_per_sec(self.now)

@@ -15,7 +15,7 @@ security.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.engines.base import Engine, EngineOutput

@@ -16,7 +16,7 @@ invalidate.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.builder import kv_reply_frame, parse_frame
@@ -88,10 +88,6 @@ class KvCacheEngine(Engine):
             return False
         self._used_bytes -= self._entry_bytes(key, value)
         return True
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
 
     @property
     def entries(self) -> int:

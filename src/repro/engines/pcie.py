@@ -104,7 +104,3 @@ class PcieEngine(Engine):
         self.interrupts.add()
         if self.host is not None:
             self.host.interrupt(count)
-
-    @property
-    def pending_completions(self) -> int:
-        return self._pending_completions

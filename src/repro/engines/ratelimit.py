@@ -103,9 +103,6 @@ class RateLimiterEngine(Engine):
             raise ValueError(f"{self.name}: rate must be positive")
         bucket.rate_bps = rate_bps
 
-    def clear_rate(self, tenant: int) -> None:
-        self._buckets.pop(tenant, None)
-
     def bucket(self, tenant: int) -> Optional[TokenBucket]:
         return self._buckets.get(tenant)
 

@@ -126,7 +126,3 @@ class RdmaEngine(Engine):
         out.meta.annotations["rdma_served"] = True
         out.meta.annotations["request_ctx"] = original.meta.annotations.get("request_ctx")
         return out
-
-    @property
-    def pending_reads(self) -> int:
-        return len(self._pending)

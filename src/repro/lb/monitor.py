@@ -22,7 +22,7 @@ speculative execution (detection latency quantizes to the probe tick).
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict
 
 from repro.sim.clock import US
 

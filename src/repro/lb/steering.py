@@ -24,7 +24,7 @@ accounting invariant still closes: ``sent == acked + failed``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.core.pipeline_programs import DIR_RX
 from repro.lb.ring import DEFAULT_VNODES, HashRing

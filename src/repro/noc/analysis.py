@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.sim.clock import GHZ, MHZ
+from repro.sim.clock import MHZ
 
 #: Fixed per-packet network traversals outside the offload chain itself
 #: (MAC->RMT, RMT->chain, chain->RMT, RMT->DMA, DMA->PCIe bookkeeping).
@@ -99,18 +99,6 @@ class MeshAnalysis:
             raise ValueError("line rate and port count must be positive")
         offered = line_rate_bps * ports
         return self.capacity_bps / offered - overhead
-
-    @property
-    def average_hops(self) -> float:
-        """Mean XY-route hop count under uniform traffic (diagnostic)."""
-        def mean_1d(k: int) -> float:
-            return (k * k - 1) / (3.0 * k)
-
-        return mean_1d(self.width) + mean_1d(self.height)
-
-    @property
-    def diameter(self) -> int:
-        return (self.width - 1) + (self.height - 1)
 
 
 @dataclass

@@ -15,7 +15,7 @@ The crossbar presents the same ``bind`` / ``NocPort`` interface as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
 from repro.noc.channel import Channel
 from repro.noc.message import NocMessage

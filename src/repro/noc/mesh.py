@@ -39,13 +39,12 @@ class MeshConfig:
     """Parameters of the on-chip network.
 
     Defaults follow the paper's reference design point (section 4.2 and
-    Table 3): 500 MHz clock, 64-bit channels.
+    Table 3): 64-bit channels.  Every mesh clocks at 500 MHz.
     """
 
     width: int = 4
     height: int = 4
     channel_bits: int = 64
-    freq_hz: float = 500 * MHZ
     credits: int = 8
     #: Enable cut-through express transfers over idle paths (see
     #: :mod:`repro.noc.express`).  Simulated timestamps, delivery order,
@@ -104,7 +103,7 @@ class Mesh:
         self.sim = sim
         self.config = config
         self.name = name
-        self.clock = Clock(config.freq_hz)
+        self.clock = Clock(500 * MHZ)
         self._routers: Dict[Tuple[int, int], Router] = {}
         self._endpoints: Dict[int, Endpoint] = {}
         self.channels: List[Channel] = []

@@ -12,15 +12,12 @@ pointer alternative so the question can be measured:
 * engines that touch payload bytes pay for buffer port access, which
   serializes per port -- the central buffer becomes the new contention
   point, which is exactly the trade-off the paper hints at.
-
-Handles are reference-counted so multicast/clone flows cannot free a
-payload that is still in use.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.clock import Clock, MHZ
 from repro.sim.kernel import Component, Simulator
@@ -71,7 +68,6 @@ class PacketBuffer(Component):
         self.clock = Clock(freq_hz)
         self._port_busy_until = [0] * ports
         self._store: Dict[int, bytes] = {}
-        self._refs: Dict[int, int] = {}
         self._used = 0
         self._handles = itertools.count(1)
         self.allocations = Counter(f"{name}.allocations")
@@ -85,7 +81,7 @@ class PacketBuffer(Component):
     # ------------------------------------------------------------------
 
     def store(self, data: bytes) -> int:
-        """Allocate a payload; returns its handle (refcount 1)."""
+        """Allocate a payload; returns its handle."""
         if self._used + len(data) > self.capacity_bytes:
             raise PacketBufferError(
                 f"{self.name}: out of buffer space "
@@ -93,25 +89,16 @@ class PacketBuffer(Component):
             )
         handle = next(self._handles)
         self._store[handle] = bytes(data)
-        self._refs[handle] = 1
         self._used += len(data)
         self.high_watermark = max(self.high_watermark, self._used)
         self.allocations.add()
         return handle
 
-    def retain(self, handle: int) -> None:
-        """Bump the reference count (clone / multicast)."""
-        self._refs[self._check(handle)] += 1
-
     def release(self, handle: int) -> None:
-        """Drop a reference; frees the payload at zero."""
+        """Free the payload."""
         handle = self._check(handle)
-        self._refs[handle] -= 1
-        if self._refs[handle] == 0:
-            self._used -= len(self._store[handle])
-            del self._store[handle]
-            del self._refs[handle]
-            self.frees.add()
+        self._used -= len(self._store.pop(handle))
+        self.frees.add()
 
     def read(self, handle: int) -> bytes:
         """Read the payload bytes (timing charged via access_delay_ps)."""
@@ -159,10 +146,6 @@ class PacketBuffer(Component):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
 
     @property
     def live_handles(self) -> int:

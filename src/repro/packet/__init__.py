@@ -18,7 +18,7 @@ Layers provided:
 * :mod:`repro.packet.builder`   -- convenience constructors for full frames.
 """
 
-from repro.packet.addresses import BROADCAST_MAC, IPv4Address, MacAddress
+from repro.packet.addresses import IPv4Address, MacAddress
 from repro.packet.checksum import internet_checksum, verify_internet_checksum, crc32
 from repro.packet.headers import (
     ETHERTYPE_IPV4,
@@ -52,7 +52,6 @@ from repro.packet.builder import (
 )
 
 __all__ = [
-    "BROADCAST_MAC",
     "EthernetHeader",
     "EspHeader",
     "ETHERTYPE_IPV4",

@@ -50,15 +50,6 @@ class MacAddress:
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(6, "big")
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.value == (1 << 48) - 1
-
-    @property
-    def is_multicast(self) -> bool:
-        """True when the group bit (lowest bit of the first octet) is set."""
-        return bool((self.value >> 40) & 1)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MacAddress) and self.value == other.value
 
@@ -71,10 +62,6 @@ class MacAddress:
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
-
-
-#: The all-ones broadcast MAC.
-BROADCAST_MAC = MacAddress((1 << 48) - 1)
 
 
 class IPv4Address:
@@ -122,15 +109,6 @@ class IPv4Address:
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(4, "big")
-
-    def in_subnet(self, network: "IPv4Address", prefix_len: int) -> bool:
-        """True when this address falls inside ``network/prefix_len``."""
-        if not 0 <= prefix_len <= 32:
-            raise ValueError(f"prefix length out of range: {prefix_len}")
-        if prefix_len == 0:
-            return True
-        mask = ((1 << prefix_len) - 1) << (32 - prefix_len)
-        return (self.value & mask) == (network.value & mask)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IPv4Address) and self.value == other.value

@@ -25,7 +25,7 @@ from repro.packet.headers import (
     TcpHeader,
     UdpHeader,
 )
-from repro.packet.kv import KV_UDP_PORT, KvOpcode, KvRequest, KvResponse
+from repro.packet.kv import KV_UDP_PORT, KvRequest, KvResponse
 from repro.packet.packet import MessageKind, Packet
 
 

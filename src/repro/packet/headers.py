@@ -7,7 +7,7 @@ validates its fields, so simulated offloads operate on genuine wire bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.packet.addresses import IPv4Address, MacAddress

@@ -15,7 +15,7 @@ RMT action and must be an offload engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.rmt.phv import Phv
 
@@ -121,11 +121,6 @@ def set_field(phv: Phv, ctx: ActionContext, *, field: str, value: Any) -> None:
     phv.set(field, value)
 
 
-def copy_field(phv: Phv, ctx: ActionContext, *, src: str, dst: str) -> None:
-    """Copy one PHV field to another."""
-    phv.set(dst, phv.get(src))
-
-
 #: Memoized chain encodings for ``set_chain``: route tables reuse the
 #: same chain for every frame of a flow, and the wire form is a pure
 #: function of the address list.  Bounded by wholesale clearing.
@@ -145,13 +140,6 @@ def set_chain(phv: Phv, ctx: ActionContext, *, chain: List[int]) -> None:
     phv.set("meta.chain", encoded)
 
 
-def push_chain(phv: Phv, ctx: ActionContext, *, engine: int) -> None:
-    """Append one engine address to the offload chain."""
-    existing = phv.get_or("meta.chain", b"")
-    assert isinstance(existing, bytes)
-    phv.set("meta.chain", existing + engine.to_bytes(2, "big"))
-
-
 def set_slack(phv: Phv, ctx: ActionContext, *, slack_ps: int) -> None:
     """Set the scheduler deadline to ``now + slack_ps`` (section 3.1.3)."""
     phv.set("meta.slack_deadline_ps", ctx.now_ps + slack_ps)
@@ -165,23 +153,6 @@ def set_queue(phv: Phv, ctx: ActionContext, *, queue: int) -> None:
 def count(phv: Phv, ctx: ActionContext, *, register: str, index: int = 0) -> None:
     """Increment a register cell (stateful counter)."""
     ctx.register(register).add(index)
-
-
-def load_balance(
-    phv: Phv,
-    ctx: ActionContext,
-    *,
-    register: str,
-    ways: int,
-    dst: str = "meta.rx_queue",
-) -> None:
-    """Round-robin a value in [0, ways) into ``dst`` using a register."""
-    if ways <= 0:
-        raise ActionError(f"load_balance needs positive ways, got {ways}")
-    reg = ctx.register(register)
-    value = reg.read(0)
-    reg.write(0, (value + 1) % ways)
-    phv.set(dst, value % ways)
 
 
 #: Memoized FNV results for ``hash_select``: the hash is a pure function
@@ -342,13 +313,10 @@ def standard_actions() -> Dict[str, Action]:
         "no_op": no_op,
         "drop": drop,
         "set_field": set_field,
-        "copy_field": copy_field,
         "set_chain": set_chain,
-        "push_chain": push_chain,
         "set_slack": set_slack,
         "set_queue": set_queue,
         "count": count,
-        "load_balance": load_balance,
         "hash_select": hash_select,
         "decrement_ttl": decrement_ttl,
         "affinity_steer": affinity_steer,

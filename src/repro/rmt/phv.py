@@ -71,12 +71,6 @@ class Phv:
         prefix = header + "."
         return any(name.startswith(prefix) for name in self._fields)
 
-    def invalidate_header(self, header: str) -> None:
-        """Invalidate every ``header.*`` field."""
-        prefix = header + "."
-        for name in [n for n in self._fields if n.startswith(prefix)]:
-            del self._fields[name]
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

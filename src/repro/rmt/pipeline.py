@@ -13,7 +13,7 @@ directly unit-testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.packet.addresses import IPv4Address, MacAddress
@@ -131,7 +131,7 @@ class TrajectoryMemo:
       :class:`~repro.rmt.action.Register` write invalidates the whole
       cache (listeners installed by :meth:`_wire`).  A register write
       *during* a recording marks it dirty, so flows running
-      register-writing actions (``count``, ``load_balance``) are simply
+      register-writing actions (``count``, ``affinity_steer``) are simply
       never cached.
     * A recording is abandoned when an action changes a match-relevant
       field mid-traversal (the trajectory would be input-dependent) or

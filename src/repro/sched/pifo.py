@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generic, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 
 from repro.sim.stats import Counter
 
@@ -147,12 +147,6 @@ class PifoQueue(Generic[T]):
             raise IndexError(f"pop from empty PIFO {self.name!r}")
         rank, _seq, _droppable, item = heapq.heappop(self._heap)
         return item, rank
-
-    def peek_rank(self) -> int:
-        """Rank of the head item without removing it."""
-        if not self._heap:
-            raise IndexError(f"peek on empty PIFO {self.name!r}")
-        return self._heap[0][0]
 
     def drain(self) -> List[T]:
         """Remove everything in rank order (used at teardown)."""

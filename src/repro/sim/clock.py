@@ -71,19 +71,6 @@ class Clock:
             memo[cycles] = result
         return result
 
-    def ps_to_cycles(self, ps: int) -> int:
-        """Return how many *whole* cycles elapse in ``ps`` picoseconds."""
-        if ps < 0:
-            raise ValueError(f"duration must be non-negative, got {ps}")
-        return ps // self.period_ps
-
-    def next_edge(self, now_ps: int) -> int:
-        """Return the first clock edge at or after ``now_ps``."""
-        remainder = now_ps % self.period_ps
-        if remainder == 0:
-            return now_ps
-        return now_ps + (self.period_ps - remainder)
-
     def __repr__(self) -> str:
         return f"Clock({self.freq_hz / MHZ:g} MHz, period={self.period_ps} ps)"
 

@@ -212,10 +212,6 @@ class Simulator:
         """
         self._after_hooks.append(hook)
 
-    def remove_after_event_hook(self, hook: Callable[[int], None]) -> None:
-        """Unregister a hook added by :meth:`add_after_event_hook`."""
-        self._after_hooks.remove(hook)
-
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
         if (self._cancelled_pending > _COMPACT_MIN
@@ -515,11 +511,6 @@ class Simulator:
         if len(ranked) > limit:
             lines.append(f"  ... and {len(ranked) - limit} more callback kinds")
         return "\n".join(lines)
-
-    @property
-    def live_pending_events(self) -> int:
-        """Number of non-cancelled events still in the heap."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     @property
     def events_fired(self) -> int:

@@ -49,9 +49,6 @@ class SeededRng:
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)
 
-    def shuffle(self, items: List[T]) -> None:
-        self._rng.shuffle(items)
-
     def bytes(self, n: int) -> bytes:
         return self._rng.randbytes(n)
 

@@ -7,9 +7,8 @@ models and the benchmark reporting code).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.clock import SEC
 
@@ -65,12 +64,6 @@ class Histogram:
         self._total += value
         self._sorted = False
 
-    def record_many(self, values: Iterable[float]) -> None:
-        values = list(values)
-        self._samples.extend(values)
-        self._total += sum(values)
-        self._sorted = False
-
     @property
     def count(self) -> int:
         return len(self._samples)
@@ -97,14 +90,6 @@ class Histogram:
         if not self._samples:
             return float("nan")
         return max(self._samples)
-
-    @property
-    def stddev(self) -> float:
-        if len(self._samples) < 2:
-            return 0.0
-        mu = self.mean
-        var = sum((s - mu) ** 2 for s in self._samples) / (len(self._samples) - 1)
-        return math.sqrt(var)
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -187,9 +172,6 @@ class LatencyTracker(Histogram):
                 f"latency interval ends before it starts ({start_ps} > {end_ps})"
             )
         self.record(end_ps - start_ps)
-
-    def mean_ns(self) -> float:
-        return self.mean / 1_000
 
     def percentile_ns(self, pct: float) -> float:
         return self.percentile(pct) / 1_000

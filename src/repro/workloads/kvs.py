@@ -10,7 +10,7 @@ collects per-tenant response-latency histograms from egress frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engines.ipsec import IpsecEngine, IpsecSa
@@ -18,7 +18,7 @@ from repro.packet.builder import build_kv_request_frame, parse_frame
 from repro.packet.headers import HeaderError
 from repro.packet.kv import KvOpcode, KvRequest, KvResponse
 from repro.packet.packet import Packet
-from repro.sim.clock import SEC, US
+from repro.sim.clock import US
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 from repro.sim.stats import Counter, LatencyTracker

@@ -115,12 +115,6 @@ class TestPipelineNic:
         assert received == [packet]
         assert nic.recirculations.value == 0
 
-    def test_tx_through_line(self, sim):
-        nic = PipelineNic(sim, slow_fast_line(sim))
-        nic.send_from_host(plain_udp().data)
-        sim.run()
-        assert len(nic.transmitted) == 1
-
 
 class TestManycoreNic:
     def offloads(self, sim):
@@ -176,12 +170,6 @@ class TestManycoreNic:
         cores_used = {p.meta.annotations["core"] for p in packets}
         assert cores_used == {0, 1, 2, 3}
 
-    def test_tx_path(self, sim):
-        nic = ManycoreNic(sim, [])
-        nic.send_from_host(plain_udp().data)
-        sim.run()
-        assert len(nic.transmitted) == 1
-
     def test_core_count_validated(self, sim):
         with pytest.raises(ValueError):
             ManycoreNic(sim, [], cores=0)
@@ -222,11 +210,6 @@ class TestRmtNic:
         nic = self.build(sim)
         nic.attach_offload("steering")  # no exception
 
-    def test_tx_with_unsupported_need_raises(self, sim):
-        nic = self.build(sim)
-        with pytest.raises(UnsupportedOffloadError):
-            nic.send_from_host(plain_udp().data, needs=("compression",))
-
     def test_line_rate_initiation(self, sim):
         nic = self.build(sim, pipelines=2)
         assert nic.throughput_pps == 1e9
@@ -243,9 +226,3 @@ class TestRmtNic:
         sim.run()
         assert received == []
         assert nic.dropped.value == 1
-
-    def test_tx_transmits(self, sim):
-        nic = self.build(sim)
-        nic.send_from_host(plain_udp().data)
-        sim.run()
-        assert len(nic.transmitted) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import HostKvServer, PanicConfig, PanicNic
+from repro.core import Host, HostKvServer, PanicConfig, PanicNic
 from repro.packet import (
     KvOpcode,
     KvRequest,
@@ -13,7 +13,7 @@ from repro.packet import (
     parse_frame,
 )
 from repro.sim import Simulator
-from repro.sim.clock import US
+from repro.sim.clock import MHZ, US
 
 
 def plain_udp(dst_ip="10.0.0.2", payload=b"hello", dscp=0):
@@ -80,6 +80,33 @@ class TestConstruction:
         assert len(nic.ports) == 2
         assert nic.ports[0].port_index == 0
         assert nic.ports[1].port_index == 1
+
+    def test_default_nic_is_the_reference_design_point(self, sim):
+        """The paper's design point, held by component defaults: 128-bit
+        mesh channels, 100 Gbps MACs, 500 MHz tiles, 4 RX / 4 TX host
+        queues and an RMT program hashing into 4 receive queues."""
+        nic = PanicNic(sim)
+        assert nic.mesh.config.channel_bits == 128
+        assert nic.mesh.clock.freq_hz == 500 * MHZ
+        assert [mac.line_rate_bps for mac in nic.ports] == [100e9, 100e9]
+        assert {key: engine.clock.freq_hz
+                for key, engine in nic.engines.items()} == dict.fromkeys(
+            ["eth0", "eth1", "dma", "pcie", "rmt",
+             "ipsec", "compression", "kvcache", "rdma"], 500 * MHZ)
+        assert len(nic.host.rx_rings) == len(nic.host.tx_rings) == 4
+        (steer,) = nic.control.program.table("rx_steer").entries()
+        assert steer.action == "hash_select" and steer.params["ways"] == 4
+
+    @pytest.mark.parametrize(
+        "param", ["mem_base_ps", "mem_jitter_ps", "software_delay_ps"])
+    def test_host_rejects_negative_latency(self, sim, param):
+        with pytest.raises(ValueError, match=param):
+            Host(sim, **{param: -5})
+
+    def test_negative_host_jitter_rejected_at_build(self, sim):
+        # Once accepted, it crashed the first frame inside sim.run().
+        with pytest.raises(ValueError, match="mem_jitter_ps"):
+            PanicNic(sim, PanicConfig(ports=1, host_mem_jitter_ps=-5))
 
 
 class TestRxPath:
@@ -194,27 +221,6 @@ class TestIpsecPath:
         # Two heavyweight passes: encrypted, then decrypted (section 3.1.2),
         # plus one for the response.
         assert nic.rmt.processed.value == 3
-
-    def test_tx_encryption_for_wan_subnet(self, sim, nic):
-        from repro.engines import IpsecSa
-
-        nic.control.enable_kv_cache()
-        ipsec = nic.offload("ipsec")
-        ipsec.install_sa(
-            IpsecSa(spi=0x88, key=b"tx", tunnel_src="1.2.3.4",
-                    tunnel_dst="5.6.7.8")
-        )
-        # Responses to 10.77/16 clients must leave encrypted.
-        nic.control.encrypt_subnet(0x0A4D0000, 16, spi=0x88)
-        nic.offload("kvcache").cache_put(b"k", b"v")
-        request = build_kv_request_frame(
-            KvRequest(KvOpcode.GET, 4, 12, b"k"), src_ip="10.77.0.9"
-        )
-        nic.inject(request)
-        sim.run()
-        assert ipsec.encrypted.value == 1
-        out = parse_frame(nic.transmitted[0].data)
-        assert out.esp is not None  # left the NIC as ESP
 
 
 class TestSlackProgramming:

@@ -1,6 +1,6 @@
 """The surface census: ``src/repro`` ships what something runs.
 
-Four scans, all by ``ast`` plus a word scan, so they err towards
+Six scans, all by ``ast`` plus a word scan, so they err towards
 keeping (an unrelated local of the same name counts as a mention) and
 what they catch is certain:
 
@@ -13,13 +13,20 @@ what they catch is certain:
   a feature only its own tests reach is parked, and a parked feature
   comes back with the PR that gives it a caller;
 * **R2** every field of the four config dataclasses is passed by
-  keyword at some call site outside the module that defines it.  The
-  scan is by keyword name, whatever the callee, so a forwarding
-  ``Host(rx_queues=cfg.rx_queues)`` keeps ``PanicConfig.rx_queues``;
-* **R3** every ``standard_actions()`` entry is used by name outside
-  ``rmt/action.py``: installed in a table (``add(match, "name",
-  params)``, ``default_action="name"``) or fetched from the registry
-  (``actions["name"]``).
+  keyword to a call of that config class, or of ``dataclasses.replace``,
+  somewhere outside the module that defines it (tests count).  A
+  component that forwards the field under the same keyword
+  (``Host(rx_queues=cfg.rx_queues)``) sets nothing: a value no caller
+  chooses is the owning component's default;
+* **R3** every ``standard_actions()`` entry is installed by name outside
+  ``rmt/action.py``: ``add(match, "name", params)`` or
+  ``default_action="name"`` anywhere, or a registry lookup
+  (``actions["name"]``) in code that runs -- a lookup in a test alone
+  installs nothing;
+* **R4** every public method or property of a ``src/repro`` class is
+  named outside its own ``def`` by code that runs it, as in R1;
+* **R5** every name imported into a non-``__init__`` module of
+  ``src/repro`` is used there, or imported from there by another file.
 
 A failure lists ``file:line name`` and every file that mentions the
 name, which is the list of places to delete it from.  Delete it, or
@@ -27,6 +34,7 @@ give it the caller it never had; ``ALLOWED`` is not a parking lot.
 """
 
 import ast
+import functools
 import pathlib
 import re
 from collections import Counter, defaultdict
@@ -35,22 +43,45 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 SCANNED = ("src", "tests", "benchmarks", "examples")
 DEFS = (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 CONFIGS = ("PanicConfig", "TelemetryConfig", "IntConfig", "MeshConfig")
 
-#: R1 names kept although only tests reach them -- at most three, name
-#: -> the reason.  (A name reached only through ``getattr`` would be
-#: listed here too, with the line that reaches it.)
+#: R1 / R4 names kept although only tests reach them -- at most three,
+#: name -> the reason.  A class listed here keeps its methods.  (A name
+#: reached only through ``getattr`` would be listed here too, with the
+#: line that reaches it.)
 ALLOWED = {
     "simple_udp_factory":
         "the frame factory the tests drive every TrafficSource with",
     "build_kv_response_frame":
         "the reply half of build_kv_request_frame, for tests playing "
         "the server",
+    "FaultPlan":
+        "each verb is the only way a plan carries its fault kind; "
+        "stall_engine, drop_on_link and corrupt_pifo arm mechanisms "
+        "test_engine_golden and test_noc_golden pin, and flap_nic is "
+        "nic_up's only caller",
 }
 
 
 def _py_files(*tops):
     return [path for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+
+
+@functools.lru_cache(maxsize=None)
+def _text(path):
+    return path.read_text()
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(path):
+    return ast.parse(_text(path))
+
+
+@functools.lru_cache(maxsize=None)
+def _nodes(path):
+    """Every node of ``path``'s syntax tree, parsed once per session."""
+    return tuple(ast.walk(_tree(path)))
 
 
 def _rel(path):
@@ -65,7 +96,7 @@ def _mentioned_by(name):
     """Every scanned file (and README.md) naming ``name``, for messages."""
     files = _py_files(*SCANNED) + [ROOT / "README.md"]
     return ", ".join(_rel(path) for path in files
-                     if name in _words(path.read_text())) or "nothing"
+                     if name in _words(_text(path))) or "nothing"
 
 
 def _report(rule, dead):
@@ -79,12 +110,10 @@ def test_every_defined_name_is_referenced_somewhere():
     defined: Counter = Counter()
     for top in SCANNED:
         for path in (ROOT / top).rglob("*.py"):
-            text = path.read_text()
-            words.update(_words(text))
+            words.update(_words(_text(path)))
             if top == "src":
-                defined.update(
-                    node.name for node in ast.walk(ast.parse(text))
-                    if isinstance(node, DEFS))
+                defined.update(node.name for node in _nodes(path)
+                               if isinstance(node, DEFS))
     dead = sorted(
         name for name, count in defined.items()
         if words[name] == count
@@ -109,57 +138,92 @@ def _is_reexport(node):
                 for t in node.targets))
 
 
-def test_r1_every_public_name_is_run_by_something_besides_its_tests():
+def _reach(members):
+    """Dead ``(path, line, label, name)`` among ``members``' definitions.
+
+    ``members(body)`` yields ``(node, label)`` for the definitions of one
+    module that the rule covers.  A definition is dead when every
+    mention of its name by code that runs (``src/`` outside package
+    re-exports, ``benchmarks/``, ``examples/``, ``README.md``) sits
+    inside a definition of that name.
+    """
     assert len(ALLOWED) <= 3, "ALLOWED is for at most three reasoned names"
     live: Counter = Counter()       # words that keep a name alive
     own: Counter = Counter()        # ... of which inside its own definition
     defs = []
     for path in _py_files("src"):
-        text = path.read_text()
-        body = ast.parse(text).body
+        text = _text(path)
+        body = _tree(path).body
         if path.name == "__init__.py":
             text = _without(text, [n for n in body if _is_reexport(n)])
         live.update(_words(text))
         lines = text.splitlines()
-        for node in body:
-            if isinstance(node, DEFS) and not node.name.startswith("_"):
-                defs.append((path, node.lineno, node.name))
-                span = "\n".join(lines[node.lineno - 1:node.end_lineno])
-                own[node.name] += _words(span).count(node.name)
+        for node, label in members(body):
+            defs.append((path, node.lineno, label, node.name))
+            span = "\n".join(lines[node.lineno - 1:node.end_lineno])
+            own[node.name] += _words(span).count(node.name)
     for path in _py_files("benchmarks", "examples") + [ROOT / "README.md"]:
-        live.update(_words(path.read_text()))
-    dead = [(path, line, name, name) for path, line, name in defs
-            if live[name] == own[name] and name not in ALLOWED]
+        live.update(_words(_text(path)))
+    return [(path, line, label, name) for path, line, label, name in defs
+            if live[name] == own[name]]
+
+
+def test_r1_every_public_name_is_run_by_something_besides_its_tests():
+    dead = _reach(lambda body: [
+        (node, node.name) for node in body
+        if isinstance(node, DEFS) and not node.name.startswith("_")
+        and node.name not in ALLOWED])
     assert not dead, _report(
         "public in src/repro, but only tests or a package re-export name "
         "it", dead)
 
 
+def test_r4_every_public_method_is_run_by_something_besides_its_tests():
+    dead = _reach(lambda body: [
+        (member, f"{cls.name}.{member.name}")
+        for cls in body
+        if isinstance(cls, ast.ClassDef) and cls.name not in ALLOWED
+        for member in cls.body
+        if isinstance(member, FUNCS) and not member.name.startswith("_")])
+    assert not dead, _report(
+        "public method or property in src/repro, but only tests name it",
+        dead)
+
+
+def _config_callee(func):
+    """What a config-setting call builds: the config class's name,
+    ``"replace"`` for ``dataclasses.replace`` (any callee so named, which
+    errs towards keeping), else None."""
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name if name in CONFIGS or name == "replace" else None
+
+
 def test_r2_every_config_field_is_set_by_some_call_site():
     fields = []
     for path in _py_files("src"):
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path).body:
             if isinstance(node, ast.ClassDef) and node.name in CONFIGS:
                 fields.extend(
                     (path, stmt.lineno, node.name, stmt.target.id)
                     for stmt in node.body if isinstance(stmt, ast.AnnAssign))
     assert {cls for _, _, cls, _ in fields} == set(CONFIGS)
-    set_in = defaultdict(set)       # keyword name -> files passing it
+    set_in = defaultdict(set)       # (callee, keyword) -> files passing it
     for path in _py_files(*SCANNED):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.keyword) and node.arg:
-                set_in[node.arg].add(path)
+        for node in _nodes(path):
+            callee = isinstance(node, ast.Call) and _config_callee(node.func)
+            if callee:
+                for keyword in node.keywords:
+                    set_in[callee, keyword.arg].add(path)
     dead = [(path, line, f"{cls}.{field}", field)
             for path, line, cls, field in fields
-            if not set_in[field] - {path}]
+            if not (set_in[cls, field] | set_in["replace", field]) - {path}]
     assert not dead, _report(
-        "config field no call site outside its module passes by keyword",
-        dead)
+        "config field no call of its class outside its module sets", dead)
 
 
 def test_r3_every_standard_action_is_installed_by_name():
     registry = SRC / "rmt" / "action.py"
-    (func,) = [node for node in ast.parse(registry.read_text()).body
+    (func,) = [node for node in _tree(registry).body
                if isinstance(node, ast.FunctionDef)
                and node.name == "standard_actions"]
     (table,) = [node for node in ast.walk(func) if isinstance(node, ast.Dict)]
@@ -167,7 +231,8 @@ def test_r3_every_standard_action_is_installed_by_name():
     for path in _py_files(*SCANNED):
         if path == registry:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        in_tests = path.is_relative_to(ROOT / "tests")
+        for node in _nodes(path):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "add"):
@@ -180,7 +245,7 @@ def test_r3_every_standard_action_is_installed_by_name():
                     *zip(positional[-len(node.defaults):], node.defaults),
                     *zip(node.kwonlyargs, node.kw_defaults)]
                     if arg.arg == "default_action"]
-            elif isinstance(node, ast.Subscript):
+            elif isinstance(node, ast.Subscript) and not in_tests:
                 named = [node.slice]
             else:
                 continue
@@ -189,5 +254,68 @@ def test_r3_every_standard_action_is_installed_by_name():
     dead = [(registry, key.lineno, repr(key.value), key.value)
             for key in table.keys if key.value not in used]
     assert not dead, _report(
-        "standard action no table installs and nothing fetches by name",
-        dead)
+        "standard action no table installs and no running code fetches "
+        "by name", dead)
+
+
+def _module_of(path):
+    """Dotted module name of a file under ``src/``."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _source_module(path, node):
+    """Absolute module a ``from ... import`` in ``path`` reads from."""
+    if not node.level:
+        return node.module
+    package = _module_of(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    base = package[:len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _used_names(path):
+    """Names a module reads: every ``Name``, plus the words of string
+    annotations and of ``__all__``."""
+    used, holders = set(), []
+    for node in _nodes(path):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            holders.append(node.annotation)
+        elif isinstance(node, FUNCS):
+            holders.append(node.returns)
+        elif isinstance(node, ast.Assign) and _is_reexport(node):
+            holders.append(node.value)
+    for holder in filter(None, holders):
+        used.update(word for leaf in ast.walk(holder)
+                    if isinstance(leaf, ast.Constant)
+                    and isinstance(leaf.value, str)
+                    for word in _words(leaf.value))
+    return used
+
+
+def test_r5_every_import_in_src_is_used():
+    imported_from = set()           # (module, name) another file imports
+    for path in _py_files(*SCANNED):
+        in_src = path.is_relative_to(ROOT / "src")
+        for node in _nodes(path):
+            if isinstance(node, ast.ImportFrom):
+                module = _source_module(path, node) if in_src else node.module
+                imported_from.update((module, a.name) for a in node.names)
+    dead = []
+    for path in _py_files("src"):
+        if path.name == "__init__.py":
+            continue
+        used = _used_names(path)
+        module = _module_of(path)
+        for node in _nodes(path):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used and (module, bound) not in imported_from:
+                    dead.append((path, node.lineno, bound, bound))
+    assert not dead, _report("imported into src/repro, never used there", dead)

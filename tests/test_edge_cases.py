@@ -90,7 +90,7 @@ class TestPcieCoalescing:
         sim.run()
         # 8 completions at threshold 4: exactly 2 interrupts.
         assert nic.pcie.interrupts.value == 2
-        assert nic.pcie.pending_completions == 0
+        assert nic.pcie._pending_completions == 0
 
     def test_remainder_flushed_by_timeout(self, sim):
         nic = PanicNic(sim, PanicConfig(ports=1, coalesce_count=4,

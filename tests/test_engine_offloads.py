@@ -219,7 +219,7 @@ class TestKvCacheEngine:
         cache = KvCacheEngine(sim, "kv", capacity_bytes=100)
         cache.cache_put(b"k", b"x" * 50)
         cache.cache_put(b"k", b"y" * 10)
-        assert cache.used_bytes == 11
+        assert cache._used_bytes == 11
 
     def test_oversized_entry_rejected(self, sim):
         cache = KvCacheEngine(sim, "kv", capacity_bytes=10)

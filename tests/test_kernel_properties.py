@@ -118,7 +118,8 @@ def test_run_fires_in_when_seq_order(program):
     assert trace == want
     assert sim.events_fired == oracle.events_fired
     assert sim.now == oracle.now
-    assert sim.next_event_ps() is None and sim.live_pending_events == 0
+    assert sim.next_event_ps() is None
+    assert all(entry[2].cancelled for entry in sim._heap)
 
 
 @settings(max_examples=120, deadline=None)

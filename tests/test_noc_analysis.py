@@ -46,14 +46,6 @@ class TestMeshAnalysis:
         analysis = MeshAnalysis(8, 4, 64, 500 * MHZ)
         assert analysis.bisection_channels == 8
 
-    def test_average_hops(self):
-        analysis = MeshAnalysis(6, 6, 64, 500 * MHZ)
-        # 2 * (k^2 - 1) / 3k = 2 * 35/18 for k=6.
-        assert analysis.average_hops == pytest.approx(2 * 35 / 18)
-
-    def test_diameter(self):
-        assert MeshAnalysis(6, 6, 64, 500 * MHZ).diameter == 10
-
     def test_too_small_mesh_rejected(self):
         with pytest.raises(ValueError):
             MeshAnalysis(1, 4, 64, 500 * MHZ)

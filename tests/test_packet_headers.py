@@ -3,7 +3,6 @@
 import pytest
 
 from repro.packet import (
-    BROADCAST_MAC,
     EthernetHeader,
     EspHeader,
     ETHERTYPE_IPV4,
@@ -30,14 +29,6 @@ class TestMacAddress:
     def test_from_bytes_roundtrip(self):
         raw = bytes.fromhex("0200000000ff")
         assert MacAddress(raw).to_bytes() == raw
-
-    def test_broadcast(self):
-        assert BROADCAST_MAC.is_broadcast
-        assert not MacAddress(0).is_broadcast
-
-    def test_multicast_bit(self):
-        assert MacAddress("01:00:5e:00:00:01").is_multicast
-        assert not MacAddress("02:00:00:00:00:01").is_multicast
 
     def test_malformed_string_rejected(self):
         with pytest.raises(ValueError):
@@ -72,16 +63,6 @@ class TestIPv4Address:
     def test_wrong_part_count(self):
         with pytest.raises(ValueError):
             IPv4Address("1.2.3")
-
-    def test_subnet_membership(self):
-        ip = IPv4Address("10.1.2.3")
-        assert ip.in_subnet(IPv4Address("10.0.0.0"), 8)
-        assert not ip.in_subnet(IPv4Address("10.2.0.0"), 16)
-        assert ip.in_subnet(IPv4Address("0.0.0.0"), 0)
-
-    def test_subnet_prefix_validated(self):
-        with pytest.raises(ValueError):
-            IPv4Address("1.2.3.4").in_subnet(IPv4Address("0.0.0.0"), 33)
 
     def test_ordering(self):
         assert IPv4Address("1.0.0.1") < IPv4Address("2.0.0.0")

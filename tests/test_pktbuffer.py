@@ -14,20 +14,10 @@ class TestPacketBuffer:
         buf = PacketBuffer(sim)
         handle = buf.store(b"payload")
         assert buf.read(handle) == b"payload"
-        assert buf.used_bytes == 7
+        assert buf._used == 7
         buf.release(handle)
-        assert buf.used_bytes == 0
+        assert buf._used == 0
         assert buf.live_handles == 0
-
-    def test_refcounting(self, sim):
-        buf = PacketBuffer(sim)
-        handle = buf.store(b"shared")
-        buf.retain(handle)
-        buf.release(handle)
-        assert buf.read(handle) == b"shared"  # still alive
-        buf.release(handle)
-        with pytest.raises(PacketBufferError):
-            buf.read(handle)
 
     def test_capacity_enforced(self, sim):
         buf = PacketBuffer(sim, capacity_bytes=10)
@@ -39,7 +29,7 @@ class TestPacketBuffer:
         buf = PacketBuffer(sim, capacity_bytes=100)
         handle = buf.store(b"x" * 50)
         buf.rewrite(handle, b"y" * 10)
-        assert buf.used_bytes == 10
+        assert buf._used == 10
         assert buf.read(handle) == b"y" * 10
         with pytest.raises(PacketBufferError):
             buf.rewrite(handle, b"z" * 200)

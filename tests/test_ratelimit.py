@@ -106,14 +106,6 @@ class TestRateLimiterEngine:
         tenants_done = [p.meta.tenant for p, _t in sink.got]
         assert 2 in tenants_done  # tenant 2 was not stuck behind tenant 1
 
-    def test_clear_rate(self, sim):
-        limiter, sink = self.rig(sim)
-        limiter.set_rate(1, rate_bps=1.0, burst_bytes=1)
-        limiter.clear_rate(1)
-        limiter._loopback(self.packet(tenant=1))
-        sim.run()
-        assert len(sink.got) == 1
-
 
 class TestRateLimiterOnNic:
     def test_tx_pacing_in_panic(self, sim):

@@ -224,7 +224,7 @@ def test_memo_invalidates_on_register_write():
 
 
 def test_register_writing_flows_never_cached():
-    """count/load_balance write registers every packet; such flows must
+    """count writes a register every packet; such flows must
     fall back to full traversals (the write dirties the recording)."""
     from repro.rmt.pipeline import RmtProgram
 

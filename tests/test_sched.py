@@ -32,12 +32,6 @@ class TestPifoQueue:
         with pytest.raises(IndexError):
             PifoQueue().pop()
 
-    def test_peek_rank(self):
-        q = PifoQueue()
-        q.push("x", 9)
-        assert q.peek_rank() == 9
-        assert len(q) == 1
-
     def test_capacity_overflow_lossless_raises(self):
         q = PifoQueue(capacity=1)
         q.push("a", 1)

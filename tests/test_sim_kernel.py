@@ -211,19 +211,6 @@ class TestClock:
         assert clock.cycles_to_ps(1.5) == 3000
         assert clock.cycles_to_ps(0.001) == 2
 
-    def test_ps_to_cycles_floors(self):
-        clock = Clock(500 * MHZ)
-        assert clock.ps_to_cycles(1999) == 0
-        assert clock.ps_to_cycles(2000) == 1
-        assert clock.ps_to_cycles(4001) == 2
-
-    def test_next_edge(self):
-        clock = Clock(500 * MHZ)
-        assert clock.next_edge(0) == 0
-        assert clock.next_edge(1) == 2000
-        assert clock.next_edge(2000) == 2000
-        assert clock.next_edge(2001) == 4000
-
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             Clock(0)

@@ -136,15 +136,6 @@ class TestKernelHooks:
         sim.run()
         assert seen == [1, 5, 9]
 
-    def test_hook_removal(self):
-        sim = Simulator()
-        seen = []
-        sim.add_after_event_hook(seen.append)
-        sim.remove_after_event_hook(seen.append)
-        sim.schedule_at(1, lambda: None)
-        sim.run()
-        assert seen == []
-
     def test_hooks_do_not_change_events_fired(self):
         def load(sim):
             def chain(i=0):
