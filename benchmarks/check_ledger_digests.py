@@ -7,6 +7,10 @@ in ``benchmarks/ledger/BASELINE.json``.  Wall-clock metrics are not
 compared -- a shared CI runner cannot hold them -- but a refactor that
 moves one delivery by one picosecond changes a digest and stops here.
 
+A move made on purpose, before the baseline is re-accepted, is listed in
+``MOVED`` with its cause: that workload must then show the listed digest
+and no other, the baseline's included.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/check_ledger_digests.py [--seconds 3]
@@ -21,6 +25,18 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: workload -> (the digest that replaces the baseline's, its cause).  The
+#: re-baseline absorbs these moves and empties the table.
+MOVED = {
+    "rack_lossy": (
+        "75b5a36bc592f684ed5701f357dacbea03929e902f9338df7a074eb4dd1c591b",
+        "express hop materialized at nic1.r2_0 lost a same-picosecond tie "
+        "(t = 24,237,287 ps) that the per-hop path wins; flights now launch "
+        "only onto an otherwise empty mesh and a materialized first hop "
+        "keeps its flight's event sequence number, so the digest is the "
+        "fast_path=False one (EXPERIMENTS.md E28)"),
+}
 
 
 def main() -> int:
@@ -46,13 +62,16 @@ def main() -> int:
             (json.loads(line)["ledger_detail"]
              for line in proc.stdout.splitlines()
              if line.startswith('{"ledger_detail"')), None)
-        want = baseline["workloads"][workload]["sim_digest"]
+        want, cause = MOVED.get(
+            workload, (baseline["workloads"][workload]["sim_digest"], None))
         got = detail["sim_digest"] if detail else None
         ok = proc.returncode == 0 and got == want
         print(f"{'ok  ' if ok else 'FAIL'} {workload:20s} {got}")
+        if cause is not None:
+            print(f"     moved from baseline: {cause}")
         if not ok:
             mismatches += 1
-            print(f"     baseline             {want}")
+            print(f"     expected             {want}")
             if detail is None:
                 print(proc.stdout[-2000:], proc.stderr[-2000:])
     return 1 if mismatches else 0

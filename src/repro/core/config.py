@@ -48,9 +48,10 @@ class PanicConfig:
     # On-chip network (Table 3 parameters).
     mesh_width: int = 4
     mesh_height: int = 4
-    # Cut-through express transfers over idle NoC paths (repro.noc.express).
-    # Purely a simulator-speed optimisation: simulated timestamps, delivery
-    # order, and quiesced statistics are identical with it off.
+    # Cut-through express flights over an otherwise empty NoC
+    # (repro.noc.express).  Simulated timestamps, delivery order, and
+    # quiesced statistics are identical with it off, and paired runs read
+    # the per-hop path faster on every ledger workload (EXPERIMENTS.md E28).
     fast_path: bool = True
     # Flow-keyed RMT trajectory memo (repro.rmt.pipeline.TrajectoryMemo):
     # repeat flows skip the match machinery but re-execute every action.

@@ -38,9 +38,9 @@ Three mechanisms enforce it:
   heap event and the current ``run()`` deadline.  The deadline bound is
   what keeps trains inside a shard sync window -- sharded and
   monolithic runs stay bit-identical at any worker count.
-* **Flush-on-anything.**  Per-hop eligibility checks mirror the express
-  path's idle scan: armed faults, slowdowns, crashed engines, buffered
-  routers, reserved channels, exhausted credits, pointer-mode payloads,
+* **Flush-on-anything.**  Per-hop eligibility checks scan the whole
+  route: armed faults, slowdowns, crashed engines, buffered routers,
+  reserved channels, exhausted credits, pointer-mode payloads,
   CONTROL heartbeats, and sampled (``__trace__``) packets all refuse the
   train, falling back to the scalar machinery *before any mutation*.
   Mid-trajectory, the frame instead hands off: the lane reconstructs the
@@ -413,9 +413,9 @@ class TrainLane:
             if ndest == address:
                 engine.schedule(lookup_delay, engine._loopback, out_packet)
                 return
-            # -- Attempt the next traversal: Mesh._try_express's idle
-            # scan over the cached express path.  Any failed check falls
-            # back to the scalar send (mutating nothing first).
+            # -- Attempt the next traversal: an idle scan over the cached
+            # express path.  Any failed check falls back to the scalar
+            # send (mutating nothing first).
             t_send = t_fin + lookup_delay
             if out_packet is not packet:
                 packet = out_packet

@@ -110,6 +110,7 @@ class Channel(Component):
         # first time it is armed.
         self._faults: Optional[tuple] = None
         self._fault_log: Optional[list] = None
+        self._mesh = None  # a fabric counting messages in flight, if any
         # Set by repro.telemetry; None-checked on the completion path only.
         self._tracer = None
         # Statistics.
@@ -291,6 +292,8 @@ class Channel(Component):
         dropped = bool(drops)
         if dropped:
             self.dropped_flits.add()
+            if self._mesh is not None:
+                self._mesh._inside -= 1
             if drops.popleft():
                 self.leaked_credits.add()
             else:
@@ -327,8 +330,9 @@ class Channel(Component):
 
         Called by a de-speculating express flight for the hop whose
         serialization window covers the current time: the channel becomes
-        busy until ``end`` with a genuine ``_complete`` event, exactly as
-        if the transfer had started at ``start`` on the slow path.
+        busy until ``end``, exactly as if the transfer had started at
+        ``start`` on the slow path.  The flight schedules the transfer's
+        ``_complete`` (see ``ExpressFlight.materialize``).
         """
         self._transfer_in_progress = True
         self._credits -= 1
@@ -336,7 +340,6 @@ class Channel(Component):
         self._busy_accum_ps += end - start
         self.sent.add()
         self.bits_sent.add(message.bits)
-        self.sim.schedule_at(end, self._complete, message)
 
     def utilization(self, elapsed_ps: int) -> float:
         """Fraction of ``[0, elapsed_ps]`` the wires spent busy.

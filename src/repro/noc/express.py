@@ -7,11 +7,11 @@ is pure overhead when the path is *idle*: arrival times are then an exact
 analytic sum of per-channel serialization delays (``ceil(bits / width)``
 cycles plus :data:`~repro.noc.channel.ROUTER_HOP_CYCLES` per hop).
 
-An :class:`ExpressFlight` exploits that: when a message is submitted to an
-idle channel and every channel and router on its dimension-ordered route is
-also idle (no queued or serializing flits, credits available, no armed
-faults), the whole traversal collapses into **one** kernel event at the
-precomputed arrival time.  Final delivery still goes through the real
+An :class:`ExpressFlight` exploits that: when a message alone on its mesh
+starts on an idle channel, and every channel on its dimension-ordered
+route has a credit and no armed fault, the whole traversal collapses into
+**one** kernel event at the precomputed arrival time (beside traffic, it
+would pay for a materialization too).  Final delivery goes through the real
 ``Router.on_deliver``, so endpoint backpressure, round-robin state, and the
 ``delivered``/credit bookkeeping at the destination stay genuine.
 
@@ -198,14 +198,15 @@ class ExpressFlight:
         (their forwarding routers included); the hop whose serialization
         window covers ``now`` becomes a genuine in-progress transfer with
         a real ``_complete`` event, after which the message continues on
-        the slow path.  A hop ending exactly at ``now`` is treated as
-        still completing, so its ``_complete`` fires after the current
-        event -- the conservative resolution of a same-instant tie.
+        the slow path.  Hop 0's ``_complete`` keeps the sequence number of
+        the flight's event, which is the one the per-hop ``_start`` drew at
+        launch, so it meets same-instant ties as on the per-hop path; a
+        later hop's draws a fresh one.  A hop ending exactly at ``now`` is
+        treated as still completing: it fires after the current event.
         """
         if self.done:
             return
         self._unregister()
-        self.event.cancel()
         start = self.start
         ser = self.ser
         channels = self.channels
@@ -221,7 +222,14 @@ class ExpressFlight:
         self.message.hops += done
         account_forwards(self.routers[self.committed:done])
         begin = start + done * ser
-        channels[done]._materialize_transfer(self.message, begin, begin + ser)
+        channel = channels[done]
+        channel._materialize_transfer(self.message, begin, begin + ser)
+        if done:
+            self.event.cancel()
+            self.sim.schedule_at(begin + ser, channel._complete, self.message)
+        else:
+            self.sim.move_earlier(self.event, begin + ser, channel._complete,
+                                  self.message)
 
     def interfere(self, router: "Router") -> None:
         """A foreign message was delivered into a router this flight

@@ -87,6 +87,7 @@ class NocPort:
             inject_ps=self._mesh.sim.now,
         )
         self.injected.value += 1
+        self._mesh._inside += 1
         self._channel.submit(message)
         return message
 
@@ -115,6 +116,8 @@ class Mesh:
         #: Channels a fault was ever armed on: the only ones whose fault
         #: counters can be non-zero.
         self.fault_channels: List[Channel] = []
+        # Messages sent and not yet delivered or dropped by a fault.
+        self._inside = 0
         # One bound method for every channel to call (None: per-hop only).
         self._express_route = self._try_express if config.fast_path else None
         self._build()
@@ -143,7 +146,7 @@ class Mesh:
             for x in range(cfg.width):
                 address = self.address_of(x, y)
                 self._routers[(x, y)] = Router(
-                    self.sim, f"{self.name}.r{x}_{y}", x, y, address)
+                    self.sim, f"{self.name}.r{x}_{y}", x, y, address, self)
         # Wire neighbours with one channel per direction.
         for (x, y), router in self._routers.items():
             for dx, dy, direction in (
@@ -176,6 +179,7 @@ class Mesh:
         self.channels.append(channel)
         self._channel_sink[channel] = sink
         channel._fault_log = self.fault_channels
+        channel._mesh = self
         channel._express_route = self._express_route
 
     def _build_routes(self) -> None:
@@ -255,12 +259,16 @@ class Mesh:
     def _try_express(self, message: NocMessage, channel: Channel) -> bool:
         """Attempt to cut a message through an entirely idle route.
 
-        Called by an idle channel's ``_try_start``; when every channel and
-        forwarding router ahead on the (cached, static) dimension-ordered
-        route is idle, unreserved, and fault-free, the traversal collapses
-        into a single :class:`ExpressFlight` delivery event.  Returns
-        False to let the per-hop slow path proceed.
+        Called by an idle channel's ``_start``; when the message is alone
+        on the mesh and every channel ahead on the (cached, static)
+        dimension-ordered route has a credit and no armed fault, the
+        traversal collapses into a single :class:`ExpressFlight` delivery
+        event.  Returns False to let the per-hop slow path proceed.  (On a
+        mesh holding nothing else, no router or channel ahead can hold a
+        message, a queue or a reservation.)
         """
+        if self._inside != 1:
+            return False
         dest = message.dest_addr
         cache = channel._express_paths
         try:
@@ -271,13 +279,8 @@ class Mesh:
         if path is None:
             return False
         channels, routers, final_router, checks = path
-        for router, out in checks:
-            if (router._buffered
-                    or out._express_flight is not None
-                    or out._transfer_in_progress
-                    or out._pending
-                    or out._credits <= 0
-                    or out._faults is not None):
+        for _router, out in checks:
+            if out._credits <= 0 or out._faults is not None:
                 return False
         bits = message.bits
         # Every channel in a mesh shares one width and clock, so one

@@ -15,12 +15,15 @@ backpressure toward the source.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.noc.channel import Channel
 from repro.noc.message import NocMessage
 from repro.sim.kernel import Component, Simulator
 from repro.sim.stats import Counter
+
+if TYPE_CHECKING:
+    from repro.noc.mesh import Mesh
 
 
 class Endpoint:
@@ -61,6 +64,8 @@ class Router(Component):
         Tile coordinates in the mesh.
     address:
         NoC address of the endpoint attached to this tile.
+    mesh:
+        Counts the messages inside it; a local delivery takes one out.
     """
 
     DIRECTIONS = ("east", "west", "north", "south")
@@ -72,11 +77,13 @@ class Router(Component):
         x: int,
         y: int,
         address: int,
+        mesh: "Mesh",
     ):
         super().__init__(sim, name)
         self.x = x
         self.y = y
         self.address = address
+        self._mesh = mesh
         self.endpoint: Optional[Endpoint] = None
         self._out: Dict[str, Channel] = {}
         # Destination address -> output channel toward it, None for this
@@ -233,6 +240,7 @@ class Router(Component):
                             (("dest", message.dest_addr),))
                 return False
             self.delivered.value += 1
+            self._mesh._inside -= 1
             return True
         if out._pending:
             # Moving the message would only relocate a queue; holding it

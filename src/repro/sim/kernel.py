@@ -199,6 +199,21 @@ class Simulator:
         heapq.heappush(self._heap, (when, seq, event))
         return event
 
+    def move_earlier(self, event: Event, when_ps: int,
+                     fn: Callable[..., None], *args: Any) -> Event:
+        """Cancel the pending ``event`` and schedule ``fn(*args)`` in its
+        place at ``when_ps``, in ``[now, event.when)``, under its sequence
+        number: among same-instant events it fires where ``event`` would
+        have.  (Strictly earlier, so the two heap entries never tie.)"""
+        when = int(when_ps)
+        if (event.cancelled or event._sim is not self
+                or not self.now <= when < event.when):
+            raise SimError(f"cannot move {event!r} to {when} ps")
+        event.cancel()
+        moved = Event(when, event.seq, fn, args, self)
+        heapq.heappush(self._heap, (when, event.seq, moved))
+        return moved
+
     def add_after_event_hook(self, hook: Callable[[int], None]) -> None:
         """Register ``hook(now_ps)`` to run after every fired event.
 

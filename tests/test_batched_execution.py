@@ -282,9 +282,11 @@ def test_trains_actually_fire_and_elide_events():
     # Sparse: every frame rides MAC -> RMT -> three offloads -> DMA ->
     # PCIe without meeting another.
     ((20_000_000,), (50, 300, 0, 0)),
-    # Contended: of each four frames two are refused at boarding, and
-    # the two that board hand off where they catch up with another.
-    ((150_000, 150_000, 1_500_000, 500_000), (25, 49, 25, 25)),
+    # Contended: 13 frames are refused at boarding, each by an express
+    # flight reserving the MAC's router (flights launch only onto an
+    # otherwise empty mesh), and the 37 that board hand off where they
+    # catch up with another.
+    ((150_000, 150_000, 1_500_000, 500_000), (37, 49, 37, 13)),
 ], ids=["sparse", "contended"])
 def test_lane_mechanics_are_pinned(gaps_ps, mechanics):
     """Exact (trajectories, hops, handoffs, refusals) of two fixed

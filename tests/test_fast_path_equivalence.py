@@ -1,11 +1,10 @@
 """The fast path must be invisible in simulated results.
 
-``PanicConfig.fast_path`` enables the kernel fast lanes and the
-cut-through NoC ExpressFlights.  Both are pure wall-clock optimisations:
-the equivalence contract (see DESIGN.md, "Performance model & fast
-path") is that every simulated observable -- delivery order, picosecond
-timestamps, the full ``PanicNic.stats()`` tree -- is bit-identical with
-the fast path forced on and forced off.  These tests enforce that
+``PanicConfig.fast_path`` enables the cut-through NoC ExpressFlights, a
+wall-clock mechanism only: the equivalence contract (see DESIGN.md,
+"Performance model & fast path") is that every simulated observable --
+delivery order, picosecond timestamps, the full ``PanicNic.stats()``
+tree -- is bit-identical with the fast path forced on and forced off.  These tests enforce that
 contract on the two scenarios that stress it hardest: multi-hop
 chaining (maximum cut-through eligibility) and fault recovery (armed
 fault injection + crash + failover, where the fast path must stand

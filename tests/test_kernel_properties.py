@@ -12,8 +12,10 @@ must all agree.
 
 Zero delays are over-represented (same-timestamp ties are where a
 kernel's ordering can go wrong), ``tie`` nodes aim ``schedule_at`` at the
-timestamp of an event that is already pending, and ``cancel`` nodes hit
-pending, fired and already-cancelled handles alike.
+timestamp of an event that is already pending, ``cancel`` nodes hit
+pending, fired and already-cancelled handles alike, and ``move`` nodes
+re-aim a pending event at an earlier instant with
+:meth:`Simulator.move_earlier`, which keeps its sequence number.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,12 @@ class Oracle:
     def schedule(self, delay, fn, *args):
         return self.schedule_at(self.now + delay, fn, *args)
 
+    def move_earlier(self, entry, when, fn, *args):
+        entry.cancel()
+        moved = self.Entry(when, entry.seq, fn, args)
+        self.pending.append(moved)
+        return moved
+
     def run(self):
         while True:
             live = [e for e in self.pending if not e.cancelled]
@@ -67,6 +75,8 @@ def _nodes(children):
         st.tuples(st.just("schedule"), DELAYS, st.booleans(), children),
         st.tuples(st.just("tie"), st.integers(0, 15), children),
         st.tuples(st.just("cancel"), st.integers(0, 15)),
+        st.tuples(st.just("move"), st.integers(0, 15), st.integers(0, 3),
+                  children),
     ), max_size=4)
 
 
@@ -99,6 +109,13 @@ def play(sim, nodes, path, trace, handles):
         elif kind == "cancel":
             if handles:
                 handles[node[1] % len(handles)].cancel()
+        elif kind == "move" and handles:
+            # Only a pending event strictly after now can move earlier:
+            # to a quarter-step of the way there, now included.
+            handle = handles[node[1] % len(handles)]
+            if not handle.cancelled and handle.when > sim.now:
+                when = sim.now + (handle.when - sim.now) * node[2] // 4
+                handles.append(sim.move_earlier(handle, when, fire))
 
 
 def expected(program):

@@ -10,7 +10,11 @@ pin the two nastiest interactions down as fast-vs-slow equivalence runs:
   hit the **next** message over that wire -- never the flight's own;
 * a flight whose final-hop credit pool hits zero in the very window it
   delivers (bounded lossless endpoint refusing the message), stalling
-  follow-up traffic until the endpoint frees space.
+  follow-up traffic until the endpoint frees space;
+* a flight materialized in its first hop, whose rebuilt hop completion
+  ties with another message's arrival at the router both leave by: the
+  completion must keep the place in the tie that the per-hop path gave
+  it at launch.
 
 Every observable -- delivery payloads, hop counts, picosecond
 timestamps, channel counters, credit deficits -- must be bit-identical
@@ -99,13 +103,17 @@ def run_committed_hop_fault(fast_path, fault):
     into router 1 at t=40us lands after A's crossing ended (36us), so the
     flight commits its first two hops and stays collapsed.  A fault then
     armed on committed hop ``ch_0_0_east`` must materialize the
-    remainder and catch message C (0 -> 2), not A."""
+    remainder and catch message C (0 -> 2), not A.  The probe counts
+    flights airborne at 1 us (A launched), 45 us (still collapsed past
+    the commit) and 52 us (materialized; A, alone again, relaunches its
+    last three hops at 54 us)."""
     sim = Simulator()
     mesh, sinks, ports = build_row(sim, 6, fast_path)
     sim.schedule_at(0, ports[0].send, _packet(0xAA), 5)
     express_probe = []
-    sim.schedule_at(1_000,
-                    lambda: express_probe.append(mesh.express_in_flight))
+    for when in (1_000, 45_000, 52_000):
+        sim.schedule_at(when,
+                        lambda: express_probe.append(mesh.express_in_flight))
     # Foreign traffic into an already-crossed router: commit, don't
     # materialize (22us submit + one inject hop = 40us delivery).
     sim.schedule_at(22_000, ports[1].send, _packet(0xBB), 1)
@@ -125,15 +133,17 @@ def test_committed_hop_fault_is_mode_invisible(fault):
     obs_fast, events_fast, probe_fast = run_committed_hop_fault(True, fault)
     obs_slow, events_slow, probe_slow = run_committed_hop_fault(False, fault)
     assert obs_fast == obs_slow
-    # The fast run really did collapse the route; the slow run did not.
-    assert probe_fast == [1]
-    assert probe_slow == [0]
+    # The fast run really did collapse the route, kept it collapsed past
+    # the commit and materialized it at the fault; the slow run did not.
+    assert probe_fast == [1, 1, 0]
+    assert probe_slow == [0, 0, 0]
     assert events_fast <= events_slow
 
 
 @pytest.mark.parametrize("fault", ["corruption", "drop"])
 def test_committed_hop_fault_hits_the_next_message(fault):
-    (deliveries, counters), _, _ = run_committed_hop_fault(True, fault)
+    (deliveries, counters), _, probe = run_committed_hop_fault(True, fault)
+    assert probe == [1, 1, 0]
     # A arrives pristine at the analytic cut-through time: 6 hops.
     assert deliveries[5] == [(bytes([0xAA]) * 64, 6, 6 * SER)]
     # B's local delivery (the interferer) is untouched.
@@ -193,7 +203,8 @@ def test_zero_credit_delivery_window_is_mode_invisible():
 
 
 def test_zero_credit_delivery_window_timing():
-    (deliveries, counters), _, _, refusals = run_zero_credit_window(True)
+    (deliveries, counters), _, probe, refusals = run_zero_credit_window(True)
+    assert probe == [1]
     # A parked at the router until the endpoint opened at 120us.
     assert deliveries[3][0] == (bytes([0xAA]) * 64, 4, 120_000)
     # C could not even start its final hop while A held the only credit:
@@ -204,3 +215,45 @@ def test_zero_credit_delivery_window_timing():
     sent, corrupted, dropped, leaked, deficit = counters["mesh.ch_2_0_east"]
     assert (corrupted, dropped, leaked, deficit) == (0, 0, 0, 0)
     assert sent == 2
+
+
+# ----------------------------------------------------------------------
+# Materialized first hop in a same-instant tie
+# ----------------------------------------------------------------------
+
+
+def run_first_hop_tie(fast_path):
+    """A (256 B, 1 -> 4) launches alone at t=0; its first hop, the
+    injection into router 1, ends at 66 us.  C (64 B, 0 -> 4), sent at
+    30 us, reaches router 1 at 66 us too, and both want ``ch_1_0_east``.
+    On the per-hop path A's hop completion was scheduled at 0 and C's
+    arrival at 48 us, so A takes the channel and C queues behind it.  A
+    fault armed far down A's route at 60 us materializes the flight in
+    its first hop; the rebuilt completion must still beat C."""
+    sim = Simulator()
+    mesh, sinks, ports = build_row(sim, 5, fast_path)
+    sim.schedule_at(0, ports[1].send, Packet(bytes([0xAA]) * 256), 4)
+    express_probe = []
+    for when in (1_000, 62_000):
+        sim.schedule_at(when,
+                        lambda: express_probe.append(mesh.express_in_flight))
+    sim.schedule_at(30_000, ports[0].send, _packet(0xCC), 4)
+    sim.schedule_at(60_000, mesh.channel("mesh.ch_3_0_east").inject_corruption,
+                    random.Random(3), 1)
+    sim.run()
+    mesh.assert_drained()
+    return _observables(mesh, sinks), express_probe
+
+
+def test_first_hop_tie_is_mode_invisible():
+    obs_fast, probe_fast = run_first_hop_tie(True)
+    obs_slow, probe_slow = run_first_hop_tie(False)
+    assert obs_fast == obs_slow
+    # The flight launched and the fault materialized it.
+    assert probe_fast == [1, 0]
+    assert probe_slow == [0, 0]
+    # A kept the channel: it lands four 66 us hops after launch, and C
+    # one 18 us hop after A has left ch_3_0_east.
+    (_, a_hops, a_when), (_, c_hops, c_when) = obs_fast[0][4]
+    assert (a_hops, a_when) == (4, 4 * 66_000)
+    assert (c_hops, c_when) == (5, 4 * 66_000 + SER)

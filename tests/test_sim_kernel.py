@@ -104,6 +104,33 @@ class TestCancellation:
         assert sim._cancelled_pending == 0
 
 
+class TestMoveEarlier:
+    def test_moved_event_keeps_its_place_among_ties(self, sim):
+        fired = []
+        first = sim.schedule(30, fired.append, "old")
+        sim.schedule(10, fired.append, "younger")
+        moved = sim.move_earlier(first, 10, fired.append, "moved")
+        assert first.cancelled and not moved.cancelled
+        sim.run()
+        assert fired == ["moved", "younger"]
+
+    def test_refuses_what_it_cannot_move(self, sim):
+        event = sim.schedule(10, lambda: None)
+        for when in (10, 11):  # not strictly earlier
+            with pytest.raises(SimError):
+                sim.move_earlier(event, when, lambda: None)
+        sim.run(until_ps=5)
+        with pytest.raises(SimError):  # in the past
+            sim.move_earlier(event, 4, lambda: None)
+        event.cancel()
+        with pytest.raises(SimError):  # no longer pending
+            sim.move_earlier(event, 6, lambda: None)
+        fired = sim.schedule(1, lambda: None)
+        sim.run()
+        with pytest.raises(SimError):
+            sim.move_earlier(fired, sim.now, lambda: None)
+
+
 class TestRunControl:
     def test_run_until_stops_at_boundary(self, sim):
         fired = []
