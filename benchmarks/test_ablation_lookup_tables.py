@@ -50,7 +50,7 @@ def run_mode(hop_by_hop: bool):
                         plain_udp_packet(seq=i, dscp=1))
     sim.run()
     assert len(done) == N_PACKETS
-    return nic.rmt.processed.value / N_PACKETS
+    return nic.rmt.processed / N_PACKETS
 
 
 def test_ablation_lightweight_lookup_tables(benchmark):

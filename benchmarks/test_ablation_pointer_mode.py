@@ -51,12 +51,12 @@ def run_mode(payload_mode, pktbuf_ports=2):
         )
     sim.run()
     assert len(done) == N_PACKETS
-    mesh_bits = sum(c.bits_sent.value for c in nic.mesh.channels)
+    mesh_bits = sum(c.bits_sent for c in nic.mesh.channels)
     makespan_us = max(done) / US
     buffer_stats = None
     if nic.payload_buffer is not None:
         buffer_stats = {
-            "accesses": nic.payload_buffer.accesses.value,
+            "accesses": nic.payload_buffer.accesses,
             "high_watermark": nic.payload_buffer.high_watermark,
             "leaked": nic.payload_buffer.live_handles,
         }

@@ -47,11 +47,11 @@ def pipeline_run(order):
     sim.run()
     assert len(latencies) == N_PACKETS
     visits = sum(
-        stage.serviced.value + stage.passed_through.value
+        stage.serviced + stage.passed_through
         for stage in nic.stages
     )
     mean_us = sum(latencies) / len(latencies) / US
-    return mean_us, nic.recirculations.value, visits
+    return mean_us, nic.recirculations, visits
 
 
 def panic_run(order):

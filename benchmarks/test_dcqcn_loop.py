@@ -98,8 +98,8 @@ def run_loop(enabled: bool):
         "makespan_us": (max(delivered) - min(delivered)) / US,
     }
     if enabled:
-        result["ce_marked"] = receiver.offload("ecnmark").marked.value
-        result["cnps"] = sender.offload("dcqcn").cnps.value
+        result["ce_marked"] = receiver.offload("ecnmark").marked
+        result["cnps"] = sender.offload("dcqcn").cnps
         result["min_rate_gbps"] = min_rate[0] / 1e9
     return result
 

@@ -28,7 +28,7 @@ def run_flow():
         "request_trail": request.trail,
         "response_trail": response.trail,
         "egress_port": response.meta.egress_port,
-        "rmt_decisions": nic.rmt.decisions.value,
+        "rmt_decisions": nic.rmt.decisions,
         "mesh_in_flight": nic.mesh.in_flight,
         "chain": request.panic.chain if request.panic else None,
         "deadline": request.panic.slack_ps if request.panic else None,

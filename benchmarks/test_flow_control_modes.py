@@ -91,7 +91,7 @@ def run_mode(droppable: bool):
         (t - p.meta.annotations["t0"]) / US for p, t in victim_dst.got
     ]
     delivered_hot = len(drain.got)
-    dropped = slow.queue.dropped.value
+    dropped = slow.queue.dropped
     return {
         "victim_mean_us": sum(victim_lat) / len(victim_lat),
         "hot_delivered": delivered_hot,

@@ -47,12 +47,12 @@ def run_kvs():
     cache = nic.offload("kvcache")
     return {
         "summary": workload.summary(),
-        "cache_hits": cache.hits.value,
-        "cache_misses": cache.misses.value,
-        "ipsec_decrypted": nic.offload("ipsec").decrypted.value,
-        "host_requests": nic.host.rx_delivered.value,
+        "cache_hits": cache.hits,
+        "cache_misses": cache.misses,
+        "ipsec_decrypted": nic.offload("ipsec").decrypted,
+        "host_requests": nic.host.rx_delivered,
         "transmitted": len(nic.transmitted),
-        "rmt_packets": nic.rmt.processed.value,
+        "rmt_packets": nic.rmt.processed,
     }
 
 

@@ -52,8 +52,8 @@ def run_pressure(queue_capacity):
     flood.start()
     sim.run()
 
-    dma_drops = nic.dma.queue.dropped.value
-    total_drops = sum(e.queue.dropped.value for e in nic.engines.values())
+    dma_drops = nic.dma.queue.dropped
+    total_drops = sum(e.queue.dropped for e in nic.engines.values())
     return {
         "legit_delivered": delivered["legit"],
         "dos_delivered": delivered["dos"],

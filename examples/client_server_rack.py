@@ -76,8 +76,8 @@ def main() -> None:
         title="Application-to-application KV latency across the rack",
     ))
     print()
-    print(f"server NIC cache hits : {server.offload('kvcache').hits.value}")
-    print(f"server CPU interrupts : {server.host.interrupts_taken.value} "
+    print(f"server NIC cache hits : {server.offload('kvcache').hits}")
+    print(f"server CPU interrupts : {server.host.interrupts_taken} "
           "(only the cold keys)")
     print()
     print(utilization_report(server))

@@ -87,8 +87,8 @@ def main() -> None:
     ))
     print()
     print(f"delivered          : {len(delivered)}/{N_FRAMES} (lossless)")
-    print(f"CE marks           : {receiver.offload('ecnmark').marked.value}")
-    print(f"CNPs processed     : {sender.offload('dcqcn').cnps.value}")
+    print(f"CE marks           : {receiver.offload('ecnmark').marked}")
+    print(f"CNPs processed     : {sender.offload('dcqcn').cnps}")
     print(f"receiver queue peak: {receiver.dma.queue.max_occupancy}")
 
 

@@ -73,7 +73,7 @@ def main() -> None:
     timeline = []
 
     def sample(last=[0]) -> None:
-        delivered = nic.host.rx_delivered.value
+        delivered = nic.host.rx_delivered
         timeline.append((sim.now // US, delivered, delivered - last[0]))
         last[0] = delivered
         if sim.now < HORIZON:

@@ -68,11 +68,11 @@ def main() -> None:
         title="Per-tenant response latency",
     ))
     cache = nic.offload("kvcache")
-    print(f"\nNIC cache        : {cache.hits.value} hits, "
-          f"{cache.misses.value} misses")
-    print(f"IPSec decrypts   : {nic.offload('ipsec').decrypted.value}")
-    print(f"host-served      : {nic.host.rx_delivered.value} requests")
-    print(f"host interrupts  : {nic.host.interrupts_taken.value} "
+    print(f"\nNIC cache        : {cache.hits} hits, "
+          f"{cache.misses} misses")
+    print(f"IPSec decrypts   : {nic.offload('ipsec').decrypted}")
+    print(f"host-served      : {nic.host.rx_delivered} requests")
+    print(f"host interrupts  : {nic.host.interrupts_taken} "
           f"(coalesced)")
 
 

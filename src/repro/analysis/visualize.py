@@ -77,8 +77,8 @@ def utilization_report(nic, elapsed_ps: Optional[int] = None) -> str:
     for key in sorted(nic.engines):
         engine = nic.engines[key]
         lines.append(
-            f"  {key:12s} processed={engine.processed.value:<8d} "
+            f"  {key:12s} processed={engine.processed:<8d} "
             f"queue_peak={engine.queue.max_occupancy:<6d} "
-            f"dropped={engine.queue.dropped.value}"
+            f"dropped={engine.queue.dropped}"
         )
     return "\n".join(lines)

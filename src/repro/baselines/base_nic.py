@@ -22,7 +22,7 @@ from repro.engines.base import Engine
 from repro.packet.packet import Packet
 from repro.sim.clock import SEC
 from repro.sim.kernel import Component, Simulator
-from repro.sim.stats import Counter, LatencyTracker
+from repro.sim.stats import LatencyTracker
 
 
 def packet_needs(packet: Packet, offload_name: str) -> bool:
@@ -74,8 +74,8 @@ class OffloadStage(Component):
         self.passthrough_cycles = passthrough_cycles
         self._fifo: Deque[Packet] = deque()
         self._busy = False
-        self.serviced = Counter(f"{name}.serviced")
-        self.passed_through = Counter(f"{name}.passthrough")
+        self.serviced = 0
+        self.passed_through = 0
         self.wait_latency = LatencyTracker(f"{name}.wait")
 
     def accept(self, packet: Packet) -> None:
@@ -107,7 +107,7 @@ class OffloadStage(Component):
     def _finish(self, packet: Packet, apply_engine: bool) -> None:
         self._busy = False
         if apply_engine:
-            self.serviced.add()
+            self.serviced += 1
             packet.touch(self.name)
             outputs = self.engine.handle(packet)
             for out_packet, _dest in outputs:
@@ -117,7 +117,7 @@ class OffloadStage(Component):
                 # The offload swallowed the packet (e.g. a DPI drop).
                 pass
         else:
-            self.passed_through.add()
+            self.passed_through += 1
             self.on_output(packet)
         self._try_start()
 
@@ -139,7 +139,7 @@ class SimpleDma(Component):
         self.descriptor_ps = descriptor_ps
         self._fifo: Deque[Packet] = deque()
         self._busy = False
-        self.writes = Counter(f"{name}.writes")
+        self.writes = 0
 
     def accept(self, packet: Packet) -> None:
         self._fifo.append(packet)
@@ -158,7 +158,7 @@ class SimpleDma(Component):
         self._busy = False
         queue = int(packet.meta.annotations.get("rx_queue", 0))
         self.host.write_rx(packet, queue)
-        self.writes.add()
+        self.writes += 1
         self.host.interrupt(1)
         self._try_start()
 
@@ -177,7 +177,7 @@ class BaseNic:
         self.name = name
         self.line_rate_bps = line_rate_bps
         self.host = host if host is not None else Host(sim, f"{name}.host")
-        self.rx_count = Counter(f"{name}.rx")
+        self.rx_count = 0
         self._rx_wire_free = 0
 
     def wire_time_ps(self, packet: Packet) -> int:

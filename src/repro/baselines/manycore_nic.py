@@ -24,7 +24,7 @@ from repro.engines.base import Engine
 from repro.packet.packet import Direction, Packet
 from repro.sim.clock import US
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter, LatencyTracker
+from repro.sim.stats import LatencyTracker
 
 #: The paper's number for core orchestration overhead.
 DEFAULT_ORCHESTRATION_PS = 10 * US
@@ -73,7 +73,7 @@ class ManycoreNic(BaseNic):
                 on_output=self._on_station_output,
             )
         self.core_latency = LatencyTracker(f"{name}.core_latency")
-        self.orchestrations = Counter(f"{name}.orchestrations")
+        self.orchestrations = 0
 
     # ------------------------------------------------------------------
     # RX
@@ -82,7 +82,7 @@ class ManycoreNic(BaseNic):
     def _rx_arrival(self, packet: Packet) -> None:
         packet.meta.direction = Direction.RX
         packet.meta.nic_arrival_ps = self.sim.now
-        self.rx_count.add()
+        self.rx_count += 1
         # The on-chip network cannot parse headers (section 2.3.2), so it
         # can only spray packets across cores round-robin.
         core = self._cores[self._rr_next]
@@ -101,7 +101,7 @@ class ManycoreNic(BaseNic):
         core.busy = True
         packet.meta.annotations["core"] = core.index
         packet.meta.annotations["core_start_ps"] = self.sim.now
-        self.orchestrations.add()
+        self.orchestrations += 1
         # The orchestration overhead: software parse + decide.
         self.sim.schedule(self.orchestration_ps, self._dispatch_next, core, packet)
 

@@ -24,7 +24,6 @@ from repro.core.host import Host
 from repro.engines.base import Engine
 from repro.packet.packet import Direction, Packet
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 #: Safety valve: a packet recirculating more than this is misconfigured.
 MAX_RECIRCULATIONS = 8
@@ -48,7 +47,7 @@ class PipelineNic(BaseNic):
         self.allow_recirculation = allow_recirculation
         self.stage_names = [offload_name for offload_name, _ in offload_line]
         self.stages: List[OffloadStage] = []
-        self.recirculations = Counter(f"{name}.recirculations")
+        self.recirculations = 0
         self.dma = SimpleDma(sim, f"{name}.dma", self.host)
         for index, (offload_name, engine) in enumerate(offload_line):
             stage = OffloadStage(
@@ -68,7 +67,7 @@ class PipelineNic(BaseNic):
         packet.meta.direction = Direction.RX
         packet.meta.nic_arrival_ps = self.sim.now
         packet.meta.annotations.setdefault("recirculations", 0)
-        self.rx_count.add()
+        self.rx_count += 1
         self._enter_stage(packet, 0)
 
     def _enter_stage(self, packet: Packet, index: int) -> None:
@@ -104,7 +103,7 @@ class PipelineNic(BaseNic):
                     f"unserved offloads {pending}"
                 )
             packet.meta.annotations["recirculations"] = count
-            self.recirculations.add()
+            self.recirculations += 1
             # Recirculation re-enters at stage 0 and consumes a slot on
             # the (shared) internal wire, like the paper describes.
             self._enter_stage(packet, 0)

@@ -22,7 +22,6 @@ from repro.packet.packet import Direction, Packet
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
 from repro.sim.clock import MHZ, Clock
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 #: Offload families that fundamentally cannot run inside an RMT stage.
 UNSUPPORTED_OFFLOADS = frozenset(
@@ -53,8 +52,8 @@ class RmtNic(BaseNic):
         self.clock = Clock(freq_hz)
         self._next_accept = 0
         self.dma = SimpleDma(sim, f"{name}.dma", self.host)
-        self.steered = Counter(f"{name}.steered")
-        self.dropped = Counter(f"{name}.dropped")
+        self.steered = 0
+        self.dropped = 0
 
     # ------------------------------------------------------------------
     # Capability surface
@@ -94,7 +93,7 @@ class RmtNic(BaseNic):
     def _rx_arrival(self, packet: Packet) -> None:
         packet.meta.direction = Direction.RX
         packet.meta.nic_arrival_ps = self.sim.now
-        self.rx_count.add()
+        self.rx_count += 1
         start = max(self.sim.now, self._next_accept)
         self._next_accept = start + self.initiation_interval_ps
         self.sim.schedule_at(start + self.latency_ps, self._pipeline_done, packet)
@@ -106,7 +105,7 @@ class RmtNic(BaseNic):
             now_ps=self.sim.now,
         )
         if phv.get_or("meta.drop", 0):
-            self.dropped.add()
+            self.dropped += 1
             return
         queue = int(phv.get_or("meta.rx_queue", 0))
         packet.meta.annotations["rx_queue"] = queue
@@ -115,5 +114,5 @@ class RmtNic(BaseNic):
         rewritten = RmtPipeline.deparse(phv, packet.data)
         if rewritten != packet.data:
             packet = Packet(rewritten, packet.kind, packet.meta)
-        self.steered.add()
+        self.steered += 1
         self.dma.accept(packet)

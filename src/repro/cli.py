@@ -88,7 +88,7 @@ def cmd_demo() -> None:
     print("response value :", response.value.decode())
     print("request path   :", " -> ".join(request.trail))
     print("finished at    :", format_time(sim.now))
-    print("host CPU ran   :", nic.host.interrupts_taken.value, "times")
+    print("host CPU ran   :", nic.host.interrupts_taken, "times")
 
 
 def cmd_faults() -> None:

@@ -25,7 +25,7 @@ from repro.packet.packet import Packet
 from repro.sim.clock import NS, US
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import SeededRng
-from repro.sim.stats import Counter, LatencyTracker
+from repro.sim.stats import LatencyTracker
 
 
 class Host(Component):
@@ -63,10 +63,10 @@ class Host(Component):
         self.software_handler: Optional[Callable[[Packet, int], None]] = None
         #: The PCIe engine, once attached (for doorbells).
         self.pcie = None
-        self.rx_delivered = Counter(f"{name}.rx_delivered")
-        self.interrupts_taken = Counter(f"{name}.interrupts")
-        self.mem_reads = Counter(f"{name}.mem_reads")
-        self.mem_writes = Counter(f"{name}.mem_writes")
+        self.rx_delivered = 0
+        self.interrupts_taken = 0
+        self.mem_reads = 0
+        self.mem_writes = 0
         self.software_latency = LatencyTracker(f"{name}.software_latency")
         # Set by repro.telemetry; None-checked on the RX-ring path only.
         self._tracer = None
@@ -84,13 +84,13 @@ class Host(Component):
         return self.mem_base_ps + jitter + self.contention_ps
 
     def memory_read(self, key: Optional[bytes]) -> Optional[bytes]:
-        self.mem_reads.add()
+        self.mem_reads += 1
         if key is None:
             return None
         return self.memory.get(bytes(key))
 
     def memory_write(self, key: Optional[bytes], data: bytes) -> None:
-        self.mem_writes.add()
+        self.mem_writes += 1
         if key is not None:
             self.memory[bytes(key)] = bytes(data)
 
@@ -116,7 +116,7 @@ class Host(Component):
             # trailer, so the ring holds the original frame bytes.
             self._int_sink.on_host_deliver(packet, queue, self.now)
         self.rx_rings[queue].append(packet)
-        self.rx_delivered.add()
+        self.rx_delivered += 1
 
     def pop_tx(self, queue: int) -> Optional[bytes]:
         if not 0 <= queue < len(self.tx_rings):
@@ -138,7 +138,7 @@ class Host(Component):
 
     def interrupt(self, completion_count: int) -> None:
         """PCIe engine raised an interrupt; software runs after a delay."""
-        self.interrupts_taken.add()
+        self.interrupts_taken += 1
         self.schedule(self.software_delay_ps, self._software_pass)
 
     def _software_pass(self) -> None:
@@ -163,10 +163,10 @@ class HostKvServer:
     def __init__(self, host: Host, per_request_ps: int = 500 * NS):
         self.host = host
         self.per_request_ps = per_request_ps
-        self.requests_served = Counter("host_kv.requests")
-        self.sets = Counter("host_kv.sets")
-        self.gets = Counter("host_kv.gets")
-        self.deletes = Counter("host_kv.deletes")
+        self.requests_served = 0
+        self.sets = 0
+        self.gets = 0
+        self.deletes = 0
         self.log: List[bytes] = []
         host.software_handler = self.handle_packet
 
@@ -186,9 +186,9 @@ class HostKvServer:
         )
 
     def _serve(self, packet: Packet, frame, request: KvRequest, queue: int) -> None:
-        self.requests_served.add()
+        self.requests_served += 1
         if request.opcode == KvOpcode.GET:
-            self.gets.add()
+            self.gets += 1
             value = self.host.memory.get(bytes(request.key))
             if value is None:
                 response = KvResponse(
@@ -199,12 +199,12 @@ class HostKvServer:
                     KvStatus.OK, request.tenant, request.request_id, value
                 )
         elif request.opcode == KvOpcode.SET:
-            self.sets.add()
+            self.sets += 1
             self.host.memory[bytes(request.key)] = bytes(request.value)
             self.log.append(bytes(request.value))
             response = KvResponse(KvStatus.OK, request.tenant, request.request_id)
         elif request.opcode == KvOpcode.DELETE:
-            self.deletes.add()
+            self.deletes += 1
             existed = self.host.memory.pop(bytes(request.key), None) is not None
             status = KvStatus.OK if existed else KvStatus.NOT_FOUND
             response = KvResponse(status, request.tenant, request.request_id)

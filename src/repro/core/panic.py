@@ -45,7 +45,6 @@ from repro.noc.pktbuffer import PacketBuffer
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
-from repro.sim.stats import Counter
 
 #: Mesh channel width of the reference NIC (Table 3); ``MeshConfig``'s
 #: own default, 64, is for standalone meshes.
@@ -80,16 +79,16 @@ class PanicNic:
         self.rng = SeededRng(self.config.seed)
         self.transmitted: List[Packet] = []
         self._tx_callbacks: List[Callable[[Packet], None]] = []
-        self.rmt_drops = Counter(f"{name}.rmt_drops")
-        self.corrupt_drops = Counter(f"{name}.corrupt_drops")
-        self.failovers = Counter(f"{name}.failovers")
+        self.rmt_drops = 0
+        self.corrupt_drops = 0
+        self.failovers = 0
         #: Whole-NIC power state (repro.faults NIC_DOWN/NIC_UP).  A dark
         #: NIC drops every arriving frame at ingress and vanishes every
         #: frame reaching a transmit MAC; engines keep running
         #: internally, exactly like a host whose links died.
         self.powered = True
-        self.dark_rx_drops = Counter(f"{name}.dark_rx_drops")
-        self.dark_tx_drops = Counter(f"{name}.dark_tx_drops")
+        self.dark_rx_drops = 0
+        self.dark_tx_drops = 0
         # Failover policy: primary engine key -> backup engine key, and
         # the set of engine keys already failed over.  An optional
         # HealthMonitor (repro.faults.monitor) drives detection.
@@ -318,7 +317,7 @@ class PanicNic:
         if not self.powered:
             # Dark at the MAC: the frame serialized internally but never
             # makes it onto the wire.
-            self.dark_tx_drops.add()
+            self.dark_tx_drops += 1
             return
         self.transmitted.append(packet)
         for callback in self._tx_callbacks:
@@ -342,7 +341,7 @@ class PanicNic:
         if not 0 <= port < len(self.ports):
             raise ValueError(f"no port {port}; NIC has {len(self.ports)}")
         if not self.powered:
-            self.dark_rx_drops.add()
+            self.dark_rx_drops += 1
             return self.sim.now
         packet.meta.created_ps = packet.meta.created_ps or self.sim.now
         if self.telemetry is not None:
@@ -409,7 +408,7 @@ class PanicNic:
                 continue
             other.lookup_table.remap(old_addr, backup_addr)
         self.control.remap_engine(old_addr, backup_addr)
-        self.failovers.add()
+        self.failovers += 1
         return backup_key
 
     def stats(self) -> Dict[str, Dict[str, float]]:
@@ -417,47 +416,47 @@ class PanicNic:
         out: Dict[str, Dict[str, float]] = {}
         for key, engine in self.engines.items():
             entry = {
-                "processed": engine.processed.value,
+                "processed": engine.processed,
                 "backlog": engine.backlog,
                 "queue_max": engine.queue.max_occupancy,
-                "dropped": engine.queue.dropped.value,
+                "dropped": engine.queue.dropped,
             }
             if engine.queue_latency.count:
                 entry["queue_latency_ns_p99"] = engine.queue_latency.percentile_ns(99)
-            if engine.blackholed.value:
-                entry["blackholed"] = engine.blackholed.value
-            if engine.queue.rank_corruptions.value:
-                entry["rank_corruptions"] = engine.queue.rank_corruptions.value
+            if engine.blackholed:
+                entry["blackholed"] = engine.blackholed
+            if engine.queue.rank_corruptions:
+                entry["rank_corruptions"] = engine.queue.rank_corruptions
             out[key] = entry
         out["host"] = {
-            "rx_delivered": self.host.rx_delivered.value,
-            "interrupts": self.host.interrupts_taken.value,
-            "mem_reads": self.host.mem_reads.value,
+            "rx_delivered": self.host.rx_delivered,
+            "interrupts": self.host.interrupts_taken,
+            "mem_reads": self.host.mem_reads,
         }
         out["nic"] = {
             "transmitted": len(self.transmitted),
-            "rmt_drops": self.rmt_drops.value,
+            "rmt_drops": self.rmt_drops,
         }
         faults: Dict[str, float] = {
-            "corrupt_drops": self.corrupt_drops.value,
-            "failovers": self.failovers.value,
+            "corrupt_drops": self.corrupt_drops,
+            "failovers": self.failovers,
             "failed_engines": len(self.failed_engines),
-            "dark_rx_drops": self.dark_rx_drops.value,
-            "dark_tx_drops": self.dark_tx_drops.value,
+            "dark_rx_drops": self.dark_rx_drops,
+            "dark_tx_drops": self.dark_tx_drops,
             "blackholed": sum(
-                e.blackholed.value for e in self.engines.values()
+                e.blackholed for e in self.engines.values()
             ),
             "link_corruptions": sum(
-                ch.corrupted.value for ch in self.mesh.fault_channels
+                ch.corrupted for ch in self.mesh.fault_channels
             ),
             "link_drops": sum(
-                ch.dropped_flits.value for ch in self.mesh.fault_channels
+                ch.dropped_flits for ch in self.mesh.fault_channels
             ),
             "leaked_credits": sum(
-                ch.leaked_credits.value for ch in self.mesh.fault_channels
+                ch.leaked_credits for ch in self.mesh.fault_channels
             ),
             "pifo_rank_corruptions": sum(
-                e.queue.rank_corruptions.value for e in self.engines.values()
+                e.queue.rank_corruptions for e in self.engines.values()
             ),
         }
         if self.monitor is not None:

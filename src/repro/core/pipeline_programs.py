@@ -406,7 +406,7 @@ def panic_decision_factory(nic):
         ):
             # Link corruption detected at the classification point: drop
             # with accounting instead of steering a mangled frame.
-            nic.corrupt_drops.add()
+            nic.corrupt_drops += 1
             return []
         # Direct field-store reads: _fields never holds an invalid
         # sentinel (invalidate() pops), so dict.get with a default is
@@ -414,7 +414,7 @@ def panic_decision_factory(nic):
         # per-frame path.
         fields = phv._fields
         if fields.get("meta.drop", 0):
-            nic.rmt_drops.add()
+            nic.rmt_drops += 1
             return []
         blob = fields.get("meta.chain", b"")
         deadline = int(

@@ -279,14 +279,14 @@ class TrainLane:
         ekey = id(engine)
         while True:
             # One dict hit replaces the leg's ~20 attribute chains; the
-            # recipe holds only structurally-final objects (built in the
-            # engine's __init__, never reassigned -- see _recipe_of).
+            # recipe holds only structurally-final objects (see
+            # _recipe_of); counters are ints, bumped on their owners.
             rec = recipes.get(ekey)
             if rec is None:
                 rec = self._recipe_of(engine, kind)
-            (queue, qseq, qpushed, qlat, slat, processed, name,
+            (queue, qseq, qlat, slat, name,
              csum_handle, csum_svc, address, lookup_table, lookup_ps,
-             inj, expr_cache, ser_cache, injected, ii_ps, lat_ps) = rec
+             port, inj, expr_cache, ser_cache, ii_ps, lat_ps) = rec
             sim.now = t_arr  # monotonic: t_arr >= now on entry
             # receive(): enqueue_ps is stamped then immediately popped
             # by the service start; net effect on annotations is
@@ -296,7 +296,7 @@ class TrainLane:
             # PifoQueue.push + pop on an empty queue, inline: the
             # push's seq draw and counters; the heap never changes.
             next(qseq)
-            qpushed.value += 1
+            queue.pushed += 1
             if queue.max_occupancy < 1:
                 queue.max_occupancy = 1
             # queue_latency.observe(t_arr, t_arr) inline: a zero sample.
@@ -352,7 +352,7 @@ class TrainLane:
                 return
             # Engine._finish at t_fin.
             sim.now = t_fin
-            processed.value += 1
+            engine.processed += 1
             delay = t_fin - start
             slat._samples.append(delay)
             slat._total += delay
@@ -375,9 +375,9 @@ class TrainLane:
                 if ok is not None:
                     ann["csum_ok"] = ok
                     if ok:
-                        engine.verified.value += 1
+                        engine.verified += 1
                     else:
-                        engine.bad_checksums.value += 1
+                        engine.bad_checksums += 1
                 out_packet = packet
                 ndest = None
             else:
@@ -483,7 +483,7 @@ class TrainLane:
             # then the injected count.
             sim.now = t_send  # t_send = now + lookup_delay
             mid = next(_message_ids)
-            injected.value += 1
+            port.injected += 1
             # ExpressFlight._finish: the arithmetic hop windows and the
             # forwarding routers' crossings.
             account_hops(channels, bits, t_send, ser)
@@ -493,7 +493,7 @@ class TrainLane:
             # cancel; the delivery counts once, the pump pass rotates
             # once (the accept's own notify_space rotation opens the
             # next loop pass).
-            final_router.delivered.value += 1
+            final_router.delivered += 1
             rr = final_router._rr_order
             if rr:
                 rr.append(rr.pop(0))
@@ -519,12 +519,14 @@ class TrainLane:
         """Build and cache the per-engine leg recipe.
 
         Every entry is an object the engine's ``__init__`` creates and
-        no repo code ever reassigns (queue, trackers, counters, the NoC
-        port and its channel caches), plus two method-identity flags
-        for the stock checksum shortcuts and the RMT engine's constant
+        no repo code ever reassigns (queue, trackers, the NoC port and
+        its channel caches), plus two method-identity flags for the
+        stock checksum shortcuts and the RMT engine's constant
         interval/latency.  Mutable *state* (occupancy, busy lanes,
         ``_next_accept_ps``, channel idleness) is always read from the
-        live objects, never from the recipe.
+        live objects, never from the recipe; so are the counters, which
+        are ints and are written through to their owners
+        (``queue.pushed``, ``engine.processed``, ``port.injected``).
         """
         cls = type(engine)
         port = engine.port
@@ -533,20 +535,18 @@ class TrainLane:
         rec = (
             engine.queue,
             engine.queue._seq,
-            engine.queue.pushed,
             engine.queue_latency,
             engine.service_latency,
-            engine.processed,
             engine.name,
             cls.handle is _CHECKSUM_HANDLE,
             cls.service_time_ps is _CHECKSUM_SVC,
             engine.address,
             engine.lookup_table,
             engine._lookup_ps,
+            port,
             inj,
             inj._express_paths,
             inj._ser_cache,
-            port.injected,
             engine.initiation_interval_ps if rmt else 0,
             engine.latency_ps if rmt else 0,
         )

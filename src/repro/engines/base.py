@@ -26,7 +26,7 @@ from repro.packet.packet import MessageKind, Packet
 from repro.sched.pifo import PifoFullError, PifoQueue
 from repro.sim.clock import Clock, MHZ
 from repro.sim.kernel import Component, Simulator
-from repro.sim.stats import Counter, LatencyTracker
+from repro.sim.stats import LatencyTracker
 
 #: Cycles charged for a local lookup-table match (section 3.1.2: "the
 #: lightweight tables also add another cycle of latency").
@@ -54,13 +54,13 @@ class LocalLookupTable:
     def __init__(self) -> None:
         self._rules: dict = {}
         self.default_next: Optional[int] = None
-        self.lookups = Counter("lookup_table.lookups")
+        self.lookups = 0
 
     def install(self, key, next_addr: int) -> None:
         self._rules[key] = next_addr
 
     def lookup(self, key) -> Optional[int]:
-        self.lookups.value += 1
+        self.lookups += 1
         hit = self._rules.get(key)
         return hit if hit is not None else self.default_next
 
@@ -152,9 +152,9 @@ class Engine(Component, Endpoint):
         #: Service-time multiplier for injected slowdowns (1.0 = nominal).
         self.slowdown: float = 1.0
         # Statistics every experiment reads.
-        self.processed = Counter(f"{name}.processed")
-        self.rejected = Counter(f"{name}.rejected")
-        self.blackholed = Counter(f"{name}.blackholed")
+        self.processed = 0
+        self.rejected = 0
+        self.blackholed = 0
         self.queue_latency = LatencyTracker(f"{name}.queue_latency")
         self.service_latency = LatencyTracker(f"{name}.service_latency")
 
@@ -195,12 +195,12 @@ class Engine(Component, Endpoint):
             # A dead tile sinks everything delivered to it: the router's
             # credit loop keeps turning (the mesh stays live) but the
             # message is lost, and counted.
-            self.blackholed.add()
+            self.blackholed += 1
             return True
         if self.overflow == "backpressure" and self.queue.is_full:
             _rank, droppable = self._rank_of(message)
             if not droppable:
-                self.rejected.add()
+                self.rejected += 1
                 return False
         self.receive(message)
         return True
@@ -211,7 +211,7 @@ class Engine(Component, Endpoint):
         ctx = (message.packet.meta.annotations.get("__trace__")
                if tracer is not None else None)
         if self.fault_mode == FAULT_CRASH:
-            self.blackholed.add()
+            self.blackholed += 1
             if ctx is not None:
                 tracer.instant(ctx, "blackholed", self.name, self.now)
             return
@@ -230,7 +230,7 @@ class Engine(Component, Endpoint):
             # Lossless overflow under the "raise" policy: the paper
             # leaves NoC flow control open (section 6); surface it loudly
             # rather than silently dropping a lossless message.
-            self.rejected.add()
+            self.rejected += 1
             if ctx is not None:
                 tracer.end_engine(ctx, self.now, status="overflow")
             raise
@@ -278,11 +278,11 @@ class Engine(Component, Endpoint):
                if tracer is not None else None)
         if self.fault_mode == FAULT_CRASH:
             # The engine died while this message was in service.
-            self.blackholed.add()
+            self.blackholed += 1
             if ctx is not None and ctx.open_component is not None:
                 tracer.end_engine(ctx, self.now, status="blackholed")
             return
-        self.processed.value += 1
+        self.processed += 1
         self.service_latency.observe(started_ps, self.now)
         if ctx is not None:
             tracer.end_engine(ctx, self.now)
@@ -365,7 +365,7 @@ class Engine(Component, Endpoint):
         self.fault_mode = mode
         if mode == FAULT_CRASH:
             lost = self.queue.drain()
-            self.blackholed.add(len(lost))
+            self.blackholed += len(lost)
             tracer = self._tracer
             if tracer is not None:
                 # The trace must show where each queued message died.

@@ -22,7 +22,6 @@ from repro.packet.headers import (
 )
 from repro.packet.packet import Direction, Packet
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 
 #: Memo of RX verification verdicts by frame bytes: ``None`` when the
@@ -89,9 +88,9 @@ class ChecksumEngine(Engine):
         super().__init__(sim, name, **engine_kwargs)
         self.fixed_cycles = fixed_cycles
         self.cycles_per_byte = cycles_per_byte
-        self.verified = Counter(f"{name}.verified")
-        self.bad_checksums = Counter(f"{name}.bad")
-        self.generated = Counter(f"{name}.generated")
+        self.verified = 0
+        self.bad_checksums = 0
+        self.generated = 0
 
     def service_time_ps(self, packet: Packet) -> int:
         cycles = self.fixed_cycles + self.cycles_per_byte * packet.frame_bytes
@@ -114,9 +113,9 @@ class ChecksumEngine(Engine):
             return packet
         packet.meta.annotations["csum_ok"] = ok
         if ok:
-            self.verified.value += 1
+            self.verified += 1
         else:
-            self.bad_checksums.value += 1
+            self.bad_checksums += 1
         return packet
 
     def _regenerate(self, packet: Packet, eth: EthernetHeader, ipv4: Ipv4Header, after_ip: bytes) -> Packet:
@@ -125,7 +124,7 @@ class ChecksumEngine(Engine):
             frame = eth.pack() + ipv4.pack() + after_ip
             out = Packet(frame, packet.kind, packet.meta)
             out.panic = packet.panic
-            self.generated.add()
+            self.generated += 1
             return out
         try:
             udp, _rest = UdpHeader.unpack(after_ip)
@@ -147,5 +146,5 @@ class ChecksumEngine(Engine):
         out = Packet(frame, packet.kind, packet.meta)
         out.panic = packet.panic
         out.meta.annotations["csum_generated"] = True
-        self.generated.add()
+        self.generated += 1
         return out

@@ -30,7 +30,6 @@ from repro.packet.headers import (
 )
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 MAGIC = b"LZ1"
 _MIN_MATCH = 4
@@ -146,9 +145,9 @@ class CompressionEngine(Engine):
         super().__init__(sim, name, **engine_kwargs)
         self.fixed_cycles = fixed_cycles
         self.cycles_per_byte = cycles_per_byte
-        self.compressed = Counter(f"{name}.compressed")
-        self.decompressed = Counter(f"{name}.decompressed")
-        self.bytes_saved = Counter(f"{name}.bytes_saved")
+        self.compressed = 0
+        self.decompressed = 0
+        self.bytes_saved = 0
 
     def service_time_ps(self, packet: Packet) -> int:
         cycles = self.fixed_cycles + self.cycles_per_byte * packet.frame_bytes
@@ -164,14 +163,14 @@ class CompressionEngine(Engine):
             if len(new_payload) >= len(payload):
                 # Incompressible: send as-is (the tag's absence says so).
                 return [(packet, None)]
-            self.compressed.add()
-            self.bytes_saved.add(len(payload) - len(new_payload))
+            self.compressed += 1
+            self.bytes_saved += len(payload) - len(new_payload)
             out = self._rebuild(packet, headers, new_payload)
             out.meta.annotations["compressed"] = True
             return [(out, None)]
         if payload.startswith(MAGIC):
             new_payload = decompress(payload)
-            self.decompressed.add()
+            self.decompressed += 1
             out = self._rebuild(packet, headers, new_payload)
             out.meta.annotations["decompressed"] = True
             return [(out, None)]

@@ -31,7 +31,6 @@ from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, US
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
-from repro.sim.stats import Counter
 
 #: UDP port carrying congestion notification packets.
 CNP_UDP_PORT = 4791  # RoCEv2's port, fittingly
@@ -95,8 +94,8 @@ class EcnMarkerEngine(Engine):
         #: The engine whose queue this marker watches (set by the user);
         #: defaults to watching its own queue.
         self.watch_engine: Optional[Engine] = None
-        self.marked = Counter(f"{name}.marked")
-        self.eligible = Counter(f"{name}.eligible")
+        self.marked = 0
+        self.eligible = 0
 
     def _mark_probability(self) -> float:
         depth = (self.watch_engine or self).backlog
@@ -114,10 +113,10 @@ class EcnMarkerEngine(Engine):
             return [(packet, None)]
         if ipv4.ecn not in (ECN_ECT0, ECN_ECT1):
             return [(packet, None)]  # not ECN-capable transport
-        self.eligible.add()
+        self.eligible += 1
         if self.rng.random() >= self._mark_probability():
             return [(packet, None)]
-        self.marked.add()
+        self.marked += 1
         marked_ip = Ipv4Header(
             src=ipv4.src, dst=ipv4.dst, protocol=ipv4.protocol,
             total_length=ipv4.total_length, ttl=ipv4.ttl,
@@ -223,7 +222,7 @@ class DcqcnEngine(Engine):
         self.timer_period_ps = timer_period_ps
         #: The RateLimiterEngine this controller actuates.
         self.limiter = None
-        self.cnps = Counter(f"{name}.cnps")
+        self.cnps = 0
         self._timer_running: Dict[int, bool] = {}
 
     def attach_limiter(self, limiter) -> None:
@@ -233,7 +232,7 @@ class DcqcnEngine(Engine):
         flow_id = parse_cnp(packet.data)
         if flow_id is None:
             return [(packet, None)]
-        self.cnps.add()
+        self.cnps += 1
         new_rate = self.controller.on_cnp(flow_id, self.now)
         self._apply(flow_id, new_rate)
         if not self._timer_running.get(flow_id):
@@ -261,7 +260,7 @@ class CnpResponder:
         self.host = host
         self.min_gap_ps = min_gap_ps
         self._last_cnp_ps: Dict[int, int] = {}
-        self.cnps_sent = Counter("cnp_responder.sent")
+        self.cnps_sent = 0
         self._downstream = host.software_handler
         host.software_handler = self._on_packet
 
@@ -286,5 +285,5 @@ class CnpResponder:
             src_ip=frame.ipv4.dst,
             dst_ip=frame.ipv4.src,
         )
-        self.cnps_sent.add()
+        self.cnps_sent += 1
         self.host.enqueue_tx(cnp, queue=0)

@@ -25,7 +25,6 @@ from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.clock import SEC
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 #: PCIe 3.0 x16 usable bandwidth, roughly (the paper's Figure 3c shows
 #: "PCIe x16").
@@ -54,10 +53,10 @@ class DmaEngine(Engine):
         self.host = None
         #: Where completions go (the PCIe engine); set by the NIC builder.
         self.pcie_addr: Optional[int] = None
-        self.rx_writes = Counter(f"{name}.rx_writes")
-        self.tx_fetches = Counter(f"{name}.tx_fetches")
-        self.reads = Counter(f"{name}.reads")
-        self.writes = Counter(f"{name}.writes")
+        self.rx_writes = 0
+        self.tx_fetches = 0
+        self.reads = 0
+        self.writes = 0
 
     def attach_host(self, host) -> None:
         """Connect the host model (see :class:`repro.core.host.Host`)."""
@@ -111,7 +110,7 @@ class DmaEngine(Engine):
             self.payload_buffer.release(handle)
             packet.meta.annotations.pop("noc_bits", None)
         self.host.write_rx(packet, queue)
-        self.rx_writes.add()
+        self.rx_writes += 1
         completion = self._completion_for(packet, {"rx_queue": queue})
         if self.pcie_addr is None:
             return []
@@ -122,7 +121,7 @@ class DmaEngine(Engine):
         outputs: List[EngineOutput] = []
         frame = self.host.pop_tx(queue)
         while frame is not None:
-            self.tx_fetches.add()
+            self.tx_fetches += 1
             tx_packet = Packet(frame, MessageKind.ETHERNET)
             tx_packet.meta.direction = Direction.TX
             tx_packet.meta.nic_arrival_ps = self.now
@@ -136,7 +135,7 @@ class DmaEngine(Engine):
     def _handle_read(self, packet: Packet) -> List[EngineOutput]:
         key = packet.meta.annotations.get("dma_key")
         data = self.host.memory_read(key)
-        self.reads.add()
+        self.reads += 1
         reply_to = packet.meta.annotations.get("reply_to")
         completion = self._completion_for(packet, {"dma_data": data})
         if reply_to is None:
@@ -147,7 +146,7 @@ class DmaEngine(Engine):
         key = packet.meta.annotations.get("dma_key")
         data = packet.meta.annotations.get("dma_data", packet.data)
         self.host.memory_write(key, data)
-        self.writes.add()
+        self.writes += 1
         reply_to = packet.meta.annotations.get("reply_to")
         if reply_to is None:
             return []

@@ -32,7 +32,6 @@ from repro.packet.headers import (
 from repro.packet.packet import Packet
 from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 #: Bytes of CRC-32 integrity check value appended to the ESP payload.
 ICV_BYTES = 4
@@ -98,10 +97,10 @@ class IpsecEngine(Engine):
         #: reference an unknown SPI instead of raising.
         self.drop_on_auth_failure = drop_on_auth_failure
         self._sa_by_spi: Dict[int, IpsecSa] = {}
-        self.encrypted = Counter(f"{name}.encrypted")
-        self.decrypted = Counter(f"{name}.decrypted")
-        self.auth_failures = Counter(f"{name}.auth_failures")
-        self.dropped_packets = Counter(f"{name}.dropped_packets")
+        self.encrypted = 0
+        self.decrypted = 0
+        self.auth_failures = 0
+        self.dropped_packets = 0
 
     # ------------------------------------------------------------------
     # Control plane
@@ -137,7 +136,7 @@ class IpsecEngine(Engine):
                 try:
                     out = self.decrypt(packet)
                 except IpsecError:
-                    self.dropped_packets.add()
+                    self.dropped_packets += 1
                     return []
             else:
                 out = self.decrypt(packet)
@@ -183,7 +182,7 @@ class IpsecEngine(Engine):
         out.panic = packet.panic
         out.meta.annotations.pop("ipsec_spi", None)
         out.meta.annotations["ipsec_encrypted"] = True
-        self.encrypted.add()
+        self.encrypted += 1
         return out
 
     def decrypt(self, packet: Packet) -> Packet:
@@ -199,12 +198,12 @@ class IpsecEngine(Engine):
         ciphertext, icv = remainder[:-ICV_BYTES], remainder[-ICV_BYTES:]
         sa = self.sa(esp.spi)
         if crc32(ciphertext) != int.from_bytes(icv, "big"):
-            self.auth_failures.add()
+            self.auth_failures += 1
             raise IpsecError(f"{self.name}: ICV mismatch for SPI {esp.spi:#x}")
         stream = keystream(sa.key, esp.spi, esp.seq, len(ciphertext))
         inner = xor_bytes(ciphertext, stream)
         out = Packet(eth.pack() + inner, packet.kind, packet.meta)
         out.panic = packet.panic
         out.meta.annotations["ipsec_decrypted"] = True
-        self.decrypted.add()
+        self.decrypted += 1
         return out

@@ -24,7 +24,6 @@ from repro.packet.headers import HeaderError
 from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 
 class KvCacheEngine(Engine):
@@ -47,10 +46,10 @@ class KvCacheEngine(Engine):
         self.cycles_per_value_byte = cycles_per_value_byte
         self._cache: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._used_bytes = 0
-        self.hits = Counter(f"{name}.hits")
-        self.misses = Counter(f"{name}.misses")
-        self.evictions = Counter(f"{name}.evictions")
-        self.writethroughs = Counter(f"{name}.writethroughs")
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.writethroughs = 0
 
     # ------------------------------------------------------------------
     # Cache mechanics
@@ -78,7 +77,7 @@ class KvCacheEngine(Engine):
         while self._used_bytes + entry > self.capacity_bytes:
             old_key, old_value = self._cache.popitem(last=False)
             self._used_bytes -= self._entry_bytes(old_key, old_value)
-            self.evictions.add()
+            self.evictions += 1
         self._cache[key] = value
         self._used_bytes += entry
 
@@ -114,17 +113,17 @@ class KvCacheEngine(Engine):
         if request.opcode == KvOpcode.GET:
             value = self.cache_get(request.key)
             if value is not None:
-                self.hits.add()
+                self.hits += 1
                 response = self._respond(packet, frame, request, value)
                 # The miss path (continuing the chain toward the host) is
                 # abandoned: the cache answered.
                 return [(response, None)]
-            self.misses.add()
+            self.misses += 1
             return [(packet, None)]
         if request.opcode == KvOpcode.SET:
             if request.key in self._cache:
                 self.cache_put(request.key, request.value)
-                self.writethroughs.add()
+                self.writethroughs += 1
             return [(packet, None)]
         if request.opcode == KvOpcode.DELETE:
             self.cache_delete(request.key)

@@ -16,7 +16,6 @@ from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.clock import MHZ, US
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 
 class PcieEngine(Engine):
@@ -44,9 +43,9 @@ class PcieEngine(Engine):
         self.dma_addr: Optional[int] = None
         self._pending_completions = 0
         self._timeout_event = None
-        self.interrupts = Counter(f"{name}.interrupts")
-        self.completions = Counter(f"{name}.completions")
-        self.doorbells = Counter(f"{name}.doorbells")
+        self.interrupts = 0
+        self.completions = 0
+        self.doorbells = 0
 
     def attach_host(self, host) -> None:
         self.host = host
@@ -60,7 +59,7 @@ class PcieEngine(Engine):
         engine through the same unified network as everything else."""
         if self.dma_addr is None:
             raise RuntimeError(f"{self.name}: no DMA engine address configured")
-        self.doorbells.add()
+        self.doorbells += 1
         doorbell = Packet(b"", MessageKind.DOORBELL)
         doorbell.meta.direction = Direction.INTERNAL
         doorbell.meta.annotations["tx_queue"] = tx_queue
@@ -81,7 +80,7 @@ class PcieEngine(Engine):
         return [(packet, None)]
 
     def _on_completion(self) -> None:
-        self.completions.add()
+        self.completions += 1
         self._pending_completions += 1
         if self._pending_completions >= self.coalesce_count:
             self._fire_interrupt()
@@ -101,6 +100,6 @@ class PcieEngine(Engine):
         if self._timeout_event is not None:
             self._timeout_event.cancel()
             self._timeout_event = None
-        self.interrupts.add()
+        self.interrupts += 1
         if self.host is not None:
             self.host.interrupt(count)

@@ -18,7 +18,6 @@ from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Packet
 from repro.sim.clock import SEC
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 
 @dataclass
@@ -75,9 +74,9 @@ class RateLimiterEngine(Engine):
         super().__init__(sim, name, **engine_kwargs)
         self.check_cycles = check_cycles
         self._buckets: Dict[int, TokenBucket] = {}
-        self.shaped = Counter(f"{name}.shaped")
-        self.passed = Counter(f"{name}.passed")
-        self.held = Counter(f"{name}.held")
+        self.shaped = 0
+        self.passed = 0
+        self.held = 0
 
     # ------------------------------------------------------------------
     # Control plane
@@ -117,15 +116,15 @@ class RateLimiterEngine(Engine):
         tenant = packet.meta.tenant
         bucket = self._buckets.get(tenant) if tenant is not None else None
         if bucket is None:
-            self.passed.add()
+            self.passed += 1
             return [(packet, None)]
         size = packet.frame_bytes
         if bucket.try_consume(size, self.now):
-            self.shaped.add()
+            self.shaped += 1
             return [(packet, None)]
         # Hold until eligible, then release down the chain.
         release_at = bucket.eligible_at(size, self.now)
-        self.held.add()
+        self.held += 1
         self.schedule(release_at - self.now, self._release, packet, size)
         return []
 
@@ -139,7 +138,7 @@ class RateLimiterEngine(Engine):
                 self._release, packet, size,
             )
             return
-        self.shaped.add()
+        self.shaped += 1
         dest = self._route_by_chain(packet)
         if dest is None:
             self.terminal(packet)

@@ -23,7 +23,6 @@ from repro.packet.headers import HeaderError
 from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 
 class RdmaEngine(Engine):
@@ -41,9 +40,9 @@ class RdmaEngine(Engine):
         #: The DMA engine's NoC address; set by the NIC builder.
         self.dma_addr: Optional[int] = None
         self._pending: Dict[int, Packet] = {}
-        self.reads_issued = Counter(f"{name}.reads_issued")
-        self.responses = Counter(f"{name}.responses")
-        self.not_found = Counter(f"{name}.not_found")
+        self.reads_issued = 0
+        self.responses = 0
+        self.not_found = 0
 
     def service_time_ps(self, packet: Packet) -> int:
         return self.clock.cycles_to_ps(self.request_cycles)
@@ -69,7 +68,7 @@ class RdmaEngine(Engine):
             read.panic.chain = []
             read.panic.cursor = 0
         self._pending[packet.packet_id] = packet
-        self.reads_issued.add()
+        self.reads_issued += 1
         return [(read, self.dma_addr)]
 
     def _handle_completion(self, completion: Packet) -> List[EngineOutput]:
@@ -92,12 +91,12 @@ class RdmaEngine(Engine):
         assert request is not None
         data = completion.meta.annotations.get("dma_data")
         if data is None:
-            self.not_found.add()
+            self.not_found += 1
             response = KvResponse(KvStatus.NOT_FOUND, request.tenant, request.request_id)
         else:
             response = KvResponse(KvStatus.OK, request.tenant, request.request_id, data)
         out = self._build_response(original, request, response)
-        self.responses.add()
+        self.responses += 1
         return [(out, None)]
 
     def _parse_get(self, packet: Packet) -> Optional[KvRequest]:

@@ -18,7 +18,6 @@ from repro.packet.builder import parse_frame
 from repro.packet.headers import HeaderError
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 
 class AhoCorasick:
@@ -133,9 +132,9 @@ class RegexEngine(Engine):
         self.automaton = AhoCorasick(block + watch) if (block or watch) else None
         self.fixed_cycles = fixed_cycles
         self.cycles_per_byte = cycles_per_byte
-        self.scanned = Counter(f"{name}.scanned")
-        self.matched = Counter(f"{name}.matched")
-        self.blocked = Counter(f"{name}.blocked")
+        self.scanned = 0
+        self.matched = 0
+        self.blocked = 0
 
     def service_time_ps(self, packet: Packet) -> int:
         cycles = self.fixed_cycles + self.cycles_per_byte * packet.frame_bytes
@@ -149,14 +148,14 @@ class RegexEngine(Engine):
         except HeaderError:
             payload = packet.data
         matches = self.automaton.search(payload)
-        self.scanned.add()
+        self.scanned += 1
         if matches:
-            self.matched.add()
+            self.matched += 1
             packet.meta.annotations["dpi_matches"] = [
                 (end, self.automaton.patterns[idx]) for end, idx in matches
             ]
             if any(idx < self._block_count for _end, idx in matches):
-                self.blocked.add()
+                self.blocked += 1
                 # Swallow the packet: DPI verdict is drop.
                 return []
         return [(packet, None)]

@@ -28,7 +28,6 @@ from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
 from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 #: Extra cycles charged for the parser and deparser surrounding the
 #: match+action stages.
@@ -91,7 +90,7 @@ class RmtPipelineEngine(Engine):
         self._lookup_ps = 0
         # The pipeline's depth in packets, for the ``busy_frac`` gauge.
         self.lanes = self.latency_ps // self.initiation_interval_ps
-        self.decisions = Counter(f"{name}.decisions")
+        self.decisions = 0
 
     # ------------------------------------------------------------------
     # Timing model
@@ -154,7 +153,7 @@ class RmtPipelineEngine(Engine):
             metadata=self._intrinsic_metadata(packet),
             now_ps=self.sim.now,
         )
-        self.decisions.value += 1
+        self.decisions += 1
         if self.decision_handler is None:
             raise RuntimeError(
                 f"{self.name}: no decision handler installed; the NIC "

@@ -29,7 +29,6 @@ from repro.faults.plan import (
     WIRE_KINDS,
 )
 from repro.sim.rng import SeededRng
-from repro.sim.stats import Counter
 
 #: Kinds whose target is an engine key resolved through ``nic.offload``.
 _ENGINE_KINDS = (CRASH, STALL, SLOW, RECOVER, PIFO_CORRUPT)
@@ -56,7 +55,7 @@ class FaultInjector:
         self.nic = nic
         self.plan = plan
         self.rng = SeededRng(plan.seed)
-        self.injected = Counter("faults.injected")
+        self.injected = 0
         #: (time_ps, kind, target) of every applied event, for reports.
         self.applied: List[Tuple[int, str, str]] = []
         self._armed = False
@@ -135,5 +134,5 @@ class FaultInjector:
             self.nic.set_power(True)
         else:  # pragma: no cover - FaultEvent validates kinds
             raise ValueError(f"unknown fault kind {kind!r}")
-        self.injected.add()
+        self.injected += 1
         self.applied.append((self.nic.sim.now, kind, event.target))

@@ -22,7 +22,7 @@ from repro.noc.router import Endpoint
 from repro.packet.packet import MessageKind, Packet
 from repro.sim.clock import US
 from repro.sim.kernel import Component, Event
-from repro.sim.stats import Counter, LatencyTracker
+from repro.sim.stats import LatencyTracker
 
 
 class HealthMonitor(Component, Endpoint):
@@ -70,10 +70,10 @@ class HealthMonitor(Component, Endpoint):
         self._tick_event: Optional[Event] = None
         self._running = False
         self.port = None  # set when bound to the mesh
-        self.heartbeats_sent = Counter(f"{self.name}.heartbeats_sent")
-        self.echoes_received = Counter(f"{self.name}.echoes_received")
-        self.watchdog_fires = Counter(f"{self.name}.watchdog_fires")
-        self.failures_detected = Counter(f"{self.name}.failures_detected")
+        self.heartbeats_sent = 0
+        self.echoes_received = 0
+        self.watchdog_fires = 0
+        self.failures_detected = 0
         self.rtt = LatencyTracker(f"{self.name}.rtt")
 
     def bind_port(self, port) -> None:
@@ -126,7 +126,7 @@ class HealthMonitor(Component, Endpoint):
             if outstanding is not None:
                 _seq, sent_ps = outstanding
                 if self.now - sent_ps >= self.timeout_ps:
-                    self.watchdog_fires.add()
+                    self.watchdog_fires += 1
                     self._declare_failed(key)
                 # Probe still in flight (or just timed out): don't pile
                 # a second one onto a slow or wedged engine.
@@ -141,11 +141,11 @@ class HealthMonitor(Component, Endpoint):
         probe.meta.annotations["hb_reply_to"] = self.address
         probe.meta.annotations["hb_seq"] = self._seq
         self._outstanding[key] = (self._seq, self.now)
-        self.heartbeats_sent.add()
+        self.heartbeats_sent += 1
         self.port.send(probe, self.nic.offload(key).address)
 
     def _declare_failed(self, key: str) -> None:
-        self.failures_detected.add()
+        self.failures_detected += 1
         self.failed_at[key] = self.now
         self._outstanding.pop(key, None)
         self.nic.handle_engine_failure(key)
@@ -160,7 +160,7 @@ class HealthMonitor(Component, Endpoint):
         key = self._key_of.get(source)
         if key is None:
             return
-        self.echoes_received.add()
+        self.echoes_received += 1
         outstanding = self._outstanding.get(key)
         if outstanding is None:
             return  # stale echo (engine already declared failed, or reset)
@@ -176,10 +176,10 @@ class HealthMonitor(Component, Endpoint):
 
     def stats(self) -> Dict[str, float]:
         return {
-            "heartbeats_sent": self.heartbeats_sent.value,
-            "echoes_received": self.echoes_received.value,
-            "watchdog_fires": self.watchdog_fires.value,
-            "failures_detected": self.failures_detected.value,
+            "heartbeats_sent": self.heartbeats_sent,
+            "echoes_received": self.echoes_received,
+            "watchdog_fires": self.watchdog_fires,
+            "failures_detected": self.failures_detected,
         }
 
 

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.sim.clock import Clock
 from repro.sim.kernel import Component, Simulator
-from repro.sim.stats import Counter
 
 if TYPE_CHECKING:
     from repro.noc.express import ExpressFlight
@@ -114,11 +113,11 @@ class Channel(Component):
         # Set by repro.telemetry; None-checked on the completion path only.
         self._tracer = None
         # Statistics.
-        self.sent = Counter(f"{name}.sent")
-        self.bits_sent = Counter(f"{name}.bits")
-        self.corrupted = Counter(f"{name}.corrupted")
-        self.dropped_flits = Counter(f"{name}.dropped_flits")
-        self.leaked_credits = Counter(f"{name}.leaked_credits")
+        self.sent = 0
+        self.bits_sent = 0
+        self.corrupted = 0
+        self.dropped_flits = 0
+        self.leaked_credits = 0
 
     # ------------------------------------------------------------------
     # Sender interface
@@ -251,8 +250,8 @@ class Channel(Component):
         self._busy_until = end
         self._busy_accum_ps += duration
         self.schedule(end - now, self._complete, message)
-        self.sent.value += 1
-        self.bits_sent.value += bits
+        self.sent += 1
+        self.bits_sent += bits
 
     def _start_next(self) -> None:
         """The wire or a credit just freed: send the head of the queue if
@@ -291,11 +290,11 @@ class Channel(Component):
         drops, corruptions = self._faults
         dropped = bool(drops)
         if dropped:
-            self.dropped_flits.add()
+            self.dropped_flits += 1
             if self._mesh is not None:
                 self._mesh._inside -= 1
             if drops.popleft():
-                self.leaked_credits.add()
+                self.leaked_credits += 1
             else:
                 self._credits += 1
             if ctx is not None:
@@ -318,7 +317,7 @@ class Channel(Component):
                 position = rng.randint(0, len(data) * 8 - 1)
             data[position // 8] ^= 1 << (position % 8)
         message.packet.data = bytes(data)
-        self.corrupted.add()
+        self.corrupted += 1
 
     # ------------------------------------------------------------------
     # Express (cut-through) bookkeeping -- see repro.noc.express
@@ -338,8 +337,8 @@ class Channel(Component):
         self._credits -= 1
         self._busy_until = end
         self._busy_accum_ps += end - start
-        self.sent.add()
-        self.bits_sent.add(message.bits)
+        self.sent += 1
+        self.bits_sent += message.bits
 
     def utilization(self, elapsed_ps: int) -> float:
         """Fraction of ``[0, elapsed_ps]`` the wires spent busy.

@@ -23,7 +23,6 @@ from repro.noc.router import Endpoint
 from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, Clock
 from repro.sim.kernel import Simulator
-from repro.sim.stats import Counter
 
 
 class _CrossbarPort:
@@ -32,7 +31,7 @@ class _CrossbarPort:
     def __init__(self, crossbar: "Crossbar", endpoint: Endpoint):
         self._crossbar = crossbar
         self._endpoint = endpoint
-        self.injected = Counter(f"xbar.port{endpoint.address}.injected")
+        self.injected = 0
 
     @property
     def address(self) -> int:
@@ -45,7 +44,7 @@ class _CrossbarPort:
             src_addr=self._endpoint.address,
             inject_ps=self._crossbar.sim.now,
         )
-        self.injected.add()
+        self.injected += 1
         self._crossbar.route(message)
         return message
 
@@ -85,7 +84,7 @@ class Crossbar:
         self._outputs: Dict[int, Channel] = {}
         self._ser_cache: Dict[int, int] = {}
         self._next_address = 0
-        self.routed = Counter(f"{name}.routed")
+        self.routed = 0
 
     def bind(self, endpoint: Endpoint) -> _CrossbarPort:
         """Attach an endpoint; addresses are assigned sequentially."""
@@ -112,7 +111,7 @@ class Crossbar:
             raise ValueError(
                 f"{self.name}: no endpoint at address {message.dest_addr}"
             )
-        self.routed.add()
+        self.routed += 1
         output.submit(message)
 
     def _deliver(self, message: NocMessage, channel: Channel) -> None:

@@ -74,8 +74,8 @@ def account_hops(channels: Sequence["Channel"], bits: int, start: int,
     end = start
     for channel in channels:
         end += ser
-        channel.sent.value += 1
-        channel.bits_sent.value += bits
+        channel.sent += 1
+        channel.bits_sent += bits
         channel._busy_accum_ps += ser
         if end > channel._busy_until:
             channel._busy_until = end
@@ -91,7 +91,7 @@ def account_forwards(routers: Sequence["Router"]) -> None:
     arbitration order bit-identical.
     """
     for router in routers:
-        router.forwarded.value += 1
+        router.forwarded += 1
         rr = router._rr_order
         rr.append(rr.pop(0))
         rr.append(rr.pop(0))

@@ -22,7 +22,6 @@ from repro.noc.router import Endpoint, Router
 from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, Clock
 from repro.sim.kernel import SimError, Simulator
-from repro.sim.stats import Counter
 
 
 class MeshStuckError(RuntimeError):
@@ -72,7 +71,7 @@ class NocPort:
         self._mesh = mesh
         self._endpoint = endpoint
         self._channel = channel
-        self.injected = Counter(f"port{endpoint.address}.injected")
+        self.injected = 0
 
     @property
     def address(self) -> int:
@@ -86,7 +85,7 @@ class NocPort:
             src_addr=self._endpoint.address,
             inject_ps=self._mesh.sim.now,
         )
-        self.injected.value += 1
+        self.injected += 1
         self._mesh._inside += 1
         self._channel.submit(message)
         return message
@@ -369,8 +368,8 @@ class Mesh:
                         f"{channel.credit_deficit}/{channel.max_credits} "
                         "credits outstanding"
                     )
-                if channel.leaked_credits.value:
-                    state.append(f"{channel.leaked_credits.value} leaked")
+                if channel.leaked_credits:
+                    state.append(f"{channel.leaked_credits} leaked")
                 lines.append(f"  channel {channel.name}: {', '.join(state)}")
         for router in self._routers.values():
             if router.buffered_messages:

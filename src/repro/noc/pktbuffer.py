@@ -21,7 +21,6 @@ from typing import Dict
 
 from repro.sim.clock import Clock, MHZ
 from repro.sim.kernel import Component, Simulator
-from repro.sim.stats import Counter
 
 #: Bits a descriptor occupies on the on-chip network in pointer mode:
 #: 16-byte chain header + pointer + lengths + metadata = 32 bytes.
@@ -70,10 +69,10 @@ class PacketBuffer(Component):
         self._store: Dict[int, bytes] = {}
         self._used = 0
         self._handles = itertools.count(1)
-        self.allocations = Counter(f"{name}.allocations")
-        self.frees = Counter(f"{name}.frees")
-        self.accesses = Counter(f"{name}.accesses")
-        self.bytes_accessed = Counter(f"{name}.bytes")
+        self.allocations = 0
+        self.frees = 0
+        self.accesses = 0
+        self.bytes_accessed = 0
         self.high_watermark = 0
 
     # ------------------------------------------------------------------
@@ -91,14 +90,14 @@ class PacketBuffer(Component):
         self._store[handle] = bytes(data)
         self._used += len(data)
         self.high_watermark = max(self.high_watermark, self._used)
-        self.allocations.add()
+        self.allocations += 1
         return handle
 
     def release(self, handle: int) -> None:
         """Free the payload."""
         handle = self._check(handle)
         self._used -= len(self._store.pop(handle))
-        self.frees.add()
+        self.frees += 1
 
     def read(self, handle: int) -> bytes:
         """Read the payload bytes (timing charged via access_delay_ps)."""
@@ -139,8 +138,8 @@ class PacketBuffer(Component):
                    key=lambda i: self._port_busy_until[i])
         start = max(self.now, self._port_busy_until[port])
         self._port_busy_until[port] = start + duration
-        self.accesses.add()
-        self.bytes_accessed.add(nbytes)
+        self.accesses += 1
+        self.bytes_accessed += nbytes
         return (start + duration) - self.now
 
     # ------------------------------------------------------------------

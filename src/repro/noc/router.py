@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.noc.channel import Channel
 from repro.noc.message import NocMessage
 from repro.sim.kernel import Component, Simulator
-from repro.sim.stats import Counter
 
 if TYPE_CHECKING:
     from repro.noc.mesh import Mesh
@@ -99,8 +98,8 @@ class Router(Component):
         # reserved must de-speculate them before entering the queues.
         self._express_flights: list = []
         self._buffered = 0
-        self.forwarded = Counter(f"{name}.forwarded")
-        self.delivered = Counter(f"{name}.delivered")
+        self.forwarded = 0
+        self.delivered = 0
         # Set by repro.telemetry; None-checked on the refusal path only.
         self._tracer = None
 
@@ -239,14 +238,14 @@ class Router(Component):
                             ctx, "refused", self.name, self.now,
                             (("dest", message.dest_addr),))
                 return False
-            self.delivered.value += 1
+            self.delivered += 1
             self._mesh._inside -= 1
             return True
         if out._pending:
             # Moving the message would only relocate a queue; holding it
             # propagates backpressure toward the source instead.
             return False
-        self.forwarded.value += 1
+        self.forwarded += 1
         if out.submit(message):
             # It went straight out, so the sender slot is free already:
             # what the channel's on_drain would come back to say.

@@ -55,7 +55,6 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.clock import NS
-from repro.sim.stats import Counter
 
 #: Defaults, chosen so one repair costs ~2 wire round trips -- far
 #: below the host transport's RTO (``8 x prop + 30 us``).
@@ -133,14 +132,13 @@ class LinkLayer:
         self._releases: List[int] = []
         self.occupancy_peak = 0
 
-        label = faults.label
-        self.protected = Counter(f"{label}.ll_protected")
-        self.nacks = Counter(f"{label}.ll_nacks")
-        self.retransmits = Counter(f"{label}.ll_retransmits")
-        self.repaired = Counter(f"{label}.ll_repaired")
-        self.gave_up = Counter(f"{label}.ll_gave_up")
-        self.bypassed = Counter(f"{label}.ll_bypassed")
-        self.handoff_held = Counter(f"{label}.ll_handoff_held")
+        self.protected = 0
+        self.nacks = 0
+        self.retransmits = 0
+        self.repaired = 0
+        self.gave_up = 0
+        self.bypassed = 0
+        self.handoff_held = 0
         self._tracer = tracer
         self._trace_ctx = trace_ctx
 
@@ -165,13 +163,13 @@ class LinkLayer:
         if len(releases) >= self.hold_frames:
             # Hold buffer full: pass through unprotected rather than
             # stall the wire.  The host transport still covers the frame.
-            self.bypassed.add()
+            self.bypassed += 1
             out = faults.process(data)
             if out is None:
                 return None
             return out, self._handoff(now + self.propagation_ps, held_ok=True)
 
-        self.protected.add()
+        self.protected += 1
         attempt_tx = now
         for attempt in range(self.max_repair + 1):
             outcome, out = faults.judge(data)
@@ -182,7 +180,7 @@ class LinkLayer:
                 arrival = attempt_tx + self.propagation_ps
                 handoff = self._handoff(arrival, held_ok=attempt == 0)
                 if attempt:
-                    self.repaired.add()
+                    self.repaired += 1
                     self._trace("ll_handoff", now, (
                         ("attempts", attempt + 1),
                         ("handoff_ps", handoff),
@@ -198,16 +196,16 @@ class LinkLayer:
             # Lost or corrupted: the receiver NACKs (immediately on a CRC
             # failure, after the gap timer on a silent drop) and the
             # sender retransmits from the hold buffer.
-            self.nacks.add()
+            self.nacks += 1
             self._trace("ll_nack", now, (
                 ("reason", outcome), ("attempt", attempt),
             ))
             detect = 0 if outcome == "corrupt" else self.detect_ps
             attempt_tx += 2 * self.propagation_ps + detect + self.turnaround_ps
             if attempt < self.max_repair:
-                self.retransmits.add()
+                self.retransmits += 1
                 self._trace("ll_retransmit", now, (("attempt", attempt + 1),))
-        self.gave_up.add()
+        self.gave_up += 1
         return None
 
     def _handoff(self, arrival_ps: int, held_ok: bool) -> int:
@@ -215,7 +213,7 @@ class LinkLayer:
         handoff = arrival_ps
         if handoff < self._handoff_front_ps:
             handoff = self._handoff_front_ps
-            self.handoff_held.add()
+            self.handoff_held += 1
             if held_ok:
                 # A clean frame held behind an earlier repair -- the
                 # head-of-line cost of in-order handoff, worth a span of
@@ -240,12 +238,12 @@ class LinkLayer:
     def stats(self) -> Dict[str, int]:
         """Merged into the direction's wire stats under ``"linklayer"``."""
         return {
-            "protected": self.protected.value,
-            "nacks": self.nacks.value,
-            "retransmits": self.retransmits.value,
-            "repaired": self.repaired.value,
-            "gave_up": self.gave_up.value,
-            "bypassed": self.bypassed.value,
-            "handoff_held": self.handoff_held.value,
+            "protected": self.protected,
+            "nacks": self.nacks,
+            "retransmits": self.retransmits,
+            "repaired": self.repaired,
+            "gave_up": self.gave_up,
+            "bypassed": self.bypassed,
+            "handoff_held": self.handoff_held,
             "occupancy_peak": self.occupancy_peak,
         }

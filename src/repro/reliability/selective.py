@@ -248,7 +248,6 @@ class SelectiveRepeatTransport(TransportCore):
     of a flow must agree on it.
     """
 
-    LABEL = "sr"
     DATA = SR_DATA
     ACK = SR_ACK
     HEADER_BYTES = SR_HEADER_BYTES
@@ -314,7 +313,7 @@ class SelectiveRepeatTransport(TransportCore):
                 blocks: Tuple[Tuple[int, int], ...]) -> None:
         cum = seq_unwrap(cum_wire, flow.base)
         if cum < flow.base:
-            self.dup_acks.add()
+            self.dup_acks += 1
             return
         cum = min(cum, flow.next_seq)
 
@@ -323,17 +322,17 @@ class SelectiveRepeatTransport(TransportCore):
         for start_wire, end_wire in blocks:
             start = seq_unwrap(start_wire, flow.base)
             length = (end_wire - start_wire) & SEQ_MASK
-            self.sack_blocks_rx.add()
+            self.sack_blocks_rx += 1
             for seq in range(start, start + length):
                 if cum <= seq < flow.next_seq and seq not in flow.sacked:
                     flow.sacked.add(seq)
                     newly_sacked.append(seq)
 
         if cum == flow.base and not newly_sacked:
-            self.dup_acks.add()
+            self.dup_acks += 1
             self._fast_retransmit(flow)
             return
-        self.acks_received.add()
+        self.acks_received += 1
 
         # RTT sample (Karn's rule): the youngest newly-confirmed segment
         # that was transmitted exactly once.
@@ -341,7 +340,7 @@ class SelectiveRepeatTransport(TransportCore):
         for seq in sorted(newly_acked, reverse=True):
             if seq not in flow.retransmitted and seq in flow.sent_at:
                 flow.rtt.sample(self.sim.now - flow.sent_at[seq])
-                self.rtt_samples.add()
+                self.rtt_samples += 1
                 break
 
         progressed = cum > flow.base
@@ -375,7 +374,7 @@ class SelectiveRepeatTransport(TransportCore):
             if above >= FAST_RETX_DUPTHRESH:
                 flow.fast_done.add(seq)
                 self._retransmit(flow, seq)
-                self.fast_retransmits.add()
+                self.fast_retransmits += 1
                 self._trace("rel_retransmit", (("dst", flow.dst),
                                                ("seq", seq),
                                                ("kind", "fast")))
@@ -392,15 +391,15 @@ class SelectiveRepeatTransport(TransportCore):
         seq_abs = seq_unwrap(seq, rx.rcv_next)
         latest = None
         if seq_abs < rx.rcv_next or seq_abs in rx.buffer:
-            self.duplicates_suppressed.add()
+            self.duplicates_suppressed += 1
         elif seq_abs >= rx.rcv_next + 4 * self.window:
             # Far beyond any plausible send window: refuse to buffer.
-            self.out_of_order_dropped.add()
+            self.out_of_order_dropped += 1
         else:
             rx.buffer[seq_abs] = payload
             latest = seq_abs
             if seq_abs != rx.rcv_next:
-                self.buffered_ooo.add()
+                self.buffered_ooo += 1
             while rx.rcv_next in rx.buffer:
                 self._deliver(src, rx.rcv_next, rx.buffer.pop(rx.rcv_next),
                               queue)

@@ -57,7 +57,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.packet.headers import RACK_TAG_BYTES, RACK_TAG_UDP_PORT
 from repro.sim.clock import US
-from repro.sim.stats import Counter
 
 #: Magic marking a reliability segment; anything else in the UDP payload
 #: is ignored (defensive against corrupted or foreign frames).
@@ -181,9 +180,7 @@ class TransportCore:
         the VIP and never learn which backend served them.
     """
 
-    #: Counter-name suffix under the NIC's name.
-    LABEL = ""
-    #: ``stats()`` keys in report order; each names a Counter attribute.
+    #: ``stats()`` keys in report order; each names an int attribute.
     STATS: Tuple[str, ...] = ()
     #: Bytes the DATA header takes out of a frame's UDP payload.
     HEADER_BYTES = 0
@@ -243,7 +240,7 @@ class TransportCore:
         self._tx: Dict[int, TxFlow] = {}
         self.failures: List[DeliveryFailed] = []
         for key in self.STATS:
-            setattr(self, key, Counter(f"{nic.name}.{self.LABEL}.{key}"))
+            setattr(self, key, 0)
 
         # Telemetry: control events land on a dedicated flow context,
         # allocated at construction so the trace id is mode-independent.
@@ -295,7 +292,7 @@ class TransportCore:
         while flow.next_seq < limit:
             self._transmit(flow, flow.next_seq, first=True)
             flow.next_seq += 1
-            self.data_sent.add()
+            self.data_sent += 1
         if was_idle or self.RESTART_RTO_ON_NEW_DATA:
             self._arm_timer(flow)
         return True
@@ -326,12 +323,12 @@ class TransportCore:
 
     def _retransmit(self, flow: TxFlow, seq: int) -> None:
         self._transmit(flow, seq, first=False)
-        self.retransmits.add()
+        self.retransmits += 1
 
     def _send_ack(self, src: int, segment: bytes) -> None:
         self.nic.host.enqueue_tx(self.frame_builder(src, segment),
                                  self.tx_queue)
-        self.acks_sent.add()
+        self.acks_sent += 1
 
     def _jittered(self, ps: float) -> int:
         """``ps`` spread by the seeded jitter: timers that backed off in
@@ -353,7 +350,7 @@ class TransportCore:
     def _on_timer(self, flow: TxFlow, gen: int) -> None:
         if gen != flow.timer_gen or flow.aborted or flow.base >= flow.next_seq:
             return  # stale timer, or nothing outstanding anymore
-        self.rto_fired.add()
+        self.rto_fired += 1
         flow.retries += 1
         self._trace("rel_rto", (("dst", flow.dst),
                                 ("rto_ps", self._rto_ps(flow)),
@@ -381,11 +378,11 @@ class TransportCore:
     def _on_host_rx(self, packet, queue: int) -> None:
         parsed = self._parse(packet.data[segment_offset(packet):])
         if parsed is None:
-            self.parse_rejects.add()
+            self.parse_rejects += 1
             return
         seg_type, src, dst, seq, tail = parsed
         if dst != self.index and dst not in self.accept_dst:
-            self.parse_rejects.add()
+            self.parse_rejects += 1
             return
         if seg_type == self.ACK:
             flow = self._tx.get(src)
@@ -396,7 +393,7 @@ class TransportCore:
 
     def _deliver(self, src: int, seq: int, payload: bytes,
                  queue: int) -> None:
-        self.delivered.add()
+        self.delivered += 1
         if self.on_deliver is not None:
             self.on_deliver(src, seq, payload, queue)
 
@@ -414,7 +411,7 @@ class TransportCore:
         """The ``stats()["reliability"]`` block of the owning NIC.  Both
         policies share the keys the chaos harness aggregates
         (``retransmits``/``rto_fired``/``delivery_failures``)."""
-        out = {key: getattr(self, key).value for key in self.STATS}
+        out = {key: getattr(self, key) for key in self.STATS}
         out["delivery_failures"] = len(self.failures)
         return out
 
@@ -460,7 +457,6 @@ class ReliableTransport(TransportCore):
     RTO that doubles per expiry, and the whole outstanding window resent
     on timeout.  Constructor parameters: :class:`TransportCore`."""
 
-    LABEL = "rel"
     DATA = DATA
     ACK = ACK
     HEADER_BYTES = HEADER_BYTES
@@ -496,9 +492,9 @@ class ReliableTransport(TransportCore):
 
     def _on_ack(self, flow: _GbnTxFlow, ack_no: int, _tail) -> None:
         if ack_no <= flow.base:
-            self.dup_acks.add()
+            self.dup_acks += 1
             return
-        self.acks_received.add()
+        self.acks_received += 1
         flow.base = min(ack_no, flow.next_seq)
         flow.retries = 0
         flow.rto_ps = self.rto_initial_ps
@@ -512,10 +508,10 @@ class ReliableTransport(TransportCore):
             self._rx_expected[src] = expected
             self._deliver(src, seq, payload, queue)
         elif seq < expected:
-            self.duplicates_suppressed.add()
+            self.duplicates_suppressed += 1
         else:
             # No reorder buffer: the sender will resend from `expected`
             # on its next timeout.
-            self.out_of_order_dropped.add()
+            self.out_of_order_dropped += 1
         # Always (re-)advertise the cumulative front, so lost ACKs heal.
         self._send_ack(src, pack_segment(ACK, self.reply_as, src, expected))

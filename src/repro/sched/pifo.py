@@ -20,7 +20,6 @@ import heapq
 import itertools
 from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 
-from repro.sim.stats import Counter
 
 T = TypeVar("T")
 
@@ -48,9 +47,9 @@ class PifoQueue(Generic[T]):
         self.capacity = capacity
         self._heap: List[Tuple[int, int, bool, T]] = []
         self._seq = itertools.count()
-        self.pushed = Counter(f"{name}.pushed")
-        self.dropped = Counter(f"{name}.dropped")
-        self.rank_corruptions = Counter(f"{name}.rank_corruptions")
+        self.pushed = 0
+        self.dropped = 0
+        self.rank_corruptions = 0
         self.max_occupancy = 0
         #: Observer called with the evicted item when drop-worst fires
         #: (set by repro.telemetry; must not mutate the queue).
@@ -83,14 +82,14 @@ class PifoQueue(Generic[T]):
         if self.capacity is not None and len(heap) >= self.capacity:
             if not self._evict_worse_droppable(rank):
                 if droppable:
-                    self.dropped.add()
+                    self.dropped += 1
                     return False
                 raise PifoFullError(
                     f"PIFO {self.name!r} full ({self.capacity}) and no "
                     "droppable item to evict"
                 )
         heapq.heappush(heap, (rank, next(self._seq), droppable, item))
-        self.pushed.value += 1
+        self.pushed += 1
         if len(heap) > self.max_occupancy:
             self.max_occupancy = len(heap)
         return True
@@ -116,7 +115,7 @@ class PifoQueue(Generic[T]):
         self._heap[worst_index] = self._heap[-1]
         self._heap.pop()
         heapq.heapify(self._heap)
-        self.dropped.add()
+        self.dropped += 1
         if self.on_evict is not None:
             self.on_evict(evicted)
         return True
@@ -138,7 +137,7 @@ class PifoQueue(Generic[T]):
             for (_rank, seq, droppable, item) in self._heap
         ]
         heapq.heapify(self._heap)
-        self.rank_corruptions.add(corrupted)
+        self.rank_corruptions += corrupted
         return corrupted
 
     def pop(self) -> Tuple[T, int]:

@@ -14,7 +14,6 @@ from repro.sim.stats import (
     Counter,
     Histogram,
     LatencyTracker,
-    RateMeter,
     TimeSeries,
 )
 from repro.sim.rng import SeededRng
@@ -31,7 +30,6 @@ __all__ = [
     "MS",
     "NS",
     "PS",
-    "RateMeter",
     "SeededRng",
     "SEC",
     "SimError",

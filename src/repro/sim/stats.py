@@ -1,16 +1,20 @@
-"""Statistics primitives: counters, histograms, latency and rate trackers.
+"""Statistics primitives: a counter, histograms, latency trackers, series.
 
 These are plain accumulators -- they do not interact with the event heap --
 so they can also be used outside a simulation (e.g. by the analytical
 models and the benchmark reporting code).
+
+NIC-model state counts in plain ``int`` attributes (``engine.processed``,
+``channel.sent``): a rack builds tens of thousands of them, and an object
+per count would be most of its footprint.  :class:`Counter` is left only
+for the workload-side accumulators of the KVS clients and traffic
+sources (the benchmark ledger reads a client's ``requests.value``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional
-
-from repro.sim.clock import SEC
+from typing import Dict, List
 
 
 class Counter:
@@ -175,53 +179,6 @@ class LatencyTracker(Histogram):
 
     def percentile_ns(self, pct: float) -> float:
         return self.percentile(pct) / 1_000
-
-
-class RateMeter:
-    """Tracks an event rate (e.g. packets or bits per second).
-
-    ``record(now_ps, amount)`` accumulates; ``rate_per_sec(now_ps)`` divides
-    by elapsed simulated time since the meter was started (or reset).
-    When called without ``now_ps`` the rate is measured up to the last
-    recorded sample, so trailing idle time is not averaged in; pass the
-    current clock explicitly to include it.
-    """
-
-    __slots__ = ("name", "start_ps", "total", "last_ps")
-
-    def __init__(self, name: str = "rate", start_ps: int = 0):
-        self.name = name
-        self.start_ps = start_ps
-        self.total = 0.0
-        self.last_ps: Optional[int] = None
-
-    def record(self, now_ps: int, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"rate meter amount must be non-negative: {amount}")
-        self.total += amount
-        self.last_ps = now_ps
-
-    def rate_per_sec(self, now_ps: Optional[int] = None) -> float:
-        """Average rate between start and ``now_ps`` (or the last sample)."""
-        end = now_ps if now_ps is not None else self.last_ps
-        if end is None or end <= self.start_ps:
-            return 0.0
-        return self.total * SEC / (end - self.start_ps)
-
-    def reset(self, now_ps: int) -> None:
-        """Restart the measurement window at ``now_ps``.
-
-        The accumulated total is discarded and the last-sample marker is
-        cleared, so ``rate_per_sec()`` reads 0.0 until the next
-        ``record`` -- a reset meter has observed nothing yet, and stale
-        pre-reset samples must not leak into the new window.
-        """
-        self.start_ps = now_ps
-        self.total = 0.0
-        self.last_ps = None
-
-    def __repr__(self) -> str:
-        return f"RateMeter({self.name}, total={self.total})"
 
 
 class TimeSeries:

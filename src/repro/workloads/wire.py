@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.packet.packet import MessageKind, Packet
 from repro.sim.clock import NS
 from repro.sim.kernel import Component, Simulator
-from repro.sim.stats import Counter
 
 #: Rack-local one-way propagation (a few meters of fibre + PHY).
 DEFAULT_PROPAGATION_PS = 500 * NS
@@ -58,11 +57,11 @@ class LinkFaults:
         #: Optional :class:`~repro.reliability.linklayer.LinkLayer`
         #: repairing this direction sub-RTT (armed by WIRE_LINKLAYER).
         self.linklayer = None
-        self.offered = Counter(f"{label}.offered")
-        self.forwarded = Counter(f"{label}.forwarded")
-        self.loss_drops = Counter(f"{label}.loss_drops")
-        self.corruptions = Counter(f"{label}.corruptions")
-        self.down_drops = Counter(f"{label}.down_drops")
+        self.offered = 0
+        self.forwarded = 0
+        self.loss_drops = 0
+        self.corruptions = 0
+        self.down_drops = 0
 
     def set_loss(self, drop_p: float, corrupt_p: float, rng) -> None:
         """Arm (or clear, with zero probabilities) the loss model.
@@ -84,23 +83,23 @@ class LinkFaults:
         payload None).  The link layer keys its NACK/repair model off the
         outcome; :meth:`process` collapses it back to bytes-or-None.
         """
-        self.offered.add()
+        self.offered += 1
         if self.down:
-            self.down_drops.add()
+            self.down_drops += 1
             return "down", None
         rng = self.rng
         if rng is not None:
             if rng.random() < self.drop_p:
-                self.loss_drops.add()
+                self.loss_drops += 1
                 return "drop", None
             if self.corrupt_p and rng.random() < self.corrupt_p:
                 bit = rng.randint(0, len(data) * 8 - 1)
                 corrupted = bytearray(data)
                 corrupted[bit >> 3] ^= 1 << (bit & 7)
-                self.corruptions.add()
-                self.forwarded.add()
+                self.corruptions += 1
+                self.forwarded += 1
                 return "corrupt", bytes(corrupted)
-        self.forwarded.add()
+        self.forwarded += 1
         return "ok", data
 
     def process(self, data: bytes) -> Optional[bytes]:
@@ -113,11 +112,11 @@ class LinkFaults:
 
     def stats(self) -> Dict[str, int]:
         out = {
-            "offered": self.offered.value,
-            "forwarded": self.forwarded.value,
-            "loss_drops": self.loss_drops.value,
-            "corruptions": self.corruptions.value,
-            "down_drops": self.down_drops.value,
+            "offered": self.offered,
+            "forwarded": self.forwarded,
+            "loss_drops": self.loss_drops,
+            "corruptions": self.corruptions,
+            "down_drops": self.down_drops,
         }
         if self.linklayer is not None:
             out["linklayer"] = self.linklayer.stats()
@@ -270,7 +269,7 @@ class LinkEnd(Component):
         self.propagation_ps = propagation_ps
         self.faults = LinkFaults(fault_label or name)
         #: Frames the NIC offered on this port, lost or not.
-        self.transmitted = Counter(f"{name}.tx")
+        self.transmitted = 0
         self._outbox: List[PacketCapsule] = []
         self._tx_seq = 0
         nic.on_transmit(self._transmit)
@@ -320,7 +319,7 @@ class LinkEnd(Component):
     def _transmit(self, packet: Packet) -> None:
         if (packet.meta.egress_port or 0) != self.port:
             return  # a different cable serves that port
-        self.transmitted.add()
+        self.transmitted += 1
         capsule = _egress(self.faults, self.nic, packet, self.sim.now,
                           self.propagation_ps, self._tx_seq)
         if capsule is None:
@@ -386,9 +385,6 @@ class Wire:
         }
         self.faults: Dict[str, LinkFaults] = {
             end: link_end.faults for end, link_end in self.ends.items()}
-        #: Frames each NIC offered on its cabled port.
-        self.a_to_b = self.ends["a"].transmitted
-        self.b_to_a = self.ends["b"].transmitted
 
     def set_loss(self, end: str, drop_p: float, corrupt_p: float,
                  rng) -> None:

@@ -47,8 +47,8 @@ class TestPipelineNic:
         nic.inject(packet)
         sim.run()
         assert len(received) == 1
-        assert nic.stages[0].passed_through.value == 1  # didn't need DPI
-        assert nic.stages[1].passed_through.value == 1
+        assert nic.stages[0].passed_through == 1  # didn't need DPI
+        assert nic.stages[1].passed_through == 1
 
     def test_needed_offload_applied(self, sim):
         nic = PipelineNic(sim, slow_fast_line(sim))
@@ -56,7 +56,7 @@ class TestPipelineNic:
         packet.meta.annotations["needs"] = ("checksum",)
         nic.inject(packet)
         sim.run()
-        assert nic.stages[1].serviced.value == 1
+        assert nic.stages[1].serviced == 1
         assert packet.meta.annotations["served"] == ("checksum",)
 
     def test_hol_blocking_without_bypass(self, sim):
@@ -93,7 +93,7 @@ class TestPipelineNic:
         packet.meta.annotations["needs"] = ("checksum", "regex")
         nic.inject(packet)
         sim.run()
-        assert nic.recirculations.value == 1
+        assert nic.recirculations == 1
         assert packet.meta.annotations["served"] == ("checksum", "regex")
 
     def test_in_order_chain_no_recirculation(self, sim):
@@ -102,7 +102,7 @@ class TestPipelineNic:
         packet.meta.annotations["needs"] = ("regex", "checksum")
         nic.inject(packet)
         sim.run()
-        assert nic.recirculations.value == 0
+        assert nic.recirculations == 0
 
     def test_recirculation_disabled_sends_unserved_to_host(self, sim):
         nic = PipelineNic(sim, slow_fast_line(sim), allow_recirculation=False)
@@ -113,7 +113,7 @@ class TestPipelineNic:
         nic.inject(packet)
         sim.run()
         assert received == [packet]
-        assert nic.recirculations.value == 0
+        assert nic.recirculations == 0
 
 
 class TestManycoreNic:
@@ -136,7 +136,7 @@ class TestManycoreNic:
         packet.meta.annotations["needs"] = ("checksum",)
         nic.inject(packet)
         sim.run()
-        assert nic.stations["checksum"].serviced.value == 1
+        assert nic.stations["checksum"].serviced == 1
         assert packet.meta.annotations["served"] == ("checksum",)
 
     def test_cores_limit_concurrency(self, sim):
@@ -225,4 +225,4 @@ class TestRmtNic:
         nic.inject(plain_udp())
         sim.run()
         assert received == []
-        assert nic.dropped.value == 1
+        assert nic.dropped == 1

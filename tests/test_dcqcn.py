@@ -71,7 +71,7 @@ class TestEcnMarker:
             watched.queue.push(i, i)
         out = marker.handle(ect_frame())[0][0]
         assert parse_frame(out.data).ipv4.ecn == ECN_CE
-        assert marker.marked.value == 1
+        assert marker.marked == 1
 
     def test_no_marking_when_queue_shallow(self, sim):
         marker = EcnMarkerEngine(sim, "mark2", k_min=5, k_max=20)
@@ -86,7 +86,7 @@ class TestEcnMarker:
             watched.queue.push(i, i)
         out = marker.handle(ect_frame(ecn=0))[0][0]
         assert parse_frame(out.data).ipv4.ecn == 0
-        assert marker.eligible.value == 0
+        assert marker.eligible == 0
 
     def test_parameters_validated(self, sim):
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ class TestPcieCoalescing:
             nic.inject(udp(payload=bytes([i])))
         sim.run()
         # 8 completions at threshold 4: exactly 2 interrupts.
-        assert nic.pcie.interrupts.value == 2
+        assert nic.pcie.interrupts == 2
         assert nic.pcie._pending_completions == 0
 
     def test_remainder_flushed_by_timeout(self, sim):
@@ -99,7 +99,7 @@ class TestPcieCoalescing:
             nic.inject(udp(payload=bytes([i])))
         sim.run()
         # 4 by count, 1 by timeout.
-        assert nic.pcie.interrupts.value == 2
+        assert nic.pcie.interrupts == 2
 
 
 class TestCrossbarBackedEngines:

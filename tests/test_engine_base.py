@@ -130,7 +130,7 @@ class TestScheduling:
         engine._loopback(chained_packet([1]))  # occupies the single slot
         engine._loopback(chained_packet([1], droppable=True, slack_ps=1 << 40))
         sim.run()
-        assert engine.queue.dropped.value == 1
+        assert engine.queue.dropped == 1
 
     def test_bounded_queue_lossless_overflow_raises(self, sim):
         mesh, engine, _, _ = rig(sim, engine_cls=SlowEngine, queue_capacity=1)
@@ -144,7 +144,7 @@ class TestScheduling:
         for _ in range(5):
             engine._loopback(chained_packet([1]))
         sim.run()
-        assert engine.processed.value == 5
+        assert engine.processed == 5
 
 
 class TestLocalLookupTable:
@@ -155,7 +155,7 @@ class TestLocalLookupTable:
         assert table.lookup("anything") == 7
         table.install("special", 9)
         assert table.lookup("special") == 9
-        assert table.lookups.value == 3
+        assert table.lookups == 3
 
     def test_lanes_validation(self, sim):
         with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ def engine_calls_per_visit(build) -> int:
     profile = cProfile.Profile()
     profile.runcall(sim.run)
     mesh.assert_drained()
-    assert engine.processed.value == VISITS + 1
+    assert engine.processed == VISITS + 1
 
     def in_engines(code):
         return (not isinstance(code, str)

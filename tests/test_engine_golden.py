@@ -216,19 +216,19 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     spans = [span for span in tracer.report()
              if span[3] == engine.name and not lost_while_queued(span)]
     counters = {
-        "processed": engine.processed.value,
-        "rejected": engine.rejected.value,
-        "blackholed": engine.blackholed.value,
-        "pushed": engine.queue.pushed.value,
-        "dropped": engine.queue.dropped.value,
+        "processed": engine.processed,
+        "rejected": engine.rejected,
+        "blackholed": engine.blackholed,
+        "pushed": engine.queue.pushed,
+        "dropped": engine.queue.dropped,
         "max_occupancy": engine.queue.max_occupancy,
-        "lookups": engine.lookup_table.lookups.value,
-        "injected": engine.port.injected.value,
+        "lookups": engine.lookup_table.lookups,
+        "injected": engine.port.injected,
         "busy_lanes": engine._busy_lanes,
         "backlog": engine.backlog,
     }
     if tile == "rmt":
-        counters["decisions"] = engine.decisions.value
+        counters["decisions"] = engine.decisions
     return {
         "spans": spans,
         "arrivals": [sink.got for sink in sinks],

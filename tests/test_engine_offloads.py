@@ -90,7 +90,7 @@ class TestIpsec:
         tampered[-10] ^= 0x01
         with pytest.raises(IpsecError):
             ipsec.decrypt(Packet(bytes(tampered)))
-        assert ipsec.auth_failures.value == 1
+        assert ipsec.auth_failures == 1
 
     def test_unknown_spi_rejected(self, ipsec):
         with pytest.raises(IpsecError):
@@ -201,7 +201,7 @@ class TestCompressionEngine:
         packet = udp_packet(b"abc " * 100)
         packet.meta.annotations["compress"] = True
         engine.handle(packet)
-        assert engine.bytes_saved.value > 0
+        assert engine.bytes_saved > 0
 
 
 class TestKvCacheEngine:
@@ -213,7 +213,7 @@ class TestKvCacheEngine:
         cache.cache_put(b"c", b"0123456789")  # evicts b (LRU)
         assert cache.cache_get(b"b") is None
         assert cache.cache_get(b"a") is not None
-        assert cache.evictions.value == 1
+        assert cache.evictions == 1
 
     def test_capacity_accounting_on_update(self, sim):
         cache = KvCacheEngine(sim, "kv", capacity_bytes=100)
@@ -235,7 +235,7 @@ class TestKvCacheEngine:
         assert response.status == KvStatus.OK
         assert response.value == b"val"
         assert response.request_id == 55
-        assert cache.hits.value == 1
+        assert cache.hits == 1
 
     def test_get_response_swaps_addressing(self, sim):
         cache = KvCacheEngine(sim, "kv")
@@ -252,7 +252,7 @@ class TestKvCacheEngine:
         request = build_kv_request_frame(KvRequest(KvOpcode.GET, 7, 55, b"nope"))
         outputs = cache.handle(request)
         assert outputs[0][0] is request
-        assert cache.misses.value == 1
+        assert cache.misses == 1
 
     def test_set_writes_through_only_hot_keys(self, sim):
         cache = KvCacheEngine(sim, "kv")
@@ -267,7 +267,7 @@ class TestKvCacheEngine:
         cache.handle(cold_set)
         assert cache.cache_get(b"hot") == b"new"
         assert cache.cache_get(b"cold") is None
-        assert cache.writethroughs.value == 1
+        assert cache.writethroughs == 1
 
     def test_delete_invalidates(self, sim):
         cache = KvCacheEngine(sim, "kv")
@@ -288,7 +288,7 @@ class TestChecksumEngine:
         packet = udp_packet()
         out = engine.handle(packet)[0][0]
         assert out.meta.annotations["csum_ok"] is True
-        assert engine.verified.value == 1
+        assert engine.verified == 1
 
     def test_rx_corrupted_detected(self, sim):
         engine = ChecksumEngine(sim, "csum")
@@ -296,7 +296,7 @@ class TestChecksumEngine:
         raw[-1] ^= 0xFF  # flip payload byte; UDP checksum now wrong
         out = engine.handle(Packet(bytes(raw)))[0][0]
         assert out.meta.annotations["csum_ok"] is False
-        assert engine.bad_checksums.value == 1
+        assert engine.bad_checksums == 1
 
     def test_tx_regenerates_checksums(self, sim):
         engine = ChecksumEngine(sim, "csum")
@@ -345,7 +345,7 @@ class TestRegexEngine:
         engine = RegexEngine(sim, "dpi", block_patterns=[b"EVIL"])
         packet = udp_packet(b"xxEVILxx")
         assert engine.handle(packet) == []
-        assert engine.blocked.value == 1
+        assert engine.blocked == 1
 
     def test_watch_pattern_does_not_drop(self, sim):
         engine = RegexEngine(

@@ -57,14 +57,14 @@ class TestBackpressure:
         burst(feeder, engine, 20)
         sim.run()
         assert len(out.got) == 20
-        assert engine.queue.dropped.value == 0
+        assert engine.queue.dropped == 0
         assert mesh.in_flight == 0
 
     def test_refusals_counted(self, sim):
         mesh, feeder, engine, out = rig(sim, "backpressure")
         burst(feeder, engine, 20)
         sim.run()
-        assert engine.rejected.value > 0  # deliveries were refused
+        assert engine.rejected > 0  # deliveries were refused
 
     def test_queue_never_exceeds_capacity(self, sim):
         mesh, feeder, engine, out = rig(sim, "backpressure", capacity=3)
@@ -94,8 +94,8 @@ class TestBackpressure:
         burst(feeder, engine, 20, droppable=True)
         sim.run()
         # Droppable overflow is shed by the PIFO, not backpressured.
-        assert len(out.got) + engine.queue.dropped.value == 20
-        assert engine.queue.dropped.value > 0
+        assert len(out.got) + engine.queue.dropped == 20
+        assert engine.queue.dropped > 0
 
     def test_loopback_retries_when_full(self, sim):
         mesh, feeder, engine, out = rig(sim, "backpressure", capacity=1)
@@ -133,4 +133,4 @@ class TestPanicNicBackpressure:
         workload.start()
         sim.run()
         assert len(delivered) == 60
-        assert all(e.queue.dropped.value == 0 for e in nic.engines.values())
+        assert all(e.queue.dropped == 0 for e in nic.engines.values())

@@ -35,8 +35,8 @@ class TestMultiTileRmt:
                    port=1)
         sim.run()
         assert len(nic.transmitted) == 2
-        assert nic.rmt_tiles[0].processed.value >= 1
-        assert nic.rmt_tiles[1].processed.value >= 1
+        assert nic.rmt_tiles[0].processed >= 1
+        assert nic.rmt_tiles[1].processed >= 1
 
     def test_single_control_plane_programs_all_tiles(self, sim):
         nic = self.build(sim)

@@ -86,8 +86,8 @@ def _observables(mesh, sinks):
         for x, sink in sinks.items()
     }
     counters = {
-        ch.name: (ch.sent.value, ch.corrupted.value, ch.dropped_flits.value,
-                  ch.leaked_credits.value, ch.credit_deficit)
+        ch.name: (ch.sent, ch.corrupted, ch.dropped_flits,
+                  ch.leaked_credits, ch.credit_deficit)
         for ch in mesh.channels
     }
     return deliveries, counters

@@ -128,12 +128,12 @@ def run_case(width, height, credits, messages, seed, faults, ties, fast_path):
     return {
         "messages": [delivered.get(m.message_id) for m in sent],
         "channels": {
-            ch.name: (ch.sent.value, ch.bits_sent.value, ch._busy_accum_ps,
-                      ch.credits, ch.corrupted.value, ch.dropped_flits.value,
-                      ch.leaked_credits.value)
+            ch.name: (ch.sent, ch.bits_sent, ch._busy_accum_ps,
+                      ch.credits, ch.corrupted, ch.dropped_flits,
+                      ch.leaked_credits)
             for ch in mesh.channels},
         "routers": {
-            r.name: (r.forwarded.value, r.delivered.value,
+            r.name: (r.forwarded, r.delivered,
                      r.buffered_messages, [ch.name for ch in r._rr_order])
             for r in mesh.routers},
         "refusals": sinks[slow].refusals,

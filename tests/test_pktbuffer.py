@@ -103,7 +103,7 @@ class TestPointerModeNic:
         sim.run()
         assert len(delivered) == 1
         assert nic.payload_buffer.live_handles == 0
-        assert nic.payload_buffer.allocations.value == 1
+        assert nic.payload_buffer.allocations == 1
 
     def test_pointer_mode_shrinks_noc_load(self):
         loads = {}
@@ -122,7 +122,7 @@ class TestPointerModeNic:
                 )
                 nic.inject(Packet(frame))
             sim.run()
-            loads[mode] = sum(c.bits_sent.value for c in nic.mesh.channels)
+            loads[mode] = sum(c.bits_sent for c in nic.mesh.channels)
         assert loads["pointer"] < loads["full"] / 3
 
     def test_message_size_is_fixed_between_injection_and_delivery(self, sim):

@@ -169,7 +169,7 @@ def test_pifo_bounded_never_exceeds_capacity(items, capacity):
         except Exception:
             pass
         assert len(queue) <= capacity
-    assert queue.pushed.value == accepted
+    assert queue.pushed == accepted
 
 
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9,

@@ -156,5 +156,5 @@ def test_pifo_droppable_conservation(items, capacity):
     survivors = []
     while not queue.is_empty:
         survivors.append(queue.pop()[1])
-    assert len(survivors) + queue.dropped.value == offered
+    assert len(survivors) + queue.dropped == offered
     assert survivors == sorted(survivors)

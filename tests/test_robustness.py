@@ -107,8 +107,8 @@ class TestIpsecDropPolicy:
         nic.inject(Packet(good_frame()))  # subsequent traffic flows
         sim.run()
         assert len(delivered) == 1  # only the good frame
-        assert ipsec.auth_failures.value == 1
-        assert ipsec.dropped_packets.value == 1
+        assert ipsec.auth_failures == 1
+        assert ipsec.dropped_packets == 1
 
     def test_unknown_spi_dropped_under_policy(self, sim):
         nic = PanicNic(sim, PanicConfig(
@@ -133,7 +133,7 @@ class TestIpsecDropPolicy:
         nic2.inject(Packet(encrypted.data))
         sim2.run()
         assert delivered == []
-        assert nic2.offload("ipsec").dropped_packets.value == 1
+        assert nic2.offload("ipsec").dropped_packets == 1
 
 
 class TestHostileLoad:
@@ -173,9 +173,9 @@ class TestEngineFailover:
             nic.inject(Packet(good_frame(payload=bytes(64), dscp=10)))
         sim.run()
         assert len(delivered) == 10
-        assert nic.offload("ipsec").processed.value == 0
-        assert nic.offload("ipsec1").processed.value == 10
-        assert nic.failovers.value == 1
+        assert nic.offload("ipsec").processed == 0
+        assert nic.offload("ipsec1").processed == 10
+        assert nic.failovers == 1
         assert nic.mesh.in_flight == 0
 
     def test_failover_rewrites_rmt_chains_and_lookup_tables(self, sim):
@@ -202,13 +202,13 @@ class TestEngineFailover:
         # The dead hop was cut from the chain; traffic skips straight to
         # the DMA engine instead of black-holing.
         assert len(delivered) == 1
-        assert nic.offload("ipsec").blackholed.value == 0
+        assert nic.offload("ipsec").blackholed == 0
 
     def test_handle_engine_failure_is_idempotent(self, sim):
         nic = failover_nic(sim)
         nic.handle_engine_failure("ipsec")
         nic.handle_engine_failure("ipsec")
-        assert nic.failovers.value == 1
+        assert nic.failovers == 1
 
 
 class TestHealthMonitor:
@@ -230,8 +230,8 @@ class TestHealthMonitor:
         # Detection latency is bounded by the probe timeout plus one
         # tick of watchdog-evaluation granularity.
         assert crash_at < detected <= crash_at + timeout + period
-        assert monitor.watchdog_fires.value == 1
-        assert nic.failovers.value == 1
+        assert monitor.watchdog_fires == 1
+        assert nic.failovers == 1
         assert nic.mesh.in_flight == 0
 
     def test_healthy_engines_keep_echoing(self, sim):
@@ -243,8 +243,8 @@ class TestHealthMonitor:
         monitor.stop()
         sim.run()
         assert monitor.failed_at == {}
-        assert monitor.watchdog_fires.value == 0
-        assert monitor.echoes_received.value == monitor.heartbeats_sent.value
+        assert monitor.watchdog_fires == 0
+        assert monitor.echoes_received == monitor.heartbeats_sent
         assert monitor.rtt.count > 0
 
     def test_stalled_engine_detected_like_a_dead_one(self, sim):
@@ -287,14 +287,14 @@ class TestHealthMonitorEdges:
         monitor.stop()
         sim.run()
         assert monitor.failed_at.keys() == {"ipsec"}
-        assert nic.failovers.value == 1
+        assert nic.failovers == 1
         # Detection <= crash + timeout + period, so frames injected from
         # 17 us on must all flow through the backup lane.
-        assert nic.offload("ipsec1").processed.value >= frames - 17
+        assert nic.offload("ipsec1").processed >= frames - 17
         # Nothing vanished uncounted: every frame either reached the
         # host or was blackholed at the dead tile (which also sinks the
         # probe(s) the monitor had in flight when it died).
-        blackholed = nic.offload("ipsec").blackholed.value
+        blackholed = nic.offload("ipsec").blackholed
         assert len(delivered) + blackholed >= frames
         assert len(delivered) >= frames - 17
         assert nic.mesh.in_flight == 0
@@ -319,7 +319,7 @@ class TestHealthMonitorEdges:
         sim.run()
         assert monitor.failed_at.keys() == {"ipsec", "ipsec1"}
         assert monitor.failed_at["ipsec"] < monitor.failed_at["ipsec1"]
-        assert nic.failovers.value == 2
+        assert nic.failovers == 2
         # ipsec1 had no backup of its own: the hop was cut, not
         # black-holed, so the late frame still lands in software.
         assert len(delivered) == 1
@@ -340,8 +340,8 @@ class TestHealthMonitorEdges:
         monitor.stop()
         sim.run()
         assert monitor.failed_at == {}
-        assert monitor.watchdog_fires.value == 0
-        assert nic.failovers.value == 0
+        assert monitor.watchdog_fires == 0
+        assert nic.failovers == 0
 
     def test_recover_after_timeout_loses_the_race(self, sim):
         """RECOVER lands after the watchdog already declared the engine
@@ -358,18 +358,18 @@ class TestHealthMonitorEdges:
         assert monitor.failed_at.keys() == {"ipsec"}
         declared_at = monitor.failed_at["ipsec"]
         assert declared_at < 15 * US  # the watchdog won the race
-        assert nic.failovers.value == 1
+        assert nic.failovers == 1
         sim.run(until_ps=20 * US)
         # Recovery released the parked probe; its echo must not
         # resurrect the flow state or double-count a failure.
-        assert monitor.failures_detected.value == 1
+        assert monitor.failures_detected == 1
         monitor.clear("ipsec")
         sim.run(until_ps=40 * US)
         monitor.stop()
         sim.run()
         # Probing resumed against the healthy engine: no new fire.
         assert monitor.failed_at == {}
-        assert monitor.watchdog_fires.value == 1
+        assert monitor.watchdog_fires == 1
         assert nic.mesh.in_flight == 0
 
 
@@ -388,7 +388,7 @@ class TestCorruptionDetection:
         nic.inject(Packet(good_frame(payload=bytes(64), dscp=10)))
         nic.inject(Packet(good_frame(payload=bytes(64), dscp=10)))
         sim.run()
-        assert nic.corrupt_drops.value == 1
+        assert nic.corrupt_drops == 1
         assert len(delivered) == 1  # only the clean frame survived
         assert nic.stats()["faults"]["link_corruptions"] == 1
         assert nic.mesh.in_flight == 0
@@ -402,7 +402,7 @@ class TestCorruptionDetection:
         nic.inject(Packet(good_frame(payload=bytes(64))))
         sim.run()
         # Without verify_checksums the mangled frame flows through.
-        assert nic.corrupt_drops.value == 0
+        assert nic.corrupt_drops == 0
         assert len(delivered) == 1
 
     def test_dropped_flit_leaks_a_credit(self, sim, nic):
@@ -411,8 +411,8 @@ class TestCorruptionDetection:
         nic.inject(Packet(good_frame()))
         sim.run()
         channel = nic.mesh.channel("panic.mesh.inj_0_0")
-        assert channel.dropped_flits.value == 1
-        assert channel.leaked_credits.value == 1
+        assert channel.dropped_flits == 1
+        assert channel.leaked_credits == 1
         assert channel.credit_deficit == 1
         assert "leaked" in nic.mesh.stuck_report()
         # stats() sums only channels a fault was ever armed on; that is
@@ -420,7 +420,7 @@ class TestCorruptionDetection:
         assert nic.mesh.fault_channels == [channel]
         faults = nic.stats()["faults"]
         assert faults["link_drops"] == sum(
-            ch.dropped_flits.value for ch in nic.mesh.channels) == 1
+            ch.dropped_flits for ch in nic.mesh.channels) == 1
         assert faults["leaked_credits"] == 1
         assert channel._faults is None                   # spent, not armed
 
@@ -434,7 +434,7 @@ class TestCorruptionDetection:
             nic.inject(Packet(good_frame(dscp=10)))
         sim.run()
         assert ipsec.queue.corrupt_ranks(SeededRng(1)) == 5
-        assert ipsec.queue.rank_corruptions.value == 5
+        assert ipsec.queue.rank_corruptions == 5
         ipsec.recover()
         sim.run()
         assert nic.mesh.in_flight == 0
@@ -609,7 +609,7 @@ class TestFullFaultRun:
         monitor.stop()
         sim.run()
         assert nic.mesh.in_flight == 0
-        assert nic.failovers.value == 1
+        assert nic.failovers == 1
         assert delivered  # traffic kept flowing through the faults
         stats = nic.stats()
         assert stats["faults"]["failed_engines"] == 1

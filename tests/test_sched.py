@@ -42,7 +42,7 @@ class TestPifoQueue:
         q = PifoQueue(capacity=1)
         q.push("resident", 1)
         assert q.push("junk", 2, droppable=True) is False
-        assert q.dropped.value == 1
+        assert q.dropped == 1
         assert q.pop()[0] == "resident"
 
     def test_overflow_evicts_worse_droppable_resident(self):
@@ -51,7 +51,7 @@ class TestPifoQueue:
         q.push("junk", 100, droppable=True)
         # Non-droppable newcomer with a better rank than the junk: evict it.
         assert q.push("urgent", 2) is True
-        assert q.dropped.value == 1
+        assert q.dropped == 1
         items = [q.pop()[0] for _ in range(2)]
         assert items == ["important", "urgent"]
 

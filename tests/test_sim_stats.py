@@ -1,11 +1,10 @@
-"""Tests for counters, histograms, latency trackers and rate meters."""
+"""Tests for the counter, histograms, latency trackers and time series."""
 
 import math
 
 import pytest
 
-from repro.sim import Counter, Histogram, LatencyTracker, RateMeter, TimeSeries
-from repro.sim.clock import SEC
+from repro.sim import Counter, Histogram, LatencyTracker, TimeSeries
 from repro.sim.rng import SeededRng
 
 
@@ -148,54 +147,6 @@ class TestLatencyTracker:
         t = LatencyTracker()
         t.observe(5, 5)
         assert t.mean == 0
-
-
-class TestRateMeter:
-    def test_rate_computation(self):
-        m = RateMeter()
-        m.record(SEC // 2, 100)
-        m.record(SEC, 100)
-        assert m.rate_per_sec(SEC) == 200
-
-    def test_empty_rate_is_zero(self):
-        assert RateMeter().rate_per_sec(0) == 0.0
-
-    def test_reset(self):
-        m = RateMeter()
-        m.record(100, 5)
-        m.reset(200)
-        assert m.total == 0
-        m.record(200 + SEC, 10)
-        assert m.rate_per_sec() == 10
-
-    def test_reset_reads_zero_until_next_record(self):
-        """A reset meter has observed nothing: rate_per_sec() must not
-        divide pre-reset totals by the new window."""
-        m = RateMeter()
-        m.record(SEC, 100)
-        m.reset(2 * SEC)
-        assert m.rate_per_sec() == 0.0
-        assert m.rate_per_sec(3 * SEC) == 0.0
-
-    def test_reset_restarts_window_at_reset_instant(self):
-        m = RateMeter()
-        m.record(SEC, 1000)
-        m.reset(10 * SEC)
-        m.record(11 * SEC, 50)
-        # Window is [10s, 11s]: only the post-reset sample counts.
-        assert m.rate_per_sec() == 50
-
-    def test_implicit_end_is_last_sample(self):
-        m = RateMeter()
-        m.record(SEC // 2, 100)
-        # Implicit end excludes trailing idle time ...
-        assert m.rate_per_sec() == 200
-        # ... while an explicit clock includes it.
-        assert m.rate_per_sec(SEC) == 100
-
-    def test_negative_amount_rejected(self):
-        with pytest.raises(ValueError):
-            RateMeter().record(0, -1)
 
 
 class TestTimeSeries:

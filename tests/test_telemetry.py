@@ -238,7 +238,7 @@ class TestStatusSpans:
 
         sim.schedule_at(3 * US, crash)
         sim.run()
-        assert queued == [10] and ipsec.blackholed.value == 11
+        assert queued == [10] and ipsec.blackholed == 11
         statuses = {}
         for tid, _seq, kind, component, _s, end_ps, args in (
                 nic.telemetry.trace_report()):
@@ -266,7 +266,7 @@ class TestPifoEvictHook:
         # evicts it (drop-worst) and the hook observes exactly that item.
         assert q.push("incoming", rank=20, droppable=False)
         assert evicted == ["worse"]
-        assert q.dropped.value == 1
+        assert q.dropped == 1
 
     def test_drop_of_incoming_does_not_fire_hook(self):
         from repro.sched.pifo import PifoQueue

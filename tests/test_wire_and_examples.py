@@ -36,7 +36,7 @@ class TestWireUnit:
         a.host.enqueue_tx(frame())
         sim.run()
         assert len(received) == 1
-        assert wire.a_to_b.value == 1
+        assert wire.ends["a"].transmitted == 1
 
     def test_fresh_packet_identity_across_wire(self, sim):
         a, b, wire = self.build(sim)
@@ -66,7 +66,7 @@ class TestWireUnit:
         a.host.enqueue_tx(frame())
         sim.run()
         assert received == []
-        assert wire.a_to_b.value == 0
+        assert wire.ends["a"].transmitted == 0
 
 
 class _StubNic:

@@ -133,7 +133,7 @@ class TestKvsWorkload:
         workload.populate_store()
         workload.start()
         sim.run()
-        assert nic.offload("ipsec").decrypted.value == 10
+        assert nic.offload("ipsec").decrypted == 10
         assert workload.summary()[9]["responses"] == 10
 
     def test_deterministic_under_seed(self):
