@@ -25,7 +25,6 @@ from repro.packet.packet import Packet
 from repro.sim.clock import NS, US
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import SeededRng
-from repro.sim.stats import LatencyTracker
 
 
 class Host(Component):
@@ -66,8 +65,6 @@ class Host(Component):
         self.rx_delivered = 0
         self.interrupts_taken = 0
         self.mem_reads = 0
-        self.mem_writes = 0
-        self.software_latency = LatencyTracker(f"{name}.software_latency")
         # Set by repro.telemetry; None-checked on the RX-ring path only.
         self._tracer = None
         # Set by repro.telemetry.int_: the INT sink that pops a frame's
@@ -90,7 +87,6 @@ class Host(Component):
         return self.memory.get(bytes(key))
 
     def memory_write(self, key: Optional[bytes], data: bytes) -> None:
-        self.mem_writes += 1
         if key is not None:
             self.memory[bytes(key)] = bytes(data)
 
@@ -145,8 +141,6 @@ class Host(Component):
         for queue, ring in enumerate(self.rx_rings):
             while ring:
                 packet = ring.popleft()
-                arrived = packet.meta.annotations.get("host_rx_ps", self.now)
-                self.software_latency.observe(arrived, self.now)
                 if self.software_handler is not None:
                     self.software_handler(packet, queue)
 
@@ -163,7 +157,6 @@ class HostKvServer:
     def __init__(self, host: Host, per_request_ps: int = 500 * NS):
         self.host = host
         self.per_request_ps = per_request_ps
-        self.requests_served = 0
         self.sets = 0
         self.gets = 0
         self.deletes = 0
@@ -186,7 +179,6 @@ class HostKvServer:
         )
 
     def _serve(self, packet: Packet, frame, request: KvRequest, queue: int) -> None:
-        self.requests_served += 1
         if request.opcode == KvOpcode.GET:
             self.gets += 1
             value = self.host.memory.get(bytes(request.key))

@@ -13,7 +13,8 @@
 * a :class:`~repro.core.host.Host` model behind the DMA/PCIe engines.
 
 Use :attr:`control` to program chains/slack, :meth:`inject` to offer
-frames at a port, and :attr:`transmitted` to observe egress.
+frames at a port, and :attr:`transmitted` to observe what leaves a
+port with no cable (:meth:`attach_cable`): a cabled port keeps nothing.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class PanicNic:
         self.name = name
         self.rng = SeededRng(self.config.seed)
         self.transmitted: List[Packet] = []
+        self.tx_frames = 0  # on any port, cabled or not
+        self._cables: List[Optional[Callable]] = [None] * self.config.ports
         self._tx_callbacks: List[Callable[[Packet], None]] = []
         self.rmt_drops = 0
         self.corrupt_drops = 0
@@ -319,9 +322,14 @@ class PanicNic:
             # makes it onto the wire.
             self.dark_tx_drops += 1
             return
-        self.transmitted.append(packet)
+        self.tx_frames += 1
         for callback in self._tx_callbacks:
             callback(packet)
+        cable = self._cables[packet.meta.egress_port]
+        if cable is None:
+            self.transmitted.append(packet)
+        else:
+            cable(packet)
 
     # ------------------------------------------------------------------
     # Public API
@@ -358,6 +366,14 @@ class PanicNic:
     def on_transmit(self, callback: Callable[[Packet], None]) -> None:
         """Register an egress observer."""
         self._tx_callbacks.append(callback)
+
+    def attach_cable(self, port: int, deliver: Callable) -> None:
+        """Hand every frame Ethernet ``port`` transmits to ``deliver``."""
+        if not 0 <= port < len(self._cables):
+            raise ValueError(f"{self.name}: no port {port}")
+        if self._cables[port] is not None:
+            raise ValueError(f"{self.name}: port {port} is already cabled")
+        self._cables[port] = deliver
 
     def set_power(self, on: bool) -> None:
         """Turn the NIC's external-facing MACs on or off.
@@ -434,7 +450,7 @@ class PanicNic:
             "mem_reads": self.host.mem_reads,
         }
         out["nic"] = {
-            "transmitted": len(self.transmitted),
+            "transmitted": self.tx_frames,
             "rmt_drops": self.rmt_drops,
         }
         faults: Dict[str, float] = {

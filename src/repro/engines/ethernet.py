@@ -16,7 +16,6 @@ from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Direction, Packet
 from repro.sim.clock import MHZ, SEC
 from repro.sim.kernel import Simulator
-from repro.sim.stats import LatencyTracker
 
 #: 100 Gbps, the paper's headline line rate.
 DEFAULT_LINE_RATE = 100e9
@@ -63,9 +62,7 @@ class EthernetPort(Engine):
         self.on_transmit = on_transmit
         self._rx_wire_free_ps = 0
         self._tx_wire_free_ps = 0
-        self.rx_frames = 0
         self.tx_frames = 0
-        self.nic_latency = LatencyTracker(f"{name}.nic_latency")
 
     # ------------------------------------------------------------------
     # External wire: ingress
@@ -93,7 +90,6 @@ class EthernetPort(Engine):
         packet.meta.direction = Direction.RX
         packet.meta.nic_arrival_ps = self.now
         packet.meta.annotations["mac_rx"] = True
-        self.rx_frames += 1
         if self.payload_buffer is not None:
             # Pointer mode (section 6): park the payload in the shared
             # buffer; only a descriptor rides the on-chip network.
@@ -152,7 +148,5 @@ class EthernetPort(Engine):
         packet.meta.egress_port = self.port_index
         packet.meta.nic_departure_ps = self.now
         self.tx_frames += 1
-        if packet.meta.nic_arrival_ps is not None:
-            self.nic_latency.observe(packet.meta.nic_arrival_ps, self.now)
         if self.on_transmit is not None:
             self.on_transmit(packet)

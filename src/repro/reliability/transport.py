@@ -495,7 +495,9 @@ class ReliableTransport(TransportCore):
             self.dup_acks += 1
             return
         self.acks_received += 1
-        flow.base = min(ack_no, flow.next_seq)
+        old_base, flow.base = flow.base, min(ack_no, flow.next_seq)
+        for seq in range(old_base, flow.base):
+            del flow.payloads[seq]
         flow.retries = 0
         flow.rto_ps = self.rto_initial_ps
         self._ack_processed(flow, progressed=True)

@@ -4,9 +4,9 @@ Lets experiments build the full picture the paper's introduction sketches
 -- clients talking to a PANIC-equipped server across a network -- by
 cabling the TX side of one NIC to the RX side of another, with a
 configurable one-way propagation delay (rack-local ~500 ns, cross-DC
-~micro/milliseconds for the WAN tenants of section 2.2).  Any pair of
-PANIC/baseline NICs can be cabled: an end needs only ``on_transmit`` to
-observe egress and ``inject`` to offer ingress.
+~micro/milliseconds for the WAN tenants of section 2.2).  An end takes
+every frame one port of a PANIC NIC transmits (``attach_cable``) and
+offers ingress through the far NIC's ``inject``.
 
 :class:`LinkEnd` is the one class that moves a frame: one per NIC per
 cable, in every execution mode.  It judges what its NIC transmits
@@ -272,7 +272,7 @@ class LinkEnd(Component):
         self.transmitted = 0
         self._outbox: List[PacketCapsule] = []
         self._tx_seq = 0
-        nic.on_transmit(self._transmit)
+        nic.attach_cable(port, self._transmit)
 
     # -- fault arming (repro.faults.rack) -------------------------------
 
@@ -317,8 +317,6 @@ class LinkEnd(Component):
     # -- egress ---------------------------------------------------------
 
     def _transmit(self, packet: Packet) -> None:
-        if (packet.meta.egress_port or 0) != self.port:
-            return  # a different cable serves that port
         self.transmitted += 1
         capsule = _egress(self.faults, self.nic, packet, self.sim.now,
                           self.propagation_ps, self._tx_seq)
@@ -383,8 +381,6 @@ class Wire:
             "b": LinkEnd(sim, nic_b, port_b, nic_a, port_a, propagation_ps,
                          f"{name}.b", labels.get("b")),
         }
-        self.faults: Dict[str, LinkFaults] = {
-            end: link_end.faults for end, link_end in self.ends.items()}
 
     def set_loss(self, end: str, drop_p: float, corrupt_p: float,
                  rng) -> None:

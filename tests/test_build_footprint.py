@@ -1,26 +1,36 @@
-"""Allocation census of one built rack NIC: what a build creates, counted.
+"""Allocation census of rack NICs: what a build creates and what a run
+keeps, counted.
 
 A rack builds its NIC state once per node, so at 32 NICs bookkeeping
-objects are most of the footprint (EXPERIMENTS.md E29).  This gate
+objects are most of the footprint (EXPERIMENTS.md E29).  The build gate
 builds one node in the ``rack_incast`` shape -- ``RackNode`` index 0 of
 32 with tag flow identity (a 6x6 mesh, 31 Ethernet ports) plus its 31
 cable ends -- and counts what no running code needs to be an object:
 
 * ``Counter``: NIC-model and cable state counts in plain ints, so the
   build constructs none (1,395 per node before the conversion).
-* rate meters on the MACs: an Ethernet port keeps only its latency
-  trackers; the per-frame bit meters only tests ever read are gone.
+* rate meters on the MACs: an Ethernet port keeps only its engine
+  latency trackers; the per-frame bit meters only tests ever read are
+  gone.
 
-It runs in well under a second, before the rest of the suite.
+The run gate (EXPERIMENTS.md E30) runs a plain 4-NIC rack and checks
+that nothing is retained per transmitted frame on a cabled NIC: each
+frame goes to its port's cable, once, and the NIC keeps only a count.
+
+Both run in well under a second, before the rest of the suite.
 """
+
+import pytest
 
 from repro.engines.ethernet import EthernetPort
 from repro.sim import Simulator, stats
 from repro.sim.clock import US
-from repro.workloads.rack import RackNode, rack_port
-from repro.workloads.wire import LinkEnd
+from repro.workloads.rack import RackNode, build_rack_nic, rack_port
+from repro.workloads.wire import LinkEnd, Wire
 
 INCAST_NICS = 32
+RACK_NICS = 4
+FRAMES = 5
 
 
 def build_incast_node() -> RackNode:
@@ -56,3 +66,52 @@ def test_mac_ports_hold_only_latency_trackers():
         owned = {type(value).__name__ for value in vars(port).values()
                  if type(value).__module__ == stats.__name__}
         assert owned == {"LatencyTracker"}, (port.name, owned)
+
+
+def run_plain_rack():
+    """A 4-NIC plain rack in one Simulator, run to the end: ``(nics,
+    cable ends, the end entered by each cable call)``."""
+    entered = []
+    transmit = LinkEnd._transmit
+
+    def counting_transmit(self, packet):
+        entered.append(self)
+        transmit(self, packet)
+
+    # Patched before the build: a cable binds its transmit method then.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinkEnd, "_transmit", counting_transmit)
+        sim = Simulator()
+        nics = [build_rack_nic(sim, f"nic{i}", frames=FRAMES, index=i,
+                               n_nics=RACK_NICS, seed=1)[0]
+                for i in range(RACK_NICS)]
+        ends = []
+        for a in range(RACK_NICS):
+            for b in range(a + 1, RACK_NICS):
+                wire = Wire(sim, nics[a], nics[b], name=f"wire.{a}-{b}",
+                            port_a=rack_port(a, b), port_b=rack_port(b, a))
+                ends.extend(wire.ends.values())
+        sim.run()
+    return nics, ends, entered
+
+
+def test_cabled_nics_keep_no_transmitted_frame():
+    nics, _, _ = run_plain_rack()
+    for nic in nics:
+        assert nic.transmitted == [], nic.name
+
+
+def test_nic_transmit_count_is_its_cables_sum():
+    nics, ends, _ = run_plain_rack()
+    for nic in nics:
+        assert nic.stats()["nic"]["transmitted"] == nic.tx_frames == sum(
+            end.transmitted for end in ends if end.nic is nic), nic.name
+    # A plain rack sends no ACKs: FRAMES to each peer is every frame.
+    assert sum(nic.tx_frames for nic in nics) \
+        == RACK_NICS * (RACK_NICS - 1) * FRAMES
+
+
+def test_each_frame_enters_one_cable_once():
+    _, ends, entered = run_plain_rack()
+    assert len(entered) == sum(end.transmitted for end in ends) \
+        == RACK_NICS * (RACK_NICS - 1) * FRAMES

@@ -25,12 +25,14 @@ from repro.reliability.transport import (
     pack_segment,
     parse_segment,
 )
-from repro.reliability.rack import reliable_rack_topology
+from repro.reliability.rack import build_reliable_node, reliable_rack_topology
 from repro.sim.clock import US
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 from repro.sim.shard import run_monolithic, run_sharded
 from repro.telemetry import TelemetryConfig
+from repro.workloads.rack import rack_port
+from repro.workloads.wire import Wire
 
 
 class TestSegmentFormat:
@@ -134,6 +136,29 @@ class TestSenderStateMachine:
             _lone_transport(sim, window=0)
         with pytest.raises(ValueError, match="jitter"):
             _lone_transport(Simulator(), jitter=1.0)
+
+
+class TestSenderMemory:
+    def test_finished_gbn_flow_keeps_no_payload(self):
+        """Cumulative ACKs release what they confirm: once a lossy
+        go-back-N exchange finishes, no sender holds a payload, and the
+        per-flow accounting is what the flows did."""
+        sim = Simulator()
+        nics = [build_reliable_node(sim, f"nic{i}", frames=12, index=i,
+                                    n_nics=2, seed=1)[0] for i in (0, 1)]
+        wire = Wire(sim, nics[0], nics[1],
+                    port_a=rack_port(0, 1), port_b=rack_port(1, 0))
+        for end, seed in (("a", 3), ("b", 4)):
+            wire.set_loss(end, 0.2, 0.0, SeededRng(seed))
+        sim.run()
+        for index, nic in enumerate(nics):
+            transport = nic.transport
+            assert transport.retransmits > 0
+            assert [flow.payloads for flow in transport._tx.values()] \
+                == [{}]
+            assert transport.flow_report() == {
+                1 - index: {"sent": 12, "acked": 12, "failed": 0,
+                            "aborted": 0}}
 
 
 def _run(topology, plan=None):

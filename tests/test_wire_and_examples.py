@@ -69,22 +69,43 @@ class TestWireUnit:
         assert wire.ends["a"].transmitted == 0
 
 
+class TestCablePorts:
+    """A cable attaches to a port its NIC has and no other cable holds;
+    anything else fails when the cable is built, not in the run."""
+
+    def test_second_cable_on_a_port_rejected(self, sim):
+        a, b, c = (PanicNic(sim, PanicConfig(ports=1), name=n)
+                   for n in "abc")
+        Wire(sim, a, b)
+        with pytest.raises(ValueError, match="port 0 is already cabled"):
+            Wire(sim, c, a, name="second")
+        with pytest.raises(ValueError, match="port 0 is already cabled"):
+            LinkEnd(sim, b, 0, None, 0, 500 * NS, "again")
+
+    def test_cable_on_a_missing_port_rejected(self, sim):
+        a = PanicNic(sim, PanicConfig(ports=2), name="a")
+        b = PanicNic(sim, PanicConfig(ports=1), name="b")
+        with pytest.raises(ValueError, match="no port 2"):
+            Wire(sim, a, b, port_a=2)
+        with pytest.raises(ValueError, match="no port -1"):
+            LinkEnd(sim, a, -1, None, 0, 500 * NS, "negative")
+
+
 class _StubNic:
     """The NIC surface a wire uses, plus a tracer that records drops."""
 
     def __init__(self, sim):
         self.sim = sim
-        self.listeners = []
+        self.cables = {}
         self.injected = []
         self.drops = []
         self.telemetry = SimpleNamespace(tracer=self)
 
-    def on_transmit(self, listener):
-        self.listeners.append(listener)
+    def attach_cable(self, port, deliver):
+        self.cables[port] = deliver
 
     def transmit(self, packet):
-        for listener in self.listeners:
-            listener(packet)
+        self.cables[packet.meta.egress_port or 0](packet)
 
     def inject(self, packet, port):
         self.injected.append(
