@@ -29,7 +29,7 @@ def measure_capacity_pps() -> float:
     nic = PanicNic(sim, PanicConfig(ports=1))
     done = []
     nic.host.software_handler = lambda p, q: done.append(
-        p.meta.annotations["host_rx_ps"]
+        p.meta.host_rx_ps
     )
     factory = imix_factory(rng=SeededRng(7))
     for i in range(200):
@@ -49,7 +49,7 @@ def run_load(load_fraction: float, service_pps: float) -> float:
         # (Measuring to *software* would be dominated by interrupt
         # coalescing, which shrinks with load -- a different, real
         # effect, but not the queueing curve under test.)
-        written = packet.meta.annotations.get("host_rx_ps")
+        written = packet.meta.host_rx_ps
         if written is not None and packet.meta.nic_arrival_ps is not None:
             latencies.append((written - packet.meta.nic_arrival_ps) / US)
 

@@ -156,8 +156,7 @@ class SimpleDma(Component):
 
     def _finish(self, packet: Packet) -> None:
         self._busy = False
-        queue = int(packet.meta.annotations.get("rx_queue", 0))
-        self.host.write_rx(packet, queue)
+        self.host.write_rx(packet, packet.meta.rx_queue)
         self.writes += 1
         self.host.interrupt(1)
         self._try_start()

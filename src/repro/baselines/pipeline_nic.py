@@ -84,7 +84,6 @@ class PipelineNic(BaseNic):
                 index + 1,
             )
             return
-        packet.meta.annotations["pipeline_next"] = index + 1
         stage.accept(packet)
 
     def _make_forwarder(self, index: int):

@@ -20,7 +20,7 @@ from repro.baselines.base_nic import BaseNic, SimpleDma
 from repro.core.host import Host
 from repro.packet.packet import Direction, Packet
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
-from repro.sim.clock import MHZ, Clock
+from repro.sim.clock import Clock
 from repro.sim.kernel import Simulator
 
 #: Offload families that fundamentally cannot run inside an RMT stage.
@@ -42,14 +42,13 @@ class RmtNic(BaseNic):
         program: RmtProgram,
         name: str = "rmt_nic",
         pipelines: int = 1,
-        freq_hz: float = 500 * MHZ,
         line_rate_bps: float = 100e9,
         host: Optional[Host] = None,
     ):
         super().__init__(sim, name, line_rate_bps, host)
         self.pipeline = RmtPipeline(program)
         self.pipelines = pipelines
-        self.clock = Clock(freq_hz)
+        self.clock = Clock()
         self._next_accept = 0
         self.dma = SimpleDma(sim, f"{name}.dma", self.host)
         self.steered = 0
@@ -107,12 +106,11 @@ class RmtNic(BaseNic):
         if phv.get_or("meta.drop", 0):
             self.dropped += 1
             return
-        queue = int(phv.get_or("meta.rx_queue", 0))
-        packet.meta.annotations["rx_queue"] = queue
+        packet.meta.rx_queue = int(phv.get_or("meta.rx_queue", 0))
         if phv.is_valid("kv.tenant"):
             packet.meta.tenant = int(phv.get("kv.tenant"))
         rewritten = RmtPipeline.deparse(phv, packet.data)
         if rewritten != packet.data:
-            packet = Packet(rewritten, packet.kind, packet.meta)
+            packet = packet.rewritten(rewritten)
         self.steered += 1
         self.dma.accept(packet)

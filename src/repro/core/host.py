@@ -101,9 +101,9 @@ class Host(Component):
     def write_rx(self, packet: Packet, queue: int) -> None:
         if not 0 <= queue < len(self.rx_rings):
             queue = 0
-        packet.meta.annotations["host_rx_ps"] = self.now
+        packet.meta.host_rx_ps = self.now
         if self._tracer is not None:
-            ctx = packet.meta.annotations.get("__trace__")
+            ctx = packet.trace
             if ctx is not None:
                 self._tracer.instant(ctx, "host", self.name, self.now,
                                      (("queue", queue),))

@@ -450,18 +450,15 @@ def panic_decision_factory(nic):
             header.needs_rmt = needs_rmt
             header.droppable = droppable
         packet.panic = header
-        annotations = packet.meta.annotations
+        meta = packet.meta
         value = fields.get("meta.rx_queue")
         if value is not None:
-            annotations["rx_queue"] = int(value)
-        value = fields.get("meta.ipsec_spi")
-        if value is not None:
-            annotations["ipsec_spi"] = int(value)
+            meta.rx_queue = int(value)
         value = fields.get("kv.tenant")
         if value is None:
             value = fields.get("meta.tenant")
         if value is not None:
-            packet.meta.tenant = int(value)
+            meta.tenant = int(value)
         return [(packet, None)]
 
     return decide

@@ -41,7 +41,7 @@ Three mechanisms enforce it:
 * **Flush-on-anything.**  Per-hop eligibility checks scan the whole
   route: armed faults, slowdowns, crashed engines, buffered routers,
   reserved channels, exhausted credits, pointer-mode payloads,
-  CONTROL heartbeats, and sampled (``__trace__``) packets all refuse the
+  CONTROL heartbeats, and sampled (traced) packets all refuse the
   train, falling back to the scalar machinery *before any mutation*.
   Mid-trajectory, the frame instead hands off: the lane reconstructs the
   exact scalar in-service state (busy lane + pending ``_finish`` event)
@@ -60,7 +60,7 @@ Three mechanisms enforce it:
 One leg serves every tile: the RMT pipeline finishes through
 ``Engine._finish`` and works in a genuine ``handle`` like any engine, so
 a pass of :meth:`TrainLane._ride` differs by kind only in how it
-computes ``(start, t_fin)`` -- a base tile starts at arrival and takes
+computes ``t_fin`` -- a base tile starts at arrival and takes
 ``service_time_ps`` (its freed slot pumps the local router once); the
 pipeline starts at its next initiation slot, takes its fixed latency,
 and charges no lookup cycle because its ``_lookup_ps`` is 0.
@@ -194,8 +194,7 @@ class TrainLane:
         The once-per-frame boarding check of :meth:`try_ride`;
         :meth:`_ride` inlines these exact tests once per hop.  On True,
         ``_kinds`` and ``_routers`` hold the engine's entries."""
-        ann = packet.meta.annotations
-        if "__trace__" in ann or "__int__" in ann:
+        if packet.trace is not None or packet.int_state is not None:
             # Sampled telemetry must observe every intermediate span,
             # and INT must observe genuine depths and egress instants.
             return False
@@ -274,8 +273,6 @@ class TrainLane:
         recipes = self._recipes
         svc = self._svc
         h = self._h
-        ann = packet.meta.annotations
-        trail = None
         ekey = id(engine)
         while True:
             # One dict hit replaces the leg's ~20 attribute chains; the
@@ -284,15 +281,12 @@ class TrainLane:
             rec = recipes.get(ekey)
             if rec is None:
                 rec = self._recipe_of(engine, kind)
-            (queue, qseq, qlat, slat, name,
+            (queue, qseq, qlat, name,
              csum_handle, csum_svc, address, lookup_table, lookup_ps,
              port, inj, expr_cache, ser_cache, ii_ps, lat_ps) = rec
             sim.now = t_arr  # monotonic: t_arr >= now on entry
-            # receive(): enqueue_ps is stamped then immediately popped
-            # by the service start; net effect on annotations is
-            # removal.  The rank (_rank_of) is drawn from pure reads
+            # receive(): the rank (_rank_of) is drawn from pure reads
             # and never outlives the fused push/pop.
-            ann.pop("enqueue_ps", None)
             # PifoQueue.push + pop on an empty queue, inline: the
             # push's seq draw and counters; the heap never changes.
             next(qseq)
@@ -338,7 +332,6 @@ class TrainLane:
                 # slowdown == 1.0 and payload_buffer is None by
                 # eligibility, so the scalar path's remaining delay
                 # adjustments are identity.
-                start = t_arr
                 t_fin = t_arr + delay
             if t_fin >= h:
                 # Hand off mid-service: exactly the state _try_start
@@ -346,24 +339,16 @@ class TrainLane:
                 engine._busy_lanes += 1
                 sim.schedule_at(
                     t_fin, engine._finish,
-                    NocMessage(packet, dest, src, inject_ps, hops, mid),
-                    start)
+                    NocMessage(packet, dest, src, inject_ps, hops, mid))
                 self.handoffs += 1
                 return
             # Engine._finish at t_fin.
             sim.now = t_fin
             engine.processed += 1
-            delay = t_fin - start
-            slat._samples.append(delay)
-            slat._total += delay
-            slat._sorted = False
-            # packet.touch(name) inline; the cached trail list is
-            # dropped after every genuine handle() call and on packet
-            # replacement, so it can never go stale.
+            # packet.touch(name) inline.
+            trail = packet._trail
             if trail is None:
-                trail = ann.get("trail")
-                if trail is None:
-                    ann["trail"] = trail = []
+                trail = packet._trail = []
             trail.append(name)
             if csum_handle and packet.meta.direction is not _TX:
                 # ChecksumEngine.handle RX inline (stock by
@@ -373,7 +358,7 @@ class TrainLane:
                 # below are skipped outright.
                 ok = _rx_verdict(packet.data)
                 if ok is not None:
-                    ann["csum_ok"] = ok
+                    packet.meta.annotations["csum_ok"] = ok
                     if ok:
                         engine.verified += 1
                     else:
@@ -383,7 +368,6 @@ class TrainLane:
             else:
                 seq = sim._seq
                 outputs = engine.handle(packet)
-                trail = None
                 if sim._seq != seq or sim._after_hooks:
                     # handle() scheduled events (TX wire, timers, a
                     # decision handler's): they may lie below the old
@@ -417,11 +401,9 @@ class TrainLane:
             # express path.  Any failed check falls back to the scalar
             # send (mutating nothing first).
             t_send = t_fin + lookup_delay
-            if out_packet is not packet:
-                packet = out_packet
-                ann = packet.meta.annotations
-                trail = None
-            if t_send >= h or "__trace__" in ann or "__int__" in ann:
+            packet = out_packet
+            if (t_send >= h or packet.trace is not None
+                    or packet.int_state is not None):
                 break
             path = expr_cache.get(ndest, _MISS)
             if path is _MISS:
@@ -536,7 +518,6 @@ class TrainLane:
             engine.queue,
             engine.queue._seq,
             engine.queue_latency,
-            engine.service_latency,
             engine.name,
             cls.handle is _CHECKSUM_HANDLE,
             cls.service_time_ps is _CHECKSUM_SVC,

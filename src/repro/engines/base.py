@@ -24,7 +24,7 @@ from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint
 from repro.packet.packet import MessageKind, Packet
 from repro.sched.pifo import PifoFullError, PifoQueue
-from repro.sim.clock import Clock, MHZ
+from repro.sim.clock import Clock
 from repro.sim.kernel import Component, Simulator
 from repro.sim.stats import LatencyTracker
 
@@ -90,9 +90,8 @@ class Engine(Component, Endpoint):
     Parameters
     ----------
     sim, name:
-        Kernel plumbing.
-    freq_hz:
-        The engine's clock (service times are quoted in its cycles).
+        Kernel plumbing.  Service times are quoted in cycles of the
+        engine's 500 MHz :attr:`clock`.
     queue_capacity:
         PIFO capacity.  ``None`` (default) models a generously sized
         buffer; bounded values exercise the paper's memory-pressure and
@@ -117,7 +116,6 @@ class Engine(Component, Endpoint):
         self,
         sim: Simulator,
         name: str,
-        freq_hz: float = 500 * MHZ,
         queue_capacity: Optional[int] = None,
         lanes: int = 1,
         overflow: str = "raise",
@@ -130,7 +128,7 @@ class Engine(Component, Endpoint):
                 f"{name}: overflow must be one of {self.OVERFLOW_POLICIES}, "
                 f"got {overflow!r}"
             )
-        self.clock = Clock(freq_hz)
+        self.clock = Clock()
         # The local-table lookup penalty never changes; precompute it.
         self._lookup_ps = self.clock.cycles_to_ps(LOOKUP_CYCLES)
         self.queue: PifoQueue[NocMessage] = PifoQueue(f"{name}.queue", queue_capacity)
@@ -156,7 +154,6 @@ class Engine(Component, Endpoint):
         self.rejected = 0
         self.blackholed = 0
         self.queue_latency = LatencyTracker(f"{name}.queue_latency")
-        self.service_latency = LatencyTracker(f"{name}.service_latency")
 
     # ------------------------------------------------------------------
     # Wiring
@@ -208,15 +205,14 @@ class Engine(Component, Endpoint):
     def receive(self, message: NocMessage) -> None:
         """Rank by slack deadline, enqueue, maybe start service."""
         tracer = self._tracer
-        ctx = (message.packet.meta.annotations.get("__trace__")
-               if tracer is not None else None)
+        ctx = message.packet.trace if tracer is not None else None
         if self.fault_mode == FAULT_CRASH:
             self.blackholed += 1
             if ctx is not None:
                 tracer.instant(ctx, "blackholed", self.name, self.now)
             return
         rank, droppable = self._rank_of(message)
-        message.packet.meta.annotations["enqueue_ps"] = self.now
+        message.enqueue_ps = self.now
         if self._int_tap is not None:
             # INT observes the same pre-push depth the tracer records.
             self._int_tap.on_enqueue(self, message.packet, len(self.queue))
@@ -255,10 +251,9 @@ class Engine(Component, Endpoint):
             freed_space = True
             self._busy_lanes += 1
             now = self.now
-            enq = message.packet.meta.annotations.pop("enqueue_ps", now)
-            self.queue_latency.observe(enq, now)
+            self.queue_latency.observe(message.enqueue_ps, now)
             if self._tracer is not None:
-                ctx = message.packet.meta.annotations.get("__trace__")
+                ctx = message.packet.trace
                 if ctx is not None:
                     ctx.service_start = now
             delay = self.service_time_ps(message.packet)
@@ -266,16 +261,15 @@ class Engine(Component, Endpoint):
                 delay = int(delay * self.slowdown)
             if self.payload_buffer is not None:
                 delay += self._payload_buffer_delay(message.packet)
-            self.schedule(delay, self._finish, message, now)
+            self.schedule(delay, self._finish, message)
         if freed_space and self.notify_space is not None:
             # A router may be holding refused messages for us.
             self.notify_space()
 
-    def _finish(self, message: NocMessage, started_ps: int) -> None:
+    def _finish(self, message: NocMessage) -> None:
         self._busy_lanes -= 1
         tracer = self._tracer
-        ctx = (message.packet.meta.annotations.get("__trace__")
-               if tracer is not None else None)
+        ctx = message.packet.trace if tracer is not None else None
         if self.fault_mode == FAULT_CRASH:
             # The engine died while this message was in service.
             self.blackholed += 1
@@ -283,7 +277,6 @@ class Engine(Component, Endpoint):
                 tracer.end_engine(ctx, self.now, status="blackholed")
             return
         self.processed += 1
-        self.service_latency.observe(started_ps, self.now)
         if ctx is not None:
             tracer.end_engine(ctx, self.now)
         packet = message.packet
@@ -316,9 +309,7 @@ class Engine(Component, Endpoint):
         (possibly transformed) result back: two transfers through the
         shared buffer's ports.
         """
-        if self.payload_buffer is None:
-            return 0
-        if "pbuf_handle" not in packet.meta.annotations:
+        if self.payload_buffer is None or packet.pbuf_handle is None:
             return 0
         return self.payload_buffer.access_delay_ps(2 * packet.frame_bytes)
 
@@ -370,7 +361,7 @@ class Engine(Component, Endpoint):
             if tracer is not None:
                 # The trace must show where each queued message died.
                 for message in lost:
-                    ctx = message.packet.meta.annotations.get("__trace__")
+                    ctx = message.packet.trace
                     if ctx is not None:
                         tracer.end_engine(ctx, self.now, status="blackholed")
             if self.notify_space is not None:

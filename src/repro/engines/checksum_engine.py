@@ -122,10 +122,8 @@ class ChecksumEngine(Engine):
         if ipv4.protocol != IP_PROTO_UDP:
             # IPv4 header checksum is recomputed by Ipv4Header.pack().
             frame = eth.pack() + ipv4.pack() + after_ip
-            out = Packet(frame, packet.kind, packet.meta)
-            out.panic = packet.panic
             self.generated += 1
-            return out
+            return packet.rewritten(frame)
         try:
             udp, _rest = UdpHeader.unpack(after_ip)
         except HeaderError:
@@ -143,8 +141,5 @@ class ChecksumEngine(Engine):
             ttl=ipv4.ttl,
             identification=ipv4.identification,
         )
-        out = Packet(frame, packet.kind, packet.meta)
-        out.panic = packet.panic
-        out.meta.annotations["csum_generated"] = True
         self.generated += 1
-        return out
+        return packet.rewritten(frame)

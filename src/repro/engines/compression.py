@@ -158,22 +158,19 @@ class CompressionEngine(Engine):
         if split is None:
             return [(packet, None)]
         headers, payload = split
-        if packet.meta.annotations.pop("compress", False):
+        if packet.meta.peek("compress"):
+            del packet.meta.annotations["compress"]
             new_payload = compress(payload)
             if len(new_payload) >= len(payload):
                 # Incompressible: send as-is (the tag's absence says so).
                 return [(packet, None)]
             self.compressed += 1
             self.bytes_saved += len(payload) - len(new_payload)
-            out = self._rebuild(packet, headers, new_payload)
-            out.meta.annotations["compressed"] = True
-            return [(out, None)]
+            return [(self._rebuild(packet, headers, new_payload), None)]
         if payload.startswith(MAGIC):
             new_payload = decompress(payload)
             self.decompressed += 1
-            out = self._rebuild(packet, headers, new_payload)
-            out.meta.annotations["decompressed"] = True
-            return [(out, None)]
+            return [(self._rebuild(packet, headers, new_payload), None)]
         return [(packet, None)]
 
     @staticmethod
@@ -203,6 +200,4 @@ class CompressionEngine(Engine):
             identification=ipv4.identification,
         )
         frame = eth.pack() + new_ip.pack() + new_udp.pack_with_checksum(new_ip, payload) + payload
-        out = Packet(frame, packet.kind, packet.meta)
-        out.panic = packet.panic
-        return out
+        return packet.rewritten(frame)

@@ -28,7 +28,7 @@ from repro.engines.base import Engine, EngineOutput
 from repro.packet.builder import build_udp_frame, parse_frame
 from repro.packet.headers import EthernetHeader, HeaderError, Ipv4Header
 from repro.packet.packet import Packet
-from repro.sim.clock import MHZ, US
+from repro.sim.clock import US
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRng
 
@@ -78,11 +78,10 @@ class EcnMarkerEngine(Engine):
         k_min: int = 5,
         k_max: int = 20,
         p_max: float = 1.0,
-        freq_hz: float = 500 * MHZ,
         seed: int = 0,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz, **engine_kwargs)
+        super().__init__(sim, name, **engine_kwargs)
         if not 0 <= k_min <= k_max:
             raise ValueError(f"{name}: need 0 <= k_min <= k_max")
         if not 0 < p_max <= 1:
@@ -123,10 +122,7 @@ class EcnMarkerEngine(Engine):
             dscp=ipv4.dscp, ecn=ECN_CE,
             identification=ipv4.identification,
         )
-        out = Packet(eth.pack() + marked_ip.pack() + after, packet.kind,
-                     packet.meta)
-        out.panic = packet.panic
-        return [(out, None)]
+        return [(packet.rewritten(eth.pack() + marked_ip.pack() + after), None)]
 
 
 @dataclass

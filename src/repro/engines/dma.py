@@ -103,15 +103,15 @@ class DmaEngine(Engine):
         return [(packet, None)]
 
     def _handle_rx_write(self, packet: Packet) -> List[EngineOutput]:
-        queue = int(packet.meta.annotations.get("rx_queue", 0))
-        handle = packet.meta.annotations.pop("pbuf_handle", None)
+        queue = packet.meta.rx_queue
+        handle = packet.pbuf_handle
         if handle is not None and self.payload_buffer is not None:
             # The payload has been DMA'd to host memory: free the slot.
             self.payload_buffer.release(handle)
-            packet.meta.annotations.pop("noc_bits", None)
+            packet.pbuf_handle = None
         self.host.write_rx(packet, queue)
         self.rx_writes += 1
-        completion = self._completion_for(packet, {"rx_queue": queue})
+        completion = self._completion_for(packet, None)
         if self.pcie_addr is None:
             return []
         return [(completion, self.pcie_addr)]
@@ -125,7 +125,6 @@ class DmaEngine(Engine):
             tx_packet = Packet(frame, MessageKind.ETHERNET)
             tx_packet.meta.direction = Direction.TX
             tx_packet.meta.nic_arrival_ps = self.now
-            tx_packet.meta.annotations["tx_queue"] = queue
             # No chain yet: the lookup-table default routes TX frames to
             # the RMT pipeline for egress classification.
             outputs.append((tx_packet, None))
@@ -137,7 +136,9 @@ class DmaEngine(Engine):
         data = self.host.memory_read(key)
         self.reads += 1
         reply_to = packet.meta.annotations.get("reply_to")
-        completion = self._completion_for(packet, {"dma_data": data})
+        completion = self._completion_for(packet, data)
+        # RDMA matches a read's completion to its request.
+        completion.meta.annotations["completes"] = packet.packet_id
         if reply_to is None:
             return []
         return [(completion, int(reply_to))]
@@ -150,21 +151,20 @@ class DmaEngine(Engine):
         reply_to = packet.meta.annotations.get("reply_to")
         if reply_to is None:
             return []
-        completion = self._completion_for(packet, {})
+        completion = self._completion_for(packet, None)
         return [(completion, int(reply_to))]
 
-    def _completion_for(self, request: Packet, annotations: dict) -> Packet:
+    def _completion_for(self, request: Packet, data: Optional[bytes]) -> Packet:
         completion = Packet(b"", MessageKind.DMA_COMPLETION)
-        completion.meta.direction = Direction.INTERNAL
-        completion.meta.tenant = request.meta.tenant
-        completion.meta.annotations.update(annotations)
-        completion.meta.annotations["completes"] = request.packet_id
+        meta = completion.meta
+        meta.direction = Direction.INTERNAL
+        meta.tenant = request.meta.tenant
+        if data is not None:
+            meta.annotations["dma_data"] = data
         # Carry the request's context so responders can correlate.
-        for key in ("request_ctx", "rx_queue", "kv_request"):
-            if key in request.meta.annotations:
-                completion.meta.annotations.setdefault(
-                    key, request.meta.annotations[key]
-                )
+        ctx = request.meta.peek("request_ctx")
+        if ctx is not None:
+            meta.annotations["request_ctx"] = ctx
         if request.panic is not None:
             completion.panic = request.panic.copy()
             # Completions inherit the original slack so the scheduler can

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Direction, Packet
-from repro.sim.clock import MHZ, SEC
+from repro.sim.clock import SEC
 from repro.sim.kernel import Simulator
 
 #: 100 Gbps, the paper's headline line rate.
@@ -51,10 +51,9 @@ class EthernetPort(Engine):
         name: str,
         port_index: int = 0,
         line_rate_bps: float = DEFAULT_LINE_RATE,
-        freq_hz: float = 500 * MHZ,
         on_transmit: Optional[Callable[[Packet], None]] = None,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz)
+        super().__init__(sim, name)
         if line_rate_bps <= 0:
             raise ValueError(f"{name}: line rate must be positive")
         self.port_index = port_index
@@ -89,15 +88,11 @@ class EthernetPort(Engine):
         packet.meta.ingress_port = self.port_index
         packet.meta.direction = Direction.RX
         packet.meta.nic_arrival_ps = self.now
-        packet.meta.annotations["mac_rx"] = True
+        packet.meta.mac_rx = True
         if self.payload_buffer is not None:
             # Pointer mode (section 6): park the payload in the shared
             # buffer; only a descriptor rides the on-chip network.
-            from repro.noc.pktbuffer import DESCRIPTOR_BITS
-
-            handle = self.payload_buffer.store(packet.data)
-            packet.meta.annotations["pbuf_handle"] = handle
-            packet.meta.annotations["noc_bits"] = DESCRIPTOR_BITS
+            packet.pbuf_handle = self.payload_buffer.store(packet.data)
             write_delay = self.payload_buffer.access_delay_ps(
                 packet.frame_bytes
             )
@@ -115,7 +110,8 @@ class EthernetPort(Engine):
     # ------------------------------------------------------------------
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
-        if packet.meta.annotations.pop("mac_rx", False):
+        if packet.meta.mac_rx:
+            packet.meta.mac_rx = False
             # Fresh ingress frame: forward along the default route (the
             # heavyweight RMT pipeline) for classification.
             return [(packet, None)]
@@ -139,11 +135,11 @@ class EthernetPort(Engine):
         self.schedule(done - self.now, self._tx_complete, packet)
 
     def _tx_complete(self, packet: Packet) -> None:
-        handle = packet.meta.annotations.pop("pbuf_handle", None)
+        handle = packet.pbuf_handle
         if handle is not None and self.payload_buffer is not None:
             # The frame has fully left on the wire: free the buffer slot.
             self.payload_buffer.release(handle)
-            packet.meta.annotations.pop("noc_bits", None)
+            packet.pbuf_handle = None
         packet.meta.direction = Direction.TX
         packet.meta.egress_port = self.port_index
         packet.meta.nic_departure_ps = self.now

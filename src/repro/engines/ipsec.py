@@ -30,7 +30,6 @@ from repro.packet.headers import (
     Ipv4Header,
 )
 from repro.packet.packet import Packet
-from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
 
 #: Bytes of CRC-32 integrity check value appended to the ESP payload.
@@ -82,13 +81,12 @@ class IpsecEngine(Engine):
         name: str,
         fixed_cycles: int = 32,
         cycles_per_byte: float = 0.5,
-        freq_hz: float = 500 * MHZ,
         queue_capacity: Optional[int] = None,
         drop_on_auth_failure: bool = False,
         **engine_kwargs,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz,
-                         queue_capacity=queue_capacity, **engine_kwargs)
+        super().__init__(sim, name, queue_capacity=queue_capacity,
+                         **engine_kwargs)
         if cycles_per_byte <= 0:
             raise ValueError(f"{name}: cycles_per_byte must be positive")
         self.fixed_cycles = fixed_cycles
@@ -149,7 +147,7 @@ class IpsecEngine(Engine):
         return [(out, None)]
 
     def _classify(self, packet: Packet) -> str:
-        if "ipsec_spi" in packet.meta.annotations:
+        if packet.meta.peek("ipsec_spi") is not None:
             return "encrypt"
         try:
             eth, rest = EthernetHeader.unpack(packet.data)
@@ -178,10 +176,8 @@ class IpsecEngine(Engine):
             protocol=IP_PROTO_ESP,
             total_length=Ipv4Header.LENGTH + len(body),
         )
-        out = Packet(eth.pack() + outer.pack() + body, packet.kind, packet.meta)
-        out.panic = packet.panic
+        out = packet.rewritten(eth.pack() + outer.pack() + body)
         out.meta.annotations.pop("ipsec_spi", None)
-        out.meta.annotations["ipsec_encrypted"] = True
         self.encrypted += 1
         return out
 
@@ -202,8 +198,6 @@ class IpsecEngine(Engine):
             raise IpsecError(f"{self.name}: ICV mismatch for SPI {esp.spi:#x}")
         stream = keystream(sa.key, esp.spi, esp.seq, len(ciphertext))
         inner = xor_bytes(ciphertext, stream)
-        out = Packet(eth.pack() + inner, packet.kind, packet.meta)
-        out.panic = packet.panic
-        out.meta.annotations["ipsec_decrypted"] = True
+        out = packet.rewritten(eth.pack() + inner)
         self.decrypted += 1
         return out

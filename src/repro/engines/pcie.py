@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Direction, MessageKind, Packet
-from repro.sim.clock import MHZ, US
+from repro.sim.clock import US
 from repro.sim.kernel import Simulator
 
 
@@ -28,9 +28,8 @@ class PcieEngine(Engine):
         coalesce_count: int = 8,
         coalesce_timeout_ps: int = 10 * US,
         interrupt_cost_cycles: int = 8,
-        freq_hz: float = 500 * MHZ,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz)
+        super().__init__(sim, name)
         if coalesce_count < 1:
             raise ValueError(f"{name}: coalesce_count must be >= 1")
         if coalesce_timeout_ps <= 0:

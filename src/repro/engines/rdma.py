@@ -122,6 +122,5 @@ class RdmaEngine(Engine):
         out.meta.nic_arrival_ps = original.meta.nic_arrival_ps
         out.meta.created_ps = original.meta.created_ps
         out.meta.egress_port = original.meta.ingress_port
-        out.meta.annotations["rdma_served"] = True
         out.meta.annotations["request_ctx"] = original.meta.annotations.get("request_ctx")
         return out

@@ -26,7 +26,6 @@ from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Packet
 from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
-from repro.sim.clock import MHZ
 from repro.sim.kernel import Simulator
 
 #: Extra cycles charged for the parser and deparser surrounding the
@@ -72,11 +71,10 @@ class RmtPipelineEngine(Engine):
         program: RmtProgram,
         pipelines: int = 1,
         chained_engines: int = 1,
-        freq_hz: float = 500 * MHZ,
         decision_handler: Optional[DecisionHandler] = None,
         memo: bool = False,
     ):
-        super().__init__(sim, name, freq_hz=freq_hz)
+        super().__init__(sim, name)
         if pipelines < 1:
             raise ValueError(f"{name}: pipelines must be >= 1")
         if chained_engines < 1:
@@ -137,14 +135,13 @@ class RmtPipelineEngine(Engine):
                 latency_ps = int(latency_ps * self.slowdown)
             start = max(self.now, self._next_accept_ps)
             self._next_accept_ps = start + interval_ps
-            enq = message.packet.meta.annotations.pop("enqueue_ps", self.now)
-            self.queue_latency.observe(enq, self.now)
+            self.queue_latency.observe(message.enqueue_ps, self.now)
             if self._tracer is not None:
-                ctx = message.packet.meta.annotations.get("__trace__")
+                ctx = message.packet.trace
                 if ctx is not None:
                     ctx.service_start = start
             finish = start + latency_ps
-            self.schedule(finish - self.now, self._finish, message, start)
+            self.schedule(finish - self.now, self._finish, message)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         """One pass through the match+action program, then the decision."""

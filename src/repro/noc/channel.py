@@ -265,8 +265,7 @@ class Channel(Component):
     def _complete(self, message: "NocMessage") -> None:
         self._transfer_in_progress = False
         tracer = self._tracer
-        ctx = (message.packet.meta.annotations.get("__trace__")
-               if tracer is not None else None)
+        ctx = message.packet.trace if tracer is not None else None
         if self._faults is not None and self._spend_fault(message, tracer, ctx):
             if self._pending:
                 self._start_next()

@@ -182,7 +182,7 @@ class ExpressFlight:
         synthesized from the arithmetic hop windows: identical to the
         spans a slow-path walk would have emitted."""
         tracer = self.channels[0]._tracer
-        ctx = self.message.packet.meta.annotations.get("__trace__")
+        ctx = self.message.packet.trace
         if ctx is None:
             return
         end = self.start

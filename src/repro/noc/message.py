@@ -30,6 +30,9 @@ class NocMessage:
     #: packet is not resized between injection and delivery, so every hop
     #: and every express attempt reads one stored size.
     bits: int = field(init=False)
+    #: When the destination engine queued this message (its
+    #: ``queue_latency`` sample starts here).
+    enqueue_ps: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.dest_addr < 0 or self.src_addr < 0:

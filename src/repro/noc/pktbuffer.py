@@ -8,7 +8,8 @@ pointer alternative so the question can be measured:
 * payloads live in a central SRAM (:class:`PacketBuffer`) with a fixed
   byte capacity and a small number of access ports;
 * NoC messages carry only a descriptor (chain header + pointer +
-  metadata, :data:`DESCRIPTOR_BITS`), slashing mesh load;
+  metadata, :data:`repro.packet.packet.DESCRIPTOR_BITS`), slashing mesh
+  load;
 * engines that touch payload bytes pay for buffer port access, which
   serializes per port -- the central buffer becomes the new contention
   point, which is exactly the trade-off the paper hints at.
@@ -19,15 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict
 
-from repro.sim.clock import Clock, MHZ
+from repro.sim.clock import Clock
 from repro.sim.kernel import Component, Simulator
-
-#: Bits a descriptor occupies on the on-chip network in pointer mode:
-#: 16-byte chain header + pointer + lengths + metadata = 32 bytes.
-DESCRIPTOR_BITS = 32 * 8
-
-#: Annotation key marking a packet whose payload lives in the buffer.
-PBUF_ANNOTATION = "pbuf_handle"
 
 
 class PacketBufferError(RuntimeError):
@@ -57,14 +51,13 @@ class PacketBuffer(Component):
         capacity_bytes: int = 2 << 20,
         ports: int = 2,
         port_bytes_per_cycle: int = 64,
-        freq_hz: float = 500 * MHZ,
     ):
         super().__init__(sim, name)
         if capacity_bytes <= 0 or ports <= 0 or port_bytes_per_cycle <= 0:
             raise ValueError(f"{name}: capacity, ports and width must be positive")
         self.capacity_bytes = capacity_bytes
         self.port_bytes_per_cycle = port_bytes_per_cycle
-        self.clock = Clock(freq_hz)
+        self.clock = Clock()
         self._port_busy_until = [0] * ports
         self._store: Dict[int, bytes] = {}
         self._used = 0

@@ -232,7 +232,7 @@ class Router(Component):
                 # Endpoint full: hold the message here; its credit stays
                 # consumed, backpressuring the upstream path.
                 if self._tracer is not None:
-                    ctx = message.packet.meta.annotations.get("__trace__")
+                    ctx = message.packet.trace
                     if ctx is not None:
                         self._tracer.instant(
                             ctx, "refused", self.name, self.now,

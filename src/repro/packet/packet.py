@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.packet.panic_hdr import PanicHeader
 
@@ -23,6 +22,9 @@ from repro.packet.panic_hdr import PanicHeader
 MIN_FRAME_BYTES = 64
 #: Preamble (7) + SFD (1) + inter-frame gap (12) bytes per frame on the wire.
 WIRE_OVERHEAD_BYTES = 20
+#: Bits a descriptor occupies on the on-chip network in pointer mode:
+#: 16-byte chain header + pointer + lengths + metadata = 32 bytes.
+DESCRIPTOR_BITS = 32 * 8
 
 
 def wire_bits(frame_bytes: int) -> int:
@@ -58,21 +60,55 @@ class Direction(enum.Enum):
 _packet_ids = itertools.count()
 
 
-@dataclass
 class PacketMetadata:
-    """Mutable NIC-side metadata that never appears on the external wire."""
+    """Mutable NIC-side metadata that never appears on the external wire.
 
-    ingress_port: Optional[int] = None
-    egress_port: Optional[int] = None
-    direction: Direction = Direction.RX
-    tenant: Optional[int] = None
-    flow_id: Optional[int] = None
-    priority: int = 0
-    created_ps: int = 0
-    nic_arrival_ps: Optional[int] = None
-    nic_departure_ps: Optional[int] = None
-    #: Per-experiment scratch values (e.g. which offloads touched this packet).
-    annotations: Dict[str, Any] = field(default_factory=dict)
+    Slotted: every field is typed and owned by the component that writes
+    it.  ``annotations`` -- per-experiment and role-specific scratch
+    (workload correlators, DMA/RDMA context, baseline bookkeeping) -- is
+    allocated on first access, so a frame nobody annotates carries no
+    dict at all.
+    """
+
+    __slots__ = ("ingress_port", "egress_port", "direction", "tenant",
+                 "created_ps", "nic_arrival_ps", "nic_departure_ps",
+                 "mac_rx", "rx_queue", "host_rx_ps", "annotations")
+
+    def __init__(self) -> None:
+        self.ingress_port: Optional[int] = None
+        self.egress_port: Optional[int] = None
+        self.direction = Direction.RX
+        self.tenant: Optional[int] = None
+        self.created_ps = 0
+        self.nic_arrival_ps: Optional[int] = None
+        self.nic_departure_ps: Optional[int] = None
+        #: Set by the MAC on a frame fresh off the wire, cleared when the
+        #: MAC forwards it for classification.
+        self.mac_rx = False
+        #: Host RX queue chosen by classification (RMT ``meta.rx_queue``).
+        self.rx_queue = 0
+        #: When the DMA engine wrote the frame into a host RX ring.
+        self.host_rx_ps: Optional[int] = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while the ``annotations`` slot is still unset.
+        if name != "annotations":
+            raise AttributeError(name)
+        annotations: Dict[str, Any] = {}
+        self.annotations = annotations
+        return annotations
+
+    def peek(self, key: str) -> Any:
+        """``annotations.get(key)`` that allocates no dict."""
+        try:
+            return _annotations_slot(self).get(key)
+        except AttributeError:
+            return None
+
+
+#: The slot's own getter: raises AttributeError while nothing has been
+#: annotated, where ``meta.annotations`` would allocate the dict.
+_annotations_slot = PacketMetadata.annotations.__get__
 
 
 class Packet:
@@ -88,7 +124,8 @@ class Packet:
         Optional pre-populated metadata.
     """
 
-    __slots__ = ("packet_id", "data", "kind", "meta", "panic")
+    __slots__ = ("packet_id", "data", "kind", "meta", "panic", "trace",
+                 "int_state", "pbuf_handle", "_trail")
 
     def __init__(
         self,
@@ -103,6 +140,16 @@ class Packet:
         #: PANIC chain header; attached by the RMT pipeline, consumed by
         #: per-engine lookup logic.  ``None`` outside the PANIC NIC.
         self.panic: Optional[PanicHeader] = None
+        #: The tracer's per-packet context when this packet is sampled.
+        self.trace = None
+        #: The INT agent's hop stack while the packet is inside a NIC.
+        self.int_state = None
+        #: Pointer mode (section 6): the shared-buffer slot holding the
+        #: payload while only a descriptor rides the on-chip network.
+        self.pbuf_handle: Optional[int] = None
+        #: Engines that processed this packet; shared with every
+        #: :meth:`rewritten` successor.
+        self._trail: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     # Sizes
@@ -123,12 +170,10 @@ class Packet:
         """Bits occupied on the on-chip network (frame + chain header).
 
         In pointer mode (payload parked in a shared packet buffer) the
-        network carries only a descriptor; the MAC sets the
-        ``noc_bits`` annotation and this property honours it.
+        network carries only a descriptor.
         """
-        override = self.meta.annotations.get("noc_bits")
-        if override is not None:
-            return int(override)
+        if self.pbuf_handle is not None:
+            return DESCRIPTOR_BITS
         extra = self.panic.length if self.panic is not None else 0
         return (len(self.data) + extra) * 8
 
@@ -138,31 +183,29 @@ class Packet:
 
     def touch(self, engine_name: str) -> None:
         """Record that an engine processed this packet (for assertions)."""
-        trail = self.meta.annotations.setdefault("trail", [])
+        trail = self._trail
+        if trail is None:
+            trail = self._trail = []
         trail.append(engine_name)
 
     @property
     def trail(self) -> list:
         """Ordered list of engines that processed this packet."""
-        return list(self.meta.annotations.get("trail", []))
+        return list(self._trail or ())
 
-    def clone(self) -> "Packet":
-        """Deep-enough copy with a fresh packet id (for multicast/replies)."""
-        copy = Packet(self.data, self.kind, PacketMetadata(**{
-            "ingress_port": self.meta.ingress_port,
-            "egress_port": self.meta.egress_port,
-            "direction": self.meta.direction,
-            "tenant": self.meta.tenant,
-            "flow_id": self.meta.flow_id,
-            "priority": self.meta.priority,
-            "created_ps": self.meta.created_ps,
-            "nic_arrival_ps": self.meta.nic_arrival_ps,
-            "nic_departure_ps": self.meta.nic_departure_ps,
-            "annotations": dict(self.meta.annotations),
-        }))
-        if self.panic is not None:
-            copy.panic = self.panic.copy()
-        return copy
+    def rewritten(self, data: bytes) -> "Packet":
+        """The same packet life with new frame bytes (an engine rebuilt
+        the frame): a fresh id, the same metadata, chain header, trace,
+        INT stack, buffer handle and trail."""
+        out = Packet(data, self.kind, self.meta)
+        out.panic = self.panic
+        out.trace = self.trace
+        out.int_state = self.int_state
+        out.pbuf_handle = self.pbuf_handle
+        if self._trail is None:
+            self._trail = []
+        out._trail = self._trail
+        return out
 
     def __repr__(self) -> str:
         chain = ""

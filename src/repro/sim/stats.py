@@ -13,6 +13,7 @@ sources (the benchmark ledger reads a client's ``requests.value``).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Dict, List
 
@@ -166,9 +167,21 @@ class LatencyTracker(Histogram):
 
     ``observe(start_ps, end_ps)`` records ``end - start`` and validates the
     interval; summary helpers convert to nanoseconds for readability.
+    Samples are integer picoseconds held in an ``int64`` array: 8 bytes
+    each instead of a list slot plus an int object (36 bytes), and every
+    quantile is the same number the list gave.
     """
 
     __slots__ = ()
+
+    def __init__(self, name: str = "histogram"):
+        super().__init__(name)
+        self._samples = array("q")
+
+    def _ensure_sorted(self) -> None:
+        if not self._sorted:
+            self._samples = array("q", sorted(self._samples))
+            self._sorted = True
 
     def observe(self, start_ps: int, end_ps: int) -> None:
         if end_ps < start_ps:

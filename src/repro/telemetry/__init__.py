@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.probes import ProbeRegistry
-from repro.telemetry.tracer import TRACE_KEY, PacketTracer, Span, TraceCtx
+from repro.telemetry.tracer import PacketTracer, Span, TraceCtx
 
 __all__ = [
     "PacketTracer",
@@ -34,7 +34,6 @@ __all__ = [
     "Telemetry",
     "TelemetryConfig",
     "TraceCtx",
-    "TRACE_KEY",
 ]
 
 
@@ -83,14 +82,14 @@ class Telemetry:
         tracer = self.tracer
 
         def on_evict(message, _engine=engine) -> None:
-            ctx = message.packet.meta.annotations.get(TRACE_KEY)
+            ctx = message.packet.trace
             if ctx is not None:
                 tracer.end_engine(ctx, _engine.now, status="evicted")
 
         return on_evict
 
     def _on_transmit(self, packet) -> None:
-        ctx = packet.meta.annotations.get(TRACE_KEY)
+        ctx = packet.trace
         if ctx is None:
             return
         port = packet.meta.egress_port

@@ -21,7 +21,7 @@ observer sampling it.  Every NIC carrying an
 Carriage has two modes (``IntConfig.inband``):
 
 * **side-channel** (default): the stack rides simulator metadata --
-  ``packet.meta.annotations["__int__"]`` inside a NIC, the
+  the packet's ``int_state`` slot inside a NIC, the
   ``int_state`` field of a :class:`~repro.workloads.wire.PacketCapsule`
   between NICs.  Frame bytes are untouched; the simulated timeline is
   bit-identical to an INT-free run.
@@ -57,11 +57,6 @@ from repro.packet.packet import MessageKind
 from repro.sim.clock import US
 from repro.sim.stats import TimeSeries
 from repro.telemetry.config import IntConfig
-
-#: Annotation key carrying the live per-packet INT state inside a NIC
-#: (an :class:`IntState`), or the carried record stack between NICs (a
-#: plain tuple, seeded by the wire via ``_refresh_packet``).
-INT_KEY = "__int__"
 
 #: One hop record: nic_id(2) hop(2) ingress_ps(8) egress_ps(8)
 #: pifo_depth(4, signed; -1 = never hit an RMT queue) engine_depth(4).
@@ -180,8 +175,7 @@ class IntAgent:
         """
         if packet.kind is not MessageKind.ETHERNET:
             return
-        ann = packet.meta.annotations
-        carried = ann.get(INT_KEY)
+        carried = packet.int_state
         if isinstance(carried, IntState):
             return
         self.frames_seen += 1
@@ -195,7 +189,7 @@ class IntAgent:
                 records, inband_len, valid = parsed
                 if not valid:
                     self.parse_errors += 1
-        ann[INT_KEY] = IntState(records, self.inband, inband_len)
+        packet.int_state = IntState(records, self.inband, inband_len)
 
     def on_enqueue(self, engine, packet, depth: int) -> None:
         """A frame entered an engine's scheduling queue (``_int_tap``).
@@ -207,11 +201,9 @@ class IntAgent:
         """
         if packet.kind is not MessageKind.ETHERNET:
             return
-        ann = packet.meta.annotations
-        state = ann.get(INT_KEY)
+        state = packet.int_state
         if not isinstance(state, IntState):
-            state = IntState((), self.inband, 0)
-            ann[INT_KEY] = state
+            state = packet.int_state = IntState((), self.inband, 0)
             self.frames_seen += 1
         if depth > state.engine_depth:
             state.engine_depth = depth
@@ -236,11 +228,9 @@ class IntAgent:
         """
         if packet.kind is not MessageKind.ETHERNET:
             return
-        ann = packet.meta.annotations
-        state = ann.get(INT_KEY)
+        state = packet.int_state
         if not isinstance(state, IntState):
-            state = IntState((), self.inband, 0)
-            ann[INT_KEY] = state
+            state = packet.int_state = IntState((), self.inband, 0)
             self.frames_seen += 1
         if len(state.records) >= self.max_hops:
             self.hops_suppressed += 1
@@ -264,8 +254,8 @@ class IntAgent:
         """
         if packet.kind is not MessageKind.ETHERNET:
             return
-        ann = packet.meta.annotations
-        state = ann.pop(INT_KEY, None)
+        state = packet.int_state
+        packet.int_state = None
         if isinstance(state, tuple):
             carried = IntState(state, self.inband, 0)
             state = carried

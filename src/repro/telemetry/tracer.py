@@ -4,10 +4,8 @@ A :class:`PacketTracer` follows sampled packets through one NIC and
 records :class:`Span` entries: engine occupancy (enqueue through service
 end, with the PIFO rank and queue depth observed at enqueue), per-channel
 NoC hops, and point events (ingress, egress, host delivery, drops,
-refusals).  The trace context rides on
-``packet.meta.annotations["__trace__"]`` -- :class:`~repro.noc.message.
-NocMessage` is a slots dataclass and cannot carry extra state, and the
-annotations dict already travels with the packet through every engine.
+refusals).  The trace context rides on the packet's own ``trace``
+slot, which travels with it through every engine and channel.
 
 Determinism contract
 --------------------
@@ -36,9 +34,6 @@ from collections import deque
 from typing import Deque, List, NamedTuple, Optional, Tuple
 
 from repro.telemetry.config import TelemetryConfig
-
-#: Annotation key carrying the live TraceCtx on a packet.
-TRACE_KEY = "__trace__"
 
 
 class Span(NamedTuple):
@@ -112,8 +107,7 @@ class PacketTracer:
         happens for *every* offered packet (when sampling is on), keeping
         the stream aligned regardless of predicate hits.
         """
-        ann = packet.meta.annotations
-        existing = ann.get(TRACE_KEY)
+        existing = packet.trace
         if existing is not None:
             return existing
         self.seen += 1
@@ -127,7 +121,7 @@ class PacketTracer:
         ctx = TraceCtx(self._next_trace_id)
         self._next_trace_id += 1
         self.sampled += 1
-        ann[TRACE_KEY] = ctx
+        packet.trace = ctx
         self.instant(ctx, "ingress", f"{self.name}.eth{port}", now,
                      (("port", port),))
         return ctx

@@ -123,7 +123,7 @@ class LinkFaults:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketCapsule:
     """A frame in transit on an external wire: what :func:`_egress` let
     through, in picklable form, until :func:`_refresh_packet` turns it
@@ -134,8 +134,8 @@ class PacketCapsule:
     sequence number, used to keep same-instant deliveries on one wire in
     FIFO order after the batch crosses process boundaries.
 
-    ``request_ctx`` and ``e2e_t0`` are the annotations a cable
-    preserves; in a sharded run they must be picklable.
+    ``request_ctx`` is the one annotation a cable preserves; in a
+    sharded run it must be picklable.
     ``int_state`` carries the side-channel INT hop stack (a plain tuple
     of record tuples -- picklable by construction); in-band INT stacks
     ride inside ``data`` instead.
@@ -148,7 +148,6 @@ class PacketCapsule:
     link_seq: int
     tenant: Optional[int] = None
     request_ctx: Any = None
-    e2e_t0: Any = None
     int_state: Any = None
 
 
@@ -173,7 +172,7 @@ def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
         data, handoff_ps = carried if carried is not None else (None, 0)
     if data is None:
         telemetry = getattr(nic, "telemetry", None)
-        ctx = packet.meta.annotations.get("__trace__")
+        ctx = packet.trace
         if telemetry is not None and ctx is not None:
             reason = ("down" if faults.down
                       else "ll_gave_up" if linklayer is not None else "loss")
@@ -181,7 +180,6 @@ def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
                                      (("reason", reason),))
         return None
     meta = packet.meta
-    annotations = meta.annotations
     return PacketCapsule(
         data=data,
         kind=packet.kind.value,
@@ -189,9 +187,8 @@ def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
         arrival_ps=handoff_ps,
         link_seq=link_seq,
         tenant=meta.tenant,
-        request_ctx=annotations.get("request_ctx"),
-        e2e_t0=annotations.get("e2e_t0"),
-        int_state=getattr(annotations.get("__int__"), "carry", None),
+        request_ctx=meta.peek("request_ctx"),
+        int_state=getattr(packet.int_state, "carry", None),
     )
 
 
@@ -208,10 +205,7 @@ def _refresh_packet(capsule: PacketCapsule) -> Packet:
     fresh.meta.tenant = capsule.tenant
     if capsule.request_ctx is not None:
         fresh.meta.annotations["request_ctx"] = capsule.request_ctx
-    if capsule.e2e_t0 is not None:
-        fresh.meta.annotations["e2e_t0"] = capsule.e2e_t0
-    if capsule.int_state is not None:
-        fresh.meta.annotations["__int__"] = capsule.int_state
+    fresh.int_state = capsule.int_state
     return fresh
 
 

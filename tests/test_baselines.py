@@ -198,7 +198,7 @@ class TestRmtNic:
         nic.inject(b)
         sim.run()
         assert len(received) == 2
-        assert a.meta.annotations["rx_queue"] == b.meta.annotations["rx_queue"]
+        assert a.meta.rx_queue == b.meta.rx_queue
 
     def test_unsupported_offloads_raise(self, sim):
         nic = self.build(sim)

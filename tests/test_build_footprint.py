@@ -13,16 +13,26 @@ cable ends -- and counts what no running code needs to be an object:
   latency trackers; the per-frame bit meters only tests ever read are
   gone.
 
-The run gate (EXPERIMENTS.md E30) runs a plain 4-NIC rack and checks
-that nothing is retained per transmitted frame on a cabled NIC: each
-frame goes to its port's cable, once, and the NIC keeps only a count.
+The run gate (EXPERIMENTS.md E30, E31) runs a plain 4-NIC rack and
+checks what a frame leaves behind:
+
+* nothing is retained per transmitted frame on a cabled NIC: each frame
+  goes to its port's cable, once, and the NIC keeps only a count;
+* an engine keeps one latency sample per service, as an int64, and no
+  second per-visit tracker;
+* no frame carries an annotations dict: the per-frame state (enqueue
+  stamp, trail, RX queue, host timestamp, ingress mark) is typed slots.
 
 Both run in well under a second, before the rest of the suite.
 """
 
+from array import array
+
 import pytest
 
+from repro.engines.base import Engine
 from repro.engines.ethernet import EthernetPort
+from repro.packet.packet import MessageKind, Packet, PacketMetadata
 from repro.sim import Simulator, stats
 from repro.sim.clock import US
 from repro.workloads.rack import RackNode, build_rack_nic, rack_port
@@ -70,17 +80,25 @@ def test_mac_ports_hold_only_latency_trackers():
 
 def run_plain_rack():
     """A 4-NIC plain rack in one Simulator, run to the end: ``(nics,
-    cable ends, the end entered by each cable call)``."""
+    cable ends, the end entered by each cable call, every packet
+    made)``."""
     entered = []
     transmit = LinkEnd._transmit
+    packets = []
+    init = Packet.__init__
 
     def counting_transmit(self, packet):
         entered.append(self)
         transmit(self, packet)
 
+    def kept_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        packets.append(self)
+
     # Patched before the build: a cable binds its transmit method then.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LinkEnd, "_transmit", counting_transmit)
+        patch.setattr(Packet, "__init__", kept_init)
         sim = Simulator()
         nics = [build_rack_nic(sim, f"nic{i}", frames=FRAMES, index=i,
                                n_nics=RACK_NICS, seed=1)[0]
@@ -92,17 +110,17 @@ def run_plain_rack():
                             port_a=rack_port(a, b), port_b=rack_port(b, a))
                 ends.extend(wire.ends.values())
         sim.run()
-    return nics, ends, entered
+    return nics, ends, entered, packets
 
 
 def test_cabled_nics_keep_no_transmitted_frame():
-    nics, _, _ = run_plain_rack()
+    nics, _, _, _ = run_plain_rack()
     for nic in nics:
         assert nic.transmitted == [], nic.name
 
 
 def test_nic_transmit_count_is_its_cables_sum():
-    nics, ends, _ = run_plain_rack()
+    nics, ends, _, _ = run_plain_rack()
     for nic in nics:
         assert nic.stats()["nic"]["transmitted"] == nic.tx_frames == sum(
             end.transmitted for end in ends if end.nic is nic), nic.name
@@ -112,6 +130,28 @@ def test_nic_transmit_count_is_its_cables_sum():
 
 
 def test_each_frame_enters_one_cable_once():
-    _, ends, entered = run_plain_rack()
+    _, ends, entered, _ = run_plain_rack()
     assert len(entered) == sum(end.transmitted for end in ends) \
         == RACK_NICS * (RACK_NICS - 1) * FRAMES
+
+
+def test_engines_keep_one_int64_sample_per_service():
+    nics, _, _, _ = run_plain_rack()
+    for nic in nics:
+        for engine in nic.engines.values():
+            assert isinstance(engine, Engine)
+            assert not hasattr(engine, "service_latency"), engine.name
+            samples = engine.queue_latency._samples
+            assert isinstance(samples, array) and samples.itemsize == 8
+            assert len(samples) == engine.processed, engine.name
+
+
+def test_no_frame_carries_an_annotations_dict():
+    _, _, _, packets = run_plain_rack()
+    frames = [p for p in packets if p.kind is MessageKind.ETHERNET]
+    assert len(frames) >= 2 * RACK_NICS * (RACK_NICS - 1) * FRAMES
+    unset = PacketMetadata.annotations.__get__   # raises while unset
+    for frame in frames:
+        assert not hasattr(frame.meta, "__dict__")
+        with pytest.raises(AttributeError):
+            unset(frame.meta)

@@ -130,7 +130,7 @@ class TestRxPath:
         for packet in packets:
             nic.inject(packet)
         sim.run()
-        queues = {p.meta.annotations.get("rx_queue") for p in packets}
+        queues = {p.meta.rx_queue for p in packets}
         assert len(queues) == 1  # same flow -> same queue
 
     def test_inject_validates_port(self, nic):

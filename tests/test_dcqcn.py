@@ -1,6 +1,8 @@
 """Tests for the DCQCN congestion-control subsystem (ECN marking,
 CNP plumbing, the rate-control algorithm, and the closed loop)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import PanicConfig, PanicNic
@@ -87,6 +89,39 @@ class TestEcnMarker:
         out = marker.handle(ect_frame(ecn=0))[0][0]
         assert parse_frame(out.data).ipv4.ecn == 0
         assert marker.eligible == 0
+
+    def test_marked_frame_keeps_its_packet_life(self, sim):
+        """Marking rebuilds the frame; the trace context, INT stack,
+        buffer handle and trail must follow it to the next engine."""
+        marker = EcnMarkerEngine(sim, "mark4", k_min=0, k_max=1, p_max=1.0)
+        marker.watch_engine = SimpleNamespace(backlog=5)
+        packet = ect_frame()
+        ctx, stack = object(), object()
+        packet.trace, packet.int_state, packet.pbuf_handle = ctx, stack, 7
+        packet.touch("rmt")
+        out = marker.handle(packet)[0][0]
+        assert parse_frame(out.data).ipv4.ecn == ECN_CE
+        assert out.trace is ctx and out.int_state is stack
+        assert out.pbuf_handle == 7
+        out.touch("dma")
+        assert out.trail == ["rmt", "dma"]
+
+    def test_pointer_mode_marking_frees_every_payload(self, sim):
+        nic = PanicNic(sim, PanicConfig(
+            ports=1, offloads=("ecnmark",), payload_mode="pointer"),
+            name="ecn_ptr")
+        nic.control.route_udp_port(2, ["ecnmark"])
+        marker = nic.offload("ecnmark")
+        marker.watch_engine = SimpleNamespace(backlog=100)
+        delivered = []
+        nic.host.software_handler = lambda p, q: delivered.append(p)
+        for _ in range(4):
+            nic.inject(ect_frame(payload=bytes(600)))
+        sim.run()
+        assert marker.marked == 4
+        assert len(delivered) == 4
+        assert all(parse_frame(p.data).ipv4.ecn == ECN_CE for p in delivered)
+        assert nic.payload_buffer.live_handles == 0
 
     def test_parameters_validated(self, sim):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """The surface census: ``src/repro`` ships what something runs.
 
-Six scans, all by ``ast`` plus a word scan, so they err towards
+Seven scans, all by ``ast`` plus a word scan, so they err towards
 keeping (an unrelated local of the same name counts as a mention) and
 what they catch is certain:
 
@@ -26,7 +26,12 @@ what they catch is certain:
 * **R4** every public method or property of a ``src/repro`` class is
   named outside its own ``def`` by code that runs it, as in R1;
 * **R5** every name imported into a non-``__init__`` module of
-  ``src/repro`` is used there, or imported from there by another file.
+  ``src/repro`` is used there, or imported from there by another file;
+* **R6** every annotation key ``src/repro`` writes
+  (``....annotations["key"] = value``) is named again, as a string, by
+  code that runs -- ``src/`` beyond its writes, ``benchmarks/``,
+  ``examples/`` or ``README.md``.  A key only tests read is per-packet
+  state nothing uses.
 
 A failure lists ``file:line name`` and every file that mentions the
 name, which is the list of places to delete it from.  Delete it, or
@@ -319,3 +324,36 @@ def test_r5_every_import_in_src_is_used():
                 if bound not in used and (module, bound) not in imported_from:
                     dead.append((path, node.lineno, bound, bound))
     assert not dead, _report("imported into src/repro, never used there", dead)
+
+
+def _annotation_writes(path):
+    """Key constants of ``<...>.annotations["key"] = ...`` stores (the
+    holder may be a local alias named ``ann`` or ``annotations``)."""
+    for node in _nodes(path):
+        if not (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            continue
+        holder = node.value
+        name = getattr(holder, "attr", None) or getattr(holder, "id", None)
+        if name in ("annotations", "ann"):
+            yield node.slice
+
+
+def test_r6_every_annotation_key_written_is_read_by_running_code():
+    writes = {path: list(_annotation_writes(path)) for path in _py_files("src")}
+    named: Counter = Counter()      # string constants in code that runs
+    for path in _py_files("src", "benchmarks", "examples"):
+        stores = {id(key) for key in writes.get(path, ())}
+        named.update(node.value for node in _nodes(path)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str)
+                     and id(node) not in stores)
+    readme = _text(ROOT / "README.md")
+    dead = sorted({(path, key.lineno, repr(key.value), key.value)
+                   for path, keys in writes.items() for key in keys
+                   if not named[key.value]
+                   and f'"{key.value}"' not in readme})
+    assert not dead, _report(
+        "annotation key src/repro writes and no running code reads", dead)

@@ -21,8 +21,9 @@ through to the local lookup table.  The digest covers every message's
 engine spans as the tracer reports them (enqueue instant, PIFO depth
 and rank seen on arrival, ``service_start_ps``, finish instant,
 status), where and when each output arrived (the next hop), the
-heartbeat echoes, the tile's final counters and the
-``queue_latency`` / ``service_latency`` samples in observation order.
+heartbeat echoes, the tile's final counters, the ``queue_latency``
+samples and the service times (finish minus service start, which the
+tile once kept as ``service_latency``) in observation order.
 
 Recorded on the commit *before* the RMT tile was folded onto
 ``Engine._finish``; the fold left every digest unmodified.  Two things
@@ -139,10 +140,21 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     engine._tracer = tracer
 
     def on_evict(message):   # what Telemetry installs beside the tracer
-        tracer.end_engine(message.packet.meta.annotations["__trace__"],
-                          sim.now, status="evicted")
+        tracer.end_engine(message.packet.trace, sim.now, status="evicted")
 
     engine.queue.on_evict = on_evict
+
+    # Service time of every message the tile finished alive, in finish
+    # order: what the deleted ``service_latency`` tracker recorded.
+    service = []
+    finish = engine._finish
+
+    def observed_finish(message):
+        if engine.fault_mode != "crash":
+            service.append(sim.now - message.packet.trace.service_start)
+        finish(message)
+
+    engine._finish = observed_finish
 
     traced = []
 
@@ -233,8 +245,8 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
         "spans": spans,
         "arrivals": [sink.got for sink in sinks],
         "counters": counters,
-        "queue_latency": engine.queue_latency._samples,
-        "service_latency": engine.service_latency._samples,
+        "queue_latency": list(engine.queue_latency._samples),
+        "service_latency": service,
         "in_flight": mesh.in_flight,
         "now": sim.now,
     }

@@ -282,7 +282,7 @@ class TestDmaPcieRdma:
         host.software_handler = lambda pkt, queue: seen.append((pkt, queue))
         packet = Packet(frame_of())
         packet.meta.direction = Direction.RX
-        packet.meta.annotations["rx_queue"] = 1
+        packet.meta.rx_queue = 1
         dma._loopback(packet)
         sim.run()
         assert host.rx_delivered == 1

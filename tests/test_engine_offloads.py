@@ -28,7 +28,7 @@ from repro.packet import (
     build_udp_frame,
     parse_frame,
 )
-from repro.packet.packet import Direction
+from repro.packet.packet import Direction, PacketMetadata
 from repro.sim import Simulator
 
 
@@ -45,6 +45,15 @@ def udp_packet(payload=b"payload", dscp=0):
             dscp=dscp,
         )
     )
+
+
+def has_annotations(packet):
+    """Whether the frame's lazy ``meta.annotations`` dict was made."""
+    try:
+        PacketMetadata.annotations.__get__(packet.meta)
+    except AttributeError:
+        return False
+    return True
 
 
 @pytest.fixture
@@ -100,18 +109,21 @@ class TestIpsec:
         encrypted = ipsec.encrypt(udp_packet(b"x"), 0x100)
         outputs = ipsec.handle(encrypted)
         assert len(outputs) == 1
-        assert outputs[0][0].meta.annotations.get("ipsec_decrypted")
+        assert ipsec.decrypted == 1
+        assert parse_frame(outputs[0][0].data).payload == b"x"
 
     def test_handle_encrypts_on_annotation(self, ipsec):
         packet = udp_packet()
         packet.meta.annotations["ipsec_spi"] = 0x100
         outputs = ipsec.handle(packet)
-        assert outputs[0][0].meta.annotations.get("ipsec_encrypted")
+        assert ipsec.encrypted == 1
+        assert parse_frame(outputs[0][0].data).ipv4.protocol == IP_PROTO_ESP
 
     def test_handle_passthrough_for_plain_traffic(self, ipsec):
         packet = udp_packet()
         outputs = ipsec.handle(packet)
         assert outputs[0][0] is packet
+        assert not has_annotations(packet)
 
     def test_service_time_scales_with_size(self, ipsec):
         small = udp_packet(b"x")
@@ -172,7 +184,7 @@ class TestCompressionEngine:
         packet.meta.annotations["compress"] = True
         out = engine.handle(packet)[0][0]
         assert out.frame_bytes < packet.frame_bytes
-        assert out.meta.annotations.get("compressed")
+        assert engine.compressed == 1
 
     def test_decompress_on_magic(self, sim):
         engine = CompressionEngine(sim, "comp")
@@ -190,6 +202,12 @@ class TestCompressionEngine:
         packet.meta.annotations["compress"] = True
         out = engine.handle(packet)[0][0]
         assert out is packet
+
+    def test_plain_payload_passes_without_annotations(self, sim):
+        engine = CompressionEngine(sim, "comp")
+        packet = udp_packet(b"abc " * 100)
+        assert engine.handle(packet)[0][0] is packet
+        assert not has_annotations(packet)
 
     def test_non_udp_passthrough(self, sim):
         engine = CompressionEngine(sim, "comp")
@@ -303,7 +321,8 @@ class TestChecksumEngine:
         packet = udp_packet(b"data")
         packet.meta.direction = Direction.TX
         out = engine.handle(packet)[0][0]
-        assert out.meta.annotations.get("csum_generated")
+        assert out is not packet and out.meta is packet.meta
+        assert engine.generated == 1
         out.meta.direction = Direction.RX  # now verify like a receiver
         verify = ChecksumEngine(sim, "csum2")
         checked = verify.handle(out)[0][0]

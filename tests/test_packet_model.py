@@ -56,15 +56,29 @@ class TestPacket:
         packet.touch("b")
         assert packet.trail == ["a", "b"]
 
-    def test_clone_is_independent(self):
+    def test_rewritten_keeps_the_packet_life(self):
         packet = Packet(b"data")
         packet.meta.tenant = 3
         packet.panic = PanicHeader(chain=[5], slack_ps=9)
-        clone = packet.clone()
-        assert clone.packet_id != packet.packet_id
-        assert clone.meta.tenant == 3
-        clone.panic.advance()
-        assert packet.panic.cursor == 0
+        packet.trace = object()
+        packet.touch("a")
+        out = packet.rewritten(b"other")
+        assert out.packet_id != packet.packet_id and out.data == b"other"
+        assert out.meta is packet.meta and out.panic is packet.panic
+        assert out.trace is packet.trace
+        out.touch("b")
+        assert packet.trail == out.trail == ["a", "b"]
+
+    def test_metadata_is_slotted_and_annotations_lazy(self):
+        meta = Packet(b"").meta
+        assert not hasattr(meta, "__dict__")
+        with pytest.raises(AttributeError):
+            meta.no_such_field = 1
+        slot = type(meta).annotations        # the slot's own descriptor
+        with pytest.raises(AttributeError):
+            slot.__get__(meta)                # no dict until first use
+        meta.annotations["k"] = 1
+        assert slot.__get__(meta) == {"k": 1}
 
     def test_default_kind_and_direction(self):
         packet = Packet(b"")

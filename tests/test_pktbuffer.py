@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import PanicConfig, PanicNic
-from repro.noc.pktbuffer import DESCRIPTOR_BITS, PacketBuffer, PacketBufferError
+from repro.noc.pktbuffer import PacketBuffer, PacketBufferError
+from repro.packet.packet import DESCRIPTOR_BITS
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame, parse_frame
 from repro.sim import Simulator
 from repro.sim.clock import MHZ
@@ -126,11 +127,10 @@ class TestPointerModeNic:
         assert loads["pointer"] < loads["full"] / 3
 
     def test_message_size_is_fixed_between_injection_and_delivery(self, sim):
-        """``noc_bits`` is set and popped only inside endpoints (the RX
+        """``pbuf_handle`` is set and cleared only inside endpoints (the RX
         MAC parks the payload; the TX MAC and DMA free it), never while
         an envelope is on the wires -- so the size a NocMessage fixed at
         injection is still what its packet reports at every hop."""
-        from repro.noc.pktbuffer import DESCRIPTOR_BITS
         from repro.packet import build_udp_frame, Packet
 
         nic = PanicNic(sim, PanicConfig(ports=1, payload_mode="pointer",

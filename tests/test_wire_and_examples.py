@@ -160,7 +160,7 @@ class TestSharedEgress:
                 # Two frames per NIC per instant: same-instant arrivals.
                 for end in "abab":
                     packet = Packet(frame(ident))
-                    packet.meta.annotations["__trace__"] = ident
+                    packet.trace = ident
                     ident += 1
                     nics[end].transmit(packet)
                 if cable != "wire":
