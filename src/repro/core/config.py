@@ -110,10 +110,11 @@ class PanicConfig:
     # bit-identical with it on or off; trains break up (refuse or hand
     # off to the scalar machinery) whenever contention, armed faults,
     # sampled telemetry, or a run()/shard window boundary could observe
-    # an intermediate state.  Settings under which no frame could ever
-    # board (pointer-mode payloads, telemetry probes, tracing every
-    # frame, INT) are refused at build time.
-    batch_execution: bool = False
+    # an intermediate state.  None (default) builds a lane wherever a
+    # train can board: not with pointer-mode payloads, telemetry
+    # probes, tracing every frame, or INT.  True insists, and refuses
+    # those four settings at build time; False is the scalar oracle.
+    batch_execution: Optional[bool] = None
 
     # In-sim telemetry (repro.telemetry): per-packet spans + component
     # probes.  None (default) builds no telemetry at all; instrumented
@@ -176,28 +177,39 @@ class PanicConfig:
                 f"{self.mesh_width}x{self.mesh_height} mesh"
             )
         if self.batch_execution:
-            self._check_trains_can_board()
+            blocker = self._train_blocker()
+            if blocker is not None:
+                # A lane that refuses every frame is a silent fallback
+                # to scalar execution: name the setting that forbids it.
+                raise ValueError(
+                    f"batch_execution=True with {blocker}: no frame could "
+                    f"ever ride a train; drop one of the two"
+                )
 
-    def _check_trains_can_board(self) -> None:
-        """A train lane that refuses every frame is a silent fallback
-        to scalar execution: name the setting that forbids all rides."""
+    def _train_blocker(self) -> Optional[str]:
+        """The setting under which no frame could ever board a train,
+        or None."""
         telemetry = self.telemetry
-        blocker = None
         if self.payload_mode == "pointer":
-            blocker = ("payload_mode='pointer' (the MAC parks every "
-                       "payload before a frame could board)")
-        elif telemetry is not None and telemetry.probe_period_ps > 0:
-            blocker = ("telemetry.probe_period_ps > 0 (the probe hook "
-                       "must observe every event)")
-        elif telemetry is not None and telemetry.sample_every == 1:
-            blocker = "telemetry.sample_every=1 (every frame is traced)"
-        elif self.int_ is not None:
-            blocker = "int_ (every Ethernet frame carries an INT stack)"
-        if blocker is not None:
-            raise ValueError(
-                f"batch_execution=True with {blocker}: no frame could "
-                f"ever ride a train; drop one of the two"
-            )
+            return ("payload_mode='pointer' (the MAC parks every "
+                    "payload before a frame could board)")
+        if telemetry is not None and telemetry.probe_period_ps > 0:
+            return ("telemetry.probe_period_ps > 0 (the probe hook "
+                    "must observe every event)")
+        if telemetry is not None and telemetry.sample_every == 1:
+            return "telemetry.sample_every=1 (every frame is traced)"
+        if self.int_ is not None:
+            return "int_ (every Ethernet frame carries an INT stack)"
+        return None
+
+    @property
+    def batched(self) -> bool:
+        """Whether :class:`~repro.core.panic.PanicNic` builds a train
+        lane: ``batch_execution`` when set, else wherever a train can
+        board."""
+        if self.batch_execution is None:
+            return self._train_blocker() is None
+        return self.batch_execution
 
     @property
     def tiles(self) -> int:

@@ -28,6 +28,7 @@ from repro.core.pipeline_programs import (
     build_panic_program,
     panic_decision_factory,
 )
+from repro.core.train import TrainLane
 from repro.engines.base import Engine
 from repro.engines.checksum_engine import ChecksumEngine
 from repro.engines.compression import CompressionEngine
@@ -150,12 +151,11 @@ class PanicNic:
             for eth in self.ports:
                 eth._int_agent = self.int_agent
             self.host._int_sink = self.int_agent
-        #: Batched-execution driver (repro.core.train); None keeps every
+        #: Batched-execution driver (repro.core.train), built unless
+        #: ``config.batched`` says no frame may board; None keeps every
         #: hook on the scalar path at the cost of one attribute check.
         self.train_lane = None
-        if self.config.batch_execution:
-            from repro.core.train import TrainLane
-
+        if self.config.batched:
             self.train_lane = TrainLane(self)
             for eth in self.ports:
                 eth._train_lane = self.train_lane

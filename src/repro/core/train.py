@@ -10,10 +10,13 @@ timestamp follows arithmetically, exactly like
 into one delivery event.
 
 :class:`TrainLane` generalizes that idea from wires to whole engines.
-``PanicConfig.batch_execution`` means exactly one thing: a **trajectory
-train**, one kernel event carrying a single frame across its *entire*
-trajectory -- MAC service, the express hop to the RMT pipeline,
-classification, every chain engine, DMA, and PCIe -- committing the same
+Every NIC whose configuration lets a frame board builds one
+(``PanicConfig.batch_execution`` left at None; ``False`` keeps the
+scalar machinery alone, as the oracle).  The lane means exactly one
+thing: a **trajectory train**, one kernel event carrying a single frame
+across its *entire* trajectory -- MAC service, the express hop to the
+RMT pipeline, classification, every chain engine, DMA, and PCIe --
+committing the same
 state mutations the scalar path would, at the same simulated timestamps,
 by shifting the kernel clock forward inside the event before each
 genuine ``handle``/``decide``/``service_time_ps`` call.  A frame boards
@@ -48,14 +51,16 @@ Three mechanisms enforce it:
   and lets real events carry on.  A fault armed for time T is a heap
   event, so the horizon already guarantees no train commits state at or
   beyond T.
-* **Exact replay.**  Counters, latency trackers, round-robin rotations,
-  PIFO sequence numbers, message ids, and RNG draws are advanced in the
-  same order and by the same amounts as the scalar path.  The hot hop
-  and service recipes inline their scalar counterparts
-  (``PifoQueue.push`` + ``pop``, ``LatencyTracker.observe``,
-  ``Packet.touch``) -- each inlined block cites the method it
-  replays; keep them in sync.  NoC hops are not copied: the ride calls
-  the express path's own ``account_hops``/``account_forwards``.
+* **Shared code.**  Every step of a leg is the scalar method itself,
+  called at the already-advanced clock: ``_rank_of`` plus the PIFO's
+  own ``push`` and ``pop``, ``queue_latency.observe``,
+  ``service_time_ps``, ``Packet.touch``, ``handle`` and
+  ``_route_by_chain``; NoC hops call the express path's
+  ``account_hops``/``account_forwards``.  What the lane still writes
+  itself is what a scalar *event* would have done between those calls:
+  the ``processed`` count of ``_finish``, the RMT tile's admission
+  arithmetic, the message id and injected count of ``NocPort.send``,
+  the delivery count, and the routers' fairness rotations.
 
 One leg serves every tile: the RMT pipeline finishes through
 ``Engine._finish`` and works in a genuine ``handle`` like any engine, so
@@ -75,12 +80,11 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.engines.base import Engine
-from repro.engines.checksum_engine import ChecksumEngine, _rx_verdict
 from repro.engines.rmt_engine import RmtPipelineEngine
 from repro.noc.express import account_forwards, account_hops
 from repro.noc.message import NocMessage, _message_ids
 from repro.noc.router import Router
-from repro.packet.packet import Direction, MessageKind, Packet
+from repro.packet.packet import MessageKind, Packet
 
 __all__ = ["TrainLane"]
 
@@ -91,11 +95,6 @@ _MISS = object()
 #: engine, so control messages always refuse the train.
 _CONTROL = MessageKind.CONTROL
 
-#: Stock methods the ride may shortcut (identity-checked per leg).
-_CHECKSUM_HANDLE = ChecksumEngine.handle
-_CHECKSUM_SVC = ChecksumEngine.service_time_ps
-_TX = Direction.TX
-
 
 class TrainLane:
     """Per-NIC batched-execution driver (see module docstring)."""
@@ -104,20 +103,11 @@ class TrainLane:
         self.nic = nic
         self.sim = nic.sim
         self.mesh = nic.mesh
-        # Working horizon of the ride in progress (picoseconds; every
-        # committed mutation timestamp must stay strictly below it).
-        self._h: float = float("-inf")
         # engine -> "base" | "rmt" | None (method-identity whitelist;
         # subclasses that override the service loop ride scalar).
         self._kinds: Dict[int, Optional[str]] = {}
         self._kind_obj: Dict[int, Engine] = {}
         self._routers: Dict[int, object] = {}
-        # Stock ChecksumEngine.service_time_ps results, keyed by every
-        # input it reads (engine identity, frame length, cost knobs) so
-        # mid-run knob mutation can never serve a stale delay.
-        self._svc: Dict[tuple, int] = {}
-        # engine -> leg recipe tuple (see _recipe_of).
-        self._recipes: Dict[int, tuple] = {}
         # Diagnostics (not part of nic.stats(): trees must be identical
         # with batching on or off).
         self.trajectories = 0
@@ -146,11 +136,7 @@ class TrainLane:
         Identity checks on the unbound methods: an engine subclass that
         overrides any part of the receive/service/route machinery gets
         scalar execution -- ``handle``/``service_time_ps`` overrides
-        are fine (the lane calls them genuinely)."""
-        key = id(engine)
-        cached = self._kinds.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
+        are fine (the lane calls them genuinely).  Cached per engine."""
         cls = type(engine)
         kind: Optional[str] = None
         if (cls._finish is Engine._finish
@@ -163,56 +149,61 @@ class TrainLane:
                 kind = "base"
             elif cls._try_start is RmtPipelineEngine._try_start:
                 kind = "rmt"
-        self._kinds[key] = kind
-        self._kind_obj[key] = engine  # keep ids stable while cached
+        self._kinds[id(engine)] = kind
+        self._kind_obj[id(engine)] = engine  # keep ids stable while cached
         return kind
 
     def _router_of(self, engine: Engine):
         """The engine's local tile router (its inject channel's sink),
         or False when the engine's space wiring is not the stock
-        ``notify_space = router.pump`` (the ride inlines that pump as a
-        single fairness rotation, so anything else must ride scalar)."""
-        key = id(engine)
-        router = self._routers.get(key)
-        if router is None:
-            router = self.mesh._channel_sink[engine.port._channel]
-            notify = engine.notify_space
-            cls = type(router)
-            if (notify is None
-                    or getattr(notify, "__func__", None) is not Router.pump
-                    or notify.__self__ is not router
-                    or cls.pump is not Router.pump
-                    or cls._pump_passes is not Router._pump_passes):
-                router = False
-            self._routers[key] = router
+        ``notify_space = router.pump`` (the ride replays that pump as a
+        single fairness rotation, so anything else must ride scalar).
+        Cached per engine."""
+        router = self.mesh._channel_sink[engine.port._channel]
+        notify = engine.notify_space
+        cls = type(router)
+        if (notify is None
+                or getattr(notify, "__func__", None) is not Router.pump
+                or notify.__self__ is not router
+                or cls.pump is not Router.pump
+                or cls._pump_passes is not Router._pump_passes):
+            router = False
+        self._routers[id(engine)] = router
         return router
 
-    def _engine_ready(self, engine: Engine, packet: Packet) -> bool:
-        """Would the scalar path serve ``packet`` at ``engine``
-        immediately, with no interference the lane cannot replay?
+    def _engine_ready(self, engine: Engine, packet: Packet) -> Optional[str]:
+        """The engine's kind when the scalar path would serve ``packet``
+        at ``engine`` immediately, with no interference the lane cannot
+        replay; else None.
 
-        The once-per-frame boarding check of :meth:`try_ride`;
-        :meth:`_ride` inlines these exact tests once per hop.  On True,
-        ``_kinds`` and ``_routers`` hold the engine's entries."""
+        Checked once at boarding (:meth:`try_ride`) and once per hop
+        (:meth:`_ride`).  On a kind, ``_routers`` holds the engine's
+        router."""
         if packet.trace is not None or packet.int_state is not None:
             # Sampled telemetry must observe every intermediate span,
             # and INT must observe genuine depths and egress instants.
-            return False
-        if (self._kind_of(engine) is None
+            return None
+        key = id(engine)
+        kind = self._kinds.get(key, _MISS)
+        if kind is _MISS:
+            kind = self._kind_of(engine)
+        if (kind is None
                 or engine.fault_mode is not None
                 or engine.slowdown != 1.0
                 or engine.payload_buffer is not None
                 or engine._busy_lanes
-                or not engine.queue.is_empty
+                or engine.queue._heap
                 or packet.kind is _CONTROL):
-            return False
-        router = self._router_of(engine)
+            return None
+        router = self._routers.get(key)
+        if router is None:
+            router = self._router_of(engine)
         if router is False or router._buffered or router._express_flights:
             # Parked (refused) messages have no heap event to bound the
             # horizon, and reserved flights must de-speculate against
             # genuine deliveries only.
-            return False
-        return True
+            return None
+        return kind
 
     # ------------------------------------------------------------------
     # Trajectory trains (single frame, whole path)
@@ -227,108 +218,78 @@ class TrainLane:
         """
         sim = self.sim
         horizon = sim.train_horizon()
-        if horizon is None or not self._engine_ready(port, packet):
+        kind = None if horizon is None else self._engine_ready(port, packet)
+        if kind is None:
             self.refusals += 1
             return False
-        self._h = horizon
         # Engine._loopback: the local re-entry envelope.  Drawing the
         # message id here (first action, as scalar does) keeps the
         # global id sequence aligned; the envelope itself materializes
         # only if the ride hands off mid-service.
         mid = next(_message_ids)
         self.trajectories += 1
-        key = id(port)
         addr = port.address
         now = sim.now
-        self._ride(port, self._kinds[key], self._routers[key], packet, now,
-                   mid, addr, addr, now, 0)
+        self._ride(port, kind, packet, horizon, now, mid, addr, addr, now, 0)
         return True
 
-    def _ride(self, engine: Engine, kind: str, erouter, packet: Packet,
+    def _ride(self, engine: Engine, kind: str, packet: Packet, h: float,
               t_arr: int, mid: int, src: int, dest: int,
               inject_ps: int, hops: int) -> None:
         """Replay the whole remaining trajectory, one leg per loop pass.
 
-        Each pass serves ``packet`` at an idle ``engine`` -- mirroring
-        ``Engine.receive``, the kind's own ``_try_start`` and
-        ``Engine._finish`` -- then attempts
-        to commit the next NoC traversal arithmetically (mirroring
-        ``Mesh._try_express`` + ``ExpressFlight._finish`` and the final
-        router's delivery pump) and continues at the target.  Any leg
-        that cannot continue executes the *exact* scalar statement at
-        the already-advanced clock and ends the ride; every event it
-        schedules lies at or after ``now``, so the kernel resumes
-        cleanly.
+        Each pass serves ``packet`` at an idle ``engine`` -- the steps
+        of ``Engine.receive``, the kind's own ``_try_start`` and
+        ``Engine._finish``, each through the scalar method -- then
+        attempts to commit the next NoC traversal arithmetically
+        (mirroring ``Mesh._try_express`` + ``ExpressFlight._finish``
+        and the final router's delivery pump) and continues at the
+        target.  Any leg that cannot continue executes the *exact*
+        scalar statement at the already-advanced clock and ends the
+        ride; every event it schedules lies at or after ``now``, so the
+        kernel resumes cleanly.
 
-        Pre-conditions, re-established before each pass: the inlined
-        ``_engine_ready`` held for ``engine`` (whose local router is
-        ``erouter``) and ``now <= t_arr < self._h``.  The
+        Pre-conditions, re-established before each pass:
+        :meth:`_engine_ready` gave ``kind`` for ``engine`` and
+        ``now <= t_arr < h``, the working horizon (every committed
+        mutation timestamp stays strictly below it).  The
         ``mid``/``src``/``dest``/``inject_ps``/``hops`` quintuple
         describes the in-flight envelope, materialized as a real
         :class:`NocMessage` only on a mid-service handoff.
         """
         sim = self.sim
-        kinds = self._kinds
-        routers = self._routers
-        recipes = self._recipes
-        svc = self._svc
-        h = self._h
-        ekey = id(engine)
         while True:
-            # One dict hit replaces the leg's ~20 attribute chains; the
-            # recipe holds only structurally-final objects (see
-            # _recipe_of); counters are ints, bumped on their owners.
-            rec = recipes.get(ekey)
-            if rec is None:
-                rec = self._recipe_of(engine, kind)
-            (queue, qseq, qlat, name,
-             csum_handle, csum_svc, address, lookup_table, lookup_ps,
-             port, inj, expr_cache, ser_cache, ii_ps, lat_ps) = rec
             sim.now = t_arr  # monotonic: t_arr >= now on entry
-            # receive(): the rank (_rank_of) is drawn from pure reads
-            # and never outlives the fused push/pop.
-            # PifoQueue.push + pop on an empty queue, inline: the
-            # push's seq draw and counters; the heap never changes.
-            next(qseq)
-            queue.pushed += 1
-            if queue.max_occupancy < 1:
-                queue.max_occupancy = 1
-            # queue_latency.observe(t_arr, t_arr) inline: a zero sample.
-            qlat._samples.append(0)
-            qlat._sorted = False
+            # receive() + the admission's pop on an empty queue: the
+            # PIFO's own push and pop (its sequence draw and counters),
+            # with the packet standing in for the unmade envelope.
+            queue = engine.queue
+            rank, droppable = engine._rank_of(packet)
+            queue.push(packet, rank, droppable)
+            queue.pop()
+            engine.queue_latency.observe(t_arr, t_arr)
             # The admission: the only step the two kinds do differently.
             if kind == "rmt":
                 # RmtPipelineEngine._try_start (no notify_space there).
                 start = engine._next_accept_ps
                 if start < t_arr:
                     start = t_arr
-                engine._next_accept_ps = start + ii_ps
-                t_fin = start + lat_ps
+                engine._next_accept_ps = start + engine.initiation_interval_ps
+                t_fin = start + engine.latency_ps
             else:
                 # Engine._try_start: freed_space -> one notify_space().
-                # That is erouter.pump (validated by _router_of) on a
-                # router known buffer-free: a single fairness rotation.
-                rr = erouter._rr_order
+                # That is the local router's pump (validated by
+                # _router_of) on a router known buffer-free: a single
+                # fairness rotation.
+                rr = self._routers[id(engine)]._rr_order
                 if rr:
                     rr.append(rr.pop(0))
-                if csum_svc:
-                    # Stock ChecksumEngine.service_time_ps: pure in its
-                    # memo key, so a hit replaces the call.
-                    skey = (ekey, len(packet.data),
-                            engine.fixed_cycles, engine.cycles_per_byte)
-                    delay = svc.get(skey)
-                    if delay is None:
-                        delay = engine.service_time_ps(packet)
-                        if len(svc) >= 1024:
-                            svc.clear()
-                        svc[skey] = delay
-                else:
-                    delay = engine.service_time_ps(packet)
+                delay = engine.service_time_ps(packet)
                 if delay < 0:
                     # Scalar schedule() would refuse; never move the
                     # clock backwards.
                     raise ValueError(
-                        f"{name}: negative service time {delay}")
+                        f"{engine.name}: negative service time {delay}")
                 # slowdown == 1.0 and payload_buffer is None by
                 # eligibility, so the scalar path's remaining delay
                 # adjustments are identity.
@@ -345,70 +306,42 @@ class TrainLane:
             # Engine._finish at t_fin.
             sim.now = t_fin
             engine.processed += 1
-            # packet.touch(name) inline.
-            trail = packet._trail
-            if trail is None:
-                trail = packet._trail = []
-            trail.append(name)
-            if csum_handle and packet.meta.direction is not _TX:
-                # ChecksumEngine.handle RX inline (stock by
-                # identity): _verify's memoized verdict, annotation
-                # and counter -- schedules nothing, single
-                # pass-through output, so the refresh and unpack
-                # below are skipped outright.
-                ok = _rx_verdict(packet.data)
-                if ok is not None:
-                    packet.meta.annotations["csum_ok"] = ok
-                    if ok:
-                        engine.verified += 1
-                    else:
-                        engine.bad_checksums += 1
-                out_packet = packet
-                ndest = None
-            else:
-                seq = sim._seq
-                outputs = engine.handle(packet)
-                if sim._seq != seq or sim._after_hooks:
-                    # handle() scheduled events (TX wire, timers, a
-                    # decision handler's): they may lie below the old
-                    # horizon and shrink what the ride may touch.
-                    horizon = sim.train_horizon()
-                    h = float("-inf") if horizon is None else horizon
-                    self._h = h
-                if len(outputs) != 1:
-                    self._route_multi(engine, outputs)
-                    return
-                out_packet, ndest = outputs[0]
+            packet.touch(engine.name)
+            seq = sim._seq
+            outputs = engine.handle(packet)
+            if sim._seq != seq or sim._after_hooks:
+                # handle() scheduled events (TX wire, timers, a
+                # decision handler's): they may lie below the old
+                # horizon and shrink what the ride may touch.
+                horizon = sim.train_horizon()
+                h = float("-inf") if horizon is None else horizon
+            if len(outputs) != 1:
+                self._route_multi(engine, outputs)
+                return
+            packet, ndest = outputs[0]
             # The routing step of _finish.
             lookup_delay = 0
             if ndest is None:
-                # Engine._route_by_chain inline (stock by whitelist):
-                # next chain hop, else the lookup table.
-                header = out_packet.panic
-                if header is not None and header.cursor < len(header.chain):
-                    ndest = header.chain[header.cursor]
-                    header.cursor += 1
-                else:
-                    ndest = lookup_table.lookup(out_packet.kind)
-                lookup_delay = lookup_ps
+                ndest = engine._route_by_chain(packet)
+                lookup_delay = engine._lookup_ps
             if ndest is None:
-                engine.terminal(out_packet)
+                engine.terminal(packet)
                 return
-            if ndest == address:
-                engine.schedule(lookup_delay, engine._loopback, out_packet)
+            if ndest == engine.address:
+                engine.schedule(lookup_delay, engine._loopback, packet)
                 return
             # -- Attempt the next traversal: an idle scan over the cached
             # express path.  Any failed check falls back to the scalar
             # send (mutating nothing first).
             t_send = t_fin + lookup_delay
-            packet = out_packet
-            if (t_send >= h or packet.trace is not None
-                    or packet.int_state is not None):
+            if t_send >= h:
                 break
-            path = expr_cache.get(ndest, _MISS)
+            port = engine.port
+            inj = port._channel
+            path = inj._express_paths.get(ndest, _MISS)
             if path is _MISS:
                 path = self.mesh._build_express_path(inj, ndest)
-                expr_cache[ndest] = path
+                inj._express_paths[ndest] = path
             if path is None or (
                     inj._transfer_in_progress or inj._pending
                     or inj._express_flight is not None
@@ -432,29 +365,12 @@ class TrainLane:
             target = final_router.endpoint
             if target is None:
                 break
-            # Inlined _engine_ready(target, packet); its telemetry
-            # test ran with the t_send check above.
-            key = id(target)
-            tkind = kinds.get(key, _MISS)
-            if tkind is _MISS:
-                tkind = self._kind_of(target)
-            if (tkind is None
-                    or target.fault_mode is not None
-                    or target.slowdown != 1.0
-                    or target.payload_buffer is not None
-                    or target._busy_lanes
-                    or target.queue._heap
-                    or packet.kind is _CONTROL):
-                break
-            trouter = routers.get(key)
-            if trouter is None:
-                trouter = self._router_of(target)
-            if (trouter is False or trouter._buffered
-                    or trouter._express_flights):
+            tkind = self._engine_ready(target, packet)
+            if tkind is None:
                 break
             # The size NocMessage would fix at injection.
             bits = packet.chip_bits
-            ser = ser_cache.get(bits)
+            ser = inj._ser_cache.get(bits)
             if ser is None:
                 ser = inj._serialization_ps(bits)
             n_hops = len(channels)
@@ -480,14 +396,12 @@ class TrainLane:
             if rr:
                 rr.append(rr.pop(0))
             self.trajectory_hops += 1
-            src = address
+            src = engine.address
             dest = ndest
             inject_ps = t_send
             hops = n_hops
             engine = target
-            ekey = key
             kind = tkind
-            erouter = trouter
             t_arr = t_arrive
         # Scalar handoff for the forward that could not ride: exactly
         # _finish's send branch, at the already-advanced clock.
@@ -496,43 +410,6 @@ class TrainLane:
             engine.schedule(lookup_delay, engine.send, packet, ndest)
         else:
             engine.send(packet, ndest)
-
-    def _recipe_of(self, engine: Engine, kind: str) -> tuple:
-        """Build and cache the per-engine leg recipe.
-
-        Every entry is an object the engine's ``__init__`` creates and
-        no repo code ever reassigns (queue, trackers, the NoC port and
-        its channel caches), plus two method-identity flags for the
-        stock checksum shortcuts and the RMT engine's constant
-        interval/latency.  Mutable *state* (occupancy, busy lanes,
-        ``_next_accept_ps``, channel idleness) is always read from the
-        live objects, never from the recipe; so are the counters, which
-        are ints and are written through to their owners
-        (``queue.pushed``, ``engine.processed``, ``port.injected``).
-        """
-        cls = type(engine)
-        port = engine.port
-        inj = port._channel
-        rmt = kind == "rmt"
-        rec = (
-            engine.queue,
-            engine.queue._seq,
-            engine.queue_latency,
-            engine.name,
-            cls.handle is _CHECKSUM_HANDLE,
-            cls.service_time_ps is _CHECKSUM_SVC,
-            engine.address,
-            engine.lookup_table,
-            engine._lookup_ps,
-            port,
-            inj,
-            inj._express_paths,
-            inj._ser_cache,
-            engine.initiation_interval_ps if rmt else 0,
-            engine.latency_ps if rmt else 0,
-        )
-        self._recipes[id(engine)] = rec
-        return rec
 
     def _route_multi(self, engine: Engine, outputs) -> None:
         """Multicast/drop outputs: the scalar routing loop verbatim

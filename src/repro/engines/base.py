@@ -173,8 +173,7 @@ class Engine(Component, Endpoint):
     # NoC-facing receive path
     # ------------------------------------------------------------------
 
-    def _rank_of(self, message: NocMessage):
-        packet = message.packet
+    def _rank_of(self, packet: Packet):
         if packet.panic is not None:
             return packet.panic.slack_ps, packet.panic.droppable
         return self.now, False
@@ -195,7 +194,7 @@ class Engine(Component, Endpoint):
             self.blackholed += 1
             return True
         if self.overflow == "backpressure" and self.queue.is_full:
-            _rank, droppable = self._rank_of(message)
+            _rank, droppable = self._rank_of(message.packet)
             if not droppable:
                 self.rejected += 1
                 return False
@@ -211,7 +210,7 @@ class Engine(Component, Endpoint):
             if ctx is not None:
                 tracer.instant(ctx, "blackholed", self.name, self.now)
             return
-        rank, droppable = self._rank_of(message)
+        rank, droppable = self._rank_of(message.packet)
         message.enqueue_ps = self.now
         if self._int_tap is not None:
             # INT observes the same pre-push depth the tracer records.

@@ -40,9 +40,9 @@ class EthernetPort(Engine):
     #: record is finalized (and, in-band, the trailer grows the frame).
     _int_agent = None
 
-    #: The NIC's :class:`~repro.core.train.TrainLane` when
-    #: ``PanicConfig.batch_execution`` is on, else None: a frame boards
-    #: the lane at one place, the end of :meth:`_rx_arrival`.
+    #: The NIC's :class:`~repro.core.train.TrainLane` when it has one
+    #: (``PanicConfig.batched``), else None: a frame boards the lane at
+    #: one place, the end of :meth:`_rx_arrival`.
     _train_lane = None
 
     def __init__(

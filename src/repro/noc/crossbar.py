@@ -56,9 +56,9 @@ class _CrossbarPort:
 class Crossbar:
     """A non-blocking crossbar with per-output serialization.
 
-    Each output port is a :class:`Channel` clocked at a frequency derated
-    by the port count, modelling the wire-length penalty of large flat
-    switches: ``freq = base_freq / (1 + derating * (ports - 1))``.
+    Each output port is a :class:`Channel` clocked at the on-chip 500 MHz
+    derated by the port count, modelling the wire-length penalty of large
+    flat switches: ``freq = 500 MHz / (1 + derating * (ports - 1))``.
     """
 
     def __init__(
@@ -66,7 +66,6 @@ class Crossbar:
         sim: Simulator,
         ports: int,
         channel_bits: int = 64,
-        freq_hz: float = 500 * MHZ,
         freq_derating: float = 0.05,
         credits: int = 8,
         name: str = "xbar",
@@ -77,7 +76,7 @@ class Crossbar:
         self.name = name
         self.ports = ports
         self.channel_bits = channel_bits
-        effective = freq_hz / (1.0 + freq_derating * max(0, ports - 1))
+        effective = 500 * MHZ / (1.0 + freq_derating * max(0, ports - 1))
         self.clock = Clock(effective)
         self.credits = credits
         self._endpoints: Dict[int, Endpoint] = {}

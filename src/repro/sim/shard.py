@@ -40,8 +40,8 @@ doubled after a clean one) and, whenever ``H > 1``, checkpoint every
 shard first with a copy-on-write ``os.fork`` (the parent freezes as the
 checkpoint; the child speculates).  A shard that mutated state at or
 past ``W`` (detected through the kernel's fired-timestamp log; batched
-train rides never reach it, so speculative runs refuse NICs built with
-``batch_execution``) is a *straggler victim*: it hands the
+train rides never reach it, so speculative runs refuse NICs that carry
+a train lane) is a *straggler victim*: it hands the
 unprocessed message to its frozen checkpoint and exits; the parent
 wakes, replays deterministically to ``W - 1`` (its RNG, heap, and
 sequence state are the exact pre-speculation bits, so the replay is
@@ -443,10 +443,15 @@ def _worker_main(
             # across a commit point would commit as clean.
             for name, nic in nics.items():
                 if getattr(nic, "train_lane", None) is not None:
+                    asked = nic.config.batch_execution
+                    how = ("batch_execution=True" if asked else
+                           "a train lane (batch_execution=None, the "
+                           "default, builds one wherever a train can "
+                           "board)")
                     raise ShardError(
-                        f"{name} was built with batch_execution=True, "
-                        "which speculative windows cannot run soundly; "
-                        "use speculative=False or batch_execution=False"
+                        f"{name} was built with {how}, which speculative "
+                        "windows cannot run soundly; use speculative=False "
+                        "or build it with batch_execution=False"
                     )
         if profile:
             sim.set_profile({})
@@ -601,9 +606,11 @@ def run_sharded(
     counters and the horizon trajectory.  Requires POSIX ``os.fork``.
     When the topology has no cross-shard wires there is nothing to
     speculate past (the result still reports ``speculative=True`` with
-    zero counters and ``spec_horizon == 0``).  A NIC built with
-    ``batch_execution=True`` is refused (:class:`ShardError`, before the
-    first window): train rides are invisible to the dirty check.
+    zero counters and ``spec_horizon == 0``).  A NIC that carries a train
+    lane -- ``batch_execution=True``, or the default None wherever a
+    train can board -- is refused (:class:`ShardError`, before the first
+    window): train rides are invisible to the dirty check.  Build it
+    with ``batch_execution=False`` to speculate.
 
     ``profile=True`` installs each worker's kernel wall-time sink and
     gathers the merged attribution plus per-shard busy seconds into

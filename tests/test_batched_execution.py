@@ -15,6 +15,7 @@ rack shards at several worker counts), and separately prove the lane
 actually fires (else it is dead code and the equivalence is vacuous).
 """
 
+import dataclasses
 import functools
 import gc
 import weakref
@@ -23,12 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PanicConfig, PanicNic
+from repro.core.topology import LinkSpec, NicSpec, RackTopology
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
 from repro.packet import Packet, build_udp_frame
 from repro.sim import Simulator
 from repro.sim.clock import NS, US
-from repro.sim.shard import run_monolithic, run_sharded
+from repro.sim.shard import ShardError, run_monolithic, run_sharded
 from repro.telemetry.config import IntConfig, TelemetryConfig
+from repro.workloads.kvs import KvsWorkload, TenantSpec
 from repro.workloads.rack import rack_topology
 
 
@@ -342,6 +345,71 @@ def test_a_lane_that_could_never_ride_is_refused_at_build(never_rides):
 
 
 # ----------------------------------------------------------------------
+# The default: a lane wherever a train can board
+# ----------------------------------------------------------------------
+
+
+def test_the_default_builds_a_lane_and_false_builds_none():
+    assert PanicNic(Simulator(), PanicConfig()).train_lane is not None
+    assert PanicNic(Simulator(), PanicConfig(
+        batch_execution=False)).train_lane is None
+
+
+@pytest.mark.parametrize("never_rides, lifted", [
+    (dict(payload_mode="pointer"), dict(payload_mode="full")),
+    (dict(telemetry=TelemetryConfig(sample_every=0, probe_period_ps=US)),
+     dict(telemetry=None)),
+    (dict(telemetry=TelemetryConfig(sample_every=1)), dict(telemetry=None)),
+    (dict(int_=IntConfig()), dict(int_=None)),
+], ids=["pointer", "probes", "trace_every_frame", "int"])
+def test_the_default_builds_no_lane_where_none_could_ride(never_rides,
+                                                           lifted):
+    # No error either: the default asks for a lane only where one pays.
+    config = PanicConfig(**never_rides)
+    assert PanicNic(Simulator(), config).train_lane is None
+    # The default is read at build time, not written into the field, so
+    # lifting the blocker from the same config brings the lane back.
+    lifted = dataclasses.replace(config, **lifted)
+    assert lifted.batch_execution is None
+    assert PanicNic(Simulator(), lifted).train_lane is not None
+
+
+def run_kvs(batch):
+    """A two-tenant KV drive on a default NIC (GETs beside a SET hog)."""
+    sim = Simulator()
+    config = PanicConfig(ports=1, seed=5)
+    if batch is not None:
+        config = dataclasses.replace(config, batch_execution=batch)
+    nic = PanicNic(sim, config)
+    deliveries = []
+
+    def handler(packet, _queue):
+        meta = packet.meta
+        deliveries.append((meta.tenant, meta.annotations["request_ctx"],
+                           sim.now, packet.data))
+
+    nic.host.software_handler = handler
+    workload = KvsWorkload(sim, nic, [
+        TenantSpec(1, rate_pps=50_000, latency_sensitive=True,
+                   key_space=20, get_fraction=1.0),
+        TenantSpec(2, rate_pps=400_000, key_space=50, get_fraction=0.0,
+                   value_bytes=512),
+    ], seed=5, requests_per_tenant=60)
+    workload.start()
+    sim.run()
+    nic.mesh.assert_drained()
+    return (deliveries, sim.now, nic.stats(), workload.summary()), nic
+
+
+def test_a_default_kvs_drive_rides_and_equals_the_scalar_oracle():
+    on, nic = run_kvs(batch=None)
+    off, _ = run_kvs(batch=False)
+    assert on == off
+    assert len(on[0]) > 0
+    assert nic.train_lane.stats()["trajectories"] > 0
+
+
+# ----------------------------------------------------------------------
 # Generated drivers: lane on == lane off, however frames reach the MAC
 # ----------------------------------------------------------------------
 
@@ -360,7 +428,8 @@ def _state_change_offsets(payload_bytes):
     """Every instant, relative to its injection, at which one unrouted
     frame alone on a scalar NIC fires an event (0 = the injection)."""
     sim = Simulator()
-    nic = PanicNic(sim, PanicConfig(ports=1, offloads=POOL))
+    nic = PanicNic(sim, PanicConfig(ports=1, offloads=POOL,
+                                    batch_execution=False))
     log = [0]
     sim.set_fired_log(log)
     nic.inject(_udp_packet(b"g" * payload_bytes, seq=0, dscp=1))
@@ -504,6 +573,27 @@ def test_rack_sharded_batch_matches_mono(workers):
     for name, report in mono.items():
         assert sharded[name]["deliveries"] == report["deliveries"]
         assert sharded[name]["stats"] == report["stats"]
+
+
+def _default_nic(sim, name, **params):
+    nic = PanicNic(sim, PanicConfig(ports=1, **params), name=name)
+    return nic, nic.stats
+
+
+def _default_pair(**params):
+    return RackTopology(
+        [NicSpec(name, _default_nic, params) for name in ("a", "b")],
+        [LinkSpec("a", "b")])
+
+
+def test_speculation_refuses_a_default_lane_and_names_the_fix():
+    with pytest.raises(ShardError, match=(
+            r"[ab] was built with a train lane \(batch_execution=None, "
+            r"the default.*build it with batch_execution=False")):
+        run_sharded(_default_pair(), workers=2, speculative=True)
+    # The fix the message names.
+    run_sharded(_default_pair(batch_execution=False), workers=2,
+                speculative=True)
 
 
 # ----------------------------------------------------------------------

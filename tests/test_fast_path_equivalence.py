@@ -128,7 +128,7 @@ def test_fast_path_fires_fewer_events_on_chaining():
         sim = Simulator()
         nic = PanicNic(sim, PanicConfig(
             ports=1, offloads=("checksum", "checksum1"),
-            fast_path=fast_path,
+            fast_path=fast_path, batch_execution=False,
         ))
         nic.control.route_dscp(1, ["checksum", "checksum1"])
         for i in range(50):
