@@ -69,7 +69,7 @@ def run_scenario(crash: bool, seed: int = 3):
         "backup_processed": stats["ipsec1"]["processed"],
         "blackholed": stats["faults"]["blackholed"],
         "failovers": stats["faults"]["failovers"],
-        "watchdog_fires": stats["faults"]["watchdog_fires"],
+        "hb_failures_detected": stats["faults"]["hb_failures_detected"],
         "in_flight": nic.mesh.in_flight,
         "stats": stats,
     }
@@ -95,7 +95,7 @@ def test_crash_failover_degrades_gracefully(benchmark):
          int(r["primary_processed"]),
          int(r["backup_processed"]),
          int(r["blackholed"]),
-         int(r["watchdog_fires"]),
+         int(r["hb_failures_detected"]),
          r["in_flight"]]
         for label, r in results.items()
     ]
@@ -112,7 +112,7 @@ def test_crash_failover_degrades_gracefully(benchmark):
     assert baseline["failovers"] == 0
 
     # The crash was detected and failed over exactly once.
-    assert crashed["watchdog_fires"] == 1
+    assert crashed["hb_failures_detected"] == 1
     assert crashed["failovers"] == 1
     # Only the detection-window packets were lost; the backup carried
     # the rest, retaining at least half the baseline throughput.

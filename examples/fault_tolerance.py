@@ -5,7 +5,7 @@ A single-port NIC carries two IPSec-bound traffic classes over two IPSec
 lanes (``ipsec`` and the instanced spare ``ipsec1``).  A seeded
 :class:`~repro.faults.FaultPlan` kills the primary lane a third of the
 way through the run.  The mesh-resident :class:`HealthMonitor` notices
-within its credit-timeout (the probe outstanding past ``timeout_ps``),
+once the lane's last heartbeat echo is older than ``timeout_ps``,
 declares the tile dead, and the control plane recomputes every chain and
 lookup-table route through the backup.  Throughput dips during the
 detection window (those packets are black-holed, and counted) and then
@@ -94,7 +94,7 @@ def main() -> None:
     ))
     print()
     print("failure detected at :", ", ".join(
-        f"{key} @{format_time(when)}" for key, when in monitor.failed_at.items()
+        f"{key} @{format_time(when)}" for key, when in monitor.detected.items()
     ) or "never")
     print("primary (ipsec)     :", int(stats["ipsec"]["processed"]),
           "processed,", int(stats["faults"]["blackholed"]), "black-holed")
@@ -102,7 +102,7 @@ def main() -> None:
     print("delivered to host   :", int(stats["host"]["rx_delivered"]),
           f"/ {N_FRAMES}")
     print("watchdog            :",
-          int(stats["faults"]["watchdog_fires"]), "fire(s),",
+          int(stats["faults"]["hb_failures_detected"]), "failure(s) detected,",
           int(stats["faults"]["failovers"]), "failover(s)")
     nic.mesh.assert_drained()
     print("mesh                : fully drained (0 messages in flight)")

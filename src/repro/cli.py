@@ -128,7 +128,7 @@ def cmd_faults() -> None:
     sim.run()
     stats = nic.stats()
     print("failure detected at :", {
-        k: format_time(v) for k, v in monitor.failed_at.items()
+        k: format_time(v) for k, v in monitor.detected.items()
     })
     print("primary processed   :", stats["ipsec"]["processed"])
     print("backup processed    :", stats["ipsec1"]["processed"])

@@ -185,14 +185,9 @@ class Engine(Component, Endpoint):
         meeting a full queue is *refused*: the router parks it, the
         upstream credit loop stalls, and :attr:`notify_space` retries it
         once a slot frees -- one concrete answer to the paper's section 6
-        flow-control question.
+        flow-control question.  A crashed tile never refuses: ``fail``
+        emptied its queue, and :meth:`receive` sinks what arrives.
         """
-        if self.fault_mode == FAULT_CRASH:
-            # A dead tile sinks everything delivered to it: the router's
-            # credit loop keeps turning (the mesh stays live) but the
-            # message is lost, and counted.
-            self.blackholed += 1
-            return True
         if self.overflow == "backpressure" and self.queue.is_full:
             _rank, droppable = self._rank_of(message.packet)
             if not droppable:
@@ -279,7 +274,7 @@ class Engine(Component, Endpoint):
         if ctx is not None:
             tracer.end_engine(ctx, self.now)
         packet = message.packet
-        if self._echo_heartbeat(packet):
+        if packet.kind is MessageKind.CONTROL and self._echo_heartbeat(packet):
             self._try_start()
             return
         packet.touch(self.name)
@@ -376,25 +371,19 @@ class Engine(Component, Endpoint):
         if self.notify_space is not None:
             self.notify_space()
 
-    @property
-    def failed(self) -> bool:
-        return self.fault_mode is not None
-
     def _echo_heartbeat(self, packet: Packet) -> bool:
-        """Answer a health-monitor probe; True when ``packet`` was one.
+        """Answer a health-monitor probe; True when the CONTROL
+        ``packet`` was one.
 
         Probes ride the mesh and the engine's own scheduling queue like
         any other message, so the echo proves the whole tile -- router,
         PIFO, service loop -- is live, not just that the object exists.
         """
-        if packet.kind is not MessageKind.CONTROL:
-            return False
         reply_to = packet.meta.annotations.get("hb_reply_to")
         if reply_to is None:
             return False
         echo = Packet(b"", MessageKind.CONTROL)
         echo.meta.annotations["hb_echo_from"] = self.address
-        echo.meta.annotations["hb_seq"] = packet.meta.annotations.get("hb_seq")
         self.send(echo, int(reply_to))
         return True
 

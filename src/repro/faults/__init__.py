@@ -10,7 +10,10 @@ Three pieces compose a fault experiment:
   from per-event forks of the plan's seed so runs replay identically;
 * :class:`HealthMonitor` -- a mesh-resident watchdog that heartbeats
   engine tiles over the NoC and, on timeout, drives the NIC's failover
-  (lookup-table remap + RMT chain recomputation).
+  (lookup-table remap + RMT chain recomputation).  Its detection rule,
+  :class:`~repro.faults.monitor.Heartbeat`, is the simulator's only
+  one: the load balancer's backend monitor (:mod:`repro.lb.monitor`)
+  adapts it too.
 
 See ``examples/fault_tolerance.py`` for the end-to-end flow.
 """

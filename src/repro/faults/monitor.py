@@ -1,32 +1,119 @@
-"""Heartbeat health monitoring and failure-driven recovery.
+"""Heartbeat health monitoring: one detection rule, two adapters.
 
-The :class:`HealthMonitor` occupies a free mesh tile like any other
-engine and probes the watched engines with zero-byte CONTROL packets.
-Probes ride the mesh, the target's PIFO, and its service loop before the
-echo comes back (see :meth:`repro.engines.base.Engine._echo_heartbeat`),
-so a reply proves the whole tile is live -- router, queue, and engine.
-A probe outstanding past the timeout fires the watchdog: the monitor
-declares the engine failed and asks the NIC to recompute routes around
-it (:meth:`repro.core.panic.PanicNic.handle_engine_failure`).
+:class:`Heartbeat` is the simulator's only failure detector.  Every
+``period_ps`` it probes each live target; a target whose last echo is
+older than ``timeout_ps`` is declared failed instead of probed, so
+detection lands within ``timeout_ps`` plus one ``period_ps`` of the
+last echo.  A target seen for the first time, or forgotten by
+:meth:`Heartbeat.clear`, gets a full timeout of grace; any echo, a late
+one too, is evidence of life.
 
-Detection latency is bounded by ``timeout_ps`` plus one ``period_ps``
-(the watchdog is evaluated at tick granularity).
+:class:`HealthMonitor` adapts it to engine tiles: it occupies a free
+mesh tile and probes the watched engines with zero-byte CONTROL
+packets, which ride the mesh, the target's PIFO and its service loop
+before the echo comes back (:meth:`repro.engines.base.Engine._echo_heartbeat`),
+so a reply proves the whole tile is live.  Declaring an engine asks the
+NIC to route around it
+(:meth:`repro.core.panic.PanicNic.handle_engine_failure`).
+:class:`repro.lb.monitor.BackendHealthMonitor` adapts it to the load
+balancer's backends.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional
 
 from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint
 from repro.packet.packet import MessageKind, Packet
 from repro.sim.clock import US
-from repro.sim.kernel import Component, Event
-from repro.sim.stats import LatencyTracker
+from repro.sim.kernel import Component
 
 
-class HealthMonitor(Component, Endpoint):
+class Heartbeat:
+    """The detection rule, its lifecycle and its counters.
+
+    A subclass sets ``sim``, calls :meth:`echo` when a target answers
+    and supplies ``_targets()`` (the live targets, in probe order),
+    ``_probe(target)`` and ``_declare(target)`` (True when the target
+    was declared, False to keep probing it).
+    """
+
+    def __init__(self, period_ps: int, timeout_ps: int):
+        if period_ps <= 0 or timeout_ps <= period_ps:
+            raise ValueError(
+                f"need 0 < period_ps < timeout_ps, got "
+                f"{period_ps} / {timeout_ps}"
+            )
+        self.period_ps = period_ps
+        self.timeout_ps = timeout_ps
+        self.probes_sent = 0
+        self.echoes_seen = 0
+        self.failures_detected = 0
+        #: target -> instant its silence was declared a failure.
+        self.detected: Dict[Hashable, int] = {}
+        self._last_seen: Dict[Hashable, int] = {}
+        self._running = False
+        self._gen = 0
+
+    def start(self) -> None:
+        """Begin probing; the first probes go out now.  Targets get a
+        full timeout of grace from here before silence can be declared."""
+        if self._running:
+            raise RuntimeError("monitor already running")
+        self._running = True
+        self._gen += 1
+        self._tick(self._gen)
+
+    def stop(self) -> None:
+        """Stop probing so the event heap can drain.  Idempotent."""
+        self._running = False
+        self._gen += 1
+
+    def clear(self, target: Hashable) -> None:
+        """Forget a declared failure (e.g. after the target recovered);
+        it gets a full timeout of grace from the next tick.  The count
+        of failures detected keeps it."""
+        self.detected.pop(target, None)
+        self._last_seen.pop(target, None)
+
+    def echo(self, target: Hashable) -> None:
+        """Record that ``target`` answered a probe."""
+        self.echoes_seen += 1
+        self._last_seen[target] = self.sim.now
+
+    def _tick(self, gen: int) -> None:
+        if not self._running or gen != self._gen:
+            return
+        now = self.sim.now
+        for target in self._targets():
+            last = self._last_seen.setdefault(target, now)
+            if now - last > self.timeout_ps and self._declare(target):
+                self.failures_detected += 1
+                self.detected[target] = now
+                continue
+            self._probe(target)
+            self.probes_sent += 1
+        self.sim.schedule_at(now + self.period_ps, self._tick, gen)
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "hb_probes_sent": self.probes_sent,
+            "hb_echoes_seen": self.echoes_seen,
+            "hb_failures_detected": self.failures_detected,
+        }
+
+    def report(self) -> dict:
+        return {
+            "detected": dict(self.detected),
+            **self.stats(),
+        }
+
+
+class HealthMonitor(Component, Endpoint, Heartbeat):
     """Mesh-resident watchdog for engine tiles.
+
+    Binds itself to the last free tile of ``nic``'s mesh.
 
     Parameters
     ----------
@@ -37,8 +124,8 @@ class HealthMonitor(Component, Endpoint):
         engines with failover semantics.  Fixed-function tiles (MACs,
         DMA, PCIe, RMT) can be added explicitly.
     period_ps, timeout_ps:
-        Probe interval and the outstanding-probe age at which the
-        watchdog declares the engine dead.
+        Probe interval and the echo age past which the engine is
+        declared dead.
     """
 
     def __init__(
@@ -50,137 +137,40 @@ class HealthMonitor(Component, Endpoint):
         name: Optional[str] = None,
     ):
         Component.__init__(self, nic.sim, name or f"{nic.name}.monitor")
-        if period_ps <= 0 or timeout_ps <= 0:
-            raise ValueError("heartbeat period and timeout must be positive")
+        Heartbeat.__init__(self, period_ps, timeout_ps)
         self.nic = nic
-        self.period_ps = period_ps
-        self.timeout_ps = timeout_ps
-        watch = list(engines) if engines is not None else list(nic.config.offloads)
-        for key in watch:
-            nic.offload(key)  # fail fast on typos
-        self._watch: List[str] = watch
+        # Engine address -> key, in probe order; nic.offload fails fast
+        # on a typo.
         self._key_of: Dict[int, str] = {
-            nic.offload(key).address: key for key in watch
+            nic.offload(key).address: key
+            for key in (engines if engines is not None
+                        else nic.config.offloads)
         }
-        #: engine key -> (sequence number, send time) of the live probe.
-        self._outstanding: Dict[str, Tuple[int, int]] = {}
-        #: engine key -> detection time of a declared failure.
-        self.failed_at: Dict[str, int] = {}
-        self._seq = 0
-        self._tick_event: Optional[Event] = None
-        self._running = False
-        self.port = None  # set when bound to the mesh
-        self.heartbeats_sent = 0
-        self.echoes_received = 0
-        self.watchdog_fires = 0
-        self.failures_detected = 0
-        self.rtt = LatencyTracker(f"{self.name}.rtt")
-
-    def bind_port(self, port) -> None:
-        self.port = port
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Begin probing.  The first probes go out immediately."""
-        if self.port is None:
+        free = nic.mesh.unbound_tiles()
+        if not free:
             raise RuntimeError(
-                f"{self.name}: not bound to the mesh; use attach_health_monitor"
+                f"{nic.name}: no free mesh tile for the health monitor; "
+                "use a larger mesh"
             )
-        if self._running:
-            return
-        self._running = True
-        self._tick_event = self.schedule(0, self._tick)
+        self.port = nic.mesh.bind(self, *free[-1])
 
-    def stop(self) -> None:
-        """Stop probing and cancel the pending tick.
-
-        Without a stop the periodic tick keeps the event heap alive
-        forever, so ``sim.run()`` with no horizon would never return.
-        """
-        self._running = False
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
-        self._outstanding.clear()
-
-    def clear(self, key: str) -> None:
-        """Forget a declared failure (e.g. after the engine recovered)."""
-        self.failed_at.pop(key, None)
-        self._outstanding.pop(key, None)
-
-    # ------------------------------------------------------------------
-    # Probe loop
-    # ------------------------------------------------------------------
-
-    def _tick(self) -> None:
-        self._tick_event = None
-        if not self._running:
-            return
-        for key in self._watch:
-            if key in self.failed_at:
-                continue
-            outstanding = self._outstanding.get(key)
-            if outstanding is not None:
-                _seq, sent_ps = outstanding
-                if self.now - sent_ps >= self.timeout_ps:
-                    self.watchdog_fires += 1
-                    self._declare_failed(key)
-                # Probe still in flight (or just timed out): don't pile
-                # a second one onto a slow or wedged engine.
-                continue
-            self._probe(key)
-        if self._running:
-            self._tick_event = self.schedule(self.period_ps, self._tick)
+    def _targets(self):
+        return [key for key in self._key_of.values()
+                if key not in self.detected]
 
     def _probe(self, key: str) -> None:
-        self._seq += 1
         probe = Packet(b"", MessageKind.CONTROL)
         probe.meta.annotations["hb_reply_to"] = self.address
-        probe.meta.annotations["hb_seq"] = self._seq
-        self._outstanding[key] = (self._seq, self.now)
-        self.heartbeats_sent += 1
         self.port.send(probe, self.nic.offload(key).address)
 
-    def _declare_failed(self, key: str) -> None:
-        self.failures_detected += 1
-        self.failed_at[key] = self.now
-        self._outstanding.pop(key, None)
+    def _declare(self, key: str) -> bool:
         self.nic.handle_engine_failure(key)
-
-    # ------------------------------------------------------------------
-    # Endpoint interface (echo reception)
-    # ------------------------------------------------------------------
+        return True
 
     def receive(self, message: NocMessage) -> None:
-        annotations = message.packet.meta.annotations
-        source = annotations.get("hb_echo_from")
-        key = self._key_of.get(source)
-        if key is None:
-            return
-        self.echoes_received += 1
-        outstanding = self._outstanding.get(key)
-        if outstanding is None:
-            return  # stale echo (engine already declared failed, or reset)
-        seq, sent_ps = outstanding
-        if annotations.get("hb_seq") != seq:
-            return
-        self.rtt.observe(sent_ps, self.now)
-        del self._outstanding[key]
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "heartbeats_sent": self.heartbeats_sent,
-            "echoes_received": self.echoes_received,
-            "watchdog_fires": self.watchdog_fires,
-            "failures_detected": self.failures_detected,
-        }
+        key = self._key_of.get(message.packet.meta.annotations.get("hb_echo_from"))
+        if key is not None:
+            self.echo(key)
 
 
 def attach_health_monitor(
@@ -195,17 +185,8 @@ def attach_health_monitor(
     and returns the monitor; call :meth:`HealthMonitor.start` to begin
     probing and :meth:`HealthMonitor.stop` before draining the sim.
     """
-    free = nic.mesh.unbound_tiles()
-    if not free:
-        raise RuntimeError(
-            f"{nic.name}: no free mesh tile for the health monitor; "
-            "use a larger mesh"
-        )
     monitor = HealthMonitor(
         nic, engines=engines, period_ps=period_ps, timeout_ps=timeout_ps
     )
-    x, y = free[-1]
-    port = nic.mesh.bind(monitor, x, y)
-    monitor.bind_port(port)
     nic.monitor = monitor
     return monitor

@@ -14,7 +14,8 @@ frames never touch the LB host (direct server return).
   failure-driven ``fail``, and garbage collection of masked entries.
 * :class:`~repro.lb.monitor.BackendHealthMonitor` -- heartbeat probes
   over the same cables the traffic uses; a silent backend is failed out
-  automatically.
+  automatically, by the detection rule the engine watchdog runs too
+  (:class:`~repro.faults.monitor.Heartbeat`).
 * :mod:`repro.lb.rack` -- the rack workload: one LB NIC, N backends
   serving a VIP with direct server return, M clients running a reliable
   transport against the VIP.

@@ -7,7 +7,10 @@ RMT classification, egress cable, the backend's DMA path -- so a
 backend that went dark at its MACs (``NIC_DOWN``), wedged its pipeline,
 or lost its cable all look identical: echoes stop.  When a backend's
 last echo is older than ``timeout_ps`` the monitor calls
-``steering.fail(backend)``, which re-epochs the VIP away from it.
+``steering.fail(backend)``, which re-epochs the VIP away from it.  The
+rule, its lifecycle and its counters are
+:class:`repro.faults.monitor.Heartbeat`'s; this module keeps the wire
+format, the backend's responder and the LB's adapter.
 
 Both sides are pure host software layered *around* the reliable
 transport: :func:`attach_heartbeat_responder` and the monitor's own RX
@@ -22,8 +25,9 @@ speculative execution (detection latency quantizes to the probe tick).
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict
+from typing import Callable
 
+from repro.faults.monitor import Heartbeat
 from repro.sim.clock import US
 
 #: Magic tag marking a heartbeat payload ("LB" in ASCII).
@@ -61,6 +65,22 @@ def parse_heartbeat(payload: bytes):
     return hb_type, index
 
 
+def _intercept_heartbeats(nic, payload_offset: int, on_heartbeat) -> None:
+    """Wrap the NIC's current ``software_handler`` (the reliable
+    transport's RX hook): heartbeats go to ``on_heartbeat(type,
+    sender)`` and are swallowed, everything else passes through."""
+    inner = nic.host.software_handler
+
+    def dispatch(packet, queue: int) -> None:
+        parsed = parse_heartbeat(packet.data[payload_offset:])
+        if parsed is not None:
+            on_heartbeat(*parsed)
+        elif inner is not None:
+            inner(packet, queue)
+
+    nic.host.software_handler = dispatch
+
+
 def attach_heartbeat_responder(
     nic,
     index: int,
@@ -68,33 +88,27 @@ def attach_heartbeat_responder(
     *,
     payload_offset: int = 42,
 ) -> None:
-    """Make a backend's host echo heartbeat probes.
+    """Make a backend's host echo heartbeat probes to their sender
+    (echoes addressed here are stray and swallowed too).
 
-    Wraps the NIC's current ``software_handler`` (the reliable
-    transport's RX hook): probes are swallowed and echoed to their
-    sender, everything else passes through.  ``frame_builder`` must
-    address the *real* host IP of peer ``dst`` -- echoing to the VIP
-    would bounce off the LB's own ``vip_steer`` back into a backend.
+    ``frame_builder`` must address the *real* host IP of peer ``dst``
+    -- echoing to the VIP would bounce off the LB's own ``vip_steer``
+    back into a backend.
     """
-    inner = nic.host.software_handler
 
-    def dispatch(packet, queue: int) -> None:
-        parsed = parse_heartbeat(packet.data[payload_offset:])
-        if parsed is not None:
-            hb_type, sender = parsed
-            if hb_type == HB_PROBE:
-                nic.host.enqueue_tx(
-                    frame_builder(sender, pack_heartbeat(HB_ECHO, index))
-                )
-            return  # echoes addressed here are stray; swallow them too
-        if inner is not None:
-            inner(packet, queue)
+    def respond(hb_type: int, sender: int) -> None:
+        if hb_type == HB_PROBE:
+            nic.host.enqueue_tx(
+                frame_builder(sender, pack_heartbeat(HB_ECHO, index)))
 
-    nic.host.software_handler = dispatch
+    _intercept_heartbeats(nic, payload_offset, respond)
 
 
-class BackendHealthMonitor:
-    """The LB-side half: probe, listen, declare, fail out.
+class BackendHealthMonitor(Heartbeat):
+    """The LB-side adapter of :class:`~repro.faults.monitor.Heartbeat`:
+    its targets are the steering live set, a probe is a UDP heartbeat
+    the LB host transmits, and declaring a silent backend calls
+    ``steering.fail`` -- unless it is the last live one.
 
     Parameters
     ----------
@@ -120,86 +134,29 @@ class BackendHealthMonitor:
         timeout_ps: int = DEFAULT_HB_TIMEOUT_PS,
         payload_offset: int = 42,
     ):
-        if period_ps <= 0 or timeout_ps <= period_ps:
-            raise ValueError(
-                f"need 0 < period_ps < timeout_ps, got "
-                f"{period_ps} / {timeout_ps}"
-            )
+        super().__init__(period_ps, timeout_ps)
+        self.sim = nic.sim
         self.nic = nic
         self.index = index
         self.steering = steering
         self.frame_builder = frame_builder
-        self.period_ps = period_ps
-        self.timeout_ps = timeout_ps
-        self.probes_sent = 0
-        self.echoes_seen = 0
-        #: backend -> instant its silence was declared a failure.
-        self.detected: Dict[int, int] = {}
-        self._last_seen: Dict[int, int] = {}
-        self._running = False
-        self._gen = 0
 
-        inner = nic.host.software_handler
+        def listen(hb_type: int, sender: int) -> None:
+            if hb_type == HB_ECHO:
+                self.echo(sender)
 
-        def dispatch(packet, queue: int) -> None:
-            parsed = parse_heartbeat(packet.data[payload_offset:])
-            if parsed is not None:
-                hb_type, sender = parsed
-                if hb_type == HB_ECHO:
-                    self.echoes_seen += 1
-                    self._last_seen[sender] = nic.sim.now
-                return
-            if inner is not None:
-                inner(packet, queue)
+        _intercept_heartbeats(nic, payload_offset, listen)
 
-        nic.host.software_handler = dispatch
+    def _targets(self):
+        return self.steering.live_backends()
 
-    def start(self) -> None:
-        """Begin probing.  Backends get a full timeout of grace from
-        here before silence can be declared."""
-        if self._running:
-            raise RuntimeError("monitor already running")
-        self._running = True
-        self._gen += 1
-        now = self.nic.sim.now
-        for backend in self.steering.live_backends():
-            self._last_seen.setdefault(backend, now)
-        self._tick(self._gen)
+    def _probe(self, backend: int) -> None:
+        self.nic.host.enqueue_tx(
+            self.frame_builder(backend, pack_heartbeat(HB_PROBE, self.index))
+        )
 
-    def stop(self) -> None:
-        """Stop probing so the event heap can drain.  Idempotent."""
-        self._running = False
-        self._gen += 1
-
-    def _tick(self, gen: int) -> None:
-        if not self._running or gen != self._gen:
-            return
-        now = self.nic.sim.now
-        for backend in self.steering.live_backends():
-            last = self._last_seen.setdefault(backend, now)
-            if now - last > self.timeout_ps:
-                # Never empty the live set: with one backend left there
-                # is nowhere to steer, so keep probing and hope.
-                if len(self.steering.live_backends()) > 1:
-                    if self.steering.fail(backend):
-                        self.detected[backend] = now
-                    continue
-            self.nic.host.enqueue_tx(
-                self.frame_builder(backend,
-                                   pack_heartbeat(HB_PROBE, self.index))
-            )
-            self.probes_sent += 1
-        self.nic.sim.schedule_at(now + self.period_ps, self._tick, gen)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hb_probes_sent": self.probes_sent,
-            "hb_echoes_seen": self.echoes_seen,
-            "hb_failures_detected": len(self.detected),
-        }
-
-    def report(self) -> dict:
-        return {
-            "detected": dict(self.detected),
-            **self.stats(),
-        }
+    def _declare(self, backend: int) -> bool:
+        # Never empty the live set: with one backend left there is
+        # nowhere to steer, so keep probing and hope.
+        return (len(self.steering.live_backends()) > 1
+                and self.steering.fail(backend))

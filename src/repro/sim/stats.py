@@ -32,9 +32,6 @@ class Counter:
             raise ValueError(f"counter increment must be non-negative: {amount}")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __int__(self) -> int:
         return self.value
 

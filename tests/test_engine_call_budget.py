@@ -100,9 +100,11 @@ def rmt_tile(sim):
 #: while it fed a rate meter nothing read (E26).  Both were 3 higher
 #: (29 / 38) while ``service_latency`` was observed and the enqueue
 #: stamp and trail lived in the annotations dict, and the RMT tile paid
-#: one more ``now`` read for the stamp's pop default (E31).
-BASE_VISIT = 26
-RMT_VISIT = 34
+#: one more ``now`` read for the stamp's pop default (E31).  Both were 1
+#: higher (26 / 34) while ``_finish`` called ``_echo_heartbeat`` for
+#: every message instead of testing for a CONTROL packet first.
+BASE_VISIT = 25
+RMT_VISIT = 33
 
 
 def test_base_engine_visit_call_budget():

@@ -42,6 +42,11 @@ arrival at that very picosecond, already scheduled, could tell the two
 apart; the off-grid drive cannot produce one and the on-grid drive
 happens not to (ten seeds tried), so both RMT digests are the parent's.
 
+Re-recorded once since, all six, when a message the router delivers to
+a crashed tile began leaving a ``blackholed`` instant on its trace (it
+was counted but left no span): the span lists gained exactly those
+instants, in place, and every other observable stayed the same.
+
 Re-recording is deliberate, never routine: say in the commit which
 behaviour changed and why the old digest was wrong.  Print the new
 values with ``python tests/test_engine_golden.py``.
@@ -75,11 +80,17 @@ class Sink(Endpoint):
     def __init__(self, sim):
         self.sim = sim
         self.got = []
+        self.echoes = 0
 
     def receive(self, message):
         ann = message.packet.meta.annotations
-        self.got.append((ann.get("seq"), ann.get("hb_seq"), self.sim.now,
-                         message.hops))
+        echo = None
+        if "hb_echo_from" in ann:
+            # Echoes carry no probe number; the script's probes are far
+            # enough apart that the n-th echo answers the n-th probe.
+            self.echoes += 1
+            echo = self.echoes
+        self.got.append((ann.get("seq"), echo, self.sim.now, message.hops))
 
 
 class Worker(Engine):
@@ -171,9 +182,9 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
         elif sim.now < give_up_ps:
             sim.schedule(1_000, crash_in_service, give_up_ps)
 
-    def probe(hb_seq):
+    def probe():
         packet = Packet(b"", MessageKind.CONTROL)
-        packet.meta.annotations.update(hb_reply_to=sink_addrs[1], hb_seq=hb_seq)
+        packet.meta.annotations["hb_reply_to"] = sink_addrs[1]
         send(sources[0], packet)
 
     def burst(count, at, first_seq):
@@ -200,11 +211,11 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     # The script: each fault lands inside a burst, each recover() after
     # the burst was sent, and the next burst starts on a quiet tile.
     end = burst(60, 0, 0)
-    sim.schedule_at(end // 2 + 300, probe, 1)
+    sim.schedule_at(end // 2 + 300, probe)
     start = settle(end)
     end = burst(40, start, 100)
     sim.schedule_at(start + (end - start) // 3 + 300, engine.fail, "stall")
-    sim.schedule_at(start + (end - start) // 2 + 300, probe, 2)
+    sim.schedule_at(start + (end - start) // 2 + 300, probe)
     sim.schedule_at(start + 2 * (end - start) // 3 + 300,
                     engine.queue.corrupt_ranks, SeededRng(seed + 1))
     sim.schedule_at(end + 500_300, engine.recover)
@@ -260,17 +271,17 @@ def digest(observables) -> str:
 #: name -> ((tile, lanes, capacity, overflow, lossless, seed, ties), sha256)
 CASES = {
     "base_evict_l1": (("base", 1, 4, "raise", False, 31, True),
-        "3c976b74efad13a9ef22459a0efba58f96849c52956179eb684fe895c03e1222"),
+        "c9e268d52c527780eb9acc3c5e93b096a55cf24b2dfdc4e331ebc4a2d5e6d026"),
     "base_evict_l2": (("base", 2, 4, "raise", False, 32, True),
-        "8d259913d03783778f71609c088654e8eea79bd45f97718422682fd87956e5e4"),
+        "44a7c8a566c4f77accf4e6caf24fa3aab7f8b7489135c53dbd19651bf72977f6"),
     "base_backpressure_l1": (("base", 1, 3, "backpressure", True, 33, True),
-        "d5e5dc68ff6f564a8cdcdae65a57bbd691ad85bb598441a12cd41ec1ff6dc847"),
+        "8bf43086a92e0c6ebb62023a622659defdd85662e9b98843c7734696eccecf2d"),
     "base_backpressure_l2": (("base", 2, 3, "backpressure", True, 34, False),
-        "00b4ddae7494d29a859e63ac40ade323639280618f88cd1008fccbc00e7f5286"),
+        "9c309ad209f84b6cdb820083d0842740553fed44ab6a97e2fd60e01ecad66a2f"),
     "rmt_p2_c2": (("rmt", 1, None, "raise", True, 35, False),
-        "5f7895675fa1249cc09179d37ee5de97c66fdbf9412ae9e07056811811aa1122"),
+        "5ed4ab9571c15f9cb786a9126456b562f05104427fec50b2762618bc95c6de12"),
     "rmt_p2_c2_ties": (("rmt", 1, None, "raise", True, 36, True),
-        "c54ac67ea378b46fed5b92dcb4b4b2cf14051879a51c18bc89585d7b6e88895c"),
+        "d88872afe993623afe4e691c13a73d63c85a03c8b41b3964df2331c62d89f46e"),
 }
 
 

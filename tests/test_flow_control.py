@@ -83,6 +83,21 @@ class TestBackpressure:
         sim.run()
         assert len(out.got) == 12
 
+    def test_crashed_engine_never_refuses(self, sim):
+        """A dead tile sinks what it would have refused: the parked
+        messages and everything after them drain into ``blackholed``."""
+        mesh, feeder, engine, out = rig(sim, "backpressure")
+        burst(feeder, engine, 20)
+        sim.run(until_ps=3 * US)
+        assert mesh.in_flight > 0
+        refused = engine.rejected
+        engine.fail("crash")
+        burst(feeder, engine, 5)
+        sim.run()
+        assert engine.rejected == refused
+        assert len(out.got) + engine.blackholed == 25
+        assert mesh.in_flight == 0
+
     def test_raise_policy_still_raises(self, sim):
         mesh, feeder, engine, out = rig(sim, "raise")
         burst(feeder, engine, 20)

@@ -226,12 +226,12 @@ class TestHealthMonitor:
         sim.run(until_ps=60 * US)
         monitor.stop()
         sim.run()
-        assert monitor.failed_at.keys() == {"ipsec"}
-        detected = monitor.failed_at["ipsec"]
+        assert monitor.detected.keys() == {"ipsec"}
+        detected = monitor.detected["ipsec"]
         # Detection latency is bounded by the probe timeout plus one
         # tick of watchdog-evaluation granularity.
         assert crash_at < detected <= crash_at + timeout + period
-        assert monitor.watchdog_fires == 1
+        assert monitor.failures_detected == 1
         assert nic.failovers == 1
         assert nic.mesh.in_flight == 0
 
@@ -243,10 +243,8 @@ class TestHealthMonitor:
         sim.run(until_ps=30 * US)
         monitor.stop()
         sim.run()
-        assert monitor.failed_at == {}
-        assert monitor.watchdog_fires == 0
-        assert monitor.echoes_received == monitor.heartbeats_sent
-        assert monitor.rtt.count > 0
+        assert monitor.detected == {}
+        assert monitor.echoes_seen == monitor.probes_sent > 0
 
     def test_stalled_engine_detected_like_a_dead_one(self, sim):
         nic = failover_nic(sim)
@@ -260,7 +258,7 @@ class TestHealthMonitor:
         monitor.stop()
         nic.offload("ipsec").recover()  # release the parked probe
         sim.run()
-        assert "ipsec" in monitor.failed_at
+        assert "ipsec" in monitor.detected
         assert nic.mesh.in_flight == 0
 
 
@@ -287,7 +285,7 @@ class TestHealthMonitorEdges:
         sim.run(until_ps=60 * US)
         monitor.stop()
         sim.run()
-        assert monitor.failed_at.keys() == {"ipsec"}
+        assert monitor.detected.keys() == {"ipsec"}
         assert nic.failovers == 1
         # Detection <= crash + timeout + period, so frames injected from
         # 17 us on must all flow through the backup lane.
@@ -318,8 +316,8 @@ class TestHealthMonitorEdges:
         nic.host.software_handler = lambda p, q: delivered.append(p)
         nic.inject(Packet(good_frame(dscp=10)))
         sim.run()
-        assert monitor.failed_at.keys() == {"ipsec", "ipsec1"}
-        assert monitor.failed_at["ipsec"] < monitor.failed_at["ipsec1"]
+        assert monitor.detected.keys() == {"ipsec", "ipsec1"}
+        assert monitor.detected["ipsec"] < monitor.detected["ipsec1"]
         assert nic.failovers == 2
         # ipsec1 had no backup of its own: the hop was cut, not
         # black-holed, so the late frame still lands in software.
@@ -328,7 +326,7 @@ class TestHealthMonitorEdges:
 
     def test_recover_inside_timeout_beats_the_watchdog(self, sim):
         """RECOVER races the heartbeat timeout and wins: the parked
-        probe echoes before the outstanding age crosses the line, so no
+        probes echo before the last echo's age crosses the line, so no
         failover happens."""
         nic = failover_nic(sim)
         monitor = attach_health_monitor(
@@ -340,14 +338,13 @@ class TestHealthMonitorEdges:
         sim.run(until_ps=30 * US)
         monitor.stop()
         sim.run()
-        assert monitor.failed_at == {}
-        assert monitor.watchdog_fires == 0
+        assert monitor.detected == {}
         assert nic.failovers == 0
 
     def test_recover_after_timeout_loses_the_race(self, sim):
         """RECOVER lands after the watchdog already declared the engine
-        dead: the failover stands, the late echo is ignored as stale,
-        and clear() resumes probing without a second fire."""
+        dead: the failover stands, the late echo changes nothing, and
+        clear() resumes probing without a second fire."""
         nic = failover_nic(sim)
         monitor = attach_health_monitor(
             nic, period_ps=2 * US, timeout_ps=4 * US)
@@ -356,8 +353,8 @@ class TestHealthMonitorEdges:
                       .stall_engine(5 * US, "ipsec")
                       .recover_engine(15 * US, "ipsec")).arm()
         sim.run(until_ps=14 * US)
-        assert monitor.failed_at.keys() == {"ipsec"}
-        declared_at = monitor.failed_at["ipsec"]
+        assert monitor.detected.keys() == {"ipsec"}
+        declared_at = monitor.detected["ipsec"]
         assert declared_at < 15 * US  # the watchdog won the race
         assert nic.failovers == 1
         sim.run(until_ps=20 * US)
@@ -369,8 +366,8 @@ class TestHealthMonitorEdges:
         monitor.stop()
         sim.run()
         # Probing resumed against the healthy engine: no new fire.
-        assert monitor.failed_at == {}
-        assert monitor.watchdog_fires == 1
+        assert monitor.detected == {}
+        assert monitor.failures_detected == 1
         assert nic.mesh.in_flight == 0
 
 

@@ -20,12 +20,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().add(-1)
 
-    def test_reset(self):
-        c = Counter()
-        c.add(10)
-        c.reset()
-        assert c.value == 0
-
 
 class TestHistogram:
     def test_mean_min_max(self):

@@ -252,6 +252,27 @@ class TestStatusSpans:
         # when its (lost) service would have finished.
         assert sorted(end for _, end in lost)[:10] == [3 * US] * 10
 
+    def test_frame_delivered_to_a_crashed_tile_ends_there(self):
+        """The router still delivers to a dead tile (nothing failed the
+        chain over); the frame is counted and its trace ends at that
+        tile with a ``blackholed`` instant."""
+        sim = Simulator()
+        nic = PanicNic(sim, PanicConfig(
+            ports=1, offloads=("ipsec",),
+            telemetry=TelemetryConfig(sample_every=1),
+        ))
+        nic.control.route_dscp(1, ["ipsec"])
+        ipsec = nic.offload("ipsec")
+        ipsec.fail("crash")
+        nic.inject(Packet(_frame(), MessageKind.ETHERNET))
+        sim.run()
+        assert ipsec.blackholed == 1
+        instants = [
+            (kind, start_ps == end_ps)
+            for _tid, _seq, kind, component, start_ps, end_ps, _args
+            in nic.telemetry.trace_report() if component == ipsec.name]
+        assert instants == [("blackholed", True)]
+
 
 class TestPifoEvictHook:
     def test_on_evict_fires_with_the_evicted_item(self):
