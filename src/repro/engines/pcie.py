@@ -97,7 +97,7 @@ class PcieEngine(Engine):
         count = self._pending_completions
         self._pending_completions = 0
         if self._timeout_event is not None:
-            self._timeout_event.cancel()
+            self.sim.cancel(self._timeout_event)
             self._timeout_event = None
         self.interrupts += 1
         if self.host is not None:

@@ -225,7 +225,7 @@ class ExpressFlight:
         channel = channels[done]
         channel._materialize_transfer(self.message, begin, begin + ser)
         if done:
-            self.event.cancel()
+            self.sim.cancel(self.event)
             self.sim.schedule_at(begin + ser, channel._complete, self.message)
         else:
             self.sim.move_earlier(self.event, begin + ser, channel._complete,

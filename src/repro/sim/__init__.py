@@ -9,7 +9,7 @@ clock convert between cycles and picoseconds through a :class:`Clock`.
 """
 
 from repro.sim.clock import Clock, GHZ, MHZ, NS, PS, US, MS, SEC
-from repro.sim.kernel import Event, Simulator, SimError, Component
+from repro.sim.kernel import Simulator, SimError, Component
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -22,7 +22,6 @@ __all__ = [
     "Clock",
     "Component",
     "Counter",
-    "Event",
     "GHZ",
     "Histogram",
     "LatencyTracker",

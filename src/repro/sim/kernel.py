@@ -12,34 +12,37 @@ exactly reproducible.
 One queue, one loop
 -------------------
 
-Every event, zero-delay ones included, is a ``(when, seq, event)`` tuple
-on one heap, so the (when, seq) firing order holds by construction and
-``heapq`` compares C-level ints instead of calling :meth:`Event.__lt__`.
+Every event, zero-delay ones included, is one record on one heap: the
+list ``[when, seq, fn, args]`` that :meth:`Simulator.schedule` pushes
+and returns as the event's handle.  The (when, seq) firing order holds
+by construction, and ``heapq`` compares the records' C-level ints
+(``(when, seq)`` is unique, so ``fn`` is never compared).
 :meth:`Simulator.run` has one drain loop -- peek the head, stop on the
 deadline or the event budget, pop, fire -- that serves unbounded,
 bounded, observed and single-step (:meth:`Simulator.step`) execution
-alike.  Two mechanisms cut the per-event cost without touching that
-order, each kept because removing it measured slower (EXPERIMENTS.md
-E22):
+alike.
 
-* fired events are recycled through a small free list instead of being
-  reallocated (only when no outside reference is held, so ``cancel()``
-  handles stay safe);
-* lazily-cancelled events are compacted out of the heap once they dominate
-  it, keeping pushes/pops logarithmic in *live* events.
+A record whose ``fn`` is ``None`` is dead: cancelled
+(:meth:`Simulator.cancel`) or fired.  The loop clears ``fn`` and
+``args`` *before* calling, so a fired record keeps only its ``when``
+and ``seq`` and pins nothing, whoever holds the handle -- an owner's
+handle never closes a reference cycle through the callback's bound
+object.  Lazily-cancelled records are compacted out of the heap once
+they dominate it, keeping pushes/pops logarithmic in *live* events.
+(Until EXPERIMENTS.md E34 each entry carried an ``Event`` object,
+recycled through a refcount-gated free list (E22): a kept handle
+stayed live, and a flight holding its delivery event was cyclic
+garbage.)
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.clock import format_time
 
-#: Maximum number of recycled Event objects kept on the free list.
-_POOL_MAX = 512
 #: Compaction triggers once the heap holds at least this many entries and
 #: more than half of them are cancelled.
 _COMPACT_MIN = 1024
@@ -58,54 +61,16 @@ class DeadlockError(SimError):
     """
 
 
-class Event:
-    """A scheduled callback.
-
-    Events are created through :meth:`Simulator.schedule` and may be
-    cancelled; a cancelled event stays in the heap but is skipped when
-    popped (lazy deletion).
-    """
-
-    __slots__ = ("when", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(self, when: int, seq: int, fn: Callable[..., None],
-                 args: tuple, sim: "Optional[Simulator]" = None):
-        self.when = when
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent, and a no-op on an
-        event that already fired (the kernel detached it)."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self._sim
-            if sim is not None:
-                sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
-    def __repr__(self) -> str:
-        state = " cancelled" if self.cancelled else ""
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"Event(@{format_time(self.when)} {name}{state})"
-
-
 class Simulator:
     """Discrete-event simulator with integer picosecond time."""
 
     def __init__(self) -> None:
         self.now: int = 0
-        # Heap entries are (when, seq, event) so comparisons stay in C.
-        self._heap: List[Tuple[int, int, Event]] = []
+        # Event records [when, seq, fn, args]; fn None = dead.
+        self._heap: List[list] = []
         self._seq: int = 0
         self._components: Dict[str, "Component"] = {}
         self._events_fired: int = 0
-        self._pool: List[Event] = []
         self._cancelled_pending = 0
         # Deadline of the run() call currently executing (None when the
         # run is unbounded).  The batched train lane reads it through
@@ -152,8 +117,12 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay_ps: int, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay_ps: int, fn: Callable[..., None], *args: Any) -> list:
         """Schedule ``fn(*args)`` to run ``delay_ps`` picoseconds from now.
+
+        Returns the event's record, ``[when, seq, fn, args]``: the handle
+        :meth:`cancel` and :meth:`move_earlier` take.  Read it, never
+        write it.
 
         Body duplicated from :meth:`schedule_at` (with ``when >= now`` by
         construction): this is the hottest scheduling entry point, and the
@@ -161,24 +130,15 @@ class Simulator:
         """
         if delay_ps < 0:
             raise SimError(f"cannot schedule in the past (delay {delay_ps} ps)")
-        when = self.now + int(delay_ps)
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.when = when
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(when, seq, fn, args, self)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
+        record = [self.now + int(delay_ps), seq, fn, args]
+        heapq.heappush(self._heap, record)
+        return record
 
-    def schedule_at(self, when_ps: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute timestamp."""
+    def schedule_at(self, when_ps: int, fn: Callable[..., None], *args: Any) -> list:
+        """Schedule ``fn(*args)`` at an absolute timestamp; returns its
+        record, as :meth:`schedule` does."""
         when = int(when_ps)
         if when < self.now:
             raise SimError(
@@ -186,32 +146,36 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.when = when
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(when, seq, fn, args, self)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
+        record = [when, seq, fn, args]
+        heapq.heappush(self._heap, record)
+        return record
 
-    def move_earlier(self, event: Event, when_ps: int,
-                     fn: Callable[..., None], *args: Any) -> Event:
-        """Cancel the pending ``event`` and schedule ``fn(*args)`` in its
-        place at ``when_ps``, in ``[now, event.when)``, under its sequence
-        number: among same-instant events it fires where ``event`` would
-        have.  (Strictly earlier, so the two heap entries never tie.)"""
+    def cancel(self, record: list) -> None:
+        """Prevent a scheduled event from firing.  Idempotent, and a no-op
+        on an event that already fired (its ``fn`` is ``None`` already);
+        the dead record stays in the heap until popped or compacted."""
+        if record[2] is not None:
+            record[2] = None
+            record[3] = ()
+            self._cancelled_pending += 1
+            if (self._cancelled_pending > _COMPACT_MIN
+                    and self._cancelled_pending * 2 > len(self._heap)):
+                self._compact()
+
+    def move_earlier(self, record: list, when_ps: int,
+                     fn: Callable[..., None], *args: Any) -> list:
+        """Cancel the pending ``record`` and schedule ``fn(*args)`` in its
+        place at ``when_ps``, in ``[now, record's when)``, under its
+        sequence number: among same-instant events it fires where
+        ``record`` would have.  (Strictly earlier, so the two heap entries
+        never tie.)  Returns the new record."""
         when = int(when_ps)
-        if (event.cancelled or event._sim is not self
-                or not self.now <= when < event.when):
-            raise SimError(f"cannot move {event!r} to {when} ps")
-        event.cancel()
-        moved = Event(when, event.seq, fn, args, self)
-        heapq.heappush(self._heap, (when, event.seq, moved))
+        if record[2] is None or not self.now <= when < record[0]:
+            raise SimError(f"cannot move the event at {record[0]} ps "
+                           f"to {when} ps")
+        self.cancel(record)
+        moved = [when, record[1], fn, args]
+        heapq.heappush(self._heap, moved)
         return moved
 
     def add_after_event_hook(self, hook: Callable[[int], None]) -> None:
@@ -227,19 +191,13 @@ class Simulator:
         """
         self._after_hooks.append(hook)
 
-    def _note_cancelled(self) -> None:
-        self._cancelled_pending += 1
-        if (self._cancelled_pending > _COMPACT_MIN
-                and self._cancelled_pending * 2 > len(self._heap)):
-            self._compact()
-
     def _compact(self) -> None:
         """Drop lazily-cancelled events so heap ops track live work.
 
         Mutates the heap list *in place*: the drain loop in :meth:`run`
         holds a local alias to it across callback invocations.
         """
-        live = [entry for entry in self._heap if not entry[2].cancelled]
+        live = [record for record in self._heap if record[2] is not None]
         heapq.heapify(live)
         self._heap[:] = live
         self._cancelled_pending = 0
@@ -260,7 +218,7 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            if not heap[0][2].cancelled:
+            if heap[0][2] is not None:
                 return heap[0][0]
             heapq.heappop(heap)
             if self._cancelled_pending:
@@ -403,64 +361,48 @@ class Simulator:
         budget = -1 if max_events is None else max(max_events, 0)
         # ``_compact`` mutates the heap in place, keeping the alias valid.
         heap = self._heap
-        pool = self._pool
         hooks = self._after_hooks
         log = self._fired_log
         profile = self._profile
         watched = log is not None or profile is not None
         heappop = heapq.heappop
-        getrefcount = sys.getrefcount
         # Expose the window deadline to the train lane for the duration
         # of this call (None = unbounded); see train_horizon().
         self._run_until = until_ps
         try:
-            # Shape measured, not understood (EXPERIMENTS.md E22): the
-            # flat ``while heap: ... continue`` form of this loop read 9 %
-            # slower on chain_sparse; dropping ``event`` before the next
-            # peek, as here, reads parity with the two-lane kernel.
-            while True:
-                event = None
-                while heap:
-                    if fired == budget:
-                        head_when = self.next_event_ps()
-                        if head_when is not None:
-                            if on_max_events == "raise":
-                                raise DeadlockError(
-                                    f"run() exhausted max_events={max_events} at "
-                                    f"{format_time(self.now)} with work still "
-                                    f"pending (likely deadlock or livelock)\n"
-                                    + self.pending_summary()
-                                )
-                            if not bounded or head_when <= until_ps:
-                                # Window unfinished: the clock stays at
-                                # the last fired event for a resumption.
-                                return fired
-                        break
-                    # Subscript the head, never unpack it: a local holding
-                    # its event would defeat the refcount-gated recycling.
-                    if bounded and heap[0][0] > until_ps:
-                        break
-                    event = heappop(heap)[2]
-                    if event.cancelled:
-                        if self._cancelled_pending:
-                            self._cancelled_pending -= 1
-                        if len(pool) < _POOL_MAX and getrefcount(event) == 2:
-                            event.fn = None
-                            event.args = ()
-                            pool.append(event)
-                        event = None
-                        continue
+            while heap:
+                if fired == budget:
+                    head_when = self.next_event_ps()
+                    if head_when is not None:
+                        if on_max_events == "raise":
+                            raise DeadlockError(
+                                f"run() exhausted max_events={max_events} at "
+                                f"{format_time(self.now)} with work still "
+                                f"pending (likely deadlock or livelock)\n"
+                                + self.pending_summary()
+                            )
+                        if not bounded or head_when <= until_ps:
+                            # Window unfinished: the clock stays at the
+                            # last fired event for a resumption.
+                            return fired
                     break
-                if event is None:
+                if bounded and heap[0][0] > until_ps:
                     break
-                when = event.when
+                record = heappop(heap)
+                when, _, fn, args = record
+                if fn is None:
+                    if self._cancelled_pending:
+                        self._cancelled_pending -= 1
+                    continue
+                # Dead before it runs: a kept handle pins nothing, and a
+                # callback cancelling its own event changes nothing.
+                record[2] = None
+                record[3] = ()
                 if when < self.now:
                     raise SimError("event heap corrupted: time went backwards")
                 self.now = when
                 self._events_fired += 1
                 fired += 1
-                fn = event.fn
-                args = event.args
                 if not watched:
                     fn(*args)
                 else:
@@ -482,16 +424,6 @@ class Simulator:
                         else:
                             cell[0] += 1
                             cell[1] += elapsed
-                # Recycle the Event unless the caller kept the schedule()
-                # handle (refcount: this local + getrefcount's argument);
-                # a kept handle is detached, so a late cancel() cannot
-                # count a cancellation that is no longer pending.
-                if len(pool) < _POOL_MAX and getrefcount(event) == 2:
-                    event.fn = None
-                    event.args = ()
-                    pool.append(event)
-                else:
-                    event._sim = None
                 if hooks:
                     now = self.now
                     for hook in hooks:
@@ -510,11 +442,11 @@ class Simulator:
         ``_complete`` that never delivers) rather than a bare number.
         """
         groups: Dict[str, List[int]] = {}
-        for _, _, event in self._heap:
-            if event.cancelled:
+        for when, _, fn, _ in self._heap:
+            if fn is None:
                 continue
-            name = getattr(event.fn, "__qualname__", repr(event.fn))
-            groups.setdefault(name, []).append(event.when)
+            name = getattr(fn, "__qualname__", repr(fn))
+            groups.setdefault(name, []).append(when)
         if not groups:
             return "pending events: none"
         lines = [f"pending events: {sum(len(w) for w in groups.values())}"]
@@ -560,7 +492,7 @@ class Component:
         self.schedule = sim.schedule
         sim.register(self)
 
-    def schedule(self, delay_ps: int, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay_ps: int, fn: Callable[..., None], *args: Any) -> list:
         """Schedule a callback relative to the current simulated time.
 
         (Normally shadowed by the instance attribute bound in

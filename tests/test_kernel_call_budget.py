@@ -1,7 +1,7 @@
 """Call budget of the event kernel: Python calls per fired event, counted
-exactly, and proof that the Event pool recycles.
+exactly.
 
-cProfile's ``ncalls`` are deterministic, so neither gate needs a wall
+cProfile's ``ncalls`` are deterministic, so the gate needs no wall
 clock (the ``test_noc_call_budget.py`` pattern).
 
 * **The loop adds no calls.**  Every way of running the simulator --
@@ -13,11 +13,6 @@ clock (the ``test_noc_call_budget.py`` pattern).
   per-run constant (the ``run`` frame itself) drops out.  A second loop
   behind some option, or a helper call per event, shows up here as a
   non-zero count.
-* **The pool is live.**  The refcount gate that recycles fired events
-  depends on interpreter details (which temporaries hold a reference);
-  if it ever stopped matching, every event would be freshly allocated
-  and nothing else would fail.  Pinned here on whatever interpreter runs
-  the suite.
 """
 
 import cProfile
@@ -93,56 +88,3 @@ def test_drain_loop_adds_no_calls_per_event(form):
         f"{added / 600:g} kernel calls per fired event beyond the "
         f"callbacks' own scheduling")
 
-
-class CountedEvent(kernel.Event):
-    __slots__ = ()
-    allocated = 0
-
-    def __init__(self, *args):
-        type(self).allocated += 1
-        super().__init__(*args)
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    monkeypatch.setattr(CountedEvent, "allocated", 0)
-    monkeypatch.setattr(kernel, "Event", CountedEvent)
-    return CountedEvent
-
-
-def test_event_pool_recycles_unreferenced_events(counted):
-    sim = Simulator()
-    left = 10_000
-
-    def tick():
-        nonlocal left
-        left -= 1
-        if left > 0:
-            sim.schedule(left % 3, tick)
-
-    for _ in range(8):
-        sim.schedule(1, tick)
-    sim.run()
-    assert sim.events_fired >= 10_000
-    assert counted.allocated <= kernel._POOL_MAX + 8, (
-        f"{counted.allocated} Events allocated for {sim.events_fired} "
-        "fired: the refcount-gated pool is not recycling")
-
-
-def test_event_with_a_live_handle_is_never_reused(counted):
-    sim = Simulator()
-    fired = []
-    kept = sim.schedule(1, fired.append, "kept")
-    left = 2_000
-
-    def tick():
-        nonlocal left
-        left -= 1
-        if left > 0:
-            assert sim.schedule(1, tick) is not kept
-
-    sim.schedule(2, tick)
-    sim.run()
-    assert fired == ["kept"]
-    assert (kept.when, kept.fn, kept.args) == (1, fired.append, ("kept",))
-    assert counted.allocated <= 4

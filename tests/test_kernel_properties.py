@@ -15,7 +15,9 @@ kernel's ordering can go wrong), ``tie`` nodes aim ``schedule_at`` at the
 timestamp of an event that is already pending, ``cancel`` nodes hit
 pending, fired and already-cancelled handles alike, and ``move`` nodes
 re-aim a pending event at an earlier instant with
-:meth:`Simulator.move_earlier`, which keeps its sequence number.
+:meth:`Simulator.move_earlier`, which keeps its sequence number.  A
+handle is the kernel's record ``[when, seq, fn, args]``; ``fn`` is
+``None`` once the event is cancelled or has fired.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,15 +26,10 @@ from repro.sim import Simulator
 
 
 class Oracle:
-    """Reference kernel: live entries in a list, fire the (when, seq) min."""
+    """Reference kernel: live entries in a list, fire the (when, seq) min.
 
-    class Entry:
-        def __init__(self, when, seq, fn, args):
-            self.when, self.seq, self.fn, self.args = when, seq, fn, args
-            self.cancelled = False
-
-        def cancel(self):
-            self.cancelled = True
+    Entries have the kernel's handle shape, ``[when, seq, fn, args]``,
+    with ``fn`` cleared on cancel and on firing."""
 
     def __init__(self):
         self.now = self.seq = self.events_fired = 0
@@ -40,29 +37,34 @@ class Oracle:
 
     def schedule_at(self, when, fn, *args):
         self.seq += 1
-        entry = self.Entry(when, self.seq, fn, args)
+        entry = [when, self.seq, fn, args]
         self.pending.append(entry)
         return entry
 
     def schedule(self, delay, fn, *args):
         return self.schedule_at(self.now + delay, fn, *args)
 
+    def cancel(self, entry):
+        entry[2] = None
+
     def move_earlier(self, entry, when, fn, *args):
-        entry.cancel()
-        moved = self.Entry(when, entry.seq, fn, args)
+        self.cancel(entry)
+        moved = [when, entry[1], fn, args]
         self.pending.append(moved)
         return moved
 
     def run(self):
         while True:
-            live = [e for e in self.pending if not e.cancelled]
+            live = [e for e in self.pending if e[2] is not None]
             if not live:
                 return
-            entry = min(live, key=lambda e: (e.when, e.seq))
-            self.pending.remove(entry)
-            self.now = entry.when
+            entry = min(live, key=lambda e: (e[0], e[1]))
+            self.pending = [e for e in self.pending if e is not entry]
+            self.now = entry[0]
             self.events_fired += 1
-            entry.fn(*entry.args)
+            fn, args = entry[2], entry[3]
+            entry[2] = None
+            fn(*args)
 
 
 # -- programs ---------------------------------------------------------------
@@ -104,17 +106,17 @@ def play(sim, nodes, path, trace, handles):
         elif kind == "tie":
             # An absolute timestamp some handle already holds (pending or
             # not), clamped to the present.
-            when = handles[node[1] % len(handles)].when if handles else 0
+            when = handles[node[1] % len(handles)][0] if handles else 0
             handles.append(sim.schedule_at(max(when, sim.now), fire))
         elif kind == "cancel":
             if handles:
-                handles[node[1] % len(handles)].cancel()
+                sim.cancel(handles[node[1] % len(handles)])
         elif kind == "move" and handles:
             # Only a pending event strictly after now can move earlier:
             # to a quarter-step of the way there, now included.
             handle = handles[node[1] % len(handles)]
-            if not handle.cancelled and handle.when > sim.now:
-                when = sim.now + (handle.when - sim.now) * node[2] // 4
+            if handle[2] is not None and handle[0] > sim.now:
+                when = sim.now + (handle[0] - sim.now) * node[2] // 4
                 handles.append(sim.move_earlier(handle, when, fire))
 
 
@@ -129,14 +131,16 @@ def expected(program):
 @given(PROGRAMS)
 def test_run_fires_in_when_seq_order(program):
     want, oracle = expected(program)
-    sim, trace = Simulator(), []
-    play(sim, program, (), trace, [])
+    sim, trace, handles = Simulator(), [], []
+    play(sim, program, (), trace, handles)
     assert sim.run() == oracle.events_fired
     assert trace == want
     assert sim.events_fired == oracle.events_fired
     assert sim.now == oracle.now
     assert sim.next_event_ps() is None
-    assert all(entry[2].cancelled for entry in sim._heap)
+    assert all(entry[2] is None for entry in sim._heap)
+    # Every kept handle is dead and pins nothing, fired or cancelled.
+    assert all(h[2] is None and h[3] == () for h in handles)
 
 
 @settings(max_examples=120, deadline=None)

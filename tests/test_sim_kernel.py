@@ -64,14 +64,14 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
         event = sim.schedule(10, fired.append, "x")
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self, sim):
         event = sim.schedule(10, lambda: None)
-        event.cancel()
-        event.cancel()
+        sim.cancel(event)
+        sim.cancel(event)
         assert sim.run() == 0
 
     def test_cancel_one_of_many(self, sim):
@@ -79,7 +79,7 @@ class TestCancellation:
         sim.schedule(10, fired.append, "keep1")
         victim = sim.schedule(10, fired.append, "gone")
         sim.schedule(10, fired.append, "keep2")
-        victim.cancel()
+        sim.cancel(victim)
         sim.run()
         assert fired == ["keep1", "keep2"]
 
@@ -88,7 +88,7 @@ class TestCancellation:
         handles = [sim.schedule(1 + i, lambda: None) for i in range(3000)]
         sim.run()
         for handle in handles:
-            handle.cancel()
+            sim.cancel(handle)
         assert sim._cancelled_pending == 0
         assert sim.pending_events == 0
 
@@ -96,11 +96,57 @@ class TestCancellation:
         fired = []
         victim = sim.schedule(10, fired.append, "gone")
         sim.schedule(10, fired.append, "kept")
-        victim.cancel()
-        victim.cancel()
+        sim.cancel(victim)
+        sim.cancel(victim)
         assert sim._cancelled_pending == 1
         assert sim.run() == 1
         assert fired == ["kept"]
+        assert sim._cancelled_pending == 0
+
+    def test_fired_record_pins_nothing(self, sim):
+        payload = object()
+        kept = sim.schedule(7, lambda arg: None, payload)
+        assert kept[2] is not None and kept[3] == (payload,)
+        sim.run()
+        assert kept[2] is None and kept[3] == ()
+        assert (kept[0], kept[1]) == (7, 0)
+        sim.cancel(kept)
+        assert sim._cancelled_pending == 0
+
+    def test_callback_cancelling_its_own_handle_changes_nothing(self, sim):
+        fired = []
+        handles = {}
+
+        def fire(label):
+            fired.append(label)
+            sim.cancel(handles[label])
+
+        for label in "ab":
+            handles[label] = sim.schedule(5, fire, label)
+        later = sim.schedule(9, fired.append, "later")
+        assert sim.run() == 3
+        assert fired == ["a", "b", "later"]
+        assert sim._cancelled_pending == 0
+        assert later[2] is None
+
+    def test_mass_cancellation_compacts_and_survivors_keep_order(self, sim):
+        fired = []
+        handles = [sim.schedule(i % 97, fired.append, i) for i in range(3000)]
+        cancelled = 0
+        for i, handle in enumerate(handles):
+            if i % 3:
+                sim.cancel(handle)
+                cancelled += 1
+        assert cancelled > 1024
+        # Compaction ran: far fewer records than were pushed remain, and
+        # at most 1,024 of those are dead.
+        assert sim.pending_events < 3000 - 1024
+        assert sim._cancelled_pending <= 1024
+        dead = sum(1 for record in sim._heap if record[2] is None)
+        assert dead == sim._cancelled_pending
+        assert sim.run() == 1000
+        survivors = [i for i in range(3000) if i % 3 == 0]
+        assert fired == sorted(survivors, key=lambda i: (i % 97, i))
         assert sim._cancelled_pending == 0
 
 
@@ -110,7 +156,8 @@ class TestMoveEarlier:
         first = sim.schedule(30, fired.append, "old")
         sim.schedule(10, fired.append, "younger")
         moved = sim.move_earlier(first, 10, fired.append, "moved")
-        assert first.cancelled and not moved.cancelled
+        assert first[2] is None and moved[2] is not None
+        assert (moved[0], moved[1]) == (10, first[1])
         sim.run()
         assert fired == ["moved", "younger"]
 
@@ -122,7 +169,7 @@ class TestMoveEarlier:
         sim.run(until_ps=5)
         with pytest.raises(SimError):  # in the past
             sim.move_earlier(event, 4, lambda: None)
-        event.cancel()
+        sim.cancel(event)
         with pytest.raises(SimError):  # no longer pending
             sim.move_earlier(event, 6, lambda: None)
         fired = sim.schedule(1, lambda: None)
