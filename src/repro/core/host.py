@@ -30,6 +30,10 @@ from repro.sim.rng import SeededRng
 class Host(Component):
     """Main memory + descriptor rings + interrupt-driven software."""
 
+    #: The NIC's :class:`~repro.telemetry.int_.IntAgent` when INT is on:
+    #: it pops a frame's hop stack into a postcard at the RX ring.
+    _int_tap = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -65,11 +69,6 @@ class Host(Component):
         self.rx_delivered = 0
         self.interrupts_taken = 0
         self.mem_reads = 0
-        # Set by repro.telemetry; None-checked on the RX-ring path only.
-        self._tracer = None
-        # Set by repro.telemetry.int_: the INT sink that pops a frame's
-        # hop stack into a postcard when the frame reaches the RX ring.
-        self._int_sink = None
 
     # ------------------------------------------------------------------
     # Memory (what the DMA engine touches)
@@ -102,15 +101,14 @@ class Host(Component):
         if not 0 <= queue < len(self.rx_rings):
             queue = 0
         packet.meta.host_rx_ps = self.now
-        if self._tracer is not None:
-            ctx = packet.trace
-            if ctx is not None:
-                self._tracer.instant(ctx, "host", self.name, self.now,
-                                     (("queue", queue),))
-        if self._int_sink is not None:
+        ctx = packet.trace
+        if ctx is not None:
+            ctx.tracer.instant(ctx, "host", self.name, self.now,
+                               (("queue", queue),))
+        if self._int_tap is not None:
             # Pops the INT stack into a postcard and strips the in-band
             # trailer, so the ring holds the original frame bytes.
-            self._int_sink.on_host_deliver(packet, queue, self.now)
+            self._int_tap.on_host_deliver(packet, queue, self.now)
         self.rx_rings[queue].append(packet)
         self.rx_delivered += 1
 

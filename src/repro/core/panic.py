@@ -146,11 +146,9 @@ class PanicNic:
                 node_id=int(digits) if digits else 0,
                 rmt_names=[tile.name for tile in self.rmt_tiles],
             )
-            for engine in self.engines.values():
-                engine._int_tap = self.int_agent
-            for eth in self.ports:
-                eth._int_agent = self.int_agent
-            self.host._int_sink = self.int_agent
+            # The one INT slot, on every tile (MACs included) and host.
+            for holder in (*self.engines.values(), self.host):
+                holder._int_tap = self.int_agent
         #: Batched-execution driver (repro.core.train), built unless
         #: ``config.batched`` says no frame may board; None keeps every
         #: hook on the scalar path at the cost of one attribute check.

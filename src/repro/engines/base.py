@@ -108,8 +108,9 @@ class Engine(Component, Endpoint):
     OVERFLOW_POLICIES = ("raise", "backpressure")
 
     #: The NIC's :class:`~repro.telemetry.int_.IntAgent` when
-    #: ``PanicConfig.int_`` is on, else None.  With the default None
-    #: every instrumented path costs one attribute check.
+    #: ``PanicConfig.int_`` is on, else None: the one INT slot, on every
+    #: tile, MACs included.  With the default None every instrumented
+    #: path costs one attribute check.
     _int_tap = None
 
     def __init__(
@@ -144,9 +145,6 @@ class Engine(Component, Endpoint):
         #: ``"crash"`` = dead tile (black-holes all traffic), ``"stall"``
         #: = accepts but never serves.
         self.fault_mode: Optional[str] = None
-        #: Set by repro.telemetry.Telemetry; instrumented paths pay only
-        #: this None check when telemetry is off.
-        self._tracer = None
         #: Service-time multiplier for injected slowdowns (1.0 = nominal).
         self.slowdown: float = 1.0
         # Statistics every experiment reads.
@@ -198,12 +196,11 @@ class Engine(Component, Endpoint):
 
     def receive(self, message: NocMessage) -> None:
         """Rank by slack deadline, enqueue, maybe start service."""
-        tracer = self._tracer
-        ctx = message.packet.trace if tracer is not None else None
+        ctx = message.packet.trace
         if self.fault_mode == FAULT_CRASH:
             self.blackholed += 1
             if ctx is not None:
-                tracer.instant(ctx, "blackholed", self.name, self.now)
+                ctx.tracer.instant(ctx, "blackholed", self.name, self.now)
             return
         rank, droppable = self._rank_of(message.packet)
         message.enqueue_ps = self.now
@@ -212,8 +209,8 @@ class Engine(Component, Endpoint):
             self._int_tap.on_enqueue(self, message.packet, len(self.queue))
         if ctx is not None:
             # Queue depth *before* the push: what this packet saw on arrival.
-            tracer.begin_engine(ctx, self.name, self.now, len(self.queue),
-                                rank, droppable)
+            ctx.tracer.begin_engine(ctx, self.name, self.now,
+                                    len(self.queue), rank, droppable)
         try:
             accepted = self.queue.push(message, rank, droppable)
         except PifoFullError:
@@ -222,13 +219,13 @@ class Engine(Component, Endpoint):
             # rather than silently dropping a lossless message.
             self.rejected += 1
             if ctx is not None:
-                tracer.end_engine(ctx, self.now, status="overflow")
+                ctx.tracer.end_engine(ctx, self.now, status="overflow")
             raise
         if accepted:
             self._try_start()
         elif ctx is not None:
             # The PIFO refused the droppable incoming message outright.
-            tracer.end_engine(ctx, self.now, status="dropped_at_enqueue")
+            ctx.tracer.end_engine(ctx, self.now, status="dropped_at_enqueue")
 
     # ------------------------------------------------------------------
     # Service loop
@@ -246,10 +243,9 @@ class Engine(Component, Endpoint):
             self._busy_lanes += 1
             now = self.now
             self.queue_latency.observe(message.enqueue_ps, now)
-            if self._tracer is not None:
-                ctx = message.packet.trace
-                if ctx is not None:
-                    ctx.service_start = now
+            ctx = message.packet.trace
+            if ctx is not None:
+                ctx.service_start = now
             delay = self.service_time_ps(message.packet)
             if self.slowdown != 1.0:
                 delay = int(delay * self.slowdown)
@@ -262,18 +258,17 @@ class Engine(Component, Endpoint):
 
     def _finish(self, message: NocMessage) -> None:
         self._busy_lanes -= 1
-        tracer = self._tracer
-        ctx = message.packet.trace if tracer is not None else None
+        packet = message.packet
+        ctx = packet.trace
         if self.fault_mode == FAULT_CRASH:
             # The engine died while this message was in service.
             self.blackholed += 1
             if ctx is not None and ctx.open_component is not None:
-                tracer.end_engine(ctx, self.now, status="blackholed")
+                ctx.tracer.end_engine(ctx, self.now, status="blackholed")
             return
         self.processed += 1
         if ctx is not None:
-            tracer.end_engine(ctx, self.now)
-        packet = message.packet
+            ctx.tracer.end_engine(ctx, self.now)
         if packet.kind is MessageKind.CONTROL and self._echo_heartbeat(packet):
             self._try_start()
             return
@@ -351,13 +346,11 @@ class Engine(Component, Endpoint):
         if mode == FAULT_CRASH:
             lost = self.queue.drain()
             self.blackholed += len(lost)
-            tracer = self._tracer
-            if tracer is not None:
-                # The trace must show where each queued message died.
-                for message in lost:
-                    ctx = message.packet.trace
-                    if ctx is not None:
-                        tracer.end_engine(ctx, self.now, status="blackholed")
+            # The trace must show where each queued message died.
+            for message in lost:
+                ctx = message.packet.trace
+                if ctx is not None:
+                    ctx.tracer.end_engine(ctx, self.now, status="blackholed")
             if self.notify_space is not None:
                 # The router may hold refused messages; let it deliver
                 # them so they are sunk (and counted) rather than wedged.

@@ -35,11 +35,6 @@ class EthernetPort(Engine):
         external sink).
     """
 
-    #: The NIC's :class:`~repro.telemetry.int_.IntAgent`, installed by
-    #: ``PanicNic`` when INT is configured: MAC egress is where a hop's
-    #: record is finalized (and, in-band, the trailer grows the frame).
-    _int_agent = None
-
     #: The NIC's :class:`~repro.core.train.TrainLane` when it has one
     #: (``PanicConfig.batched``), else None: a frame boards the lane at
     #: one place, the end of :meth:`_rx_arrival`.
@@ -124,11 +119,11 @@ class EthernetPort(Engine):
         self._transmit(packet)
 
     def _transmit(self, packet: Packet) -> None:
-        if self._int_agent is not None:
+        if self._int_tap is not None:
             # Push this hop's INT record; in-band mode appends the
             # trailer bytes *before* the serialization window below, so
             # the grown frame pays its own wire time.
-            self._int_agent.on_transmit(packet, self.now)
+            self._int_tap.on_transmit(packet, self.now)
         start = max(self.now, self._tx_wire_free_ps)
         done = start + self.wire_time_ps(packet)
         self._tx_wire_free_ps = done

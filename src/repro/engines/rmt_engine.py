@@ -136,10 +136,9 @@ class RmtPipelineEngine(Engine):
             start = max(self.now, self._next_accept_ps)
             self._next_accept_ps = start + interval_ps
             self.queue_latency.observe(message.enqueue_ps, self.now)
-            if self._tracer is not None:
-                ctx = message.packet.trace
-                if ctx is not None:
-                    ctx.service_start = start
+            ctx = message.packet.trace
+            if ctx is not None:
+                ctx.service_start = start
             finish = start + latency_ps
             self.schedule(finish - self.now, self._finish, message)
 

@@ -124,11 +124,9 @@ class LbSteering:
                 {"chain": [nic.control.port_addr(port)]},
             )
 
-        self._tracer = None
         self._trace_ctx = None
         if nic.telemetry is not None:
-            self._tracer = nic.telemetry.tracer
-            self._trace_ctx = self._tracer.flow_ctx()
+            self._trace_ctx = nic.telemetry.tracer.flow_ctx()
 
         self._install_epoch()
 
@@ -269,7 +267,7 @@ class LbSteering:
         }
 
     def _trace(self, kind: str, args: Tuple) -> None:
-        if self._tracer is not None:
-            self._tracer.instant(self._trace_ctx, kind,
-                                 f"{self.nic.name}.lb",
-                                 self.nic.sim.now, args)
+        ctx = self._trace_ctx
+        if ctx is not None:
+            ctx.tracer.instant(ctx, kind, f"{self.nic.name}.lb",
+                               self.nic.sim.now, args)

@@ -110,8 +110,6 @@ class Channel(Component):
         self._faults: Optional[tuple] = None
         self._fault_log: Optional[list] = None
         self._mesh = None  # a fabric counting messages in flight, if any
-        # Set by repro.telemetry; None-checked on the completion path only.
-        self._tracer = None
         # Statistics.
         self.sent = 0
         self.bits_sent = 0
@@ -264,9 +262,8 @@ class Channel(Component):
 
     def _complete(self, message: "NocMessage") -> None:
         self._transfer_in_progress = False
-        tracer = self._tracer
-        ctx = message.packet.trace if tracer is not None else None
-        if self._faults is not None and self._spend_fault(message, tracer, ctx):
+        ctx = message.packet.trace
+        if self._faults is not None and self._spend_fault(message, ctx):
             if self._pending:
                 self._start_next()
             return
@@ -276,13 +273,13 @@ class Channel(Component):
             # to the arithmetic window express flights synthesize, so
             # fast- and slow-path traces line up span for span.
             now = self.sim.now
-            tracer.hop(ctx, self.name,
-                       now - self._serialization_ps(message.bits), now)
+            ctx.tracer.hop(ctx, self.name,
+                           now - self._serialization_ps(message.bits), now)
         self.deliver(message, self)
         if self._pending:
             self._start_next()
 
-    def _spend_fault(self, message: "NocMessage", tracer, ctx) -> bool:
+    def _spend_fault(self, message: "NocMessage", ctx) -> bool:
         """Apply the oldest armed fault to the transfer completing now: a
         drop if one is armed, else a corruption.  True when the message
         vanished."""
@@ -297,7 +294,7 @@ class Channel(Component):
             else:
                 self._credits += 1
             if ctx is not None:
-                tracer.instant(ctx, "wire_drop", self.name, self.sim.now)
+                ctx.tracer.instant(ctx, "wire_drop", self.name, self.sim.now)
         else:
             self._apply_corruption(message, *corruptions.popleft())
         if not drops and not corruptions:

@@ -167,7 +167,7 @@ class ExpressFlight:
         message = self.message
         channels = self.channels
         account_hops(channels, self.bits, self.start, self.ser)
-        if channels[0]._tracer is not None:
+        if message.packet.trace is not None:
             self._trace_hops(len(channels))
         message.hops += len(channels)
         account_forwards(self.routers[self.committed:])
@@ -181,15 +181,12 @@ class ExpressFlight:
         """Emit the first ``count`` hops' spans for a sampled message,
         synthesized from the arithmetic hop windows: identical to the
         spans a slow-path walk would have emitted."""
-        tracer = self.channels[0]._tracer
         ctx = self.message.packet.trace
-        if ctx is None:
-            return
         end = self.start
         for channel in self.channels[:count]:
             begin = end
             end += self.ser
-            tracer.hop(ctx, channel.name, begin, end)
+            ctx.tracer.hop(ctx, channel.name, begin, end)
 
     def materialize(self) -> None:
         """De-speculate: reconstruct the exact slow-path state at ``now``.
@@ -217,7 +214,7 @@ class ExpressFlight:
                 "express flight outlived its delivery event"
             )  # pragma: no cover - _finish fires at the last hop's end
         account_hops(channels[:done], self.bits, start, ser)
-        if channels[0]._tracer is not None:
+        if self.message.packet.trace is not None:
             self._trace_hops(done)
         self.message.hops += done
         account_forwards(self.routers[self.committed:done])

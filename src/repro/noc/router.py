@@ -100,8 +100,6 @@ class Router(Component):
         self._buffered = 0
         self.forwarded = 0
         self.delivered = 0
-        # Set by repro.telemetry; None-checked on the refusal path only.
-        self._tracer = None
 
     # ------------------------------------------------------------------
     # Wiring (done by the Mesh builder)
@@ -231,12 +229,10 @@ class Router(Component):
             if not self.endpoint.try_receive(message):
                 # Endpoint full: hold the message here; its credit stays
                 # consumed, backpressuring the upstream path.
-                if self._tracer is not None:
-                    ctx = message.packet.trace
-                    if ctx is not None:
-                        self._tracer.instant(
-                            ctx, "refused", self.name, self.now,
-                            (("dest", message.dest_addr),))
+                ctx = message.packet.trace
+                if ctx is not None:
+                    ctx.tracer.instant(ctx, "refused", self.name, self.now,
+                                       (("dest", message.dest_addr),))
                 return False
             self.delivered += 1
             self._mesh._inside -= 1

@@ -81,11 +81,12 @@ class LinkLayer:
         same seeded coin flips in both execution modes.
     propagation_ps:
         One-way wire latency; a NACK round trip costs two of these.
-    tracer, trace_ctx:
-        Optional :class:`~repro.telemetry.tracer.PacketTracer` of the
-        *transmitting* NIC plus a flow context for ``ll_nack`` /
-        ``ll_retransmit`` / ``ll_handoff`` instants (mirroring the host
-        transport's ``rel_*`` instants).
+    trace_ctx:
+        Optional flow context from the *transmitting* NIC's
+        :meth:`~repro.telemetry.tracer.PacketTracer.flow_ctx`; the
+        ``ll_nack`` / ``ll_retransmit`` / ``ll_handoff`` instants are
+        recorded through its ``tracer`` (mirroring the host transport's
+        ``rel_*`` instants).  The link layer keeps no tracer of its own.
     """
 
     __slots__ = (
@@ -93,7 +94,7 @@ class LinkLayer:
         "detect_ps", "turnaround_ps", "ack_coalesce_ps",
         "_handoff_front_ps", "_releases", "occupancy_peak",
         "protected", "nacks", "retransmits", "repaired", "gave_up",
-        "bypassed", "handoff_held", "_tracer", "_trace_ctx",
+        "bypassed", "handoff_held", "_trace_ctx",
     )
 
     def __init__(
@@ -106,7 +107,6 @@ class LinkLayer:
         detect_ps: int = DEFAULT_DETECT_PS,
         turnaround_ps: int = DEFAULT_TURNAROUND_PS,
         ack_coalesce_ps: int = DEFAULT_ACK_COALESCE_PS,
-        tracer=None,
         trace_ctx=None,
     ):
         if hold_frames < 1:
@@ -139,7 +139,6 @@ class LinkLayer:
         self.gave_up = 0
         self.bypassed = 0
         self.handoff_held = 0
-        self._tracer = tracer
         self._trace_ctx = trace_ctx
 
     # ------------------------------------------------------------------
@@ -227,9 +226,9 @@ class LinkLayer:
         return handoff
 
     def _trace(self, kind: str, now: int, args: Tuple) -> None:
-        if self._tracer is not None:
-            self._tracer.instant(self._trace_ctx, kind, self.faults.label,
-                                 now, args)
+        ctx = self._trace_ctx
+        if ctx is not None:
+            ctx.tracer.instant(ctx, kind, self.faults.label, now, args)
 
     # ------------------------------------------------------------------
     # Reporting

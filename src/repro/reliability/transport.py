@@ -245,10 +245,8 @@ class TransportCore:
         # Telemetry: control events land on a dedicated flow context,
         # allocated at construction so the trace id is mode-independent.
         self._trace_ctx = None
-        self._tracer = None
         if nic.telemetry is not None:
-            self._tracer = nic.telemetry.tracer
-            self._trace_ctx = self._tracer.flow_ctx()
+            self._trace_ctx = nic.telemetry.tracer.flow_ctx()
 
         nic.host.software_handler = self._on_host_rx
         nic.transport = self
@@ -402,10 +400,10 @@ class TransportCore:
     # ------------------------------------------------------------------
 
     def _trace(self, kind: str, args: Tuple) -> None:
-        if self._tracer is not None:
-            self._tracer.instant(self._trace_ctx, kind,
-                                 f"{self.nic.name}.reliability",
-                                 self.sim.now, args)
+        ctx = self._trace_ctx
+        if ctx is not None:
+            ctx.tracer.instant(ctx, kind, f"{self.nic.name}.reliability",
+                               self.sim.now, args)
 
     def stats(self) -> Dict[str, int]:
         """The ``stats()["reliability"]`` block of the owning NIC.  Both

@@ -4,11 +4,12 @@ Attach a :class:`~repro.telemetry.config.TelemetryConfig` to
 ``PanicConfig.telemetry`` and the NIC builds a :class:`Telemetry`
 instance that
 
-* wires a :class:`~repro.telemetry.tracer.PacketTracer` into every
-  engine, NoC channel, router, and the host model (spans for sampled
-  packets: queueing + service per engine with PIFO rank and depth,
+* samples packets with a :class:`~repro.telemetry.tracer.PacketTracer`,
+  whose context rides each sampled packet and names the tracer: every
+  engine, NoC channel, router and the host model records through it
+  (spans: queueing + service per engine with PIFO rank and depth,
   per-channel hop windows, ingress/egress/host instants, drop and
-  eviction records);
+  eviction records) and none of them holds telemetry;
 * registers the default component gauges (PIFO depth and busy fraction
   per engine, input-buffer depth per router, credit occupancy per
   channel) with a :class:`~repro.telemetry.probes.ProbeRegistry`
@@ -17,8 +18,8 @@ instance that
 
 Everything is observation-only: a telemetry-enabled run is bit-identical
 to a disabled one in ``stats()`` and timestamps (enforced by
-``tests/test_telemetry.py``), and a NIC without telemetry pays only a
-``None`` check on the instrumented paths.
+``tests/test_telemetry.py``), and an unsampled packet costs each
+instrumented path one ``packet.trace is None`` test.
 """
 
 from __future__ import annotations
@@ -57,43 +58,30 @@ class Telemetry:
 
     def _wire(self) -> None:
         nic = self.nic
-        tracer = self.tracer
         config = self.config
-        # Attach component tracers only when a packet can actually be
-        # sampled: with sample_every=0 and no predicate, no trace ctx can
-        # ever exist, so the per-event ctx lookups would be pure waste --
-        # this keeps the enabled-but-idle configuration at two calls per
-        # frame (tests/test_telemetry_call_budget.py).
+        # A sampled packet carries its tracer, so only these NIC-level
+        # hooks are installed, and only when a packet can be sampled at
+        # all: the enabled-but-idle config stays at two calls per frame
+        # (tests/test_telemetry_call_budget.py).
         if config.sample_every > 0 or config.flow_predicate is not None:
             for engine in nic.engines.values():
-                engine._tracer = tracer
-                engine.queue.on_evict = self._make_on_evict(engine)
-            for router in nic.mesh.routers:
-                router._tracer = tracer
-            for channel in nic.mesh.channels:
-                channel._tracer = tracer
-            nic.host._tracer = tracer
+                engine.queue.on_evict = self._on_evict
             nic.on_transmit(self._on_transmit)
         if config.probe_period_ps > 0:
             self._install_default_gauges()
             nic.sim.add_after_event_hook(self.probes.on_event)
 
-    def _make_on_evict(self, engine):
-        tracer = self.tracer
-
-        def on_evict(message, _engine=engine) -> None:
-            ctx = message.packet.trace
-            if ctx is not None:
-                tracer.end_engine(ctx, _engine.now, status="evicted")
-
-        return on_evict
+    def _on_evict(self, message) -> None:
+        ctx = message.packet.trace
+        if ctx is not None:
+            ctx.tracer.end_engine(ctx, self.nic.sim.now, status="evicted")
 
     def _on_transmit(self, packet) -> None:
         ctx = packet.trace
         if ctx is None:
             return
         port = packet.meta.egress_port
-        self.tracer.instant(
+        ctx.tracer.instant(
             ctx, "egress", f"{self.nic.name}.eth{port}", self.nic.sim.now,
             (("egress_port", port),))
 

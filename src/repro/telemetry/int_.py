@@ -137,9 +137,9 @@ class IntAgent:
     """The INT source/transit/sink role of one NIC.
 
     Installed by :class:`~repro.core.panic.PanicNic` when its config
-    carries an enabled :class:`~repro.telemetry.config.IntConfig`:
-    every engine's ``_int_tap``, every Ethernet port's ``_int_agent``,
-    and the host's ``_int_sink`` point here.  All hooks only *observe*
+    carries an enabled :class:`~repro.telemetry.config.IntConfig`: one
+    slot, ``_int_tap``, on every engine (the Ethernet MACs included) and
+    on the host points here.  All hooks only *observe*
     simulated state (plus, in-band, grow/strip the frame bytes the
     simulation is already carrying); the agent never schedules events
     and never draws from any RNG.

@@ -5,7 +5,8 @@ records :class:`Span` entries: engine occupancy (enqueue through service
 end, with the PIFO rank and queue depth observed at enqueue), per-channel
 NoC hops, and point events (ingress, egress, host delivery, drops,
 refusals).  The trace context rides on the packet's own ``trace``
-slot, which travels with it through every engine and channel.
+slot, which travels with it through every engine and channel, and
+names its tracer: a component records through ``ctx.tracer``.
 
 Determinism contract
 --------------------
@@ -51,11 +52,12 @@ class Span(NamedTuple):
 class TraceCtx:
     """Mutable per-packet trace state (one per sampled packet)."""
 
-    __slots__ = ("trace_id", "seq", "hop", "open_component", "open_start",
-                 "open_args", "service_start")
+    __slots__ = ("trace_id", "tracer", "seq", "hop", "open_component",
+                 "open_start", "open_args", "service_start")
 
-    def __init__(self, trace_id: int):
+    def __init__(self, trace_id: int, tracer: "PacketTracer"):
         self.trace_id = trace_id
+        self.tracer = tracer  # records every span of this context
         self.seq = 0
         #: Chain hop ordinal: incremented per engine the packet enters.
         self.hop = 0
@@ -118,7 +120,7 @@ class PacketTracer:
             take = bool(config.flow_predicate(packet))
         if not take:
             return None
-        ctx = TraceCtx(self._next_trace_id)
+        ctx = TraceCtx(self._next_trace_id, self)
         self._next_trace_id += 1
         self.sampled += 1
         packet.trace = ctx
@@ -129,14 +131,15 @@ class PacketTracer:
     def flow_ctx(self) -> TraceCtx:
         """Allocate a trace context not tied to any sampled packet.
 
-        Host-side protocol machinery (e.g. the reliable transport) uses
-        one to record control events -- retransmits, RTO firings, flow
-        aborts -- as instants on the NIC's timeline.  Must be called
-        during construction, never mid-run: construction order is
+        Protocol machinery (the reliable transport, LB steering, a
+        wire's link layer) keeps one and records control events --
+        retransmits, RTO firings, flow aborts, link repairs -- as
+        instants on the NIC's timeline through its ``tracer``.  Must be
+        called during construction, never mid-run: construction order is
         identical between execution modes, so the allocated ``trace_id``
         stays mode-independent.
         """
-        ctx = TraceCtx(self._next_trace_id)
+        ctx = TraceCtx(self._next_trace_id, self)
         self._next_trace_id += 1
         return ctx
 

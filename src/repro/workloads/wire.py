@@ -151,9 +151,9 @@ class PacketCapsule:
     int_state: Any = None
 
 
-def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
+def _egress(faults: LinkFaults, packet: Packet, now: int,
             propagation_ps: int, link_seq: int) -> Optional[PacketCapsule]:
-    """Judge one frame ``nic`` transmits at ``now`` onto the direction
+    """Judge one frame transmitted at ``now`` onto the direction
     ``faults`` guards: the single egress decision, so every execution
     mode draws the same RNG sequence, drops for the same reason and
     carries the same annotations.
@@ -171,13 +171,12 @@ def _egress(faults: LinkFaults, nic, packet: Packet, now: int,
         carried = linklayer.transmit(packet.data, now)
         data, handoff_ps = carried if carried is not None else (None, 0)
     if data is None:
-        telemetry = getattr(nic, "telemetry", None)
         ctx = packet.trace
-        if telemetry is not None and ctx is not None:
+        if ctx is not None:
             reason = ("down" if faults.down
                       else "ll_gave_up" if linklayer is not None else "loss")
-            telemetry.tracer.instant(ctx, "ext_wire_drop", faults.label, now,
-                                     (("reason", reason),))
+            ctx.tracer.instant(ctx, "ext_wire_drop", faults.label, now,
+                               (("reason", reason),))
         return None
     meta = packet.meta
     return PacketCapsule(
@@ -294,14 +293,12 @@ class LinkEnd(Component):
         """
         from repro.reliability.linklayer import LinkLayer
 
-        tracer = ctx = None
+        ctx = None
         telemetry = getattr(self.nic, "telemetry", None)
         if telemetry is not None:
-            tracer = telemetry.tracer
-            ctx = tracer.flow_ctx()
+            ctx = telemetry.tracer.flow_ctx()
         self.faults.linklayer = LinkLayer(
-            self.faults, self.propagation_ps, tracer=tracer, trace_ctx=ctx,
-            **params
+            self.faults, self.propagation_ps, trace_ctx=ctx, **params
         )
 
     def wire_stats(self) -> Dict[str, Dict[str, int]]:
@@ -312,7 +309,7 @@ class LinkEnd(Component):
 
     def _transmit(self, packet: Packet) -> None:
         self.transmitted += 1
-        capsule = _egress(self.faults, self.nic, packet, self.sim.now,
+        capsule = _egress(self.faults, packet, self.sim.now,
                           self.propagation_ps, self._tx_seq)
         if capsule is None:
             return

@@ -1,6 +1,6 @@
 """The surface census: ``src/repro`` ships what something runs.
 
-Seven scans, all by ``ast`` plus a word scan, so they err towards
+Eight scans, all by ``ast`` plus a word scan, so they err towards
 keeping (an unrelated local of the same name counts as a mention) and
 what they catch is certain:
 
@@ -32,6 +32,11 @@ what they catch is certain:
   code that runs -- ``src/`` beyond its writes, ``benchmarks/``,
   ``examples/`` or ``README.md``.  A key only tests read is per-packet
   state nothing uses.
+* no component holds telemetry: outside ``repro.telemetry`` no module
+  names a component tracer (``_tracer``) or a second name for the INT
+  agent (``_int_agent``, ``_int_sink``), and only ``core/panic.py``
+  assigns the one INT slot, ``_int_tap``.  A sampled packet carries its
+  tracer on its trace context.
 
 A failure lists ``file:line name`` and every file that mentions the
 name, which is the list of places to delete it from.  Delete it, or
@@ -357,3 +362,30 @@ def test_r6_every_annotation_key_written_is_read_by_running_code():
                    and f'"{key.value}"' not in readme})
     assert not dead, _report(
         "annotation key src/repro writes and no running code reads", dead)
+
+
+#: Names no component may hold: a tracer of its own, or the INT agent
+#: under any name but ``_int_tap``.
+COMPONENT_TELEMETRY = ("_tracer", "_int_agent", "_int_sink")
+
+
+def test_no_component_holds_telemetry():
+    """A sampled packet carries its tracer (``TraceCtx.tracer``) and INT
+    has one slot, ``_int_tap``: no module under ``src/repro`` outside
+    ``telemetry/`` names a component tracer or another INT slot, and
+    only ``core/panic.py`` fills the slot."""
+    found = []
+    for path in _py_files("src"):
+        if path.is_relative_to(SRC / "telemetry"):
+            continue
+        for line, text in enumerate(_text(path).splitlines(), 1):
+            found += [(path, line, name, name) for name in COMPONENT_TELEMETRY
+                      if name in _words(text)]
+        if _rel(path) != "src/repro/core/panic.py":
+            found += [(path, node.lineno, "assigns _int_tap", "_int_tap")
+                      for node in _nodes(path)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "_int_tap"
+                      and isinstance(node.ctx, ast.Store)]
+    assert not found, _report(
+        "telemetry held by a component, not carried by the packet", found)

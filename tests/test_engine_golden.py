@@ -47,6 +47,15 @@ a crashed tile began leaving a ``blackholed`` instant on its trace (it
 was counted but left no span): the span lists gained exactly those
 instants, in place, and every other observable stayed the same.
 
+Re-recorded once more, all six, when a sampled packet began carrying
+its tracer on its trace context: every component it visits records
+through it, so the harness's own mesh now leaves hop and refusal spans
+on each trace (the harness used to wire the tracer into the tile
+alone).  The tile's spans are unchanged but for their ``seq``, which
+counts the mesh spans in between: dropping the spans of the mesh's
+channels and routers and renumbering ``seq`` within each trace gives
+back all six previous digests exactly.
+
 Re-recording is deliberate, never routine: say in the commit which
 behaviour changed and why the old digest was wrong.  Print the new
 values with ``python tests/test_engine_golden.py``.
@@ -148,9 +157,8 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     engine.lookup_table.default_next = sink_addrs[0]
     engine.lookup_table.install(MessageKind.ETHERNET, sink_addrs[1])
     tracer = PacketTracer(TelemetryConfig(sample_every=1), SeededRng(seed))
-    engine._tracer = tracer
 
-    def on_evict(message):   # what Telemetry installs beside the tracer
+    def on_evict(message):   # what Telemetry installs on every queue
         tracer.end_engine(message.packet.trace, sim.now, status="evicted")
 
     engine.queue.on_evict = on_evict
@@ -271,17 +279,17 @@ def digest(observables) -> str:
 #: name -> ((tile, lanes, capacity, overflow, lossless, seed, ties), sha256)
 CASES = {
     "base_evict_l1": (("base", 1, 4, "raise", False, 31, True),
-        "c9e268d52c527780eb9acc3c5e93b096a55cf24b2dfdc4e331ebc4a2d5e6d026"),
+        "95637cefc10dc854b8d20208ad8c3be3747526afb5cdaac1d5f2639a7cafcd06"),
     "base_evict_l2": (("base", 2, 4, "raise", False, 32, True),
-        "44a7c8a566c4f77accf4e6caf24fa3aab7f8b7489135c53dbd19651bf72977f6"),
+        "2ff2efa3537fa820ab17c0e8f93f678f11c1256ff7847bdca5b1e4c730356286"),
     "base_backpressure_l1": (("base", 1, 3, "backpressure", True, 33, True),
-        "8bf43086a92e0c6ebb62023a622659defdd85662e9b98843c7734696eccecf2d"),
+        "0873c0b16160c651e6accaf456111ff0d3fbd0cb8dc66dc476c0b6d29952c422"),
     "base_backpressure_l2": (("base", 2, 3, "backpressure", True, 34, False),
-        "9c309ad209f84b6cdb820083d0842740553fed44ab6a97e2fd60e01ecad66a2f"),
+        "f5421fa261fcaf2862f3e65bcfda22290c4e8dddf77fed3500ece8a7fdf9295b"),
     "rmt_p2_c2": (("rmt", 1, None, "raise", True, 35, False),
-        "5ed4ab9571c15f9cb786a9126456b562f05104427fec50b2762618bc95c6de12"),
+        "96b241e996e77b5d5ee2f87c15bbbfa600af68e417c64199aaaa1658f5b4ccad"),
     "rmt_p2_c2_ties": (("rmt", 1, None, "raise", True, 36, True),
-        "d88872afe993623afe4e691c13a73d63c85a03c8b41b3964df2331c62d89f46e"),
+        "85512e1736cf5eb0d03207c8db0c457638f4548ed433472f3d20ca062f36c598"),
 }
 
 

@@ -92,7 +92,10 @@ class TestCablePorts:
 
 
 class _StubNic:
-    """The NIC surface a wire uses, plus a tracer that records drops."""
+    """The NIC surface a wire uses, plus a tracer that records drops.
+
+    Its trace contexts name it as their ``tracer``, as a
+    :class:`~repro.telemetry.tracer.TraceCtx` names its PacketTracer."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -111,12 +114,15 @@ class _StubNic:
         self.injected.append(
             (self.sim.now, packet.meta.created_ps, packet.data))
 
+    def trace_ctx(self, ident):
+        return SimpleNamespace(tracer=self, ident=ident)
+
     def flow_ctx(self):
-        return "ll"
+        return self.trace_ctx("ll")
 
     def instant(self, ctx, name, label, now, attrs=()):
         if name == "ext_wire_drop":
-            self.drops.append((ctx, label, now, dict(attrs)["reason"]))
+            self.drops.append((ctx.ident, label, now, dict(attrs)["reason"]))
 
 
 class TestSharedEgress:
@@ -160,7 +166,7 @@ class TestSharedEgress:
                 # Two frames per NIC per instant: same-instant arrivals.
                 for end in "abab":
                     packet = Packet(frame(ident))
-                    packet.trace = ident
+                    packet.trace = nics[end].trace_ctx(ident)
                     ident += 1
                     nics[end].transmit(packet)
                 if cable != "wire":
