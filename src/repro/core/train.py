@@ -52,15 +52,17 @@ Three mechanisms enforce it:
   event, so the horizon already guarantees no train commits state at or
   beyond T.
 * **Shared code.**  Every step of a leg is the scalar method itself,
-  called at the already-advanced clock: ``_rank_of`` plus the PIFO's
-  own ``push`` and ``pop``, ``queue_latency.observe``,
-  ``service_time_ps``, ``Packet.touch``, ``handle`` and
-  ``_route_by_chain``; NoC hops call the express path's
-  ``account_hops``/``account_forwards``.  What the lane still writes
-  itself is what a scalar *event* would have done between those calls:
-  the ``processed`` count of ``_finish``, the RMT tile's admission
-  arithmetic, the message id and injected count of ``NocPort.send``,
-  the delivery count, and the routers' fairness rotations.
+  called at the already-advanced clock: ``PifoQueue.pass_through``
+  (the count ``Engine.receive``'s idle admission makes, and all a
+  push and pop on an empty queue leave behind), ``service_time_ps``,
+  ``Packet.touch``, ``handle`` and ``_route_by_chain``; NoC hops call
+  the express path's ``account_hops``/``account_forwards``.  What the
+  lane still writes itself is what a scalar *event* would have done
+  between those calls: the zero ``queue_latency`` sample of
+  ``Engine._start``, the ``processed`` count of ``_finish``, the RMT
+  tile's admission arithmetic, the message id and injected count of
+  ``NocPort.send``, the delivery count, and one step of a router's
+  fairness offset (``_rr_shift``) per arbitration pass.
 
 One leg serves every tile: the RMT pipeline finishes through
 ``Engine._finish`` and works in a genuine ``handle`` like any engine, so
@@ -260,14 +262,10 @@ class TrainLane:
         sim = self.sim
         while True:
             sim.now = t_arr  # monotonic: t_arr >= now on entry
-            # receive() + the admission's pop on an empty queue: the
-            # PIFO's own push and pop (its sequence draw and counters),
-            # with the packet standing in for the unmade envelope.
-            queue = engine.queue
-            rank, droppable = engine._rank_of(packet)
-            queue.push(packet, rank, droppable)
-            queue.pop()
-            engine.queue_latency.observe(t_arr, t_arr)
+            # receive() at an idle tile: the PIFO counts the pass, and
+            # the queue-latency sample is zero.
+            engine.queue.pass_through()
+            engine.queue_latency.record(0)
             # The admission: the only step the two kinds do differently.
             if kind == "rmt":
                 # RmtPipelineEngine._try_start (no notify_space there).
@@ -277,13 +275,10 @@ class TrainLane:
                 engine._next_accept_ps = start + engine.initiation_interval_ps
                 t_fin = start + engine.latency_ps
             else:
-                # Engine._try_start: freed_space -> one notify_space().
-                # That is the local router's pump (validated by
-                # _router_of) on a router known buffer-free: a single
-                # fairness rotation.
-                rr = self._routers[id(engine)]._rr_order
-                if rr:
-                    rr.append(rr.pop(0))
+                # Engine.receive's idle admission ends in notify_space():
+                # the local router's pump (validated by _router_of) on a
+                # router known buffer-free, a single fairness rotation.
+                self._routers[id(engine)]._rr_shift += 1
                 delay = engine.service_time_ps(packet)
                 if delay < 0:
                     # Scalar schedule() would refuse; never move the
@@ -392,9 +387,7 @@ class TrainLane:
             # once (the accept's own notify_space rotation opens the
             # next loop pass).
             final_router.delivered += 1
-            rr = final_router._rr_order
-            if rr:
-                rr.append(rr.pop(0))
+            final_router._rr_shift += 1
             self.trajectory_hops += 1
             src = engine.address
             dest = ndest

@@ -113,6 +113,10 @@ class Engine(Component, Endpoint):
     #: path costs one attribute check.
     _int_tap = None
 
+    #: Idle admission (see :meth:`receive`); clearing it sends every
+    #: message through the PIFO's push and pop, which must change nothing.
+    _IDLE_ADMISSION = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -141,6 +145,9 @@ class Engine(Component, Endpoint):
         #: process a pointer-carried payload pay for port access.
         self.payload_buffer = None
         self._busy_lanes = 0
+        # Only the stock service loop pops an arrival straight back.
+        self._admits_idle = (self._IDLE_ADMISSION
+                             and type(self)._try_start is Engine._try_start)
         #: Injected fault state (see repro.faults): ``None`` = healthy,
         #: ``"crash"`` = dead tile (black-holes all traffic), ``"stall"``
         #: = accepts but never serves.
@@ -195,66 +202,94 @@ class Engine(Component, Endpoint):
         return True
 
     def receive(self, message: NocMessage) -> None:
-        """Rank by slack deadline, enqueue, maybe start service."""
-        ctx = message.packet.trace
-        if self.fault_mode == FAULT_CRASH:
+        """Rank by slack deadline, enqueue, maybe start service.
+
+        At an idle tile (empty queue, free lane, no fault, the stock
+        :meth:`_try_start`) a push would be followed at once by a pop of
+        this same message, so it starts service here and the PIFO counts
+        the pass; everything else happens as on the queued path.
+        """
+        packet = message.packet
+        ctx = packet.trace
+        fault = self.fault_mode
+        if fault == FAULT_CRASH:
             self.blackholed += 1
             if ctx is not None:
                 ctx.tracer.instant(ctx, "blackholed", self.name, self.now)
             return
-        rank, droppable = self._rank_of(message.packet)
-        message.enqueue_ps = self.now
+        now = self.sim.now
+        message.enqueue_ps = now
+        queue = self.queue
         if self._int_tap is not None:
             # INT observes the same pre-push depth the tracer records.
-            self._int_tap.on_enqueue(self, message.packet, len(self.queue))
+            self._int_tap.on_enqueue(self, packet, len(queue))
         if ctx is not None:
             # Queue depth *before* the push: what this packet saw on arrival.
-            ctx.tracer.begin_engine(ctx, self.name, self.now,
-                                    len(self.queue), rank, droppable)
+            rank, droppable = self._rank_of(packet)
+            ctx.tracer.begin_engine(ctx, self.name, now,
+                                    len(queue), rank, droppable)
+        if (not queue._heap and self._busy_lanes < self.lanes
+                and fault is None and self._admits_idle):
+            queue.pass_through()
+            self._start(message, now)
+            if self.notify_space is not None:
+                # The pop freed a slot a router may be waiting for.
+                self.notify_space()
+            return
+        if ctx is None:
+            rank, droppable = self._rank_of(packet)
         try:
-            accepted = self.queue.push(message, rank, droppable)
+            accepted = queue.push(message, rank, droppable)
         except PifoFullError:
             # Lossless overflow under the "raise" policy: the paper
             # leaves NoC flow control open (section 6); surface it loudly
             # rather than silently dropping a lossless message.
             self.rejected += 1
             if ctx is not None:
-                ctx.tracer.end_engine(ctx, self.now, status="overflow")
+                ctx.tracer.end_engine(ctx, now, status="overflow")
             raise
         if accepted:
             self._try_start()
         elif ctx is not None:
             # The PIFO refused the droppable incoming message outright.
-            ctx.tracer.end_engine(ctx, self.now, status="dropped_at_enqueue")
+            ctx.tracer.end_engine(ctx, now, status="dropped_at_enqueue")
 
     # ------------------------------------------------------------------
     # Service loop
     # ------------------------------------------------------------------
 
     def _try_start(self) -> None:
-        if self.fault_mode is not None:
-            # Crashed or stalled engines serve nothing; a stalled engine's
-            # queue keeps filling until backpressure (or drops) kick in.
+        queue = self.queue
+        if (self._busy_lanes >= self.lanes or not queue._heap
+                or self.fault_mode is not None):
+            # No lane, nothing queued, or a crashed or stalled engine,
+            # which serves nothing: a stalled engine's queue keeps
+            # filling until backpressure (or drops) kick in.
             return
-        freed_space = False
-        while self._busy_lanes < self.lanes and not self.queue.is_empty:
-            message, _rank = self.queue.pop()
-            freed_space = True
-            self._busy_lanes += 1
-            now = self.now
-            self.queue_latency.observe(message.enqueue_ps, now)
-            ctx = message.packet.trace
-            if ctx is not None:
-                ctx.service_start = now
-            delay = self.service_time_ps(message.packet)
-            if self.slowdown != 1.0:
-                delay = int(delay * self.slowdown)
-            if self.payload_buffer is not None:
-                delay += self._payload_buffer_delay(message.packet)
-            self.schedule(delay, self._finish, message)
-        if freed_space and self.notify_space is not None:
+        now = self.sim.now
+        while True:
+            self._start(queue.pop()[0], now)
+            if self._busy_lanes >= self.lanes or not queue._heap:
+                break
+        if self.notify_space is not None:
             # A router may be holding refused messages for us.
             self.notify_space()
+
+    def _start(self, message: NocMessage, now: int) -> None:
+        """Serve ``message`` on a free lane from ``now``: the one service
+        start of the idle path and of :meth:`_try_start`'s loop."""
+        self._busy_lanes += 1
+        self.queue_latency.record(now - message.enqueue_ps)
+        packet = message.packet
+        ctx = packet.trace
+        if ctx is not None:
+            ctx.service_start = now
+        delay = self.service_time_ps(packet)
+        if self.slowdown != 1.0:
+            delay = int(delay * self.slowdown)
+        if self.payload_buffer is not None:
+            delay += self._payload_buffer_delay(packet)
+        self.sim.schedule(delay, self._finish, message)
 
     def _finish(self, message: NocMessage) -> None:
         self._busy_lanes -= 1
@@ -270,7 +305,8 @@ class Engine(Component, Endpoint):
         if ctx is not None:
             ctx.tracer.end_engine(ctx, self.now)
         if packet.kind is MessageKind.CONTROL and self._echo_heartbeat(packet):
-            self._try_start()
+            if self.queue._heap:
+                self._try_start()
             return
         packet.touch(self.name)
         outputs = self.handle(packet)
@@ -284,12 +320,15 @@ class Engine(Component, Endpoint):
             elif dest == self.address:
                 # Chain loops back to this engine (e.g. a second pass).
                 self.schedule(lookup_delay, self._loopback, out_packet)
+            elif lookup_delay:
+                port = self.port
+                if port is None:
+                    raise RuntimeError(f"{self.name}: engine has no NoC port")
+                self.sim.schedule(lookup_delay, port.send, out_packet, dest)
             else:
-                if lookup_delay:
-                    self.schedule(lookup_delay, self.send, out_packet, dest)
-                else:
-                    self.send(out_packet, dest)
-        self._try_start()
+                self.send(out_packet, dest)
+        if self.queue._heap:
+            self._try_start()
 
     def _payload_buffer_delay(self, packet: Packet) -> int:
         """Port-access cost for touching a pointer-carried payload.
@@ -319,10 +358,18 @@ class Engine(Component, Endpoint):
     def _route_by_chain(self, packet: Packet) -> Optional[int]:
         """Next destination from the chain header, else the lookup table."""
         header = packet.panic
-        if header is not None and not header.exhausted:
-            return header.advance()
-        key = packet.kind
-        return self.lookup_table.lookup(key)
+        if header is not None:
+            # The cursor never passes the chain's end: an index error is
+            # exactly an exhausted chain.
+            cursor = header.cursor
+            try:
+                hop = header.chain[cursor]
+            except IndexError:
+                pass
+            else:
+                header.cursor = cursor + 1
+                return hop
+        return self.lookup_table.lookup(packet.kind)
 
     # ------------------------------------------------------------------
     # Fault injection and health (see repro.faults)
@@ -386,7 +433,7 @@ class Engine(Component, Endpoint):
 
     def service_time_ps(self, packet: Packet) -> int:
         """How long this engine works on ``packet``.  Default: one cycle."""
-        return self.clock.cycles_to_ps(1)
+        return self.clock.period_ps
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         """Transform a packet; return output packets with destinations.

@@ -121,10 +121,14 @@ class RmtPipelineEngine(Engine):
         # admitted packet completes `latency` later.  No lane blocking --
         # the pipeline is, well, a pipeline: ``_busy_lanes`` only counts
         # the packets inside it, for ``_finish`` to count back down.
-        if self.fault_mode is not None:
+        # Being the tile's own loop, it also keeps every arrival on the
+        # queued path of ``Engine.receive`` (no idle admission).
+        queue = self.queue
+        if not queue._heap or self.fault_mode is not None:
             return
-        while not self.queue.is_empty:
-            message, _rank = self.queue.pop()
+        now = self.sim.now
+        while queue._heap:
+            message = queue.pop()[0]
             self._busy_lanes += 1
             interval_ps = self.initiation_interval_ps
             latency_ps = self.latency_ps
@@ -133,14 +137,15 @@ class RmtPipelineEngine(Engine):
                 # admissions come slower and each takes longer.
                 interval_ps = int(interval_ps * self.slowdown)
                 latency_ps = int(latency_ps * self.slowdown)
-            start = max(self.now, self._next_accept_ps)
+            start = self._next_accept_ps
+            if start < now:
+                start = now
             self._next_accept_ps = start + interval_ps
-            self.queue_latency.observe(message.enqueue_ps, self.now)
+            self.queue_latency.record(now - message.enqueue_ps)
             ctx = message.packet.trace
             if ctx is not None:
                 ctx.service_start = start
-            finish = start + latency_ps
-            self.schedule(finish - self.now, self._finish, message)
+            self.sim.schedule(start + latency_ps - now, self._finish, message)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         """One pass through the match+action program, then the decision."""

@@ -227,12 +227,13 @@ class Channel(Component):
         idle, a credit is in hand and nothing waits ahead of it."""
         route = self._express_route
         if (route is not None
+                and self._mesh._inside == 1
                 and not self._pending
                 and self._express_flight is None
                 and self._faults is None
                 and route(message, self)):
-            # The whole route was idle: the message now travels as an
-            # ExpressFlight.
+            # Alone on the mesh, with the whole route idle: the message
+            # now travels as an ExpressFlight.
             return
         bits = message.bits
         self._credits -= 1

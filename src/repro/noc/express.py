@@ -42,8 +42,9 @@ Statistics counters for intermediate hops are applied when the flight
 finishes (or materializes) rather than hop-by-hop, so *mid-flight*
 introspection of an express path can briefly read collapsed values; all
 quiesced totals are identical.  Round-robin arbitration state is kept
-bit-identical by replaying the exact number of rotations the slow path's
-pump passes would have performed (two per forwarding router).
+bit-identical by advancing each forwarding router's fairness offset
+(``Router._rr_shift``) by the number of rotations the slow path's
+arbitration passes would have performed: two per forwarding router.
 
 Because every channel in a mesh shares one width and clock, all hops of a
 flight take the same serialization time: hop ``i`` occupies its channel
@@ -87,14 +88,13 @@ def account_forwards(routers: Sequence["Router"]) -> None:
     Replays exactly what an uncontended slow-path forward does to a
     router's observable state: one ``forwarded`` count and two
     round-robin rotations (the arbitration pass's own, and the one its
-    output channel's immediate start asks for) -- keeping future
-    arbitration order bit-identical.
+    output channel's immediate start asks for), each one step of the
+    router's fairness offset -- keeping future arbitration order
+    bit-identical.
     """
     for router in routers:
         router.forwarded += 1
-        rr = router._rr_order
-        rr.append(rr.pop(0))
-        rr.append(rr.pop(0))
+        router._rr_shift += 2
 
 
 class ExpressFlight:

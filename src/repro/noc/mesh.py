@@ -258,16 +258,15 @@ class Mesh:
     def _try_express(self, message: NocMessage, channel: Channel) -> bool:
         """Attempt to cut a message through an entirely idle route.
 
-        Called by an idle channel's ``_start``; when the message is alone
-        on the mesh and every channel ahead on the (cached, static)
+        Called by an idle channel's ``_start`` only while the message is
+        alone on the mesh (``_inside == 1``, which the channel tests
+        first); when every channel ahead on the (cached, static)
         dimension-ordered route has a credit and no armed fault, the
         traversal collapses into a single :class:`ExpressFlight` delivery
         event.  Returns False to let the per-hop slow path proceed.  (On a
         mesh holding nothing else, no router or channel ahead can hold a
         message, a queue or a reservation.)
         """
-        if self._inside != 1:
-            return False
         dest = message.dest_addr
         cache = channel._express_paths
         try:

@@ -3,44 +3,51 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.packet.packet import Packet
 
 _message_ids = itertools.count()
 
 
-@dataclass(slots=True)
 class NocMessage:
     """A packet in flight between two engines.
 
     The envelope keeps NoC-level bookkeeping (source/destination engine
     addresses, injection time, hop count) separate from the packet itself,
     mirroring how a real design would wrap payloads in link-layer framing.
+    ``message_id`` is drawn from one global sequence unless given (the
+    train lane passes the id it drew when the message would have been
+    made).  Envelopes are never compared or hashed.
     """
 
-    packet: Packet
-    dest_addr: int
-    src_addr: int
-    inject_ps: int = 0
-    hops: int = 0
-    message_id: int = field(default_factory=_message_ids.__next__)
-    #: Bits this message occupies on a channel (packet + chain header, or
-    #: the pointer-mode descriptor), fixed when the envelope is made: the
-    #: packet is not resized between injection and delivery, so every hop
-    #: and every express attempt reads one stored size.
-    bits: int = field(init=False)
-    #: When the destination engine queued this message (its
-    #: ``queue_latency`` sample starts here).
-    enqueue_ps: int = field(init=False, default=0)
+    __slots__ = ("packet", "dest_addr", "src_addr", "inject_ps", "hops",
+                 "message_id", "bits", "enqueue_ps")
 
-    def __post_init__(self) -> None:
-        if self.dest_addr < 0 or self.src_addr < 0:
+    def __init__(self, packet: Packet, dest_addr: int, src_addr: int,
+                 inject_ps: int = 0, hops: int = 0,
+                 message_id: Optional[int] = None):
+        self.packet = packet
+        self.dest_addr = dest_addr
+        self.src_addr = src_addr
+        self.inject_ps = inject_ps
+        self.hops = hops
+        self.message_id = (next(_message_ids) if message_id is None
+                           else message_id)
+        if dest_addr < 0 or src_addr < 0:
             raise ValueError(
                 f"engine addresses must be non-negative "
-                f"(src={self.src_addr}, dest={self.dest_addr})"
+                f"(src={src_addr}, dest={dest_addr})"
             )
-        self.bits = self.packet.chip_bits
+        #: Bits this message occupies on a channel (packet + chain
+        #: header, or the pointer-mode descriptor), fixed when the
+        #: envelope is made: the packet is not resized between injection
+        #: and delivery, so every hop and every express attempt reads one
+        #: stored size.
+        self.bits = packet.chip_bits
+        #: When the destination engine queued this message (its
+        #: ``queue_latency`` sample starts here).
+        self.enqueue_ps = 0
 
     def __repr__(self) -> str:
         return (

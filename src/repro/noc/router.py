@@ -11,6 +11,11 @@ Input buffering is per-upstream-channel FIFO with credits (see
 :mod:`repro.noc.channel`); the router moves head-of-line messages to output
 channels whenever the output can accept, and stalls otherwise, propagating
 backpressure toward the source.
+
+Arbitration is round-robin: every pass (a delivery, a ``pump``) ends
+with one rotation of the service order, which is the input channels in
+registration order rotated by an integer, ``_rr_shift``.  A rotation is
+one increment, and a pass over empty queues is its rotation alone.
 """
 
 from __future__ import annotations
@@ -90,7 +95,9 @@ class Router(Component):
         self._next_hop: List[Optional[Channel]] = []
         # One FIFO per upstream channel, at most its credit pool deep.
         self._inputs: Dict[Channel, List[NocMessage]] = {}
-        self._rr_order: List[Channel] = []
+        # Served in this order rotated by ``_rr_shift`` (see module doc).
+        self._rr_inputs: List[Channel] = []
+        self._rr_shift = 0
         self._pumping = False
         self._pump_again = False
         # Express flights currently cut-through-routed *through* this
@@ -122,7 +129,18 @@ class Router(Component):
         if channel in self._inputs:
             raise ValueError(f"{self.name}: input channel already registered")
         self._inputs[channel] = []
-        self._rr_order.append(channel)
+        if self._rr_shift:
+            # Keep the current service order; the newcomer joins last.
+            self._rr_inputs = self._rr_order
+            self._rr_shift = 0
+        self._rr_inputs.append(channel)
+
+    @property
+    def _rr_order(self) -> List[Channel]:
+        """The current round-robin service order (a fresh list)."""
+        order = self._rr_inputs
+        start = self._rr_shift % len(order) if order else 0
+        return order[start:] + order[:start]
 
     # ------------------------------------------------------------------
     # Data path
@@ -157,8 +175,7 @@ class Router(Component):
                 channel.release_credit()
             else:
                 queue.append(message)
-            rr = self._rr_order
-            rr.append(rr.pop(0))
+            self._rr_shift += 1
             if self._pump_again:
                 if self._buffered:
                     self._pump_passes()
@@ -166,7 +183,7 @@ class Router(Component):
                     # Nothing parked to retry: the pass that was asked
                     # for comes down to its fairness rotation.
                     self._pump_again = False
-                    rr.append(rr.pop(0))
+                    self._rr_shift += 1
         finally:
             self._pumping = False
 
@@ -179,6 +196,10 @@ class Router(Component):
         if self._pumping:
             self._pump_again = True
             return
+        if not self._buffered:
+            # One pass over empty queues: its fairness rotation alone.
+            self._rr_shift += 1
+            return
         self._pumping = True
         self._pump_again = True
         try:
@@ -190,14 +211,18 @@ class Router(Component):
         """Arbitration passes, one per request (``_pump_again``) made
         before or during the last; each ends with the round-robin
         fairness rotation of the service order."""
-        rr = self._rr_order
+        order = self._rr_inputs
+        count = len(order)
         while self._pump_again:
             self._pump_again = False
             # Scanning empty queues has no side effects, so an idle
             # router skips straight to the rotation.
             while self._buffered:
                 progress = False
-                for channel in rr:
+                start = self._rr_shift % count
+                # Negative indices wrap: order[start:], then order[:start].
+                for index in range(start - count, start):
+                    channel = order[index]
                     queue = self._inputs[channel]
                     if queue and self._forward(queue[0]):
                         del queue[0]
@@ -206,7 +231,7 @@ class Router(Component):
                         progress = True
                 if not progress:
                     break
-            rr.append(rr.pop(0))
+            self._rr_shift += 1
 
     def _forward(self, message: NocMessage) -> bool:
         """Try to move one message toward its destination.

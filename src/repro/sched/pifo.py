@@ -59,10 +59,6 @@ class PifoQueue(Generic[T]):
         return len(self._heap)
 
     @property
-    def is_empty(self) -> bool:
-        return not self._heap
-
-    @property
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._heap) >= self.capacity
 
@@ -93,6 +89,18 @@ class PifoQueue(Generic[T]):
         if len(heap) > self.max_occupancy:
             self.max_occupancy = len(heap)
         return True
+
+    def pass_through(self) -> None:
+        """Count an item that entered an empty queue and left at once.
+
+        A push followed by a pop hands the item straight back, so the
+        queue's state is unchanged and only its counters move: one push,
+        and an occupancy of at least one.  No tie-break sequence number
+        is drawn; those only order items that stay queued.
+        """
+        self.pushed += 1
+        if not self.max_occupancy:
+            self.max_occupancy = 1
 
     def _evict_worse_droppable(self, incoming_rank: int) -> bool:
         """Evict the worst-ranked droppable item if it is worse than

@@ -19,12 +19,14 @@ import dataclasses
 import functools
 import gc
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PanicConfig, PanicNic
 from repro.core.topology import LinkSpec, NicSpec, RackTopology
+from repro.engines.base import Engine
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
 from repro.packet import Packet, build_udp_frame
 from repro.sim import Simulator
@@ -541,6 +543,11 @@ def test_generated_drives_are_bit_identical(drive):
     on, lane = run_drive(drive, batch=True)
     off, _ = run_drive(drive, batch=False)
     assert on == off
+    # Idle admission is exact: the scalar run with every arrival pushed
+    # onto the PIFO and popped back off reads the same.
+    with mock.patch.object(Engine, "_IDLE_ADMISSION", False):
+        queued, _ = run_drive(drive, batch=False)
+    assert queued == off
     assert len(on[0]) == len(drive["gaps"])
     gaps = drive["gaps"] + [ISOLATED_PS]
     if any(before >= ISOLATED_PS and after >= ISOLATED_PS

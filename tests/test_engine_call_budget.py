@@ -102,9 +102,15 @@ def rmt_tile(sim):
 #: stamp and trail lived in the annotations dict, and the RMT tile paid
 #: one more ``now`` read for the stamp's pop default (E31).  Both were 1
 #: higher (26 / 34) while ``_finish`` called ``_echo_heartbeat`` for
-#: every message instead of testing for a CONTROL packet first.
-BASE_VISIT = 25
-RMT_VISIT = 33
+#: every message instead of testing for a CONTROL packet first.  Both
+#: were 25 / 33 until a message reaching an idle base tile started
+#: service in ``receive`` (one PIFO ``pass_through`` instead of a push,
+#: a ``_try_start`` and a pop), ``_route_by_chain`` walked the chain
+#: cursor itself, a delayed send was scheduled straight at the port,
+#: the queue-latency sample became one ``record`` and ``now`` was read
+#: off the kernel once per step (EXPERIMENTS.md E36).
+BASE_VISIT = 13
+RMT_VISIT = 22
 
 
 def test_base_engine_visit_call_budget():

@@ -151,7 +151,7 @@ def test_pifo_pops_sorted(ranks):
     for i, rank in enumerate(ranks):
         queue.push(i, rank)
     popped = []
-    while not queue.is_empty:
+    while len(queue):
         popped.append(queue.pop()[1])
     assert popped == sorted(ranks)
 

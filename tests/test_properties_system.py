@@ -154,7 +154,7 @@ def test_pifo_droppable_conservation(items, capacity):
         queue.push(i, rank, droppable=True)
         offered += 1
     survivors = []
-    while not queue.is_empty:
+    while len(queue):
         survivors.append(queue.pop()[1])
     assert len(survivors) + queue.dropped == offered
     assert survivors == sorted(survivors)

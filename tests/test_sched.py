@@ -75,7 +75,7 @@ class TestPifoQueue:
         q.push("b", 2)
         q.push("a", 1)
         assert q.drain() == ["a", "b"]
-        assert q.is_empty
+        assert len(q) == 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
