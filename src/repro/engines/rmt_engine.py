@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.engines.base import Engine, EngineOutput
-from repro.packet.packet import Packet
+from repro.packet.packet import Direction, MessageKind, Packet
 from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
 from repro.sim.kernel import Simulator
@@ -36,13 +36,12 @@ DEPARSER_CYCLES = 1
 #: A decision handler: converts (packet, phv) into routed outputs.
 DecisionHandler = Callable[[Packet, Phv], List[EngineOutput]]
 
-#: Memoized ``enum.value.encode()`` results for intrinsic metadata.
-_ENUM_BYTES: dict = {}
-
-#: Shared intrinsic-metadata dicts keyed by (direction, kind, ingress,
-#: egress, tenant).  Read-only by contract; bounded by wholesale
-#: clearing.
-_INTRINSIC_MEMO: dict = {}
+#: The ``meta.direction`` / ``meta.kind`` bytes of every direction and
+#: message kind, by enum value.  Keyed by the member's ``_value_`` string
+#: so a lookup hashes a ``str``, not an enum (whose ``__hash__`` is
+#: Python code).
+_VALUE_BYTES = {member.value: member.value.encode()
+                for member in (*Direction, *MessageKind)}
 
 
 class RmtPipelineEngine(Engine):
@@ -149,11 +148,20 @@ class RmtPipelineEngine(Engine):
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         """One pass through the match+action program, then the decision."""
-        phv = self.pipeline.process(
-            packet.data,
-            metadata=self._intrinsic_metadata(packet),
-            now_ps=self.sim.now,
-        )
+        # Intrinsic metadata goes straight into the PHV, under the names
+        # the tables match, ahead of the parsed header fields.
+        meta = packet.meta
+        phv = Phv()
+        fields = phv._fields
+        fields["meta.direction"] = _VALUE_BYTES[meta.direction._value_]
+        fields["meta.kind"] = _VALUE_BYTES[packet.kind._value_]
+        if meta.ingress_port is not None:
+            fields["meta.ingress_port"] = meta.ingress_port
+        if meta.egress_port is not None:
+            fields["meta.egress_port"] = meta.egress_port
+        if meta.tenant is not None:
+            fields["meta.tenant"] = meta.tenant
+        self.pipeline.run(phv, packet.data, self.sim.now)
         self.decisions += 1
         if self.decision_handler is None:
             raise RuntimeError(
@@ -161,34 +169,3 @@ class RmtPipelineEngine(Engine):
                 "builder must provide one"
             )
         return self.decision_handler(packet, phv)
-
-    def _intrinsic_metadata(self, packet: Packet) -> dict:
-        meta = packet.meta
-        key = (meta.direction, packet.kind, meta.ingress_port,
-               meta.egress_port, meta.tenant)
-        # The dict is a pure function of the key and is only ever read
-        # (pipeline.process iterates it), so one shared instance per
-        # distinct key serves every frame of a flow.
-        cached = _INTRINSIC_MEMO.get(key)
-        if cached is not None:
-            return cached
-        direction, kind, ingress, egress, tenant = key
-        # The encoded enum values are constants; encode each once.
-        encoded = _ENUM_BYTES.get(direction)
-        if encoded is None:
-            encoded = _ENUM_BYTES[direction] = direction.value.encode()
-        fields = {"direction": encoded}
-        encoded = _ENUM_BYTES.get(kind)
-        if encoded is None:
-            encoded = _ENUM_BYTES[kind] = kind.value.encode()
-        fields["kind"] = encoded
-        if ingress is not None:
-            fields["ingress_port"] = ingress
-        if egress is not None:
-            fields["egress_port"] = egress
-        if tenant is not None:
-            fields["tenant"] = tenant
-        if len(_INTRINSIC_MEMO) >= 512:
-            _INTRINSIC_MEMO.clear()
-        _INTRINSIC_MEMO[key] = fields
-        return fields

@@ -21,7 +21,14 @@ from repro.packet.headers import (
     EthernetHeader,
     Ipv4Header,
 )
-from repro.rmt.action import Action, ActionContext, ActionError, Register, standard_actions
+from repro.rmt.action import (
+    Action,
+    ActionContext,
+    ActionError,
+    Register,
+    no_op,
+    standard_actions,
+)
 from repro.rmt.parser import ParseGraph, default_parse_graph
 from repro.rmt.phv import Phv
 from repro.rmt.table import MatchKey, Table
@@ -63,7 +70,9 @@ class RmtProgram:
     # -- program construction -------------------------------------------
 
     def add_stage(self, table: Table, requires: Optional[str] = None) -> Table:
-        """Append a stage holding ``table``; returns the table for chaining."""
+        """Append a stage holding ``table``; returns the table for chaining.
+        The table's actions resolve here, so an unknown one raises now."""
+        table.bind_actions(self.actions)
         self.stages.append(Stage(table, requires))
         return table
 
@@ -116,13 +125,15 @@ class TrajectoryMemo:
     A packet's *flow key* is the tuple of every match-relevant PHV field
     after parsing: all table key fields plus all ``requires`` guards
     (absent fields are part of the key too, so requires-validity is
-    captured).  For a known key the memo replays the recorded per-stage
-    slots -- skip, default, or a live table entry -- **re-executing each
-    slot's action on the live PHV** instead of re-running the match
-    machinery.  Re-execution keeps everything that is not a table match
-    exact by construction: time-dependent slack deadlines (``ctx.now_ps``),
-    register reads, stateful policies, header rewrites, and drop marking
-    all happen precisely as in a full traversal.  Entry hit counters are
+    captured).  A flow's first pass is the stage walk
+    (:meth:`RmtPipeline._run_stages`) with a recording hook; for a known
+    key the memo replays the recorded per-stage slots -- skip, default,
+    or a live table entry -- **re-executing each slot's resolved action
+    on the live PHV**, so all it saves is the matches.  Re-execution
+    keeps everything that is not a table match exact by construction:
+    time-dependent slack deadlines (``ctx.now_ps``), register reads,
+    stateful policies, header rewrites, and drop marking all happen
+    precisely as in a full traversal.  Entry hit counters are
     bumped on replay, so control-plane-visible accounting is identical.
 
     Safety rules:
@@ -176,9 +187,9 @@ class TrajectoryMemo:
         for stage in self.program.stages:
             if stage.requires is not None and stage.requires not in fields:
                 fields.append(stage.requires)
-            for key in stage.table.keys:
-                if key.field not in fields:
-                    fields.append(key.field)
+            for name in stage.table._key_fields:
+                if name not in fields:
+                    fields.append(name)
             if id(stage.table) not in self._wired:
                 stage.table.on_mutate(self._invalidate)
                 self._wired.add(id(stage.table))
@@ -220,90 +231,64 @@ class TrajectoryMemo:
     ) -> None:
         slots, stateful = cached
         stages = self.program.stages
-        actions = self.program.actions
         ctx = pipeline._ctx
         fields = phv._fields
         for index, slot in enumerate(slots):
             if slot is _SKIP:
                 continue
             if slot is _DEFAULT:
-                # Defaults stay live: default_action has no mutation
-                # hook, so it must be re-read every traversal.
+                # Default params are read live off the table, entry
+                # params off the entry, so in-place control-plane
+                # updates keep showing through.
                 table = stages[index].table
-                actions[table.default_action](phv, ctx,
-                                              **table.default_params)
-                is_stateful = index in stateful
+                fn = table.default_fn
+                params = table.default_params
             else:
-                # Compiled entry slot: the action function is frozen at
-                # record time (register_action refuses replacement);
-                # params are read live off the entry, so in-place
-                # control-plane updates keep showing through.
-                entry, action, is_stateful = slot
-                entry.hits += 1
-                action(phv, ctx, **entry.params)
-            if is_stateful and self.key_of(phv) != key:
+                slot.hits += 1
+                fn = slot.fn
+                params = slot.params
+            if fn is not no_op:
+                fn(phv, ctx, **params)
+            if index in stateful and self.key_of(phv) != key:
                 # The stateful action disturbed a match-relevant field:
                 # the rest of the trajectory is stale.  The prefix ran
                 # exactly as a full traversal would have, so finish with
-                # real lookups and drop the cached flow.
-                del self._cache[key]
+                # real lookups and drop the cached flow -- unless its
+                # register write already cleared the cache.
+                self._cache.pop(key, None)
                 pipeline._run_stages(phv, index + 1)
                 return
-            if fields.get("meta.drop"):
+            if "meta.drop" in fields and fields["meta.drop"]:
                 return
 
     def _record(self, pipeline: "RmtPipeline", phv: Phv, key: tuple) -> None:
-        stages = self.program.stages
-        actions = self.program.actions
         ctx = pipeline._ctx
-        fields = phv._fields
-        slots = []
+        slots = [_SKIP] * len(self.program.stages)
         stateful = set()
         cacheable = True
-        self._dirty = False
-        for index, stage in enumerate(stages):
-            if stage.requires is not None and stage.requires not in fields:
-                slots.append(_SKIP)
-                continue
-            entry = stage.table.match(phv)
-            if entry is None:
-                slots.append(_DEFAULT)
-                action_name = stage.table.default_action
-                params = stage.table.default_params
-            else:
-                entry.hits += 1
-                slots.append(entry)
-                action_name = entry.action
-                params = entry.params
-            action = actions.get(action_name)
-            if action is None:
-                raise ActionError(
-                    f"table {stage.table.name!r} selected unknown action "
-                    f"{action_name!r}"
-                )
-            ctx.touched_state = False
-            action(phv, ctx, **params)
+
+        def ran(index: int, slot) -> None:
+            nonlocal cacheable
+            slots[index] = slot
             if ctx.touched_state:
                 stateful.add(index)
+                ctx.touched_state = False
             if cacheable and self.key_of(phv) != key:
                 # An action rewrote a match-relevant field: this flow's
                 # trajectory depends on more than the flow key.
                 cacheable = False
                 self._uncacheable.add(key)
-            if fields.get("meta.drop"):
-                cacheable = False  # truncated slot list: never cache
-                break
-        if cacheable and not self._dirty:
+
+        self._dirty = False
+        ctx.touched_state = False
+        dropped = pipeline._run_stages(phv, 0, ran)
+        # A dropped packet's slot list is truncated: never cache it.
+        if cacheable and not dropped and not self._dirty:
             if len(self._cache) >= self.max_entries:
                 self._cache.clear()
             if len(self._uncacheable) >= self.max_entries:
                 self._uncacheable.clear()
-            compiled = tuple(
-                slot if slot is _SKIP or slot is _DEFAULT
-                else (slot, actions[slot.action], index in stateful)
-                for index, slot in enumerate(slots)
-            )
-            self._cache[key] = (compiled, frozenset(stateful))
+            self._cache[key] = (tuple(slots), frozenset(stateful))
 
 
 class RmtPipeline:
@@ -333,16 +318,17 @@ class RmtPipeline:
         before parsing, mirroring intrinsic metadata in P4.
         """
         phv = Phv()
-        if metadata:
-            fields = phv._fields
-            for key, value in metadata.items():
-                # Phv.set inline minus the f-string; the type check is
-                # delegated to set() only when it would fail, so the
-                # error (and everything else) is identical.
-                if isinstance(value, (int, bytes)):
-                    fields["meta." + key] = value
-                else:
-                    phv.set("meta." + key, value)
+        fields = phv._fields
+        for key, value in (metadata or {}).items():
+            if not isinstance(value, (int, bytes)):
+                phv.set("meta." + key, value)  # raises Phv's TypeError
+            fields["meta." + key] = value
+        self.run(phv, data, now_ps)
+        return phv
+
+    def run(self, phv: Phv, data: bytes, now_ps: int) -> None:
+        """Parse ``data`` into ``phv``, which already holds its intrinsic
+        ``meta.*`` fields under their full names, then run every stage."""
         self.program.parse_graph.parse(data, phv)
         self._ctx.now_ps = now_ps
         if self.memo is not None:
@@ -350,25 +336,36 @@ class RmtPipeline:
         else:
             self._run_stages(phv, 0)
         self.packets_processed += 1
-        return phv
 
-    def _run_stages(self, phv: Phv, start: int) -> None:
-        """The plain stage loop, from stage ``start`` onward."""
+    def _run_stages(self, phv: Phv, start: int, ran=None) -> bool:
+        """The one stage walk, from stage ``start``; True when a stage
+        dropped the packet (the walk stops there).  ``ran(index, slot)``,
+        the memo's recording hook, follows each stage that ran, with the
+        entry that hit or ``_DEFAULT``."""
+        fields = phv._fields
+        ctx = self._ctx
         stages = self.program.stages
         for index in range(start, len(stages)):
             stage = stages[index]
-            if stage.requires is not None and not phv.is_valid(stage.requires):
+            requires = stage.requires
+            if requires is not None and requires not in fields:
                 continue
-            action_name, params, _hit = stage.table.lookup(phv)
-            action = self.program.actions.get(action_name)
-            if action is None:
-                raise ActionError(
-                    f"table {stage.table.name!r} selected unknown action "
-                    f"{action_name!r}"
-                )
-            action(phv, self._ctx, **params)
-            if phv.get_or("meta.drop", 0):
-                break
+            table = stage.table
+            entry = table.match(phv)
+            if entry is None:
+                fn = table.default_fn
+                params = table.default_params
+            else:
+                entry.hits += 1
+                fn = entry.fn
+                params = entry.params
+            if fn is not no_op:
+                fn(phv, ctx, **params)
+            if ran is not None:
+                ran(index, _DEFAULT if entry is None else entry)
+            if "meta.drop" in fields and fields["meta.drop"]:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Deparser

@@ -12,7 +12,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.rmt.phv import Phv, PhvError
+from repro.rmt.action import Action, ActionError
+from repro.rmt.phv import Phv
 
 
 class TableError(ValueError):
@@ -57,6 +58,9 @@ class TableEntry:
     priority: int = 0
     #: Hit counter, mirroring P4 direct counters.
     hits: int = 0
+    #: ``action`` resolved in the program's registry (``None`` until the
+    #: table joins a program; see :meth:`Table.bind_actions`).
+    fn: Optional[Action] = field(default=None, repr=False, compare=False)
 
 
 class Table:
@@ -74,12 +78,16 @@ class Table:
             raise TableError(f"table {name!r} needs at least one match key")
         self.name = name
         self.keys = tuple(keys)
+        self._key_fields = tuple([key.field for key in self.keys])
         self.default_action = default_action
+        #: ``default_action`` resolved by :meth:`bind_actions`.
+        self.default_fn: Optional[Action] = None
+        self._actions: Optional[Dict[str, Action]] = None
         self.default_params = dict(default_params or {})
         self.max_entries = max_entries
         self._exact_index: Dict[Tuple[Any, ...], TableEntry] = {}
         self._scan_entries: List[TableEntry] = []
-        self._all_exact = all(k.kind == MatchKind.EXACT for k in self.keys)
+        self._all_exact = all([k.kind == MatchKind.EXACT for k in self.keys])
         self._listeners: List[Any] = []
 
     def on_mutate(self, fn) -> None:
@@ -94,6 +102,24 @@ class Table:
     def _notify(self) -> None:
         for fn in self._listeners:
             fn()
+
+    def bind_actions(self, actions: Dict[str, Action]) -> None:
+        """Resolve the default's, every entry's and every later
+        :meth:`add`'s action function in the registry of the program the
+        table joins; an unknown name raises :class:`ActionError`.  Exact,
+        since a registry never replaces an action and nothing reassigns
+        an entry's action or the default."""
+        self.default_fn = self._resolve(actions, self.default_action)
+        for entry in self.entries():
+            entry.fn = self._resolve(actions, entry.action)
+        self._actions = actions
+
+    def _resolve(self, actions: Dict[str, Action], name: str) -> Action:
+        fn = actions.get(name)
+        if fn is None:
+            raise ActionError(
+                f"table {self.name!r} names unknown action {name!r}")
+        return fn
 
     # ------------------------------------------------------------------
     # Programming interface (the "control plane")
@@ -119,7 +145,10 @@ class Table:
         if self.size >= self.max_entries:
             raise TableError(f"table {self.name!r} is full ({self.max_entries})")
         self._validate_patterns(patterns)
-        entry = TableEntry(tuple(patterns), action, dict(params or {}), priority)
+        fn = (None if self._actions is None
+              else self._resolve(self._actions, action))
+        entry = TableEntry(tuple(patterns), action, dict(params or {}),
+                           priority, fn=fn)
         if self._all_exact:
             key = tuple(patterns)
             if key in self._exact_index:
@@ -200,49 +229,32 @@ class Table:
     # Data plane
     # ------------------------------------------------------------------
 
-    def lookup(self, phv: Phv) -> Tuple[str, Dict[str, Any], bool]:
-        """Match the PHV; returns ``(action, params, hit)``.
-
-        A PHV missing any key field is a miss (invalid headers cannot
-        match), which falls through to the default action.
-
-        The returned params dict is the entry's *live* parameter store --
-        treat it as read-only.  (The pipeline ``**``-unpacks it into the
-        action call, which copies; returning a defensive copy here would
-        mean two copies per lookup on the per-packet hot path.)
-        """
-        try:
-            values = tuple(phv.get(key.field) for key in self.keys)
-        except PhvError:
-            return self.default_action, self.default_params, False
-
-        if self._all_exact:
-            entry = self._exact_index.get(values)
-            if entry is not None:
-                entry.hits += 1
-                return entry.action, entry.params, True
-            return self.default_action, self.default_params, False
-
-        for entry in self._scan_entries:
-            if self._entry_matches(entry, values):
-                entry.hits += 1
-                return entry.action, entry.params, True
-        return self.default_action, self.default_params, False
-
     def match(self, phv: Phv) -> Optional[TableEntry]:
-        """Like :meth:`lookup` but returns the matched entry itself (or
-        ``None`` on a miss) and does *not* bump its hit counter -- the
-        flow memo records entries and does its own hit accounting."""
-        try:
-            values = tuple(phv.get(key.field) for key in self.keys)
-        except PhvError:
-            return None
+        """The entry the PHV matches, or ``None`` on a miss.
+
+        The one matcher.  A PHV missing any key field is a miss (invalid
+        headers cannot match): ``dict.get`` reads it as ``None``, which
+        no pattern equals, since PHV values are int or bytes.  The hit
+        counter is left to the caller (the stage walk bumps it).
+        """
+        values = tuple(map(phv._fields.get, self._key_fields))
         if self._all_exact:
             return self._exact_index.get(values)
+        if None in values:
+            return None
         for entry in self._scan_entries:
             if self._entry_matches(entry, values):
                 return entry
         return None
+
+    def lookup(self, phv: Phv) -> Tuple[str, Dict[str, Any], bool]:
+        """:meth:`match` by name: ``(action, params, hit)``, counting a
+        hit.  The params dict is live: treat it as read-only."""
+        entry = self.match(phv)
+        if entry is None:
+            return self.default_action, self.default_params, False
+        entry.hits += 1
+        return entry.action, entry.params, True
 
     def _entry_matches(self, entry: TableEntry, values: Tuple[Any, ...]) -> bool:
         for key, pattern, value in zip(self.keys, entry.patterns, values):

@@ -9,7 +9,8 @@ every call *into* ``repro.engines`` code plus every call that code makes
 out of it into the rest of ``repro`` or a builtin (PIFO, trackers,
 ``Component.now``, the NoC port; the drive's own decision handler is not
 the tile's).  What those callees do inside is theirs and has its own
-budget (``test_noc_call_budget.py``) or none yet.
+budget: the NoC's in ``test_noc_call_budget.py``, the RMT pass's in
+``test_rmt_call_budget.py``.
 
 Both kinds of tile finish through the same ``Engine._finish``; they are
 held to the exact counts the code reaches today, so a call put on the
@@ -108,9 +109,12 @@ def rmt_tile(sim):
 #: a ``_try_start`` and a pop), ``_route_by_chain`` walked the chain
 #: cursor itself, a delayed send was scheduled straight at the port,
 #: the queue-latency sample became one ``record`` and ``now`` was read
-#: off the kernel once per step (EXPERIMENTS.md E36).
+#: off the kernel once per step (EXPERIMENTS.md E36).  The RMT tile's
+#: was 22 while it fetched its intrinsic metadata from a process-global
+#: memo and handed it to ``process`` for a ``"meta."`` prefix per field;
+#: it now writes the fields into the PHV and calls ``run`` (E37).
 BASE_VISIT = 13
-RMT_VISIT = 22
+RMT_VISIT = 21
 
 
 def test_base_engine_visit_call_budget():

@@ -313,11 +313,25 @@ class TestPipeline:
         assert phv.get("meta.ingress_port") == 2
 
     def test_unknown_action_raises(self):
+        # Actions resolve at install: the bad entry is refused by add,
+        # not by the first packet that hits it.
         program = RmtProgram("p")
         table = program.add_table("t", [MatchKey("udp.dst_port")])
+        with pytest.raises(ActionError):
+            table.add([9999], "not_an_action")
+        assert table.size == 0
+        with pytest.raises(ActionError):
+            program.add_table("u", [MatchKey("x")], default_action="ghost")
+
+    def test_unknown_action_raises_when_its_table_joins(self):
+        # An entry installed before its table joins a program resolves
+        # (and fails) when the table joins; the program keeps no stage.
+        program = RmtProgram("p")
+        table = Table("t", [MatchKey("udp.dst_port")])
         table.add([9999], "not_an_action")
         with pytest.raises(ActionError):
-            RmtPipeline(program).process(udp_frame())
+            program.add_stage(table)
+        assert program.num_stages == 0
 
     def test_duplicate_action_name_rejected(self):
         program = RmtProgram("p")

@@ -259,3 +259,41 @@ def test_memo_capacity_is_bounded():
         )
         pipeline.process(frame)
     assert len(pipeline.memo._cache) <= 8
+
+
+def test_replayed_register_write_that_moves_the_flow_key():
+    """A replayed stateful action that writes a register (whose listener
+    clears the whole cache) and also rewrites a match-relevant field: the
+    replay falls back to full lookups for the rest of the stages and must
+    not trip over its own, already-evicted, flow."""
+    from repro.rmt.pipeline import RmtProgram
+
+    def gate(phv, ctx):
+        register = ctx.register("r")
+        if ctx.now_ps >= 1000:
+            register.write(0, 1)
+            phv.set("meta.lane", 7)
+
+    frame = build_udp_frame(
+        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2,
+        payload=bytes(20),
+    )
+    outcomes = []
+    for memo in (False, True):
+        program = RmtProgram("p")
+        register = program.add_register("r", 1)
+        program.add_action("gate", gate)
+        program.add_table("t", [MatchKey("meta.direction")]).add(
+            [b"rx"], "gate")
+        lane = program.add_table("lane", [MatchKey("meta.lane")])
+        hit = lane.add([7], "set_queue", {"queue": 3})
+        pipeline = RmtPipeline(program, memo=memo)
+        for now_ps in (0, 0, 2000):
+            phv = pipeline.process(frame, metadata={"direction": b"rx"},
+                                   now_ps=now_ps)
+        outcomes.append((sorted(phv.fields()), register.read(0), hit.hits))
+    assert outcomes[0] == outcomes[1]
+    fields = dict(outcomes[1][0])
+    assert fields["meta.lane"] == 7
+    assert fields["meta.rx_queue"] == 3
