@@ -7,13 +7,14 @@ NIC-traversal latency of the *untouched* packets.
 
 Paper's shape: on the pipeline NIC the untouched packets queue behind
 DPI work (high p99); bypass logic mitigates; PANIC switches untouched
-packets straight RMT -> DMA, so their latency is flat and small.
+packets straight RMT -> DMA, so their latency is flat and small.  The
+pipeline is PANIC itself with a fixed chain and no slack policy
+(``repro.baselines.pipeline_nic``), so the gap is the architecture's.
 """
 
 from repro.analysis import format_comparison
-from repro.baselines import PipelineNic
+from repro.baselines import pipeline_nic
 from repro.core import PanicConfig, PanicNic
-from repro.engines import ChecksumEngine, RegexEngine
 from repro.sim import Simulator
 from repro.sim.clock import US
 
@@ -22,9 +23,10 @@ from _util import banner, plain_udp_packet, run_once
 N_PACKETS = 50
 DPI_EVERY = 10
 GAP_PS = 100_000  # 100 ns injection gap
+DPI_PARAMS = {"regex": {"patterns": [b"scan"], "cycles_per_byte": 40.0}}
 
 
-def _traffic(baseline_markers: bool):
+def _traffic():
     """Packets with seq annotations; DPI-class ones carry DSCP 1."""
     out = []
     for i in range(N_PACKETS):
@@ -34,19 +36,17 @@ def _traffic(baseline_markers: bool):
             payload=payload, seq=i, dscp=1 if needs_dpi else 0,
             src_port=7000 + (i % 16),
         )
-        if needs_dpi and baseline_markers:
-            packet.meta.annotations["needs"] = ("regex",)
         out.append((packet, needs_dpi))
     return out
 
 
-def _collect_victim_p99(sim, nic, baseline_markers):
+def _collect_victim_p99(sim, nic):
     done = {}
     nic.host.software_handler = (
         lambda p, q: done.__setitem__(p.meta.annotations["seq"], sim.now)
     )
     victims = []
-    for i, (packet, needs_dpi) in enumerate(_traffic(baseline_markers)):
+    for i, (packet, needs_dpi) in enumerate(_traffic()):
         sim.schedule_at(i * GAP_PS, nic.inject, packet)
         if not needs_dpi:
             victims.append((packet.meta.annotations["seq"], i * GAP_PS))
@@ -57,31 +57,24 @@ def _collect_victim_p99(sim, nic, baseline_markers):
 
 def victim_p99_pipeline(bypass: bool) -> float:
     sim = Simulator()
-    line = [
-        ("regex", RegexEngine(sim, "dpi", patterns=[b"scan"],
-                              cycles_per_byte=40.0)),
-        ("checksum", ChecksumEngine(sim, "csum")),
-    ]
-    nic = PipelineNic(sim, line, bypass_enabled=bypass)
-    return _collect_victim_p99(sim, nic, baseline_markers=True)
+    # DSCP 1 needs the DPI scan; every other class needs nothing but
+    # still rides the whole line unless bypass drops it from the chain.
+    nic = pipeline_nic(sim, ("regex", "checksum"), {1: ("regex",)},
+                       bypass=bypass, offload_params=DPI_PARAMS)
+    return _collect_victim_p99(sim, nic)
 
 
 def victim_p99_panic() -> float:
     sim = Simulator()
     nic = PanicNic(
         sim,
-        PanicConfig(
-            ports=1,
-            offloads=("regex", "checksum"),
-            offload_params={
-                "regex": {"patterns": [b"scan"], "cycles_per_byte": 40.0}
-            },
-        ),
+        PanicConfig(ports=1, offloads=("regex", "checksum"),
+                    offload_params=DPI_PARAMS),
     )
     # The RMT program classifies DPI traffic by DSCP and chains it
     # through the regex engine; everything else flows RMT -> DMA.
     nic.control.route_dscp(1, ["regex"])
-    return _collect_victim_p99(sim, nic, baseline_markers=False)
+    return _collect_victim_p99(sim, nic)
 
 
 def test_fig2a_hol_blocking(benchmark):

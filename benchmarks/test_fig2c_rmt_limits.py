@@ -3,20 +3,19 @@ line rate but cannot host payload offloads; PANIC hosts them as engines.
 
 Two measurements:
 
-1. capability: every payload offload raises UnsupportedOffloadError on
-   the RMT NIC, while the same offload names resolve to live engines on
-   PANIC (and a KV GET is actually served from the NIC).
-2. what the RMT NIC *can* do it does at line rate: steering throughput
-   equals F * P admissions.
+1. capability: the RMT-only NIC is PANIC with no offload tile
+   (``repro.baselines.rmt_only_nic``), so a route naming any payload
+   offload has no engine to resolve to and the control plane refuses it,
+   while the same offload names resolve to live engines on PANIC (and a
+   KV GET is actually served from the NIC).
+2. what the RMT NIC *can* do it does at line rate: it steers every
+   frame to a receive queue, at the RMT tile's F * P admissions.
 """
 
-from repro.baselines import RmtNic, UnsupportedOffloadError
+from repro.baselines import rmt_only_nic
 from repro.core import PanicConfig, PanicNic
-from repro.core.pipeline_programs import DIR_RX
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame, parse_frame
-from repro.rmt import MatchKey, RmtProgram
 from repro.sim import Simulator
-from repro.sim.clock import SEC
 
 from _util import banner, plain_udp_packet, run_once
 
@@ -24,39 +23,27 @@ PAYLOAD_OFFLOADS = ("ipsec", "compression", "kvcache", "rdma", "regex")
 
 
 def rmt_capability():
-    sim = Simulator()
-    program = RmtProgram("flexnic")
-    steer = program.add_table(
-        "steer", [MatchKey("meta.direction")], requires="udp.src_port"
-    )
-    steer.add([DIR_RX], "hash_select",
-              {"fields": ["ipv4.src", "udp.src_port"], "ways": 4})
-    nic = RmtNic(sim, program)
+    nic = rmt_only_nic(Simulator())
     refused = []
     for offload in PAYLOAD_OFFLOADS:
         try:
-            nic.attach_offload(offload)
-        except UnsupportedOffloadError:
+            nic.control.route_dscp(1, [offload])
+        except KeyError:
             refused.append(offload)
     return refused
 
 
 def rmt_steering_pps(packets=500):
     sim = Simulator()
-    program = RmtProgram("flexnic")
-    steer = program.add_table(
-        "steer", [MatchKey("meta.direction")], requires="udp.src_port"
-    )
-    steer.add([DIR_RX], "hash_select",
-              {"fields": ["ipv4.src", "udp.src_port"], "ways": 4})
-    nic = RmtNic(sim, program, pipelines=2, line_rate_bps=1e15)
-    times = []
-    nic.host.software_handler = lambda p, q: times.append(sim.now)
+    nic = rmt_only_nic(sim)
+    queues = []
+    nic.host.software_handler = lambda p, q: queues.append(q)
     for i in range(packets):
         nic.inject(plain_udp_packet(seq=i, src_port=1 + i % 60000))
     sim.run()
-    assert len(times) == packets
-    return nic.throughput_pps
+    assert len(queues) == packets
+    assert len(set(queues)) > 1  # RSS spread the flows over queues
+    return nic.rmt.throughput_pps
 
 
 def panic_hosts_offloads():

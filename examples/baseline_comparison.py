@@ -2,7 +2,8 @@
 """Head-to-head: PANIC vs the three existing NIC architectures (Fig. 2).
 
 One mixed workload -- 90% plain packets, 10% needing a slow DPI scan --
-runs over all four NICs built from the *same* engine implementations and
+runs over all four NICs.  Each baseline is a PanicNic configuration
+(``repro.baselines``), so all four share the engines, mesh, DMA/PCIe and
 host model.  Reported per NIC: mean and p99 NIC-side latency of the
 plain ("victim") packets, plus each architecture's characteristic
 pathology.
@@ -14,18 +15,18 @@ Run with::
 
 from repro import PanicConfig, PanicNic, Simulator
 from repro.analysis import format_table
-from repro.baselines import ManycoreNic, PipelineNic, RmtNic, UnsupportedOffloadError
-from repro.core.pipeline_programs import DIR_RX
-from repro.engines import ChecksumEngine, RegexEngine
+from repro.baselines import manycore_nic, pipeline_nic, rmt_only_nic
 from repro.packet import Packet, build_udp_frame
-from repro.rmt import MatchKey, RmtProgram
 from repro.sim.clock import US
 
 N = 60
 GAP_PS = 150_000
+DPI_PARAMS = {"regex": {"patterns": [b"scan"], "cycles_per_byte": 40.0}}
+#: DSCP 1 carries the DPI class; every other frame needs no offload.
+DPI_CLASS = {1: ("regex",)}
 
 
-def traffic(mark_needs: bool):
+def traffic():
     packets = []
     for i in range(N):
         dpi = i % 10 == 0
@@ -38,19 +39,17 @@ def traffic(mark_needs: bool):
         )
         packet = Packet(frame)
         packet.meta.annotations["seq"] = i
-        if dpi and mark_needs:
-            packet.meta.annotations["needs"] = ("regex",)
         packets.append((packet, dpi))
     return packets
 
 
-def victim_stats(sim, nic, mark_needs):
+def victim_stats(sim, nic):
     done = {}
     nic.host.software_handler = (
         lambda p, q: done.__setitem__(p.meta.annotations["seq"], sim.now)
     )
     victims = []
-    for i, (packet, dpi) in enumerate(traffic(mark_needs)):
+    for i, (packet, dpi) in enumerate(traffic()):
         sim.schedule_at(i * GAP_PS, nic.inject, packet)
         if not dpi:
             victims.append((packet.meta.annotations["seq"], i * GAP_PS))
@@ -65,44 +64,33 @@ def main() -> None:
     rows = []
 
     sim = Simulator()
-    line = [("regex", RegexEngine(sim, "pl.dpi", patterns=[b"scan"],
-                                  cycles_per_byte=40.0)),
-            ("checksum", ChecksumEngine(sim, "pl.csum"))]
-    mean, p99 = victim_stats(sim, PipelineNic(sim, line), True)
+    nic = pipeline_nic(sim, ("regex", "checksum"), DPI_CLASS,
+                       offload_params=DPI_PARAMS)
+    mean, p99 = victim_stats(sim, nic)
     rows.append(["pipeline (Fig 2a)", f"{mean:.1f}", f"{p99:.1f}",
                  "HOL blocking behind slow DPI"])
 
     sim = Simulator()
-    mc = ManycoreNic(sim, [("regex", RegexEngine(sim, "mc.dpi",
-                                                 patterns=[b"scan"],
-                                                 cycles_per_byte=40.0))],
-                     orchestration_ps=10 * US)
-    mean, p99 = victim_stats(sim, mc, True)
+    nic = manycore_nic(sim, ("regex",), DPI_CLASS, offload_params=DPI_PARAMS)
+    mean, p99 = victim_stats(sim, nic)
     rows.append(["manycore (Fig 2b)", f"{mean:.1f}", f"{p99:.1f}",
                  "~10us core orchestration on every packet"])
 
     sim = Simulator()
-    program = RmtProgram("flexnic")
-    steer = program.add_table("steer", [MatchKey("meta.direction")],
-                              requires="udp.src_port")
-    steer.add([DIR_RX], "hash_select",
-              {"fields": ["ipv4.src", "udp.src_port"], "ways": 4})
-    rmt_nic = RmtNic(sim, program)
+    nic = rmt_only_nic(sim)
     try:
-        rmt_nic.attach_offload("regex")
+        nic.control.route_dscp(1, ["regex"])
         dpi_note = "??"
-    except UnsupportedOffloadError:
+    except KeyError:
         dpi_note = "cannot host the DPI offload at all"
-    mean, p99 = victim_stats(sim, rmt_nic, False)
+    mean, p99 = victim_stats(sim, nic)
     rows.append(["rmt-only (Fig 2c)", f"{mean:.1f}", f"{p99:.1f}", dpi_note])
 
     sim = Simulator()
     panic = PanicNic(sim, PanicConfig(
-        ports=1, offloads=("regex", "checksum"),
-        offload_params={"regex": {"patterns": [b"scan"],
-                                  "cycles_per_byte": 40.0}}))
+        ports=1, offloads=("regex", "checksum"), offload_params=DPI_PARAMS))
     panic.control.route_dscp(1, ["regex"])
-    mean, p99 = victim_stats(sim, panic, False)
+    mean, p99 = victim_stats(sim, panic)
     rows.append(["PANIC", f"{mean:.1f}", f"{p99:.1f}",
                  "DPI chained per packet; victims unaffected"])
 

@@ -19,9 +19,11 @@ Quick start::
 Packages:
 
 * :mod:`repro.core`      -- the PANIC NIC (the paper's contribution)
-* :mod:`repro.baselines` -- pipeline / manycore / RMT-only NICs (Fig. 2)
+* :mod:`repro.baselines` -- pipeline / manycore / RMT-only NICs (Fig. 2),
+  each a :class:`PanicNic` configuration
 * :mod:`repro.engines`   -- offload engines (IPSec, compression, KV
-  cache, RDMA, DPI, checksum, DMA, PCIe, Ethernet, RMT)
+  cache, RDMA, DPI, checksum, DMA, PCIe, Ethernet, RMT, orchestration
+  core)
 * :mod:`repro.noc`       -- the lossless 2D-mesh on-chip network
 * :mod:`repro.rmt`       -- the match+action pipeline substrate
 * :mod:`repro.sched`     -- PIFO queues and slack policies

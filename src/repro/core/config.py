@@ -19,6 +19,7 @@ KNOWN_OFFLOADS = (
     "ratelimit",
     "dcqcn",
     "ecnmark",
+    "core",
 )
 
 

@@ -37,6 +37,7 @@ from repro.engines.dma import DmaEngine
 from repro.engines.ethernet import EthernetPort
 from repro.engines.ipsec import IpsecEngine
 from repro.engines.kvcache import KvCacheEngine
+from repro.engines.orchestration import OrchestrationCore
 from repro.engines.pcie import PcieEngine
 from repro.engines.ratelimit import RateLimiterEngine
 from repro.engines.rdma import RdmaEngine
@@ -63,6 +64,7 @@ _OFFLOAD_ENGINES = {
     "ratelimit": RateLimiterEngine,
     "dcqcn": DcqcnEngine,
     "ecnmark": EcnMarkerEngine,
+    "core": OrchestrationCore,
 }
 
 

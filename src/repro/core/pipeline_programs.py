@@ -377,9 +377,8 @@ class PanicControl:
 def panic_decision_factory(nic):
     """Build the decision handler that turns PHVs into chain headers.
 
-    Installed on the RMT engine by :class:`repro.core.panic.PanicNic`;
-    split out so baselines can install different handlers on the same
-    engine type.
+    Installed on every RMT tile by :class:`repro.core.panic.PanicNic`,
+    the Fig. 2 baselines included.
     """
     from repro.packet.builder import frame_checksums_ok
     from repro.packet.headers import HeaderError

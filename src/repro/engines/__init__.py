@@ -3,7 +3,8 @@
 Everything on the PANIC mesh is an engine (Figure 3): the offloads (IPSec,
 compression, KV cache, RDMA, DPI, checksum), the heavyweight RMT pipeline
 tiles, and the components a conventional NIC would hide in fixed logic --
-Ethernet MACs, the DMA engine, the PCIe engine.
+Ethernet MACs, the DMA engine, the PCIe engine -- and the embedded CPU
+core a manycore NIC puts between every offload call (Figure 2b).
 
 All engines share :class:`~repro.engines.base.Engine`: a PIFO scheduling
 queue ranked by RMT-computed slack, a lightweight lookup table for routing
@@ -31,6 +32,7 @@ from repro.engines.dma import DmaEngine
 from repro.engines.ethernet import EthernetPort
 from repro.engines.ipsec import IpsecEngine, IpsecError, IpsecSa, keystream, xor_bytes
 from repro.engines.kvcache import KvCacheEngine
+from repro.engines.orchestration import OrchestrationCore
 from repro.engines.pcie import PcieEngine
 from repro.engines.ratelimit import RateLimiterEngine, TokenBucket
 from repro.engines.rdma import RdmaEngine
@@ -69,6 +71,7 @@ __all__ = [
     "LOOKUP_CYCLES",
     "LocalLookupTable",
     "OffloadClass",
+    "OrchestrationCore",
     "PcieEngine",
     "Placement",
     "RateLimiterEngine",

@@ -14,8 +14,7 @@ queue, faults, tracing, heartbeat echo and output routing are
 
 What happens to a processed packet is delegated to a ``decision_handler``
 -- the PANIC core installs one that converts the PHV into a chain header
-and slack deadline; the FlexNIC baseline installs a simpler queue-steering
-handler.
+and slack deadline.
 """
 
 from __future__ import annotations

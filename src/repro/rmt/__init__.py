@@ -3,8 +3,9 @@
 PANIC's heavyweight switch brain (Figure 3b): a programmable parser turns
 packet bytes into a packet header vector (PHV); a sequence of match+action
 stages looks fields up in exact/ternary/LPM/range tables and runs actions
-(set fields, build offload chains, compute slack); a deparser writes
-modified headers back to bytes.
+(set fields, build offload chains, compute slack).  The decisions travel
+in the PHV, not in rewritten frame bytes: the tile's latency still counts
+a deparser cycle, but no frame is rebuilt from header fields.
 
 The substrate is *pure* -- :class:`RmtPipeline.process` is a function from
 packet to decisions with no simulated time -- so it can be unit-tested

@@ -2,8 +2,8 @@
 
 The PHV is the working state of an RMT pipeline: every parsed header field
 plus per-packet metadata, addressed by dotted names such as ``ipv4.dst``
-or ``meta.tenant``.  Actions read and write PHV fields; the deparser turns
-header fields back into bytes.
+or ``meta.tenant``.  Actions read and write PHV fields, and the engine
+that runs the pipeline reads its decisions back out of them.
 
 Values are integers (the common case for match keys) or bytes (keys,
 payload digests).  A field that was never parsed/set reads as *invalid*,
@@ -65,11 +65,6 @@ class Phv:
     def invalidate(self, name: str) -> None:
         """Remove a field (e.g. after decapsulation).  Idempotent."""
         self._fields.pop(name, None)
-
-    def header_valid(self, header: str) -> bool:
-        """True when any field of ``header.*`` is valid."""
-        prefix = header + "."
-        return any(name.startswith(prefix) for name in self._fields)
 
     # ------------------------------------------------------------------
     # Introspection

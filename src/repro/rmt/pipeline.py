@@ -16,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.packet.addresses import IPv4Address, MacAddress
-from repro.packet.headers import (
-    EthernetHeader,
-    Ipv4Header,
-)
 from repro.rmt.action import (
     Action,
     ActionContext,
@@ -366,40 +361,3 @@ class RmtPipeline:
             if "meta.drop" in fields and fields["meta.drop"]:
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Deparser
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def deparse(phv: Phv, original: bytes) -> bytes:
-        """Rebuild the frame bytes after actions modified header fields.
-
-        Only Ethernet and IPv4 fields are rewritable by the reference
-        programs (TTL, DSCP, addresses); everything beyond the IPv4 header
-        is carried through unchanged.  When no L2/L3 fields are valid, the
-        original bytes pass through untouched.
-        """
-        if not phv.header_valid("eth"):
-            return original
-        eth = EthernetHeader(
-            MacAddress(int(phv.get("eth.dst"))),
-            MacAddress(int(phv.get("eth.src"))),
-            int(phv.get("eth.type")),
-        )
-        out = eth.pack()
-        rest = original[EthernetHeader.LENGTH :]
-        if phv.header_valid("ipv4"):
-            ipv4 = Ipv4Header(
-                src=IPv4Address(int(phv.get("ipv4.src"))),
-                dst=IPv4Address(int(phv.get("ipv4.dst"))),
-                protocol=int(phv.get("ipv4.proto")),
-                total_length=int(phv.get("ipv4.len")),
-                ttl=int(phv.get("ipv4.ttl")),
-                dscp=int(phv.get("ipv4.dscp")),
-                ecn=int(phv.get_or("ipv4.ecn", 0)),
-                identification=int(phv.get("ipv4.id")),
-            )
-            out += ipv4.pack()
-            rest = rest[Ipv4Header.LENGTH :]
-        return out + rest

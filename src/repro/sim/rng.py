@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Sequence, TypeVar
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -20,6 +20,9 @@ class SeededRng:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = random.Random(seed)
+        #: Zipf CDFs by (support size, alpha), each built on its first
+        #: draw and dropped with this stream.
+        self._zipf_cdfs: Dict[Tuple[int, float], List[float]] = {}
 
     def fork(self, salt: str) -> "SeededRng":
         """Derive an independent stream (e.g. one per traffic source).
@@ -63,8 +66,9 @@ class SeededRng:
     def zipf_index(self, n: int, alpha: float = 0.99) -> int:
         """Draw an index in [0, n) with Zipf(alpha) popularity.
 
-        Uses inverse-CDF over the precomputed harmonic weights; the CDF is
-        cached per (n, alpha) because KVS workloads draw millions of keys.
+        Uses inverse-CDF over the precomputed harmonic weights; the stream
+        keeps the CDF per (n, alpha) because KVS workloads draw millions of
+        keys.
         """
         if n <= 0:
             raise ValueError(f"zipf support size must be positive, got {n}")
@@ -79,12 +83,9 @@ class SeededRng:
                 hi = mid
         return lo
 
-    _zipf_cache: dict = {}
-
-    @classmethod
-    def _zipf_cdf(cls, n: int, alpha: float) -> List[float]:
+    def _zipf_cdf(self, n: int, alpha: float) -> List[float]:
         key = (n, alpha)
-        cached = cls._zipf_cache.get(key)
+        cached = self._zipf_cdfs.get(key)
         if cached is not None:
             return cached
         weights = [1.0 / (i + 1) ** alpha for i in range(n)]
@@ -95,7 +96,7 @@ class SeededRng:
             acc += w / total
             cdf.append(acc)
         cdf[-1] = 1.0
-        cls._zipf_cache[key] = cdf
+        self._zipf_cdfs[key] = cdf
         return cdf
 
     def __repr__(self) -> str:

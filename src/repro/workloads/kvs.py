@@ -11,7 +11,7 @@ collects per-tenant response-latency histograms from egress frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.engines.ipsec import IpsecEngine, IpsecSa
 from repro.packet.builder import build_kv_request_frame, parse_frame
@@ -37,8 +37,6 @@ class TenantSpec:
     value_bytes: int = 128
     wan: bool = False  # WAN tenants need IPSec
     latency_sensitive: bool = False
-    #: Offloads this tenant's packets need, for baseline NICs.
-    needs: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 <= self.get_fraction <= 1:
@@ -114,7 +112,6 @@ class KvsClient:
             # engine's cipher so the NIC can decrypt with the same SA.
             packet.meta.annotations["ipsec_spi"] = self.spi
             packet = self.ipsec.encrypt(packet, self.spi)
-        packet.meta.annotations["needs"] = spec.needs
         packet.meta.annotations["request_ctx"] = request_id
         self._outstanding[request_id] = self.sim.now
         self.requests.add()

@@ -1,23 +1,23 @@
-"""Tests for the three baseline NIC architectures (Figure 2)."""
+"""Tests for the three baseline NIC architectures (Figure 2), each a
+PanicNic configuration built by repro.baselines."""
 
 import pytest
 
-from repro.baselines import (
-    ManycoreNic,
-    PipelineNic,
-    RmtNic,
-    UnsupportedOffloadError,
-)
-from repro.core.host import Host
+from repro.baselines import manycore_nic, pipeline_nic, rmt_only_nic
+from repro.core import PanicNic
+from repro.core.panic import _OFFLOAD_ENGINES
 from repro.core.pipeline_programs import DIR_RX
-from repro.engines import ChecksumEngine, CompressionEngine, IpsecEngine, RegexEngine
+from repro.engines import DmaEngine, EthernetPort, PcieEngine, RmtPipelineEngine
 from repro.packet import Packet, build_udp_frame
-from repro.rmt import MatchKey, RmtProgram
 from repro.sim import Simulator
 from repro.sim.clock import US
 
+#: Two-stage line: slow DPI then cheap checksum.
+LINE = ("regex", "checksum")
+SLOW_DPI = {"regex": {"patterns": [b"x"], "cycles_per_byte": 200.0}}
 
-def plain_udp(payload=b"data", src_port=7777):
+
+def plain_udp(payload=b"data", src_port=7777, dscp=0):
     return Packet(
         build_udp_frame(
             src_mac="02:00:00:00:00:01",
@@ -27,101 +27,97 @@ def plain_udp(payload=b"data", src_port=7777):
             src_port=src_port,
             dst_port=8888,
             payload=payload,
+            dscp=dscp,
         )
     )
 
 
-def slow_fast_line(sim):
-    """A two-stage line: slow DPI then cheap checksum."""
-    dpi = RegexEngine(sim, "bl.dpi", patterns=[b"x"], cycles_per_byte=200.0)
-    csum = ChecksumEngine(sim, "bl.csum")
-    return [("regex", dpi), ("checksum", csum)]
+def offload_visits(packet):
+    """The offload tiles a delivered packet visited, in order."""
+    tiles = (hop.split(".", 1)[1] for hop in packet.trail)
+    return [tile for tile in tiles if tile in ("regex", "checksum", "core")]
+
+
+def test_builders_are_panic_configurations(sim):
+    """Every baseline is a PanicNic made of PANIC's own engine types."""
+    standard = {EthernetPort, DmaEngine, PcieEngine, RmtPipelineEngine}
+    allowed = standard | set(_OFFLOAD_ENGINES.values())
+    for nic in (
+        pipeline_nic(sim, LINE, {1: ("regex",)}, offload_params=SLOW_DPI),
+        manycore_nic(sim, ("checksum",), {1: ("checksum",)}),
+        rmt_only_nic(sim),
+    ):
+        assert type(nic) is PanicNic
+        assert {type(engine) for engine in nic.engines.values()} <= allowed
 
 
 class TestPipelineNic:
+    def build(self, sim, classes, **kwargs):
+        return pipeline_nic(sim, LINE, classes, offload_params=SLOW_DPI,
+                            **kwargs)
+
     def test_packet_traverses_all_stages(self, sim):
-        nic = PipelineNic(sim, slow_fast_line(sim))
+        nic = self.build(sim, {1: ("regex",)})
         received = []
         nic.host.software_handler = lambda p, q: received.append(p)
-        packet = plain_udp()
-        nic.inject(packet)
-        sim.run()
-        assert len(received) == 1
-        assert nic.stages[0].passed_through == 1  # didn't need DPI
-        assert nic.stages[1].passed_through == 1
-
-    def test_needed_offload_applied(self, sim):
-        nic = PipelineNic(sim, slow_fast_line(sim))
-        packet = plain_udp()
-        packet.meta.annotations["needs"] = ("checksum",)
-        nic.inject(packet)
-        sim.run()
-        assert nic.stages[1].serviced == 1
-        assert packet.meta.annotations["served"] == ("checksum",)
-
-    def test_hol_blocking_without_bypass(self, sim):
-        nic = PipelineNic(sim, slow_fast_line(sim))
-        slow = plain_udp(payload=b"x" * 1400)
-        slow.meta.annotations["needs"] = ("regex",)
-        victim = plain_udp()
-        done = []
-        nic.host.software_handler = lambda p, q: done.append((p, sim.now))
-        nic.inject(slow)
-        nic.inject(victim)
-        sim.run()
-        victim_time = next(t for p, t in done if p is victim)
-        # The victim waited behind the slow DPI packet.
-        assert victim_time > 500 * US
-
-    def test_bypass_avoids_hol_blocking(self, sim):
-        nic = PipelineNic(sim, slow_fast_line(sim), bypass_enabled=True)
-        slow = plain_udp(payload=b"x" * 1400)
-        slow.meta.annotations["needs"] = ("regex",)
-        victim = plain_udp()
-        done = []
-        nic.host.software_handler = lambda p, q: done.append((p, sim.now))
-        nic.inject(slow)
-        nic.inject(victim)
-        sim.run()
-        victim_time = next(t for p, t in done if p is victim)
-        assert victim_time < 10 * US
-
-    def test_wrong_order_forces_recirculation(self, sim):
-        # Line order: regex then checksum; the packet needs checksum first.
-        nic = PipelineNic(sim, slow_fast_line(sim))
-        packet = plain_udp()
-        packet.meta.annotations["needs"] = ("checksum", "regex")
-        nic.inject(packet)
-        sim.run()
-        assert nic.recirculations == 1
-        assert packet.meta.annotations["served"] == ("checksum", "regex")
-
-    def test_in_order_chain_no_recirculation(self, sim):
-        nic = PipelineNic(sim, slow_fast_line(sim))
-        packet = plain_udp()
-        packet.meta.annotations["needs"] = ("regex", "checksum")
-        nic.inject(packet)
-        sim.run()
-        assert nic.recirculations == 0
-
-    def test_recirculation_disabled_sends_unserved_to_host(self, sim):
-        nic = PipelineNic(sim, slow_fast_line(sim), allow_recirculation=False)
-        packet = plain_udp()
-        packet.meta.annotations["needs"] = ("checksum", "regex")
-        received = []
-        nic.host.software_handler = lambda p, q: received.append(p)
+        packet = plain_udp()  # DSCP 0: needs nothing
         nic.inject(packet)
         sim.run()
         assert received == [packet]
-        assert nic.recirculations == 0
+        assert offload_visits(packet) == ["regex", "checksum"]
+
+    def test_needed_offload_applied(self, sim):
+        nic = self.build(sim, {1: ("checksum",)}, bypass=True)
+        packet = plain_udp(dscp=1)
+        nic.inject(packet)
+        sim.run()
+        assert offload_visits(packet) == ["checksum"]
+        assert packet.meta.annotations["csum_ok"] is True
+
+    def victim_time(self, sim, nic):
+        """When a plain packet, sent right behind a slow DPI one, reaches
+        host memory (interrupt coalescing is the host's, not the
+        pipeline's)."""
+        slow = plain_udp(payload=b"x" * 1400, dscp=1)
+        victim = plain_udp()
+        nic.inject(slow)
+        nic.inject(victim)
+        sim.run()
+        return victim.meta.host_rx_ps
+
+    def test_hol_blocking_without_bypass(self, sim):
+        nic = self.build(sim, {1: ("regex",)})
+        # The victim waited behind the slow DPI packet.
+        assert self.victim_time(sim, nic) > 500 * US
+
+    def test_bypass_avoids_hol_blocking(self, sim):
+        nic = self.build(sim, {1: ("regex",)}, bypass=True)
+        assert self.victim_time(sim, nic) < 10 * US
+
+    def test_wrong_order_forces_recirculation(self, sim):
+        # Line order: regex then checksum; the packet needs checksum first.
+        nic = self.build(sim, {1: ("checksum", "regex")})
+        packet = plain_udp(dscp=1)
+        nic.inject(packet)
+        sim.run()
+        # One recirculation: the whole line, twice.
+        assert offload_visits(packet) == ["regex", "checksum"] * 2
+
+    def test_in_order_chain_no_recirculation(self, sim):
+        nic = self.build(sim, {1: ("regex", "checksum")})
+        packet = plain_udp(dscp=1)
+        nic.inject(packet)
+        sim.run()
+        assert offload_visits(packet) == ["regex", "checksum"]
+
+    def test_offload_off_the_line_refused(self, sim):
+        with pytest.raises(ValueError, match="not on the line"):
+            self.build(sim, {1: ("ipsec",)})
 
 
 class TestManycoreNic:
-    def offloads(self, sim):
-        return [("checksum", ChecksumEngine(sim, "mc.csum"))]
-
     def test_orchestration_latency_floor(self, sim):
-        nic = ManycoreNic(sim, self.offloads(sim), orchestration_ps=10 * US)
+        nic = manycore_nic(sim, ("checksum",), {})
         done = []
         nic.host.software_handler = lambda p, q: done.append((p, sim.now))
         packet = plain_udp()
@@ -131,65 +127,43 @@ class TestManycoreNic:
         assert done[0][1] >= 10 * US
 
     def test_offload_roundtrip_through_station(self, sim):
-        nic = ManycoreNic(sim, self.offloads(sim))
-        packet = plain_udp()
-        packet.meta.annotations["needs"] = ("checksum",)
+        nic = manycore_nic(sim, ("checksum",), {1: ("checksum",)})
+        packet = plain_udp(dscp=1)
         nic.inject(packet)
         sim.run()
-        assert nic.stations["checksum"].serviced == 1
-        assert packet.meta.annotations["served"] == ("checksum",)
+        # The core calls the offload and takes the packet back.
+        assert offload_visits(packet) == ["core", "checksum", "core"]
+        assert packet.meta.annotations["csum_ok"] is True
 
     def test_cores_limit_concurrency(self, sim):
         # 1 core, 3 packets: finishes spaced by >= orchestration time.
-        nic = ManycoreNic(sim, [], cores=1, orchestration_ps=10 * US)
+        nic = manycore_nic(sim, (), {}, cores=1)
         for _ in range(3):
             nic.inject(plain_udp())
         sim.run()
         # Serialized on the single core: at least 3 x 10us of wall clock.
         assert sim.now >= 30 * US
-        assert nic.core_latency.count == 3
-        assert nic.core_latency.maximum >= 10 * US
+        assert nic.offload("core").processed == 3
 
     def test_more_cores_more_throughput(self):
         finish = {}
         for cores in (1, 8):
             sim = Simulator()
-            nic = ManycoreNic(sim, [], cores=cores, orchestration_ps=10 * US)
+            nic = manycore_nic(sim, (), {}, cores=cores)
             for _ in range(16):
                 nic.inject(plain_udp())
             sim.run()
             finish[cores] = sim.now
         assert finish[8] < finish[1] / 3
 
-    def test_round_robin_spray(self, sim):
-        nic = ManycoreNic(sim, [], cores=4)
-        packets = [plain_udp() for _ in range(8)]
-        for packet in packets:
-            nic.inject(packet)
-        sim.run()
-        cores_used = {p.meta.annotations["core"] for p in packets}
-        assert cores_used == {0, 1, 2, 3}
-
     def test_core_count_validated(self, sim):
         with pytest.raises(ValueError):
-            ManycoreNic(sim, [], cores=0)
+            manycore_nic(sim, (), {}, cores=0)
 
 
 class TestRmtNic:
-    def build(self, sim, **kwargs):
-        program = RmtProgram("flexnic")
-        steer = program.add_table(
-            "steer", [MatchKey("meta.direction")], requires="udp.src_port"
-        )
-        steer.add(
-            [DIR_RX],
-            "hash_select",
-            {"fields": ["ipv4.src", "udp.src_port"], "ways": 4},
-        )
-        return RmtNic(sim, program, **kwargs)
-
     def test_steers_to_queues(self, sim):
-        nic = self.build(sim)
+        nic = rmt_only_nic(sim)
         received = []
         nic.host.software_handler = lambda p, q: received.append((p, q))
         a = plain_udp(src_port=1000)
@@ -201,28 +175,26 @@ class TestRmtNic:
         assert a.meta.rx_queue == b.meta.rx_queue
 
     def test_unsupported_offloads_raise(self, sim):
-        nic = self.build(sim)
+        nic = rmt_only_nic(sim)
         for offload in ("ipsec", "compression", "kvcache", "rdma", "regex"):
-            with pytest.raises(UnsupportedOffloadError):
-                nic.attach_offload(offload)
+            with pytest.raises(KeyError, match=f"unknown engine '{offload}'"):
+                nic.control.route_dscp(1, [offload])
 
     def test_header_level_function_accepted(self, sim):
-        nic = self.build(sim)
-        nic.attach_offload("steering")  # no exception
+        nic = rmt_only_nic(sim)
+        nic.control.route_dscp(1, [])  # steering only: no exception
 
     def test_line_rate_initiation(self, sim):
-        nic = self.build(sim, pipelines=2)
-        assert nic.throughput_pps == 1e9
-        assert nic.initiation_interval_ps == 1000
+        nic = rmt_only_nic(sim)
+        assert nic.rmt.throughput_pps == 1e9
+        assert nic.rmt.initiation_interval_ps == 1000
 
     def test_drop_action_drops(self, sim):
-        program = RmtProgram("dropper")
-        table = program.add_table("acl", [MatchKey("udp.dst_port")])
-        table.add([8888], "drop")
-        nic = RmtNic(sim, program)
+        nic = rmt_only_nic(sim)
+        nic.control.program.table("port_route").add([DIR_RX, 8888], "drop")
         received = []
         nic.host.software_handler = lambda p, q: received.append(p)
         nic.inject(plain_udp())
         sim.run()
         assert received == []
-        assert nic.dropped == 1
+        assert nic.rmt_drops == 1
