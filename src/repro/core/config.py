@@ -51,8 +51,8 @@ class PanicConfig:
     mesh_height: int = 4
     # Cut-through express flights over an otherwise empty NoC
     # (repro.noc.express).  Simulated timestamps, delivery order, and
-    # quiesced statistics are identical with it off, and paired runs read
-    # the per-hop path faster on every ledger workload (EXPERIMENTS.md E28).
+    # quiesced statistics are identical with it off; its paired price on
+    # each ledger workload is EXPERIMENTS.md E39's table.
     fast_path: bool = True
     # Flow-keyed RMT trajectory memo (repro.rmt.pipeline.TrajectoryMemo):
     # repeat flows skip the match machinery but re-execute every action.

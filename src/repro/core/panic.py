@@ -236,7 +236,7 @@ class PanicNic:
             dma_addr=self.dma.address,
             port_addrs=port_addrs,
         )
-        decision = panic_decision_factory(self)
+        decision = panic_decision_factory(self, program)
         self.rmt_tiles: List[RmtPipelineEngine] = []
         # Candidate tiles for the pipeline, central columns first.
         rmt_candidates = sorted(

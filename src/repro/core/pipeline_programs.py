@@ -23,7 +23,7 @@ by examples and benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.packet.headers import IP_PROTO_ESP
 from repro.packet.kv import KvOpcode
@@ -41,11 +41,11 @@ DIR_TX = b"tx"
 DEFAULT_SLACK_PS = 1000 * US
 
 
-def set_chain_if_empty(phv: Phv, ctx: ActionContext, *, chain: List[int]) -> None:
-    """Install a chain only when no earlier stage chose one."""
+def set_chain_if_empty(phv: Phv, ctx: ActionContext, *, chain: bytes) -> None:
+    """Install ``chain`` (bytes made by ``RmtProgram.encode_chain``) only
+    when no earlier stage chose one."""
     if not phv.get_or("meta.chain", b""):
-        blob = b"".join(addr.to_bytes(2, "big") for addr in chain)
-        phv.set("meta.chain", blob)
+        phv.set("meta.chain", chain)
 
 
 def police(phv: Phv, ctx: ActionContext, *, slack_ps: int) -> None:
@@ -177,16 +177,17 @@ def build_panic_program(
         requires="meta.egress_port",
     )
     for index, addr in enumerate(port_addrs):
-        egress_select.add([DIR_TX, index], "set_chain_if_empty", {"chain": [addr]})
+        egress_select.add([DIR_TX, index], "set_chain_if_empty",
+                          {"chain": program.encode_chain([addr])})
     # Stage 8: defaults -- RX ends at the DMA engine, TX at its port.
     default_route = program.add_table(
         "default_route",
         [MatchKey("meta.direction")],
     )
-    default_route.add([DIR_RX], "set_chain_if_empty", {"chain": [dma_addr]})
-    default_route.add(
-        [DIR_TX], "set_chain_if_empty", {"chain": [port_addrs[0]]}
-    )
+    default_route.add([DIR_RX], "set_chain_if_empty",
+                      {"chain": program.encode_chain([dma_addr])})
+    default_route.add([DIR_TX], "set_chain_if_empty",
+                      {"chain": program.encode_chain([port_addrs[0]])})
     return program
 
 
@@ -216,30 +217,25 @@ class PanicControl:
         forwarding decisions like the load balancer's backend cables)."""
         return self._port_addrs[port]
 
-    def resolve_chain(self, chain: Sequence) -> List[int]:
-        """Accept engine names or raw addresses."""
-        return [
-            hop if isinstance(hop, int) else self.addr(hop) for hop in chain
-        ]
-
     def _route(self, table: str, direction: int, key: int, chain: Sequence,
                terminal_addr: Optional[int]) -> None:
         """Install ``chain`` (names or addresses) for ``key`` in a route
         table, ending at ``terminal_addr`` when there is one."""
-        hops = self.resolve_chain(chain)
+        hops = [hop if isinstance(hop, int) else self.addr(hop)
+                for hop in chain]
         if terminal_addr is not None:
             hops.append(terminal_addr)
         self.program.table(table).add(
-            [direction, key], "set_chain", {"chain": hops}
-        )
+            [direction, key], "set_chain",
+            {"chain": self.program.encode_chain(hops)})
 
     # -- IPSec ----------------------------------------------------------
 
     def enable_ipsec_rx(self) -> None:
         """Decrypt inbound ESP before anything else (two-pass flow)."""
-        ipsec = self.addr("ipsec")
+        ipsec = self.program.encode_chain([self.addr("ipsec")])
         self.program.table("ipsec_rx").add(
-            [DIR_RX, IP_PROTO_ESP], "set_chain", {"chain": [ipsec]}
+            [DIR_RX, IP_PROTO_ESP], "set_chain", {"chain": ipsec}
         )
 
     # -- KV fast path ----------------------------------------------------
@@ -361,35 +357,28 @@ class PanicControl:
         changed = 0
         for stage in self.program.stages:
             for entry in stage.table.entries():
-                chain = entry.params.get("chain")
-                if not chain or old_addr not in chain:
-                    continue
-                if new_addr is None:
-                    entry.params["chain"] = [a for a in chain if a != old_addr]
-                else:
-                    entry.params["chain"] = [
-                        new_addr if a == old_addr else a for a in chain
-                    ]
-                changed += 1
+                chain = decode_chain(entry.params.get("chain", b""))
+                if old_addr in chain:
+                    entry.params["chain"] = self.program.encode_chain(
+                        [new_addr if a == old_addr else a for a in chain
+                         if a != old_addr or new_addr is not None])
+                    changed += 1
         return changed
 
 
-def panic_decision_factory(nic):
+def panic_decision_factory(nic, program: RmtProgram):
     """Build the decision handler that turns PHVs into chain headers.
 
-    Installed on every RMT tile by :class:`repro.core.panic.PanicNic`,
-    the Fig. 2 baselines included.
+    Installed on every RMT tile of :class:`repro.core.panic.PanicNic`
+    (the Fig. 2 baselines included), all running ``program``, whose
+    ``chains`` hold every installed chain's hops, validated at install.
     """
     from repro.packet.builder import frame_checksums_ok
     from repro.packet.headers import HeaderError
     from repro.packet.packet import MessageKind
     from repro.packet.panic_hdr import PanicHeader
 
-    # Decoded (and header-validated) chains by wire blob: route tables
-    # emit the same ``meta.chain`` bytes for every frame of a flow, so
-    # decode + validation runs once per distinct blob.  Bounded by
-    # wholesale clearing.
-    chain_cache: dict = {}
+    chains = program.chains
 
     def decide(packet, phv):
         if packet.panic is not None and not packet.panic.exhausted:
@@ -415,39 +404,20 @@ def panic_decision_factory(nic):
         if fields.get("meta.drop", 0):
             nic.rmt_drops += 1
             return []
-        blob = fields.get("meta.chain", b"")
+        chain = chains[fields.get("meta.chain", b"")]  # set at install
         deadline = int(
             fields.get("meta.slack_deadline_ps",
                        nic.sim.now + DEFAULT_SLACK_PS)
         )
-        needs_rmt = bool(fields.get("meta.needs_rmt", 0))
-        droppable = bool(fields.get("meta.droppable", 0))
-        chain = chain_cache.get(blob)
-        if chain is None:
-            # First sighting of this chain blob: the validating
-            # constructor runs (decode errors and chain-length errors
-            # surface exactly as before), then the decoded tuple is
-            # cached for every later frame of the flow.
-            header = PanicHeader(
-                chain=decode_chain(blob),
-                slack_ps=deadline,
-                needs_rmt=needs_rmt,
-                droppable=droppable,
-            )
-            if len(chain_cache) >= 512:
-                chain_cache.clear()
-            chain_cache[blob] = tuple(header.chain)
-        else:
-            # Chain entries were validated at cache-fill; the only
-            # per-frame validation left is the slack sign check.
-            if deadline < 0:
-                raise HeaderError(f"negative slack: {deadline}")
-            header = object.__new__(PanicHeader)
-            header.chain = list(chain)
-            header.cursor = 0
-            header.slack_ps = deadline
-            header.needs_rmt = needs_rmt
-            header.droppable = droppable
+        if deadline < 0:
+            raise HeaderError(f"negative slack: {deadline}")
+        # Every field is valid by construction: skip re-validating.
+        header = object.__new__(PanicHeader)
+        header.chain = list(chain)
+        header.cursor = 0
+        header.slack_ps = deadline
+        header.needs_rmt = bool(fields.get("meta.needs_rmt", 0))
+        header.droppable = bool(fields.get("meta.droppable", 0))
         packet.panic = header
         meta = packet.meta
         value = fields.get("meta.rx_queue")

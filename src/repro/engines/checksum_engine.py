@@ -24,58 +24,41 @@ from repro.packet.packet import Direction, Packet
 from repro.sim.kernel import Simulator
 
 
-#: Memo of RX verification verdicts by frame bytes: ``None`` when the
-#: frame has no parseable Ethernet/IPv4 layer, else whether the IPv4 (and
-#: any non-zero UDP) checksum verified.  The verdict is a pure function of
-#: the bytes, and chained checksum engines verify the same frame
-#: repeatedly.  Bounded by wholesale clearing.
-_RX_VERDICT_MEMO: dict = {}
-_RX_VERDICT_MAX = 256
-_MISSING = object()
-
-
 def _rx_verdict(data: bytes):
-    verdict = _RX_VERDICT_MEMO.get(data, _MISSING)
-    if verdict is not _MISSING:
-        return verdict
+    """``None`` when ``data`` has no parseable Ethernet/IPv4 layer, else
+    whether the IPv4 (and any non-zero UDP) checksum verified."""
     # Fixed-offset reads replacing EthernetHeader/Ipv4Header/UdpHeader
     # unpacks: each validation those would apply is replicated below
     # (truncation, IPv4 version/IHL/total_length, UDP length), so the
     # verdict -- including the None "unparseable" cases -- is identical
     # without building header or address objects.
     if len(data) < 34 or data[14] != 0x45:
-        verdict = None
-    else:
-        rest = data[14:]
-        total_length = (rest[2] << 8) | rest[3]
-        if total_length < Ipv4Header.LENGTH:
-            verdict = None
-        else:
-            ok = verify_internet_checksum(rest[:20])
-            if ok and rest[9] == IP_PROTO_UDP:
-                after_ip = rest[20:]
-                if len(after_ip) < 8:
-                    ok = False
-                else:
-                    udp_length = (after_ip[4] << 8) | after_ip[5]
-                    if udp_length < UdpHeader.LENGTH:
-                        ok = False
-                    elif after_ip[6] or after_ip[7]:  # checksum != 0
-                        # Ipv4Header.pseudo_header: src + dst + zero,
-                        # proto (UDP here), L4 length (bytes 4:6).
-                        pseudo = (rest[12:20] + b"\x00\x11"
-                                  + after_ip[4:6])
-                        ok = verify_internet_checksum(
-                            pseudo + after_ip[:udp_length])
-            verdict = ok
-    if len(_RX_VERDICT_MEMO) >= _RX_VERDICT_MAX:
-        _RX_VERDICT_MEMO.clear()
-    _RX_VERDICT_MEMO[bytes(data)] = verdict
-    return verdict
+        return None
+    rest = data[14:]
+    if ((rest[2] << 8) | rest[3]) < Ipv4Header.LENGTH:  # total_length
+        return None
+    ok = verify_internet_checksum(rest[:20])
+    if ok and rest[9] == IP_PROTO_UDP:
+        after_ip = rest[20:]
+        if len(after_ip) < 8:
+            return False
+        udp_length = (after_ip[4] << 8) | after_ip[5]
+        if udp_length < UdpHeader.LENGTH:
+            return False
+        if after_ip[6] or after_ip[7]:  # checksum != 0
+            # Ipv4Header.pseudo_header: src + dst + zero, proto (UDP
+            # here), L4 length (bytes 4:6).
+            pseudo = rest[12:20] + b"\x00\x11" + after_ip[4:6]
+            ok = verify_internet_checksum(pseudo + after_ip[:udp_length])
+    return ok
 
 
 class ChecksumEngine(Engine):
-    """Verify (RX) or regenerate (TX) IPv4/UDP checksums."""
+    """Verify (RX) or regenerate (TX) IPv4/UDP checksums.
+
+    The RX verdict rides the packet (``csum_ok``), with the ``data``
+    bytes object it was taken over (``csum_data``): a later tile reuses
+    it until an engine or a NoC fault replaces the frame's bytes."""
 
     def __init__(
         self,
@@ -107,11 +90,17 @@ class ChecksumEngine(Engine):
         return [(self._verify(packet), None)]
 
     def _verify(self, packet: Packet) -> Packet:
-        ok = _rx_verdict(packet.data)
-        if ok is None:
-            # Unparseable: nothing to verify, pass through unannotated.
-            return packet
-        packet.meta.annotations["csum_ok"] = ok
+        data = packet.data
+        annotations = packet.meta.annotations
+        if annotations.get("csum_data") is data:  # verified up the chain
+            ok = annotations["csum_ok"]
+        else:
+            ok = _rx_verdict(data)
+            if ok is None:
+                # Unparseable: nothing to verify, pass through unannotated.
+                return packet
+            annotations["csum_ok"] = ok
+            annotations["csum_data"] = data
         if ok:
             self.verified += 1
         else:

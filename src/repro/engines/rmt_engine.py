@@ -23,6 +23,7 @@ from typing import Callable, List, Optional
 
 from repro.engines.base import Engine, EngineOutput
 from repro.packet.packet import Direction, MessageKind, Packet
+from repro.rmt.parser import deparse
 from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtPipeline, RmtProgram
 from repro.sim.kernel import Simulator
@@ -161,6 +162,10 @@ class RmtPipelineEngine(Engine):
         if meta.tenant is not None:
             fields["meta.tenant"] = meta.tenant
         self.pipeline.run(phv, packet.data, self.sim.now)
+        if self.pipeline.program.writes_headers:  # no built-in one does
+            data = deparse(packet.data, fields)
+            if data is not packet.data:
+                packet = packet.rewritten(data)
         self.decisions += 1
         if self.decision_handler is None:
             raise RuntimeError(

@@ -121,7 +121,8 @@ class LbSteering:
         for backend, port in sorted(self.backend_ports.items()):
             egress.add(
                 [backend], "set_chain",
-                {"chain": [nic.control.port_addr(port)]},
+                {"chain": program.encode_chain(
+                    [nic.control.port_addr(port)])},
             )
 
         self._trace_ctx = None

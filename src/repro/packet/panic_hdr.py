@@ -92,15 +92,6 @@ class PanicHeader:
         """Engine addresses not yet visited."""
         return list(self.chain[self.cursor :])
 
-    def extend(self, more_hops: List[int]) -> None:
-        """Append hops (used when the RMT pipeline re-resolves a chain)."""
-        if len(self.chain) + len(more_hops) > self.MAX_HOPS:
-            raise HeaderError("chain extension exceeds maximum hop count")
-        for address in more_hops:
-            if not 0 <= address <= 0xFFFF:
-                raise HeaderError(f"engine address out of range: {address}")
-        self.chain.extend(more_hops)
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

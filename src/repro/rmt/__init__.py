@@ -4,8 +4,8 @@ PANIC's heavyweight switch brain (Figure 3b): a programmable parser turns
 packet bytes into a packet header vector (PHV); a sequence of match+action
 stages looks fields up in exact/ternary/LPM/range tables and runs actions
 (set fields, build offload chains, compute slack).  The decisions travel
-in the PHV, not in rewritten frame bytes: the tile's latency still counts
-a deparser cycle, but no frame is rebuilt from header fields.
+in the PHV; a header field an action writes is put back on the frame by
+the deparser (:func:`repro.rmt.parser.deparse`).
 
 The substrate is *pure* -- :class:`RmtPipeline.process` is a function from
 packet to decisions with no simulated time -- so it can be unit-tested

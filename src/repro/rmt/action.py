@@ -121,23 +121,10 @@ def set_field(phv: Phv, ctx: ActionContext, *, field: str, value: Any) -> None:
     phv.set(field, value)
 
 
-#: Memoized chain encodings for ``set_chain``: route tables reuse the
-#: same chain for every frame of a flow, and the wire form is a pure
-#: function of the address list.  Bounded by wholesale clearing.
-_CHAIN_BYTES_MEMO: Dict[tuple, bytes] = {}
-_CHAIN_BYTES_MAX = 512
-
-
-def set_chain(phv: Phv, ctx: ActionContext, *, chain: List[int]) -> None:
-    """Replace the packet's offload chain (list of engine addresses)."""
-    key = tuple(chain)
-    encoded = _CHAIN_BYTES_MEMO.get(key)
-    if encoded is None:
-        if len(_CHAIN_BYTES_MEMO) >= _CHAIN_BYTES_MAX:
-            _CHAIN_BYTES_MEMO.clear()
-        encoded = _CHAIN_BYTES_MEMO[key] = b"".join(
-            addr.to_bytes(2, "big") for addr in chain)
-    phv.set("meta.chain", encoded)
+def set_chain(phv: Phv, ctx: ActionContext, *, chain: bytes) -> None:
+    """Replace the packet's offload chain with ``chain``, the wire bytes
+    :meth:`~repro.rmt.pipeline.RmtProgram.encode_chain` made at install."""
+    phv.set("meta.chain", chain)
 
 
 def set_slack(phv: Phv, ctx: ActionContext, *, slack_ps: int) -> None:
@@ -155,14 +142,6 @@ def count(phv: Phv, ctx: ActionContext, *, register: str, index: int = 0) -> Non
     ctx.register(register).add(index)
 
 
-#: Memoized FNV results for ``hash_select``: the hash is a pure function
-#: of the field values and ``ways``, and RSS steering hashes flow-stable
-#: fields, so back-to-back frames of one flow hit the same entry.
-#: Bounded by wholesale clearing.
-_HASH_SELECT_MEMO: Dict[tuple, int] = {}
-_HASH_SELECT_MAX = 512
-
-
 def hash_select(
     phv: Phv,
     ctx: ActionContext,
@@ -174,20 +153,14 @@ def hash_select(
     """Hash PHV fields into [0, ways) (RSS-style flow-stable steering)."""
     if ways <= 0:
         raise ActionError(f"hash_select needs positive ways, got {ways}")
-    values = tuple(phv.get(name) for name in fields)
-    key = (values, ways)
-    selected = _HASH_SELECT_MEMO.get(key)
-    if selected is None:
-        acc = 0x811C9DC5
-        for value in values:
-            data = (value if isinstance(value, bytes)
-                    else value.to_bytes(8, "big"))
-            for byte in data:
-                acc = ((acc ^ byte) * 0x01000193) & 0xFFFFFFFF
-        if len(_HASH_SELECT_MEMO) >= _HASH_SELECT_MAX:
-            _HASH_SELECT_MEMO.clear()
-        selected = _HASH_SELECT_MEMO[key] = acc % ways
-    phv.set(dst, selected)
+    acc = 0x811C9DC5
+    for name in fields:
+        value = phv.get(name)
+        data = (value if isinstance(value, bytes)
+                else value.to_bytes(8, "big"))
+        for byte in data:
+            acc = ((acc ^ byte) * 0x01000193) & 0xFFFFFFFF
+    phv.set(dst, acc % ways)
 
 
 def decrement_ttl(phv: Phv, ctx: ActionContext) -> None:

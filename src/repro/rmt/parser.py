@@ -332,3 +332,52 @@ def default_parse_graph() -> ParseGraph:
     graph.add_state(ParserState("tcp", extract_tcp, {None: ACCEPT}))
     graph.add_state(ParserState("esp", extract_esp, {None: ACCEPT}))
     return graph
+
+
+# ----------------------------------------------------------------------
+# Deparser
+# ----------------------------------------------------------------------
+
+#: Writable header fields: PHV name -> (byte offset, width) in an
+#: Ethernet/IPv4/UDP frame, fixed since no IPv4 options parse.
+#: ``ipv4.dscp`` and ``ipv4.ecn`` share the TOS byte.
+HEADER_BYTES = {
+    "eth.dst": (0, 6), "eth.src": (6, 6), "eth.type": (12, 2),
+    "ipv4.dscp": (15, 1), "ipv4.ecn": (15, 1), "ipv4.len": (16, 2),
+    "ipv4.id": (18, 2), "ipv4.ttl": (22, 1), "ipv4.proto": (23, 1),
+    "ipv4.src": (26, 4), "ipv4.dst": (30, 4),
+    "udp.src_port": (34, 2), "udp.dst_port": (36, 2), "udp.len": (38, 2),
+}
+
+
+def _udp_words(frame) -> int:
+    """Sum of the UDP-checksummed words a header write can change: the
+    pseudo-header's addresses, protocol and length, and the UDP header."""
+    return (int.from_bytes(frame[26:40], "big") + frame[23]
+            + ((frame[38] << 8) | frame[39]))
+
+
+def deparse(data: bytes, fields: Dict[str, object]) -> bytes:
+    """``data`` with the header fields in ``fields`` written back, its
+    IPv4 and UDP checksums patched incrementally (RFC 1624) as a switch
+    does: a valid checksum stays valid, a corrupt one corrupt, a zero UDP
+    one zero (a TCP checksum is not patched).  ``data`` itself when no
+    byte changed."""
+    frame = bytearray(data)
+    for name, (at, width) in HEADER_BYTES.items():
+        if name in fields:
+            frame[at:at + width] = fields[name].to_bytes(width, "big")
+    if "ipv4.dscp" in fields:
+        frame[15] = (fields["ipv4.dscp"] << 2) | fields["ipv4.ecn"]
+    if frame == data:
+        return data
+    if "ipv4.ttl" in fields:
+        checksum = (int.from_bytes(data[24:26], "big")
+                    + int.from_bytes(data[14:34], "big")
+                    - int.from_bytes(frame[14:34], "big")) % 0xFFFF
+        frame[24:26] = checksum.to_bytes(2, "big")
+    if "udp.len" in fields and (data[40] or data[41]):
+        checksum = (int.from_bytes(data[40:42], "big") + _udp_words(data)
+                    - _udp_words(frame)) % 0xFFFF
+        frame[40:42] = (checksum or 0xFFFF).to_bytes(2, "big")
+    return bytes(frame)

@@ -14,8 +14,9 @@ directly unit-testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.packet.panic_hdr import PanicHeader
 from repro.rmt.action import (
     Action,
     ActionContext,
@@ -61,13 +62,17 @@ class RmtProgram:
         self.stages: List[Stage] = []
         self.actions: Dict[str, Action] = standard_actions()
         self.registers: Dict[str, Register] = {}
+        #: Hops of every chain installed, by ``meta.chain`` bytes.
+        self.chains: Dict[bytes, Tuple[int, ...]] = {b"": ()}
+        #: Whether an entry writing a parsed header field has bound.
+        self.writes_headers = False
 
     # -- program construction -------------------------------------------
 
     def add_stage(self, table: Table, requires: Optional[str] = None) -> Table:
         """Append a stage holding ``table``; returns the table for chaining.
         The table's actions resolve here, so an unknown one raises now."""
-        table.bind_actions(self.actions)
+        table.bind(self)
         self.stages.append(Stage(table, requires))
         return table
 
@@ -94,6 +99,15 @@ class RmtProgram:
         register = Register(name, size, initial)
         self.registers[name] = register
         return register
+
+    def encode_chain(self, chain: Sequence[int]) -> bytes:
+        """The ``meta.chain`` bytes of ``chain`` (the inverse of
+        ``decode_chain``), for a chain action's data: validated, so a bad
+        address raises at install, and registered in :attr:`chains`."""
+        hops = tuple(PanicHeader(chain=list(chain)).chain)
+        blob = b"".join([hop.to_bytes(2, "big") for hop in hops])
+        self.chains[blob] = hops
+        return blob
 
     def table(self, name: str) -> Table:
         for stage in self.stages:

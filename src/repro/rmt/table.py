@@ -12,7 +12,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.rmt.action import Action, ActionError
+from repro.rmt.action import Action, ActionError, decrement_ttl, set_field
+from repro.rmt.parser import HEADER_BYTES
 from repro.rmt.phv import Phv
 
 
@@ -59,7 +60,7 @@ class TableEntry:
     #: Hit counter, mirroring P4 direct counters.
     hits: int = 0
     #: ``action`` resolved in the program's registry (``None`` until the
-    #: table joins a program; see :meth:`Table.bind_actions`).
+    #: table joins a program; see :meth:`Table.bind`).
     fn: Optional[Action] = field(default=None, repr=False, compare=False)
 
 
@@ -80,9 +81,9 @@ class Table:
         self.keys = tuple(keys)
         self._key_fields = tuple([key.field for key in self.keys])
         self.default_action = default_action
-        #: ``default_action`` resolved by :meth:`bind_actions`.
+        #: ``default_action`` resolved by :meth:`bind`.
         self.default_fn: Optional[Action] = None
-        self._actions: Optional[Dict[str, Action]] = None
+        self._program = None  # the program it joined (see bind)
         self.default_params = dict(default_params or {})
         self.max_entries = max_entries
         self._exact_index: Dict[Tuple[Any, ...], TableEntry] = {}
@@ -103,22 +104,28 @@ class Table:
         for fn in self._listeners:
             fn()
 
-    def bind_actions(self, actions: Dict[str, Action]) -> None:
+    def bind(self, program) -> None:
         """Resolve the default's, every entry's and every later
-        :meth:`add`'s action function in the registry of the program the
-        table joins; an unknown name raises :class:`ActionError`.  Exact,
-        since a registry never replaces an action and nothing reassigns
-        an entry's action or the default."""
-        self.default_fn = self._resolve(actions, self.default_action)
+        :meth:`add`'s action function in the registry of ``program``, the
+        program the table joins; an unknown name raises
+        :class:`ActionError`.  Exact, since a registry never replaces an
+        action and nothing reassigns an entry's action or the default.
+        An entry that writes a header field sets ``writes_headers``."""
+        self._program = program
+        self.default_fn = self._resolve(self.default_action,
+                                        self.default_params)
         for entry in self.entries():
-            entry.fn = self._resolve(actions, entry.action)
-        self._actions = actions
+            entry.fn = self._resolve(entry.action, entry.params)
 
-    def _resolve(self, actions: Dict[str, Action], name: str) -> Action:
-        fn = actions.get(name)
+    def _resolve(self, name: str, params: Dict[str, Any]) -> Action:
+        program = self._program
+        fn = program.actions.get(name)
         if fn is None:
             raise ActionError(
                 f"table {self.name!r} names unknown action {name!r}")
+        if fn is decrement_ttl or (
+                fn is set_field and params.get("field") in HEADER_BYTES):
+            program.writes_headers = True  # its tile must deparse
         return fn
 
     # ------------------------------------------------------------------
@@ -145,10 +152,10 @@ class Table:
         if self.size >= self.max_entries:
             raise TableError(f"table {self.name!r} is full ({self.max_entries})")
         self._validate_patterns(patterns)
-        fn = (None if self._actions is None
-              else self._resolve(self._actions, action))
-        entry = TableEntry(tuple(patterns), action, dict(params or {}),
-                           priority, fn=fn)
+        params = dict(params or {})
+        fn = (None if self._program is None
+              else self._resolve(action, params))
+        entry = TableEntry(tuple(patterns), action, params, priority, fn=fn)
         if self._all_exact:
             key = tuple(patterns)
             if key in self._exact_index:

@@ -10,8 +10,10 @@ from repro.packet import (
     Packet,
     build_kv_request_frame,
     build_udp_frame,
+    frame_checksums_ok,
     parse_frame,
 )
+from repro.packet.headers import HeaderError
 from repro.sim import Simulator
 from repro.sim.clock import MHZ, US
 
@@ -241,6 +243,27 @@ class TestSlackProgramming:
         sim.run()
         assert packet.panic is not None
         assert packet.panic.slack_ps >= 55 * US
+
+
+class TestProgramInstall:
+    def test_a_chain_with_a_bad_address_raises_at_install(self, nic):
+        with pytest.raises(HeaderError, match="out of range"):
+            nic.control.route_dscp(10, [1 << 16])
+        assert nic.control.program.table("dscp_route").size == 0
+
+    def test_builtin_program_writes_no_header(self, nic):
+        nic.control.enable_kv_cache()
+        nic.control.enable_ipsec_rx()
+        assert not nic.control.program.writes_headers
+
+    def test_decrement_ttl_reaches_the_wire(self, sim, nic):
+        nic.control.program.table("ipsec_tx").add(
+            [b"tx", (0, 0)], "decrement_ttl")
+        nic.host.enqueue_tx(plain_udp().data)
+        sim.run()
+        [frame] = [packet.data for packet in nic.transmitted]
+        assert frame[22] == 63  # the IPv4 TTL, sent as 64
+        assert frame_checksums_ok(frame)
 
 
 class TestStats:

@@ -2,8 +2,12 @@
 cache, checksum, regex) -- they transform real bytes, so we assert real
 round trips, not just counters."""
 
+import random
+from unittest import mock
+
 import pytest
 
+from repro.core import PanicConfig, PanicNic
 from repro.engines import (
     AhoCorasick,
     ChecksumEngine,
@@ -14,6 +18,7 @@ from repro.engines import (
     IpsecSa,
     KvCacheEngine,
     RegexEngine,
+    checksum_engine,
     compress,
     decompress,
     keystream,
@@ -315,6 +320,43 @@ class TestChecksumEngine:
         out = engine.handle(Packet(bytes(raw)))[0][0]
         assert out.meta.annotations["csum_ok"] is False
         assert engine.bad_checksums == 1
+
+    @staticmethod
+    def _chain_nic(sim, tiles, **config):
+        """A NIC routing DSCP 10 through ``tiles`` checksum tiles, and the
+        list its host's software handler appends delivered frames to."""
+        names = ["checksum"] + [f"checksum{i}" for i in range(1, tiles)]
+        nic = PanicNic(sim, PanicConfig(ports=1, offloads=tuple(names),
+                                        **config))
+        nic.control.route_dscp(10, names)
+        delivered = []
+        nic.host.software_handler = lambda packet, _q: delivered.append(packet)
+        return nic, [nic.offload(name) for name in names], delivered
+
+    def test_chained_tiles_verify_an_untouched_frame_once(self, sim):
+        """The verdict rides the packet: later tiles reuse it."""
+        nic, tiles, delivered = self._chain_nic(sim, 3)
+        with mock.patch.object(checksum_engine, "_rx_verdict",
+                               wraps=checksum_engine._rx_verdict) as verdict:
+            nic.inject(udp_packet(dscp=10))
+            sim.run()
+        assert verdict.call_count == 1
+        assert [tile.verified for tile in tiles] == [1, 1, 1]
+        assert delivered[0].meta.annotations["csum_ok"] is True
+
+    def test_a_frame_corrupted_between_chained_tiles_is_verified_again(
+            self, sim):
+        """A bit flipped on the NoC after the first tile makes new frame
+        bytes, so the second tile verifies them and finds them bad."""
+        nic, tiles, delivered = self._chain_nic(
+            sim, 2, placement={"checksum": (3, 3), "checksum1": (3, 2)})
+        nic.mesh.channel(f"{nic.mesh.name}.inj_3_3").inject_corruption(
+            random.Random(1), offset=60)
+        nic.inject(udp_packet(bytes(40), dscp=10))
+        sim.run()
+        assert (tiles[0].verified, tiles[0].bad_checksums) == (1, 0)
+        assert (tiles[1].verified, tiles[1].bad_checksums) == (0, 1)
+        assert delivered[0].meta.annotations["csum_ok"] is False
 
     def test_tx_regenerates_checksums(self, sim):
         engine = ChecksumEngine(sim, "csum")

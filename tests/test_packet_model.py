@@ -114,11 +114,6 @@ class TestPanicHeader:
         header = PanicHeader(chain=[1, 2, 3], cursor=1)
         assert header.remaining() == [2, 3]
 
-    def test_extend(self):
-        header = PanicHeader(chain=[1])
-        header.extend([2, 3])
-        assert header.chain == [1, 2, 3]
-
     def test_bad_magic_rejected(self):
         blob = bytearray(PanicHeader(chain=[1]).pack())
         blob[0] = 0

@@ -1,5 +1,5 @@
 """Process-state census: a run leaves nothing behind in module or class
-state, except the memos priced in ROADMAP item 16.
+state, except the two address-parsing memos priced in ROADMAP item 16.
 
 Every dict, list and set bound at module level or as a class attribute
 anywhere in ``repro.*`` is snapshot (identity and length) after the whole
@@ -43,15 +43,6 @@ ALLOWED = {
         "address strings",
     "repro.packet.builder._MAC_INTS":
         "off / on 1.055 / 1.012; parsing a MAC string costs about 2.0 us",
-    "repro.rmt.action._HASH_SELECT_MEMO":
-        "off / on 1.063 / 1.043: the RSS hash is a Python FNV loop",
-    "repro.rmt.action._CHAIN_BYTES_MEMO":
-        "off / on 1.020 / 0.997, inside the noise: goes when set_chain's "
-        "wire bytes are encoded at install",
-    "repro.engines.checksum_engine._RX_VERDICT_MEMO":
-        "off / on 0.969 / 1.027; on the chains that visit a checksum "
-        "tile, chain_sparse 1.090 (quartiles 1.049 - 1.122) and "
-        "chain_saturated 0.953 (0.855 - 0.986), 8 pairs each",
 }
 
 

@@ -7,6 +7,8 @@ from repro.packet import (
     KvRequest,
     build_kv_request_frame,
     build_udp_frame,
+    frame_checksums_ok,
+    parse_frame,
 )
 from repro.rmt import (
     ActionContext,
@@ -23,6 +25,7 @@ from repro.rmt import (
     default_parse_graph,
 )
 from repro.rmt.action import decode_chain, standard_actions
+from repro.rmt.parser import deparse
 
 
 def udp_frame(payload=b"data", dscp=0, dst_ip="10.0.0.2", src_port=1234,
@@ -218,7 +221,8 @@ class TestActions:
     def test_chain_encode_decode(self):
         actions = standard_actions()
         phv = Phv()
-        actions["set_chain"](phv, self._ctx(), chain=[3, 5])
+        chain = RmtProgram().encode_chain([3, 5])
+        actions["set_chain"](phv, self._ctx(), chain=chain)
         assert decode_chain(phv.get("meta.chain")) == [3, 5]
 
     def test_set_slack_is_absolute_deadline(self):
@@ -264,6 +268,40 @@ class TestActions:
     def test_decode_chain_odd_length_rejected(self):
         with pytest.raises(ActionError):
             decode_chain(b"\x00")
+
+
+class TestDeparse:
+    """Header fields an action wrote go back on the frame, checksums
+    patched the way a switch patches them."""
+
+    @staticmethod
+    def _parsed(data):
+        return RmtPipeline(RmtProgram()).process(data)._fields
+
+    def test_written_fields_land_with_valid_checksums(self):
+        data = udp_frame(b"odd", dscp=10)
+        fields = self._parsed(data)
+        fields.update({"ipv4.ttl": 63, "ipv4.dscp": 46, "ipv4.src": 0x0A000063,
+                       "udp.dst_port": 4242, "eth.dst": 0x020000000009})
+        out = deparse(data, fields)
+        assert frame_checksums_ok(out)
+        frame = parse_frame(out)
+        assert (frame.ipv4.ttl, frame.ipv4.dscp, str(frame.ipv4.src),
+                frame.udp.dst_port, str(frame.eth.dst)) == (
+            63, 46, "10.0.0.99", 4242, "02:00:00:00:00:09")
+        assert frame.payload == b"odd"
+
+    def test_an_untouched_frame_is_the_same_bytes(self):
+        data = udp_frame()
+        assert deparse(data, self._parsed(data)) is data
+
+    @pytest.mark.parametrize("flipped", [24, -1])  # IPv4 sum, UDP payload
+    def test_a_bad_checksum_stays_bad(self, flipped):
+        raw = bytearray(udp_frame())
+        raw[flipped] ^= 0x01
+        fields = self._parsed(bytes(raw))
+        fields.update({"ipv4.ttl": 63, "udp.dst_port": 4242})
+        assert not frame_checksums_ok(deparse(bytes(raw), fields))
 
 
 class TestPipeline:

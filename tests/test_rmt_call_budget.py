@@ -64,10 +64,13 @@ def calls_per_pass(memo: bool, record: bool = False) -> int:
 #: 161 (record): every stage's match ran a generator and a ``Phv.get``
 #: per key field, the plain loop looked its action up by name and read
 #: ``meta.drop`` and ``requires`` through ``Phv`` methods, and every
-#: default ``no_op`` was called.
-MEMO_OFF = 48
-MEMO_HIT = 38
-MEMO_RECORD = 73
+#: default ``no_op`` was called.  All three were 4 higher (48 / 38 / 73)
+#: while ``set_chain_if_empty`` joined the chain's wire bytes from its
+#: address list on every pass; the bytes are now made at install
+#: (``RmtProgram.encode_chain``) and the action only stores them.
+MEMO_OFF = 44
+MEMO_HIT = 34
+MEMO_RECORD = 69
 
 
 def test_memo_off_pass_call_budget():
