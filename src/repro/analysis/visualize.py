@@ -11,7 +11,7 @@ docs.  Two views:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 CELL_WIDTH = 13
 
@@ -71,7 +71,7 @@ def occupancy_map(nic) -> str:
     return header + "\n" + _grid_lines(width, height, cell)
 
 
-def utilization_report(nic, elapsed_ps: Optional[int] = None) -> str:
+def utilization_report(nic) -> str:
     """One line per engine: processed count, queue peak, drops."""
     lines = [f"{nic.name}: engine utilization"]
     for key in sorted(nic.engines):

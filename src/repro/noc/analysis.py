@@ -84,12 +84,7 @@ class MeshAnalysis:
         """
         return 2.0 * self.bisection_bw_bps
 
-    def chain_length(
-        self,
-        line_rate_bps: float,
-        ports: int,
-        overhead: int = CHAIN_OVERHEAD_TRAVERSALS,
-    ) -> float:
+    def chain_length(self, line_rate_bps: float, ports: int) -> float:
         """Average sustainable offload-chain length at line rate.
 
         Parameters mirror Table 3: per-port line rate and port count.
@@ -98,7 +93,7 @@ class MeshAnalysis:
         if line_rate_bps <= 0 or ports <= 0:
             raise ValueError("line rate and port count must be positive")
         offered = line_rate_bps * ports
-        return self.capacity_bps / offered - overhead
+        return self.capacity_bps / offered - CHAIN_OVERHEAD_TRAVERSALS
 
 
 @dataclass

@@ -132,7 +132,6 @@ def annealed_placement(
     fixed: Optional[Placement] = None,
     seed: int = 0,
     iterations: int = 4000,
-    start_temp: float = 2.0,
 ) -> Placement:
     """Simulated annealing from the greedy seed, swapping movable tiles."""
     engines, fixed = _validate(engines, width, height, fixed)
@@ -145,7 +144,7 @@ def annealed_placement(
     best = dict(placement)
     best_cost = current_cost
     for step in range(iterations):
-        temperature = start_temp * (1.0 - step / iterations) + 1e-9
+        temperature = 2.0 * (1.0 - step / iterations) + 1e-9
         a = rng.choice(movable)
         b = rng.choice(movable)
         if a == b:

@@ -42,8 +42,8 @@ class HeaderError(ValueError):
 
 
 #: Ethernet II + option-less IPv4 + UDP as one 42-byte record, for the
-#: one-pass builder and parser.  The MAC pair travels as a 64 + 32 bit
-#: split: ``dst << 16 | src >> 32`` and ``src & 0xFFFFFFFF``.
+#: one-pass builder.  The MAC pair travels as a 64 + 32 bit split:
+#: ``dst << 16 | src >> 32`` and ``src & 0xFFFFFFFF``.
 ETH_IPV4_UDP = struct.Struct("!QIHBBHHHBBHIIHHHH")
 _IPV4 = struct.Struct("!BBHHHBBH4s4s")
 _UDP = struct.Struct("!HHHH")

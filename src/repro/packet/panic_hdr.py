@@ -76,18 +76,6 @@ class PanicHeader:
         """True when every hop in the chain has been visited."""
         return self.cursor >= len(self.chain)
 
-    def peek_next_hop(self) -> int:
-        """The next engine address without advancing the cursor."""
-        if self.exhausted:
-            raise HeaderError("chain exhausted; no next hop")
-        return self.chain[self.cursor]
-
-    def advance(self) -> int:
-        """Consume and return the next engine address."""
-        hop = self.peek_next_hop()
-        self.cursor += 1
-        return hop
-
     def remaining(self) -> List[int]:
         """Engine addresses not yet visited."""
         return list(self.chain[self.cursor :])

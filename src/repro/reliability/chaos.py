@@ -117,47 +117,48 @@ CORRUPT_RANGE = (0.002, 0.01)
 FLAP_P = 0.4               # chance of one link-down interval
 SLOW_P = 0.4               # chance one engine is slowed (then recovered)
 CRASH_P = 0.15             # chance one engine is crashed outright
+#: Bound on fault timing: roughly the active traffic window of the incast.
+HORIZON_PS = 100 * US
 
 
 def _all_wires(nics: int):
     return [(i, j) for i in range(nics) for j in range(i + 1, nics)]
 
 
-def _seed_wire_loss(plan: FaultPlan, rng, wires, horizon_ps: int) -> None:
+def _seed_wire_loss(plan: FaultPlan, rng, wires) -> None:
     """Each wire may get a Bernoulli loss (and corruption) model."""
     for i, j in wires:
         if rng.random() < LOSS_WIRE_P:
             drop_p = rng.uniform(*DROP_RANGE)
             corrupt_p = (rng.uniform(*CORRUPT_RANGE)
                          if rng.random() < CORRUPT_P else 0.0)
-            plan.wire_loss(rng.randint(0, horizon_ps // 4),
+            plan.wire_loss(rng.randint(0, HORIZON_PS // 4),
                            wire_target(i, j),
                            drop_p=drop_p, corrupt_p=corrupt_p)
 
 
-def _seed_slowdown(plan: FaultPlan, rng, nics: int, horizon_ps: int) -> None:
+def _seed_slowdown(plan: FaultPlan, rng, nics: int) -> None:
     """One engine somewhere may be slowed, then recovered."""
     if rng.random() < SLOW_P:
         nic = rng.randint(0, nics - 1)
         engine = rng.choice(CHAOS_ENGINES)
-        at = rng.randint(0, horizon_ps // 2)
+        at = rng.randint(0, HORIZON_PS // 2)
         plan.slow_engine(at, f"nic{nic}:{engine}",
                          factor=rng.uniform(2.0, 6.0))
-        plan.recover_engine(at + rng.randint(10 * US, horizon_ps // 2),
+        plan.recover_engine(at + rng.randint(10 * US, HORIZON_PS // 2),
                             f"nic{nic}:{engine}")
 
 
 def generate_chaos_plan(seed: int, nics: int,
-                        horizon_ps: int = 100 * US,
                         link_local: bool = False) -> FaultPlan:
     """A random-but-reproducible fault mix for an ``nics``-NIC rack.
 
     Every stochastic choice comes from forks of ``seed``, so equal seeds
     build equal plans (the replay-determinism invariant leans on this).
-    ``horizon_ps`` bounds fault timing -- roughly the active traffic
-    window of the incast.  With ``link_local`` every wire additionally
-    arms sub-RTT repair from t=0 (the fault mix itself is unchanged, so
-    a ``gbn`` vs ``gbn+ll`` pair of cases faces identical weather).
+    Faults fall inside ``HORIZON_PS``.  With ``link_local`` every wire
+    additionally arms sub-RTT repair from t=0 (the fault mix itself is
+    unchanged, so a ``gbn`` vs ``gbn+ll`` pair of cases faces identical
+    weather).
     """
     plan = FaultPlan(seed=seed)
     wires = _all_wires(nics)
@@ -165,19 +166,19 @@ def generate_chaos_plan(seed: int, nics: int,
         for i, j in wires:
             plan.link_local(0, wire_target(i, j))
     rng = SeededRng(seed).fork("chaosplan")
-    _seed_wire_loss(plan, rng, wires, horizon_ps)
+    _seed_wire_loss(plan, rng, wires)
     if rng.random() < FLAP_P:
         i, j = rng.choice(wires)
-        down = rng.randint(horizon_ps // 10, horizon_ps // 2)
-        plan.flap_wire(down, down + rng.randint(10 * US, horizon_ps // 2),
+        down = rng.randint(HORIZON_PS // 10, HORIZON_PS // 2)
+        plan.flap_wire(down, down + rng.randint(10 * US, HORIZON_PS // 2),
                        wire_target(i, j))
-    _seed_slowdown(plan, rng, nics, horizon_ps)
+    _seed_slowdown(plan, rng, nics)
     if rng.random() < CRASH_P:
         # Crash the checksum lane of one *sender* (never the shared
         # incast receiver nic0): its flows abort with DeliveryFailed
         # while the rest of the rack keeps its goodput.
         nic = rng.randint(1, nics - 1)
-        plan.crash_engine(rng.randint(0, horizon_ps),
+        plan.crash_engine(rng.randint(0, HORIZON_PS),
                           f"nic{nic}:checksum")
     return plan
 
@@ -200,8 +201,7 @@ BACKEND_DOWN_P = 0.35
 DRAIN_P = 0.6
 
 
-def lb_drain_params(seed: int, n_backends: int = LB_BACKENDS,
-                    horizon_ps: int = 100 * US):
+def lb_drain_params(seed: int, n_backends: int = LB_BACKENDS):
     """``(backend, at_ps)`` for the seed's planned drain, or None.
 
     Drawn from its own fork of the seed so the drain schedule -- which
@@ -211,12 +211,11 @@ def lb_drain_params(seed: int, n_backends: int = LB_BACKENDS,
     if rng.random() >= DRAIN_P:
         return None
     backend = rng.randint(1, n_backends)
-    return backend, rng.randint(horizon_ps // 8, horizon_ps // 2)
+    return backend, rng.randint(HORIZON_PS // 8, HORIZON_PS // 2)
 
 
 def generate_lb_chaos_plan(seed: int, nics: int,
-                           n_backends: int = LB_BACKENDS,
-                           horizon_ps: int = 100 * US) -> FaultPlan:
+                           n_backends: int = LB_BACKENDS) -> FaultPlan:
     """Seeded weather for the load-balanced rack.
 
     The same wire-loss and engine-slowdown mix as the incast plan, plus
@@ -228,11 +227,11 @@ def generate_lb_chaos_plan(seed: int, nics: int,
     """
     plan = FaultPlan(seed=seed)
     rng = SeededRng(seed).fork("lbchaos")
-    _seed_wire_loss(plan, rng, _all_wires(nics), horizon_ps)
-    _seed_slowdown(plan, rng, nics, horizon_ps)
+    _seed_wire_loss(plan, rng, _all_wires(nics))
+    _seed_slowdown(plan, rng, nics)
     if rng.random() < BACKEND_DOWN_P:
         backend = rng.randint(1, n_backends)
-        plan.nic_down(rng.randint(horizon_ps // 4, (3 * horizon_ps) // 5),
+        plan.nic_down(rng.randint(HORIZON_PS // 4, (3 * HORIZON_PS) // 5),
                       f"nic{backend}")
     return plan
 

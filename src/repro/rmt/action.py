@@ -31,11 +31,11 @@ class Register:
     round-robin pointers, sequence numbers).
     """
 
-    def __init__(self, name: str, size: int, initial: int = 0):
+    def __init__(self, name: str, size: int):
         if size <= 0:
             raise ValueError(f"register {name!r} needs positive size, got {size}")
         self.name = name
-        self._cells: List[int] = [initial] * size
+        self._cells: List[int] = [0] * size
         self._listeners: List[Callable[[], None]] = []
 
     def on_mutate(self, fn: Callable[[], None]) -> None:

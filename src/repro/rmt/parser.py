@@ -5,17 +5,20 @@ writes its fields into the PHV, and selects the next state from a PHV
 field it just extracted (EtherType, IP protocol, UDP port...).  This module
 implements that model and ships the default parse graph used by the PANIC
 reference program: Ethernet -> IPv4 -> {UDP -> {KV | rack_tag} | TCP | ESP}.
+
+Every graph, the default one or a hand-built one, runs the same walk.
+The extractors of the default graph's UDP spine read their fields in
+place with ``unpack_from`` and write the PHV's field store directly, so
+no header, address or KV message object is built per frame.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.packet.headers import (
-    ETH_IPV4_UDP,
     ETHERTYPE_IPV4,
     IP_PROTO_ESP,
     IP_PROTO_TCP,
@@ -23,13 +26,11 @@ from repro.packet.headers import (
     RACK_TAG_BYTES,
     RACK_TAG_UDP_PORT,
     EspHeader,
-    EthernetHeader,
     HeaderError,
-    Ipv4Header,
     TcpHeader,
-    UdpHeader,
 )
-from repro.packet.kv import KV_UDP_PORT, KvOpcode, KvRequest, KvResponse
+from repro.packet.kv import (
+    KV_UDP_PORT, KvOpcode, KvRequest, KvResponse, KvStatus)
 from repro.rmt.phv import Phv
 
 #: An extraction function: consumes bytes, writes PHV fields, returns the
@@ -42,27 +43,13 @@ ACCEPT = "accept"
 
 @dataclass(frozen=True)
 class ParserState:
-    """One node of the parse graph.
-
-    Immutable, transitions included (a read-only copy is taken): a graph
-    decides once, as states are added, whether it is the stock UDP spine
-    the one-pass walk may serve, and nothing can change under it later.
-    To reprogram a parser, build another graph.
-    """
+    """One node of the parse graph.  To reprogram a parser, build
+    another graph."""
 
     name: str
     extractor: Extractor
     #: Map from select value to next state name; ``None`` key is default.
     transitions: Mapping[Optional[int], str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "transitions", MappingProxyType(dict(self.transitions)))
-
-    def next_state(self, select: Optional[int]) -> str:
-        if select is not None and select in self.transitions:
-            return self.transitions[select]
-        return self.transitions.get(None, ACCEPT)
 
 
 class ParseGraph:
@@ -71,11 +58,6 @@ class ParseGraph:
     def __init__(self, start: str):
         self._start = start
         self._states: Dict[str, ParserState] = {}
-        #: States added so far that equal their ``_STOCK_SPINE`` entry;
-        #: with all of them in (none can be replaced or removed) the graph
-        #: *is* the stock UDP spine and ``parse`` may try the one-pass walk.
-        self._stock_states = 0
-        self._fused = False
 
     @property
     def start(self) -> str:
@@ -85,11 +67,6 @@ class ParseGraph:
         if state.name in self._states:
             raise ValueError(f"duplicate parser state {state.name!r}")
         self._states[state.name] = state
-        stock = _STOCK_SPINE.get(state.name)
-        if (state.extractor, state.transitions) == stock:
-            self._stock_states += 1
-            self._fused = (self._start == "ethernet"
-                           and self._stock_states == len(_STOCK_SPINE))
         return self
 
     def parse(self, data: bytes, phv: Optional[Phv] = None) -> Phv:
@@ -102,77 +79,123 @@ class ParseGraph:
         """
         if phv is None:
             phv = Phv()
-        if (self._fused and len(data) >= 42
-                and _fused_default_parse(data, phv._fields)):
-            return phv
+        states = self._states
         state_name = self._start
         remaining = data
         steps = 0
         while state_name != ACCEPT:
-            if steps > len(self._states) + 8:
+            # A walk of at most 8 states cannot exceed the bound, so the
+            # common case pays no ``len`` call for it.
+            if steps > 8 and steps > len(states) + 8:
                 raise RuntimeError("parse graph did not terminate (cycle?)")
             steps += 1
-            state = self._states.get(state_name)
-            if state is None:
-                raise ValueError(f"parse graph references unknown state {state_name!r}")
+            try:
+                state = states[state_name]
+            except KeyError:
+                raise ValueError(f"parse graph references unknown state "
+                                 f"{state_name!r}") from None
             try:
                 remaining, select = state.extractor(remaining, phv)
-            except HeaderError as exc:
+            except HeaderError:
                 phv.set("meta.parse_error", 1)
                 phv.set("meta.parse_error_state", state_name.encode())
                 break
-            state_name = state.next_state(select)
-        phv.set("meta.payload", remaining)
+            transitions = state.transitions
+            if select in transitions:
+                state_name = transitions[select]
+            elif None in transitions:
+                state_name = transitions[None]
+            else:
+                state_name = ACCEPT
+        phv._fields["meta.payload"] = remaining
         return phv
 
 
 # ----------------------------------------------------------------------
 # Default extractors
 # ----------------------------------------------------------------------
+#
+# The spine's extractors write the field store directly: every value is
+# an int (or, for ``kv.key``, bytes) by construction, so Phv.set's type
+# check adds nothing.  A short header surfaces as ``struct.error`` from
+# ``unpack_from`` and is re-raised as the HeaderError the header classes
+# raise, so the common case pays no ``len`` call.
+
+#: MACs as 16 + 32 bit halves, then the EtherType.
+_ETHERNET = struct.Struct("!HIHIH")
+#: An option-less IPv4 header, less flags/fragment and checksum.
+_IPV4 = struct.Struct("!BBHH2xBB2xII")
+#: Ports and length; the checksum is skipped but must be present.
+_UDP = struct.Struct("!HHH2x")
+_KV_REQUEST = struct.Struct(KvRequest.HEADER_FMT)
+_KV_RESPONSE = struct.Struct(KvResponse.HEADER_FMT)
+_KV_RESPONSE_OPCODE = int(KvOpcode.RESPONSE)
+_KV_SET_OPCODE = int(KvOpcode.SET)
+_KV_REQUEST_OPCODES = frozenset(
+    int(op) for op in KvOpcode if op != KvOpcode.RESPONSE)
+_KV_STATUSES = frozenset(int(status) for status in KvStatus)
 
 
 def extract_ethernet(data: bytes, phv: Phv) -> Tuple[bytes, Optional[int]]:
-    eth, rest = EthernetHeader.unpack(data)
-    # The hot extractors write the field store directly: every value here
-    # is an int by construction, so Phv.set's type check adds nothing.
+    try:
+        dst_high, dst_low, src_high, src_low, ethertype = (
+            _ETHERNET.unpack_from(data))
+    except struct.error:
+        raise HeaderError(
+            f"truncated Ethernet header: {len(data)} bytes") from None
     fields = phv._fields
-    fields["eth.dst"] = eth.dst.value
-    fields["eth.src"] = eth.src.value
-    fields["eth.type"] = eth.ethertype
-    return rest, eth.ethertype
+    fields["eth.dst"] = dst_high << 32 | dst_low
+    fields["eth.src"] = src_high << 32 | src_low
+    fields["eth.type"] = ethertype
+    return data[14:], ethertype
 
 
 def extract_ipv4(data: bytes, phv: Phv) -> Tuple[bytes, Optional[int]]:
-    ipv4, rest = Ipv4Header.unpack(data)
+    try:
+        version_ihl, tos, total_length, ident, ttl, protocol, src, dst = (
+            _IPV4.unpack_from(data))
+    except struct.error:
+        raise HeaderError(
+            f"truncated IPv4 header: {len(data)} bytes") from None
+    if version_ihl != 0x45:
+        if version_ihl >> 4 != 4:
+            raise HeaderError(
+                f"not an IPv4 packet (version {version_ihl >> 4})")
+        raise HeaderError(f"IPv4 options unsupported (IHL {version_ihl & 0xF})")
+    if total_length < 20:
+        raise HeaderError(f"total_length out of range: {total_length}")
     fields = phv._fields
-    fields["ipv4.src"] = ipv4.src.value
-    fields["ipv4.dst"] = ipv4.dst.value
-    fields["ipv4.proto"] = ipv4.protocol
-    fields["ipv4.ttl"] = ipv4.ttl
-    fields["ipv4.dscp"] = ipv4.dscp
-    fields["ipv4.ecn"] = ipv4.ecn
-    fields["ipv4.len"] = ipv4.total_length
-    fields["ipv4.id"] = ipv4.identification
-    # Trim MAC padding using the IP length, like a real deparser would.
-    l3_payload = ipv4.total_length - Ipv4Header.LENGTH
-    if 0 <= l3_payload <= len(rest):
-        rest = rest[:l3_payload]
-    return rest, ipv4.protocol
+    fields["ipv4.src"] = src
+    fields["ipv4.dst"] = dst
+    fields["ipv4.proto"] = protocol
+    fields["ipv4.ttl"] = ttl
+    fields["ipv4.dscp"] = tos >> 2
+    fields["ipv4.ecn"] = tos & 0x3
+    fields["ipv4.len"] = total_length
+    fields["ipv4.id"] = ident
+    # Trim MAC padding using the IP length, like a real deparser would; a
+    # length past the frame's end keeps everything there is.
+    return data[20:total_length], protocol
 
 
 def extract_udp(data: bytes, phv: Phv) -> Tuple[bytes, Optional[int]]:
-    udp, rest = UdpHeader.unpack(data)
+    try:
+        src_port, dst_port, length = _UDP.unpack_from(data)
+    except struct.error:
+        raise HeaderError(f"truncated UDP header: {len(data)} bytes") from None
+    if length < 8:
+        raise HeaderError(f"UDP length out of range: {length}")
     fields = phv._fields
-    fields["udp.src_port"] = udp.src_port
-    fields["udp.dst_port"] = udp.dst_port
-    fields["udp.len"] = udp.length
-    if KV_UDP_PORT in (udp.src_port, udp.dst_port):
+    fields["udp.src_port"] = src_port
+    fields["udp.dst_port"] = dst_port
+    fields["udp.len"] = length
+    if src_port == KV_UDP_PORT or dst_port == KV_UDP_PORT:
         select = KV_UDP_PORT
-    elif udp.dst_port == RACK_TAG_UDP_PORT:
+    elif dst_port == RACK_TAG_UDP_PORT:
         select = RACK_TAG_UDP_PORT
     else:
         select = 0
-    return rest, select
+    return data[8:], select
 
 
 def extract_rack_tag(data: bytes, phv: Phv) -> Tuple[bytes, Optional[int]]:
@@ -204,131 +227,63 @@ def extract_esp(data: bytes, phv: Phv) -> Tuple[bytes, Optional[int]]:
 
 
 def extract_kv(data: bytes, phv: Phv) -> Tuple[bytes, Optional[int]]:
-    """Extract the KV opcode/tenant/key without copying the value."""
+    """Extract the KV opcode/tenant/key without copying the value.
+
+    ``kv.opcode`` is written before the message is validated, so a
+    malformed body leaves it beside ``meta.parse_error``."""
     if not data:
         raise HeaderError("empty KV payload")
-    opcode = data[0]
-    phv.set("kv.opcode", opcode)
-    if opcode == KvOpcode.RESPONSE:
-        response, rest = KvResponse.unpack(data)
-        phv.set("kv.tenant", response.tenant)
-        phv.set("kv.request_id", response.request_id)
-        phv.set("kv.status", int(response.status))
-        return rest, None
-    request, rest = KvRequest.unpack(data)
-    phv.set("kv.tenant", request.tenant)
-    phv.set("kv.request_id", request.request_id)
-    phv.set("kv.key", request.key)
-    return rest, None
-
-
-#: The default graph's UDP spine, state by state: what ``default_parse_graph``
-#: builds, and what ``ParseGraph.add_state`` holds a graph to before the
-#: one-pass walk below may stand in for it.  ``tcp`` and ``esp`` are not
-#: listed: the walk declines their traffic, so they may be anything.
-_STOCK_SPINE = {
-    "ethernet": (extract_ethernet, {ETHERTYPE_IPV4: "ipv4", None: ACCEPT}),
-    "ipv4": (extract_ipv4, {IP_PROTO_UDP: "udp", IP_PROTO_TCP: "tcp",
-                            IP_PROTO_ESP: "esp", None: ACCEPT}),
-    "udp": (extract_udp, {KV_UDP_PORT: "kv", RACK_TAG_UDP_PORT: "rack_tag",
-                          None: ACCEPT}),
-    "kv": (extract_kv, {None: ACCEPT}),
-    "rack_tag": (extract_rack_tag, {None: ACCEPT}),
-}
-
-_KV_REQUEST = struct.Struct(KvRequest.HEADER_FMT)
-_KV_RESPONSE = struct.Struct(KvResponse.HEADER_FMT)
-_KV_RESPONSE_OPCODE = int(KvOpcode.RESPONSE)
-_KV_SET_OPCODE = int(KvOpcode.SET)
-
-
-def _fused_default_parse(data: bytes, fields: dict) -> bool:
-    """One-pass Ethernet/IPv4/UDP/{KV, rack tag} walk of the stock spine.
-
-    The per-state FSM walk costs an extractor call, a header ``unpack``
-    and the address / message objects it builds per state -- all to
-    produce some twenty PHV values whose wire offsets are fixed once the
-    frame is known to be UDP-in-IPv4.  This reads them in place.  Only
-    a graph ``add_state`` found to be the stock spine gets here, with at
-    least 42 bytes.  Every validation the FSM would apply (including
-    ``KvRequest`` / ``KvResponse``'s) is replicated as a pure read, and
-    any mismatch -- other EtherType or protocol, IPv4 options,
-    truncation, a malformed KV message -- returns False before writing
-    a single field, leaving the FSM to produce its exact result
-    (including the ``meta.parse_error`` paths).  Field write order
-    matches the FSM's.
-    """
-    (macs, src_low, ethertype, version_ihl, tos, total_length, ident,
-     _fragment, ttl, protocol, _ip_checksum, ip_src, ip_dst,
-     src_port, dst_port, udp_len, _checksum) = ETH_IPV4_UDP.unpack_from(data)
-    if (ethertype != ETHERTYPE_IPV4 or version_ihl != 0x45
-            or total_length < 28 or protocol != IP_PROTO_UDP
-            or udp_len < 8):
-        return False  # total_length < 28 truncates UDP: a parse_error
-    # extract_ipv4's MAC-padding trim: the L3 payload ends at ``end``.
-    end = len(data)
-    if 14 + total_length < end:
-        end = 14 + total_length
-    opcode = key = tag = None
-    payload_at = 42
-    if src_port == KV_UDP_PORT or dst_port == KV_UDP_PORT:
-        if end == 42:
-            return False  # empty KV payload
-        opcode = data[42]
-        if opcode == _KV_RESPONSE_OPCODE:
-            if end < 54:
-                return False
+    fields = phv._fields
+    opcode = fields["kv.opcode"] = data[0]
+    if opcode == _KV_RESPONSE_OPCODE:
+        try:
             _, status, tenant, request_id, value_len = (
-                _KV_RESPONSE.unpack_from(data, 42))
-            payload_at = 54 + value_len
-            if payload_at > end or status > 2:  # truncated / no such status
-                return False
-        else:
-            if end < 55 or not 1 <= opcode <= 3:
-                return False
-            _, tenant, request_id, key_len, value_len = (
-                _KV_REQUEST.unpack_from(data, 42))
-            payload_at = 55 + key_len + value_len
-            if payload_at > end or (value_len and opcode != _KV_SET_OPCODE):
-                return False  # truncated / a value only SET may carry
-            key = data[55:55 + key_len]
-    elif dst_port == RACK_TAG_UDP_PORT:
-        if end < 42 + RACK_TAG_BYTES:
-            return False  # truncated tag shim
-        tag = (data[42] << 8) | data[43]
-    fields["eth.dst"] = macs >> 16
-    fields["eth.src"] = (macs & 0xFFFF) << 32 | src_low
-    fields["eth.type"] = ETHERTYPE_IPV4
-    fields["ipv4.src"] = ip_src
-    fields["ipv4.dst"] = ip_dst
-    fields["ipv4.proto"] = IP_PROTO_UDP
-    fields["ipv4.ttl"] = ttl
-    fields["ipv4.dscp"] = tos >> 2
-    fields["ipv4.ecn"] = tos & 0x3
-    fields["ipv4.len"] = total_length
-    fields["ipv4.id"] = ident
-    fields["udp.src_port"] = src_port
-    fields["udp.dst_port"] = dst_port
-    fields["udp.len"] = udp_len
-    if opcode is not None:
-        fields["kv.opcode"] = opcode
+                _KV_RESPONSE.unpack_from(data))
+        except struct.error:
+            raise HeaderError(
+                f"truncated KV response: {len(data)} bytes") from None
+        end = KvResponse.HEADER_LEN + value_len
+        if len(data) < end:
+            raise HeaderError("truncated KV response body")
+        if status not in _KV_STATUSES:
+            raise HeaderError(f"{status} is not a valid KvStatus")
         fields["kv.tenant"] = tenant
         fields["kv.request_id"] = request_id
-        if key is None:
-            fields["kv.status"] = status
-        else:
-            fields["kv.key"] = key
-    elif tag is not None:
-        fields["rack.tag"] = tag
-    fields["meta.payload"] = data[payload_at:end]
-    return True
+        fields["kv.status"] = status
+        return data[end:], None
+    try:
+        _, tenant, request_id, key_len, value_len = (
+            _KV_REQUEST.unpack_from(data))
+    except struct.error:
+        raise HeaderError(f"truncated KV request: {len(data)} bytes") from None
+    key_end = KvRequest.HEADER_LEN + key_len
+    end = key_end + value_len
+    if len(data) < end:
+        raise HeaderError("truncated KV request body")
+    if opcode not in _KV_REQUEST_OPCODES:
+        raise HeaderError(f"{opcode} is not a valid KvOpcode")
+    if value_len and opcode != _KV_SET_OPCODE:
+        raise HeaderError(
+            f"{KvOpcode(opcode).name} request cannot carry a value")
+    fields["kv.tenant"] = tenant
+    fields["kv.request_id"] = request_id
+    fields["kv.key"] = data[KvRequest.HEADER_LEN:key_end]
+    return data[end:], None
 
 
 def default_parse_graph() -> ParseGraph:
-    """Ethernet -> IPv4 -> {UDP -> KV, TCP, ESP} parse graph."""
+    """Ethernet -> IPv4 -> {UDP -> {KV, rack_tag}, TCP, ESP} parse graph."""
     graph = ParseGraph(start="ethernet")
-    for name, (extractor, transitions) in _STOCK_SPINE.items():
-        graph.add_state(ParserState(name, extractor, transitions))
+    graph.add_state(ParserState(
+        "ethernet", extract_ethernet, {ETHERTYPE_IPV4: "ipv4", None: ACCEPT}))
+    graph.add_state(ParserState(
+        "ipv4", extract_ipv4, {IP_PROTO_UDP: "udp", IP_PROTO_TCP: "tcp",
+                               IP_PROTO_ESP: "esp", None: ACCEPT}))
+    graph.add_state(ParserState(
+        "udp", extract_udp, {KV_UDP_PORT: "kv", RACK_TAG_UDP_PORT: "rack_tag",
+                             None: ACCEPT}))
+    graph.add_state(ParserState("kv", extract_kv, {None: ACCEPT}))
+    graph.add_state(ParserState("rack_tag", extract_rack_tag, {None: ACCEPT}))
     graph.add_state(ParserState("tcp", extract_tcp, {None: ACCEPT}))
     graph.add_state(ParserState("esp", extract_esp, {None: ACCEPT}))
     return graph

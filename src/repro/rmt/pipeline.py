@@ -93,10 +93,10 @@ class RmtProgram:
             raise ActionError(f"action {name!r} already registered")
         self.actions[name] = fn
 
-    def add_register(self, name: str, size: int, initial: int = 0) -> Register:
+    def add_register(self, name: str, size: int) -> Register:
         if name in self.registers:
             raise ActionError(f"register {name!r} already declared")
-        register = Register(name, size, initial)
+        register = Register(name, size)
         self.registers[name] = register
         return register
 

@@ -13,10 +13,12 @@ reaches today.
   workload uses; the address memo is warm, as it is after a flow's
   first frame): the four memo lookups, one ``int.from_bytes`` of the
   payload, one ``Struct.pack``;
-* one ``ParseGraph.parse`` of a KV GET and of a KV response on the
-  default graph: ``parse`` -> the one-pass walk -> two ``unpack_from``.
-  A count near the FSM's (four extractors, three header ``unpack``s, a
-  ``KvRequest``) means the walk declined the paper's own traffic.
+* one ``ParseGraph.parse`` on the default graph of a KV GET, a KV
+  response, a plain UDP frame and a rack-tagged UDP frame (the traffic
+  of the chain and rack workloads): ``parse``, then per state one
+  extractor call and its ``unpack_from`` (the KV and tag states add one
+  ``len``).  A header, address or KV message object built on the walk
+  would show as a dozen more.
 
 A change that pushes a count over its ceiling has put frames back on the
 hot path; raise a ceiling only with the ledger numbers that justify it.
@@ -29,6 +31,7 @@ from repro.packet.builder import (
     build_kv_response_frame,
     build_udp_frame,
 )
+from repro.packet.headers import RACK_TAG_UDP_PORT
 from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.rmt.parser import default_parse_graph
 from repro.rmt.phv import Phv
@@ -61,8 +64,17 @@ def calls_per_operation(operation, *owners: str) -> int:
 #: (calls reached when this gate was written, ceiling); the object-built
 #: codec this replaced made 79, 68 and 67.
 BUILD_UDP_FRAME = (12, 13)
-PARSE_KV_REQUEST = (6, 7)
-PARSE_KV_RESPONSE = (6, 7)
+#: The parses were 6, 6, 5 and 5 calls while a fused one-pass copy of
+#: the default graph's UDP spine stood in for the walk.  Deleting it
+#: left one walk for every graph, at the walk's per-state calls (KV
+#: 6 -> 10, plain UDP 5 -> 7, tagged 5 -> 9); in 10 in-process pairs
+#: against the fused copy, ``kvs_isolation`` (two parses per request)
+#: read a median wall ratio of 1.030 and ``chain_sparse`` 1.014
+#: (EXPERIMENTS.md E40).
+PARSE_KV_REQUEST = (10, 10)
+PARSE_KV_RESPONSE = (10, 10)
+PARSE_PLAIN_UDP = (7, 7)
+PARSE_RACK_TAGGED = (9, 9)
 
 
 def test_build_udp_frame_call_budget():
@@ -104,3 +116,25 @@ def test_kv_response_parse_call_budget():
     assert calls <= PARSE_KV_RESPONSE[1], (
         f"{calls} codec calls per KV response parse "
         f"(was {PARSE_KV_RESPONSE[0]} when the budget was set)")
+
+
+def _udp_frame(dst_port: int, payload: bytes) -> bytes:
+    return build_udp_frame(
+        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
+        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=40000,
+        dst_port=dst_port, payload=payload)
+
+
+def test_plain_udp_parse_call_budget():
+    calls = _parse_calls(_udp_frame(9000, bytes(64)))
+    assert calls <= PARSE_PLAIN_UDP[1], (
+        f"{calls} codec calls per plain UDP parse "
+        f"(was {PARSE_PLAIN_UDP[0]} when the budget was set)")
+
+
+def test_rack_tagged_parse_call_budget():
+    calls = _parse_calls(
+        _udp_frame(RACK_TAG_UDP_PORT, b"\x12\x34" + bytes(62)))
+    assert calls <= PARSE_RACK_TAGGED[1], (
+        f"{calls} codec calls per rack-tagged parse "
+        f"(was {PARSE_RACK_TAGGED[0]} when the budget was set)")

@@ -11,17 +11,17 @@ references that do not share code with the fast paths:
   payload whose UDP sum folds to zero, and every out-of-range field,
   where the exception type and message must match too.  The checksums
   are cross-checked by a word-by-word RFC 1071 loop written here.
-* **Parsing.**  ``ParseGraph.parse`` on the default graph must fill the
-  PHV exactly as the per-state FSM walk does -- same fields, same
+* **Parsing.**  ``ParseGraph.parse`` -- one walk for every graph, whose
+  spine extractors read fields in place -- must fill the PHV exactly as
+  the object-building reference FSM below does -- same fields, same
   values, *same insertion order* -- for valid and malformed KV frames,
   rack-tagged and plain UDP, and seeded byte-level mutations of all of
   them; a graph whose ``kv`` extractor or transitions were changed must
-  never take a shortcut.  ``parse_frame`` and ``frame_checksums_ok`` are
-  held to references written from the header classes.
-
-The FSM is forced the way ``tests/test_rack_tag.py`` does it, by
-replacing ``repro.rmt.parser._fused_default_parse`` with a function that
-always declines.
+  run what it was given.  The reference (extractors built on the header
+  classes and ``KvRequest`` / ``KvResponse``, and its own FSM loop) is
+  written here and shares no code with the walk.  ``parse_frame`` and
+  ``frame_checksums_ok`` are held to references written from the
+  header classes.
 """
 
 import random
@@ -42,9 +42,11 @@ from repro.packet.headers import (
     ETHERTYPE_IPV4,
     IP_PROTO_UDP,
     RACK_TAG_UDP_PORT,
+    EspHeader,
     EthernetHeader,
     HeaderError,
     Ipv4Header,
+    TcpHeader,
     UdpHeader,
 )
 from repro.packet.kv import (
@@ -54,7 +56,6 @@ from repro.packet.kv import (
     KvResponse,
     KvStatus,
 )
-from repro.rmt import parser as parser_mod
 from repro.rmt.parser import (
     ACCEPT,
     ParseGraph,
@@ -68,6 +69,7 @@ from repro.rmt.parser import (
     extract_tcp,
     extract_udp,
 )
+from repro.rmt.phv import Phv
 
 RANDOM_BUILDS = 6_000
 MUTATIONS = 4_000
@@ -373,7 +375,7 @@ class TestBuildGolden:
 
 
 # ----------------------------------------------------------------------
-# Parsing: fused walk vs per-state FSM
+# Parsing: the walk vs an object-building reference FSM
 # ----------------------------------------------------------------------
 
 
@@ -468,7 +470,7 @@ def _named_frames():
         "udp_length_too_small": with_lengths(kv_frame(get), udp_length=7),
         "udp_length_lies_short": with_lengths(kv_frame(put), udp_length=12),
         "udp_length_lies_long": with_lengths(kv_frame(get), udp_length=900),
-        # Not KV at all: the spine the fused walk already served.
+        # Not KV at all: the rest of the UDP spine.
         "plain_udp": build_udp_frame(payload=b"plain" * 9, **BASE),
         "plain_udp_empty": build_udp_frame(payload=b"", **BASE),
         "rack_tagged": build_udp_frame(
@@ -494,15 +496,117 @@ def _named_frames():
 NAMED_FRAMES = _named_frames()
 
 
-@pytest.fixture
-def fsm_only(monkeypatch):
-    """Run ``graph.parse`` with the fused shortcut declining everything."""
-    def parse(graph, frame, phv=None):
-        with monkeypatch.context() as patch:
-            patch.setattr(parser_mod, "_fused_default_parse",
-                          lambda *args: False)
-            return graph.parse(frame, phv)
-    return parse
+# The reference: the per-state extractors as built on the header
+# classes and KV message objects, and a plain FSM loop over them.
+
+
+def ref_ethernet(data, phv):
+    eth, rest = EthernetHeader.unpack(data)
+    phv.set("eth.dst", eth.dst.value)
+    phv.set("eth.src", eth.src.value)
+    phv.set("eth.type", eth.ethertype)
+    return rest, eth.ethertype
+
+
+def ref_ipv4(data, phv):
+    ipv4, rest = Ipv4Header.unpack(data)
+    phv.set("ipv4.src", ipv4.src.value)
+    phv.set("ipv4.dst", ipv4.dst.value)
+    phv.set("ipv4.proto", ipv4.protocol)
+    phv.set("ipv4.ttl", ipv4.ttl)
+    phv.set("ipv4.dscp", ipv4.dscp)
+    phv.set("ipv4.ecn", ipv4.ecn)
+    phv.set("ipv4.len", ipv4.total_length)
+    phv.set("ipv4.id", ipv4.identification)
+    l3_payload = ipv4.total_length - Ipv4Header.LENGTH
+    if 0 <= l3_payload <= len(rest):
+        rest = rest[:l3_payload]
+    return rest, ipv4.protocol
+
+
+def ref_udp(data, phv):
+    udp, rest = UdpHeader.unpack(data)
+    phv.set("udp.src_port", udp.src_port)
+    phv.set("udp.dst_port", udp.dst_port)
+    phv.set("udp.len", udp.length)
+    if KV_UDP_PORT in (udp.src_port, udp.dst_port):
+        return rest, KV_UDP_PORT
+    if udp.dst_port == RACK_TAG_UDP_PORT:
+        return rest, RACK_TAG_UDP_PORT
+    return rest, 0
+
+
+def ref_rack_tag(data, phv):
+    if len(data) < 2:
+        raise HeaderError("rack-tagged payload shorter than the tag shim")
+    phv.set("rack.tag", int.from_bytes(data[:2], "big"))
+    return data, None
+
+
+def ref_tcp(data, phv):
+    tcp, rest = TcpHeader.unpack(data)
+    phv.set("tcp.src_port", tcp.src_port)
+    phv.set("tcp.dst_port", tcp.dst_port)
+    phv.set("tcp.flags", tcp.flags)
+    phv.set("tcp.seq", tcp.seq)
+    return rest, None
+
+
+def ref_esp(data, phv):
+    esp, rest = EspHeader.unpack(data)
+    phv.set("esp.spi", esp.spi)
+    phv.set("esp.seq", esp.seq)
+    return rest, None
+
+
+def ref_kv(data, phv):
+    if not data:
+        raise HeaderError("empty KV payload")
+    phv.set("kv.opcode", data[0])
+    if data[0] == KvOpcode.RESPONSE:
+        response, rest = KvResponse.unpack(data)
+        phv.set("kv.tenant", response.tenant)
+        phv.set("kv.request_id", response.request_id)
+        phv.set("kv.status", int(response.status))
+        return rest, None
+    request, rest = KvRequest.unpack(data)
+    phv.set("kv.tenant", request.tenant)
+    phv.set("kv.request_id", request.request_id)
+    phv.set("kv.key", request.key)
+    return rest, None
+
+
+REFERENCE_GRAPH = {
+    "ethernet": (ref_ethernet, {ETHERTYPE_IPV4: "ipv4", None: ACCEPT}),
+    "ipv4": (ref_ipv4, {IP_PROTO_UDP: "udp", 6: "tcp", 50: "esp",
+                        None: ACCEPT}),
+    "udp": (ref_udp, {KV_UDP_PORT: "kv", RACK_TAG_UDP_PORT: "rack_tag",
+                      None: ACCEPT}),
+    "tcp": (ref_tcp, {None: ACCEPT}),
+    "esp": (ref_esp, {None: ACCEPT}),
+    "kv": (ref_kv, {None: ACCEPT}),
+    "rack_tag": (ref_rack_tag, {None: ACCEPT}),
+}
+
+
+def reference_phv(data: bytes, phv=None) -> Phv:
+    """The default graph's PHV for ``data``, by the reference FSM."""
+    phv = Phv() if phv is None else phv
+    state, remaining = "ethernet", data
+    while state != ACCEPT:
+        extractor, transitions = REFERENCE_GRAPH[state]
+        try:
+            remaining, select = extractor(remaining, phv)
+        except HeaderError:
+            phv.set("meta.parse_error", 1)
+            phv.set("meta.parse_error_state", state.encode())
+            break
+        if select is not None and select in transitions:
+            state = transitions[select]
+        else:
+            state = transitions.get(None, ACCEPT)
+    phv.set("meta.payload", remaining)
+    return phv
 
 
 def ordered(phv):
@@ -510,11 +614,14 @@ def ordered(phv):
 
 
 class TestParseGolden:
+    """The default graph's walk against the reference FSM.  Test names
+    read "fused" for the walk under test and "fsm" for the reference."""
+
     @pytest.mark.parametrize("name", sorted(NAMED_FRAMES))
-    def test_named_frame_fused_equals_fsm(self, name, fsm_only):
-        graph = default_parse_graph()
+    def test_named_frame_fused_equals_fsm(self, name):
         frame = NAMED_FRAMES[name]
-        assert ordered(graph.parse(frame)) == ordered(fsm_only(graph, frame))
+        assert ordered(default_parse_graph().parse(frame)) == ordered(
+            reference_phv(frame))
 
     def test_expected_fields_of_a_get(self):
         phv = default_parse_graph().parse(NAMED_FRAMES["get"])
@@ -580,19 +687,17 @@ class TestParseGolden:
         assert phv.get("meta.parse_error") == 1
         assert phv.get("meta.parse_error_state") == state
 
-    def test_intrinsic_metadata_keeps_its_place(self, fsm_only):
+    def test_intrinsic_metadata_keeps_its_place(self):
         # The pipeline seeds meta.* before parsing; parsed fields follow.
-        from repro.rmt.phv import Phv
-
         graph = default_parse_graph()
         for name in ("get", "response_ok", "rack_tagged", "unknown_opcode"):
             frame = NAMED_FRAMES[name]
             seeded = graph.parse(frame, Phv({"meta.ingress_port": 2}))
             assert list(seeded._fields)[0] == "meta.ingress_port"
             assert ordered(seeded) == ordered(
-                fsm_only(graph, frame, Phv({"meta.ingress_port": 2})))
+                reference_phv(frame, Phv({"meta.ingress_port": 2})))
 
-    def test_random_kv_frames_fused_equals_fsm(self, fsm_only):
+    def test_random_kv_frames_fused_equals_fsm(self):
         rng = random.Random(0x4B56)
         graph = default_parse_graph()
         for _ in range(1_500):
@@ -616,13 +721,13 @@ class TestParseGolden:
                     rng.randbytes(rng.randrange(0, 1200)))
                 packet = build_kv_response_frame(
                     response, dst_port=rng.randrange(0x10000))
-            fused = graph.parse(packet.data)
-            assert "meta.parse_error" not in fused
-            assert ordered(fused) == ordered(fsm_only(graph, packet.data))
+            walked = graph.parse(packet.data)
+            assert "meta.parse_error" not in walked
+            assert ordered(walked) == ordered(reference_phv(packet.data))
 
-    def test_mutated_frames_fused_equals_fsm(self, fsm_only):
+    def test_mutated_frames_fused_equals_fsm(self):
         # Byte-level damage anywhere in the frame: flips, truncation,
-        # padding.  Whatever the FSM makes of it, the fused walk agrees.
+        # padding.  Whatever the reference makes of it, the walk agrees.
         rng = random.Random(0xF022)
         graph = default_parse_graph()
         seeds = [NAMED_FRAMES[name] for name in (
@@ -648,15 +753,16 @@ class TestParseGolden:
             else:
                 frame += bytes(rng.randrange(1, 30))
             data = bytes(frame)
-            fused = graph.parse(data)
-            assert ordered(fused) == ordered(fsm_only(graph, data)), data.hex()
-            errors += "meta.parse_error" in fused
+            walked = graph.parse(data)
+            assert ordered(walked) == ordered(reference_phv(data)), data.hex()
+            errors += "meta.parse_error" in walked
         assert 200 < errors < MUTATIONS - 200  # both outcomes exercised
 
 
 class TestReprogrammedGraphs:
-    """A graph that differs from the stock one anywhere on the UDP spine
-    gets the FSM's answer, which shows the edit."""
+    """A hand-built graph runs the same walk as the default one: a copy
+    of the stock graph parses as it does, and an edit anywhere on the
+    UDP spine shows in the PHV."""
 
     STOCK = {
         "ethernet": (extract_ethernet, {ETHERTYPE_IPV4: "ipv4", None: ACCEPT}),
@@ -678,14 +784,14 @@ class TestReprogrammedGraphs:
             graph.add_state(ParserState(name, extractor, dict(transitions)))
         return graph
 
-    def test_hand_built_stock_graph_equals_the_default(self, fsm_only):
+    def test_hand_built_stock_graph_equals_the_default(self):
         graph = self.build()
         stock = default_parse_graph()
         for name, frame in NAMED_FRAMES.items():
             assert ordered(graph.parse(frame)) == ordered(
                 stock.parse(frame)), name
             assert ordered(graph.parse(frame)) == ordered(
-                fsm_only(graph, frame)), name
+                reference_phv(frame)), name
 
     def test_replaced_kv_extractor_is_always_called(self):
         seen = []
@@ -783,8 +889,8 @@ class TestReprogrammedGraphs:
             graph.parse(NAMED_FRAMES["get"])
 
     def test_states_added_later_are_seen(self):
-        # Eligibility must follow the graph as it is built up, whatever
-        # order the states arrive in.
+        # The walk follows the graph as it is built up, whatever order
+        # the states arrive in.
         graph = ParseGraph(start="ethernet")
         order = ["kv", "rack_tag", "udp", "esp", "tcp", "ipv4", "ethernet"]
         for name in order:

@@ -50,7 +50,7 @@ class TestChainFollowing:
     def test_packet_follows_chain_to_next_engine(self, sim):
         mesh, engine, sink, _ = rig(sim)
         packet = chained_packet([engine.address, 1])
-        packet.panic.advance()  # we are hop 0
+        packet.panic.cursor += 1  # we are hop 0
         engine._loopback(packet)
         sim.run()
         assert len(sink.got) == 1

@@ -102,13 +102,13 @@ class TestPanicHeader:
         assert parsed.chain == [] and parsed.exhausted
 
     def test_advance_walks_chain(self):
+        # Engines walk ``chain[cursor]`` in place, advancing the cursor.
         header = PanicHeader(chain=[7, 8])
-        assert header.peek_next_hop() == 7
-        assert header.advance() == 7
-        assert header.advance() == 8
-        assert header.exhausted
-        with pytest.raises(HeaderError):
-            header.advance()
+        hops = []
+        while not header.exhausted:
+            hops.append(header.chain[header.cursor])
+            header.cursor += 1
+        assert hops == [7, 8] and header.remaining() == []
 
     def test_remaining(self):
         header = PanicHeader(chain=[1, 2, 3], cursor=1)
@@ -135,8 +135,9 @@ class TestPanicHeader:
     def test_copy_is_deep(self):
         header = PanicHeader(chain=[1, 2])
         copy = header.copy()
-        copy.advance()
-        assert header.cursor == 0
+        copy.cursor += 1
+        copy.chain.append(3)
+        assert header.cursor == 0 and header.chain == [1, 2]
 
 
 class TestKvProtocol:

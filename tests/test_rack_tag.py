@@ -2,18 +2,17 @@
 
 The 6-bit DSCP encoding caps all-pairs rack flows at 7 NICs; the
 VXLAN-style 16-bit payload tag (``flow_id="tag"``) lifts that to 255.
-These tests pin the parser's ``rack_tag`` state (FSM and fused paths
-must agree bit-for-bit), the short-payload error path, the
-``resolve_flow_id`` vocabulary and caps, automatic NoC mesh sizing for
-wide racks, and that tag-identified racks stay bit-identical between
-monolithic and sharded execution.
+These tests pin the parser's ``rack_tag`` state (the walk must agree
+bit-for-bit with the codec golden's reference FSM), the short-payload
+error path, the ``resolve_flow_id`` vocabulary and caps, automatic NoC
+mesh sizing for wide racks, and that tag-identified racks stay
+bit-identical between monolithic and sharded execution.
 """
 
 import pytest
 
 from repro.packet.builder import build_udp_frame
 from repro.packet.headers import RACK_TAG_BYTES, RACK_TAG_UDP_PORT
-from repro.rmt import parser as parser_mod
 from repro.rmt.parser import default_parse_graph
 from repro.sim.shard import run_monolithic, run_sharded
 from repro.workloads.rack import (
@@ -24,6 +23,7 @@ from repro.workloads.rack import (
     rack_topology,
     resolve_flow_id,
 )
+from tests.test_codec_golden import reference_phv
 
 
 def _tagged_frame(tag: int, payload: bytes = bytes(20)) -> bytes:
@@ -37,18 +37,13 @@ def _tagged_frame(tag: int, payload: bytes = bytes(20)) -> bytes:
 
 class TestRackTagParsing:
     def test_fused_and_fsm_agree(self):
-        graph = default_parse_graph()
+        # The walk against the codec golden's object-building reference
+        # FSM, insertion order included.
         frame = _tagged_frame(0x1234)
-        fused = graph.parse(frame)
-        # Disable the fused fast path so the same graph walks the FSM.
-        saved = parser_mod._fused_default_parse
-        parser_mod._fused_default_parse = lambda *a: False
-        try:
-            fsm = graph.parse(frame)
-        finally:
-            parser_mod._fused_default_parse = saved
-        assert fused.get("rack.tag") == 0x1234
-        assert fused._fields == fsm._fields
+        walked = default_parse_graph().parse(frame)
+        assert walked.get("rack.tag") == 0x1234
+        assert list(walked._fields.items()) == list(
+            reference_phv(frame)._fields.items())
 
     def test_untagged_port_leaves_field_unset(self):
         graph = default_parse_graph()
