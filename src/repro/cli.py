@@ -225,7 +225,7 @@ def cmd_trace(frames: int = 32, sample_every: int = 1,
         out, {nic.name: tel.tracer.sorted_spans()},
         {nic.name: tel.probes.series()},
     )
-    summary = tel.summary()
+    summary = tel.tracer.summary()
     print(f"traced {summary['sampled']}/{summary['seen']} frames "
           f"({summary['spans']} spans, {summary['dropped_spans']} dropped) "
           f"through the {len(nic.engines)}-engine chain")

@@ -30,10 +30,6 @@ from repro.sim.rng import SeededRng
 class Host(Component):
     """Main memory + descriptor rings + interrupt-driven software."""
 
-    #: The NIC's :class:`~repro.telemetry.int_.IntAgent` when INT is on:
-    #: it pops a frame's hop stack into a postcard at the RX ring.
-    _int_tap = None
-
     def __init__(
         self,
         sim: Simulator,
@@ -103,12 +99,12 @@ class Host(Component):
         packet.meta.host_rx_ps = self.now
         ctx = packet.trace
         if ctx is not None:
-            ctx.tracer.instant(ctx, "host", self.name, self.now,
-                               (("queue", queue),))
-        if self._int_tap is not None:
-            # Pops the INT stack into a postcard and strips the in-band
-            # trailer, so the ring holds the original frame bytes.
-            self._int_tap.on_host_deliver(packet, queue, self.now)
+            if ctx.tracer is not None:
+                ctx.tracer.instant(ctx, "host", self.name, self.now,
+                                   (("queue", queue),))
+            if ctx.int_ is not None:
+                # The sink: the ring holds the frame without its trailer.
+                ctx.int_.on_host_deliver(packet, ctx, queue, self.now)
         self.rx_rings[queue].append(packet)
         self.rx_delivered += 1
 

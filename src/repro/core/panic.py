@@ -134,8 +134,8 @@ class PanicNic:
             from repro.telemetry import Telemetry
 
             self.telemetry = Telemetry(self)
-        #: In-band network telemetry agent (repro.telemetry.int_); None
-        #: keeps every hook on a single attribute check.
+        #: In-band network telemetry agent (repro.telemetry.int_), a sink
+        #: of each frame's trace context; None while INT is off.
         self.int_agent = None
         icfg = self.config.int_
         if icfg is not None:
@@ -144,13 +144,13 @@ class PanicNic:
             # The name's trailing integer ("rack1.nic2" -> 2), else 0.
             digits = name[len(name.rstrip("0123456789")):]
             self.int_agent = IntAgent(
-                self, icfg,
-                node_id=int(digits) if digits else 0,
-                rmt_names=[tile.name for tile in self.rmt_tiles],
-            )
-            # The one INT slot, on every tile (MACs included) and host.
-            for holder in (*self.engines.values(), self.host):
-                holder._int_tap = self.int_agent
+                icfg, node_id=int(digits) if digits else 0,
+                rmt_names=[tile.name for tile in self.rmt_tiles])
+            # A frame a tile builds itself gets its context where it is
+            # built; every other frame gets it at inject.
+            for engine in self.engines.values():
+                if isinstance(engine, (DmaEngine, KvCacheEngine, RdmaEngine)):
+                    engine._frame_born = self.int_agent.born
         #: Batched-execution driver (repro.core.train), built unless
         #: ``config.batched`` says no frame may board; None keeps every
         #: hook on the scalar path at the cost of one attribute check.
@@ -323,6 +323,11 @@ class PanicNic:
             self.dark_tx_drops += 1
             return
         self.tx_frames += 1
+        ctx = packet.trace
+        if ctx is not None and ctx.tracer is not None:
+            port = packet.meta.egress_port
+            ctx.tracer.instant(ctx, "egress", f"{self.name}.eth{port}",
+                               self.sim.now, (("egress_port", port),))
         for callback in self._tx_callbacks:
             callback(packet)
         cable = self._cables[packet.meta.egress_port]
@@ -358,8 +363,8 @@ class PanicNic:
             # inject, so the sampled set is execution-mode independent.
             self.telemetry.tracer.maybe_trace(packet, self.sim.now, port)
         if self.int_agent is not None:
-            # Normalize the carried INT stack (side-channel tuple or
-            # in-band trailer) before the frame pays RX serialization.
+            # This hop starts: the frame's context takes the carried
+            # stack before the frame pays RX serialization.
             self.int_agent.on_inject(packet)
         return self.ports[port].inject_rx(packet)
 

@@ -60,7 +60,7 @@ Three mechanisms enforce it:
   lane still writes itself is what a scalar *event* would have done
   between those calls: the zero ``queue_latency`` sample of
   ``Engine._start``, the ``processed`` count of ``_finish``, the RMT
-  tile's admission arithmetic, the message id and injected count of
+  tile's admission arithmetic, the injected count of
   ``NocPort.send``, the delivery count, and one step of a router's
   fairness offset (``_rr_shift``) per arbitration pass.
 
@@ -84,7 +84,7 @@ from typing import Dict, Optional
 from repro.engines.base import Engine
 from repro.engines.rmt_engine import RmtPipelineEngine
 from repro.noc.express import account_forwards, account_hops
-from repro.noc.message import NocMessage, _message_ids
+from repro.noc.message import NocMessage
 from repro.noc.router import Router
 from repro.packet.packet import MessageKind, Packet
 
@@ -107,9 +107,8 @@ class TrainLane:
         self.mesh = nic.mesh
         # engine -> "base" | "rmt" | None (method-identity whitelist;
         # subclasses that override the service loop ride scalar).
-        self._kinds: Dict[int, Optional[str]] = {}
-        self._kind_obj: Dict[int, Engine] = {}
-        self._routers: Dict[int, object] = {}
+        self._kinds: Dict[Engine, Optional[str]] = {}
+        self._routers: Dict[Engine, object] = {}
         # Diagnostics (not part of nic.stats(): trees must be identical
         # with batching on or off).
         self.trajectories = 0
@@ -151,8 +150,7 @@ class TrainLane:
                 kind = "base"
             elif cls._try_start is RmtPipelineEngine._try_start:
                 kind = "rmt"
-        self._kinds[id(engine)] = kind
-        self._kind_obj[id(engine)] = engine  # keep ids stable while cached
+        self._kinds[engine] = kind
         return kind
 
     def _router_of(self, engine: Engine):
@@ -170,7 +168,7 @@ class TrainLane:
                 or cls.pump is not Router.pump
                 or cls._pump_passes is not Router._pump_passes):
             router = False
-        self._routers[id(engine)] = router
+        self._routers[engine] = router
         return router
 
     def _engine_ready(self, engine: Engine, packet: Packet) -> Optional[str]:
@@ -181,12 +179,11 @@ class TrainLane:
         Checked once at boarding (:meth:`try_ride`) and once per hop
         (:meth:`_ride`).  On a kind, ``_routers`` holds the engine's
         router."""
-        if packet.trace is not None or packet.int_state is not None:
+        if packet.trace is not None:
             # Sampled telemetry must observe every intermediate span,
             # and INT must observe genuine depths and egress instants.
             return None
-        key = id(engine)
-        kind = self._kinds.get(key, _MISS)
+        kind = self._kinds.get(engine, _MISS)
         if kind is _MISS:
             kind = self._kind_of(engine)
         if (kind is None
@@ -197,7 +194,7 @@ class TrainLane:
                 or engine.queue._heap
                 or packet.kind is _CONTROL):
             return None
-        router = self._routers.get(key)
+        router = self._routers.get(engine)
         if router is None:
             router = self._router_of(engine)
         if router is False or router._buffered or router._express_flights:
@@ -224,20 +221,14 @@ class TrainLane:
         if kind is None:
             self.refusals += 1
             return False
-        # Engine._loopback: the local re-entry envelope.  Drawing the
-        # message id here (first action, as scalar does) keeps the
-        # global id sequence aligned; the envelope itself materializes
-        # only if the ride hands off mid-service.
-        mid = next(_message_ids)
+        # Engine._loopback's local re-entry envelope materializes only
+        # if the ride hands off mid-service.
         self.trajectories += 1
-        addr = port.address
-        now = sim.now
-        self._ride(port, kind, packet, horizon, now, mid, addr, addr, now, 0)
+        self._ride(port, kind, packet, horizon, sim.now, port.address, 0)
         return True
 
     def _ride(self, engine: Engine, kind: str, packet: Packet, h: float,
-              t_arr: int, mid: int, src: int, dest: int,
-              inject_ps: int, hops: int) -> None:
+              t_arr: int, dest: int, hops: int) -> None:
         """Replay the whole remaining trajectory, one leg per loop pass.
 
         Each pass serves ``packet`` at an idle ``engine`` -- the steps
@@ -254,9 +245,8 @@ class TrainLane:
         Pre-conditions, re-established before each pass:
         :meth:`_engine_ready` gave ``kind`` for ``engine`` and
         ``now <= t_arr < h``, the working horizon (every committed
-        mutation timestamp stays strictly below it).  The
-        ``mid``/``src``/``dest``/``inject_ps``/``hops`` quintuple
-        describes the in-flight envelope, materialized as a real
+        mutation timestamp stays strictly below it).  ``dest`` and
+        ``hops`` describe the in-flight envelope, materialized as a real
         :class:`NocMessage` only on a mid-service handoff.
         """
         sim = self.sim
@@ -278,7 +268,7 @@ class TrainLane:
                 # Engine.receive's idle admission ends in notify_space():
                 # the local router's pump (validated by _router_of) on a
                 # router known buffer-free, a single fairness rotation.
-                self._routers[id(engine)]._rr_shift += 1
+                self._routers[engine]._rr_shift += 1
                 delay = engine.service_time_ps(packet)
                 if delay < 0:
                     # Scalar schedule() would refuse; never move the
@@ -293,9 +283,8 @@ class TrainLane:
                 # Hand off mid-service: exactly the state _try_start
                 # leaves behind -- a counted lane + a pending _finish.
                 engine._busy_lanes += 1
-                sim.schedule_at(
-                    t_fin, engine._finish,
-                    NocMessage(packet, dest, src, inject_ps, hops, mid))
+                sim.schedule_at(t_fin, engine._finish,
+                                NocMessage(packet, dest, hops))
                 self.handoffs += 1
                 return
             # Engine._finish at t_fin.
@@ -372,10 +361,8 @@ class TrainLane:
             t_arrive = t_send + n_hops * ser
             if t_arrive >= h:
                 break
-            # -- Commit.  NocPort.send at t_send: the message-id draw,
-            # then the injected count.
+            # -- Commit.  NocPort.send at t_send: the injected count.
             sim.now = t_send  # t_send = now + lookup_delay
-            mid = next(_message_ids)
             port.injected += 1
             # ExpressFlight._finish: the arithmetic hop windows and the
             # forwarding routers' crossings.
@@ -389,9 +376,7 @@ class TrainLane:
             final_router.delivered += 1
             final_router._rr_shift += 1
             self.trajectory_hops += 1
-            src = engine.address
             dest = ndest
-            inject_ps = t_send
             hops = n_hops
             engine = target
             kind = tkind

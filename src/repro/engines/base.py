@@ -107,11 +107,10 @@ class Engine(Component, Endpoint):
     #: upstream credit loop (section 6's lossless flow control).
     OVERFLOW_POLICIES = ("raise", "backpressure")
 
-    #: The NIC's :class:`~repro.telemetry.int_.IntAgent` when
-    #: ``PanicConfig.int_`` is on, else None: the one INT slot, on every
-    #: tile, MACs included.  With the default None every instrumented
-    #: path costs one attribute check.
-    _int_tap = None
+    #: The NIC's birth hook, which gives a frame a tile builds itself (a
+    #: host TX frame, a KV-cache or RDMA reply) its trace context; set on
+    #: those tiles while INT is on.
+    _frame_born = None
 
     #: Idle admission (see :meth:`receive`); clearing it sends every
     #: message through the PIFO's push and pop, which must change nothing.
@@ -214,20 +213,24 @@ class Engine(Component, Endpoint):
         fault = self.fault_mode
         if fault == FAULT_CRASH:
             self.blackholed += 1
-            if ctx is not None:
+            if ctx is not None and ctx.tracer is not None:
                 ctx.tracer.instant(ctx, "blackholed", self.name, self.now)
             return
         now = self.sim.now
         message.enqueue_ps = now
         queue = self.queue
-        if self._int_tap is not None:
-            # INT observes the same pre-push depth the tracer records.
-            self._int_tap.on_enqueue(self, packet, len(queue))
+        tracer = None
         if ctx is not None:
-            # Queue depth *before* the push: what this packet saw on arrival.
-            rank, droppable = self._rank_of(packet)
-            ctx.tracer.begin_engine(ctx, self.name, now,
-                                    len(queue), rank, droppable)
+            # Queue depth *before* the push: what this packet saw on
+            # arrival, for INT and the span alike.
+            depth = len(queue)
+            if ctx.int_ is not None:
+                ctx.int_.on_enqueue(self, ctx, depth)
+            tracer = ctx.tracer
+            if tracer is not None:
+                rank, droppable = self._rank_of(packet)
+                tracer.begin_engine(ctx, self.name, now, depth, rank,
+                                    droppable)
         if (not queue._heap and self._busy_lanes < self.lanes
                 and fault is None and self._admits_idle):
             queue.pass_through()
@@ -236,7 +239,7 @@ class Engine(Component, Endpoint):
                 # The pop freed a slot a router may be waiting for.
                 self.notify_space()
             return
-        if ctx is None:
+        if tracer is None:
             rank, droppable = self._rank_of(packet)
         try:
             accepted = queue.push(message, rank, droppable)
@@ -245,14 +248,14 @@ class Engine(Component, Endpoint):
             # leaves NoC flow control open (section 6); surface it loudly
             # rather than silently dropping a lossless message.
             self.rejected += 1
-            if ctx is not None:
-                ctx.tracer.end_engine(ctx, now, status="overflow")
+            if tracer is not None:
+                tracer.end_engine(ctx, now, status="overflow")
             raise
         if accepted:
             self._try_start()
-        elif ctx is not None:
+        elif tracer is not None:
             # The PIFO refused the droppable incoming message outright.
-            ctx.tracer.end_engine(ctx, now, status="dropped_at_enqueue")
+            tracer.end_engine(ctx, now, status="dropped_at_enqueue")
 
     # ------------------------------------------------------------------
     # Service loop
@@ -302,7 +305,7 @@ class Engine(Component, Endpoint):
                 ctx.tracer.end_engine(ctx, self.now, status="blackholed")
             return
         self.processed += 1
-        if ctx is not None:
+        if ctx is not None and ctx.tracer is not None:
             ctx.tracer.end_engine(ctx, self.now)
         if packet.kind is MessageKind.CONTROL and self._echo_heartbeat(packet):
             if self.queue._heap:
@@ -342,12 +345,7 @@ class Engine(Component, Endpoint):
         return self.payload_buffer.access_delay_ps(2 * packet.frame_bytes)
 
     def _loopback(self, packet: Packet) -> None:
-        message = NocMessage(
-            packet=packet,
-            dest_addr=self.address,
-            src_addr=self.address,
-            inject_ps=self.now,
-        )
+        message = NocMessage(packet, self.address)
         if self.overflow == "backpressure" and self.queue.is_full:
             # Local re-entry cannot be refused to a router; retry on the
             # next cycle instead of overflowing the bounded queue.
@@ -396,7 +394,7 @@ class Engine(Component, Endpoint):
             # The trace must show where each queued message died.
             for message in lost:
                 ctx = message.packet.trace
-                if ctx is not None:
+                if ctx is not None and ctx.tracer is not None:
                     ctx.tracer.end_engine(ctx, self.now, status="blackholed")
             if self.notify_space is not None:
                 # The router may hold refused messages; let it deliver

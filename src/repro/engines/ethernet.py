@@ -119,11 +119,12 @@ class EthernetPort(Engine):
         self._transmit(packet)
 
     def _transmit(self, packet: Packet) -> None:
-        if self._int_tap is not None:
+        ctx = packet.trace
+        if ctx is not None and ctx.int_ is not None:
             # Push this hop's INT record; in-band mode appends the
             # trailer bytes *before* the serialization window below, so
             # the grown frame pays its own wire time.
-            self._int_tap.on_transmit(packet, self.now)
+            ctx.int_.on_transmit(packet, ctx, self.now)
         start = max(self.now, self._tx_wire_free_ps)
         done = start + self.wire_time_ps(packet)
         self._tx_wire_free_ps = done

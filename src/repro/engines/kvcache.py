@@ -158,6 +158,8 @@ class KvCacheEngine(Engine):
         out.meta.annotations["cache_hit"] = True
         out.meta.annotations["kv_value_bytes"] = len(value)
         out.meta.annotations["request_ctx"] = packet.meta.annotations.get("request_ctx")
+        if self._frame_born is not None:
+            self._frame_born(out)
         # No chain: the lookup-table default (the RMT pipeline) will give
         # the response an egress chain, as in the paper's walk-through.
         return out

@@ -123,4 +123,6 @@ class RdmaEngine(Engine):
         out.meta.created_ps = original.meta.created_ps
         out.meta.egress_port = original.meta.ingress_port
         out.meta.annotations["request_ctx"] = original.meta.annotations.get("request_ctx")
+        if self._frame_born is not None:
+            self._frame_born(out)
         return out

@@ -269,7 +269,7 @@ class Channel(Component):
                 self._start_next()
             return
         message.hops += 1
-        if ctx is not None:
+        if ctx is not None and ctx.tracer is not None:
             # The transfer window is [now - serialization, now]: identical
             # to the arithmetic window express flights synthesize, so
             # fast- and slow-path traces line up span for span.
@@ -294,7 +294,7 @@ class Channel(Component):
                 self.leaked_credits += 1
             else:
                 self._credits += 1
-            if ctx is not None:
+            if ctx is not None and ctx.tracer is not None:
                 ctx.tracer.instant(ctx, "wire_drop", self.name, self.sim.now)
         else:
             self._apply_corruption(message, *corruptions.popleft())

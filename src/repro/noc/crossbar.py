@@ -38,12 +38,7 @@ class _CrossbarPort:
         return self._endpoint.address
 
     def send(self, packet: Packet, dest_addr: int) -> NocMessage:
-        message = NocMessage(
-            packet=packet,
-            dest_addr=dest_addr,
-            src_addr=self._endpoint.address,
-            inject_ps=self._crossbar.sim.now,
-        )
+        message = NocMessage(packet, dest_addr)
         self.injected += 1
         self._crossbar.route(message)
         return message

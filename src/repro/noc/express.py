@@ -167,8 +167,9 @@ class ExpressFlight:
         message = self.message
         channels = self.channels
         account_hops(channels, self.bits, self.start, self.ser)
-        if message.packet.trace is not None:
-            self._trace_hops(len(channels))
+        ctx = message.packet.trace
+        if ctx is not None and ctx.tracer is not None:
+            self._trace_hops(ctx, len(channels))
         message.hops += len(channels)
         account_forwards(self.routers[self.committed:])
         final_channel = channels[-1]
@@ -177,11 +178,10 @@ class ExpressFlight:
         final_channel._credits -= 1
         self.final_router.on_deliver(message, final_channel)
 
-    def _trace_hops(self, count: int) -> None:
+    def _trace_hops(self, ctx, count: int) -> None:
         """Emit the first ``count`` hops' spans for a sampled message,
         synthesized from the arithmetic hop windows: identical to the
         spans a slow-path walk would have emitted."""
-        ctx = self.message.packet.trace
         end = self.start
         for channel in self.channels[:count]:
             begin = end
@@ -214,8 +214,9 @@ class ExpressFlight:
                 "express flight outlived its delivery event"
             )  # pragma: no cover - _finish fires at the last hop's end
         account_hops(channels[:done], self.bits, start, ser)
-        if self.message.packet.trace is not None:
-            self._trace_hops(done)
+        ctx = self.message.packet.trace
+        if ctx is not None and ctx.tracer is not None:
+            self._trace_hops(ctx, done)
         self.message.hops += done
         account_forwards(self.routers[self.committed:done])
         begin = start + done * ser

@@ -79,12 +79,7 @@ class NocPort:
 
     def send(self, packet: Packet, dest_addr: int) -> NocMessage:
         """Inject ``packet`` toward ``dest_addr``; returns the envelope."""
-        message = NocMessage(
-            packet=packet,
-            dest_addr=dest_addr,
-            src_addr=self._endpoint.address,
-            inject_ps=self._mesh.sim.now,
-        )
+        message = NocMessage(packet, dest_addr)
         self.injected += 1
         self._mesh._inside += 1
         self._channel.submit(message)

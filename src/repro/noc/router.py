@@ -255,7 +255,7 @@ class Router(Component):
                 # Endpoint full: hold the message here; its credit stays
                 # consumed, backpressuring the upstream path.
                 ctx = message.packet.trace
-                if ctx is not None:
+                if ctx is not None and ctx.tracer is not None:
                     ctx.tracer.instant(ctx, "refused", self.name, self.now,
                                        (("dest", message.dest_addr),))
                 return False

@@ -125,7 +125,7 @@ class Packet:
     """
 
     __slots__ = ("packet_id", "data", "kind", "meta", "panic", "trace",
-                 "int_state", "pbuf_handle", "_trail")
+                 "pbuf_handle", "_trail")
 
     def __init__(
         self,
@@ -140,10 +140,11 @@ class Packet:
         #: PANIC chain header; attached by the RMT pipeline, consumed by
         #: per-engine lookup logic.  ``None`` outside the PANIC NIC.
         self.panic: Optional[PanicHeader] = None
-        #: The tracer's per-packet context when this packet is sampled.
+        #: The one observation slot: a
+        #: :class:`~repro.telemetry.tracer.TraceCtx` naming whatever
+        #: observes this packet (the tracer when it is sampled, the INT
+        #: agent when INT is on), else None.
         self.trace = None
-        #: The INT agent's hop stack while the packet is inside a NIC.
-        self.int_state = None
         #: Pointer mode (section 6): the shared-buffer slot holding the
         #: payload while only a descriptor rides the on-chip network.
         self.pbuf_handle: Optional[int] = None
@@ -195,12 +196,11 @@ class Packet:
 
     def rewritten(self, data: bytes) -> "Packet":
         """The same packet life with new frame bytes (an engine rebuilt
-        the frame): a fresh id, the same metadata, chain header, trace,
-        INT stack, buffer handle and trail."""
+        the frame): a fresh id, the same metadata, chain header, trace
+        context, buffer handle and trail."""
         out = Packet(data, self.kind, self.meta)
         out.panic = self.panic
         out.trace = self.trace
-        out.int_state = self.int_state
         out.pbuf_handle = self.pbuf_handle
         if self._trail is None:
             self._trail = []

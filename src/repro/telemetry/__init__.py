@@ -1,24 +1,28 @@
-"""In-sim telemetry: per-packet spans, component probes, trace export.
+"""In-sim telemetry: per-packet spans, INT, component probes, export.
+
+A packet has one observation slot, ``Packet.trace``: a
+:class:`~repro.telemetry.tracer.TraceCtx` that names its sinks -- the
+:class:`~repro.telemetry.tracer.PacketTracer` when the packet is
+sampled, the NIC's :class:`~repro.telemetry.int_.IntAgent` when INT
+(``PanicConfig.int_``) is on, or both.  Every engine, NoC channel,
+router, MAC, wire and the host model feeds the sinks through that
+context (spans: queueing + service per engine with PIFO rank and depth,
+per-channel hop windows, ingress/egress/host instants, drop and
+eviction records; INT: queue depths, the hop record at MAC egress, the
+postcard at the host), and none of them holds telemetry.
 
 Attach a :class:`~repro.telemetry.config.TelemetryConfig` to
 ``PanicConfig.telemetry`` and the NIC builds a :class:`Telemetry`
-instance that
-
-* samples packets with a :class:`~repro.telemetry.tracer.PacketTracer`,
-  whose context rides each sampled packet and names the tracer: every
-  engine, NoC channel, router and the host model records through it
-  (spans: queueing + service per engine with PIFO rank and depth,
-  per-channel hop windows, ingress/egress/host instants, drop and
-  eviction records) and none of them holds telemetry;
-* registers the default component gauges (PIFO depth and busy fraction
-  per engine, input-buffer depth per router, credit occupancy per
-  channel) with a :class:`~repro.telemetry.probes.ProbeRegistry`
-  sampled on a simulated-time cadence via the kernel's passive
-  after-event hook.
+instance that samples packets with its tracer, closes the span of a
+message the PIFO evicts, and registers the default component gauges
+(PIFO depth and busy fraction per engine, input-buffer depth per
+router, credit occupancy per channel) with a
+:class:`~repro.telemetry.probes.ProbeRegistry` sampled on a
+simulated-time cadence via the kernel's passive after-event hook.
 
 Everything is observation-only: a telemetry-enabled run is bit-identical
 to a disabled one in ``stats()`` and timestamps (enforced by
-``tests/test_telemetry.py``), and an unsampled packet costs each
+``tests/test_telemetry.py``), and an unobserved packet costs each
 instrumented path one ``packet.trace is None`` test.
 """
 
@@ -43,8 +47,6 @@ class Telemetry:
 
     def __init__(self, nic):
         config = nic.config.telemetry
-        if config is None:
-            raise ValueError(f"{nic.name}: PanicConfig.telemetry is None")
         self.nic = nic
         self.config = config
         # A forked RNG stream: sampling consumes no draws from anything
@@ -59,31 +61,21 @@ class Telemetry:
     def _wire(self) -> None:
         nic = self.nic
         config = self.config
-        # A sampled packet carries its tracer, so only these NIC-level
-        # hooks are installed, and only when a packet can be sampled at
-        # all: the enabled-but-idle config stays at two calls per frame
+        # A sampled packet carries its tracer, so only the eviction hook
+        # is installed, and only when a packet can be sampled at all: the
+        # enabled-but-idle config stays at one call per frame
         # (tests/test_telemetry_call_budget.py).
         if config.sample_every > 0 or config.flow_predicate is not None:
             for engine in nic.engines.values():
                 engine.queue.on_evict = self._on_evict
-            nic.on_transmit(self._on_transmit)
         if config.probe_period_ps > 0:
             self._install_default_gauges()
             nic.sim.add_after_event_hook(self.probes.on_event)
 
     def _on_evict(self, message) -> None:
         ctx = message.packet.trace
-        if ctx is not None:
+        if ctx is not None and ctx.tracer is not None:
             ctx.tracer.end_engine(ctx, self.nic.sim.now, status="evicted")
-
-    def _on_transmit(self, packet) -> None:
-        ctx = packet.trace
-        if ctx is None:
-            return
-        port = packet.meta.egress_port
-        ctx.tracer.instant(
-            ctx, "egress", f"{self.nic.name}.eth{port}", self.nic.sim.now,
-            (("egress_port", port),))
 
     def _install_default_gauges(self) -> None:
         probes = self.probes
@@ -105,20 +97,3 @@ class Telemetry:
             probes.add_gauge(
                 f"{channel.name}.credit_used",
                 lambda _c=channel: _c.credit_deficit, unit="credits")
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def trace_report(self) -> list:
-        """Canonical (sorted plain-tuple) span list for this NIC.
-
-        Probe series are deliberately *not* part of the report: sampling
-        instants track per-worker event timing, which legitimately
-        differs between execution modes; spans carry the
-        mode-independent telemetry.
-        """
-        return self.tracer.report()
-
-    def summary(self) -> dict:
-        return self.tracer.summary()

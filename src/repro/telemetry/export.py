@@ -27,12 +27,6 @@ _PS_PER_US = 1e6
 _DURATION_KINDS = ("engine", "hop")
 
 
-def _span_fields(span) -> tuple:
-    """Accept Span namedtuples or the plain tuples of a report."""
-    trace_id, seq, kind, component, start_ps, end_ps, args = span
-    return trace_id, seq, kind, component, start_ps, end_ps, args
-
-
 def chrome_trace_events(
     spans_by_nic: Dict[str, Sequence],
     series_by_nic: Optional[Dict[str, Dict[str, object]]] = None,
@@ -47,8 +41,8 @@ def chrome_trace_events(
         })
         tids: Dict[str, int] = {}
         for span in spans_by_nic[nic]:
-            trace_id, seq, kind, component, start_ps, end_ps, args = (
-                _span_fields(span))
+            # A Span namedtuple or a report's plain tuple.
+            trace_id, seq, kind, component, start_ps, end_ps, args = span
             tid = tids.get(component)
             if tid is None:
                 tid = tids[component] = len(tids)
@@ -188,12 +182,7 @@ def merge_int_reports(reports: Dict[str, dict]):
     ``None`` when no NIC ran INT.  Postcards are sink-local and sorted,
     so the sharded merge is the same keyed collection as the monolithic
     one (the mono==sharded INT contract rides on this)."""
-    merged = {
-        name: list(report["int"])
-        for name, report in reports.items()
-        if isinstance(report, dict) and "int" in report
-    }
-    return merged or None
+    return _merge(reports, "int")
 
 
 def write_chrome_trace(
@@ -224,8 +213,7 @@ def format_timeline(spans: Iterable, limit: Optional[int] = None) -> str:
     ``sorted_spans()``), at most ``limit`` traces."""
     by_trace: Dict[int, List[tuple]] = {}
     for span in spans:
-        fields = _span_fields(span)
-        by_trace.setdefault(fields[0], []).append(fields)
+        by_trace.setdefault(span[0], []).append(span)
     lines: List[str] = []
     for count, trace_id in enumerate(sorted(by_trace)):
         if limit is not None and count >= limit:
@@ -257,9 +245,10 @@ def merge_trace_reports(reports: Dict[str, dict]) -> Optional[Dict[str, list]]:
     monolithic case -- which is exactly what makes the merged traces
     comparable across execution modes.
     """
-    merged = {
-        name: list(report["trace"])
-        for name, report in reports.items()
-        if isinstance(report, dict) and "trace" in report
-    }
+    return _merge(reports, "trace")
+
+
+def _merge(reports: Dict[str, dict], key: str) -> Optional[Dict[str, list]]:
+    merged = {name: list(report[key]) for name, report in reports.items()
+              if isinstance(report, dict) and key in report}
     return merged or None

@@ -18,12 +18,19 @@ observer sampling it.  Every NIC carrying an
   ``(deliver_ps, queue, path, records)`` retained (bounded) on the sink
   NIC's :class:`IntAgent`.
 
+The agent is a sink of the packet's one observation slot, not a view of
+spans (spans exist only for sampled packets; INT records every frame):
+each Ethernet frame's :class:`~repro.telemetry.tracer.TraceCtx` holds
+its stack and this hop's accumulators and names the agent, and the
+engines, the MACs and the host feed the agent through it.  The context
+is made at ``PanicNic.inject``, or where a tile builds the frame
+(:meth:`IntAgent.born`, the NIC's birth hook).
+
 Carriage has two modes (``IntConfig.inband``):
 
 * **side-channel** (default): the stack rides simulator metadata --
-  the packet's ``int_state`` slot inside a NIC, the
-  ``int_state`` field of a :class:`~repro.workloads.wire.PacketCapsule`
-  between NICs.  Frame bytes are untouched; the simulated timeline is
+  the trace context inside a NIC, ``PacketCapsule.int_stack`` between
+  NICs.  Frame bytes are untouched; the simulated timeline is
   bit-identical to an INT-free run.
 * **in-band**: the stack is *real payload bytes* -- a trailer
   (:func:`encode_stack`) appended after the UDP datagram at MAC egress
@@ -43,8 +50,8 @@ identical between monolithic and sharded execution, and postcards are
 reported as a **sorted list of plain tuples** -- so INT reports are
 bit-identical at any worker count, in both conservative and speculative
 window protocols, with tracing telemetry on or off.  Frames carrying a
-live INT stack refuse batched trains (like traced frames), so the
-depth observations and MAC egress instants are always genuine.
+trace context refuse batched trains, so the depth observations and MAC
+egress instants are always genuine.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from repro.packet.packet import MessageKind
 from repro.sim.clock import US
 from repro.sim.stats import TimeSeries
 from repro.telemetry.config import IntConfig
+from repro.telemetry.tracer import TraceCtx
 
 #: One hop record: nic_id(2) hop(2) ingress_ps(8) egress_ps(8)
 #: pifo_depth(4, signed; -1 = never hit an RMT queue) engine_depth(4).
@@ -103,51 +111,19 @@ def parse_stack(data: bytes) -> Optional[Tuple[Tuple[tuple, ...], int, bool]]:
     return records, trailer_len, True
 
 
-class IntState:
-    """Mutable per-packet INT state while the packet is inside one NIC."""
-
-    __slots__ = ("records", "inband", "inband_len", "pifo_depth",
-                 "engine_depth")
-
-    def __init__(self, records: Tuple[tuple, ...] = (),
-                 inband: bool = False, inband_len: int = 0):
-        #: Finalized records from prior hops (immutable tuple-of-tuples).
-        self.records = records
-        self.inband = inband
-        #: Bytes of trailer currently appended to ``packet.data``.
-        self.inband_len = inband_len
-        #: RMT scheduling-queue depth at this hop's first RMT enqueue.
-        self.pifo_depth = -1
-        #: Max engine queue depth observed on this hop's chain.
-        self.engine_depth = 0
-
-    @property
-    def carry(self) -> Optional[Tuple[tuple, ...]]:
-        """What an external wire must ship in its metadata side-channel.
-
-        In-band stacks travel as frame bytes, so the wire carries
-        nothing; side-channel stacks ship the record tuple (picklable,
-        so :class:`~repro.workloads.wire.PacketCapsule` can cross shard
-        boundaries with it).
-        """
-        return None if self.inband else self.records
-
-
 class IntAgent:
     """The INT source/transit/sink role of one NIC.
 
-    Installed by :class:`~repro.core.panic.PanicNic` when its config
-    carries an enabled :class:`~repro.telemetry.config.IntConfig`: one
-    slot, ``_int_tap``, on every engine (the Ethernet MACs included) and
-    on the host points here.  All hooks only *observe*
-    simulated state (plus, in-band, grow/strip the frame bytes the
-    simulation is already carrying); the agent never schedules events
-    and never draws from any RNG.
+    Built by :class:`~repro.core.panic.PanicNic` when its config carries
+    an :class:`~repro.telemetry.config.IntConfig`; each frame's trace
+    context names it (``ctx.int_``), and no component holds it.  All
+    hooks only *observe* simulated state (plus, in-band, grow/strip the
+    frame bytes the simulation is already carrying); the agent never
+    schedules events and never draws from any RNG.
     """
 
-    def __init__(self, nic, config: IntConfig, node_id: int,
+    def __init__(self, config: IntConfig, node_id: int,
                  rmt_names: Iterable[str] = ()):
-        self.nic = nic
         self.config = config
         self.node_id = node_id
         self.inband = config.inband
@@ -167,109 +143,78 @@ class IntAgent:
     # ------------------------------------------------------------------
 
     def on_inject(self, packet) -> None:
-        """A frame arrived from an external wire (``PanicNic.inject``).
-
-        Normalizes whatever carriage delivered the prior-hop stack --
-        a side-channel tuple seeded by the wire, or an in-band trailer
-        in the frame bytes -- into a live :class:`IntState`.
-        """
+        """A frame arrived from an external wire (``PanicNic.inject``):
+        its context takes whatever carried the prior-hop stack -- the
+        side-channel tuple the cable left on it, or an in-band trailer
+        in the frame bytes -- and names this agent."""
         if packet.kind is not MessageKind.ETHERNET:
             return
-        carried = packet.int_state
-        if isinstance(carried, IntState):
-            return
         self.frames_seen += 1
-        records: Tuple[tuple, ...] = ()
-        inband_len = 0
-        if isinstance(carried, tuple):
-            records = carried
+        ctx = packet.trace
+        if ctx is None:
+            ctx = packet.trace = TraceCtx()
+        ctx.int_ = self
         if self.inband:
             parsed = parse_stack(packet.data)
             if parsed is not None:
-                records, inband_len, valid = parsed
+                ctx.records, ctx.inband_len, valid = parsed
                 if not valid:
                     self.parse_errors += 1
-        packet.int_state = IntState(records, self.inband, inband_len)
 
-    def on_enqueue(self, engine, packet, depth: int) -> None:
-        """A frame entered an engine's scheduling queue (``_int_tap``).
+    def born(self, packet) -> None:
+        """The NIC's birth hook: a tile built this frame itself (a host
+        TX frame at the DMA tile, a KV-cache or RDMA reply)."""
+        self.frames_seen += 1
+        packet.trace = TraceCtx(int_=self)
 
-        ``depth`` is the queue occupancy *before* this push.  The first
-        RMT enqueue fixes the hop's ``pifo_depth``; every enqueue feeds
-        the ``engine_depth`` high-water mark.  A TX frame born on this
-        NIC (host doorbell) gets its state lazily here.
-        """
-        if packet.kind is not MessageKind.ETHERNET:
-            return
-        state = packet.int_state
-        if not isinstance(state, IntState):
-            state = packet.int_state = IntState((), self.inband, 0)
-            self.frames_seen += 1
-        if depth > state.engine_depth:
-            state.engine_depth = depth
-        if state.pifo_depth < 0 and engine.name in self.rmt_names:
-            state.pifo_depth = depth
+    def on_enqueue(self, engine, ctx: TraceCtx, depth: int) -> None:
+        """A frame entered an engine's scheduling queue, which held
+        ``depth`` messages before this push: the first RMT enqueue fixes
+        the hop's ``pifo_depth``, every enqueue feeds ``engine_depth``."""
+        if depth > ctx.engine_depth:
+            ctx.engine_depth = depth
+        if ctx.pifo_depth < 0 and engine.name in self.rmt_names:
+            ctx.pifo_depth = depth
 
-    def _hop_record(self, packet, state: IntState, egress_ps: int) -> tuple:
+    def _push(self, packet, ctx: TraceCtx, now: int) -> Tuple[tuple, ...]:
+        """``ctx``'s stack with this hop's record on top, unless the
+        stack is already ``max_hops`` deep."""
+        records = ctx.records
+        if len(records) >= self.max_hops:
+            self.hops_suppressed += 1
+            return records
+        self.hops_recorded += 1
         meta = packet.meta
         ingress = meta.nic_arrival_ps
         if ingress is None:
             ingress = meta.created_ps
-        return (self.node_id, len(state.records), ingress, egress_ps,
-                state.pifo_depth, state.engine_depth)
+        return records + ((self.node_id, len(records), ingress, now,
+                           ctx.pifo_depth, ctx.engine_depth),)
 
-    def on_transmit(self, packet, now: int) -> None:
-        """The MAC is about to serialize the frame onto the wire.
-
-        Finalizes this hop's record and pushes it onto the stack;
-        in-band mode re-encodes the trailer *before* the MAC computes
-        the serialization window, so the grown frame pays its own wire
-        time.
-        """
-        if packet.kind is not MessageKind.ETHERNET:
-            return
-        state = packet.int_state
-        if not isinstance(state, IntState):
-            state = packet.int_state = IntState((), self.inband, 0)
-            self.frames_seen += 1
-        if len(state.records) >= self.max_hops:
-            self.hops_suppressed += 1
-        else:
-            state.records = state.records + (
-                self._hop_record(packet, state, now),)
-            self.hops_recorded += 1
+    def on_transmit(self, packet, ctx: TraceCtx, now: int) -> None:
+        """The MAC is about to serialize the frame onto the wire: push
+        this hop's record.  In-band mode re-encodes the trailer *before*
+        the MAC computes the serialization window, so the grown frame
+        pays its own wire time."""
+        ctx.records = self._push(packet, ctx, now)
         if self.inband:
             data = packet.data
-            if state.inband_len:
-                data = data[:-state.inband_len]
-            trailer = encode_stack(state.records)
+            if ctx.inband_len:
+                data = data[:-ctx.inband_len]
+            trailer = encode_stack(ctx.records)
             packet.data = data + trailer
-            state.inband_len = len(trailer)
+            ctx.inband_len = len(trailer)
 
-    def on_host_deliver(self, packet, queue: int, now: int) -> None:
-        """The frame reached the host RX ring: pop the stack (sink).
-
-        Appends the sink hop, strips the in-band trailer (the host sees
-        the original frame bytes), and retains the postcard.
-        """
-        if packet.kind is not MessageKind.ETHERNET:
-            return
-        state = packet.int_state
-        packet.int_state = None
-        if isinstance(state, tuple):
-            carried = IntState(state, self.inband, 0)
-            state = carried
-        if not isinstance(state, IntState):
-            return
-        records = state.records
-        if len(records) >= self.max_hops:
-            self.hops_suppressed += 1
-        else:
-            records = records + (self._hop_record(packet, state, now),)
-            self.hops_recorded += 1
-        if state.inband_len:
-            packet.data = packet.data[:-state.inband_len]
-            state.inband_len = 0
+    def on_host_deliver(self, packet, ctx: TraceCtx, queue: int,
+                        now: int) -> None:
+        """The frame reached the host RX ring (sink): append the sink
+        hop, strip the in-band trailer (the host sees the original frame
+        bytes), retain the postcard, and end the frame's INT life."""
+        ctx.int_ = None
+        records = self._push(packet, ctx, now)
+        if ctx.inband_len:
+            packet.data = packet.data[:-ctx.inband_len]
+            ctx.inband_len = 0
         path = tuple(record[0] for record in records)
         if len(self._postcards) >= self.config.max_postcards:
             self.dropped_postcards += 1

@@ -1,12 +1,15 @@
-"""Per-packet span recording.
+"""Per-packet span recording, and the packet's one observation slot.
 
 A :class:`PacketTracer` follows sampled packets through one NIC and
 records :class:`Span` entries: engine occupancy (enqueue through service
 end, with the PIFO rank and queue depth observed at enqueue), per-channel
 NoC hops, and point events (ingress, egress, host delivery, drops,
-refusals).  The trace context rides on the packet's own ``trace``
-slot, which travels with it through every engine and channel, and
-names its tracer: a component records through ``ctx.tracer``.
+refusals).  A :class:`TraceCtx` rides on the packet's ``trace`` slot
+through every engine and channel whenever anything observes the packet,
+and names its sinks: ``tracer`` when the packet is sampled, ``int_``
+(the NIC's :class:`~repro.telemetry.int_.IntAgent`) when INT is on.  An
+unobserved packet costs each instrumented site one ``packet.trace``
+test, and no component holds telemetry.
 
 Determinism contract
 --------------------
@@ -50,14 +53,20 @@ class Span(NamedTuple):
 
 
 class TraceCtx:
-    """Mutable per-packet trace state (one per sampled packet)."""
+    """Mutable per-packet observation state: ``tracer`` records its
+    spans (None until the packet is sampled), ``int_`` takes its INT hop
+    (None while INT is off); either, or both."""
 
     __slots__ = ("trace_id", "tracer", "seq", "hop", "open_component",
-                 "open_start", "open_args", "service_start")
+                 "open_start", "open_args", "service_start",
+                 "int_", "records", "inband_len", "pifo_depth",
+                 "engine_depth")
 
-    def __init__(self, trace_id: int, tracer: "PacketTracer"):
+    def __init__(self, trace_id: int = -1,
+                 tracer: Optional["PacketTracer"] = None,
+                 int_=None, records: Tuple[tuple, ...] = ()):
         self.trace_id = trace_id
-        self.tracer = tracer  # records every span of this context
+        self.tracer = tracer
         self.seq = 0
         #: Chain hop ordinal: incremented per engine the packet enters.
         self.hop = 0
@@ -67,6 +76,14 @@ class TraceCtx:
         self.open_start = 0
         self.open_args: Tuple = ()
         self.service_start = -1
+        # INT: prior hops' finalized records, the in-band trailer bytes
+        # on the frame, and this hop's RMT queue depth at its first RMT
+        # enqueue and max engine queue depth.
+        self.int_ = int_
+        self.records = records
+        self.inband_len = 0
+        self.pifo_depth = -1
+        self.engine_depth = 0
 
 
 class PacketTracer:
@@ -107,11 +124,13 @@ class PacketTracer:
         execution -- so the RNG draw sequence, and therefore the sampled
         capsule set, is the same for every worker count.  The draw
         happens for *every* offered packet (when sampling is on), keeping
-        the stream aligned regardless of predicate hits.
+        the stream aligned regardless of predicate hits and of an INT
+        context the frame already carries (a sampled frame's spans share
+        it).  A packet already sampled is not a new arrival.
         """
-        existing = packet.trace
-        if existing is not None:
-            return existing
+        ctx = packet.trace
+        if ctx is not None and ctx.tracer is not None:
+            return ctx
         self.seen += 1
         config = self.config
         take = (config.sample_every > 0
@@ -120,10 +139,12 @@ class PacketTracer:
             take = bool(config.flow_predicate(packet))
         if not take:
             return None
-        ctx = TraceCtx(self._next_trace_id, self)
+        if ctx is None:
+            ctx = packet.trace = TraceCtx()
+        ctx.trace_id = self._next_trace_id
+        ctx.tracer = self
         self._next_trace_id += 1
         self.sampled += 1
-        packet.trace = ctx
         self.instant(ctx, "ingress", f"{self.name}.eth{port}", now,
                      (("port", port),))
         return ctx
@@ -213,7 +234,9 @@ class PacketTracer:
         Sorted by the unique ``(trace_id, seq)`` prefix, so reports from
         runs with different mid-flight emission order (fast path vs slow
         path, sharded vs monolithic) compare equal exactly when the
-        recorded telemetry is equal.
+        recorded telemetry is equal.  Probe series are deliberately not
+        part of it: sampling instants track per-worker event timing,
+        which legitimately differs between execution modes.
         """
         return sorted(tuple(span) for span in self.spans)
 

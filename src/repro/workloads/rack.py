@@ -261,11 +261,11 @@ class RackNode:
         for part in self.report_parts:
             rep.update(part())
         if nic.telemetry is not None:
-            rep["trace"] = nic.telemetry.trace_report()
+            rep["trace"] = nic.telemetry.tracer.report()
             # seen/sampled/spans/dropped_spans are simulated-state
             # counters, so the ring-buffer overflow accounting is part
             # of the mono==sharded bit-identity contract.
-            rep["trace_summary"] = nic.telemetry.summary()
+            rep["trace_summary"] = nic.telemetry.tracer.summary()
         if nic.int_agent is not None:
             rep["int"] = nic.int_agent.postcards()
         return rep

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.packet.packet import MessageKind, Packet
 from repro.sim.clock import NS
 from repro.sim.kernel import Component, Simulator
+from repro.telemetry.tracer import TraceCtx
 
 #: Rack-local one-way propagation (a few meters of fibre + PHY).
 DEFAULT_PROPAGATION_PS = 500 * NS
@@ -136,7 +137,7 @@ class PacketCapsule:
 
     ``request_ctx`` is the one annotation a cable preserves; in a
     sharded run it must be picklable.
-    ``int_state`` carries the side-channel INT hop stack (a plain tuple
+    ``int_stack`` carries the side-channel INT hop stack (a plain tuple
     of record tuples -- picklable by construction); in-band INT stacks
     ride inside ``data`` instead.
     """
@@ -148,7 +149,7 @@ class PacketCapsule:
     link_seq: int
     tenant: Optional[int] = None
     request_ctx: Any = None
-    int_state: Any = None
+    int_stack: Any = None
 
 
 def _egress(faults: LinkFaults, packet: Packet, now: int,
@@ -170,9 +171,10 @@ def _egress(faults: LinkFaults, packet: Packet, now: int,
     else:
         carried = linklayer.transmit(packet.data, now)
         data, handoff_ps = carried if carried is not None else (None, 0)
+    ctx = packet.trace
+    agent = None if ctx is None else ctx.int_
     if data is None:
-        ctx = packet.trace
-        if ctx is not None:
+        if ctx is not None and ctx.tracer is not None:
             reason = ("down" if faults.down
                       else "ll_gave_up" if linklayer is not None else "loss")
             ctx.tracer.instant(ctx, "ext_wire_drop", faults.label, now,
@@ -187,7 +189,9 @@ def _egress(faults: LinkFaults, packet: Packet, now: int,
         link_seq=link_seq,
         tenant=meta.tenant,
         request_ctx=meta.peek("request_ctx"),
-        int_state=getattr(packet.int_state, "carry", None),
+        # A side-channel stack; an in-band one rides in ``data``.
+        int_stack=(None if agent is None or agent.inband
+                   else ctx.records),
     )
 
 
@@ -195,16 +199,16 @@ def _refresh_packet(capsule: PacketCapsule) -> Packet:
     """A frame entering a new NIC is a new packet life: fresh metadata,
     same bytes.
 
-    ``int_state`` is the side-channel INT hop stack (a plain tuple of
-    records, see :mod:`repro.telemetry.int_`); the receiving NIC's
-    ``inject`` normalizes it into live per-packet state.  In-band INT
-    stacks travel inside ``data`` and need no side-channel."""
+    A side-channel INT stack (see :mod:`repro.telemetry.int_`) rides
+    into the new life on a trace context, which the receiving NIC's INT
+    agent adopts at ``inject``."""
     fresh = Packet(capsule.data, MessageKind(capsule.kind))
     fresh.meta.created_ps = capsule.created_ps
     fresh.meta.tenant = capsule.tenant
     if capsule.request_ctx is not None:
         fresh.meta.annotations["request_ctx"] = capsule.request_ctx
-    fresh.int_state = capsule.int_state
+    if capsule.int_stack is not None:
+        fresh.trace = TraceCtx(records=capsule.int_stack)
     return fresh
 
 

@@ -172,7 +172,7 @@ def run_traced(batch):
                         _udp_packet(b"z" * 180, seq=i, dscp=1))
     sim.run()
     nic.mesh.assert_drained()
-    trace = nic.telemetry.trace_report()
+    trace = nic.telemetry.tracer.report()
     return deliveries, sim.now, nic.stats(), trace
 
 
@@ -330,7 +330,7 @@ def test_traced_frames_hand_off_but_neighbours_still_ride():
     lane = nic.train_lane.stats()
     # Untraced frames ride; traced ones are refused into scalar events.
     assert 0 < lane["trajectories"] < 80
-    assert len(nic.telemetry.trace_report()) > 0
+    assert len(nic.telemetry.tracer.report()) > 0
 
 
 @pytest.mark.parametrize("never_rides", [

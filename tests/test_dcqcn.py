@@ -22,6 +22,7 @@ from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.packet import Packet, PanicHeader, build_udp_frame, parse_frame
 from repro.sim import Simulator
 from repro.sim.clock import US
+from repro.telemetry.tracer import TraceCtx
 
 
 def ect_frame(payload=b"data", ecn=ECN_ECT0, tenant=None):
@@ -91,17 +92,19 @@ class TestEcnMarker:
         assert marker.eligible == 0
 
     def test_marked_frame_keeps_its_packet_life(self, sim):
-        """Marking rebuilds the frame; the trace context, INT stack,
-        buffer handle and trail must follow it to the next engine."""
+        """Marking rebuilds the frame; the trace context (with the INT
+        stack it carries), buffer handle and trail must follow it to the
+        next engine."""
         marker = EcnMarkerEngine(sim, "mark4", k_min=0, k_max=1, p_max=1.0)
         marker.watch_engine = SimpleNamespace(backlog=5)
         packet = ect_frame()
-        ctx, stack = object(), object()
-        packet.trace, packet.int_state, packet.pbuf_handle = ctx, stack, 7
+        stack = ((1, 0, 10, 20, -1, 0),)
+        ctx = TraceCtx(records=stack)
+        packet.trace, packet.pbuf_handle = ctx, 7
         packet.touch("rmt")
         out = marker.handle(packet)[0][0]
         assert parse_frame(out.data).ipv4.ecn == ECN_CE
-        assert out.trace is ctx and out.int_state is stack
+        assert out.trace is ctx and out.trace.records is stack
         assert out.pbuf_handle == 7
         out.touch("dma")
         assert out.trail == ["rmt", "dma"]

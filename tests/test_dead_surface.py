@@ -33,10 +33,10 @@ what they catch is certain:
   ``examples/`` or ``README.md``.  A key only tests read is per-packet
   state nothing uses.
 * no component holds telemetry: outside ``repro.telemetry`` no module
-  names a component tracer (``_tracer``) or a second name for the INT
-  agent (``_int_agent``, ``_int_sink``), and only ``core/panic.py``
-  assigns the one INT slot, ``_int_tap``.  A sampled packet carries its
-  tracer on its trace context.
+  names a component tracer (``_tracer``) or an INT slot (``_int_tap``,
+  ``_int_agent``, ``_int_sink``), and ``trace`` is the one observation
+  slot in ``Packet.__slots__``.  A packet's trace context names its
+  sinks: the tracer when it is sampled, the INT agent when INT is on.
 
 A failure lists ``file:line name`` and every file that mentions the
 name, which is the list of places to delete it from.  Delete it, or
@@ -365,15 +365,20 @@ def test_r6_every_annotation_key_written_is_read_by_running_code():
 
 
 #: Names no component may hold: a tracer of its own, or the INT agent
-#: under any name but ``_int_tap``.
-COMPONENT_TELEMETRY = ("_tracer", "_int_agent", "_int_sink")
+#: under any name.
+COMPONENT_TELEMETRY = ("_tracer", "_int_tap", "_int_agent", "_int_sink")
+
+#: ``Packet.__slots__``: ``trace`` is its one observation slot.  A new
+#: per-packet observation belongs on the trace context.
+PACKET_SLOTS = ("packet_id", "data", "kind", "meta", "panic", "trace",
+                "pbuf_handle", "_trail")
 
 
 def test_no_component_holds_telemetry():
-    """A sampled packet carries its tracer (``TraceCtx.tracer``) and INT
-    has one slot, ``_int_tap``: no module under ``src/repro`` outside
-    ``telemetry/`` names a component tracer or another INT slot, and
-    only ``core/panic.py`` fills the slot."""
+    """A packet carries whatever observes it on its one trace context
+    (``TraceCtx.tracer``, ``TraceCtx.int_``): no module under
+    ``src/repro`` outside ``telemetry/`` names a component tracer or an
+    INT slot, and ``Packet`` has no observation slot but ``trace``."""
     found = []
     for path in _py_files("src"):
         if path.is_relative_to(SRC / "telemetry"):
@@ -381,11 +386,15 @@ def test_no_component_holds_telemetry():
         for line, text in enumerate(_text(path).splitlines(), 1):
             found += [(path, line, name, name) for name in COMPONENT_TELEMETRY
                       if name in _words(text)]
-        if _rel(path) != "src/repro/core/panic.py":
-            found += [(path, node.lineno, "assigns _int_tap", "_int_tap")
-                      for node in _nodes(path)
-                      if isinstance(node, ast.Attribute)
-                      and node.attr == "_int_tap"
-                      and isinstance(node.ctx, ast.Store)]
     assert not found, _report(
         "telemetry held by a component, not carried by the packet", found)
+    packet = SRC / "packet" / "packet.py"
+    slots = [ast.literal_eval(node.value)
+             for cls in _nodes(packet)
+             if isinstance(cls, ast.ClassDef) and cls.name == "Packet"
+             for node in cls.body
+             if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets] == ["__slots__"]]
+    assert slots == [PACKET_SLOTS], (
+        f"Packet.__slots__ is {slots}: a per-packet observation rides on "
+        "Packet.trace's context, not in a slot of its own")

@@ -35,7 +35,7 @@ class TestChannel:
     def test_serialization_time(self, sim):
         got = []
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: got.append(sim.now))
-        msg = NocMessage(Packet(b"\x00" * 64), dest_addr=1, src_addr=0)
+        msg = NocMessage(Packet(b"\x00" * 64), dest_addr=1)
         ch.submit(msg)
         sim.run()
         # 512 bits / 64 = 8 cycles + 1 router cycle = 9 * 2000 ps.
@@ -45,7 +45,7 @@ class TestChannel:
         got = []
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: got.append(sim.now))
         for _ in range(3):
-            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1, src_addr=0))
+            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
         sim.run()
         assert got == [18000, 36000, 54000]
 
@@ -55,7 +55,7 @@ class TestChannel:
             sim, "ch", 64, Clock(500 * MHZ), lambda m, c: held.append(m), credits=1
         )
         for _ in range(3):
-            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1, src_addr=0))
+            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
         sim.run()
         # Only one credit and nobody releases: exactly one delivery.
         assert len(held) == 1
@@ -79,7 +79,7 @@ class TestChannel:
     def test_hops_incremented_on_delivery(self, sim):
         got = []
         ch = Channel(sim, "ch", 64, Clock(), lambda m, c: got.append(m))
-        ch.submit(NocMessage(Packet(b""), dest_addr=1, src_addr=0))
+        ch.submit(NocMessage(Packet(b""), dest_addr=1))
         sim.run()
         assert got[0].hops == 1
 
@@ -202,12 +202,12 @@ class TestCrossbar:
 class TestNocMessage:
     def test_bits_counts_chain_header(self):
         packet = Packet(b"\x00" * 10)
-        message = NocMessage(packet, dest_addr=1, src_addr=0)
+        message = NocMessage(packet, dest_addr=1)
         assert message.bits == 80
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
-            NocMessage(Packet(b""), dest_addr=-1, src_addr=0)
+            NocMessage(Packet(b""), dest_addr=-1)
 
 
 class TestChannelUtilization:
@@ -216,7 +216,7 @@ class TestChannelUtilization:
     def _one_transfer(self, sim):
         # 64 bytes on a 64-bit channel @ 500 MHz: busy for 18_000 ps.
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: None)
-        ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1, src_addr=0))
+        ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
         sim.run()
         return ch
 
@@ -244,7 +244,6 @@ class TestChannelUtilization:
     def test_never_exceeds_one(self, sim):
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: None)
         for _ in range(3):
-            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1,
-                                 src_addr=0))
+            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
         sim.run()
         assert ch.utilization(1) <= 1.0

@@ -40,7 +40,9 @@ class Sink(Endpoint):
         self.got = {}
 
     def receive(self, message):
-        self.got[message.message_id] = (self.sim.now, message.hops)
+        # Keyed by the envelope itself: the dict keeps it alive, so no
+        # two messages share a key.
+        self.got[message] = (self.sim.now, message.hops)
 
 
 class SlowSink(Sink):
@@ -126,7 +128,7 @@ def run_case(width, height, credits, messages, seed, faults, ties, fast_path):
     for sink in sinks:
         delivered.update(sink.got)
     return {
-        "messages": [delivered.get(m.message_id) for m in sent],
+        "messages": [delivered.get(m) for m in sent],
         "channels": {
             ch.name: (ch.sent, ch.bits_sent, ch._busy_accum_ps,
                       ch.credits, ch.corrupted, ch.dropped_flits,

@@ -142,7 +142,7 @@ class TestPointerModeNic:
         def watch(deliver):
             def on_hop(message, channel):
                 assert message.bits == message.packet.chip_bits
-                seen.setdefault(message.message_id, set()).add(message.bits)
+                seen.setdefault(message, set()).add(message.bits)
                 deliver(message, channel)
             return on_hop
 

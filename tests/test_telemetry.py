@@ -177,8 +177,8 @@ class TestFastSlowSpanEquivalence:
         records: canonical reports must match tuple for tuple."""
         _, fast = _run_chain(TelemetryConfig(sample_every=1), fast_path=True)
         _, slow = _run_chain(TelemetryConfig(sample_every=1), fast_path=False)
-        rep_fast = fast.telemetry.trace_report()
-        rep_slow = slow.telemetry.trace_report()
+        rep_fast = fast.telemetry.tracer.report()
+        rep_slow = slow.telemetry.tracer.report()
         assert rep_fast == rep_slow
         assert len(rep_fast) > 0
 
@@ -188,7 +188,7 @@ class TestFastSlowSpanEquivalence:
         cfg = TelemetryConfig(sample_every=1)
         _, fast = _run_chain(cfg, fast_path=True, frames=40, gap_ps=150)
         _, slow = _run_chain(cfg, fast_path=False, frames=40, gap_ps=150)
-        assert fast.telemetry.trace_report() == slow.telemetry.trace_report()
+        assert fast.telemetry.tracer.report() == slow.telemetry.tracer.report()
 
 
 class TestStatusSpans:
@@ -210,7 +210,7 @@ class TestStatusSpans:
         statuses = {
             dict(args).get("status")
             for _tid, _seq, kind, _c, _s, _e, args
-            in nic.telemetry.trace_report() if kind == "engine"
+            in nic.telemetry.tracer.report() if kind == "engine"
         }
         dropped = nic.stats()["compression"]["dropped"]
         if dropped:  # workload-dependent, but the contract is span-level
@@ -241,7 +241,7 @@ class TestStatusSpans:
         assert queued == [10] and ipsec.blackholed == 11
         statuses = {}
         for tid, _seq, kind, component, _s, end_ps, args in (
-                nic.telemetry.trace_report()):
+                nic.telemetry.tracer.report()):
             if kind == "engine" and component == ipsec.name:
                 statuses.setdefault(dict(args)["status"], []).append(
                     (tid, end_ps))
@@ -270,7 +270,7 @@ class TestStatusSpans:
         instants = [
             (kind, start_ps == end_ps)
             for _tid, _seq, kind, component, start_ps, end_ps, _args
-            in nic.telemetry.trace_report() if component == ipsec.name]
+            in nic.telemetry.tracer.report() if component == ipsec.name]
         assert instants == [("blackholed", True)]
 
 
@@ -361,7 +361,7 @@ class TestSampledDeterminism:
     def test_sampled_set_stable_across_runs(self):
         reports = [
             _run_chain(TelemetryConfig(sample_every=3),
-                       frames=60)[1].telemetry.trace_report()
+                       frames=60)[1].telemetry.tracer.report()
             for _ in range(2)
         ]
         assert reports[0] == reports[1]

@@ -12,12 +12,13 @@ figure is an integer.
 * off: ``telemetry=None`` on the five-engine chain makes no call into
   ``repro/telemetry/`` at all.
 * idle: ``TelemetryConfig(sample_every=0, probe_period_ps=0)`` on the
-  same chain -- nothing can ever be sampled, so all that runs is
-  ``PacketTracer.maybe_trace`` and its one annotation lookup per
-  injected frame.
+  same chain -- nothing can ever be sampled, so all that runs is one
+  ``PacketTracer.maybe_trace`` call per injected frame.
 * armed: side-channel ``IntConfig()`` on the 3-NIC fan-in rack -- per
-  offered frame, the state normalisation at both injects, the enqueue
-  tap at every engine, the hop push at transmit and the sink's pop.
+  offered frame, the TX frame's context made at the DMA tile, the
+  capsule's context adopted at the sink's inject, the enqueue feed at
+  every engine, the hop push at transmit and the sink's pop, all
+  through the frame's one trace context.
 
 Either way the simulated results must not move: the idle run's
 deliveries and stats equal the off run's, and the armed run's per-NIC
@@ -47,9 +48,13 @@ CHAIN = ("checksum", "checksum1", "checksum2", "checksum3", "checksum4")
 IDLE = TelemetryConfig(sample_every=0, probe_period_ps=0)
 SENDERS = 2
 
-#: (calls per frame reached when this gate was written, ceiling).
-IDLE_PER_FRAME = (2, 2)
-ARMED_PER_OFFERED_FRAME = (71, 71)
+#: (calls per frame reached when this gate was written, ceiling).  They
+#: were (2, 2) and (71, 71) while INT had a slot of its own on every
+#: tile and the host; by then the code reached 1 and 62, so a planted
+#: call no longer failed.  INT fed through the trace context reaches 43
+#: (Python 3.10, 3.11 and 3.12 alike).
+IDLE_PER_FRAME = (1, 1)
+ARMED_PER_OFFERED_FRAME = (43, 43)
 
 
 def profiled(func, *args):

@@ -95,7 +95,8 @@ class _StubNic:
     """The NIC surface a wire uses, plus a tracer that records drops.
 
     Its trace contexts name it as their ``tracer``, as a
-    :class:`~repro.telemetry.tracer.TraceCtx` names its PacketTracer."""
+    :class:`~repro.telemetry.tracer.TraceCtx` names its PacketTracer,
+    and no INT agent."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -115,7 +116,7 @@ class _StubNic:
             (self.sim.now, packet.meta.created_ps, packet.data))
 
     def trace_ctx(self, ident):
-        return SimpleNamespace(tracer=self, ident=ident)
+        return SimpleNamespace(tracer=self, ident=ident, int_=None)
 
     def flow_ctx(self):
         return self.trace_ctx("ll")
