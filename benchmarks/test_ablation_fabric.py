@@ -27,7 +27,7 @@ class CountingSink(Endpoint):
         self.received = 0
         self.last_ps = 0
 
-    def receive(self, message):
+    def receive(self, packet):
         self.received += 1
 
 

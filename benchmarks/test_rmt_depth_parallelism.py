@@ -26,7 +26,7 @@ PACKETS = 400
 
 
 class Sink(Endpoint):
-    def receive(self, message):
+    def receive(self, packet):
         pass
 
 

@@ -41,13 +41,13 @@ def measured_rmt_pps(pipelines: int, packets: int = 2000) -> float:
     class _Sink:
         address = -1
 
-        def receive(self, message):
+        def receive(self, packet):
             pass
 
     from repro.noc import Endpoint
 
     class Sink(Endpoint):
-        def receive(self, message):
+        def receive(self, packet):
             pass
 
     mesh.bind(Sink(), 1, 0)

@@ -24,7 +24,7 @@ class CountingSink(Endpoint):
     def __init__(self):
         self.received = 0
 
-    def receive(self, message):
+    def receive(self, packet):
         self.received += 1
 
 

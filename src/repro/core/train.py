@@ -84,7 +84,6 @@ from typing import Dict, Optional
 from repro.engines.base import Engine
 from repro.engines.rmt_engine import RmtPipelineEngine
 from repro.noc.express import account_forwards, account_hops
-from repro.noc.message import NocMessage
 from repro.noc.router import Router
 from repro.packet.packet import MessageKind, Packet
 
@@ -221,14 +220,12 @@ class TrainLane:
         if kind is None:
             self.refusals += 1
             return False
-        # Engine._loopback's local re-entry envelope materializes only
-        # if the ride hands off mid-service.
         self.trajectories += 1
-        self._ride(port, kind, packet, horizon, sim.now, port.address, 0)
+        self._ride(port, kind, packet, horizon, sim.now, 0)
         return True
 
     def _ride(self, engine: Engine, kind: str, packet: Packet, h: float,
-              t_arr: int, dest: int, hops: int) -> None:
+              t_arr: int, hops: int) -> None:
         """Replay the whole remaining trajectory, one leg per loop pass.
 
         Each pass serves ``packet`` at an idle ``engine`` -- the steps
@@ -245,9 +242,9 @@ class TrainLane:
         Pre-conditions, re-established before each pass:
         :meth:`_engine_ready` gave ``kind`` for ``engine`` and
         ``now <= t_arr < h``, the working horizon (every committed
-        mutation timestamp stays strictly below it).  ``dest`` and
-        ``hops`` describe the in-flight envelope, materialized as a real
-        :class:`NocMessage` only on a mid-service handoff.
+        mutation timestamp stays strictly below it).  ``hops`` is the
+        length of the transfer that brought the packet to ``engine``,
+        written into its slots only on a mid-service handoff.
         """
         sim = self.sim
         while True:
@@ -283,8 +280,10 @@ class TrainLane:
                 # Hand off mid-service: exactly the state _try_start
                 # leaves behind -- a counted lane + a pending _finish.
                 engine._busy_lanes += 1
-                sim.schedule_at(t_fin, engine._finish,
-                                NocMessage(packet, dest, hops))
+                packet.dest_addr = engine.address
+                packet.hops = hops
+                packet.bits = packet.chip_bits
+                sim.schedule_at(t_fin, engine._finish, packet)
                 self.handoffs += 1
                 return
             # Engine._finish at t_fin.
@@ -352,7 +351,7 @@ class TrainLane:
             tkind = self._engine_ready(target, packet)
             if tkind is None:
                 break
-            # The size NocMessage would fix at injection.
+            # The size NocPort.send would fix at injection.
             bits = packet.chip_bits
             ser = inj._ser_cache.get(bits)
             if ser is None:
@@ -376,7 +375,6 @@ class TrainLane:
             final_router.delivered += 1
             final_router._rr_shift += 1
             self.trajectory_hops += 1
-            dest = ndest
             hops = n_hops
             engine = target
             kind = tkind

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint
 from repro.packet.packet import MessageKind, Packet
 from repro.sched.pifo import PifoFullError, PifoQueue
@@ -135,7 +134,7 @@ class Engine(Component, Endpoint):
         self.clock = Clock()
         # The local-table lookup penalty never changes; precompute it.
         self._lookup_ps = self.clock.cycles_to_ps(LOOKUP_CYCLES)
-        self.queue: PifoQueue[NocMessage] = PifoQueue(f"{name}.queue", queue_capacity)
+        self.queue: PifoQueue[Packet] = PifoQueue(f"{name}.queue", queue_capacity)
         self.lookup_table = LocalLookupTable()
         self.port = None  # type: ignore[assignment]  # set by bind_port
         self.lanes = lanes
@@ -182,7 +181,7 @@ class Engine(Component, Endpoint):
             return packet.panic.slack_ps, packet.panic.droppable
         return self.now, False
 
-    def try_receive(self, message: NocMessage) -> bool:
+    def try_receive(self, packet: Packet) -> bool:
         """Router delivery with backpressure support.
 
         Under the ``"backpressure"`` overflow policy a lossless message
@@ -193,22 +192,21 @@ class Engine(Component, Endpoint):
         emptied its queue, and :meth:`receive` sinks what arrives.
         """
         if self.overflow == "backpressure" and self.queue.is_full:
-            _rank, droppable = self._rank_of(message.packet)
+            _rank, droppable = self._rank_of(packet)
             if not droppable:
                 self.rejected += 1
                 return False
-        self.receive(message)
+        self.receive(packet)
         return True
 
-    def receive(self, message: NocMessage) -> None:
+    def receive(self, packet: Packet) -> None:
         """Rank by slack deadline, enqueue, maybe start service.
 
         At an idle tile (empty queue, free lane, no fault, the stock
         :meth:`_try_start`) a push would be followed at once by a pop of
-        this same message, so it starts service here and the PIFO counts
+        this same packet, so it starts service here and the PIFO counts
         the pass; everything else happens as on the queued path.
         """
-        packet = message.packet
         ctx = packet.trace
         fault = self.fault_mode
         if fault == FAULT_CRASH:
@@ -217,7 +215,7 @@ class Engine(Component, Endpoint):
                 ctx.tracer.instant(ctx, "blackholed", self.name, self.now)
             return
         now = self.sim.now
-        message.enqueue_ps = now
+        packet.enqueue_ps = now
         queue = self.queue
         tracer = None
         if ctx is not None:
@@ -234,7 +232,7 @@ class Engine(Component, Endpoint):
         if (not queue._heap and self._busy_lanes < self.lanes
                 and fault is None and self._admits_idle):
             queue.pass_through()
-            self._start(message, now)
+            self._start(packet, now)
             if self.notify_space is not None:
                 # The pop freed a slot a router may be waiting for.
                 self.notify_space()
@@ -242,7 +240,7 @@ class Engine(Component, Endpoint):
         if tracer is None:
             rank, droppable = self._rank_of(packet)
         try:
-            accepted = queue.push(message, rank, droppable)
+            accepted = queue.push(packet, rank, droppable)
         except PifoFullError:
             # Lossless overflow under the "raise" policy: the paper
             # leaves NoC flow control open (section 6); surface it loudly
@@ -278,12 +276,11 @@ class Engine(Component, Endpoint):
             # A router may be holding refused messages for us.
             self.notify_space()
 
-    def _start(self, message: NocMessage, now: int) -> None:
-        """Serve ``message`` on a free lane from ``now``: the one service
+    def _start(self, packet: Packet, now: int) -> None:
+        """Serve ``packet`` on a free lane from ``now``: the one service
         start of the idle path and of :meth:`_try_start`'s loop."""
         self._busy_lanes += 1
-        self.queue_latency.record(now - message.enqueue_ps)
-        packet = message.packet
+        self.queue_latency.record(now - packet.enqueue_ps)
         ctx = packet.trace
         if ctx is not None:
             ctx.service_start = now
@@ -292,14 +289,13 @@ class Engine(Component, Endpoint):
             delay = int(delay * self.slowdown)
         if self.payload_buffer is not None:
             delay += self._payload_buffer_delay(packet)
-        self.sim.schedule(delay, self._finish, message)
+        self.sim.schedule(delay, self._finish, packet)
 
-    def _finish(self, message: NocMessage) -> None:
+    def _finish(self, packet: Packet) -> None:
         self._busy_lanes -= 1
-        packet = message.packet
         ctx = packet.trace
         if self.fault_mode == FAULT_CRASH:
-            # The engine died while this message was in service.
+            # The engine died while this packet was in service.
             self.blackholed += 1
             if ctx is not None and ctx.open_component is not None:
                 ctx.tracer.end_engine(ctx, self.now, status="blackholed")
@@ -345,13 +341,15 @@ class Engine(Component, Endpoint):
         return self.payload_buffer.access_delay_ps(2 * packet.frame_bytes)
 
     def _loopback(self, packet: Packet) -> None:
-        message = NocMessage(packet, self.address)
         if self.overflow == "backpressure" and self.queue.is_full:
             # Local re-entry cannot be refused to a router; retry on the
             # next cycle instead of overflowing the bounded queue.
             self.schedule(self.clock.cycles_to_ps(1), self._loopback, packet)
             return
-        self.receive(message)
+        packet.dest_addr = self.address
+        packet.hops = 0
+        packet.bits = packet.chip_bits
+        self.receive(packet)
 
     def _route_by_chain(self, packet: Packet) -> Optional[int]:
         """Next destination from the chain header, else the lookup table."""
@@ -391,9 +389,9 @@ class Engine(Component, Endpoint):
         if mode == FAULT_CRASH:
             lost = self.queue.drain()
             self.blackholed += len(lost)
-            # The trace must show where each queued message died.
-            for message in lost:
-                ctx = message.packet.trace
+            # The trace must show where each queued packet died.
+            for packet in lost:
+                ctx = packet.trace
                 if ctx is not None and ctx.tracer is not None:
                     ctx.tracer.end_engine(ctx, self.now, status="blackholed")
             if self.notify_space is not None:

@@ -127,7 +127,7 @@ class RmtPipelineEngine(Engine):
             return
         now = self.sim.now
         while queue._heap:
-            message = queue.pop()[0]
+            packet = queue.pop()[0]
             self._busy_lanes += 1
             interval_ps = self.initiation_interval_ps
             latency_ps = self.latency_ps
@@ -140,11 +140,11 @@ class RmtPipelineEngine(Engine):
             if start < now:
                 start = now
             self._next_accept_ps = start + interval_ps
-            self.queue_latency.record(now - message.enqueue_ps)
-            ctx = message.packet.trace
+            self.queue_latency.record(now - packet.enqueue_ps)
+            ctx = packet.trace
             if ctx is not None:
                 ctx.service_start = start
-            self.sim.schedule(start + latency_ps - now, self._finish, message)
+            self.sim.schedule(start + latency_ps - now, self._finish, packet)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         """One pass through the match+action program, then the decision."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional
 
-from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint
 from repro.packet.packet import MessageKind, Packet
 from repro.sim.clock import US
@@ -167,8 +166,8 @@ class HealthMonitor(Component, Endpoint, Heartbeat):
         self.nic.handle_engine_failure(key)
         return True
 
-    def receive(self, message: NocMessage) -> None:
-        key = self._key_of.get(message.packet.meta.annotations.get("hb_echo_from"))
+    def receive(self, packet: Packet) -> None:
+        key = self._key_of.get(packet.meta.annotations.get("hb_echo_from"))
         if key is not None:
             self.echo(key)
 

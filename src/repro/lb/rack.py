@@ -170,9 +170,11 @@ def lb_rack_topology(
     slots: int = DEFAULT_AFFINITY_SLOTS,
     monitor_stop_ps: int = DEFAULT_MONITOR_STOP_PS,
     drain: Optional[Tuple[int, int]] = None,
+    telemetry=None,
 ) -> RackTopology:
     """An all-pairs rack serving a VIP: LB at index 0, ``n_backends``
-    backends, the remaining NICs clients (module docstring)."""
+    backends, the remaining NICs clients (module docstring);
+    ``telemetry`` arms every node."""
     check_transport(transport, window)
     lb_layout(nics, n_backends)  # validate the shape up front
     return all_pairs_topology(build_lb_node, nics, {
@@ -188,4 +190,5 @@ def lb_rack_topology(
         "slots": slots,
         "monitor_stop_ps": monitor_stop_ps,
         "drain": drain,
+        "telemetry": telemetry,
     })

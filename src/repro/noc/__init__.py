@@ -3,11 +3,11 @@
 PANIC connects its engines with a lossless multi-hop 2D mesh (section
 3.1.2): every engine contains a router, routers connect to their neighbours,
 each hop adds one cycle of latency, and channels have a configurable bit
-width that determines serialization time.
+width that determines serialization time.  A message on the NoC is the
+:class:`~repro.packet.packet.Packet` itself, its own envelope.
 
 This package provides:
 
-* :class:`NocMessage` -- the envelope that carries a packet between engines.
 * :class:`Channel` -- a one-way link with serialization delay and
   credit-based backpressure (losslessness).
 * :class:`Router` -- a 5-port input-queued router with dimension-ordered
@@ -19,7 +19,6 @@ This package provides:
 * :mod:`repro.noc.analysis` -- the closed-form mesh model behind Table 3.
 """
 
-from repro.noc.message import NocMessage
 from repro.noc.channel import Channel
 from repro.noc.router import Router, Endpoint
 from repro.noc.mesh import Mesh, MeshConfig
@@ -33,7 +32,6 @@ __all__ = [
     "Mesh",
     "MeshAnalysis",
     "MeshConfig",
-    "NocMessage",
     "Router",
     "Table3Row",
     "table3_rows",

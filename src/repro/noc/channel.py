@@ -25,7 +25,7 @@ from repro.sim.kernel import Component, Simulator
 
 if TYPE_CHECKING:
     from repro.noc.express import ExpressFlight
-    from repro.noc.message import NocMessage
+    from repro.packet.packet import Packet
 
 #: Per-hop router pipeline latency in cycles (paper section 3.1.2).
 ROUTER_HOP_CYCLES = 1
@@ -43,7 +43,7 @@ class Channel(Component):
     clock:
         The NoC clock domain (500 MHz in the paper's reference numbers).
     deliver:
-        Callback ``deliver(message, channel)`` invoked when a message has
+        Callback ``deliver(packet, channel)`` invoked when a packet has
         fully arrived downstream.
     credits:
         Number of downstream buffer slots, i.e. the credit pool.
@@ -64,7 +64,7 @@ class Channel(Component):
         name: str,
         width_bits: int,
         clock: Clock,
-        deliver: Callable[["NocMessage", "Channel"], None],
+        deliver: Callable[["Packet", "Channel"], None],
         credits: int = 4,
         on_drain: Optional[Callable[[], None]] = None,
         ser_cache: Optional[dict] = None,
@@ -83,7 +83,7 @@ class Channel(Component):
         # Sender-side queue: messages waiting for the wire or a credit.
         # Routers forward only into an empty one, so it is one deep on
         # mesh links; only injection can stack it higher.
-        self._pending: List["NocMessage"] = []
+        self._pending: List["Packet"] = []
         self._busy_until = 0
         self._busy_accum_ps = 0
         self._transfer_in_progress = False
@@ -93,7 +93,7 @@ class Channel(Component):
         # flight holds this channel, `_express_flight` marks the
         # reservation so interference de-speculates before proceeding.
         self._express_route: Optional[
-            Callable[["NocMessage", "Channel"], bool]
+            Callable[["Packet", "Channel"], bool]
         ] = None
         self._express_flight: Optional["ExpressFlight"] = None
         # Static route cache for express walks launched here: destination
@@ -121,22 +121,22 @@ class Channel(Component):
     # Sender interface
     # ------------------------------------------------------------------
 
-    def submit(self, message: "NocMessage") -> bool:
-        """Hand over a message for transmission (never drops).
+    def submit(self, packet: "Packet") -> bool:
+        """Hand over a packet for transmission (never drops).
 
         Returns True when it left at once -- onto the idle wire, or as an
         express flight -- so the sender-side slot is already free again;
-        a queued message announces that later, through ``on_drain``.
+        a queued packet announces that later, through ``on_drain``.
         """
         flight = self._express_flight
         if flight is not None:
             # New traffic on a reserved channel: de-speculate the express
-            # flight first so this message sees exact slow-path state.
+            # flight first so this packet sees exact slow-path state.
             flight.materialize()
         if self._pending or self._transfer_in_progress or self._credits <= 0:
-            self._pending.append(message)
+            self._pending.append(packet)
             return False
-        self._start(message)
+        self._start(packet)
         return True
 
     @property
@@ -222,8 +222,8 @@ class Channel(Component):
             self._ser_cache[bits] = result
         return result
 
-    def _start(self, message: "NocMessage") -> None:
-        """Send ``message`` now.  The caller has checked that the wire is
+    def _start(self, packet: "Packet") -> None:
+        """Send ``packet`` now.  The caller has checked that the wire is
         idle, a credit is in hand and nothing waits ahead of it."""
         route = self._express_route
         if (route is not None
@@ -231,11 +231,11 @@ class Channel(Component):
                 and not self._pending
                 and self._express_flight is None
                 and self._faults is None
-                and route(message, self)):
-            # Alone on the mesh, with the whole route idle: the message
+                and route(packet, self)):
+            # Alone on the mesh, with the whole route idle: the packet
             # now travels as an ExpressFlight.
             return
-        bits = message.bits
+        bits = packet.bits
         self._credits -= 1
         self._transfer_in_progress = True
         now = self.sim.now
@@ -248,7 +248,7 @@ class Channel(Component):
         end += duration
         self._busy_until = end
         self._busy_accum_ps += duration
-        self.schedule(end - now, self._complete, message)
+        self.schedule(end - now, self._complete, packet)
         self.sent += 1
         self.bits_sent += bits
 
@@ -261,28 +261,28 @@ class Channel(Component):
         if self.on_drain is not None:
             self.on_drain()
 
-    def _complete(self, message: "NocMessage") -> None:
+    def _complete(self, packet: "Packet") -> None:
         self._transfer_in_progress = False
-        ctx = message.packet.trace
-        if self._faults is not None and self._spend_fault(message, ctx):
+        ctx = packet.trace
+        if self._faults is not None and self._spend_fault(packet, ctx):
             if self._pending:
                 self._start_next()
             return
-        message.hops += 1
+        packet.hops += 1
         if ctx is not None and ctx.tracer is not None:
             # The transfer window is [now - serialization, now]: identical
             # to the arithmetic window express flights synthesize, so
             # fast- and slow-path traces line up span for span.
             now = self.sim.now
             ctx.tracer.hop(ctx, self.name,
-                           now - self._serialization_ps(message.bits), now)
-        self.deliver(message, self)
+                           now - self._serialization_ps(packet.bits), now)
+        self.deliver(packet, self)
         if self._pending:
             self._start_next()
 
-    def _spend_fault(self, message: "NocMessage", ctx) -> bool:
+    def _spend_fault(self, packet: "Packet", ctx) -> bool:
         """Apply the oldest armed fault to the transfer completing now: a
-        drop if one is armed, else a corruption.  True when the message
+        drop if one is armed, else a corruption.  True when the packet
         vanished."""
         drops, corruptions = self._faults
         dropped = bool(drops)
@@ -297,14 +297,14 @@ class Channel(Component):
             if ctx is not None and ctx.tracer is not None:
                 ctx.tracer.instant(ctx, "wire_drop", self.name, self.sim.now)
         else:
-            self._apply_corruption(message, *corruptions.popleft())
+            self._apply_corruption(packet, *corruptions.popleft())
         if not drops and not corruptions:
             self._faults = None
         return dropped
 
-    def _apply_corruption(self, message: "NocMessage", rng, bits: int,
+    def _apply_corruption(self, packet: "Packet", rng, bits: int,
                           offset: Optional[int]) -> None:
-        data = bytearray(message.packet.data)
+        data = bytearray(packet.data)
         if not data:
             return
         for _ in range(bits):
@@ -313,16 +313,16 @@ class Channel(Component):
             else:
                 position = rng.randint(0, len(data) * 8 - 1)
             data[position // 8] ^= 1 << (position % 8)
-        message.packet.data = bytes(data)
+        packet.data = bytes(data)
         self.corrupted += 1
 
     # ------------------------------------------------------------------
     # Express (cut-through) bookkeeping -- see repro.noc.express
     # ------------------------------------------------------------------
 
-    def _materialize_transfer(self, message: "NocMessage", start: int,
+    def _materialize_transfer(self, packet: "Packet", start: int,
                               end: int) -> None:
-        """Reconstruct an in-progress slow-path transfer for ``message``.
+        """Reconstruct an in-progress slow-path transfer for ``packet``.
 
         Called by a de-speculating express flight for the hop whose
         serialization window covers the current time: the channel becomes
@@ -335,7 +335,7 @@ class Channel(Component):
         self._busy_until = end
         self._busy_accum_ps += end - start
         self.sent += 1
-        self.bits_sent += message.bits
+        self.bits_sent += packet.bits
 
     def utilization(self, elapsed_ps: int) -> float:
         """Fraction of ``[0, elapsed_ps]`` the wires spent busy.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.noc.channel import Channel
-from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint
 from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, Clock
@@ -37,11 +36,18 @@ class _CrossbarPort:
     def address(self) -> int:
         return self._endpoint.address
 
-    def send(self, packet: Packet, dest_addr: int) -> NocMessage:
-        message = NocMessage(packet, dest_addr)
+    def send(self, packet: Packet, dest_addr: int) -> None:
+        crossbar = self._crossbar
+        output = crossbar._outputs.get(dest_addr)
+        if output is None:
+            raise ValueError(
+                f"{crossbar.name}: no endpoint at address {dest_addr}")
+        packet.dest_addr = dest_addr
+        packet.hops = 0
+        packet.bits = packet.chip_bits
         self.injected += 1
-        self._crossbar.route(message)
-        return message
+        crossbar.routed += 1
+        output.submit(packet)
 
     @property
     def backlog(self) -> int:
@@ -99,19 +105,10 @@ class Crossbar:
         )
         return _CrossbarPort(self, endpoint)
 
-    def route(self, message: NocMessage) -> None:
-        output = self._outputs.get(message.dest_addr)
-        if output is None:
-            raise ValueError(
-                f"{self.name}: no endpoint at address {message.dest_addr}"
-            )
-        self.routed += 1
-        output.submit(message)
-
-    def _deliver(self, message: NocMessage, channel: Channel) -> None:
-        endpoint = self._endpoints[message.dest_addr]
+    def _deliver(self, packet: Packet, channel: Channel) -> None:
+        endpoint = self._endpoints[packet.dest_addr]
         channel.release_credit()
-        endpoint.receive(message)
+        endpoint.receive(packet)
 
     @property
     def in_flight(self) -> int:

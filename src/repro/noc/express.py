@@ -58,8 +58,8 @@ from typing import Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.noc.channel import Channel
-    from repro.noc.message import NocMessage
     from repro.noc.router import Router
+    from repro.packet.packet import Packet
     from repro.sim.kernel import Simulator
 
 
@@ -98,43 +98,40 @@ def account_forwards(routers: Sequence["Router"]) -> None:
 
 
 class ExpressFlight:
-    """One message cut-through-routed over a reserved idle path.
+    """One packet cut-through-routed over a reserved idle path.
 
     Parameters
     ----------
     sim:
         The simulation kernel.
-    message:
-        The envelope in flight.
+    packet:
+        The packet in flight; its ``bits`` cannot change in flight.
     channels:
         The channels on the route, in traversal order.
     routers:
-        The forwarding routers the message crosses *through* (one per
+        The forwarding routers the packet crosses *through* (one per
         channel except the last, whose router delivers locally).
     final_router:
         The destination router; delivery goes through its genuine
         ``on_deliver``.
-    bits:
-        On-chip size of the message (cached; it cannot change in flight).
     start:
         Simulated time the first hop starts serializing.
     ser:
         Per-hop serialization time (uniform across a mesh's channels).
     """
 
-    __slots__ = ("sim", "message", "channels", "routers", "final_router",
-                 "done", "event", "bits", "start", "ser", "committed")
+    __slots__ = ("sim", "packet", "channels", "routers", "final_router",
+                 "done", "event", "start", "ser", "committed")
 
-    def __init__(self, sim: "Simulator", message: "NocMessage",
+    def __init__(self, sim: "Simulator", packet: "Packet",
                  channels: Tuple["Channel", ...],
                  routers: Tuple["Router", ...],
-                 final_router: "Router", bits: int, start: int, ser: int):
+                 final_router: "Router", start: int, ser: int):
         self.sim = sim
-        self.message = message
+        self.packet = packet
         self.channels = channels
         self.routers = routers
         self.final_router = final_router
-        self.bits = bits
         self.start = start
         self.ser = ser
         self.done = False
@@ -160,26 +157,26 @@ class ExpressFlight:
 
     def _finish(self) -> None:
         """Deliver at the destination: account the collapsed hops, then
-        hand the message to the final router's genuine slow path."""
+        hand the packet to the final router's genuine slow path."""
         if self.done:
             return
         self._unregister()
-        message = self.message
+        packet = self.packet
         channels = self.channels
-        account_hops(channels, self.bits, self.start, self.ser)
-        ctx = message.packet.trace
+        account_hops(channels, packet.bits, self.start, self.ser)
+        ctx = packet.trace
         if ctx is not None and ctx.tracer is not None:
             self._trace_hops(ctx, len(channels))
-        message.hops += len(channels)
+        packet.hops += len(channels)
         account_forwards(self.routers[self.committed:])
         final_channel = channels[-1]
         # The delivery below releases (or parks) this credit exactly as a
         # slow-path arrival would.
         final_channel._credits -= 1
-        self.final_router.on_deliver(message, final_channel)
+        self.final_router.on_deliver(packet, final_channel)
 
     def _trace_hops(self, ctx, count: int) -> None:
-        """Emit the first ``count`` hops' spans for a sampled message,
+        """Emit the first ``count`` hops' spans for a sampled packet,
         synthesized from the arithmetic hop windows: identical to the
         spans a slow-path walk would have emitted."""
         end = self.start
@@ -194,7 +191,7 @@ class ExpressFlight:
         Hops that finished strictly before ``now`` are accounted as done
         (their forwarding routers included); the hop whose serialization
         window covers ``now`` becomes a genuine in-progress transfer with
-        a real ``_complete`` event, after which the message continues on
+        a real ``_complete`` event, after which the packet continues on
         the slow path.  Hop 0's ``_complete`` keeps the sequence number of
         the flight's event, which is the one the per-hop ``_start`` drew at
         launch, so it meets same-instant ties as on the per-hop path; a
@@ -213,24 +210,25 @@ class ExpressFlight:
             raise RuntimeError(
                 "express flight outlived its delivery event"
             )  # pragma: no cover - _finish fires at the last hop's end
-        account_hops(channels[:done], self.bits, start, ser)
-        ctx = self.message.packet.trace
+        packet = self.packet
+        account_hops(channels[:done], packet.bits, start, ser)
+        ctx = packet.trace
         if ctx is not None and ctx.tracer is not None:
             self._trace_hops(ctx, done)
-        self.message.hops += done
+        packet.hops += done
         account_forwards(self.routers[self.committed:done])
         begin = start + done * ser
         channel = channels[done]
-        channel._materialize_transfer(self.message, begin, begin + ser)
+        channel._materialize_transfer(packet, begin, begin + ser)
         if done:
             self.sim.cancel(self.event)
-            self.sim.schedule_at(begin + ser, channel._complete, self.message)
+            self.sim.schedule_at(begin + ser, channel._complete, packet)
         else:
             self.sim.move_earlier(self.event, begin + ser, channel._complete,
-                                  self.message)
+                                  packet)
 
     def interfere(self, router: "Router") -> None:
-        """A foreign message was delivered into a router this flight
+        """A foreign packet was delivered into a router this flight
         crosses.
 
         If this flight already crossed ``router`` (its incoming hop ended

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.noc.channel import Channel
 from repro.noc.express import ExpressFlight
-from repro.noc.message import NocMessage
 from repro.noc.router import Endpoint, Router
 from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, Clock
@@ -77,13 +76,17 @@ class NocPort:
     def address(self) -> int:
         return self._endpoint.address
 
-    def send(self, packet: Packet, dest_addr: int) -> NocMessage:
-        """Inject ``packet`` toward ``dest_addr``; returns the envelope."""
-        message = NocMessage(packet, dest_addr)
+    def send(self, packet: Packet, dest_addr: int) -> None:
+        """Inject ``packet`` toward ``dest_addr``."""
+        if dest_addr < 0:
+            raise ValueError(
+                f"engine addresses must be non-negative (dest={dest_addr})")
+        packet.dest_addr = dest_addr
+        packet.hops = 0
+        packet.bits = packet.chip_bits
         self.injected += 1
         self._mesh._inside += 1
-        self._channel.submit(message)
-        return message
+        self._channel.submit(packet)
 
     @property
     def backlog(self) -> int:
@@ -250,10 +253,10 @@ class Mesh:
         checks = tuple(zip(routers, channels[1:]))
         return tuple(channels), tuple(routers), router, checks
 
-    def _try_express(self, message: NocMessage, channel: Channel) -> bool:
-        """Attempt to cut a message through an entirely idle route.
+    def _try_express(self, packet: Packet, channel: Channel) -> bool:
+        """Attempt to cut a packet through an entirely idle route.
 
-        Called by an idle channel's ``_start`` only while the message is
+        Called by an idle channel's ``_start`` only while the packet is
         alone on the mesh (``_inside == 1``, which the channel tests
         first); when every channel ahead on the (cached, static)
         dimension-ordered route has a credit and no armed fault, the
@@ -262,7 +265,7 @@ class Mesh:
         mesh holding nothing else, no router or channel ahead can hold a
         message, a queue or a reservation.)
         """
-        dest = message.dest_addr
+        dest = packet.dest_addr
         cache = channel._express_paths
         try:
             path = cache[dest]
@@ -275,15 +278,15 @@ class Mesh:
         for _router, out in checks:
             if out._credits <= 0 or out._faults is not None:
                 return False
-        bits = message.bits
+        bits = packet.bits
         # Every channel in a mesh shares one width and clock, so one
         # serialization delay covers every hop: hop i's window follows
         # arithmetically from (now, ser) inside the flight.
         ser = self._ser_cache.get(bits)
         if ser is None:
             ser = channel._serialization_ps(bits)
-        ExpressFlight(self.sim, message, channels, routers, final_router,
-                      bits, self.sim.now, ser)
+        ExpressFlight(self.sim, packet, channels, routers, final_router,
+                      self.sim.now, ser)
         return True
 
     @property

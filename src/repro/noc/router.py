@@ -23,11 +23,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.noc.channel import Channel
-from repro.noc.message import NocMessage
 from repro.sim.kernel import Component, Simulator
 
 if TYPE_CHECKING:
     from repro.noc.mesh import Mesh
+    from repro.packet.packet import Packet
 
 
 class Endpoint:
@@ -40,20 +40,20 @@ class Endpoint:
     #: input space, so a router holding refused messages retries.
     notify_space = None
 
-    def receive(self, message: NocMessage) -> None:
-        """Accept a message delivered by the local router."""
+    def receive(self, packet: "Packet") -> None:
+        """Accept a packet delivered by the local router."""
         raise NotImplementedError
 
-    def try_receive(self, message: NocMessage) -> bool:
-        """Accept a message, or refuse it to exert backpressure.
+    def try_receive(self, packet: "Packet") -> bool:
+        """Accept a packet, or refuse it to exert backpressure.
 
         The default accepts unconditionally.  Endpoints with bounded
         lossless input (section 6's flow-control question) override this
-        to return False when full; the router then parks the message in
+        to return False when full; the router then parks the packet in
         its input buffer, stalling the upstream credit loop, and retries
         when :attr:`notify_space` fires.
         """
-        self.receive(message)
+        self.receive(packet)
         return True
 
 
@@ -94,7 +94,7 @@ class Router(Component):
         # tile's own endpoint; filled in by the mesh once it is wired.
         self._next_hop: List[Optional[Channel]] = []
         # One FIFO per upstream channel, at most its credit pool deep.
-        self._inputs: Dict[Channel, List[NocMessage]] = {}
+        self._inputs: Dict[Channel, List["Packet"]] = {}
         # Served in this order rotated by ``_rr_shift`` (see module doc).
         self._rr_inputs: List[Channel] = []
         self._rr_shift = 0
@@ -146,8 +146,8 @@ class Router(Component):
     # Data path
     # ------------------------------------------------------------------
 
-    def on_deliver(self, message: NocMessage, channel: Channel) -> None:
-        """Channel delivery callback: forward the message, or buffer it."""
+    def on_deliver(self, packet: "Packet", channel: Channel) -> None:
+        """Channel delivery callback: forward the packet, or buffer it."""
         if self._express_flights:
             # Arriving traffic can contend with flights crossing this
             # router: commit crossings already past, de-speculate the rest.
@@ -159,22 +159,22 @@ class Router(Component):
             raise RuntimeError(
                 f"{self.name}: delivery from unregistered channel") from None
         if self._buffered or self._pumping:
-            queue.append(message)
+            queue.append(packet)
             self._buffered += 1
             self.pump()
             return
-        # A sole message into an idle router: the arbitration pass is one
-        # forward attempt, so the message skips the FIFO unless it has to
+        # A sole packet into an idle router: the arbitration pass is one
+        # forward attempt, so the packet skips the FIFO unless it has to
         # park.  It counts as buffered while the attempt runs, as it would
         # sitting at the head of its queue.
         self._pumping = True
         self._buffered = 1
         try:
-            if self._forward(message):
+            if self._forward(packet):
                 self._buffered = 0
                 channel.release_credit()
             else:
-                queue.append(message)
+                queue.append(packet)
             self._rr_shift += 1
             if self._pump_again:
                 if self._buffered:
@@ -233,17 +233,17 @@ class Router(Component):
                     break
             self._rr_shift += 1
 
-    def _forward(self, message: NocMessage) -> bool:
-        """Try to move one message toward its destination.
+    def _forward(self, packet: "Packet") -> bool:
+        """Try to move one packet toward its destination.
 
-        Returns True when the message was consumed (delivered locally or
+        Returns True when the packet was consumed (delivered locally or
         handed to an output channel).
         """
         try:
-            out = self._next_hop[message.dest_addr]
+            out = self._next_hop[packet.dest_addr]
         except IndexError:
             raise ValueError(
-                f"{self.name}: address {message.dest_addr} outside the "
+                f"{self.name}: address {packet.dest_addr} outside the "
                 f"{len(self._next_hop)}-tile mesh"
             ) from None
         if out is None:
@@ -251,23 +251,23 @@ class Router(Component):
                 raise RuntimeError(
                     f"{self.name}: message for local endpoint but none attached"
                 )
-            if not self.endpoint.try_receive(message):
-                # Endpoint full: hold the message here; its credit stays
+            if not self.endpoint.try_receive(packet):
+                # Endpoint full: hold the packet here; its credit stays
                 # consumed, backpressuring the upstream path.
-                ctx = message.packet.trace
+                ctx = packet.trace
                 if ctx is not None and ctx.tracer is not None:
                     ctx.tracer.instant(ctx, "refused", self.name, self.now,
-                                       (("dest", message.dest_addr),))
+                                       (("dest", packet.dest_addr),))
                 return False
             self.delivered += 1
             self._mesh._inside -= 1
             return True
         if out._pending:
-            # Moving the message would only relocate a queue; holding it
+            # Moving the packet would only relocate a queue; holding it
             # propagates backpressure toward the source instead.
             return False
         self.forwarded += 1
-        if out.submit(message):
+        if out.submit(packet):
             # It went straight out, so the sender slot is free already:
             # what the channel's on_drain would come back to say.
             self._pump_again = True

@@ -125,7 +125,8 @@ class Packet:
     """
 
     __slots__ = ("packet_id", "data", "kind", "meta", "panic", "trace",
-                 "pbuf_handle", "_trail")
+                 "pbuf_handle", "_trail",
+                 "dest_addr", "hops", "bits", "enqueue_ps")
 
     def __init__(
         self,
@@ -151,6 +152,10 @@ class Packet:
         #: Engines that processed this packet; shared with every
         #: :meth:`rewritten` successor.
         self._trail: Optional[List[str]] = None
+        # Its own on-chip envelope, one transfer at a time: ``dest_addr``,
+        # ``hops`` and ``bits`` are set where a transfer starts (a port's
+        # ``send``, ``Engine._loopback``, the lane's hand-off) and
+        # ``enqueue_ps`` where an engine queues the packet.
 
     # ------------------------------------------------------------------
     # Sizes

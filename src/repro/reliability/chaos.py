@@ -435,6 +435,38 @@ def summarize_case(mono, violations: List[str], *,
     }
 
 
+def chaos_case(seed: int, config: str, *, nics: int = 4,
+               pattern: str = "fanin", frames: int = 30,
+               lb_nics: int = LB_NICS, telemetry=None):
+    """``(topology, plan)`` factories of one seeded case under ``config``
+    (the ``lb`` config builds its own ``lb_nics``-node rack, where
+    ``nics``/``pattern`` do not apply); ``telemetry`` arms every node."""
+    transport, link_local = split_config(config)
+    if config == "lb":
+        lb_layout(lb_nics, LB_BACKENDS)  # fail fast: no clients
+        drain = lb_drain_params(seed, LB_BACKENDS)
+
+        def topology():
+            return lb_rack_topology(
+                nics=lb_nics, n_backends=LB_BACKENDS, frames=frames,
+                seed=seed, drain=drain, telemetry=telemetry,
+            )
+
+        def plan():
+            return generate_lb_chaos_plan(seed, lb_nics, LB_BACKENDS)
+    else:
+        def topology():
+            return reliable_rack_topology(
+                nics=nics, pattern=pattern, frames=frames, seed=seed,
+                transport=transport, failover=True, telemetry=telemetry,
+            )
+
+        def plan():
+            return generate_chaos_plan(seed, nics, link_local=link_local)
+
+    return topology, plan
+
+
 def run_chaos_case(
     seed: int,
     *,
@@ -455,37 +487,15 @@ def run_chaos_case(
     Every incast NIC carries the spare checksum lane + health monitor.
     ``speculative`` runs the sharded leg with speculative shard windows
     -- the mono-vs-sharded invariant must hold either way.  The ``lb``
-    config runs its own ``lb_nics``-node rack shape (``nics``/``pattern``
-    describe the incast and do not apply to it) and adds an ``lb`` block
-    (drain, epochs, affinity counters, monitor) to the report.
+    config (its rack: :func:`chaos_case`) adds an ``lb`` block (drain,
+    epochs, affinity counters, monitor) to the report.
 
     ``invariants`` maps each invariant to a bool; ``violations`` lists
     the specifics when something broke.  ``goodput`` is delivered over
     offered across the rack.
     """
-    transport, link_local = split_config(config)
-    if config == "lb":
-        lb_layout(lb_nics, LB_BACKENDS)  # fail fast: no clients
-        drain = lb_drain_params(seed, LB_BACKENDS)
-
-        def topology():
-            return lb_rack_topology(
-                nics=lb_nics, n_backends=LB_BACKENDS, frames=frames,
-                seed=seed, drain=drain,
-            )
-
-        def plan():
-            return generate_lb_chaos_plan(seed, lb_nics, LB_BACKENDS)
-    else:
-        def topology():
-            return reliable_rack_topology(
-                nics=nics, pattern=pattern, frames=frames, seed=seed,
-                transport=transport, failover=True,
-            )
-
-        def plan():
-            return generate_chaos_plan(seed, nics, link_local=link_local)
-
+    topology, plan = chaos_case(seed, config, nics=nics, pattern=pattern,
+                                frames=frames, lb_nics=lb_nics)
     mono, shard, replay = run_triad(
         topology, plan, workers=workers, speculative=speculative,
         replay=check_replay)
@@ -501,6 +511,7 @@ def run_chaos_case(
     }
     if config == "lb":
         steering = mono.reports["nic0"]["steering"]
+        drain = lb_drain_params(seed, LB_BACKENDS)
         case["lb"] = {
             "drain": list(drain) if drain else None,
             "epoch": steering["epoch"],
@@ -625,14 +636,9 @@ def write_chaos_trace(
         write_chrome_trace,
     )
 
-    transport, link_local = split_config(config)
-    topology = reliable_rack_topology(
-        nics=nics, pattern=pattern, frames=frames, seed=seed,
-        transport=transport, failover=True,
-        telemetry=TelemetryConfig(),
-    )
-    plan = generate_chaos_plan(seed, nics, link_local=link_local)
-    result = run_sharded(topology, workers=workers, fault_plan=plan)
+    topology, plan = chaos_case(seed, config, nics=nics, pattern=pattern,
+                                frames=frames, telemetry=TelemetryConfig())
+    result = run_sharded(topology(), workers=workers, fault_plan=plan())
     return write_chrome_trace(
         path, result.trace or {},
         extra_events=shard_window_counters(result))

@@ -254,15 +254,6 @@ class Table:
                 return entry
         return None
 
-    def lookup(self, phv: Phv) -> Tuple[str, Dict[str, Any], bool]:
-        """:meth:`match` by name: ``(action, params, hit)``, counting a
-        hit.  The params dict is live: treat it as read-only."""
-        entry = self.match(phv)
-        if entry is None:
-            return self.default_action, self.default_params, False
-        entry.hits += 1
-        return entry.action, entry.params, True
-
     def _entry_matches(self, entry: TableEntry, values: Tuple[Any, ...]) -> bool:
         for key, pattern, value in zip(self.keys, entry.patterns, values):
             if key.kind == MatchKind.EXACT:

@@ -72,8 +72,8 @@ class Telemetry:
             self._install_default_gauges()
             nic.sim.add_after_event_hook(self.probes.on_event)
 
-    def _on_evict(self, message) -> None:
-        ctx = message.packet.trace
+    def _on_evict(self, packet) -> None:
+        ctx = packet.trace
         if ctx is not None and ctx.tracer is not None:
             ctx.tracer.end_engine(ctx, self.nic.sim.now, status="evicted")
 

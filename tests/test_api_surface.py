@@ -17,8 +17,8 @@ class Sink(Endpoint):
         self.sim = sim
         self.got = []
 
-    def receive(self, message):
-        self.got.append(message.packet)
+    def receive(self, packet):
+        self.got.append(packet)
 
 
 class TestDmaWritePath:

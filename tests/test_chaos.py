@@ -21,6 +21,7 @@ from repro.reliability.chaos import (
     run_chaos,
     run_chaos_case,
     split_config,
+    write_chaos_trace,
 )
 
 
@@ -90,6 +91,19 @@ class TestTransportConfigs:
         for summary in report["by_config"].values():
             assert summary["passed"]
         assert report["params"]["configs"] == ["gbn", "sr", "gbn+ll"]
+
+    @pytest.mark.parametrize("config", ["gbn", "lb"])
+    def test_every_config_writes_a_trace_of_every_node(self, config,
+                                                       tmp_path):
+        # The traced rerun builds the case the gated run built, the lb
+        # config's own rack shape included, with telemetry on every node.
+        import json
+        path = tmp_path / f"chaos_trace_{config}.json"
+        count = write_chaos_trace(str(path), 0, frames=4, config=config)
+        events = json.loads(path.read_text())["traceEvents"]
+        assert count == len(events) > 0
+        nodes = {ev["pid"] for ev in events if ev.get("ph") == "X"}
+        assert len(nodes) == (7 if config == "lb" else 4)
 
     def test_link_local_config_arms_every_wire(self):
         plan = generate_chaos_plan(3, 4, link_local=True)

@@ -113,8 +113,8 @@ class TestCrossbarBackedEngines:
             def __init__(self):
                 self.got = []
 
-            def receive(self, message):
-                self.got.append(message.packet)
+            def receive(self, packet):
+                self.got.append(packet)
 
         sink = Sink()
         xbar.bind(sink)

@@ -16,8 +16,8 @@ class Sink(Endpoint):
         self.sim = sim
         self.got = []
 
-    def receive(self, message):
-        self.got.append((message.packet, self.sim.now))
+    def receive(self, packet):
+        self.got.append((packet, self.sim.now))
 
 
 class SlowEngine(Engine):

@@ -36,7 +36,7 @@ FRAME = build_udp_frame(
 
 
 class Sink(Endpoint):
-    def receive(self, message):
+    def receive(self, packet):
         pass
 
 

@@ -91,15 +91,15 @@ class Sink(Endpoint):
         self.got = []
         self.echoes = 0
 
-    def receive(self, message):
-        ann = message.packet.meta.annotations
+    def receive(self, packet):
+        ann = packet.meta.annotations
         echo = None
         if "hb_echo_from" in ann:
             # Echoes carry no probe number; the script's probes are far
             # enough apart that the n-th echo answers the n-th probe.
             self.echoes += 1
             echo = self.echoes
-        self.got.append((ann.get("seq"), echo, self.sim.now, message.hops))
+        self.got.append((ann.get("seq"), echo, self.sim.now, packet.hops))
 
 
 class Worker(Engine):
@@ -158,8 +158,8 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     engine.lookup_table.install(MessageKind.ETHERNET, sink_addrs[1])
     tracer = PacketTracer(TelemetryConfig(sample_every=1), SeededRng(seed))
 
-    def on_evict(message):   # what Telemetry installs on every queue
-        tracer.end_engine(message.packet.trace, sim.now, status="evicted")
+    def on_evict(packet):   # what Telemetry installs on every queue
+        tracer.end_engine(packet.trace, sim.now, status="evicted")
 
     engine.queue.on_evict = on_evict
 
@@ -168,10 +168,10 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     service = []
     finish = engine._finish
 
-    def observed_finish(message):
+    def observed_finish(packet):
         if engine.fault_mode != "crash":
-            service.append(sim.now - message.packet.trace.service_start)
-        finish(message)
+            service.append(sim.now - packet.trace.service_start)
+        finish(packet)
 
     engine._finish = observed_finish
 

@@ -32,8 +32,8 @@ class Sink(Endpoint):
         self.sim = sim
         self.got = []
 
-    def receive(self, message):
-        self.got.append((message.packet, self.sim.now))
+    def receive(self, packet):
+        self.got.append((packet, self.sim.now))
 
 
 def frame_of(size=64):

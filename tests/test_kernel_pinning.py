@@ -28,8 +28,8 @@ class IdSink(Endpoint):
     def __init__(self, delivered):
         self.delivered = delivered
 
-    def receive(self, message):
-        self.delivered.append(message.packet.packet_id)
+    def receive(self, packet):
+        self.delivered.append(packet.packet_id)
 
 
 def run_corner_sends(rounds):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.noc import Crossbar, Endpoint, Mesh, MeshConfig, NocMessage
+from repro.noc import Crossbar, Endpoint, Mesh, MeshConfig
 from repro.noc.channel import Channel
-from repro.packet import Packet
+from repro.packet import Packet, PanicHeader
 from repro.sim import Clock, Simulator
 from repro.sim.clock import MHZ
 
@@ -14,9 +14,18 @@ class Sink(Endpoint):
         self.sim = sim
         self.got = []
 
-    def receive(self, message):
+    def receive(self, packet):
         when = self.sim.now if self.sim else None
-        self.got.append((message, when))
+        self.got.append((packet, when))
+
+
+def in_transfer(packet, dest_addr=1):
+    """``packet`` with the transfer slots a port's ``send`` writes, for
+    a channel driven without a port."""
+    packet.dest_addr = dest_addr
+    packet.hops = 0
+    packet.bits = packet.chip_bits
+    return packet
 
 
 def build_mesh(sim, width=4, height=4, **kwargs):
@@ -35,8 +44,7 @@ class TestChannel:
     def test_serialization_time(self, sim):
         got = []
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: got.append(sim.now))
-        msg = NocMessage(Packet(b"\x00" * 64), dest_addr=1)
-        ch.submit(msg)
+        ch.submit(in_transfer(Packet(b"\x00" * 64)))
         sim.run()
         # 512 bits / 64 = 8 cycles + 1 router cycle = 9 * 2000 ps.
         assert got == [18000]
@@ -45,7 +53,7 @@ class TestChannel:
         got = []
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: got.append(sim.now))
         for _ in range(3):
-            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
+            ch.submit(in_transfer(Packet(b"\x00" * 64)))
         sim.run()
         assert got == [18000, 36000, 54000]
 
@@ -55,7 +63,7 @@ class TestChannel:
             sim, "ch", 64, Clock(500 * MHZ), lambda m, c: held.append(m), credits=1
         )
         for _ in range(3):
-            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
+            ch.submit(in_transfer(Packet(b"\x00" * 64)))
         sim.run()
         # Only one credit and nobody releases: exactly one delivery.
         assert len(held) == 1
@@ -79,7 +87,7 @@ class TestChannel:
     def test_hops_incremented_on_delivery(self, sim):
         got = []
         ch = Channel(sim, "ch", 64, Clock(), lambda m, c: got.append(m))
-        ch.submit(NocMessage(Packet(b""), dest_addr=1))
+        ch.submit(in_transfer(Packet(b"")))
         sim.run()
         assert got[0].hops == 1
 
@@ -89,16 +97,16 @@ class TestMeshRouting:
         mesh, sinks, ports = build_mesh(sim)
         ports[(0, 0)].send(Packet(b"\x00" * 64), mesh.address_of(3, 3))
         sim.run()
-        message, when = sinks[(3, 3)].got[0]
-        assert message.hops == 7  # inject + 3 east + 3 south
+        packet, when = sinks[(3, 3)].got[0]
+        assert packet.hops == 7  # inject + 3 east + 3 south
         assert when == 7 * 9 * 2000
 
     def test_local_delivery_same_column(self, sim):
         mesh, sinks, ports = build_mesh(sim)
         ports[(2, 0)].send(Packet(b"\x00" * 64), mesh.address_of(2, 3))
         sim.run()
-        message, _ = sinks[(2, 3)].got[0]
-        assert message.hops == 4  # inject + 3 south
+        packet, _ = sinks[(2, 3)].got[0]
+        assert packet.hops == 4  # inject + 3 south
 
     def test_every_pair_reachable(self, sim):
         mesh, sinks, ports = build_mesh(sim, width=3, height=3)
@@ -199,15 +207,31 @@ class TestCrossbar:
         assert t1 - t0 >= 9 * 2000  # second waits for the first
 
 
-class TestNocMessage:
-    def test_bits_counts_chain_header(self):
-        packet = Packet(b"\x00" * 10)
-        message = NocMessage(packet, dest_addr=1)
-        assert message.bits == 80
+class TestTransferSlots:
+    """A frame is its own envelope: a port's ``send`` writes the
+    transfer into the packet's own slots."""
 
-    def test_negative_address_rejected(self):
+    def test_bits_counts_chain_header(self, sim):
+        mesh, _sinks, ports = build_mesh(sim, width=2, height=1)
+        packet = Packet(b"\x00" * 10)
+        ports[(0, 0)].send(packet, mesh.address_of(1, 0))
+        assert (packet.dest_addr, packet.hops, packet.bits) == (1, 0, 80)
+        headed = Packet(b"\x00" * 10)
+        headed.panic = PanicHeader(chain=[1])
+        ports[(0, 0)].send(headed, mesh.address_of(1, 0))
+        assert headed.bits == (10 + headed.panic.length) * 8
+
+    def test_negative_address_rejected(self, sim):
+        mesh, _sinks, ports = build_mesh(sim, width=2, height=1)
         with pytest.raises(ValueError):
-            NocMessage(Packet(b""), dest_addr=-1)
+            ports[(0, 0)].send(Packet(b""), -1)
+        assert ports[(0, 0)].injected == 0
+        assert mesh.in_flight == 0
+        xbar = Crossbar(sim, ports=2)
+        port = xbar.bind(Sink(sim))
+        xbar.bind(Sink(sim))
+        with pytest.raises(ValueError):
+            port.send(Packet(b""), -1)
 
 
 class TestChannelUtilization:
@@ -216,7 +240,7 @@ class TestChannelUtilization:
     def _one_transfer(self, sim):
         # 64 bytes on a 64-bit channel @ 500 MHz: busy for 18_000 ps.
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: None)
-        ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
+        ch.submit(in_transfer(Packet(b"\x00" * 64)))
         sim.run()
         return ch
 
@@ -244,6 +268,6 @@ class TestChannelUtilization:
     def test_never_exceeds_one(self, sim):
         ch = Channel(sim, "ch", 64, Clock(500 * MHZ), lambda m, c: None)
         for _ in range(3):
-            ch.submit(NocMessage(Packet(b"\x00" * 64), dest_addr=1))
+            ch.submit(in_transfer(Packet(b"\x00" * 64)))
         sim.run()
         assert ch.utilization(1) <= 1.0

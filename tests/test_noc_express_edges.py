@@ -39,8 +39,8 @@ class Sink(Endpoint):
         self.sim = sim
         self.got = []
 
-    def receive(self, message):
-        self.got.append((message, self.sim.now))
+    def receive(self, packet):
+        self.got.append((packet, self.sim.now))
 
 
 class StingySink(Sink):
@@ -51,11 +51,11 @@ class StingySink(Sink):
         self.accepting = False
         self.refusals = 0
 
-    def try_receive(self, message):
+    def try_receive(self, packet):
         if not self.accepting:
             self.refusals += 1
             return False
-        self.receive(message)
+        self.receive(packet)
         return True
 
     def open(self):
@@ -82,7 +82,7 @@ def _packet(tag):
 
 def _observables(mesh, sinks):
     deliveries = {
-        x: [(m.packet.data, m.hops, t) for m, t in sink.got]
+        x: [(p.data, p.hops, t) for p, t in sink.got]
         for x, sink in sinks.items()
     }
     counters = {

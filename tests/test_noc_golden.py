@@ -39,10 +39,10 @@ class Sink(Endpoint):
         self.sim = sim
         self.got = {}
 
-    def receive(self, message):
-        # Keyed by the envelope itself: the dict keeps it alive, so no
-        # two messages share a key.
-        self.got[message] = (self.sim.now, message.hops)
+    def receive(self, packet):
+        # Keyed by the packet itself: the dict keeps it alive, so no
+        # two packets share a key.
+        self.got[packet] = (self.sim.now, packet.hops)
 
 
 class SlowSink(Sink):
@@ -61,11 +61,11 @@ class SlowSink(Sink):
         self.queue = []
         self.refusals = 0
 
-    def try_receive(self, message):
+    def try_receive(self, packet):
         if len(self.queue) >= self.SLOTS:
             self.refusals += 1
             return False
-        self.queue.append(message)
+        self.queue.append(packet)
         if len(self.queue) == 1:
             self.sim.schedule(self.SERVICE_PS, self._served)
         return True
@@ -100,7 +100,9 @@ def run_case(width, height, credits, messages, seed, faults, ties, fast_path):
     sent = []
 
     def send(src, dst, size):
-        sent.append(ports[src].send(Packet(bytes([src]) * size), dst))
+        packet = Packet(bytes([src]) * size)
+        ports[src].send(packet, dst)
+        sent.append(packet)
 
     # Bursts keep several messages on the wires at once; a third of the
     # traffic converges on the slow sink (incast -> parked messages).

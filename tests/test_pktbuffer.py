@@ -129,21 +129,25 @@ class TestPointerModeNic:
     def test_message_size_is_fixed_between_injection_and_delivery(self, sim):
         """``pbuf_handle`` is set and cleared only inside endpoints (the RX
         MAC parks the payload; the TX MAC and DMA free it), never while
-        an envelope is on the wires -- so the size a NocMessage fixed at
-        injection is still what its packet reports at every hop."""
+        a packet is on the wires -- so the size its send fixed at
+        injection is still what the packet reports at every hop."""
         from repro.packet import build_udp_frame, Packet
 
         nic = PanicNic(sim, PanicConfig(ports=1, payload_mode="pointer",
                                         fast_path=False),
                        name="panic_sizes")
         nic.control.enable_kv_cache()
-        seen = {}
+        seen = []       # the sizes each transfer reported, one set each
+        current = {}    # packet -> the set of its transfer in progress
 
         def watch(deliver):
-            def on_hop(message, channel):
-                assert message.bits == message.packet.chip_bits
-                seen.setdefault(message, set()).add(message.bits)
-                deliver(message, channel)
+            def on_hop(packet, channel):
+                assert packet.bits == packet.chip_bits
+                if packet.hops == 1:     # a transfer's injection hop
+                    current[packet] = set()
+                    seen.append(current[packet])
+                current[packet].add(packet.bits)
+                deliver(packet, channel)
             return on_hop
 
         for channel in nic.mesh.channels:
@@ -156,8 +160,8 @@ class TestPointerModeNic:
             src_port=1, dst_port=2, payload=bytes(600))))
         sim.run()
         assert len(nic.transmitted) == 1                 # the GET's reply
-        assert all(len(sizes) == 1 for sizes in seen.values())
-        sizes = set().union(*seen.values())
+        assert all(len(sizes) == 1 for sizes in seen)
+        sizes = set().union(*seen)
         assert DESCRIPTOR_BITS in sizes                  # parked payloads
         assert len(sizes) > 1                            # and whole frames
 

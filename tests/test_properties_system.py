@@ -20,8 +20,8 @@ class _Sink(Endpoint):
     def __init__(self):
         self.got = []
 
-    def receive(self, message):
-        self.got.append(message)
+    def receive(self, packet):
+        self.got.append(packet)
 
 
 @given(
@@ -48,8 +48,8 @@ def test_mesh_delivery_hops_equal_manhattan_plus_injection(w, h, data):
         return
     ports[(sx, sy)].send(Packet(b"\x00" * 64), mesh.address_of(dx, dy))
     sim.run()
-    [message] = sinks[(dx, dy)].got
-    assert message.hops == manhattan((sx, sy), (dx, dy)) + 1
+    [packet] = sinks[(dx, dy)].got
+    assert packet.hops == manhattan((sx, sy), (dx, dy)) + 1
 
 
 @given(st.lists(st.tuples(st.integers(0, w_max := 3),

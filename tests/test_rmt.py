@@ -124,51 +124,54 @@ class TestTable:
     def test_exact_match(self):
         table = Table("t", [MatchKey("f")])
         table.add([5], "hit_action")
-        phv = Phv({"f": 5})
-        assert table.lookup(phv) == ("hit_action", {}, True)
+        entry = table.match(Phv({"f": 5}))
+        assert entry is not None
+        assert (entry.action, entry.params) == ("hit_action", {})
 
     def test_exact_miss_gets_default(self):
         table = Table("t", [MatchKey("f")], default_action="dflt",
                       default_params={"a": 1})
-        assert table.lookup(Phv({"f": 9})) == ("dflt", {"a": 1}, False)
+        assert table.match(Phv({"f": 9})) is None
+        assert (table.default_action, table.default_params) == (
+            "dflt", {"a": 1})
 
     def test_invalid_field_is_miss(self):
         table = Table("t", [MatchKey("f")])
         table.add([5], "x")
-        assert table.lookup(Phv())[2] is False
+        assert table.match(Phv()) is None
 
     def test_ternary_priority(self):
         table = Table("t", [MatchKey("f", MatchKind.TERNARY)])
         table.add([(0x10, 0xF0)], "low", priority=1)
         table.add([(0x12, 0xFF)], "high", priority=10)
-        assert table.lookup(Phv({"f": 0x12}))[0] == "high"
-        assert table.lookup(Phv({"f": 0x15}))[0] == "low"
+        assert table.match(Phv({"f": 0x12})).action == "high"
+        assert table.match(Phv({"f": 0x15})).action == "low"
 
     def test_lpm_longest_prefix_wins(self):
         table = Table("t", [MatchKey("ip", MatchKind.LPM)])
         table.add([(0x0A000000, 8)], "slash8", priority=8)
         table.add([(0x0A010000, 16)], "slash16", priority=16)
-        assert table.lookup(Phv({"ip": 0x0A010203}))[0] == "slash16"
-        assert table.lookup(Phv({"ip": 0x0A990203}))[0] == "slash8"
+        assert table.match(Phv({"ip": 0x0A010203})).action == "slash16"
+        assert table.match(Phv({"ip": 0x0A990203})).action == "slash8"
 
     def test_lpm_zero_prefix_matches_all(self):
         table = Table("t", [MatchKey("ip", MatchKind.LPM)])
         table.add([(0, 0)], "any")
-        assert table.lookup(Phv({"ip": 12345}))[0] == "any"
+        assert table.match(Phv({"ip": 12345})).action == "any"
 
     def test_range_match(self):
         table = Table("t", [MatchKey("port", MatchKind.RANGE)])
         table.add([(1000, 2000)], "in_range")
-        assert table.lookup(Phv({"port": 1500}))[0] == "in_range"
-        assert table.lookup(Phv({"port": 2001}))[2] is False
+        assert table.match(Phv({"port": 1500})).action == "in_range"
+        assert table.match(Phv({"port": 2001})) is None
 
     def test_composite_key(self):
         table = Table(
             "t", [MatchKey("a"), MatchKey("b", MatchKind.RANGE)]
         )
         table.add([7, (0, 10)], "both")
-        assert table.lookup(Phv({"a": 7, "b": 5}))[0] == "both"
-        assert table.lookup(Phv({"a": 8, "b": 5}))[2] is False
+        assert table.match(Phv({"a": 7, "b": 5})).action == "both"
+        assert table.match(Phv({"a": 8, "b": 5})) is None
 
     def test_duplicate_exact_entry_rejected(self):
         table = Table("t", [MatchKey("f")])
@@ -192,15 +195,20 @@ class TestTable:
         table = Table("t", [MatchKey("f")])
         table.add([1], "x")
         table.remove([1])
-        assert table.lookup(Phv({"f": 1}))[2] is False
+        assert table.match(Phv({"f": 1})) is None
         with pytest.raises(TableError):
             table.remove([1])
 
     def test_hit_counter(self):
-        table = Table("t", [MatchKey("f")])
-        entry = table.add([1], "x")
-        table.lookup(Phv({"f": 1}))
-        table.lookup(Phv({"f": 1}))
+        # The stage walk counts a hit; the matcher alone counts nothing.
+        program = RmtProgram("p")
+        table = program.add_table("t", [MatchKey("udp.dst_port")])
+        entry = table.add([9999], "no_op")
+        pipe = RmtPipeline(program)
+        pipe.process(udp_frame())
+        pipe.process(udp_frame())
+        assert entry.hits == 2
+        table.match(Phv({"udp.dst_port": 9999}))
         assert entry.hits == 2
 
     def test_needs_at_least_one_key(self):

@@ -30,7 +30,7 @@ def test_ternary_table_matches_reference(entries, probe):
     table = Table("t", [MatchKey("f", MatchKind.TERNARY)])
     for i, (value, mask, priority) in enumerate(entries):
         table.add([(value, mask)], f"a{i}", priority=priority)
-    action, _params, hit = table.lookup(Phv({"f": probe}))
+    entry = table.match(Phv({"f": probe}))
 
     # Reference: highest priority wins; stable (insertion) order ties.
     best = None
@@ -39,10 +39,10 @@ def test_ternary_table_matches_reference(entries, probe):
             if best is None or priority > best[0]:
                 best = (priority, i)
     if best is None:
-        assert not hit
+        assert entry is None
     else:
-        assert hit
-        assert action == f"a{best[1]}"
+        assert entry is not None
+        assert entry.action == f"a{best[1]}"
 
 
 @given(
@@ -57,7 +57,7 @@ def test_lpm_longest_prefix_reference(prefixes, probe):
     table = Table("lpm", [MatchKey("ip", MatchKind.LPM)])
     for i, (prefix, length) in enumerate(prefixes):
         table.add([(prefix, length)], f"a{i}", priority=length)
-    action, _params, hit = table.lookup(Phv({"ip": probe}))
+    entry = table.match(Phv({"ip": probe}))
 
     def matches(prefix, length):
         if length == 0:
@@ -71,10 +71,10 @@ def test_lpm_longest_prefix_reference(prefixes, probe):
             if best is None or length > best[0]:
                 best = (length, i)
     if best is None:
-        assert not hit
+        assert entry is None
     else:
-        assert hit
-        assert action == f"a{best[1]}"
+        assert entry is not None
+        assert entry.action == f"a{best[1]}"
 
 
 @given(
@@ -91,16 +91,16 @@ def test_range_table_matches_reference(raw_entries, probe):
     table = Table("r", [MatchKey("port", MatchKind.RANGE)])
     for i, (low, high, priority) in enumerate(entries):
         table.add([(low, high)], f"a{i}", priority=priority)
-    action, _params, hit = table.lookup(Phv({"port": probe}))
+    entry = table.match(Phv({"port": probe}))
     best = None
     for i, (low, high, priority) in enumerate(entries):
         if low <= probe <= high:
             if best is None or priority > best[0]:
                 best = (priority, i)
     if best is None:
-        assert not hit
+        assert entry is None
     else:
-        assert hit and action == f"a{best[1]}"
+        assert entry is not None and entry.action == f"a{best[1]}"
 
 
 # ----------------------------------------------------------------------

@@ -559,13 +559,13 @@ class TestDeadlockDiagnostics:
         from repro.noc.mesh import MeshStuckError
 
         class Refusing(Endpoint):
-            def try_receive(self, message):
+            def try_receive(self, packet):
                 return False
 
         mesh = Mesh(sim, MeshConfig(width=2, height=1))
 
         class Source(Endpoint):
-            def receive(self, message):
+            def receive(self, packet):
                 pass
 
         port = mesh.bind(Source(), 0, 0)

@@ -22,8 +22,8 @@ class Sink(Endpoint):
     def __init__(self):
         self.got = []
 
-    def receive(self, message):
-        self.got.append(message.hops)
+    def receive(self, packet):
+        self.got.append(packet.hops)
 
 
 def _tracer():
