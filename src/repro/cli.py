@@ -198,7 +198,7 @@ def cmd_trace(frames: int = 32, sample_every: int = 1,
     from repro import PanicConfig, PanicNic, Simulator
     from repro.packet import build_udp_frame
     from repro.packet.packet import MessageKind, Packet
-    from repro.sim.clock import NS, US, format_time
+    from repro.sim.clock import NS, format_time
     from repro.telemetry import TelemetryConfig
     from repro.telemetry.export import format_timeline, write_chrome_trace
 
@@ -206,9 +206,7 @@ def cmd_trace(frames: int = 32, sample_every: int = 1,
     nic = PanicNic(sim, PanicConfig(
         ports=1,
         offloads=("ipsec", "compression", "checksum"),
-        telemetry=TelemetryConfig(
-            sample_every=sample_every, probe_period_ps=1 * US,
-        ),
+        telemetry=TelemetryConfig(sample_every=sample_every),
     ))
     nic.control.route_dscp(1, ["ipsec", "compression", "checksum"])
     frame = build_udp_frame(
@@ -221,10 +219,7 @@ def cmd_trace(frames: int = 32, sample_every: int = 1,
             i * 700 * NS, nic.inject, Packet(frame, MessageKind.ETHERNET))
     sim.run()
     tel = nic.telemetry
-    events = write_chrome_trace(
-        out, {nic.name: tel.tracer.sorted_spans()},
-        {nic.name: tel.probes.series()},
-    )
+    events = write_chrome_trace(out, {nic.name: tel.tracer.sorted_spans()})
     summary = tel.tracer.summary()
     print(f"traced {summary['sampled']}/{summary['seen']} frames "
           f"({summary['spans']} spans, {summary['dropped_spans']} dropped) "

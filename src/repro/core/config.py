@@ -112,15 +112,16 @@ class PanicConfig:
     # off to the scalar machinery) whenever contention, armed faults,
     # sampled telemetry, or a run()/shard window boundary could observe
     # an intermediate state.  None (default) builds a lane wherever a
-    # train can board: not with pointer-mode payloads, telemetry
-    # probes, tracing every frame, or INT.  True insists, and refuses
-    # those four settings at build time; False is the scalar oracle.
+    # train can board: not with pointer-mode payloads, tracing every
+    # frame, or INT.  True insists, and refuses those three settings at
+    # build time; False is the scalar oracle.
     batch_execution: Optional[bool] = None
 
-    # In-sim telemetry (repro.telemetry): per-packet spans + component
-    # probes.  None (default) builds no telemetry at all; instrumented
-    # paths then pay only a None check.  Observation-only either way --
-    # stats() and timestamps are bit-identical with it on or off.
+    # In-sim telemetry (repro.telemetry): per-packet spans, from which
+    # the exporter derives per-engine counter tracks.  None (default)
+    # builds no telemetry at all; instrumented paths then pay only a
+    # None check.  Observation-only either way -- stats() and
+    # timestamps are bit-identical with it on or off.
     telemetry: Optional[TelemetryConfig] = None
 
     # In-band network telemetry (repro.telemetry.int_): the data plane
@@ -190,14 +191,10 @@ class PanicConfig:
     def _train_blocker(self) -> Optional[str]:
         """The setting under which no frame could ever board a train,
         or None."""
-        telemetry = self.telemetry
         if self.payload_mode == "pointer":
             return ("payload_mode='pointer' (the MAC parks every "
                     "payload before a frame could board)")
-        if telemetry is not None and telemetry.probe_period_ps > 0:
-            return ("telemetry.probe_period_ps > 0 (the probe hook "
-                    "must observe every event)")
-        if telemetry is not None and telemetry.sample_every == 1:
+        if self.telemetry is not None and self.telemetry.sample_every == 1:
             return "telemetry.sample_every=1 (every frame is traced)"
         if self.int_ is not None:
             return "int_ (every Ethernet frame carries an INT stack)"

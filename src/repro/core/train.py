@@ -35,12 +35,11 @@ Three mechanisms enforce it:
 
 * **Quiescence.**  A train only forms when
   :meth:`~repro.sim.kernel.Simulator.train_horizon` yields a horizon: no
-  live event due at ``now`` itself, no after-event hooks (telemetry
-  probes observe every intermediate step, so their presence disables
-  trains entirely), and every mutation timestamp strictly below the next
-  heap event and the current ``run()`` deadline.  The deadline bound is
-  what keeps trains inside a shard sync window -- sharded and
-  monolithic runs stay bit-identical at any worker count.
+  live event due at ``now`` itself, and every mutation timestamp
+  strictly below the next heap event and the current ``run()``
+  deadline.  The deadline bound is what keeps trains inside a shard
+  sync window -- sharded and monolithic runs stay bit-identical at any
+  worker count.
 * **Flush-on-anything.**  Per-hop eligibility checks scan the whole
   route: armed faults, slowdowns, crashed engines, buffered routers,
   reserved channels, exhausted credits, pointer-mode payloads,
@@ -221,11 +220,11 @@ class TrainLane:
             self.refusals += 1
             return False
         self.trajectories += 1
-        self._ride(port, kind, packet, horizon, sim.now, 0)
+        self._ride(port, kind, packet, horizon, sim.now)
         return True
 
     def _ride(self, engine: Engine, kind: str, packet: Packet, h: float,
-              t_arr: int, hops: int) -> None:
+              t_arr: int) -> None:
         """Replay the whole remaining trajectory, one leg per loop pass.
 
         Each pass serves ``packet`` at an idle ``engine`` -- the steps
@@ -242,9 +241,7 @@ class TrainLane:
         Pre-conditions, re-established before each pass:
         :meth:`_engine_ready` gave ``kind`` for ``engine`` and
         ``now <= t_arr < h``, the working horizon (every committed
-        mutation timestamp stays strictly below it).  ``hops`` is the
-        length of the transfer that brought the packet to ``engine``,
-        written into its slots only on a mid-service handoff.
+        mutation timestamp stays strictly below it).
         """
         sim = self.sim
         while True:
@@ -280,9 +277,6 @@ class TrainLane:
                 # Hand off mid-service: exactly the state _try_start
                 # leaves behind -- a counted lane + a pending _finish.
                 engine._busy_lanes += 1
-                packet.dest_addr = engine.address
-                packet.hops = hops
-                packet.bits = packet.chip_bits
                 sim.schedule_at(t_fin, engine._finish, packet)
                 self.handoffs += 1
                 return
@@ -292,7 +286,7 @@ class TrainLane:
             packet.touch(engine.name)
             seq = sim._seq
             outputs = engine.handle(packet)
-            if sim._seq != seq or sim._after_hooks:
+            if sim._seq != seq:
                 # handle() scheduled events (TX wire, timers, a
                 # decision handler's): they may lie below the old
                 # horizon and shrink what the ride may touch.
@@ -356,8 +350,7 @@ class TrainLane:
             ser = inj._ser_cache.get(bits)
             if ser is None:
                 ser = inj._serialization_ps(bits)
-            n_hops = len(channels)
-            t_arrive = t_send + n_hops * ser
+            t_arrive = t_send + len(channels) * ser
             if t_arrive >= h:
                 break
             # -- Commit.  NocPort.send at t_send: the injected count.
@@ -375,7 +368,6 @@ class TrainLane:
             final_router.delivered += 1
             final_router._rr_shift += 1
             self.trajectory_hops += 1
-            hops = n_hops
             engine = target
             kind = tkind
             t_arr = t_arrive

@@ -346,9 +346,6 @@ class Engine(Component, Endpoint):
             # next cycle instead of overflowing the bounded queue.
             self.schedule(self.clock.cycles_to_ps(1), self._loopback, packet)
             return
-        packet.dest_addr = self.address
-        packet.hops = 0
-        packet.bits = packet.chip_bits
         self.receive(packet)
 
     def _route_by_chain(self, packet: Packet) -> Optional[int]:

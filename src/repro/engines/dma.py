@@ -139,8 +139,8 @@ class DmaEngine(Engine):
         self.reads += 1
         reply_to = packet.meta.annotations.get("reply_to")
         completion = self._completion_for(packet, data)
-        # RDMA matches a read's completion to its request.
-        completion.meta.annotations["completes"] = packet.packet_id
+        # The read itself: RDMA matches a completion to its request by it.
+        completion.meta.annotations["completes"] = packet
         if reply_to is None:
             return []
         return [(completion, int(reply_to))]

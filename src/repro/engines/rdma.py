@@ -8,9 +8,9 @@ response into the pipeline."
 
 This engine implements that flow: a KV GET arriving here is turned into
 a ``DMA_READ`` toward the DMA engine; the completion (carrying the bytes
-from host memory) is matched back to the pending request, a KvResponse
-frame is synthesized, and the response heads back through the RMT
-pipeline for egress -- the CPU never runs.
+from host memory and naming the read it completes) is matched back to
+the pending request, a KvResponse frame is synthesized, and the response
+heads back through the RMT pipeline for egress -- the CPU never runs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class RdmaEngine(Engine):
         self.request_cycles = request_cycles
         #: The DMA engine's NoC address; set by the NIC builder.
         self.dma_addr: Optional[int] = None
-        self._pending: Dict[int, Packet] = {}
+        # DMA read in flight -> the GET it serves.
+        self._pending: Dict[Packet, Packet] = {}
         self.reads_issued = 0
         self.responses = 0
         self.not_found = 0
@@ -62,29 +63,16 @@ class RdmaEngine(Engine):
         read.meta.annotations["dma_key"] = bytes(request.key)
         read.meta.annotations["dma_bytes"] = 256
         read.meta.annotations["reply_to"] = self.address
-        read.meta.annotations["rdma_ctx"] = packet.packet_id
         if packet.panic is not None:
             read.panic = packet.panic.copy()
             read.panic.chain = []
             read.panic.cursor = 0
-        self._pending[packet.packet_id] = packet
+        self._pending[read] = packet
         self.reads_issued += 1
         return [(read, self.dma_addr)]
 
     def _handle_completion(self, completion: Packet) -> List[EngineOutput]:
-        ctx = completion.meta.annotations.get("rdma_ctx")
-        if ctx is None:
-            ctx = completion.meta.annotations.get("completes")
-        original = None
-        if ctx is not None:
-            # The DMA engine copies annotations we stashed on the read.
-            for pending_id in list(self._pending):
-                if pending_id == completion.meta.annotations.get("rdma_ctx"):
-                    original = self._pending.pop(pending_id)
-                    break
-        if original is None and self._pending:
-            # Single-outstanding fallback: match FIFO.
-            original = self._pending.pop(next(iter(self._pending)))
+        original = self._pending.pop(completion.meta.peek("completes"), None)
         if original is None:
             return []
         request = self._parse_get(original)

@@ -85,8 +85,6 @@ class RmtPipelineEngine(Engine):
         self._next_accept_ps = 0
         # Outputs are steered by the heavyweight tables: no lookup cycle.
         self._lookup_ps = 0
-        # The pipeline's depth in packets, for the ``busy_frac`` gauge.
-        self.lanes = self.latency_ps // self.initiation_interval_ps
         self.decisions = 0
 
     # ------------------------------------------------------------------

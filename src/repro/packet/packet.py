@@ -1,7 +1,7 @@
 """The :class:`Packet` container carried through every simulator.
 
-A packet couples the raw frame bytes with NIC-side metadata: identifiers,
-timestamps used by latency trackers, the tenant/flow labels assigned by
+A packet couples the raw frame bytes with NIC-side metadata: timestamps
+used by latency trackers, the tenant/flow labels assigned by
 classification, and -- inside PANIC -- the parsed on-chip chain header.
 
 Section 3.1 of the paper: *"even messages between different on-NIC engines
@@ -13,7 +13,6 @@ completions and doorbells; ``kind`` distinguishes them.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.packet.panic_hdr import PanicHeader
@@ -55,9 +54,6 @@ class Direction(enum.Enum):
     RX = "rx"
     TX = "tx"
     INTERNAL = "internal"
-
-
-_packet_ids = itertools.count()
 
 
 class PacketMetadata:
@@ -124,7 +120,7 @@ class Packet:
         Optional pre-populated metadata.
     """
 
-    __slots__ = ("packet_id", "data", "kind", "meta", "panic", "trace",
+    __slots__ = ("data", "kind", "meta", "panic", "trace",
                  "pbuf_handle", "_trail",
                  "dest_addr", "hops", "bits", "enqueue_ps")
 
@@ -134,7 +130,6 @@ class Packet:
         kind: MessageKind = MessageKind.ETHERNET,
         meta: Optional[PacketMetadata] = None,
     ):
-        self.packet_id: int = next(_packet_ids)
         self.data = bytes(data)
         self.kind = kind
         self.meta = meta if meta is not None else PacketMetadata()
@@ -153,9 +148,8 @@ class Packet:
         #: :meth:`rewritten` successor.
         self._trail: Optional[List[str]] = None
         # Its own on-chip envelope, one transfer at a time: ``dest_addr``,
-        # ``hops`` and ``bits`` are set where a transfer starts (a port's
-        # ``send``, ``Engine._loopback``, the lane's hand-off) and
-        # ``enqueue_ps`` where an engine queues the packet.
+        # ``hops`` and ``bits`` are set where a port's ``send`` starts a
+        # transfer, and ``enqueue_ps`` where an engine queues the packet.
 
     # ------------------------------------------------------------------
     # Sizes
@@ -201,8 +195,8 @@ class Packet:
 
     def rewritten(self, data: bytes) -> "Packet":
         """The same packet life with new frame bytes (an engine rebuilt
-        the frame): a fresh id, the same metadata, chain header, trace
-        context, buffer handle and trail."""
+        the frame): a new object with the same metadata, chain header,
+        trace context, buffer handle and trail."""
         out = Packet(data, self.kind, self.meta)
         out.panic = self.panic
         out.trace = self.trace
@@ -217,6 +211,6 @@ class Packet:
         if self.panic is not None:
             chain = f", chain={self.panic.remaining()}"
         return (
-            f"Packet(#{self.packet_id}, {self.kind.value}, "
+            f"Packet({self.kind.value}, "
             f"{self.frame_bytes}B{chain})"
         )

@@ -79,9 +79,6 @@ class Simulator:
         # is the conservative shard sync window, which is exactly
         # why trains can never leak across shard barriers.
         self._run_until: Optional[int] = None
-        # Passive observers called after every fired event (telemetry
-        # probes).
-        self._after_hooks: List[Callable[[int], None]] = []
         # Optional caller-owned list of the distinct timestamps of fired
         # events.  The speculative shard runtime installs one to detect
         # execution past a commit point.
@@ -178,19 +175,6 @@ class Simulator:
         heapq.heappush(self._heap, moved)
         return moved
 
-    def add_after_event_hook(self, hook: Callable[[int], None]) -> None:
-        """Register ``hook(now_ps)`` to run after every fired event.
-
-        Hooks are pure *observers*: they must not schedule or cancel
-        events, advance time, or mutate component state -- the kernel
-        gives no ordering or reentrancy guarantees beyond "after the
-        event's callback returned".  A hook costs one Python call per
-        fired event and forbids train rides (:meth:`train_horizon`),
-        which is why telemetry installs one only when probes are
-        actually configured.
-        """
-        self._after_hooks.append(hook)
-
     def _compact(self) -> None:
         """Drop lazily-cancelled events so heap ops track live work.
 
@@ -233,16 +217,13 @@ class Simulator:
         horizon itself a pending event (necessarily carrying an older
         sequence number) would fire first under scalar execution and
         could observe the pre-mutation state.  Returns ``None`` when the
-        simulator is not quiescent -- the next live event is due at
-        ``now`` itself, or after-event hooks (telemetry probes) are
-        installed and must observe every intermediate step.  Returns
-        ``inf`` for a fully drained, unbounded run.
+        simulator is not quiescent: the next live event is due at
+        ``now`` itself.  Returns ``inf`` for a fully drained, unbounded
+        run.
 
         ``run(until_ps=...)`` fires events *at* ``until_ps``, so the
         horizon inside a bounded window is ``until_ps + 1``.
         """
-        if self._after_hooks:
-            return None
         nxt = self.next_event_ps()
         if nxt == self.now:
             return None
@@ -361,7 +342,6 @@ class Simulator:
         budget = -1 if max_events is None else max(max_events, 0)
         # ``_compact`` mutates the heap in place, keeping the alias valid.
         heap = self._heap
-        hooks = self._after_hooks
         log = self._fired_log
         profile = self._profile
         watched = log is not None or profile is not None
@@ -424,10 +404,6 @@ class Simulator:
                         else:
                             cell[0] += 1
                             cell[1] += elapsed
-                if hooks:
-                    now = self.now
-                    for hook in hooks:
-                        hook(now)
         finally:
             self._run_until = None
         if bounded and self.now < until_ps:

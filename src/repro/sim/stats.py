@@ -192,10 +192,11 @@ class LatencyTracker(Histogram):
 
 
 class TimeSeries:
-    """A bounded (time_ps, value) gauge series for component probes.
+    """A bounded (time_ps, value) gauge series (the INT collector's
+    per-node depth and latency tracks).
 
     Appends are O(1); once ``max_samples`` points are held, further
-    samples are counted in ``dropped`` instead of stored -- probes must
+    samples are counted in ``dropped`` instead of stored -- a series must
     never grow without bound inside long simulations.  The early samples
     are kept (rather than a sliding window) so the series start always
     aligns across components.

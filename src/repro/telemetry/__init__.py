@@ -1,4 +1,4 @@
-"""In-sim telemetry: per-packet spans, INT, component probes, export.
+"""In-sim telemetry: per-packet spans, INT, export.
 
 A packet has one observation slot, ``Packet.trace``: a
 :class:`~repro.telemetry.tracer.TraceCtx` that names its sinks -- the
@@ -13,12 +13,11 @@ postcard at the host), and none of them holds telemetry.
 
 Attach a :class:`~repro.telemetry.config.TelemetryConfig` to
 ``PanicConfig.telemetry`` and the NIC builds a :class:`Telemetry`
-instance that samples packets with its tracer, closes the span of a
-message the PIFO evicts, and registers the default component gauges
-(PIFO depth and busy fraction per engine, input-buffer depth per
-router, credit occupancy per channel) with a
-:class:`~repro.telemetry.probes.ProbeRegistry` sampled on a
-simulated-time cadence via the kernel's passive after-event hook.
+instance that samples packets with its tracer and closes the span of a
+message the PIFO evicts.  Component state is read back from the spans:
+the exporter (:mod:`repro.telemetry.export`) derives each engine's
+queue-depth and in-service counter tracks from its engine spans, so
+there is no second observer on the run loop.
 
 Everything is observation-only: a telemetry-enabled run is bit-identical
 to a disabled one in ``stats()`` and timestamps (enforced by
@@ -29,12 +28,10 @@ instrumented path one ``packet.trace is None`` test.
 from __future__ import annotations
 
 from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.probes import ProbeRegistry
 from repro.telemetry.tracer import PacketTracer, Span, TraceCtx
 
 __all__ = [
     "PacketTracer",
-    "ProbeRegistry",
     "Span",
     "Telemetry",
     "TelemetryConfig",
@@ -43,7 +40,7 @@ __all__ = [
 
 
 class Telemetry:
-    """Per-NIC telemetry fabric: one tracer + one probe registry."""
+    """Per-NIC telemetry fabric: one tracer and the PIFO eviction hook."""
 
     def __init__(self, nic):
         config = nic.config.telemetry
@@ -53,14 +50,6 @@ class Telemetry:
         # the simulation itself uses, keeping traced runs bit-identical.
         self.tracer = PacketTracer(config, nic.rng.fork("telemetry"),
                                    name=nic.name)
-        self.probes = ProbeRegistry(config.probe_period_ps)
-        self._wire()
-
-    # ------------------------------------------------------------------
-
-    def _wire(self) -> None:
-        nic = self.nic
-        config = self.config
         # A sampled packet carries its tracer, so only the eviction hook
         # is installed, and only when a packet can be sampled at all: the
         # enabled-but-idle config stays at one call per frame
@@ -68,32 +57,8 @@ class Telemetry:
         if config.sample_every > 0 or config.flow_predicate is not None:
             for engine in nic.engines.values():
                 engine.queue.on_evict = self._on_evict
-        if config.probe_period_ps > 0:
-            self._install_default_gauges()
-            nic.sim.add_after_event_hook(self.probes.on_event)
 
     def _on_evict(self, packet) -> None:
         ctx = packet.trace
         if ctx is not None and ctx.tracer is not None:
             ctx.tracer.end_engine(ctx, self.nic.sim.now, status="evicted")
-
-    def _install_default_gauges(self) -> None:
-        probes = self.probes
-        for engine in self.nic.engines.values():
-            probes.add_gauge(
-                f"{engine.name}.pifo_depth",
-                lambda _e=engine: len(_e.queue), unit="msgs")
-            probes.add_gauge(
-                f"{engine.name}.busy_frac",
-                # An RMT tile's lanes are its pipeline depth; a burst
-                # beyond that waits at its mouth, and the pipeline is full.
-                lambda _e=engine: min(1.0, _e._busy_lanes / _e.lanes),
-                unit="frac")
-        for router in self.nic.mesh.routers:
-            probes.add_gauge(
-                f"{router.name}.buffered",
-                lambda _r=router: _r.buffered_messages, unit="msgs")
-        for channel in self.nic.mesh.channels:
-            probes.add_gauge(
-                f"{channel.name}.credit_used",
-                lambda _c=channel: _c.credit_deficit, unit="credits")

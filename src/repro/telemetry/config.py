@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 @dataclass
 class TelemetryConfig:
-    """Knobs for per-packet tracing and component probes.
+    """Knobs for per-packet tracing.
 
     Attaching a ``TelemetryConfig`` to ``PanicConfig.telemetry`` turns
     telemetry on for that NIC; the default ``PanicConfig`` carries
@@ -37,11 +37,6 @@ class TelemetryConfig:
     #: evicted beyond this (counted in ``PacketTracer.dropped_spans``).
     max_spans: int = 65536
 
-    #: Simulated-time cadence for component probes (gauges), in ps.
-    #: ``0`` disables probes entirely -- no kernel hook is installed, so
-    #: the event loop makes no call per event and train rides stay legal.
-    probe_period_ps: int = 0
-
     def __post_init__(self) -> None:
         if self.sample_every < 0:
             raise ValueError(
@@ -49,10 +44,6 @@ class TelemetryConfig:
             )
         if self.max_spans <= 0:
             raise ValueError(f"max_spans must be positive, got {self.max_spans}")
-        if self.probe_period_ps < 0:
-            raise ValueError(
-                f"probe_period_ps must be >= 0, got {self.probe_period_ps}"
-            )
 
 
 @dataclass

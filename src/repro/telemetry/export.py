@@ -4,8 +4,9 @@
 (https://ui.perfetto.dev) and chrome://tracing: one *process* per NIC,
 one *thread* (track) per component, complete ("X") events for engine and
 hop spans, instant ("i") events for point records, and counter ("C")
-tracks for probe time-series.  Timestamps are microseconds (floats), so
-picosecond sim time keeps sub-ns resolution.
+tracks derived from the engine spans (:func:`engine_counter_tracks`).
+Timestamps are microseconds (floats), so picosecond sim time keeps
+sub-ns resolution.
 
 ``format_timeline`` renders a human-readable per-packet walk for the
 ``python -m repro trace`` CLI.  ``merge_trace_reports`` assembles the
@@ -17,7 +18,7 @@ collection keyed by NIC name).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: ps -> Chrome-trace microseconds.
 _PS_PER_US = 1e6
@@ -27,12 +28,48 @@ _PS_PER_US = 1e6
 _DURATION_KINDS = ("engine", "hop")
 
 
-def chrome_trace_events(
-    spans_by_nic: Dict[str, Sequence],
-    series_by_nic: Optional[Dict[str, Dict[str, object]]] = None,
-) -> List[dict]:
+def engine_counter_tracks(spans: Iterable) -> Dict[str, List[Tuple[int, int]]]:
+    """Per-engine counter tracks, ``name -> [(time_ps, value), ...]``,
+    read off one NIC's engine spans.
+
+    ``<engine>.queue_depth`` is the PIFO depth each traced packet found
+    at enqueue, stamped at its span's start.  ``<engine>.in_service``
+    counts traced packets in service: +1 at a span's
+    ``service_start_ps``, -1 at its end, one point per instant carrying
+    the count after every step there.  Both are functions of the spans
+    alone, so they are equal wherever the spans are (fast and per-hop
+    NoC, monolithic and sharded runs).
+    """
+    depths: Dict[str, List[Tuple[int, int]]] = {}
+    steps: Dict[str, List[Tuple[int, int]]] = {}
+    for _tid, _seq, kind, component, start_ps, end_ps, args in spans:
+        if kind != "engine":
+            continue
+        args = dict(args)
+        depths.setdefault(component, []).append(
+            (start_ps, args["queue_depth"]))
+        edges = steps.setdefault(component, [])
+        if args["service_start_ps"] >= 0:  # -1: never served
+            edges.append((args["service_start_ps"], 1))
+            edges.append((end_ps, -1))
+    tracks: Dict[str, List[Tuple[int, int]]] = {}
+    for component in sorted(depths):
+        tracks[f"{component}.queue_depth"] = sorted(depths[component])
+        points: List[Tuple[int, int]] = []
+        level = 0
+        for t_ps, step in sorted(steps[component]):
+            level += step
+            if points and points[-1][0] == t_ps:
+                points[-1] = (t_ps, level)
+            else:
+                points.append((t_ps, level))
+        tracks[f"{component}.in_service"] = points
+    return tracks
+
+
+def chrome_trace_events(spans_by_nic: Dict[str, Sequence]) -> List[dict]:
     """Build the ``traceEvents`` list: one pid per NIC, one tid per
-    component, plus counter tracks for any probe series."""
+    component, plus the NIC's engine counter tracks."""
     events: List[dict] = []
     for pid, nic in enumerate(sorted(spans_by_nic)):
         events.append({
@@ -68,18 +105,14 @@ def chrome_trace_events(
                     "ts": start_ps / _PS_PER_US,
                     "args": span_args,
                 })
-        if series_by_nic:
-            for name, series in sorted(
-                    (series_by_nic.get(nic) or {}).items()):
-                points = series.items()
-                if not any(value for _t, value in points):
-                    continue  # all-zero gauges only clutter the UI
-                for t_ps, value in points:
-                    events.append({
-                        "ph": "C", "pid": pid, "name": name,
-                        "ts": t_ps / _PS_PER_US,
-                        "args": {"value": value},
-                    })
+        for name, points in engine_counter_tracks(
+                spans_by_nic[nic]).items():
+            for t_ps, value in points:
+                events.append({
+                    "ph": "C", "pid": pid, "name": name,
+                    "ts": t_ps / _PS_PER_US,
+                    "args": {"value": value},
+                })
     return events
 
 
@@ -188,7 +221,6 @@ def merge_int_reports(reports: Dict[str, dict]):
 def write_chrome_trace(
     path: str,
     spans_by_nic: Dict[str, Sequence],
-    series_by_nic: Optional[Dict[str, Dict[str, object]]] = None,
     extra_events: Optional[List[dict]] = None,
 ) -> int:
     """Write a Perfetto-loadable ``trace.json``; returns the event count.
@@ -196,7 +228,7 @@ def write_chrome_trace(
     ``extra_events`` are appended verbatim after the per-NIC events --
     e.g. :func:`shard_window_counters` for a sharded run's commit track.
     """
-    events = chrome_trace_events(spans_by_nic, series_by_nic)
+    events = chrome_trace_events(spans_by_nic)
     if extra_events:
         events.extend(extra_events)
     with open(path, "w") as fh:

@@ -234,9 +234,8 @@ class PacketTracer:
         Sorted by the unique ``(trace_id, seq)`` prefix, so reports from
         runs with different mid-flight emission order (fast path vs slow
         path, sharded vs monolithic) compare equal exactly when the
-        recorded telemetry is equal.  Probe series are deliberately not
-        part of it: sampling instants track per-worker event timing,
-        which legitimately differs between execution modes.
+        recorded telemetry is equal.  The exporter's counter tracks are
+        computed from these spans, so they compare equal with them.
         """
         return sorted(tuple(span) for span in self.spans)
 

@@ -157,7 +157,7 @@ def run_traced(batch):
     real events) while untraced neighbours keep riding trains, and the
     trace itself must be bit-identical either way."""
     sim = Simulator()
-    telemetry = TelemetryConfig(sample_every=4, probe_period_ps=0)
+    telemetry = TelemetryConfig(sample_every=4)
     nic = PanicNic(sim, PanicConfig(
         ports=1,
         offloads=("checksum", "checksum1"),
@@ -317,7 +317,7 @@ def test_lane_mechanics_are_pinned(gaps_ps, mechanics):
 
 def test_traced_frames_hand_off_but_neighbours_still_ride():
     sim = Simulator()
-    telemetry = TelemetryConfig(sample_every=4, probe_period_ps=0)
+    telemetry = TelemetryConfig(sample_every=4)
     nic = PanicNic(sim, PanicConfig(
         ports=1, offloads=("checksum",), seed=11,
         telemetry=telemetry, batch_execution=True,
@@ -335,10 +335,9 @@ def test_traced_frames_hand_off_but_neighbours_still_ride():
 
 @pytest.mark.parametrize("never_rides", [
     dict(payload_mode="pointer"),
-    dict(telemetry=TelemetryConfig(sample_every=0, probe_period_ps=US)),
     dict(telemetry=TelemetryConfig(sample_every=1)),
     dict(int_=IntConfig()),
-], ids=["pointer", "probes", "trace_every_frame", "int"])
+], ids=["pointer", "trace_every_frame", "int"])
 def test_a_lane_that_could_never_ride_is_refused_at_build(never_rides):
     # Each of these used to build a lane that refused 50 frames of 50.
     with pytest.raises(ValueError, match="batch_execution=True with"):
@@ -359,11 +358,9 @@ def test_the_default_builds_a_lane_and_false_builds_none():
 
 @pytest.mark.parametrize("never_rides, lifted", [
     (dict(payload_mode="pointer"), dict(payload_mode="full")),
-    (dict(telemetry=TelemetryConfig(sample_every=0, probe_period_ps=US)),
-     dict(telemetry=None)),
     (dict(telemetry=TelemetryConfig(sample_every=1)), dict(telemetry=None)),
     (dict(int_=IntConfig()), dict(int_=None)),
-], ids=["pointer", "probes", "trace_every_frame", "int"])
+], ids=["pointer", "trace_every_frame", "int"])
 def test_the_default_builds_no_lane_where_none_could_ride(never_rides,
                                                            lifted):
     # No error either: the default asks for a lane only where one pays.

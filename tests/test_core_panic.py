@@ -200,6 +200,36 @@ class TestKvFastPath:
         assert nic.host.mem_reads >= 1
         assert nic.host.interrupts_taken == 0
 
+    def test_rdma_answers_each_get_with_its_own_read(self):
+        """The DMA PIFO serves reads by slack, not arrival: behind a
+        queue of bulk writes, the tight-slack GET's read overtakes the
+        loose one's, and each completion must still answer the GET
+        whose read it completes."""
+        sim = Simulator()
+        nic = PanicNic(sim, PanicConfig(ports=2))
+        nic.control.route_kv_opcode(KvOpcode.GET, ["rdma"], append_dma=False)
+        nic.control.set_tenant_slack(1, 500 * US)
+        nic.control.set_tenant_slack(2, 1 * US)
+        nic.control.route_dscp(5, [])
+        nic.control.set_dscp_slack(5, 100 * US)
+        nic.host.store(b"slow", b"SLOW")
+        nic.host.store(b"fast", b"FAST")
+        bulk = plain_udp(payload=bytes(1400 - 42), dscp=5).data
+        for i in range(200):
+            sim.schedule_at(i * 5_000, nic.inject, Packet(bulk), 0)
+        sim.schedule_at(1_000_000, nic.inject, build_kv_request_frame(
+            KvRequest(KvOpcode.GET, 1, 1, b"slow")), 1)
+        sim.schedule_at(1_020_000, nic.inject, build_kv_request_frame(
+            KvRequest(KvOpcode.GET, 2, 2, b"fast")), 1)
+        sim.run()
+        answers = {}
+        for packet in nic.transmitted:
+            frame = parse_frame(packet.data)
+            if frame.is_kv:
+                response = frame.kv_response()
+                answers[response.request_id] = response.value
+        assert answers == {1: b"SLOW", 2: b"FAST"}
+
 
 class TestIpsecPath:
     def test_encrypted_request_decrypted_then_served(self, sim, nic):

@@ -372,7 +372,7 @@ COMPONENT_TELEMETRY = ("_tracer", "_int_tap", "_int_agent", "_int_sink")
 #: per-packet observation belongs on the trace context.
 #: ``dest_addr`` .. ``enqueue_ps`` are the on-chip transfer a frame
 #: carries as its own envelope; none of them observes anything.
-PACKET_SLOTS = ("packet_id", "data", "kind", "meta", "panic", "trace",
+PACKET_SLOTS = ("data", "kind", "meta", "panic", "trace",
                 "pbuf_handle", "_trail",
                 "dest_addr", "hops", "bits", "enqueue_ps")
 

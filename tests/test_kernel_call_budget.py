@@ -5,8 +5,8 @@ cProfile's ``ncalls`` are deterministic, so the gate needs no wall
 clock (the ``test_noc_call_budget.py`` pattern).
 
 * **The loop adds no calls.**  Every way of running the simulator --
-  ``run()``, a deadline, a deadline plus a budget, an after-event hook,
-  a fired log, a profile sink -- goes through one drain loop inside
+  ``run()``, a deadline, a deadline plus a budget, a fired log, a
+  profile sink -- goes through one drain loop inside
   ``Simulator.run``, so per fired event the only Python-level calls into
   ``repro/sim/kernel.py`` are the ``schedule`` / ``schedule_at`` calls the
   callbacks make themselves.  Two run lengths are differenced so the
@@ -36,11 +36,6 @@ def _deadline_and_budget(sim):
     sim.run(until_ps=FAR, max_events=10**9, on_max_events="raise")
 
 
-def _hooked(sim):
-    sim.add_after_event_hook(lambda now: None)
-    sim.run()
-
-
 def _fired_log(sim):
     sim.set_fired_log([])
     sim.run()
@@ -51,8 +46,7 @@ def _profiled(sim):
     sim.run(until_ps=FAR)
 
 
-FORMS = [_bare, _deadline, _deadline_and_budget, _hooked, _fired_log,
-         _profiled]
+FORMS = [_bare, _deadline, _deadline_and_budget, _fired_log, _profiled]
 
 
 def loop_calls(form, events: int) -> int:

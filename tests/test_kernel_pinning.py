@@ -23,19 +23,20 @@ CORNERS = [(0, 0), (SIZE - 1, 0), (0, SIZE - 1), (SIZE - 1, SIZE - 1)]
 
 
 class IdSink(Endpoint):
-    """Records the id of every packet it receives, never the packet."""
+    """Records the bytes of every packet it receives (each message's are
+    unique), never the packet."""
 
     def __init__(self, delivered):
         self.delivered = delivered
 
     def receive(self, packet):
-        self.delivered.append(packet.packet_id)
+        self.delivered.append(packet.data)
 
 
 def run_corner_sends(rounds):
     """Every corner sends to the opposite corner, one message alone on
-    the mesh at a time; returns the delivered ids and the number of
-    express flights seen airborne."""
+    the mesh at a time; returns the delivered messages' bytes and the
+    number of express flights seen airborne."""
     sim = Simulator()
     mesh = Mesh(sim, MeshConfig(width=SIZE, height=SIZE, fast_path=True))
     delivered, airborne = [], []
@@ -43,7 +44,8 @@ def run_corner_sends(rounds):
              for y in range(SIZE) for x in range(SIZE)}
 
     def send(src, dst):
-        ports[src].send(Packet(bytes(64)), mesh.address_of(*dst))
+        tag = len(airborne).to_bytes(2, "big")
+        ports[src].send(Packet(tag + bytes(62)), mesh.address_of(*dst))
         airborne.append(mesh.express_in_flight)
 
     at = 0
@@ -61,13 +63,13 @@ def test_finished_flights_and_their_packets_are_freed_without_gc():
     gc.disable()
     try:
         delivered, flights = run_corner_sends(rounds=25)
-        ids = set(delivered)
+        sent = set(delivered)
         left = gc.get_objects()
         flights_left = sum(1 for obj in left if isinstance(obj, ExpressFlight))
         packets_left = sum(1 for obj in left
-                           if isinstance(obj, Packet) and obj.packet_id in ids)
+                           if isinstance(obj, Packet) and obj.data in sent)
     finally:
         gc.enable()
-    assert len(ids) == 100
+    assert len(sent) == 100
     assert flights == 100  # every message cut through
     assert (flights_left, packets_left) == (0, 0)

@@ -4,7 +4,9 @@ state, except the two address-parsing memos priced in ROADMAP item 16.
 Every dict, list and set bound at module level or as a class attribute
 anywhere in ``repro.*`` is snapshot (identity and length) after the whole
 package is imported, in a fresh interpreter (so no earlier test has
-filled a memo already).  One small workload of each kind then runs
+filled a memo already); so is every iterator bound there (identity and
+position: a module-level ``itertools.count`` that numbers objects is
+state a run advances just as surely).  One small workload of each kind then runs
 twice in that interpreter -- an offload chain on one NIC, the multi-tenant KVS, a
 plain rack, a lossy reliable rack and the load-balanced rack -- and any
 container that grew or was rebound must be on ``ALLOWED`` with its
@@ -20,6 +22,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import repro
 from repro import HostKvServer, PanicConfig, PanicNic, Simulator
@@ -53,27 +56,50 @@ def _modules():
             yield importlib.import_module(info.name)
 
 
+def _is_state(value):
+    return (isinstance(value, (dict, list, set))
+            or hasattr(type(value), "__next__"))
+
+
 def _containers():
-    """Qualified name -> every module- and class-level dict, list, set."""
+    """Qualified name -> every module- and class-level dict, list, set
+    and iterator."""
     found = {}
     for module in _modules():
         for name, value in vars(module).items():
             if name.startswith("__"):
                 continue
             qualified = f"{module.__name__}.{name}"
-            if isinstance(value, (dict, list, set)):
+            if _is_state(value):
                 found[qualified] = value
             elif (isinstance(value, type)
                   and value.__module__ == module.__name__):
                 for attr, member in vars(value).items():
-                    if (not attr.startswith("__")
-                            and isinstance(member, (dict, list, set))):
+                    if not attr.startswith("__") and _is_state(member):
                         found[f"{qualified}.{attr}"] = member
     return found
 
 
+def _position(iterator):
+    """Where an iterator stands, read without advancing it: its pickled
+    state (a count's next value, a list iterator's index) where it has
+    one, else its repr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            return repr(iterator.__reduce__())
+        except TypeError:
+            return repr(iterator)
+
+
+def _size(value):
+    if isinstance(value, (dict, list, set)):
+        return len(value)
+    return _position(value)
+
+
 def _snapshot():
-    return {name: (id(value), len(value))
+    return {name: (id(value), _size(value))
             for name, value in _containers().items()}
 
 
@@ -129,7 +155,8 @@ WORKLOADS = (_chain, _kvs, _plain_rack, _lossy_rack, _lb_rack)
 
 def grown_containers():
     """Every container outside ``ALLOWED`` that two rounds of the
-    workloads grew or rebound, as ``name: before -> after`` lines."""
+    workloads grew or rebound, and every iterator they advanced or
+    rebound, as ``name: before -> after`` lines."""
     before = _snapshot()
     assert set(ALLOWED) <= set(before), "ALLOWED names a container gone"
     for _ in range(2):
@@ -137,11 +164,20 @@ def grown_containers():
             workload()
     after = _snapshot()
     return sorted(
-        f"{name}: {before[name][1]} -> {after[name][1]} entries"
+        f"{name}: {before[name][1]} -> {after[name][1]}"
+        + (" entries" if isinstance(before[name][1], int) else "")
         + ("" if after[name][0] == before[name][0] else " (rebound)")
         for name in before
         if name not in ALLOWED and (after[name][0] != before[name][0]
-                                    or after[name][1] > before[name][1]))
+                                    or _grew(before[name][1],
+                                             after[name][1])))
+
+
+def _grew(before, after):
+    """A container that holds more entries, or an iterator that moved."""
+    if isinstance(before, int):
+        return after > before
+    return after != before
 
 
 def test_runs_grow_no_unpriced_process_state():

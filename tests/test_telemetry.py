@@ -1,5 +1,6 @@
-"""Tests for repro.telemetry: span tracing, probes, exporters, and the
-equivalence contracts (traced == untraced; fast == slow; mono == sharded).
+"""Tests for repro.telemetry: span tracing, the counter tracks derived
+from spans, exporters, and the equivalence contracts (traced ==
+untraced; fast == slow; mono == sharded).
 """
 
 import json
@@ -16,6 +17,7 @@ from repro.sim.rng import SeededRng
 from repro.telemetry import PacketTracer, TelemetryConfig
 from repro.telemetry.export import (
     chrome_trace_events,
+    engine_counter_tracks,
     format_timeline,
     shard_window_counters,
     write_chrome_trace,
@@ -122,32 +124,6 @@ class TestTracerUnit:
             TelemetryConfig(sample_every=-1)
         with pytest.raises(ValueError):
             TelemetryConfig(max_spans=0)
-        with pytest.raises(ValueError):
-            TelemetryConfig(probe_period_ps=-1)
-
-
-class TestKernelHooks:
-    def test_hook_sees_every_event_time(self):
-        sim = Simulator()
-        seen = []
-        sim.add_after_event_hook(seen.append)
-        for t in (5, 1, 9):
-            sim.schedule_at(t, lambda: None)
-        sim.run()
-        assert seen == [1, 5, 9]
-
-    def test_hooks_do_not_change_events_fired(self):
-        def load(sim):
-            def chain(i=0):
-                if i < 50:
-                    sim.schedule(3, chain, i + 1)
-            chain()
-            return sim.run()
-
-        plain = load(Simulator())
-        hooked_sim = Simulator()
-        hooked_sim.add_after_event_hook(lambda now: None)
-        assert load(hooked_sim) == plain
 
 
 class TestTracedUntracedEquivalence:
@@ -155,9 +131,8 @@ class TestTracedUntracedEquivalence:
     def test_stats_and_timestamps_bit_identical(self, fast_path):
         """The tentpole contract: tracing ON changes nothing observable."""
         _, nic_off = _run_chain(None, fast_path=fast_path)
-        _, nic_on = _run_chain(
-            TelemetryConfig(sample_every=1, probe_period_ps=1 * US),
-            fast_path=fast_path)
+        _, nic_on = _run_chain(TelemetryConfig(sample_every=1),
+                               fast_path=fast_path)
         assert nic_on.stats() == nic_off.stats()
 
     def test_delivery_timestamps_identical_under_pressure(self):
@@ -300,61 +275,96 @@ class TestPifoEvictHook:
         assert evicted == []
 
 
-class TestProbes:
-    def test_probe_cadence_and_series(self):
-        _, nic = _run_chain(
-            TelemetryConfig(sample_every=0, probe_period_ps=1 * US),
-            frames=10, gap_ps=1000 * NS)
-        series = nic.telemetry.probes.series()
-        depth = series[f"{nic.name}.eth0.pifo_depth"]
-        points = depth.items()
-        assert len(points) >= 2
-        times = [t for t, _v in points]
-        assert times == sorted(times)
-        # One sample per crossed period: consecutive samples sit in
-        # distinct 1us buckets.
-        buckets = [t // (1 * US) for t in times]
-        assert len(set(buckets)) == len(buckets)
+def _counters(spans_by_nic):
+    """The counter ("C") points of a Chrome trace, per track name."""
+    tracks = {}
+    for event in chrome_trace_events(spans_by_nic):
+        if event["ph"] == "C":
+            tracks.setdefault((event["pid"], event["name"]), []).append(
+                (event["ts"], event["args"]["value"]))
+    return tracks
 
-    def test_rmt_busy_frac_is_occupancy_over_pipeline_depth(self):
-        def drive(gap_ps, frames, stall_until_ps=0):
+
+class TestCounterTracks:
+    """Per-engine ``queue_depth`` and ``in_service`` counter tracks,
+    computed from the engine spans alone."""
+
+    def test_every_engine_span_feeds_both_tracks(self):
+        _, nic = _run_chain(TelemetryConfig(sample_every=1), frames=6)
+        spans = nic.telemetry.tracer.sorted_spans()
+        engines = {s.component for s in spans if s.kind == "engine"}
+        tracks = engine_counter_tracks(spans)
+        assert set(tracks) == {f"{engine}.{track}" for engine in engines
+                               for track in ("queue_depth", "in_service")}
+        for name, points in tracks.items():
+            times = [t for t, _v in points]
+            assert times == sorted(times), name
+            if name.endswith(".in_service"):
+                # One point per instant; every served packet leaves.
+                assert len(set(times)) == len(times)
+                assert points[-1][1] == 0 and min(v for _t, v in points) >= 0
+
+    def test_queue_depth_rises_under_a_burst(self):
+        def peak_depth(gap_ps):
+            _, nic = _run_chain(TelemetryConfig(sample_every=1),
+                                frames=10, gap_ps=gap_ps)
+            tracks = engine_counter_tracks(nic.telemetry.tracer.report())
+            return max(v for _t, v in tracks[f"{nic.name}.ipsec.queue_depth"])
+
+        assert peak_depth(gap_ps=1000 * NS) == 0
+        assert peak_depth(gap_ps=0) > 0
+
+    def test_a_recovered_rmt_stall_shows_its_backlog_in_service(self):
+        def drive(stall_until_ps=0):
             sim = Simulator()
             nic = PanicNic(sim, PanicConfig(
                 ports=2, offloads=("checksum",),
-                telemetry=TelemetryConfig(sample_every=0,
-                                          probe_period_ps=1 * NS),
+                telemetry=TelemetryConfig(sample_every=1),
             ))
             nic.control.route_dscp(1, ["checksum"])
             frame = _frame(payload_bytes=18)
-            for i in range(frames):
+            for _ in range(40):
                 for port in range(2):
-                    sim.schedule_at(i * gap_ps, nic.inject,
-                                    Packet(frame, MessageKind.ETHERNET), port)
+                    nic.inject(Packet(frame, MessageKind.ETHERNET), port)
             if stall_until_ps:
                 nic.rmt.fail("stall")
                 sim.schedule_at(stall_until_ps, nic.rmt.recover)
             sim.run()
-            assert not nic.rmt.busy
-            series = nic.telemetry.probes.series()
-            return nic.rmt, [value for _t, value in
-                             series[f"{nic.name}.rmt.busy_frac"].items()]
+            tracks = engine_counter_tracks(nic.telemetry.tracer.report())
+            return (nic.rmt, tracks[f"{nic.rmt.name}.queue_depth"],
+                    tracks[f"{nic.rmt.name}.in_service"])
 
-        rmt, idle = drive(gap_ps=10 * US, frames=10)
-        assert rmt.lanes == rmt.latency_ps // rmt.initiation_interval_ps > 2
-        # One frame per port at a time: never more than two inside.
-        assert 0 < max(idle) <= 2 / rmt.lanes
-        _, saturated = drive(gap_ps=0, frames=40)
-        assert max(idle) < max(saturated) <= 1.0
-        assert min(saturated) == 0.0
-        # A recovered stall admits its whole backlog at once: more
-        # packets than the pipeline is deep still read as "full".
-        _, burst = drive(gap_ps=0, frames=40, stall_until_ps=5 * US)
-        assert max(burst) == 1.0
+        rmt, _, flowing = drive()
+        # The pipeline's depth in packets: what it holds when admitting
+        # back to back.
+        full = rmt.latency_ps // rmt.initiation_interval_ps
+        assert full > 2
+        assert 0 < max(v for _t, v in flowing) < full
+        _, depth, burst = drive(stall_until_ps=5 * US)
+        # The stalled pipeline queues its arrivals, then admits them one
+        # initiation interval apart from the recovery on, until it is
+        # full, and stays full while the backlog drains.
+        assert max(v for _t, v in depth) > full
+        assert burst[0][0] == 5 * US
+        assert max(v for _t, v in burst) == full
 
-    def test_no_probe_period_installs_no_hook(self):
-        sim, nic = _run_chain(TelemetryConfig(sample_every=1))
-        assert sim._after_hooks == []
-        assert len(nic.telemetry.probes) == 0
+    def test_tracks_are_equal_monolithic_and_sharded(self):
+        from repro.sim.shard import run_monolithic, run_sharded
+        from repro.workloads.rack import rack_topology
+
+        topo = rack_topology(nics=4, pattern="fanin", frames=8,
+                             telemetry=TelemetryConfig(sample_every=1))
+        mono = chrome_trace_events(run_monolithic(topo).trace)
+        sharded = chrome_trace_events(run_sharded(topo, workers=2).trace)
+        assert mono == sharded
+        # The fan-in sink's tiles see every sampled frame: its MACs, its
+        # RMT pipeline and its DMA tile each get both tracks.
+        names = {e["name"] for e in mono if e["ph"] == "C"}
+        for engine in ("eth0", "eth1", "eth2", "rmt", "dma"):
+            for track in ("queue_depth", "in_service"):
+                assert f"nic0.{engine}.{track}" in names
+        assert any(e["ph"] == "C" and e["name"].endswith(".queue_depth")
+                   and e["args"]["value"] > 0 for e in mono)
 
 
 class TestSampledDeterminism:
@@ -393,16 +403,13 @@ class TestShardEquivalence:
 
 class TestExport:
     def _traced_nic(self):
-        return _run_chain(
-            TelemetryConfig(sample_every=1, probe_period_ps=1 * US),
-            frames=6)[1]
+        return _run_chain(TelemetryConfig(sample_every=1), frames=6)[1]
 
     def test_chrome_trace_structure(self, tmp_path):
         nic = self._traced_nic()
         path = tmp_path / "trace.json"
         count = write_chrome_trace(
-            str(path), {nic.name: nic.telemetry.tracer.sorted_spans()},
-            {nic.name: nic.telemetry.probes.series()})
+            str(path), {nic.name: nic.telemetry.tracer.sorted_spans()})
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         assert len(events) == count
@@ -417,16 +424,6 @@ class TestExport:
         names = [e["args"]["name"] for e in events
                  if e["ph"] == "M" and e["name"] == "process_name"]
         assert names == [nic.name]
-
-    def test_counter_events_skip_all_zero_series(self):
-        nic = self._traced_nic()
-        events = chrome_trace_events(
-            {nic.name: nic.telemetry.tracer.sorted_spans()},
-            {nic.name: nic.telemetry.probes.series()})
-        counter_names = {e["name"] for e in events if e["ph"] == "C"}
-        # Plenty of mesh channels never see traffic in this workload.
-        assert counter_names
-        assert len(counter_names) < len(nic.telemetry.probes.series())
 
     def test_timeline_renders_components(self):
         nic = self._traced_nic()

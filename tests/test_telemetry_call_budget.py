@@ -11,7 +11,7 @@ figure is an integer.
 
 * off: ``telemetry=None`` on the five-engine chain makes no call into
   ``repro/telemetry/`` at all.
-* idle: ``TelemetryConfig(sample_every=0, probe_period_ps=0)`` on the
+* idle: ``TelemetryConfig(sample_every=0)`` on the
   same chain -- nothing can ever be sampled, so all that runs is one
   ``PacketTracer.maybe_trace`` call per injected frame.
 * armed: side-channel ``IntConfig()`` on the 3-NIC fan-in rack -- per
@@ -45,7 +45,7 @@ from repro.workloads.rack import rack_topology
 
 SHORT, LONG = 20, 40
 CHAIN = ("checksum", "checksum1", "checksum2", "checksum3", "checksum4")
-IDLE = TelemetryConfig(sample_every=0, probe_period_ps=0)
+IDLE = TelemetryConfig(sample_every=0)
 SENDERS = 2
 
 #: (calls per frame reached when this gate was written, ceiling).  They
