@@ -15,7 +15,7 @@ and compare makespan.
 """
 
 from repro.analysis import format_table
-from repro.noc import Crossbar, Endpoint, Mesh, MeshAnalysis, MeshConfig
+from repro.noc import Endpoint, Mesh, MeshAnalysis, MeshConfig
 from repro.sim import Simulator
 from repro.sim.clock import MHZ, SEC
 

@@ -41,7 +41,7 @@ def run_scenario(crash: bool, seed: int = 3):
     nic.set_backup("ipsec", "ipsec1")
     nic.control.route_dscp(10, ["ipsec"])
     nic.control.route_dscp(12, ["ipsec1"])
-    monitor = attach_health_monitor(nic, period_ps=2 * US, timeout_ps=4 * US)
+    monitor = attach_health_monitor(nic)
     monitor.start()
     if crash:
         plan = FaultPlan(seed=seed).crash_engine(CRASH_AT, "ipsec")

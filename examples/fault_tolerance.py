@@ -61,7 +61,7 @@ def spray(sim: Simulator, nic: PanicNic) -> None:
 def main() -> None:
     sim = Simulator()
     nic = build_nic(sim)
-    monitor = attach_health_monitor(nic, period_ps=2 * US, timeout_ps=4 * US)
+    monitor = attach_health_monitor(nic)
     monitor.start()
 
     plan = FaultPlan(seed=42).crash_engine(CRASH_AT, "ipsec")

@@ -15,14 +15,13 @@ from repro.analysis.linerate import (
     table2_rows,
 )
 from repro.analysis.reporting import format_table, format_comparison
-from repro.analysis.visualize import mesh_map, occupancy_map, utilization_report
+from repro.analysis.visualize import mesh_map, utilization_report
 
 __all__ = [
     "LineRatePoint",
     "format_comparison",
     "format_table",
     "mesh_map",
-    "occupancy_map",
     "utilization_report",
     "min_frame_pps",
     "required_rmt_pipelines",

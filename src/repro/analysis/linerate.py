@@ -71,10 +71,6 @@ class LineRatePoint:
     pps_mpps: float
     paper_mpps: int
 
-    def label(self) -> str:
-        return f"{self.line_rate_gbps}Gbps x{self.ports}"
-
-
 #: Table 2's parameter grid and the values the paper prints.
 TABLE2_GRID = (
     (40, 2, 240),

@@ -1,12 +1,12 @@
-"""ASCII visualization of a PANIC NIC: mesh map and live occupancy.
+"""ASCII visualization of a PANIC NIC: mesh map and engine utilization.
 
 Plots are plain monospace text so they drop into terminals, logs and
 docs.  Two views:
 
 * :func:`mesh_map` -- which engine sits on which tile (Figure 3c as
   rendered from the actual constructed NIC);
-* :func:`occupancy_map` -- per-tile scheduling-queue depth at the
-  current instant, for eyeballing hotspots during an experiment.
+* :func:`utilization_report` -- per-engine processed count, queue peak
+  and drops after a run.
 """
 
 from __future__ import annotations
@@ -48,26 +48,6 @@ def mesh_map(nic) -> str:
         f"{nic.name}: {width}x{height} mesh, "
         f"{nic.mesh.config.channel_bits}-bit channels"
     )
-    return header + "\n" + _grid_lines(width, height, cell)
-
-
-def occupancy_map(nic) -> str:
-    """Render instantaneous queue depth (and busy marker) per tile."""
-    width = nic.config.mesh_width
-    height = nic.config.mesh_height
-    by_tile: Dict[tuple, object] = {}
-    for key, engine in nic.engines.items():
-        by_tile[nic.mesh.coords_of(engine.address)] = (key, engine)
-
-    def cell(x: int, y: int) -> str:
-        entry = by_tile.get((x, y))
-        if entry is None:
-            return "."
-        key, engine = entry
-        marker = "*" if engine.busy else " "
-        return f"{key[:7]}:{engine.backlog}{marker}"
-
-    header = f"{nic.name}: queue depth per tile ('*' = busy)"
     return header + "\n" + _grid_lines(width, height, cell)
 
 

@@ -107,7 +107,7 @@ def cmd_faults() -> None:
     ))
     nic.set_backup("ipsec", "ipsec1")
     nic.control.route_dscp(10, ["ipsec"])
-    monitor = attach_health_monitor(nic, period_ps=2 * US, timeout_ps=4 * US)
+    monitor = attach_health_monitor(nic)
     monitor.start()
     plan = FaultPlan(seed=1).crash_engine(20 * US, "ipsec")
     FaultInjector(nic, plan).arm()
@@ -417,11 +417,13 @@ def cmd_int_report(nics: int = 4, frames: int = 40, gap_ns: int = 2000,
     contract).  ``inband=True`` carries the hop stack as real trailer
     bytes that grow every frame on the wire instead of the zero-cost
     side channel.  ``out`` writes the report JSON; ``trace_out`` writes
-    the collector's Perfetto counter/instant tracks.
+    the collector's Perfetto counter/instant tracks beside every NIC's
+    spans (telemetry samples every frame then; postcards do not depend
+    on it).
     """
     from repro.sim.clock import NS
     from repro.sim.shard import run_monolithic, run_sharded
-    from repro.telemetry.config import IntConfig
+    from repro.telemetry.config import IntConfig, TelemetryConfig
     from repro.telemetry.export import merge_int_reports
     from repro.telemetry.int_ import IntCollector, format_int_report
     from repro.workloads.rack import rack_topology
@@ -430,6 +432,7 @@ def cmd_int_report(nics: int = 4, frames: int = 40, gap_ns: int = 2000,
         nics=nics, frames=frames, gap_ps=gap_ns * NS,
         propagation_ps=prop_ns * NS, pattern=pattern,
         int_=IntConfig(inband=inband),
+        telemetry=TelemetryConfig(sample_every=1) if trace_out else None,
     )
     carriage = "in-band trailers" if inband else "side-channel"
     mode = (f"{workers}-worker sharded"

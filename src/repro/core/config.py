@@ -208,7 +208,3 @@ class PanicConfig:
         if self.batch_execution is None:
             return self._train_blocker() is None
         return self.batch_execution
-
-    @property
-    def tiles(self) -> int:
-        return self.mesh_width * self.mesh_height

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.core.host import QUEUES
 from repro.packet.headers import IP_PROTO_ESP
 from repro.packet.kv import KvOpcode
 from repro.rmt.action import ActionContext, decode_chain
@@ -62,7 +63,6 @@ def build_panic_program(
     *,
     dma_addr: int,
     port_addrs: Sequence[int],
-    rx_queues: int = 4,
 ) -> RmtProgram:
     """Construct the reference program (tables empty where control-plane
     entries are expected; defaults functional out of the box)."""
@@ -166,7 +166,7 @@ def build_panic_program(
         "hash_select",
         {
             "fields": ["ipv4.src", "udp.src_port"],
-            "ways": rx_queues,
+            "ways": QUEUES,
             "dst": "meta.rx_queue",
         },
     )
@@ -253,9 +253,9 @@ class PanicControl:
 
     # -- Tenant policy ----------------------------------------------------
 
-    def route_tenant(self, tenant: int, chain: Sequence, append_dma: bool = True) -> None:
-        self._route("tenant_route", DIR_RX, tenant, chain,
-                    self._dma_addr if append_dma else None)
+    def route_tenant(self, tenant: int, chain: Sequence) -> None:
+        """Send a tenant's RX traffic through ``chain``, then to DMA."""
+        self._route("tenant_route", DIR_RX, tenant, chain, self._dma_addr)
 
     def route_dscp(self, dscp: int, chain: Sequence, append_dma: bool = True) -> None:
         """Send RX traffic of a DSCP class through ``chain``."""
@@ -285,12 +285,11 @@ class PanicControl:
         self._route("port_route", DIR_RX, dst_port, chain,
                     self._dma_addr if append_dma else None)
 
-    def route_tenant_tx(self, tenant: int, chain: Sequence,
-                        egress_port: int = 0) -> None:
+    def route_tenant_tx(self, tenant: int, chain: Sequence) -> None:
         """Send a tenant's *transmit* traffic through ``chain`` before it
-        leaves on ``egress_port`` (e.g. a rate limiter)."""
+        leaves on port 0 (e.g. a rate limiter)."""
         self._route("tenant_route", DIR_TX, tenant, chain,
-                    self._port_addrs[egress_port])
+                    self._port_addrs[0])
 
     def set_tenant_slack(self, tenant: int, slack_ps: int) -> None:
         """Program the logical scheduler's deadline for a tenant."""
@@ -397,9 +396,8 @@ def panic_decision_factory(nic, program: RmtProgram):
             nic.corrupt_drops += 1
             return []
         # Direct field-store reads: _fields never holds an invalid
-        # sentinel (invalidate() pops), so dict.get with a default is
-        # exactly get_or/is_valid without the method-call tax on this
-        # per-frame path.
+        # sentinel, so dict.get with a default is exactly get_or
+        # without the method-call tax on this per-frame path.
         fields = phv._fields
         if fields.get("meta.drop", 0):
             nic.rmt_drops += 1

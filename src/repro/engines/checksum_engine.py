@@ -23,6 +23,11 @@ from repro.packet.headers import (
 from repro.packet.packet import Direction, Packet
 from repro.sim.kernel import Simulator
 
+#: Service time: ``FIXED_CYCLES + CYCLES_PER_BYTE * frame bytes``
+#: cycles (16 bytes per cycle).
+FIXED_CYCLES = 8
+CYCLES_PER_BYTE = 0.0625
+
 
 def _rx_verdict(data: bytes):
     """``None`` when ``data`` has no parseable Ethernet/IPv4 layer, else
@@ -64,19 +69,15 @@ class ChecksumEngine(Engine):
         self,
         sim: Simulator,
         name: str,
-        fixed_cycles: int = 8,
-        cycles_per_byte: float = 0.0625,  # 16 bytes per cycle
         **engine_kwargs,
     ):
         super().__init__(sim, name, **engine_kwargs)
-        self.fixed_cycles = fixed_cycles
-        self.cycles_per_byte = cycles_per_byte
         self.verified = 0
         self.bad_checksums = 0
         self.generated = 0
 
     def service_time_ps(self, packet: Packet) -> int:
-        cycles = self.fixed_cycles + self.cycles_per_byte * packet.frame_bytes
+        cycles = FIXED_CYCLES + CYCLES_PER_BYTE * packet.frame_bytes
         return self.clock.cycles_to_ps(cycles)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:

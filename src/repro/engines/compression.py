@@ -36,6 +36,10 @@ _MIN_MATCH = 4
 _MAX_MATCH = 255
 _WINDOW = 4096
 
+#: Service time: ``FIXED_CYCLES + CYCLES_PER_BYTE * frame bytes`` cycles.
+FIXED_CYCLES = 24
+CYCLES_PER_BYTE = 1.0
+
 
 class CompressionError(RuntimeError):
     """Raised when decompressing malformed data."""
@@ -138,19 +142,15 @@ class CompressionEngine(Engine):
         self,
         sim: Simulator,
         name: str,
-        fixed_cycles: int = 24,
-        cycles_per_byte: float = 1.0,
         **engine_kwargs,
     ):
         super().__init__(sim, name, **engine_kwargs)
-        self.fixed_cycles = fixed_cycles
-        self.cycles_per_byte = cycles_per_byte
         self.compressed = 0
         self.decompressed = 0
         self.bytes_saved = 0
 
     def service_time_ps(self, packet: Packet) -> int:
-        cycles = self.fixed_cycles + self.cycles_per_byte * packet.frame_bytes
+        cycles = FIXED_CYCLES + CYCLES_PER_BYTE * packet.frame_bytes
         return self.clock.cycles_to_ps(cycles)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:

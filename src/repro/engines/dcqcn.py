@@ -78,7 +78,6 @@ class EcnMarkerEngine(Engine):
         k_min: int = 5,
         k_max: int = 20,
         p_max: float = 1.0,
-        seed: int = 0,
         **engine_kwargs,
     ):
         super().__init__(sim, name, **engine_kwargs)
@@ -89,7 +88,7 @@ class EcnMarkerEngine(Engine):
         self.k_min = k_min
         self.k_max = k_max
         self.p_max = p_max
-        self.rng = SeededRng(seed)
+        self.rng = SeededRng(0)
         #: The engine whose queue this marker watches (set by the user);
         #: defaults to watching its own queue.
         self.watch_engine: Optional[Engine] = None

@@ -28,10 +28,10 @@ from repro.sim.kernel import Simulator
 
 #: PCIe 3.0 x16 usable bandwidth, roughly (the paper's Figure 3c shows
 #: "PCIe x16").
-DEFAULT_PCIE_BPS = 120e9
+PCIE_BPS = 120e9
 
 #: Fixed descriptor-processing overhead per DMA operation.
-DEFAULT_DESCRIPTOR_CYCLES = 16
+DESCRIPTOR_CYCLES = 16
 
 
 class DmaEngine(Engine):
@@ -41,15 +41,9 @@ class DmaEngine(Engine):
         self,
         sim: Simulator,
         name: str,
-        pcie_bps: float = DEFAULT_PCIE_BPS,
-        descriptor_cycles: int = DEFAULT_DESCRIPTOR_CYCLES,
         **engine_kwargs,
     ):
         super().__init__(sim, name, **engine_kwargs)
-        if pcie_bps <= 0:
-            raise ValueError(f"{name}: PCIe bandwidth must be positive")
-        self.pcie_bps = pcie_bps
-        self.descriptor_cycles = descriptor_cycles
         self.host = None
         #: Where completions go (the PCIe engine); set by the NIC builder.
         self.pcie_addr: Optional[int] = None
@@ -70,8 +64,8 @@ class DmaEngine(Engine):
         if self.host is None:
             raise RuntimeError(f"{self.name}: no host attached")
         transfer_bytes = self._transfer_bytes(packet)
-        wire = int(transfer_bytes * 8 * SEC / self.pcie_bps)
-        overhead = self.clock.cycles_to_ps(self.descriptor_cycles)
+        wire = int(transfer_bytes * 8 * SEC / PCIE_BPS)
+        overhead = self.clock.cycles_to_ps(DESCRIPTOR_CYCLES)
         # Host memory latency varies with contention (section 3.2).
         return overhead + wire + self.host.memory_latency_ps()
 

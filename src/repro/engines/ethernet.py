@@ -114,10 +114,6 @@ class EthernetPort(Engine):
         self._transmit(packet)
         return []
 
-    def terminal(self, packet: Packet) -> None:
-        """Chain ends at the MAC: that *is* a transmit request."""
-        self._transmit(packet)
-
     def _transmit(self, packet: Packet) -> None:
         ctx = packet.trace
         if ctx is not None and ctx.int_ is not None:

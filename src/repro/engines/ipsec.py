@@ -35,6 +35,10 @@ from repro.sim.kernel import Simulator
 #: Bytes of CRC-32 integrity check value appended to the ESP payload.
 ICV_BYTES = 4
 
+#: Service time: ``FIXED_CYCLES + CYCLES_PER_BYTE * frame bytes`` cycles.
+FIXED_CYCLES = 32
+CYCLES_PER_BYTE = 0.5
+
 
 class IpsecError(RuntimeError):
     """Raised on authentication failures or unknown SPIs."""
@@ -79,18 +83,12 @@ class IpsecEngine(Engine):
         self,
         sim: Simulator,
         name: str,
-        fixed_cycles: int = 32,
-        cycles_per_byte: float = 0.5,
         queue_capacity: Optional[int] = None,
         drop_on_auth_failure: bool = False,
         **engine_kwargs,
     ):
         super().__init__(sim, name, queue_capacity=queue_capacity,
                          **engine_kwargs)
-        if cycles_per_byte <= 0:
-            raise ValueError(f"{name}: cycles_per_byte must be positive")
-        self.fixed_cycles = fixed_cycles
-        self.cycles_per_byte = cycles_per_byte
         #: Production profile: silently drop packets that fail ICV or
         #: reference an unknown SPI instead of raising.
         self.drop_on_auth_failure = drop_on_auth_failure
@@ -120,7 +118,7 @@ class IpsecEngine(Engine):
     # ------------------------------------------------------------------
 
     def service_time_ps(self, packet: Packet) -> int:
-        cycles = self.fixed_cycles + self.cycles_per_byte * packet.frame_bytes
+        cycles = FIXED_CYCLES + CYCLES_PER_BYTE * packet.frame_bytes
         return self.clock.cycles_to_ps(cycles)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,11 @@ from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.kernel import Simulator
 
+#: Service time: ``LOOKUP_CYCLES + CYCLES_PER_VALUE_BYTE * value bytes``
+#: cycles.
+LOOKUP_CYCLES = 8
+CYCLES_PER_VALUE_BYTE = 0.125
+
 
 class KvCacheEngine(Engine):
     """An LRU key-value cache living in NIC SRAM."""
@@ -34,16 +39,12 @@ class KvCacheEngine(Engine):
         sim: Simulator,
         name: str,
         capacity_bytes: int = 1 << 20,
-        lookup_cycles: int = 8,
-        cycles_per_value_byte: float = 0.125,
         **engine_kwargs,
     ):
         super().__init__(sim, name, **engine_kwargs)
         if capacity_bytes <= 0:
             raise ValueError(f"{name}: capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self.lookup_cycles = lookup_cycles
-        self.cycles_per_value_byte = cycles_per_value_byte
         self._cache: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._used_bytes = 0
         self.hits = 0
@@ -88,17 +89,13 @@ class KvCacheEngine(Engine):
         self._used_bytes -= self._entry_bytes(key, value)
         return True
 
-    @property
-    def entries(self) -> int:
-        return len(self._cache)
-
     # ------------------------------------------------------------------
     # Cost model
     # ------------------------------------------------------------------
 
     def service_time_ps(self, packet: Packet) -> int:
         value_bytes = packet.meta.annotations.get("kv_value_bytes", 0)
-        cycles = self.lookup_cycles + self.cycles_per_value_byte * value_bytes
+        cycles = LOOKUP_CYCLES + CYCLES_PER_VALUE_BYTE * value_bytes
         return self.clock.cycles_to_ps(cycles)
 
     # ------------------------------------------------------------------

@@ -17,6 +17,9 @@ from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.clock import US
 from repro.sim.kernel import Simulator
 
+#: Cycles to raise one (coalesced) interrupt.
+INTERRUPT_COST_CYCLES = 8
+
 
 class PcieEngine(Engine):
     """Interrupt generation with coalescing, plus host doorbell injection."""
@@ -27,7 +30,6 @@ class PcieEngine(Engine):
         name: str,
         coalesce_count: int = 8,
         coalesce_timeout_ps: int = 10 * US,
-        interrupt_cost_cycles: int = 8,
     ):
         super().__init__(sim, name)
         if coalesce_count < 1:
@@ -36,7 +38,6 @@ class PcieEngine(Engine):
             raise ValueError(f"{name}: coalesce timeout must be positive")
         self.coalesce_count = coalesce_count
         self.coalesce_timeout_ps = coalesce_timeout_ps
-        self.interrupt_cost_cycles = interrupt_cost_cycles
         self.host = None
         #: The DMA engine's address, for forwarding doorbells.
         self.dma_addr: Optional[int] = None
@@ -69,7 +70,7 @@ class PcieEngine(Engine):
     # ------------------------------------------------------------------
 
     def service_time_ps(self, packet: Packet) -> int:
-        return self.clock.cycles_to_ps(self.interrupt_cost_cycles)
+        return self.clock.cycles_to_ps(INTERRUPT_COST_CYCLES)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         if packet.kind == MessageKind.DMA_COMPLETION:

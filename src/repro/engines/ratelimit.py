@@ -19,6 +19,9 @@ from repro.packet.packet import Packet
 from repro.sim.clock import SEC
 from repro.sim.kernel import Simulator
 
+#: Cycles for one token-bucket check.
+CHECK_CYCLES = 4
+
 
 @dataclass
 class TokenBucket:
@@ -68,11 +71,9 @@ class RateLimiterEngine(Engine):
         self,
         sim: Simulator,
         name: str,
-        check_cycles: int = 4,
         **engine_kwargs,
     ):
         super().__init__(sim, name, **engine_kwargs)
-        self.check_cycles = check_cycles
         self._buckets: Dict[int, TokenBucket] = {}
         self.shaped = 0
         self.passed = 0
@@ -110,7 +111,7 @@ class RateLimiterEngine(Engine):
     # ------------------------------------------------------------------
 
     def service_time_ps(self, packet: Packet) -> int:
-        return self.clock.cycles_to_ps(self.check_cycles)
+        return self.clock.cycles_to_ps(CHECK_CYCLES)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         tenant = packet.meta.tenant

@@ -24,6 +24,9 @@ from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
 from repro.packet.packet import Direction, MessageKind, Packet
 from repro.sim.kernel import Simulator
 
+#: Cycles to turn a GET into a DMA read (or a completion into a reply).
+REQUEST_CYCLES = 16
+
 
 class RdmaEngine(Engine):
     """Serve KV GETs by DMA-reading host memory, bypassing the CPU."""
@@ -32,11 +35,9 @@ class RdmaEngine(Engine):
         self,
         sim: Simulator,
         name: str,
-        request_cycles: int = 16,
         **engine_kwargs,
     ):
         super().__init__(sim, name, **engine_kwargs)
-        self.request_cycles = request_cycles
         #: The DMA engine's NoC address; set by the NIC builder.
         self.dma_addr: Optional[int] = None
         # DMA read in flight -> the GET it serves.
@@ -46,7 +47,7 @@ class RdmaEngine(Engine):
         self.not_found = 0
 
     def service_time_ps(self, packet: Packet) -> int:
-        return self.clock.cycles_to_ps(self.request_cycles)
+        return self.clock.cycles_to_ps(REQUEST_CYCLES)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
         if packet.kind == MessageKind.DMA_COMPLETION:

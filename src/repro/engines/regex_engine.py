@@ -19,6 +19,9 @@ from repro.packet.headers import HeaderError
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
 
+#: Cycles per scan on top of ``cycles_per_byte * frame bytes``.
+FIXED_CYCLES = 16
+
 
 class AhoCorasick:
     """A from-scratch Aho-Corasick automaton over byte patterns."""
@@ -121,7 +124,6 @@ class RegexEngine(Engine):
         name: str,
         patterns: Iterable[bytes] = (),
         block_patterns: Iterable[bytes] = (),
-        fixed_cycles: int = 16,
         cycles_per_byte: float = 1.0,
         **engine_kwargs,
     ):
@@ -130,14 +132,13 @@ class RegexEngine(Engine):
         watch = [bytes(p) for p in patterns]
         self._block_count = len(block)
         self.automaton = AhoCorasick(block + watch) if (block or watch) else None
-        self.fixed_cycles = fixed_cycles
         self.cycles_per_byte = cycles_per_byte
         self.scanned = 0
         self.matched = 0
         self.blocked = 0
 
     def service_time_ps(self, packet: Packet) -> int:
-        cycles = self.fixed_cycles + self.cycles_per_byte * packet.frame_bytes
+        cycles = FIXED_CYCLES + self.cycles_per_byte * packet.frame_bytes
         return self.clock.cycles_to_ps(cycles)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:

@@ -28,6 +28,11 @@ from repro.packet.packet import MessageKind, Packet
 from repro.sim.clock import US
 from repro.sim.kernel import Component
 
+#: :class:`HealthMonitor`'s probe interval, and the echo age past which
+#: it declares an engine dead.
+PERIOD_PS = 2 * US
+TIMEOUT_PS = 4 * US
+
 
 class Heartbeat:
     """The detection rule, its lifecycle and its counters.
@@ -122,21 +127,18 @@ class HealthMonitor(Component, Endpoint, Heartbeat):
         Engine keys to probe; defaults to the configured offloads -- the
         engines with failover semantics.  Fixed-function tiles (MACs,
         DMA, PCIe, RMT) can be added explicitly.
-    period_ps, timeout_ps:
-        Probe interval and the echo age past which the engine is
-        declared dead.
+
+    It probes every :data:`PERIOD_PS` and declares an engine dead once
+    its last echo is :data:`TIMEOUT_PS` old.
     """
 
     def __init__(
         self,
         nic,
         engines: Optional[Iterable[str]] = None,
-        period_ps: int = 2 * US,
-        timeout_ps: int = 4 * US,
-        name: Optional[str] = None,
     ):
-        Component.__init__(self, nic.sim, name or f"{nic.name}.monitor")
-        Heartbeat.__init__(self, period_ps, timeout_ps)
+        Component.__init__(self, nic.sim, f"{nic.name}.monitor")
+        Heartbeat.__init__(self, PERIOD_PS, TIMEOUT_PS)
         self.nic = nic
         # Engine address -> key, in probe order; nic.offload fails fast
         # on a typo.
@@ -175,8 +177,6 @@ class HealthMonitor(Component, Endpoint, Heartbeat):
 def attach_health_monitor(
     nic,
     engines: Optional[Iterable[str]] = None,
-    period_ps: int = 2 * US,
-    timeout_ps: int = 4 * US,
 ) -> HealthMonitor:
     """Bind a :class:`HealthMonitor` to a free mesh tile of ``nic``.
 
@@ -184,8 +184,6 @@ def attach_health_monitor(
     and returns the monitor; call :meth:`HealthMonitor.start` to begin
     probing and :meth:`HealthMonitor.stop` before draining the sim.
     """
-    monitor = HealthMonitor(
-        nic, engines=engines, period_ps=period_ps, timeout_ps=timeout_ps
-    )
+    monitor = HealthMonitor(nic, engines=engines)
     nic.monitor = monitor
     return monitor

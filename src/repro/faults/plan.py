@@ -210,29 +210,13 @@ class FaultPlan:
         return self._add(at_ps, WIRE_LOSS, wire,
                          drop_p=drop_p, corrupt_p=corrupt_p)
 
-    def link_local(
-        self, at_ps: int, wire: str,
-        hold_frames: Optional[int] = None,
-        max_repair: Optional[int] = None,
-    ) -> "FaultPlan":
+    def link_local(self, at_ps: int, wire: str) -> "FaultPlan":
         """Arm LinkGuardian-style sub-RTT repair on both directions of a
         cable from ``at_ps`` on: the receiver NACKs dropped/corrupted
-        frames, the sender retransmits from a bounded ``hold_frames``
-        hold buffer (up to ``max_repair`` times per frame), and repaired
-        frames hand off to the next hop in order.  See
+        frames, the sender retransmits from a bounded hold buffer, and
+        repaired frames hand off to the next hop in order.  See
         :mod:`repro.reliability.linklayer`."""
-        params = {}
-        if hold_frames is not None:
-            if hold_frames < 1:
-                raise ValueError(
-                    f"hold_frames must be >= 1, got {hold_frames}")
-            params["hold_frames"] = hold_frames
-        if max_repair is not None:
-            if max_repair < 1:
-                raise ValueError(
-                    f"max_repair must be >= 1, got {max_repair}")
-            params["max_repair"] = max_repair
-        return self._add(at_ps, WIRE_LINKLAYER, wire, **params)
+        return self._add(at_ps, WIRE_LINKLAYER, wire)
 
     # -- introspection ---------------------------------------------------
 

@@ -60,12 +60,6 @@ class HashRing:
     def backends(self) -> Tuple[int, ...]:
         return tuple(sorted(self._backends))
 
-    def add(self, backend: int) -> None:
-        if backend in self._backends:
-            raise ValueError(f"backend {backend} already on the ring")
-        self._backends.add(int(backend))
-        self._dirty = True
-
     def remove(self, backend: int) -> None:
         if backend not in self._backends:
             raise ValueError(f"backend {backend} not on the ring")

@@ -24,10 +24,10 @@ accounting invariant still closes: ``sent == acked + failed``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.core.pipeline_programs import DIR_RX
-from repro.lb.ring import DEFAULT_VNODES, HashRing
+from repro.lb.ring import HashRing
 from repro.packet.addresses import IPv4Address
 from repro.rmt.action import (
     LB_STAT_BYPASS,
@@ -49,12 +49,12 @@ DEFAULT_AFFINITY_SLOTS = 256
 #: Idle eviction horizon.  Must exceed the worst-case retransmission
 #: backoff of the transports using the VIP, or a retransmit could
 #: re-insert a flow under a newer epoch (an affinity violation).
-DEFAULT_IDLE_PS = 4 * MS
+IDLE_PS = 4 * MS
 
 #: Fields identifying a connection.  The rack workloads give every
 #: client one UDP source port, so (source IP, source port) is exactly
 #: one affinity entry per client flow.
-DEFAULT_AFFINITY_FIELDS = ("ipv4.src", "udp.src_port")
+AFFINITY_FIELDS = ("ipv4.src", "udp.src_port")
 
 
 class LbSteering:
@@ -83,9 +83,6 @@ class LbSteering:
         backend_ports: Dict[int, int],
         *,
         slots: int = DEFAULT_AFFINITY_SLOTS,
-        vnodes: int = DEFAULT_VNODES,
-        idle_ps: int = DEFAULT_IDLE_PS,
-        fields: Iterable[str] = DEFAULT_AFFINITY_FIELDS,
     ):
         if not backend_ports:
             raise ValueError("load balancer needs at least one backend")
@@ -94,9 +91,7 @@ class LbSteering:
         self.nic = nic
         self.vip = IPv4Address(vip).value if not isinstance(vip, int) else vip
         self.backend_ports = dict(backend_ports)
-        self.idle_ps = idle_ps
-        self.fields = tuple(fields)
-        self.ring = HashRing(backend_ports, vnodes=vnodes)
+        self.ring = HashRing(backend_ports)
         self.epoch = 0
         #: backend -> instant it left the live set, by verb.
         self.draining: Dict[int, int] = {}
@@ -141,11 +136,11 @@ class LbSteering:
             [DIR_RX, ternary_match(self.vip, 0xFFFFFFFF)],
             "affinity_steer",
             {
-                "fields": list(self.fields),
+                "fields": list(AFFINITY_FIELDS),
                 "ring": self.ring.as_param(),
                 "stats_reg": "lb_stats",
                 "epoch": self.epoch,
-                "idle_ps": self.idle_ps,
+                "idle_ps": IDLE_PS,
                 **self._registers,
             },
             priority=self.epoch,

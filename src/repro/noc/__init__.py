@@ -14,20 +14,16 @@ This package provides:
   (XY) routing.
 * :class:`Mesh` -- builds a ``width x height`` mesh of routers and binds
   endpoints to them.
-* :class:`Crossbar` -- a single-switch alternative used by the "mesh vs
-  crossbar" ablation.
 * :mod:`repro.noc.analysis` -- the closed-form mesh model behind Table 3.
 """
 
 from repro.noc.channel import Channel
 from repro.noc.router import Router, Endpoint
 from repro.noc.mesh import Mesh, MeshConfig
-from repro.noc.crossbar import Crossbar
 from repro.noc.analysis import MeshAnalysis, table3_rows, Table3Row
 
 __all__ = [
     "Channel",
-    "Crossbar",
     "Endpoint",
     "Mesh",
     "MeshAnalysis",

@@ -108,13 +108,6 @@ class Table3Row:
     bisection_gbps: float
     chain_length: float
 
-    def label(self) -> str:
-        return (
-            f"{self.line_rate_gbps}Gbps x{self.ports} {self.freq_mhz}MHz "
-            f"{self.channel_bits}b {self.topo}"
-        )
-
-
 #: The exact parameter grid of Table 3.
 TABLE3_GRID = (
     (40, 2, 500, 64, 6),

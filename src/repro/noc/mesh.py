@@ -88,12 +88,6 @@ class NocPort:
         self._mesh._inside += 1
         self._channel.submit(packet)
 
-    @property
-    def backlog(self) -> int:
-        """Messages waiting in the injection channel."""
-        return self._channel.queue_len
-
-
 class Mesh:
     """A ``width x height`` mesh of routers with bound endpoints."""
 

@@ -23,6 +23,9 @@ from typing import Dict
 from repro.sim.clock import Clock
 from repro.sim.kernel import Component, Simulator
 
+#: Width of each access port: 64 B/cycle = 256 Gbps at 500 MHz.
+PORT_BYTES_PER_CYCLE = 64
+
 
 class PacketBufferError(RuntimeError):
     """Raised on capacity exhaustion or bad handles."""
@@ -39,9 +42,7 @@ class PacketBuffer(Component):
         resource").
     ports:
         Concurrent access ports; an access occupies one port for
-        ``bytes / port_bytes_per_cycle`` cycles.
-    port_bytes_per_cycle:
-        Width of each port (default 64 B/cycle = 256 Gbps at 500 MHz).
+        ``bytes / PORT_BYTES_PER_CYCLE`` cycles.
     """
 
     def __init__(
@@ -50,13 +51,11 @@ class PacketBuffer(Component):
         name: str = "pktbuf",
         capacity_bytes: int = 2 << 20,
         ports: int = 2,
-        port_bytes_per_cycle: int = 64,
     ):
         super().__init__(sim, name)
-        if capacity_bytes <= 0 or ports <= 0 or port_bytes_per_cycle <= 0:
-            raise ValueError(f"{name}: capacity, ports and width must be positive")
+        if capacity_bytes <= 0 or ports <= 0:
+            raise ValueError(f"{name}: capacity and ports must be positive")
         self.capacity_bytes = capacity_bytes
-        self.port_bytes_per_cycle = port_bytes_per_cycle
         self.clock = Clock()
         self._port_busy_until = [0] * ports
         self._store: Dict[int, bytes] = {}
@@ -125,7 +124,7 @@ class PacketBuffer(Component):
         """
         if nbytes < 0:
             raise ValueError(f"negative access size: {nbytes}")
-        cycles = max(1, -(-nbytes // self.port_bytes_per_cycle))
+        cycles = max(1, -(-nbytes // PORT_BYTES_PER_CYCLE))
         duration = self.clock.cycles_to_ps(cycles)
         port = min(range(len(self._port_busy_until)),
                    key=lambda i: self._port_busy_until[i])

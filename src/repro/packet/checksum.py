@@ -43,30 +43,6 @@ def verify_internet_checksum(data: bytes) -> bool:
     return value != 0 and value % 0xFFFF == 0
 
 
-_CRC32_TABLE = []
-
-
-def _build_crc_table() -> None:
-    poly = 0xEDB88320
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ poly
-            else:
-                crc >>= 1
-        _CRC32_TABLE.append(crc)
-
-
-_build_crc_table()
-
-
-def crc32(data: bytes, seed: int = 0xFFFFFFFF) -> int:
+def crc32(data: bytes) -> int:
     """IEEE 802.3 CRC-32 (the same polynomial as Ethernet FCS / zlib)."""
-    if seed == 0xFFFFFFFF:
-        # Identical parameters to zlib's CRC-32; use its C implementation.
-        return zlib.crc32(data)
-    crc = seed
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    return zlib.crc32(data)

@@ -63,7 +63,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.faults.rack import wire_target
-from repro.lb.rack import lb_layout, lb_rack_topology
+from repro.lb.rack import lb_rack_topology
 from repro.reliability.rack import reliable_rack_topology
 from repro.sim.clock import US
 from repro.sim.rng import SeededRng
@@ -201,7 +201,7 @@ BACKEND_DOWN_P = 0.35
 DRAIN_P = 0.6
 
 
-def lb_drain_params(seed: int, n_backends: int = LB_BACKENDS):
+def lb_drain_params(seed: int):
     """``(backend, at_ps)`` for the seed's planned drain, or None.
 
     Drawn from its own fork of the seed so the drain schedule -- which
@@ -210,12 +210,11 @@ def lb_drain_params(seed: int, n_backends: int = LB_BACKENDS):
     rng = SeededRng(seed).fork("lbdrain")
     if rng.random() >= DRAIN_P:
         return None
-    backend = rng.randint(1, n_backends)
+    backend = rng.randint(1, LB_BACKENDS)
     return backend, rng.randint(HORIZON_PS // 8, HORIZON_PS // 2)
 
 
-def generate_lb_chaos_plan(seed: int, nics: int,
-                           n_backends: int = LB_BACKENDS) -> FaultPlan:
+def generate_lb_chaos_plan(seed: int, nics: int) -> FaultPlan:
     """Seeded weather for the load-balanced rack.
 
     The same wire-loss and engine-slowdown mix as the incast plan, plus
@@ -230,7 +229,7 @@ def generate_lb_chaos_plan(seed: int, nics: int,
     _seed_wire_loss(plan, rng, _all_wires(nics))
     _seed_slowdown(plan, rng, nics)
     if rng.random() < BACKEND_DOWN_P:
-        backend = rng.randint(1, n_backends)
+        backend = rng.randint(1, LB_BACKENDS)
         plan.nic_down(rng.randint(HORIZON_PS // 4, (3 * HORIZON_PS) // 5),
                       f"nic{backend}")
     return plan
@@ -436,24 +435,22 @@ def summarize_case(mono, violations: List[str], *,
 
 
 def chaos_case(seed: int, config: str, *, nics: int = 4,
-               pattern: str = "fanin", frames: int = 30,
-               lb_nics: int = LB_NICS, telemetry=None):
+               pattern: str = "fanin", frames: int = 30, telemetry=None):
     """``(topology, plan)`` factories of one seeded case under ``config``
-    (the ``lb`` config builds its own ``lb_nics``-node rack, where
+    (the ``lb`` config builds its own :data:`LB_NICS`-node rack, where
     ``nics``/``pattern`` do not apply); ``telemetry`` arms every node."""
     transport, link_local = split_config(config)
     if config == "lb":
-        lb_layout(lb_nics, LB_BACKENDS)  # fail fast: no clients
-        drain = lb_drain_params(seed, LB_BACKENDS)
+        drain = lb_drain_params(seed)
 
         def topology():
             return lb_rack_topology(
-                nics=lb_nics, n_backends=LB_BACKENDS, frames=frames,
+                nics=LB_NICS, n_backends=LB_BACKENDS, frames=frames,
                 seed=seed, drain=drain, telemetry=telemetry,
             )
 
         def plan():
-            return generate_lb_chaos_plan(seed, lb_nics, LB_BACKENDS)
+            return generate_lb_chaos_plan(seed, LB_NICS)
     else:
         def topology():
             return reliable_rack_topology(
@@ -477,7 +474,6 @@ def run_chaos_case(
     check_replay: bool = True,
     config: str = "gbn",
     speculative: bool = False,
-    lb_nics: int = LB_NICS,
 ) -> dict:
     """Run one seeded chaos case end to end; returns a picklable report.
 
@@ -495,7 +491,7 @@ def run_chaos_case(
     offered across the rack.
     """
     topology, plan = chaos_case(seed, config, nics=nics, pattern=pattern,
-                                frames=frames, lb_nics=lb_nics)
+                                frames=frames)
     mono, shard, replay = run_triad(
         topology, plan, workers=workers, speculative=speculative,
         replay=check_replay)
@@ -511,7 +507,7 @@ def run_chaos_case(
     }
     if config == "lb":
         steering = mono.reports["nic0"]["steering"]
-        drain = lb_drain_params(seed, LB_BACKENDS)
+        drain = lb_drain_params(seed)
         case["lb"] = {
             "drain": list(drain) if drain else None,
             "epoch": steering["epoch"],
@@ -537,7 +533,6 @@ def run_chaos(
     configs=("gbn",),
     goodput_floor: Mapping[str, float] = GOODPUT_FLOORS,
     speculative: bool = False,
-    lb_nics: int = LB_NICS,
 ) -> dict:
     """Run a batch of chaos cases; the harness/CLI entry point.
 
@@ -557,7 +552,7 @@ def run_chaos(
             case = run_chaos_case(
                 seed, nics=nics, pattern=pattern, frames=frames,
                 workers=workers, check_replay=check_replay,
-                config=config, speculative=speculative, lb_nics=lb_nics,
+                config=config, speculative=speculative,
             )
             cases.append(case)
             if progress is not None:
@@ -595,7 +590,7 @@ def run_chaos(
             "workers": workers, "seeds": list(seeds),
             "configs": list(configs),
             "goodput_floor": dict(goodput_floor),
-            "speculative": speculative, "lb_nics": lb_nics,
+            "speculative": speculative, "lb_nics": LB_NICS,
         },
         "cases": cases,
         "by_config": by_config,

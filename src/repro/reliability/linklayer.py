@@ -19,7 +19,7 @@ direction's :class:`~repro.workloads.wire.LinkFaults` gate:
   the wire, so the buffer is bounded by construction;
 * **receiver NACK** -- a corrupted frame is CRC-detected on arrival and
   NACKed immediately; a dropped frame is detected by the receiver's
-  gap/aging timer (``detect_ps``) and then NACKed;
+  gap/aging timer (``DETECT_PS``) and then NACKed;
 * **sender retransmission** -- up to ``max_repair`` retransmissions per
   frame, each re-crossing the faulty segment (and so itself subject to
   drop/corruption); a frame that exhausts its repair budget is lost to
@@ -56,18 +56,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sim.clock import NS
 
-#: Defaults, chosen so one repair costs ~2 wire round trips -- far
-#: below the host transport's RTO (``8 x prop + 30 us``).
+#: Timings and defaults, chosen so one repair costs ~2 wire round trips
+#: -- far below the host transport's RTO (``8 x prop + 30 us``).
 DEFAULT_HOLD_FRAMES = 64
 DEFAULT_MAX_REPAIR = 4
 #: Receiver-side detection delay for a *dropped* frame (the gap/aging
 #: timer; corruption is CRC-detected with no extra delay).
-DEFAULT_DETECT_PS = 1000 * NS
+DETECT_PS = 1000 * NS
 #: Receiver NACK processing + sender hold-buffer fetch turnaround.
-DEFAULT_TURNAROUND_PS = 50 * NS
+TURNAROUND_PS = 50 * NS
 #: Extra delay after handoff before the coalesced ACK releases the
 #: sender's hold-buffer slot.
-DEFAULT_ACK_COALESCE_PS = 500 * NS
+ACK_COALESCE_PS = 500 * NS
 
 
 class LinkLayer:
@@ -91,7 +91,6 @@ class LinkLayer:
 
     __slots__ = (
         "faults", "propagation_ps", "hold_frames", "max_repair",
-        "detect_ps", "turnaround_ps", "ack_coalesce_ps",
         "_handoff_front_ps", "_releases", "occupancy_peak",
         "protected", "nacks", "retransmits", "repaired", "gave_up",
         "bypassed", "handoff_held", "_trace_ctx",
@@ -104,9 +103,6 @@ class LinkLayer:
         *,
         hold_frames: int = DEFAULT_HOLD_FRAMES,
         max_repair: int = DEFAULT_MAX_REPAIR,
-        detect_ps: int = DEFAULT_DETECT_PS,
-        turnaround_ps: int = DEFAULT_TURNAROUND_PS,
-        ack_coalesce_ps: int = DEFAULT_ACK_COALESCE_PS,
         trace_ctx=None,
     ):
         if hold_frames < 1:
@@ -121,9 +117,6 @@ class LinkLayer:
         self.propagation_ps = propagation_ps
         self.hold_frames = hold_frames
         self.max_repair = max_repair
-        self.detect_ps = detect_ps
-        self.turnaround_ps = turnaround_ps
-        self.ack_coalesce_ps = ack_coalesce_ps
 
         #: Receiver resequencing front: no frame hands off earlier.
         self._handoff_front_ps = 0
@@ -187,7 +180,7 @@ class LinkLayer:
                     ))
                 heapq.heappush(
                     releases,
-                    handoff + self.propagation_ps + self.ack_coalesce_ps,
+                    handoff + self.propagation_ps + ACK_COALESCE_PS,
                 )
                 if len(releases) > self.occupancy_peak:
                     self.occupancy_peak = len(releases)
@@ -199,8 +192,8 @@ class LinkLayer:
             self._trace("ll_nack", now, (
                 ("reason", outcome), ("attempt", attempt),
             ))
-            detect = 0 if outcome == "corrupt" else self.detect_ps
-            attempt_tx += 2 * self.propagation_ps + detect + self.turnaround_ps
+            detect = 0 if outcome == "corrupt" else DETECT_PS
+            attempt_tx += 2 * self.propagation_ps + detect + TURNAROUND_PS
             if attempt < self.max_repair:
                 self.retransmits += 1
                 self._trace("ll_retransmit", now, (("attempt", attempt + 1),))

@@ -264,14 +264,13 @@ class SelectiveRepeatTransport(TransportCore):
     # fast retransmit repairs most holes without the timer.
     RESTART_RTO_ON_NEW_DATA = True
 
-    def __init__(self, nic, index: int, *,
-                 rto_min_ps: Optional[int] = None, initial_seq: int = 0,
+    def __init__(self, nic, index: int, *, initial_seq: int = 0,
                  **core_args):
         if initial_seq < 0:
             raise ValueError(f"initial_seq must be >= 0, got {initial_seq}")
         self.initial_seq = initial_seq
         super().__init__(nic, index, **core_args)
-        self.rto_min_ps = rto_min_ps or max(1, self.rto_initial_ps // 8)
+        self.rto_min_ps = max(1, self.rto_initial_ps // 8)
         self._rx: Dict[int, _SrRxFlow] = {}
 
     _pack_data = staticmethod(pack_sr_data)

@@ -147,10 +147,6 @@ class TxFlow:
         self.aborted = False
         self.completed_ps: Optional[int] = None  # last payload acked at
 
-    def outstanding(self) -> bool:
-        return self.base < self.next_seq
-
-
 class TransportCore:
     """Flow table, window, timer, retry budget, RX demux and reports.
 
@@ -208,12 +204,10 @@ class TransportCore:
         frame_builder: Callable[[int, bytes], bytes],
         rng,
         rto_initial_ps: int,
-        rto_max_ps: Optional[int] = None,
         window: int = DEFAULT_WINDOW,
         max_retries: int = DEFAULT_MAX_RETRIES,
         jitter: float = DEFAULT_JITTER,
         on_deliver: Optional[Callable[[int, int, bytes, int], None]] = None,
-        tx_queue: int = 0,
         accept_dst: Optional[set] = None,
         reply_as: Optional[int] = None,
     ):
@@ -231,11 +225,10 @@ class TransportCore:
         self.rng = rng
         self.window = window
         self.rto_initial_ps = rto_initial_ps
-        self.rto_max_ps = rto_max_ps or 16 * rto_initial_ps
+        self.rto_max_ps = 16 * rto_initial_ps
         self.max_retries = max_retries
         self.jitter = jitter
         self.on_deliver = on_deliver
-        self.tx_queue = tx_queue
 
         self._tx: Dict[int, TxFlow] = {}
         self.failures: List[DeliveryFailed] = []
@@ -315,17 +308,14 @@ class TransportCore:
     def _transmit(self, flow: TxFlow, seq: int, first: bool) -> None:
         segment = self._pack_data(self.index, flow.dst, seq,
                                   flow.payloads[seq])
-        self.nic.host.enqueue_tx(
-            self.frame_builder(flow.dst, segment), self.tx_queue
-        )
+        self.nic.host.enqueue_tx(self.frame_builder(flow.dst, segment))
 
     def _retransmit(self, flow: TxFlow, seq: int) -> None:
         self._transmit(flow, seq, first=False)
         self.retransmits += 1
 
     def _send_ack(self, src: int, segment: bytes) -> None:
-        self.nic.host.enqueue_tx(self.frame_builder(src, segment),
-                                 self.tx_queue)
+        self.nic.host.enqueue_tx(self.frame_builder(src, segment))
         self.acks_sent += 1
 
     def _jittered(self, ps: float) -> int:

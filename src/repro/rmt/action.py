@@ -55,9 +55,10 @@ class Register:
         for fn in self._listeners:
             fn()
 
-    def add(self, index: int, delta: int = 1) -> int:
+    def add(self, index: int) -> int:
+        """Count one at ``index``; returns the new value."""
         i = self._check(index)
-        self._cells[i] += delta
+        self._cells[i] += 1
         for fn in self._listeners:
             fn()
         return self._cells[i]

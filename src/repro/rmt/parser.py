@@ -59,10 +59,6 @@ class ParseGraph:
         self._start = start
         self._states: Dict[str, ParserState] = {}
 
-    @property
-    def start(self) -> str:
-        return self._start
-
     def add_state(self, state: ParserState) -> "ParseGraph":
         if state.name in self._states:
             raise ValueError(f"duplicate parser state {state.name!r}")

@@ -59,13 +59,6 @@ class Phv:
         value = self._fields.get(name, _INVALID)
         return default if value is _INVALID else value
 
-    def is_valid(self, name: str) -> bool:
-        return name in self._fields
-
-    def invalidate(self, name: str) -> None:
-        """Remove a field (e.g. after decapsulation).  Idempotent."""
-        self._fields.pop(name, None)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -80,9 +73,6 @@ class Phv:
 
     def __contains__(self, name: str) -> bool:
         return name in self._fields
-
-    def __len__(self) -> int:
-        return len(self._fields)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v!r}" for k, v in list(self.fields())[:8])

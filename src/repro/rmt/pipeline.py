@@ -44,11 +44,6 @@ class Stage:
     #: Optional guard: only run this stage when the PHV field is valid.
     requires: Optional[str] = None
 
-    @property
-    def name(self) -> str:
-        return self.table.name
-
-
 class RmtProgram:
     """A complete pipeline program (parser + stages + actions + registers)."""
 

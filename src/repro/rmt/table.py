@@ -208,11 +208,6 @@ class Table:
             f"table {self.name!r}: entry {entry.patterns} not installed"
         )
 
-    def clear(self) -> None:
-        self._exact_index.clear()
-        self._scan_entries.clear()
-        self._notify()
-
     def entries(self) -> List[TableEntry]:
         """All installed entries (control-plane inspection / rewriting)."""
         return list(self._exact_index.values()) + list(self._scan_entries)

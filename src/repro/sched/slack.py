@@ -29,17 +29,14 @@ class WeightedShareSlackPolicy(SlackPolicy):
     per message; the deadline is the tenant's virtual finish time.  This
     is the classic start-time fair queueing construction expressed as a
     slack policy (per Universal Packet Scheduling, a PIFO on virtual
-    finish times realizes WFQ).
+    finish times realizes WFQ).  A tenant without a weight weighs 1.
     """
 
-    def __init__(self, weights: Dict[int, float], default_weight: float = 1.0):
+    def __init__(self, weights: Dict[int, float]):
         for tenant, weight in weights.items():
             if weight <= 0:
                 raise ValueError(f"tenant {tenant} weight must be positive: {weight}")
-        if default_weight <= 0:
-            raise ValueError(f"default weight must be positive: {default_weight}")
         self.weights = dict(weights)
-        self.default_weight = default_weight
         self._virtual_finish: Dict[Optional[int], float] = {}
 
     def deadline_ps(
@@ -48,7 +45,7 @@ class WeightedShareSlackPolicy(SlackPolicy):
         now_ps: int,
         cost_ps: int = 1000,
     ) -> int:
-        weight = self.weights.get(tenant, self.default_weight)
+        weight = self.weights.get(tenant, 1.0)
         start = max(self._virtual_finish.get(tenant, 0.0), float(now_ps))
         finish = start + cost_ps / weight
         self._virtual_finish[tenant] = finish

@@ -105,11 +105,6 @@ class Simulator:
         except KeyError:
             raise SimError(f"no component named {name!r}") from None
 
-    @property
-    def components(self) -> Dict[str, "Component"]:
-        """Mapping of all registered components by name (read-only view)."""
-        return dict(self._components)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -462,19 +457,10 @@ class Component:
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        # Shadow the class-level wrapper with the simulator's bound method:
-        # ``self.schedule(...)`` then dispatches straight into the kernel
-        # instead of through an extra Python frame per event scheduled.
+        # The simulator's bound method: ``self.schedule(...)`` dispatches
+        # straight into the kernel, with no Python frame of its own.
         self.schedule = sim.schedule
         sim.register(self)
-
-    def schedule(self, delay_ps: int, fn: Callable[..., None], *args: Any) -> list:
-        """Schedule a callback relative to the current simulated time.
-
-        (Normally shadowed by the instance attribute bound in
-        ``__init__``; kept for subclasses that bypass that initializer.)
-        """
-        return self.sim.schedule(delay_ps, fn, *args)
 
     @property
     def now(self) -> int:

@@ -14,8 +14,7 @@ sources (the benchmark ledger reads a client's ``requests.value``).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from typing import Dict, List
+from typing import List
 
 
 class Counter:
@@ -46,11 +45,10 @@ class Histogram:
     this library runs at (at most a few million samples per experiment) this
     is simpler and more accurate than approximate sketches.
 
-    Empty-histogram semantics: ``mean``/``minimum``/``maximum`` return
-    ``nan`` and ``summary()`` returns ``{"count": 0}``, so reporting code
-    survives zero-delivery runs; ``percentile``/``cdf`` still raise --
-    there is no meaningful quantile of nothing, and a silent default
-    would corrupt downstream math.
+    Empty-histogram semantics: ``mean`` returns ``nan``, so reporting
+    code survives zero-delivery runs; ``percentile`` raises -- there is
+    no meaningful quantile of nothing, and a silent default would
+    corrupt downstream math.
     """
 
     __slots__ = ("name", "_samples", "_sorted", "_total")
@@ -71,27 +69,10 @@ class Histogram:
         return len(self._samples)
 
     @property
-    def total(self) -> float:
-        """Running sum of all samples (cached, not re-summed per query)."""
-        return self._total
-
-    @property
     def mean(self) -> float:
         if not self._samples:
             return float("nan")
         return self._total / len(self._samples)
-
-    @property
-    def minimum(self) -> float:
-        if not self._samples:
-            return float("nan")
-        return min(self._samples)
-
-    @property
-    def maximum(self) -> float:
-        if not self._samples:
-            return float("nan")
-        return max(self._samples)
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -116,46 +97,12 @@ class Histogram:
         # a + frac*(b-a) is exact when a == b (a*(1-f) + b*f is not).
         return base + frac * (self._samples[low + 1] - base)
 
-    @property
-    def median(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def cdf(self, value: float) -> float:
-        """Fraction of samples <= value."""
-        if not self._samples:
-            raise ValueError(f"histogram {self.name!r} is empty")
-        self._ensure_sorted()
-        return bisect_right(self._samples, value) / len(self._samples)
-
-    def summary(self) -> Dict[str, float]:
-        """Return a dict of the usual summary statistics.
-
-        An empty histogram summarizes to ``{"count": 0}`` -- no made-up
-        quantiles, but reporting loops over many histograms don't blow
-        up on the ones a run never touched.
-        """
-        if not self._samples:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-            "max": self.maximum,
-        }
-
     def __repr__(self) -> str:
         if not self._samples:
             return f"Histogram({self.name}, empty)"
         return (
             f"Histogram({self.name}, n={self.count}, mean={self.mean:.3g}, "
-            f"p99={self.p99:.3g})"
+            f"p99={self.percentile(99):.3g})"
         )
 
 
@@ -226,14 +173,7 @@ class TimeSeries:
         """The recorded ``(time_ps, value)`` points, in record order."""
         return list(zip(self._t, self._v))
 
-    @property
-    def count(self) -> int:
-        return len(self._t)
-
-    def __len__(self) -> int:
-        return len(self._t)
-
     def __repr__(self) -> str:
-        return (f"TimeSeries({self.name}, n={self.count}"
+        return (f"TimeSeries({self.name}, n={len(self._t)}"
                 + (f", dropped={self.dropped}" if self.dropped else "")
                 + ")")

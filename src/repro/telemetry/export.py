@@ -121,7 +121,7 @@ def chrome_trace_events(spans_by_nic: Dict[str, Sequence]) -> List[dict]:
 _COORDINATOR_PID = 10_000
 
 
-def shard_window_counters(result, pid: int = _COORDINATOR_PID) -> List[dict]:
+def shard_window_counters(result) -> List[dict]:
     """Chrome trace events for a sharded run's window churn.
 
     One synthetic ``shard-coordinator`` process with counter ("C") tracks
@@ -135,6 +135,7 @@ def shard_window_counters(result, pid: int = _COORDINATOR_PID) -> List[dict]:
     window_log = getattr(result, "window_log", None) or []
     if not window_log:
         return []
+    pid = _COORDINATOR_PID
     events: List[dict] = [{
         "ph": "M", "pid": pid, "name": "process_name",
         "args": {"name": "shard-coordinator"},
@@ -165,7 +166,7 @@ def shard_window_counters(result, pid: int = _COORDINATOR_PID) -> List[dict]:
 _INT_COLLECTOR_PID = 20_000
 
 
-def int_chrome_events(collector, pid: int = _INT_COLLECTOR_PID) -> List[dict]:
+def int_chrome_events(collector) -> List[dict]:
     """Chrome trace events for a rack's INT flight record.
 
     One synthetic ``int-collector`` process: per-node counter ("C")
@@ -176,6 +177,7 @@ def int_chrome_events(collector, pid: int = _INT_COLLECTOR_PID) -> List[dict]:
     """
     if not collector.postcards:
         return []
+    pid = _INT_COLLECTOR_PID
     events: List[dict] = [{
         "ph": "M", "pid": pid, "name": "process_name",
         "args": {"name": "int-collector"},

@@ -73,6 +73,10 @@ RECORD_STRUCT = struct.Struct("<HHqqii")
 #: Trailer footer: magic(4) record_count(2) internet_checksum(2).
 FOOTER_STRUCT = struct.Struct("<IHH")
 
+#: Crossings on one node closer together than this merge into one
+#: microburst.
+BURST_GAP_PS = 10 * US
+
 #: ``"INT1"`` little-endian.
 TRAILER_MAGIC = 0x31544E49
 
@@ -273,15 +277,11 @@ class IntCollector:
     equal.
     """
 
-    def __init__(self, microburst_depth: int = 8,
-                 burst_gap_ps: int = 10 * US,
-                 series_cap: int = 4096):
+    def __init__(self, microburst_depth: int = 8):
         if microburst_depth <= 0:
             raise ValueError(
                 f"microburst_depth must be positive, got {microburst_depth}")
         self.microburst_depth = microburst_depth
-        self.burst_gap_ps = burst_gap_ps
-        self.series_cap = series_cap
         #: ``(deliver_ps, sink, queue, path, records)`` in ingest order.
         self.postcards: List[tuple] = []
         #: Per-node queue-depth gauge (one point per hop record).
@@ -297,11 +297,9 @@ class IntCollector:
                 depths = self.depth_series.get(node)
                 if depths is None:
                     depths = self.depth_series[node] = TimeSeries(
-                        f"{node_name(node)}.engine_depth", "frames",
-                        self.series_cap)
+                        f"{node_name(node)}.engine_depth", "frames")
                     self.latency_series[node] = TimeSeries(
-                        f"{node_name(node)}.hop_latency", "ps",
-                        self.series_cap)
+                        f"{node_name(node)}.hop_latency", "ps")
                 depths.record(record[2], record[5])
                 self.latency_series[node].record(
                     record[3], record[3] - record[2])
@@ -379,7 +377,7 @@ class IntCollector:
 
         A crossing is one hop record whose ``engine_depth`` reached
         ``microburst_depth``; crossings on one node closer together
-        than ``burst_gap_ps`` merge into one burst event.
+        than :data:`BURST_GAP_PS` merge into one burst event.
         """
         crossings: Dict[int, List[tuple]] = {}
         for _deliver_ps, _sink, _queue, path, records in self.postcards:
@@ -393,7 +391,7 @@ class IntCollector:
             burst = None
             for at_ps, depth, flow in sorted(crossings[node]):
                 if (burst is not None
-                        and at_ps - burst["end_ps"] <= self.burst_gap_ps):
+                        and at_ps - burst["end_ps"] <= BURST_GAP_PS):
                     burst["end_ps"] = max(burst["end_ps"], at_ps)
                     burst["peak_depth"] = max(burst["peak_depth"], depth)
                     burst["events"] += 1

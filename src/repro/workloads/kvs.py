@@ -24,6 +24,9 @@ from repro.sim.rng import SeededRng
 from repro.sim.stats import Counter, LatencyTracker
 from repro.workloads.generator import PoissonSource
 
+#: A WAN tenant's IPSec SPI is this plus its tenant id.
+WAN_SPI_BASE = 0x1000
+
 
 @dataclass
 class TenantSpec:
@@ -147,7 +150,6 @@ class KvsWorkload:
         requests_per_tenant: Optional[int] = 200,
         stop_ps: Optional[int] = None,
         ipsec: Optional[IpsecEngine] = None,
-        wan_spi_base: int = 0x1000,
     ):
         self.sim = sim
         self.nic = nic
@@ -157,7 +159,7 @@ class KvsWorkload:
         for spec in tenants:
             spi = None
             if spec.wan and ipsec is not None:
-                spi = wan_spi_base + spec.tenant_id
+                spi = WAN_SPI_BASE + spec.tenant_id
                 ipsec.install_sa(
                     IpsecSa(
                         spi=spi,

@@ -108,10 +108,10 @@ def resolve_flow_id(flow_id: str, nics: int) -> str:
     return flow_id
 
 
-def rack_mesh_size(ports: int, offloads: int = 1, rmt_tiles: int = 1) -> int:
+def rack_mesh_size(ports: int, offloads: int = 1) -> int:
     """Smallest square NoC mesh seating ``ports`` MACs plus DMA, PCIe,
-    the RMT tiles, and the offload lanes (never below the stock 4x4)."""
-    needed = ports + 2 + rmt_tiles + offloads
+    the RMT tile, and the offload lanes (never below the stock 4x4)."""
+    needed = ports + 3 + offloads
     side = 4
     while side * side < needed:
         side += 1

@@ -353,7 +353,7 @@ class Wire:
 
     Perfect by default; a rack fault plan (``WIRE_LOSS``/``WIRE_DOWN``/
     ``WIRE_LINKLAYER``, see :mod:`repro.faults.rack`) arms the ends.
-    ``end`` is ``"a"`` or ``"b"``, naming the transmitting NIC;
+    ``ends`` is keyed ``"a"`` / ``"b"`` by the transmitting NIC;
     ``fault_labels`` overrides the per-direction labels used in loss
     accounting and telemetry (default ``<name>.a`` / ``<name>.b``).
     """
@@ -376,21 +376,6 @@ class Wire:
             "b": LinkEnd(sim, nic_b, port_b, nic_a, port_a, propagation_ps,
                          f"{name}.b", labels.get("b")),
         }
-
-    def set_loss(self, end: str, drop_p: float, corrupt_p: float,
-                 rng) -> None:
-        """Arm Bernoulli loss on the direction transmitting at ``end``."""
-        self.ends[end].set_loss(drop_p, corrupt_p, rng)
-
-    def set_down(self, down: bool) -> None:
-        """Cut (or restore) the whole cable, both directions."""
-        for link_end in self.ends.values():
-            link_end.set_down(down)
-
-    def set_linklayer(self, end: str, params: dict) -> None:
-        """Arm link-local repair on the direction transmitting at
-        ``end``."""
-        self.ends[end].set_linklayer(params)
 
     def wire_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-direction fault accounting, keyed by the fault label."""

@@ -89,6 +89,31 @@ class TestIntReportCli:
         assert any(ev.get("name") == "microburst"
                    for ev in events["traceEvents"])
 
+    def test_trace_carries_engine_tracks_and_leaves_postcards(
+            self, capsys, tmp_path):
+        """``--trace-out`` arms telemetry on every NIC: the file names
+        each NIC's process and carries the incast sink's per-engine
+        ``in_service`` tracks, and the postcards are the ones an
+        untraced run reports."""
+        args = ["int-report", "--nics", "3", "--frames", "6",
+                "--gap-ns", "200"]
+        plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+        trace = tmp_path / "trace.json"
+        assert main(args + ["--int-out", str(plain)]) == 0
+        assert main(args + ["--int-out", str(traced),
+                            "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        assert traced.read_text() == plain.read_text()
+        import json
+        events = json.loads(trace.read_text())["traceEvents"]
+        processes = {ev["args"]["name"] for ev in events
+                     if ev.get("name") == "process_name"}
+        assert {"nic0", "nic1", "nic2"} <= processes
+        in_service = {ev["name"] for ev in events if ev.get("ph") == "C"
+                      and ev["name"].endswith(".in_service")}
+        assert {"nic0.rmt.in_service", "nic0.dma.in_service",
+                "nic0.eth0.in_service", "nic0.eth1.in_service"} <= in_service
+
     def test_inband_monolithic(self, capsys):
         assert main(["int-report", "--nics", "3", "--frames", "4",
                      "--inband"]) == 0

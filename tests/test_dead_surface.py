@@ -2,7 +2,8 @@
 
 Eight scans, all by ``ast`` plus a word scan, so they err towards
 keeping (an unrelated local of the same name counts as a mention) and
-what they catch is certain:
+what they catch is certain.  Comments, docstrings and import statements
+are blanked before the word scan: a mention there runs nothing.
 
 * every function, method and class is named somewhere besides its own
   ``def`` -- the accessor left behind when its last caller was deleted;
@@ -45,8 +46,10 @@ give it the caller it never had; ``ALLOWED`` is not a parking lot.
 
 import ast
 import functools
+import io
 import pathlib
 import re
+import tokenize
 from collections import Counter, defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -94,6 +97,46 @@ def _nodes(path):
     return tuple(ast.walk(_tree(path)))
 
 
+def _char_col(line, byte_col):
+    return len(line.encode()[:byte_col].decode("utf-8", "ignore"))
+
+
+@functools.lru_cache(maxsize=None)
+def _code(path):
+    """``path``'s text with what runs nothing blanked -- comments,
+    docstrings and import statements -- so a mention there keeps no name
+    alive.  Line structure is kept: spans still match the syntax tree."""
+    text = _text(path)
+    lines = text.splitlines()
+    spans = [(tok.start, tok.end) for tok in
+             tokenize.generate_tokens(io.StringIO(text).readline)
+             if tok.type == tokenize.COMMENT]
+    for node in _nodes(path):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            blank = node
+        elif (isinstance(body, list) and body
+              and isinstance(node, (ast.Module, ast.ClassDef) + FUNCS)
+              and isinstance(body[0], ast.Expr)
+              and isinstance(body[0].value, ast.Constant)
+              and isinstance(body[0].value.value, str)):
+            blank = body[0]
+        else:
+            continue
+        spans.append((
+            (blank.lineno, _char_col(lines[blank.lineno - 1],
+                                     blank.col_offset)),
+            (blank.end_lineno, _char_col(lines[blank.end_lineno - 1],
+                                         blank.end_col_offset))))
+    for (first, start), (last, end) in spans:
+        for i in range(first - 1, last):
+            line = lines[i]
+            lo = start if i == first - 1 else 0
+            hi = end if i == last - 1 else len(line)
+            lines[i] = line[:lo] + " " * (hi - lo) + line[hi:]
+    return "\n".join(lines)
+
+
 def _rel(path):
     return path.relative_to(ROOT).as_posix()
 
@@ -120,7 +163,7 @@ def test_every_defined_name_is_referenced_somewhere():
     defined: Counter = Counter()
     for top in SCANNED:
         for path in (ROOT / top).rglob("*.py"):
-            words.update(_words(_text(path)))
+            words.update(_words(_code(path)))
             if top == "src":
                 defined.update(node.name for node in _nodes(path)
                                if isinstance(node, DEFS))
@@ -162,7 +205,7 @@ def _reach(members):
     own: Counter = Counter()        # ... of which inside its own definition
     defs = []
     for path in _py_files("src"):
-        text = _text(path)
+        text = _code(path)
         body = _tree(path).body
         if path.name == "__init__.py":
             text = _without(text, [n for n in body if _is_reexport(n)])
@@ -172,8 +215,9 @@ def _reach(members):
             defs.append((path, node.lineno, label, node.name))
             span = "\n".join(lines[node.lineno - 1:node.end_lineno])
             own[node.name] += _words(span).count(node.name)
-    for path in _py_files("benchmarks", "examples") + [ROOT / "README.md"]:
-        live.update(_words(_text(path)))
+    for path in _py_files("benchmarks", "examples"):
+        live.update(_words(_code(path)))
+    live.update(_words(_text(ROOT / "README.md")))
     return [(path, line, label, name) for path, line, label, name in defs
             if live[name] == own[name]]
 

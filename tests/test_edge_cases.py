@@ -1,17 +1,15 @@
 """Edge-case coverage across subsystems: pointer-mode interplay,
-chained-engine loops, PCIe coalescing boundaries, crossbar-backed
-engines, config corner cases."""
+chained-engine loops, PCIe coalescing boundaries, config corner
+cases."""
 
 import pytest
 
 from repro.core import PanicConfig, PanicNic
-from repro.engines import ChecksumEngine, IpsecEngine, IpsecSa
-from repro.noc import Crossbar, Endpoint
+from repro.engines import IpsecEngine, IpsecSa
 from repro.packet import (
     KvOpcode,
     KvRequest,
     Packet,
-    PanicHeader,
     build_kv_request_frame,
     build_udp_frame,
     parse_frame,
@@ -100,30 +98,6 @@ class TestPcieCoalescing:
         sim.run()
         # 4 by count, 1 by timeout.
         assert nic.pcie.interrupts == 2
-
-
-class TestCrossbarBackedEngines:
-    def test_engines_work_over_crossbar(self, sim):
-        """Engines speak the same port protocol over the crossbar."""
-        xbar = Crossbar(sim, ports=2, freq_derating=0.0)
-        csum = ChecksumEngine(sim, "xb.csum")
-        csum.bind_port(xbar.bind(csum))
-
-        class Sink(Endpoint):
-            def __init__(self):
-                self.got = []
-
-            def receive(self, packet):
-                self.got.append(packet)
-
-        sink = Sink()
-        xbar.bind(sink)
-        packet = udp()
-        packet.panic = PanicHeader(chain=[sink.address])
-        csum._loopback(packet)
-        sim.run()
-        assert len(sink.got) == 1
-        assert sink.got[0].meta.annotations["csum_ok"] is True
 
 
 class TestConfigCorners:

@@ -107,7 +107,7 @@ class TestScheduling:
             engine._loopback(chained_packet([1]))
         sim.run()
         assert engine.queue_latency.count == 3
-        assert engine.queue_latency.maximum > 0
+        assert engine.queue_latency.percentile(100) > 0
 
     def test_lanes_process_concurrently(self, sim):
         times = {}

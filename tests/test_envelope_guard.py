@@ -28,7 +28,6 @@ from repro.engines.base import FAULT_CRASH, Engine
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
 from repro.lb.rack import lb_rack_topology
 from repro.noc.channel import Channel
-from repro.noc.crossbar import _CrossbarPort
 from repro.noc.mesh import NocPort
 from repro.noc.router import Endpoint
 from repro.packet import Packet, build_udp_frame
@@ -63,7 +62,6 @@ class EnvelopeGuard:
     def patches(self):
         guard = self
         port_send = NocPort.send
-        xbar_send = _CrossbarPort.send
         receive = Engine.receive
         loopback = Engine._loopback
         finish = Engine._finish
@@ -82,10 +80,6 @@ class EnvelopeGuard:
         def guarded_port_send(self, packet, dest_addr):
             guard.begin(packet, f"send via {via()}")
             return port_send(self, packet, dest_addr)
-
-        def guarded_xbar_send(self, packet, dest_addr):
-            guard.begin(packet, f"send via {via()}")
-            return xbar_send(self, packet, dest_addr)
 
         def guarded_loopback(self, packet):
             if id(packet) in guard.live:
@@ -154,7 +148,6 @@ class EnvelopeGuard:
 
         return [
             mock.patch.object(NocPort, "send", guarded_port_send),
-            mock.patch.object(_CrossbarPort, "send", guarded_xbar_send),
             mock.patch.object(Engine, "_loopback", guarded_loopback),
             mock.patch.object(Engine, "receive", guarded_receive),
             mock.patch.object(Engine, "_finish", guarded_finish),
@@ -264,8 +257,7 @@ def test_crashed_tile():
             ports=1, offloads=("ipsec", "ipsec1", "compression", "kvcache"),
             seed=3, batch_execution=False))
         nic.control.route_dscp(10, ["ipsec"])
-        monitor = attach_health_monitor(nic, engines=("ipsec1",),
-                                        period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic, engines=("ipsec1",))
         monitor.start()
         FaultInjector(nic, FaultPlan(seed=3)
                       .drop_on_link(2 * US, "panic.mesh.inj_0_0",

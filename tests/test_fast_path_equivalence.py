@@ -80,7 +80,7 @@ def run_fault_recovery(fast_path):
     nic.set_backup("ipsec", "ipsec1")
     nic.control.route_dscp(10, ["ipsec"])
     nic.control.route_dscp(12, ["ipsec1"])
-    monitor = attach_health_monitor(nic, period_ps=2 * US, timeout_ps=4 * US)
+    monitor = attach_health_monitor(nic)
     monitor.start()
     plan = FaultPlan(seed=3).crash_engine(30 * US, "ipsec")
     FaultInjector(nic, plan).arm()

@@ -48,8 +48,7 @@ class TestRepairPath:
         assert stats["nacks"] == stats["retransmits"] == 0
 
     def test_drop_is_nacked_and_retransmitted(self):
-        ll = _layer(["drop", "ok"], detect_ps=1000 * NS,
-                    turnaround_ps=50 * NS)
+        ll = _layer(["drop", "ok"])
         out = ll.transmit(b"f", 0)
         assert out is not None
         data, handoff = out
@@ -100,8 +99,7 @@ class TestRepairPath:
         assert ll.faults.process_calls == 1
 
     def test_slots_release_after_coalesced_ack(self):
-        ll = _layer(["ok", "ok"], hold_frames=1,
-                    ack_coalesce_ps=500 * NS)
+        ll = _layer(["ok", "ok"], hold_frames=1)
         _data, handoff = ll.transmit(b"a", 0)
         release = handoff + PROP + 500 * NS
         assert ll.transmit(b"b", release) is not None

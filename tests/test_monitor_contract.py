@@ -19,6 +19,7 @@ import pytest
 
 from repro import PanicConfig, PanicNic, Simulator
 from repro.faults import FaultPlan, attach_health_monitor
+from repro.faults.monitor import PERIOD_PS, TIMEOUT_PS
 from repro.lb import DEFAULT_HB_PERIOD_PS, DEFAULT_HB_TIMEOUT_PS
 from repro.lb import rack as lb_rack
 from repro.lb.monitor import BackendHealthMonitor
@@ -42,7 +43,7 @@ def listen(monitor):
 class EngineWatchdog:
     """Two IPSec lanes on one NIC, watched over its mesh."""
 
-    period_ps, timeout_ps = 2 * US, 4 * US
+    period_ps, timeout_ps = PERIOD_PS, TIMEOUT_PS
     targets = ("ipsec", "ipsec1")
 
     def run(self, silent=None, stop_ps=60 * US):
@@ -50,9 +51,7 @@ class EngineWatchdog:
         nic = PanicNic(sim, PanicConfig(
             ports=1, offloads=("ipsec", "ipsec1", "compression", "kvcache")))
         nic.set_backup("ipsec", "ipsec1")
-        monitor = attach_health_monitor(
-            nic, engines=self.targets,
-            period_ps=self.period_ps, timeout_ps=self.timeout_ps)
+        monitor = attach_health_monitor(nic, engines=self.targets)
         listen(monitor)
         monitor.start()
         for key, onset in (silent or {}).items():
@@ -161,9 +160,7 @@ def test_clear_gives_a_recovered_engine_a_full_timeout_of_grace():
     sim = Simulator()
     nic = PanicNic(sim, PanicConfig(
         ports=1, offloads=("ipsec", "ipsec1", "compression", "kvcache")))
-    monitor = attach_health_monitor(
-        nic, engines=["ipsec"],
-        period_ps=harness.period_ps, timeout_ps=harness.timeout_ps)
+    monitor = attach_health_monitor(nic, engines=["ipsec"])
     monitor.start()
     sim.schedule_at(5 * US + 300, nic.offload("ipsec").fail, "stall")
     sim.run(until_ps=20 * US)

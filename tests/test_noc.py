@@ -1,8 +1,8 @@
-"""Tests for the on-chip network: channels, routers, mesh, crossbar."""
+"""Tests for the on-chip network: channels, routers, mesh."""
 
 import pytest
 
-from repro.noc import Crossbar, Endpoint, Mesh, MeshConfig
+from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.noc.channel import Channel
 from repro.packet import Packet, PanicHeader
 from repro.sim import Clock, Simulator
@@ -170,43 +170,6 @@ class TestMeshRouting:
             MeshConfig(credits=0)
 
 
-class TestCrossbar:
-    def test_delivery(self, sim):
-        xbar = Crossbar(sim, ports=4)
-        sinks = [Sink(sim) for _ in range(4)]
-        xports = [xbar.bind(s) for s in sinks]
-        xports[0].send(Packet(b"\x00" * 64), 3)
-        sim.run()
-        assert len(sinks[3].got) == 1
-
-    def test_port_limit(self, sim):
-        xbar = Crossbar(sim, ports=1)
-        xbar.bind(Sink(sim))
-        with pytest.raises(ValueError):
-            xbar.bind(Sink(sim))
-
-    def test_unknown_destination_rejected(self, sim):
-        xbar = Crossbar(sim, ports=2)
-        port = xbar.bind(Sink(sim))
-        with pytest.raises(ValueError):
-            port.send(Packet(b""), 1)  # address 1 never bound
-
-    def test_frequency_derates_with_port_count(self, sim):
-        small = Crossbar(sim, ports=4, name="small")
-        big = Crossbar(sim, ports=32, name="big")
-        assert big.clock.freq_hz < small.clock.freq_hz
-
-    def test_output_contention_serializes(self, sim):
-        xbar = Crossbar(sim, ports=3, freq_derating=0.0)
-        sinks = [Sink(sim) for _ in range(3)]
-        xports = [xbar.bind(s) for s in sinks]
-        xports[0].send(Packet(b"\x00" * 64), 2)
-        xports[1].send(Packet(b"\x00" * 64), 2)
-        sim.run()
-        t0, t1 = sinks[2].got[0][1], sinks[2].got[1][1]
-        assert t1 - t0 >= 9 * 2000  # second waits for the first
-
-
 class TestTransferSlots:
     """A frame is its own envelope: a port's ``send`` writes the
     transfer into the packet's own slots."""
@@ -227,11 +190,6 @@ class TestTransferSlots:
             ports[(0, 0)].send(Packet(b""), -1)
         assert ports[(0, 0)].injected == 0
         assert mesh.in_flight == 0
-        xbar = Crossbar(sim, ports=2)
-        port = xbar.bind(Sink(sim))
-        xbar.bind(Sink(sim))
-        with pytest.raises(ValueError):
-            port.send(Packet(b""), -1)
 
 
 class TestChannelUtilization:

@@ -16,10 +16,10 @@ class TestTable3:
             assert row.chain_length == pytest.approx(paper_chain, abs=0.005)
 
     def test_row_labels(self):
-        labels = [row.label() for row in table3_rows()]
-        assert labels[0] == "40Gbps x2 500MHz 64b 6x6 Mesh"
-        assert labels[3] == "100Gbps x2 500MHz 128b 8x8 Mesh"
-
+        labels = [(row.line_rate_gbps, row.ports, row.freq_mhz,
+                   row.channel_bits, row.topo) for row in table3_rows()]
+        assert labels[0] == (40, 2, 500, 64, "6x6 Mesh")
+        assert labels[3] == (100, 2, 500, 128, "8x8 Mesh")
 
 class TestMeshAnalysis:
     def test_bisection_formula(self):

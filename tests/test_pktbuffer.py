@@ -43,10 +43,10 @@ class TestPacketBuffer:
         assert buf.high_watermark == 150
 
     def test_access_delay_scales_with_bytes(self, sim):
-        buf = PacketBuffer(sim, ports=1, port_bytes_per_cycle=64)
+        buf = PacketBuffer(sim, ports=1)
         small = buf.access_delay_ps(64)
         sim2 = Simulator()
-        buf2 = PacketBuffer(sim2, ports=1, port_bytes_per_cycle=64)
+        buf2 = PacketBuffer(sim2, ports=1)
         large = buf2.access_delay_ps(6400)
         assert large == 100 * small
 

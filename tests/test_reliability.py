@@ -149,7 +149,7 @@ class TestSenderMemory:
         wire = Wire(sim, nics[0], nics[1],
                     port_a=rack_port(0, 1), port_b=rack_port(1, 0))
         for end, seed in (("a", 3), ("b", 4)):
-            wire.set_loss(end, 0.2, 0.0, SeededRng(seed))
+            wire.ends[end].set_loss(0.2, 0.0, SeededRng(seed))
         sim.run()
         for index, nic in enumerate(nics):
             transport = nic.transport

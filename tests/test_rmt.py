@@ -55,12 +55,6 @@ class TestPhv:
     def test_get_or_default(self):
         assert Phv().get_or("x", 7) == 7
 
-    def test_invalidate_single_field(self):
-        phv = Phv({"a.b": 1})
-        phv.invalidate("a.b")
-        assert not phv.is_valid("a.b")
-        phv.invalidate("a.b")  # idempotent
-
     def test_type_enforcement(self):
         with pytest.raises(TypeError):
             Phv().set("x", 1.5)
@@ -89,7 +83,7 @@ class TestParser:
 
     def test_non_kv_udp_has_no_kv_fields(self):
         phv = default_parse_graph().parse(udp_frame())
-        assert not phv.is_valid("kv.opcode")
+        assert "kv.opcode" not in phv
 
     def test_malformed_packet_sets_parse_error(self):
         phv = default_parse_graph().parse(b"\x00" * 13)  # truncated L2
@@ -332,7 +326,7 @@ class TestPipeline:
         pipe = RmtPipeline(program)
         phv = pipe.process(udp_frame())
         assert phv.get("meta.drop") == 1
-        assert not phv.is_valid("meta.after")
+        assert "meta.after" not in phv
 
     def test_requires_guard_skips_stage(self):
         program = RmtProgram("p")
@@ -342,7 +336,7 @@ class TestPipeline:
         table.add([1], "set_field", {"field": "meta.kv", "value": 1})
         pipe = RmtPipeline(program)
         phv = pipe.process(udp_frame())  # not KV
-        assert not phv.is_valid("meta.kv")
+        assert "meta.kv" not in phv
 
     def test_metadata_seeding(self):
         program = RmtProgram("p")

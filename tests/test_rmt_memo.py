@@ -131,7 +131,7 @@ def run_failover_remap(rmt_memo):
     ))
     nic.set_backup("ipsec", "ipsec1")
     nic.control.route_dscp(10, ["ipsec"])
-    monitor = attach_health_monitor(nic, period_ps=2 * US, timeout_ps=4 * US)
+    monitor = attach_health_monitor(nic)
     monitor.start()
     FaultInjector(nic, FaultPlan(seed=3).crash_engine(30 * US, "ipsec")).arm()
     deliveries = _watch_deliveries(sim, nic)

@@ -6,6 +6,7 @@ import pytest
 from repro.core import PanicConfig, PanicNic
 from repro.engines import IpsecSa
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
+from repro.faults.monitor import PERIOD_PS, TIMEOUT_PS
 from repro.packet import (
     ETHERTYPE_PANIC,
     EthernetHeader,
@@ -215,9 +216,8 @@ class TestEngineFailover:
 class TestHealthMonitor:
     def test_watchdog_fires_within_configured_timeout(self, sim):
         nic = failover_nic(sim)
-        period, timeout = 2 * US, 4 * US
-        monitor = attach_health_monitor(
-            nic, period_ps=period, timeout_ps=timeout)
+        period, timeout = PERIOD_PS, TIMEOUT_PS
+        monitor = attach_health_monitor(nic)
         monitor.start()
         crash_at = 10 * US
         FaultInjector(
@@ -237,8 +237,7 @@ class TestHealthMonitor:
 
     def test_healthy_engines_keep_echoing(self, sim):
         nic = failover_nic(sim)
-        monitor = attach_health_monitor(
-            nic, period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic)
         monitor.start()
         sim.run(until_ps=30 * US)
         monitor.stop()
@@ -248,8 +247,7 @@ class TestHealthMonitor:
 
     def test_stalled_engine_detected_like_a_dead_one(self, sim):
         nic = failover_nic(sim)
-        monitor = attach_health_monitor(
-            nic, period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic)
         monitor.start()
         FaultInjector(
             nic, FaultPlan().stall_engine(5 * US, "ipsec")
@@ -270,8 +268,7 @@ class TestHealthMonitorEdges:
         flows through the primary, the loss window is fully accounted as
         blackholed, and post-detection traffic rides the backup."""
         nic = failover_nic(sim)
-        monitor = attach_health_monitor(
-            nic, period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic)
         monitor.start()
         delivered = []
         nic.host.software_handler = lambda p, q: delivered.append(p)
@@ -303,9 +300,7 @@ class TestHealthMonitorEdges:
         onto dies as well; the monitor (watching both lanes) removes the
         hop entirely and traffic still reaches the host."""
         nic = failover_nic(sim)
-        monitor = attach_health_monitor(
-            nic, engines=["ipsec", "ipsec1"],
-            period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic, engines=["ipsec", "ipsec1"])
         monitor.start()
         FaultInjector(nic, FaultPlan()
                       .crash_engine(10 * US, "ipsec")
@@ -329,8 +324,7 @@ class TestHealthMonitorEdges:
         probes echo before the last echo's age crosses the line, so no
         failover happens."""
         nic = failover_nic(sim)
-        monitor = attach_health_monitor(
-            nic, period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic)
         monitor.start()
         FaultInjector(nic, FaultPlan()
                       .stall_engine(5 * US, "ipsec")
@@ -346,8 +340,7 @@ class TestHealthMonitorEdges:
         dead: the failover stands, the late echo changes nothing, and
         clear() resumes probing without a second fire."""
         nic = failover_nic(sim)
-        monitor = attach_health_monitor(
-            nic, period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic)
         monitor.start()
         FaultInjector(nic, FaultPlan()
                       .stall_engine(5 * US, "ipsec")
@@ -590,8 +583,7 @@ class TestFullFaultRun:
         """The ISSUE acceptance check: a run combining every fault kind
         ends with 0 in-flight messages."""
         nic = failover_nic(sim)
-        monitor = attach_health_monitor(
-            nic, period_ps=2 * US, timeout_ps=4 * US)
+        monitor = attach_health_monitor(nic)
         monitor.start()
         plan = (FaultPlan(seed=11)
                 .slow_engine(5 * US, "compression", factor=4.0)
@@ -624,8 +616,7 @@ class TestFullFaultRun:
         def run():
             sim = Simulator()
             nic = failover_nic(sim)
-            monitor = attach_health_monitor(
-                nic, period_ps=2 * US, timeout_ps=4 * US)
+            monitor = attach_health_monitor(nic)
             monitor.start()
             plan = (FaultPlan(seed=9)
                     .crash_engine(15 * US, "ipsec")

@@ -133,7 +133,7 @@ class _FakeHost:
         self.software_handler = None
         self.tx = []
 
-    def enqueue_tx(self, frame, queue):
+    def enqueue_tx(self, frame, queue=0):
         self.tx.append(frame)
 
 

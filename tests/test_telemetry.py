@@ -192,6 +192,40 @@ class TestStatusSpans:
             assert statuses & {"evicted", "dropped_at_enqueue"}
         assert "ok" in statuses
 
+    def test_urgent_frames_evict_droppable_residents(self):
+        """Urgent non-droppable frames (DSCP 2, 1 us slack) arriving at a
+        full two-slot queue evict droppable residents (DSCP 1): the PIFO's
+        eviction hook closes each victim's span as ``evicted``, and no
+        frame's engine span is left open."""
+        sim = Simulator()
+        nic = PanicNic(sim, PanicConfig(
+            ports=1, offloads=("compression",), queue_capacity=2,
+            telemetry=TelemetryConfig(sample_every=1),
+        ))
+        for dscp in (1, 2):
+            nic.control.route_dscp(dscp, ["compression"])
+        nic.control.mark_dscp_droppable(1)
+        nic.control.set_dscp_slack(2, 1 * US)
+        order = [1] * 6 + [2] + [1] * 6 + [2] + [1] * 5 + [2]
+        packets = [Packet(_frame(dscp=dscp), MessageKind.ETHERNET)
+                   for dscp in order]
+        for i, packet in enumerate(packets):
+            sim.schedule_at(i * 50, nic.inject, packet)
+        sim.run()
+        status = {tid: dict(args)["status"]
+                  for tid, _seq, kind, component, _s, _e, args
+                  in nic.telemetry.tracer.report()
+                  if kind == "engine" and component == "panic.compression"}
+        evicted = sorted(tid for tid, s in status.items() if s == "evicted")
+        assert evicted == [1, 2, 15]
+        assert all(order[tid] == 1 for tid in evicted)
+        assert sorted(status.values()).count("dropped_at_enqueue") == 13
+        assert [tid for tid, s in status.items() if s == "ok"] \
+            == [0, 6, 13, 19]
+        assert nic.stats()["compression"]["dropped"] == 16
+        assert all(packet.trace.open_component is None
+                   for packet in packets)
+
     def test_crash_closes_the_span_of_every_queued_message(self):
         """A crash loses the PIFO's contents along with the message in
         service; each one's trace must end at the engine that lost it."""

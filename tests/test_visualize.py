@@ -1,6 +1,6 @@
-"""Tests for the ASCII mesh/occupancy visualizer."""
+"""Tests for the ASCII mesh map and utilization report."""
 
-from repro.analysis import mesh_map, occupancy_map, utilization_report
+from repro.analysis import mesh_map, utilization_report
 from repro.core import PanicConfig, PanicNic
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame
 
@@ -20,17 +20,6 @@ class TestVisualize:
         grid_lines = art.splitlines()[1:]
         # height rows + height+1 separators.
         assert len(grid_lines) == 2 * nic.config.mesh_height + 1
-
-    def test_occupancy_reflects_queue_depth(self, sim, nic):
-        nic.control.enable_kv_cache()
-        for i in range(5):
-            nic.inject(
-                build_kv_request_frame(KvRequest(KvOpcode.GET, 1, i, b"x"))
-            )
-        sim.run(max_events=40)
-        art = occupancy_map(nic)
-        assert "rmt:" in art
-        sim.run()
 
     def test_utilization_report_counts(self, sim, nic):
         nic.control.enable_kv_cache()

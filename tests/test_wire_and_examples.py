@@ -139,7 +139,7 @@ class TestSharedEgress:
         nics = {"a": _StubNic(sim), "b": _StubNic(sim)}
         if cable == "wire":
             wire = Wire(sim, nics["a"], nics["b"], fault_labels=self.LABELS)
-            ends, set_down = wire.ends, wire.set_down
+            ends = wire.ends
         else:
             # Each NIC in a "process" of its own: no peer, so survivors
             # wait in the outbox for ``barrier`` to carry them across.
@@ -147,9 +147,9 @@ class TestSharedEgress:
                                  f"cut.{end}", self.LABELS[end])
                     for end in "ab"}
 
-            def set_down(down):
-                for link_end in ends.values():
-                    link_end.set_down(down)
+        def set_down(down):
+            for link_end in ends.values():
+                link_end.set_down(down)
         rngs = {"a": random.Random(7), "b": random.Random(8)}
         ident = 0
 
