@@ -4,29 +4,33 @@ Every message flows: engine -> (parse/route via RMT) -> per-engine
 scheduling queue -> engine, with the logical switch and scheduler
 implemented *distributed* across engines.  This bench drives one message
 through every logical element and verifies the architecture diagram's
-invariants on the observed trail and timing.
+invariants on the observed path (every packet is traced; a trail is
+the engines its spans name) and timing.
 """
 
 from repro.core import PanicConfig, PanicNic
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame, parse_frame
 from repro.sim import Simulator
 from repro.sim.clock import US
+from repro.telemetry import TelemetryConfig
 
 from _util import banner, run_once
 
 
 def run_flow():
     sim = Simulator()
-    nic = PanicNic(sim, PanicConfig(ports=2))
+    nic = PanicNic(sim, PanicConfig(
+        ports=2, telemetry=TelemetryConfig(sample_every=1)))
     nic.control.enable_kv_cache()
     nic.offload("kvcache").cache_put(b"k", b"v")
     request = build_kv_request_frame(KvRequest(KvOpcode.GET, 1, 1, b"k"))
     nic.inject(request, port=1)
     sim.run()
     response = nic.transmitted[0]
+    path = nic.telemetry.tracer.path
     return {
-        "request_trail": request.trail,
-        "response_trail": response.trail,
+        "request_trail": path(request),
+        "response_trail": path(response),
         "egress_port": response.meta.egress_port,
         "rmt_decisions": nic.rmt.decisions,
         "mesh_in_flight": nic.mesh.in_flight,

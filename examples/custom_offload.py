@@ -20,6 +20,7 @@ from repro.engines import Engine
 from repro.engines.base import EngineOutput
 from repro.packet import Packet, build_udp_frame, parse_frame
 from repro.sim.clock import US
+from repro.telemetry import TelemetryConfig
 
 
 class TelemetryEngine(Engine):
@@ -48,8 +49,11 @@ class TelemetryEngine(Engine):
 def main() -> None:
     sim = Simulator()
     # Leave a spare tile for the custom engine: use a 4x4 mesh with a
-    # smaller stock offload set.
-    nic = PanicNic(sim, PanicConfig(ports=1, offloads=("checksum",)))
+    # smaller stock offload set.  Every packet is traced, so its path
+    # can be read back.
+    nic = PanicNic(sim, PanicConfig(
+        ports=1, offloads=("checksum",),
+        telemetry=TelemetryConfig(sample_every=1)))
 
     # Build and bind the custom engine on a free tile, then wire its
     # lookup-table default back to the heavyweight pipeline.
@@ -80,12 +84,13 @@ def main() -> None:
     sim.run()
 
     assert len(delivered) == 2
-    print("monitored path :", " -> ".join(monitored.trail))
-    print("ordinary path  :", " -> ".join(ordinary.trail))
+    path = nic.telemetry.tracer.path
+    print("monitored path :", " -> ".join(path(monitored)))
+    print("ordinary path  :", " -> ".join(path(ordinary)))
     print("telemetry      :", monitored.meta.annotations["telemetry"])
     print("words counted  :", telemetry.total_words)
-    assert "panic.telemetry" in monitored.trail
-    assert "panic.telemetry" not in ordinary.trail
+    assert "panic.telemetry" in path(monitored)
+    assert "panic.telemetry" not in path(ordinary)
     assert monitored.meta.annotations["csum_ok"] is True
 
 

@@ -14,14 +14,17 @@ over the 2D mesh -- without the host CPU ever running.
 from repro import PanicConfig, PanicNic, Simulator
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame, parse_frame
 from repro.sim.clock import format_time
+from repro.telemetry import TelemetryConfig
 
 
 def main() -> None:
     sim = Simulator()
 
     # A one-port 100 Gbps NIC on a 4x4 mesh with the default offload set
-    # (IPSec, compression, KV cache, RDMA).
-    nic = PanicNic(sim, PanicConfig(ports=1))
+    # (IPSec, compression, KV cache, RDMA), tracing every packet so the
+    # request's path can be read back.
+    nic = PanicNic(sim, PanicConfig(
+        ports=1, telemetry=TelemetryConfig(sample_every=1)))
 
     # Program the logical switch: KV opcodes flow through the cache.
     nic.control.enable_kv_cache()
@@ -40,7 +43,8 @@ def main() -> None:
     [response] = nic.transmitted
     kv = parse_frame(response.data).kv_response()
     print(f"response value : {kv.value!r}")
-    print(f"request path   : {' -> '.join(request.trail)}")
+    path = nic.telemetry.tracer.path(request)
+    print(f"request path   : {' -> '.join(path)}")
     print(f"finished at    : {format_time(sim.now)}")
     print(f"host CPU ran   : {nic.host.interrupts_taken} times")
     assert kv.value == b"{'name': 'ada'}"

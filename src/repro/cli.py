@@ -76,9 +76,11 @@ def cmd_demo() -> None:
         parse_frame,
     )
     from repro.sim.clock import format_time
+    from repro.telemetry import TelemetryConfig
 
     sim = Simulator()
-    nic = PanicNic(sim, PanicConfig(ports=1))
+    nic = PanicNic(sim, PanicConfig(
+        ports=1, telemetry=TelemetryConfig(sample_every=1)))
     nic.control.enable_kv_cache()
     nic.offload("kvcache").cache_put(b"hot", b"served-on-nic")
     request = build_kv_request_frame(KvRequest(KvOpcode.GET, 1, 1, b"hot"))
@@ -86,7 +88,8 @@ def cmd_demo() -> None:
     sim.run()
     response = parse_frame(nic.transmitted[0].data).kv_response()
     print("response value :", response.value.decode())
-    print("request path   :", " -> ".join(request.trail))
+    path = nic.telemetry.tracer.path(request)
+    print("request path   :", " -> ".join(path))
     print("finished at    :", format_time(sim.now))
     print("host CPU ran   :", nic.host.interrupts_taken, "times")
 
@@ -524,7 +527,8 @@ COMMANDS = {
     "trace": (cmd_trace, "per-packet telemetry -> trace.json + timeline", (
         _FRAMES,
         _opt("--sample-every", type=int, default=1,
-             help="trace 1 in N injected frames (0: predicate only)"),
+             help="trace 1 in N frames, injected or tile-built "
+                  "(0: predicate only)"),
         _opt("--timeline", type=int, default=3,
              help="packet timelines to print"),
         _opt("--trace-out", dest="out", default="trace.json",

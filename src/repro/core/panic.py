@@ -146,11 +146,18 @@ class PanicNic:
             self.int_agent = IntAgent(
                 icfg, node_id=int(digits) if digits else 0,
                 rmt_names=[tile.name for tile in self.rmt_tiles])
-            # A frame a tile builds itself gets its context where it is
-            # built; every other frame gets it at inject.
+        # A frame a tile builds itself is offered to the observers where
+        # it is built, every other frame at inject.
+        born = None
+        if self.telemetry is not None:
+            born = self._frame_born
+        elif self.int_agent is not None:
+            # INT alone: the agent's own hook, one call per birth.
+            born = self.int_agent.born
+        if born is not None:
             for engine in self.engines.values():
                 if isinstance(engine, (DmaEngine, KvCacheEngine, RdmaEngine)):
-                    engine._frame_born = self.int_agent.born
+                    engine._frame_born = born
         #: Batched-execution driver (repro.core.train), built unless
         #: ``config.batched`` says no frame may board; None keeps every
         #: hook on the scalar path at the cost of one attribute check.
@@ -367,6 +374,14 @@ class PanicNic:
             # stack before the frame pays RX serialization.
             self.int_agent.on_inject(packet)
         return self.ports[port].inject_rx(packet)
+
+    def _frame_born(self, packet: Packet, tile: str) -> None:
+        """The birth hook while telemetry is on: the tracer samples a
+        frame ``tile`` built, then INT adopts its context, in inject's
+        order."""
+        self.telemetry.tracer.maybe_trace(packet, self.sim.now, tile=tile)
+        if self.int_agent is not None:
+            self.int_agent.born(packet, tile)
 
     def on_transmit(self, callback: Callable[[Packet], None]) -> None:
         """Register an egress observer."""

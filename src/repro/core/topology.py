@@ -102,85 +102,31 @@ class RackTopology:
     # Shard assignment
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _event_weight(spec: NicSpec) -> int:
-        """Estimated relative event rate of one NIC.
-
-        The dominant event cost of a NIC is frames injected times hops
-        per frame, so the hint is ``frames * (1 + chain length)`` read
-        from the builder params (``frames`` plus a ``chain`` or
-        ``offloads`` sequence when present).  NICs without hints weigh
-        the same as each other, so unhinted topologies keep the old
-        equal-size split.
-        """
-        params = spec.params
-        frames = params.get("frames", 1)
-        if not isinstance(frames, int) or frames < 1:
-            frames = 1
-        chain = params.get("chain")
-        if chain is None:
-            chain = params.get("offloads")
-        hops = len(chain) if isinstance(chain, (list, tuple)) else 0
-        return frames * (1 + hops)
-
     def assign_shards(self, workers: int) -> Dict[str, int]:
-        """Partition NICs into ``workers`` shards, balancing event rate.
+        """Partition NICs into ``workers`` contiguous shards.
 
-        Contiguous blocks in declaration order -- declaration order is
-        the user's locality hint (put chatty NICs next to each other to
-        keep their wire intra-shard).  Block boundaries are chosen to
-        minimize the heaviest shard's estimated event rate (see
-        :meth:`_event_weight`), so one busy NIC is not binned with three
-        idle ones just to equalize counts.  Fully deterministic: the
-        minimal feasible per-shard capacity is found by bisection, then
-        shards fill greedily front-to-back (ties break toward larger
-        early shards, matching the historical equal-size split when all
-        weights agree).
+        Blocks in declaration order -- declaration order is the user's
+        locality hint (put chatty NICs next to each other to keep their
+        wire intra-shard) -- of ``ceil(n / workers)`` NICs each, cut
+        short where needed to leave one NIC for every later shard.
+        Every NIC weighs the same: no builder states how busy a NIC is.
         """
         if workers < 1:
             raise TopologyError(f"need at least one worker, got {workers}")
-        if workers > len(self.nics):
-            raise TopologyError(
-                f"{workers} workers for only {len(self.nics)} NICs"
-            )
         count = len(self.nics)
-        weights = [self._event_weight(spec) for spec in self.nics]
-
-        def blocks_needed(cap: int) -> int:
-            blocks, load = 1, 0
-            for weight in weights:
-                if load and load + weight > cap:
-                    blocks += 1
-                    load = weight
-                else:
-                    load += weight
-            return blocks
-
-        low, high = max(weights), sum(weights)
-        while low < high:
-            mid = (low + high) // 2
-            if blocks_needed(mid) <= workers:
-                high = mid
-            else:
-                low = mid + 1
-        cap = low
-
+        if workers > count:
+            raise TopologyError(
+                f"{workers} workers for only {count} NICs"
+            )
+        size = -(-count // workers)
         assignment: Dict[str, int] = {}
         index = 0
         for shard in range(workers):
-            reserve = workers - shard - 1  # later shards stay non-empty
-            load = 0
-            taken = 0
-            while index < count - reserve:
-                weight = weights[index]
-                if reserve and taken and load + weight > cap:
-                    # The final shard takes every leftover NIC; earlier
-                    # shards close at capacity.
-                    break
-                load += weight
-                assignment[self.nics[index].name] = shard
-                index += 1
-                taken += 1
+            later = workers - shard - 1
+            end = min(index + size, count - later)
+            for spec in self.nics[index:end]:
+                assignment[spec.name] = shard
+            index = end
         return assignment
 
     def cross_links(self, assignment: Dict[str, int]) -> List[LinkSpec]:

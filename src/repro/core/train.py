@@ -54,7 +54,7 @@ Three mechanisms enforce it:
   called at the already-advanced clock: ``PifoQueue.pass_through``
   (the count ``Engine.receive``'s idle admission makes, and all a
   push and pop on an empty queue leave behind), ``service_time_ps``,
-  ``Packet.touch``, ``handle`` and ``_route_by_chain``; NoC hops call
+  ``handle`` and ``_route_by_chain``; NoC hops call
   the express path's ``account_hops``/``account_forwards``.  What the
   lane still writes itself is what a scalar *event* would have done
   between those calls: the zero ``queue_latency`` sample of
@@ -283,7 +283,6 @@ class TrainLane:
             # Engine._finish at t_fin.
             sim.now = t_fin
             engine.processed += 1
-            packet.touch(engine.name)
             seq = sim._seq
             outputs = engine.handle(packet)
             if sim._seq != seq:

@@ -106,9 +106,10 @@ class Engine(Component, Endpoint):
     #: upstream credit loop (section 6's lossless flow control).
     OVERFLOW_POLICIES = ("raise", "backpressure")
 
-    #: The NIC's birth hook, which gives a frame a tile builds itself (a
-    #: host TX frame, a KV-cache or RDMA reply) its trace context; set on
-    #: those tiles while INT is on.
+    #: The NIC's birth hook, called as ``(frame, tile_name)``, which
+    #: offers a frame a tile builds itself (a host TX frame, a KV-cache
+    #: or RDMA reply) to the tracer and INT; set on those tiles while
+    #: telemetry or INT is on.
     _frame_born = None
 
     #: Idle admission (see :meth:`receive`); clearing it sends every
@@ -307,7 +308,6 @@ class Engine(Component, Endpoint):
             if self.queue._heap:
                 self._try_start()
             return
-        packet.touch(self.name)
         outputs = self.handle(packet)
         lookup_delay = 0
         for out_packet, dest in outputs:

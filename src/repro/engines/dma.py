@@ -120,7 +120,7 @@ class DmaEngine(Engine):
             tx_packet.meta.direction = Direction.TX
             tx_packet.meta.nic_arrival_ps = self.now
             if self._frame_born is not None:
-                self._frame_born(tx_packet)
+                self._frame_born(tx_packet, self.name)
             # No chain yet: the lookup-table default routes TX frames to
             # the RMT pipeline for egress classification.
             outputs.append((tx_packet, None))

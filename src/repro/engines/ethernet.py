@@ -87,7 +87,7 @@ class EthernetPort(Engine):
         if self.payload_buffer is not None:
             # Pointer mode (section 6): park the payload in the shared
             # buffer; only a descriptor rides the on-chip network.
-            packet.pbuf_handle = self.payload_buffer.store(packet.data)
+            packet.pbuf_handle = self.payload_buffer.store(packet.frame_bytes)
             write_delay = self.payload_buffer.access_delay_ps(
                 packet.frame_bytes
             )

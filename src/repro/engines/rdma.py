@@ -113,5 +113,5 @@ class RdmaEngine(Engine):
         out.meta.egress_port = original.meta.ingress_port
         out.meta.annotations["request_ctx"] = original.meta.annotations.get("request_ctx")
         if self._frame_born is not None:
-            self._frame_born(out)
+            self._frame_born(out, self.name)
         return out

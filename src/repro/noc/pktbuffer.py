@@ -6,7 +6,9 @@ data located in a common packet buffer?"  This module implements the
 pointer alternative so the question can be measured:
 
 * payloads live in a central SRAM (:class:`PacketBuffer`) with a fixed
-  byte capacity and a small number of access ports;
+  byte capacity and a small number of access ports -- the model keeps
+  each parked payload's size, since the bytes themselves ride the frame
+  and no engine reads them through the buffer;
 * NoC messages carry only a descriptor (chain header + pointer +
   metadata, :data:`repro.packet.packet.DESCRIPTOR_BITS`), slashing mesh
   load;
@@ -58,7 +60,7 @@ class PacketBuffer(Component):
         self.capacity_bytes = capacity_bytes
         self.clock = Clock()
         self._port_busy_until = [0] * ports
-        self._store: Dict[int, bytes] = {}
+        self._sizes: Dict[int, int] = {}
         self._used = 0
         self._handles = itertools.count(1)
         self.allocations = 0
@@ -71,45 +73,27 @@ class PacketBuffer(Component):
     # Allocation
     # ------------------------------------------------------------------
 
-    def store(self, data: bytes) -> int:
-        """Allocate a payload; returns its handle."""
-        if self._used + len(data) > self.capacity_bytes:
+    def store(self, nbytes: int) -> int:
+        """Allocate an ``nbytes`` payload; returns its handle."""
+        if self._used + nbytes > self.capacity_bytes:
             raise PacketBufferError(
                 f"{self.name}: out of buffer space "
-                f"({self._used}+{len(data)} > {self.capacity_bytes})"
+                f"({self._used}+{nbytes} > {self.capacity_bytes})"
             )
         handle = next(self._handles)
-        self._store[handle] = bytes(data)
-        self._used += len(data)
+        self._sizes[handle] = nbytes
+        self._used += nbytes
         self.high_watermark = max(self.high_watermark, self._used)
         self.allocations += 1
         return handle
 
     def release(self, handle: int) -> None:
         """Free the payload."""
-        handle = self._check(handle)
-        self._used -= len(self._store.pop(handle))
-        self.frees += 1
-
-    def read(self, handle: int) -> bytes:
-        """Read the payload bytes (timing charged via access_delay_ps)."""
-        return self._store[self._check(handle)]
-
-    def rewrite(self, handle: int, data: bytes) -> None:
-        """Replace a payload in place (an engine transformed it)."""
-        handle = self._check(handle)
-        old = self._store[handle]
-        delta = len(data) - len(old)
-        if self._used + delta > self.capacity_bytes:
-            raise PacketBufferError(f"{self.name}: rewrite exceeds capacity")
-        self._store[handle] = bytes(data)
-        self._used += delta
-        self.high_watermark = max(self.high_watermark, self._used)
-
-    def _check(self, handle: int) -> int:
-        if handle not in self._store:
+        nbytes = self._sizes.pop(handle, None)
+        if nbytes is None:
             raise PacketBufferError(f"{self.name}: bad handle {handle}")
-        return handle
+        self._used -= nbytes
+        self.frees += 1
 
     # ------------------------------------------------------------------
     # Timing
@@ -140,4 +124,4 @@ class PacketBuffer(Component):
 
     @property
     def live_handles(self) -> int:
-        return len(self._store)
+        return len(self._sizes)

@@ -13,7 +13,7 @@ completions and doorbells; ``kind`` distinguishes them.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.packet.panic_hdr import PanicHeader
 
@@ -121,7 +121,7 @@ class Packet:
     """
 
     __slots__ = ("data", "kind", "meta", "panic", "trace",
-                 "pbuf_handle", "_trail",
+                 "pbuf_handle",
                  "dest_addr", "hops", "bits", "enqueue_ps")
 
     def __init__(
@@ -144,9 +144,6 @@ class Packet:
         #: Pointer mode (section 6): the shared-buffer slot holding the
         #: payload while only a descriptor rides the on-chip network.
         self.pbuf_handle: Optional[int] = None
-        #: Engines that processed this packet; shared with every
-        #: :meth:`rewritten` successor.
-        self._trail: Optional[List[str]] = None
         # Its own on-chip envelope, one transfer at a time: ``dest_addr``,
         # ``hops`` and ``bits`` are set where a port's ``send`` starts a
         # transfer, and ``enqueue_ps`` where an engine queues the packet.
@@ -181,29 +178,14 @@ class Packet:
     # Lifecycle helpers
     # ------------------------------------------------------------------
 
-    def touch(self, engine_name: str) -> None:
-        """Record that an engine processed this packet (for assertions)."""
-        trail = self._trail
-        if trail is None:
-            trail = self._trail = []
-        trail.append(engine_name)
-
-    @property
-    def trail(self) -> list:
-        """Ordered list of engines that processed this packet."""
-        return list(self._trail or ())
-
     def rewritten(self, data: bytes) -> "Packet":
         """The same packet life with new frame bytes (an engine rebuilt
         the frame): a new object with the same metadata, chain header,
-        trace context, buffer handle and trail."""
+        trace context and buffer handle."""
         out = Packet(data, self.kind, self.meta)
         out.panic = self.panic
         out.trace = self.trace
         out.pbuf_handle = self.pbuf_handle
-        if self._trail is None:
-            self._trail = []
-        out._trail = self._trail
         return out
 
     def __repr__(self) -> str:

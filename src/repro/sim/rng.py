@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_left
 from typing import Dict, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -72,16 +73,9 @@ class SeededRng:
         """
         if n <= 0:
             raise ValueError(f"zipf support size must be positive, got {n}")
-        cdf = self._zipf_cdf(n, alpha)
-        u = self._rng.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # The first index whose CDF reaches u; the last (1.0) caps it.
+        return bisect_left(self._zipf_cdf(n, alpha), self._rng.random(),
+                           0, n - 1)
 
     def _zipf_cdf(self, n: int, alpha: float) -> List[float]:
         key = (n, alpha)

@@ -22,10 +22,11 @@ class TelemetryConfig:
     section 11 and ``tests/test_telemetry_call_budget.py``).
     """
 
-    #: Deterministic 1-in-N packet sampling at ``PanicNic.inject``,
-    #: drawn from the NIC's seeded RNG (fork ``"telemetry"``), so the
-    #: sampled capsule set is identical across runs *and* across shard
-    #: worker counts.  ``0`` disables random sampling (predicate only).
+    #: Deterministic 1-in-N packet sampling at ``PanicNic.inject`` and
+    #: where a tile builds a frame (the NIC's birth hook), drawn from
+    #: the NIC's seeded RNG (fork ``"telemetry"``), so the sampled
+    #: capsule set is identical across runs *and* across shard worker
+    #: counts.  ``0`` disables random sampling (predicate only).
     sample_every: int = 1
 
     #: Optional flow trigger: ``predicate(packet) -> bool`` traces every

@@ -165,11 +165,16 @@ class IntAgent:
                 if not valid:
                     self.parse_errors += 1
 
-    def born(self, packet) -> None:
-        """The NIC's birth hook: a tile built this frame itself (a host
-        TX frame at the DMA tile, a KV-cache or RDMA reply)."""
+    def born(self, packet, tile: str) -> None:
+        """A tile built this frame itself (a host TX frame at the DMA
+        tile, a KV-cache or RDMA reply): its context, the tracer's when
+        the frame was just sampled, names this agent.  ``tile`` names
+        the builder; the hop starts at this NIC whichever it is."""
         self.frames_seen += 1
-        packet.trace = TraceCtx(int_=self)
+        ctx = packet.trace
+        if ctx is None:
+            ctx = packet.trace = TraceCtx()
+        ctx.int_ = self
 
     def on_enqueue(self, engine, ctx: TraceCtx, depth: int) -> None:
         """A frame entered an engine's scheduling queue, which held

@@ -64,7 +64,7 @@ class TraceCtx:
 
     def __init__(self, trace_id: int = -1,
                  tracer: Optional["PacketTracer"] = None,
-                 int_=None, records: Tuple[tuple, ...] = ()):
+                 records: Tuple[tuple, ...] = ()):
         self.trace_id = trace_id
         self.tracer = tracer
         self.seq = 0
@@ -79,7 +79,7 @@ class TraceCtx:
         # INT: prior hops' finalized records, the in-band trailer bytes
         # on the frame, and this hop's RMT queue depth at its first RMT
         # enqueue and max engine queue depth.
-        self.int_ = int_
+        self.int_ = None
         self.records = records
         self.inband_len = 0
         self.pifo_depth = -1
@@ -116,17 +116,22 @@ class PacketTracer:
     # Sampling
     # ------------------------------------------------------------------
 
-    def maybe_trace(self, packet, now: int, port: int = 0) -> Optional[TraceCtx]:
-        """Decide (deterministically) whether to trace an injected packet.
+    def maybe_trace(self, packet, now: int, port: int = 0,
+                    tile: Optional[str] = None) -> Optional[TraceCtx]:
+        """Decide (deterministically) whether to trace a new packet: one
+        injected at Ethernet ``port``, or one ``tile`` built itself.
 
-        Called from ``PanicNic.inject`` in per-NIC arrival order -- the
-        one ordering that is identical between monolithic and sharded
-        execution -- so the RNG draw sequence, and therefore the sampled
-        capsule set, is the same for every worker count.  The draw
-        happens for *every* offered packet (when sampling is on), keeping
-        the stream aligned regardless of predicate hits and of an INT
-        context the frame already carries (a sampled frame's spans share
-        it).  A packet already sampled is not a new arrival.
+        Called from ``PanicNic.inject`` and the NIC's birth hook in
+        per-NIC arrival and birth order -- the one ordering that is
+        identical between monolithic and sharded execution -- so the RNG
+        draw sequence, and therefore the sampled capsule set, is the
+        same for every worker count.  The draw happens for *every*
+        offered packet (when sampling is on), keeping the stream aligned
+        regardless of predicate hits and of an INT context the frame
+        already carries (a sampled frame's spans share it).  A packet
+        already sampled is not a new arrival.  A sampled packet's first
+        span is an instant: ``ingress`` at the port, or ``born`` at the
+        tile.
         """
         ctx = packet.trace
         if ctx is not None and ctx.tracer is not None:
@@ -145,8 +150,11 @@ class PacketTracer:
         ctx.tracer = self
         self._next_trace_id += 1
         self.sampled += 1
-        self.instant(ctx, "ingress", f"{self.name}.eth{port}", now,
-                     (("port", port),))
+        if tile is None:
+            self.instant(ctx, "ingress", f"{self.name}.eth{port}", now,
+                         (("port", port),))
+        else:
+            self.instant(ctx, "born", tile, now)
         return ctx
 
     def flow_ctx(self) -> TraceCtx:
@@ -222,6 +230,15 @@ class PacketTracer:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+
+    def path(self, packet) -> List[str]:
+        """The engines that processed a sampled ``packet``, in the order
+        they finished it: its status-``ok`` engine spans in emission
+        order."""
+        trace_id = packet.trace.trace_id
+        return [span.component for span in self.spans
+                if span.trace_id == trace_id and span.kind == "engine"
+                and ("status", "ok") in span.args]
 
     def sorted_spans(self) -> List[Span]:
         """Spans ordered by (trace_id, start, seq) -- timeline order."""

@@ -1,16 +1,20 @@
 """Tests for the three baseline NIC architectures (Figure 2), each a
 PanicNic configuration built by repro.baselines."""
 
+import functools
+
 import pytest
 
+from repro import baselines
 from repro.baselines import manycore_nic, pipeline_nic, rmt_only_nic
-from repro.core import PanicNic
+from repro.core import PanicConfig, PanicNic
 from repro.core.panic import _OFFLOAD_ENGINES
 from repro.core.pipeline_programs import DIR_RX
 from repro.engines import DmaEngine, EthernetPort, PcieEngine, RmtPipelineEngine
 from repro.packet import Packet, build_udp_frame
 from repro.sim import Simulator
 from repro.sim.clock import US
+from repro.telemetry import TelemetryConfig
 
 #: Two-stage line: slow DPI then cheap checksum.
 LINE = ("regex", "checksum")
@@ -32,9 +36,17 @@ def plain_udp(payload=b"data", src_port=7777, dscp=0):
     )
 
 
-def offload_visits(packet):
+@pytest.fixture(autouse=True)
+def traced(monkeypatch):
+    """Every baseline NIC traces every packet, so its path can be read."""
+    monkeypatch.setattr(baselines, "PanicConfig", functools.partial(
+        PanicConfig, telemetry=TelemetryConfig(sample_every=1)))
+
+
+def offload_visits(nic, packet):
     """The offload tiles a delivered packet visited, in order."""
-    tiles = (hop.split(".", 1)[1] for hop in packet.trail)
+    tiles = (hop.split(".", 1)[1]
+             for hop in nic.telemetry.tracer.path(packet))
     return [tile for tile in tiles if tile in ("regex", "checksum", "core")]
 
 
@@ -64,14 +76,14 @@ class TestPipelineNic:
         nic.inject(packet)
         sim.run()
         assert received == [packet]
-        assert offload_visits(packet) == ["regex", "checksum"]
+        assert offload_visits(nic, packet) == ["regex", "checksum"]
 
     def test_needed_offload_applied(self, sim):
         nic = self.build(sim, {1: ("checksum",)}, bypass=True)
         packet = plain_udp(dscp=1)
         nic.inject(packet)
         sim.run()
-        assert offload_visits(packet) == ["checksum"]
+        assert offload_visits(nic, packet) == ["checksum"]
         assert packet.meta.annotations["csum_ok"] is True
 
     def victim_time(self, sim, nic):
@@ -101,14 +113,14 @@ class TestPipelineNic:
         nic.inject(packet)
         sim.run()
         # One recirculation: the whole line, twice.
-        assert offload_visits(packet) == ["regex", "checksum"] * 2
+        assert offload_visits(nic, packet) == ["regex", "checksum"] * 2
 
     def test_in_order_chain_no_recirculation(self, sim):
         nic = self.build(sim, {1: ("regex", "checksum")})
         packet = plain_udp(dscp=1)
         nic.inject(packet)
         sim.run()
-        assert offload_visits(packet) == ["regex", "checksum"]
+        assert offload_visits(nic, packet) == ["regex", "checksum"]
 
     def test_offload_off_the_line_refused(self, sim):
         with pytest.raises(ValueError, match="not on the line"):
@@ -132,7 +144,7 @@ class TestManycoreNic:
         nic.inject(packet)
         sim.run()
         # The core calls the offload and takes the packet back.
-        assert offload_visits(packet) == ["core", "checksum", "core"]
+        assert offload_visits(nic, packet) == ["core", "checksum", "core"]
         assert packet.meta.annotations["csum_ok"] is True
 
     def test_cores_limit_concurrency(self, sim):

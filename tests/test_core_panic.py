@@ -16,6 +16,7 @@ from repro.packet import (
 from repro.packet.headers import HeaderError
 from repro.sim import Simulator
 from repro.sim.clock import MHZ, US
+from repro.telemetry import TelemetryConfig
 
 
 def plain_udp(dst_ip="10.0.0.2", payload=b"hello", dscp=0):
@@ -120,12 +121,15 @@ class TestRxPath:
         assert len(received) == 1
         assert nic.host.rx_delivered == 1
 
-    def test_rx_packet_traverses_rmt_then_dma(self, sim, nic):
+    def test_rx_packet_traverses_rmt_then_dma(self, sim):
+        nic = PanicNic(sim, PanicConfig(
+            ports=1, telemetry=TelemetryConfig(sample_every=1)))
         packet = plain_udp()
         nic.inject(packet)
         sim.run()
-        assert "panic.rmt" in packet.trail
-        assert "panic.dma" in packet.trail
+        path = nic.telemetry.tracer.path(packet)
+        assert "panic.rmt" in path
+        assert "panic.dma" in path
 
     def test_rx_steering_is_flow_stable(self, sim, nic):
         packets = [plain_udp() for _ in range(4)]

@@ -93,7 +93,7 @@ class TestEcnMarker:
 
     def test_marked_frame_keeps_its_packet_life(self, sim):
         """Marking rebuilds the frame; the trace context (with the INT
-        stack it carries), buffer handle and trail must follow it to the
+        stack it carries) and buffer handle must follow it to the
         next engine."""
         marker = EcnMarkerEngine(sim, "mark4", k_min=0, k_max=1, p_max=1.0)
         marker.watch_engine = SimpleNamespace(backlog=5)
@@ -101,13 +101,10 @@ class TestEcnMarker:
         stack = ((1, 0, 10, 20, -1, 0),)
         ctx = TraceCtx(records=stack)
         packet.trace, packet.pbuf_handle = ctx, 7
-        packet.touch("rmt")
         out = marker.handle(packet)[0][0]
         assert parse_frame(out.data).ipv4.ecn == ECN_CE
         assert out.trace is ctx and out.trace.records is stack
         assert out.pbuf_handle == 7
-        out.touch("dma")
-        assert out.trail == ["rmt", "dma"]
 
     def test_pointer_mode_marking_frees_every_payload(self, sim):
         nic = PanicNic(sim, PanicConfig(

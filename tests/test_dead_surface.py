@@ -417,7 +417,7 @@ COMPONENT_TELEMETRY = ("_tracer", "_int_tap", "_int_agent", "_int_sink")
 #: ``dest_addr`` .. ``enqueue_ps`` are the on-chip transfer a frame
 #: carries as its own envelope; none of them observes anything.
 PACKET_SLOTS = ("data", "kind", "meta", "panic", "trace",
-                "pbuf_handle", "_trail",
+                "pbuf_handle",
                 "dest_addr", "hops", "bits", "enqueue_ps")
 
 

@@ -16,6 +16,7 @@ from repro.packet import (
 )
 from repro.sim import Simulator
 from repro.sim.clock import US
+from repro.telemetry import TelemetryConfig
 from repro.telemetry.config import IntConfig
 
 
@@ -66,8 +67,9 @@ class TestPointerModeInterplay:
 class TestChainLoopback:
     def test_chain_visiting_same_engine_twice(self, sim, nic):
         """A chain [checksum, checksum] loops through one engine twice."""
-        nic2 = PanicNic(sim, PanicConfig(ports=1, offloads=("checksum",)),
-                        name="panic_loop")
+        nic2 = PanicNic(sim, PanicConfig(
+            ports=1, offloads=("checksum",),
+            telemetry=TelemetryConfig(sample_every=1)), name="panic_loop")
         addr = nic2.offload("checksum").address
         nic2.control.route_dscp(1, [addr, addr])
         delivered = []
@@ -76,7 +78,8 @@ class TestChainLoopback:
         nic2.inject(packet)
         sim.run()
         assert len(delivered) == 1
-        visits = [hop for hop in packet.trail if "checksum" in hop]
+        visits = [hop for hop in nic2.telemetry.tracer.path(packet)
+                  if "checksum" in hop]
         assert len(visits) == 2
 
 

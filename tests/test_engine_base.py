@@ -79,12 +79,12 @@ class TestChainFollowing:
         sim.run()
         assert len(sink2.got) == 1 and not sink.got
 
-    def test_trail_records_processing(self, sim):
+    def test_loopback_is_processed(self, sim):
         mesh, engine, sink, _ = rig(sim)
         packet = chained_packet([1])
         engine._loopback(packet)
         sim.run()
-        assert "eut" in packet.trail
+        assert engine.processed == 1
 
 
 class TestScheduling:

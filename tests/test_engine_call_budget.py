@@ -112,9 +112,12 @@ def rmt_tile(sim):
 #: off the kernel once per step (EXPERIMENTS.md E36).  The RMT tile's
 #: was 22 while it fetched its intrinsic metadata from a process-global
 #: memo and handed it to ``process`` for a ``"meta."`` prefix per field;
-#: it now writes the fields into the PHV and calls ``run`` (E37).
-BASE_VISIT = 13
-RMT_VISIT = 21
+#: it now writes the fields into the PHV and calls ``run`` (E37).  Both
+#: were 1 higher (13 / 21) while ``_finish`` appended the tile's name to
+#: a trail every packet carried (``Packet.touch``); a packet's path is
+#: now read from its engine spans when it is traced.
+BASE_VISIT = 12
+RMT_VISIT = 20
 
 
 def test_base_engine_visit_call_budget():

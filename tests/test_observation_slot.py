@@ -8,7 +8,8 @@ two must share contexts without either moving the other: the sampled
 set is the same with INT on or off, a context made for INT alone takes
 the tracer when its packet is sampled, and a frame a tile builds itself
 (a host TX frame, a KV-cache or RDMA reply) gets its context where it is
-built.
+built: the tracer samples it there, from the same stream as injected
+frames, and INT adopts the context.
 """
 
 import os
@@ -33,6 +34,11 @@ def _rack(int_=None):
         telemetry=TelemetryConfig(sample_every=3), int_=int_)
 
 
+def _births(report):
+    """Trace ids of the frames a tile built, by the tile that built it."""
+    return {span[0]: span[3] for span in report["trace"] if span[2] == "born"}
+
+
 def test_sampling_adopts_a_context_made_for_int():
     tracer = PacketTracer(TelemetryConfig(sample_every=1), SeededRng(1))
     packet = Packet(bytes(64))
@@ -54,6 +60,8 @@ def test_sampled_set_is_the_same_with_int_on_and_off():
     for name, report in off.reports.items():
         summary = report["trace_summary"]
         assert 0 < summary["sampled"] < summary["seen"], name
+        # Frames the DMA tile built are sampled 1 in 3 as well.
+        assert 0 < len(_births(report)) < report["sent"], name
         assert on.reports[name]["trace_summary"] == summary, name
         assert on.reports[name]["trace"] == report["trace"], name
 
@@ -68,7 +76,7 @@ def test_int_and_sampled_contexts_cross_shards_bit_identically():
     sharded = run_sharded(topology, workers=2)
     assert set(sharded.reports) == set(mono.reports)
     for name, report in mono.reports.items():
-        assert report["int"] and report["trace"], name
+        assert report["int"] and _births(report), name
         assert report["stats"]["int"]["frames_seen"] > 0
         assert sharded.reports[name] == report, f"{name} diverges"
     assert sharded.wire_stats == mono.wire_stats
@@ -172,3 +180,42 @@ def test_frames_a_tile_builds_carry_int_from_birth(server_tile, inband):
     # every hop it finished is recorded.
     assert [(nic.int_agent.frames_seen, nic.int_agent.hops_recorded)
             for nic in nics] == counts
+
+
+def test_every_tx_frame_is_traced_from_its_dma_birth():
+    topology = rack_topology(nics=2, frames=2,
+                             telemetry=TelemetryConfig(sample_every=1))
+    reports = run_monolithic(topology).reports
+    for name, report in reports.items():
+        births = _births(report)
+        assert sorted(births.values()) == [f"{name}.dma"] * 2, name
+        for trace_id in births:
+            path = [span[3] for span in sorted(report["trace"])
+                    if span[0] == trace_id and span[2] == "engine"]
+            assert path == [f"{name}.rmt", f"{name}.checksum",
+                            f"{name}.eth0"], (name, trace_id)
+
+
+def test_a_traced_kv_get_reply_is_traced_from_birth():
+    sim = Simulator()
+    nic = PanicNic(sim, PanicConfig(
+        ports=2, telemetry=TelemetryConfig(sample_every=1)))
+    nic.control.enable_kv_cache()
+    nic.offload("kvcache").cache_put(b"k", b"v")
+    request = build_kv_request_frame(KvRequest(KvOpcode.GET, 1, 1, b"k"))
+    nic.inject(request, port=1)
+    sim.run()
+    [reply] = nic.transmitted
+    tracer = nic.telemetry.tracer
+    assert tracer.path(request) == ["panic.eth1", "panic.rmt",
+                                    "panic.kvcache"]
+    assert tracer.path(reply) == ["panic.rmt", "panic.eth1"]
+    assert _births({"trace": tracer.report()}) == {
+        reply.trace.trace_id: "panic.kvcache"}
+    assert tracer.summary()["seen"] == tracer.summary()["sampled"] == 2
+
+
+def test_no_packet_carries_a_trail():
+    # A packet's path is read from its engine spans when it is traced;
+    # an engine visit records nothing on the packet outside its trace.
+    assert not {"_trail", "trail", "touch"} & set(dir(Packet))

@@ -47,24 +47,16 @@ class TestPacket:
         packet.panic = PanicHeader(chain=[1, 2])
         assert packet.chip_bits == (100 + 16 + 4) * 8
 
-    def test_trail_records_engines(self):
-        packet = Packet(b"")
-        packet.touch("a")
-        packet.touch("b")
-        assert packet.trail == ["a", "b"]
-
     def test_rewritten_keeps_the_packet_life(self):
         packet = Packet(b"data")
         packet.meta.tenant = 3
         packet.panic = PanicHeader(chain=[5], slack_ps=9)
         packet.trace = object()
-        packet.touch("a")
+        packet.pbuf_handle = 7
         out = packet.rewritten(b"other")
         assert out is not packet and out.data == b"other"
         assert out.meta is packet.meta and out.panic is packet.panic
-        assert out.trace is packet.trace
-        out.touch("b")
-        assert packet.trail == out.trail == ["a", "b"]
+        assert out.trace is packet.trace and out.pbuf_handle == 7
 
     def test_metadata_is_slotted_and_annotations_lazy(self):
         meta = Packet(b"").meta

@@ -11,10 +11,9 @@ from repro.sim.clock import MHZ
 
 
 class TestPacketBuffer:
-    def test_store_read_release(self, sim):
+    def test_store_release(self, sim):
         buf = PacketBuffer(sim)
-        handle = buf.store(b"payload")
-        assert buf.read(handle) == b"payload"
+        handle = buf.store(7)
         assert buf._used == 7
         buf.release(handle)
         assert buf._used == 0
@@ -22,23 +21,14 @@ class TestPacketBuffer:
 
     def test_capacity_enforced(self, sim):
         buf = PacketBuffer(sim, capacity_bytes=10)
-        buf.store(b"x" * 8)
+        buf.store(8)
         with pytest.raises(PacketBufferError):
-            buf.store(b"y" * 4)
-
-    def test_rewrite_adjusts_usage(self, sim):
-        buf = PacketBuffer(sim, capacity_bytes=100)
-        handle = buf.store(b"x" * 50)
-        buf.rewrite(handle, b"y" * 10)
-        assert buf._used == 10
-        assert buf.read(handle) == b"y" * 10
-        with pytest.raises(PacketBufferError):
-            buf.rewrite(handle, b"z" * 200)
+            buf.store(4)
 
     def test_high_watermark(self, sim):
         buf = PacketBuffer(sim)
-        a = buf.store(b"x" * 100)
-        b = buf.store(b"y" * 50)
+        a = buf.store(100)
+        b = buf.store(50)
         buf.release(a)
         assert buf.high_watermark == 150
 

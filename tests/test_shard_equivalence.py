@@ -215,11 +215,10 @@ class TestTopology:
         assert topo.lookahead_ps({"n0": 0, "n1": 0}) == 0
 
     def test_zero_weight_nics_still_assigned(self):
-        # frames=0 (and junk hints) clamp to weight 1: every NIC lands
-        # in exactly one shard and no shard comes up empty.
+        # Every NIC lands in exactly one shard and no shard comes up
+        # empty.
         specs = [NicSpec(f"n{i}", build_rack_nic,
-                         {"index": i, "n_nics": 4,
-                          "frames": 0 if i % 2 else "many"})
+                         {"index": i, "n_nics": 4, "frames": 0})
                  for i in range(4)]
         topo = RackTopology(specs, [LinkSpec("n0", "n1"),
                                     LinkSpec("n2", "n3", port_a=1,
@@ -228,24 +227,10 @@ class TestTopology:
         assert sorted(assignment) == [f"n{i}" for i in range(4)]
         assert set(assignment.values()) == {0, 1, 2}
 
-    def test_dominant_hot_nic_gets_its_own_shard(self):
-        # One NIC emits 100x the traffic of the rest: binning it with
-        # idle peers just to equalize counts would serialize the run, so
-        # the weighted split isolates it.
-        frames = [1000, 10, 10, 10]
-        specs = [NicSpec(f"n{i}", build_rack_nic,
-                         {"index": i, "n_nics": 4, "frames": frames[i]})
-                 for i in range(4)]
-        topo = RackTopology(specs, [LinkSpec("n0", "n1")])
-        assignment = topo.assign_shards(2)
-        assert assignment["n0"] == 0
-        assert [assignment[f"n{i}"] for i in (1, 2, 3)] == [1, 1, 1]
-
     def test_equal_weights_keep_historical_split(self):
-        # When every NIC weighs the same, the weighted assignment must
-        # reproduce the old equal-size contiguous split exactly (larger
-        # early shards on ties) -- pinned so old sharded runs replay
-        # bit-identically.
+        # The split must reproduce the old equal-size contiguous split
+        # exactly (larger early shards on ties) -- pinned so old sharded
+        # runs replay bit-identically.
         for n, workers, expected in (
             (5, 2, [0, 0, 0, 1, 1]),
             (6, 3, [0, 0, 1, 1, 2, 2]),

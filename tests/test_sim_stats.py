@@ -1,6 +1,7 @@
 """Tests for the counter, histograms, latency trackers and time series."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -166,6 +167,29 @@ class TestSeededRng:
         # Rank 0 should dominate under a skewed distribution.
         assert draws.count(0) > draws.count(50) * 3
         assert all(0 <= d < 100 for d in draws)
+
+    def test_zipf_index_is_the_first_cdf_entry_reaching_the_draw(self):
+        def reference(cdf, u):
+            lo, hi = 0, len(cdf) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cdf[mid] < u:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return lo
+
+        for n in (1, 2, 3, 7, 100, 4096):
+            rng = SeededRng(n)
+            cdf = rng._zipf_cdf(n, 0.99)
+            # Seeded draws, every CDF entry exactly, and its neighbours.
+            draws = [rng._rng.random() for _ in range(500)]
+            draws += [0.0, 1.0] + cdf[:300] + [
+                math.nextafter(c, side) for c in cdf[:300]
+                for side in (0.0, 2.0)]
+            rng._rng = SimpleNamespace(random=iter(draws).__next__)
+            for u in draws:
+                assert rng.zipf_index(n) == reference(cdf, u), (n, u)
 
     def test_zipf_invalid_support(self):
         with pytest.raises(ValueError):
