@@ -26,7 +26,7 @@ Packages:
   core)
 * :mod:`repro.noc`       -- the lossless 2D-mesh on-chip network
 * :mod:`repro.rmt`       -- the match+action pipeline substrate
-* :mod:`repro.sched`     -- PIFO queues and slack policies
+* :mod:`repro.sched`     -- PIFO queues ranked by pipeline-computed slack
 * :mod:`repro.packet`    -- byte-accurate protocol stack
 * :mod:`repro.workloads` -- traffic generators and the KVS workload
 * :mod:`repro.analysis`  -- Table 2/3 analytical models, reporting

@@ -28,7 +28,9 @@ from typing import Dict, Optional, Sequence
 from repro.core.host import QUEUES
 from repro.packet.headers import IP_PROTO_ESP
 from repro.packet.kv import KvOpcode
-from repro.rmt.action import ActionContext, decode_chain
+from repro.rmt.action import (
+    WFQ_CELLS, WFQ_REGISTER, ActionContext, decode_chain, wfq_increment,
+)
 from repro.rmt.phv import Phv
 from repro.rmt.pipeline import RmtProgram
 from repro.rmt.table import MatchKey, MatchKind
@@ -312,27 +314,24 @@ class PanicControl:
                    cost_ps: int = 1000) -> None:
         """Weighted fair sharing across tenants, live in the pipeline.
 
-        Installs a stateful action backed by
-        :class:`~repro.sched.slack.WeightedShareSlackPolicy`: each
-        tenant's messages are stamped with virtual-finish-time deadlines,
-        so every engine's PIFO serves backlogged tenants in proportion to
-        their weights (section 3.1.3's "share on-NIC resources according
-        to some high-level policy", realized via Universal Packet
-        Scheduling's slack construction).
+        Each tenant gets a ``tenant_slack`` entry running the stock
+        ``wfq_slack`` action with its increment
+        (:func:`~repro.rmt.action.wfq_increment`), so every engine's PIFO
+        serves backlogged tenants in proportion to their weights (section
+        3.1.3's "share on-NIC resources according to some high-level
+        policy").  The ``wfq_finish`` register is added on the first
+        call; later calls only add entries, so calls compose.  A tenant
+        already in ``tenant_slack`` raises
+        :class:`~repro.rmt.table.TableError`; a bad weight or cost raises
+        ``ValueError`` before anything is installed.
         """
-        from repro.sched.slack import WeightedShareSlackPolicy
-
-        policy = WeightedShareSlackPolicy(weights)
-
-        def wfq_slack(phv: Phv, ctx: ActionContext, *, tenant: int) -> None:
-            deadline = policy.deadline_ps(tenant, ctx.now_ps, cost_ps=cost_ps)
-            phv.set("meta.slack_deadline_ps", deadline)
-
-        if "wfq_slack" not in self.program.actions:
-            self.program.add_action("wfq_slack", wfq_slack)
+        increments = {tenant: wfq_increment(cost_ps, weight)
+                      for tenant, weight in weights.items()}
+        if WFQ_REGISTER not in self.program.registers:
+            self.program.add_register(WFQ_REGISTER, WFQ_CELLS)
         table = self.program.table("tenant_slack")
-        for tenant in weights:
-            table.add([tenant], "wfq_slack", {"tenant": tenant})
+        for tenant, increment in increments.items():
+            table.add([tenant], "wfq_slack", {"increment_ps": increment})
 
     def mark_dscp_droppable(self, dscp: int, slack_ps: int = 1_000_000 * US) -> None:
         """Classify a DSCP as lossy attack-class traffic: worst slack and

@@ -133,6 +133,37 @@ def set_slack(phv: Phv, ctx: ActionContext, *, slack_ps: int) -> None:
     phv.set("meta.slack_deadline_ps", ctx.now_ps + slack_ps)
 
 
+#: The register ``wfq_slack`` keeps each tenant's last virtual finish
+#: time in, one cell per 16-bit ``kv.tenant``.
+WFQ_REGISTER = "wfq_finish"
+WFQ_CELLS = 1 << 16
+
+
+def wfq_increment(cost_ps: int, weight: float) -> int:
+    """``wfq_slack``'s action data for a tenant: its per-message cost
+    over its weight, rounded to a whole picosecond (ties to even).
+    Raises ``ValueError`` unless cost and weight are positive and the
+    increment is at least 1 ps."""
+    increment = round(cost_ps / weight) if cost_ps > 0 and weight > 0 else 0
+    if increment < 1:
+        raise ValueError(
+            f"WFQ needs cost > 0, weight > 0 and cost / weight >= 1 ps; "
+            f"got cost {cost_ps} ps, weight {weight}")
+    return increment
+
+
+def wfq_slack(phv: Phv, ctx: ActionContext, *, increment_ps: int) -> None:
+    """Start-time fair queueing as one register transaction (the PIFO
+    paper's ``last_finish``): the deadline is the tenant's virtual finish
+    time, ``increment_ps`` (its per-message cost over its weight) past
+    the later of its previous finish and now."""
+    finish_times = ctx.register(WFQ_REGISTER)
+    tenant = phv.get("kv.tenant")
+    finish = max(finish_times.read(tenant), ctx.now_ps) + increment_ps
+    finish_times.write(tenant, finish)
+    phv.set("meta.slack_deadline_ps", finish)
+
+
 def set_queue(phv: Phv, ctx: ActionContext, *, queue: int) -> None:
     """Steer to a host receive queue (RSS-style)."""
     phv.set("meta.rx_queue", queue)
@@ -289,6 +320,7 @@ def standard_actions() -> Dict[str, Action]:
         "set_field": set_field,
         "set_chain": set_chain,
         "set_slack": set_slack,
+        "wfq_slack": wfq_slack,
         "set_queue": set_queue,
         "count": count,
         "hash_select": hash_select,

@@ -8,18 +8,14 @@ implement any arbitrary local scheduling algorithm" (citing Universal
 Packet Scheduling).
 
 This package provides the PIFO (push-in, first-out) queue used at every
-engine plus the one stateful slack policy (weighted fair sharing).
+engine.  Slack itself is computed in the pipeline: constant per-class
+slack by ``set_slack`` entries, weighted fair sharing by the stateful
+``wfq_slack`` action (:mod:`repro.rmt.action`).
 """
 
 from repro.sched.pifo import PifoQueue, PifoFullError
-from repro.sched.slack import (
-    SlackPolicy,
-    WeightedShareSlackPolicy,
-)
 
 __all__ = [
     "PifoFullError",
     "PifoQueue",
-    "SlackPolicy",
-    "WeightedShareSlackPolicy",
 ]

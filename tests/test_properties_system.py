@@ -11,7 +11,11 @@ from repro.noc.placement import (
     manhattan,
 )
 from repro.packet import Packet
-from repro.sched import PifoQueue, WeightedShareSlackPolicy
+from repro.rmt.action import (
+    WFQ_CELLS, WFQ_REGISTER, ActionContext, Register, wfq_increment, wfq_slack,
+)
+from repro.rmt.phv import Phv
+from repro.sched import PifoQueue
 from repro.sim import Simulator
 from repro.sim.clock import SEC
 
@@ -104,14 +108,24 @@ def test_token_bucket_never_exceeds_rate_plus_burst(rate_bps, burst, sizes):
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 50)),
                 min_size=1, max_size=100))
 def test_wfq_virtual_time_never_regresses(events):
-    policy = WeightedShareSlackPolicy({0: 1.0, 1: 2.0, 2: 5.0, 3: 0.5})
+    weights = {0: 1.0, 1: 2.0, 2: 5.0, 3: 0.5}
+    ctx = ActionContext(
+        registers={WFQ_REGISTER: Register(WFQ_REGISTER, WFQ_CELLS)})
     last = {}
     for tenant, cost in events:
-        deadline = policy.deadline_ps(tenant, 0, cost_ps=cost)
+        try:
+            increment = wfq_increment(cost, weights[tenant])
+        except ValueError:
+            # Under 1 ps of virtual time per message: refused at install.
+            assert cost < weights[tenant]
+            continue
+        phv = Phv()
+        phv.set("kv.tenant", tenant)
+        wfq_slack(phv, ctx, increment_ps=increment)
+        deadline = phv.get("meta.slack_deadline_ps")
         if tenant in last:
-            # Non-decreasing; ties (sub-ps virtual time) are broken FIFO
-            # by the PIFO's sequence numbers.
-            assert deadline >= last[tenant]
+            # Strictly increasing: every increment is at least 1 ps.
+            assert deadline > last[tenant]
         last[tenant] = deadline
 
 

@@ -8,7 +8,7 @@ tuples, picosecond timestamps, the full ``stats()`` tree, and table hit
 counters -- is bit-identical with the memo on or off.  The scenarios
 here stress the cases where a naive result cache would diverge:
 control-plane reprogramming mid-run, time-dependent slack deadlines,
-stateful (register-touching and closure-state) policies, and failover
+stateful actions that write registers (WFQ slack), and failover
 remaps rewriting entry params in place.
 """
 
@@ -16,7 +16,9 @@ import pytest
 
 from repro.core import PanicConfig, PanicNic
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
-from repro.packet import Packet, build_udp_frame
+from repro.packet import (
+    KvOpcode, KvRequest, Packet, build_kv_request_frame, build_udp_frame,
+)
 from repro.rmt.pipeline import RmtPipeline, TrajectoryMemo
 from repro.rmt.table import MatchKey
 from repro.sim import Simulator
@@ -106,20 +108,34 @@ def run_control_plane_churn(rmt_memo):
 
 
 def run_wfq_policy(rmt_memo):
-    """Closure-state slack policy: replay must re-execute it, packet by
-    packet, or virtual finish times drift."""
+    """A slack action that writes register state on every packet: replay
+    must re-execute it, packet by packet, or virtual finish times drift."""
     sim = Simulator()
     nic = PanicNic(sim, PanicConfig(
         ports=1, offloads=("checksum",), rmt_memo=rmt_memo,
     ))
     nic.control.enable_wfq({1: 3.0, 2: 1.0}, cost_ps=4 * US)
     deliveries = _watch_deliveries(sim, nic)
+    packets = []
     for i in range(100):
-        packet = _udp_packet(bytes(60), seq=i, dscp=0)
-        packet.meta.tenant = 1 + (i % 2)
+        packet = build_kv_request_frame(
+            KvRequest(KvOpcode.GET, 1 + (i % 2), i, b"k"))
+        packet.meta.annotations["seq"] = i
+        packets.append(packet)
         sim.schedule_at(i * 250_000, nic.inject, packet)
     sim.run()
-    return deliveries, sim.now, nic.stats(), _table_hits(nic)
+    stamped = {1: [], 2: []}
+    for packet in packets:
+        stamped[packet.meta.tenant].append(packet.panic.slack_ps)
+    # WFQ ran: both tenants stay backlogged, so each deadline is its
+    # tenant's last plus cost / weight, and the 3x tenant's advance a
+    # third as fast.
+    for tenant, step in ((1, 1_333_333), (2, 4 * US)):
+        deadlines = stamped[tenant]
+        assert {b - a for a, b in zip(deadlines, deadlines[1:])} == {step}
+    # The deadlines are compared memo on vs off along with the deliveries.
+    return (deliveries + sorted(stamped.items()), sim.now, nic.stats(),
+            _table_hits(nic))
 
 
 def run_failover_remap(rmt_memo):

@@ -1,12 +1,27 @@
-"""Tests for the logical scheduler: PIFO queues and slack policies."""
+"""Tests for the logical scheduler: PIFO queues and the WFQ slack action."""
 
 import pytest
 
-from repro.sched import (
-    PifoFullError,
-    PifoQueue,
-    WeightedShareSlackPolicy,
+from repro.rmt.action import (
+    WFQ_CELLS, WFQ_REGISTER, ActionContext, Register, wfq_increment, wfq_slack,
 )
+from repro.rmt.phv import Phv
+from repro.sched import PifoFullError, PifoQueue
+
+
+def wfq_context(now_ps=0):
+    """An action context holding the ``wfq_slack`` register."""
+    return ActionContext(
+        registers={WFQ_REGISTER: Register(WFQ_REGISTER, WFQ_CELLS)},
+        now_ps=now_ps)
+
+
+def wfq_deadline(ctx, tenant, weight, cost_ps):
+    """Run ``wfq_slack`` once for ``tenant``; return the stamped deadline."""
+    phv = Phv()
+    phv.set("kv.tenant", tenant)
+    wfq_slack(phv, ctx, increment_ps=wfq_increment(cost_ps, weight))
+    return phv.get("meta.slack_deadline_ps")
 
 
 class TestPifoQueue:
@@ -83,20 +98,23 @@ class TestPifoQueue:
 
 
 class TestSlackPolicies:
+    """The start-time fair queueing slack action, driven directly."""
+
     def test_weighted_share_favours_heavy_weight(self):
-        policy = WeightedShareSlackPolicy({1: 10.0, 2: 1.0})
+        ctx = wfq_context()
         # Same arrival, same cost: heavier weight gets earlier deadline
         # once both have consumed service.
-        d1 = [policy.deadline_ps(1, 0, cost_ps=1000) for _ in range(5)]
-        d2 = [policy.deadline_ps(2, 0, cost_ps=1000) for _ in range(5)]
+        d1 = [wfq_deadline(ctx, 1, 10.0, 1000) for _ in range(5)]
+        d2 = [wfq_deadline(ctx, 2, 1.0, 1000) for _ in range(5)]
         assert d1[-1] < d2[-1]
+        assert ctx.registers[WFQ_REGISTER].read(1) == d1[-1]
 
     def test_weighted_share_virtual_time_monotonic(self):
-        policy = WeightedShareSlackPolicy({1: 1.0})
-        deadlines = [policy.deadline_ps(1, 0, cost_ps=100) for _ in range(4)]
+        ctx = wfq_context()
+        deadlines = [wfq_deadline(ctx, 1, 1.0, 100) for _ in range(4)]
         assert deadlines == sorted(deadlines)
         assert len(set(deadlines)) == 4
 
     def test_weighted_share_validates_weights(self):
         with pytest.raises(ValueError):
-            WeightedShareSlackPolicy({1: 0})
+            wfq_increment(1000, 0)
