@@ -59,9 +59,8 @@ Three mechanisms enforce it:
   lane still writes itself is what a scalar *event* would have done
   between those calls: the zero ``queue_latency`` sample of
   ``Engine._start``, the ``processed`` count of ``_finish``, the RMT
-  tile's admission arithmetic, the injected count of
-  ``NocPort.send``, the delivery count, and one step of a router's
-  fairness offset (``_rr_shift``) per arbitration pass.
+  tile's admission arithmetic, the delivery count, and one step of a
+  router's fairness offset (``_rr_shift``) per arbitration pass.
 
 One leg serves every tile: the RMT pipeline finishes through
 ``Engine._finish`` and works in a genuine ``handle`` like any engine, so
@@ -152,12 +151,12 @@ class TrainLane:
         return kind
 
     def _router_of(self, engine: Engine):
-        """The engine's local tile router (its inject channel's sink),
+        """The engine's local tile router (its port's sink),
         or False when the engine's space wiring is not the stock
         ``notify_space = router.pump`` (the ride replays that pump as a
         single fairness rotation, so anything else must ride scalar).
         Cached per engine."""
-        router = self.mesh._channel_sink[engine.port._channel]
+        router = engine.port._sink
         notify = engine.notify_space
         cls = type(router)
         if (notify is None
@@ -312,12 +311,12 @@ class TrainLane:
             t_send = t_fin + lookup_delay
             if t_send >= h:
                 break
-            port = engine.port
-            inj = port._channel
-            path = inj._express_paths.get(ndest, _MISS)
-            if path is _MISS:
+            inj = engine.port
+            paths = inj._express_paths
+            if paths is not None and ndest in paths:
+                path = paths[ndest]
+            else:
                 path = self.mesh._build_express_path(inj, ndest)
-                inj._express_paths[ndest] = path
             if path is None or (
                     inj._transfer_in_progress or inj._pending
                     or inj._express_flight is not None
@@ -344,7 +343,7 @@ class TrainLane:
             tkind = self._engine_ready(target, packet)
             if tkind is None:
                 break
-            # The size NocPort.send would fix at injection.
+            # The size the port's send would fix at injection.
             bits = packet.chip_bits
             ser = inj._ser_cache.get(bits)
             if ser is None:
@@ -352,9 +351,8 @@ class TrainLane:
             t_arrive = t_send + len(channels) * ser
             if t_arrive >= h:
                 break
-            # -- Commit.  NocPort.send at t_send: the injected count.
+            # -- Commit, from the port's send at t_send.
             sim.now = t_send  # t_send = now + lookup_delay
-            port.injected += 1
             # ExpressFlight._finish: the arithmetic hop windows and the
             # forwarding routers' crossings.
             account_hops(channels, bits, t_send, ser)

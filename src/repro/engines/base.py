@@ -13,7 +13,7 @@ Every PANIC engine tile couples four things:
 
 Engines are :class:`~repro.noc.router.Endpoint`\\ s: the mesh delivers
 messages to :meth:`receive`; processed messages leave through the engine's
-:class:`~repro.noc.mesh.NocPort`.
+port, its tile's injection :class:`~repro.noc.channel.Channel`.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Engine(Component, Endpoint):
     ----------
     sim, name:
         Kernel plumbing.  Service times are quoted in cycles of the
-        engine's 500 MHz :attr:`clock`.
+        500 MHz :attr:`clock` every tile shares.
     queue_capacity:
         PIFO capacity.  ``None`` (default) models a generously sized
         buffer; bounded values exercise the paper's memory-pressure and
@@ -116,6 +116,13 @@ class Engine(Component, Endpoint):
     #: message through the PIFO's push and pop, which must change nothing.
     _IDLE_ADMISSION = True
 
+    #: Every tile runs at 500 MHz, so all share one clock: it holds no
+    #: state a run changes (its conversion is a pure function).
+    clock = Clock()
+
+    #: A local-table lookup's penalty.
+    _lookup_ps = clock.cycles_to_ps(LOOKUP_CYCLES)
+
     def __init__(
         self,
         sim: Simulator,
@@ -132,9 +139,6 @@ class Engine(Component, Endpoint):
                 f"{name}: overflow must be one of {self.OVERFLOW_POLICIES}, "
                 f"got {overflow!r}"
             )
-        self.clock = Clock()
-        # The local-table lookup penalty never changes; precompute it.
-        self._lookup_ps = self.clock.cycles_to_ps(LOOKUP_CYCLES)
         self.queue: PifoQueue[Packet] = PifoQueue(f"{name}.queue", queue_capacity)
         self.lookup_table = LocalLookupTable()
         self.port = None  # type: ignore[assignment]  # set by bind_port
@@ -164,7 +168,8 @@ class Engine(Component, Endpoint):
     # ------------------------------------------------------------------
 
     def bind_port(self, port) -> None:
-        """Attach the NoC port returned by ``mesh.bind`` / ``xbar.bind``."""
+        """Attach the NoC port ``mesh.bind`` returns: the tile's
+        injection channel."""
         self.port = port
 
     def send(self, packet: Packet, dest_addr: int) -> None:

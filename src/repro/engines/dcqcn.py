@@ -166,9 +166,6 @@ class DcqcnRateController:
             self._flows[flow_id] = state
         return state
 
-    def rate_bps(self, flow_id: int) -> float:
-        return self.flow(flow_id).current_bps
-
     def on_cnp(self, flow_id: int, now_ps: int) -> float:
         state = self.flow(flow_id)
         state.target_bps = state.current_bps

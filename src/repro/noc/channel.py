@@ -21,23 +21,32 @@ from collections import deque
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.sim.clock import Clock
-from repro.sim.kernel import Component, Simulator
+from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:
     from repro.noc.express import ExpressFlight
+    from repro.noc.router import Router
     from repro.packet.packet import Packet
 
 #: Per-hop router pipeline latency in cycles (paper section 3.1.2).
 ROUTER_HOP_CYCLES = 1
 
+#: Tile offset of each mesh direction: the link named for a direction
+#: leaves tile (x, y) for tile (x + dx, y + dy).
+STEPS = {"east": (1, 0), "west": (-1, 0), "south": (0, 1), "north": (0, -1)}
 
-class Channel(Component):
+
+class Channel:
     """A unidirectional link between two NoC components.
 
     Parameters
     ----------
-    sim, name:
-        Simulation kernel plumbing.
+    sim:
+        The simulation kernel.
+    name:
+        The channel's name.  A mesh passes only the part of it that the
+        tiles do not say -- the direction of a link, or ``"inj"`` for a
+        tile's injection channel -- and :attr:`name` derives the rest.
     width_bits:
         Channel bit width per cycle; the paper evaluates 64 and 128.
     clock:
@@ -69,21 +78,29 @@ class Channel(Component):
         on_drain: Optional[Callable[[], None]] = None,
         ser_cache: Optional[dict] = None,
     ):
-        super().__init__(sim, name)
         if width_bits <= 0:
             raise ValueError(f"channel width must be positive, got {width_bits}")
         if credits <= 0:
             raise ValueError(f"channel needs at least one credit, got {credits}")
+        self.sim = sim
+        self.schedule = sim.schedule
+        self._label = name
+        # The mesh router this channel delivers into; None standalone.
+        self._sink: Optional["Router"] = None
         self.width_bits = width_bits
         self.clock = clock
         self.deliver = deliver
         self.on_drain = on_drain
         self._credits = credits
         self._max_credits = credits
-        # Sender-side queue: messages waiting for the wire or a credit.
-        # Routers forward only into an empty one, so it is one deep on
-        # mesh links; only injection can stack it higher.
-        self._pending: List["Packet"] = []
+        # Sender-side queue: messages waiting for the wire or a credit,
+        # allocated by the first message that has to wait.  Routers
+        # forward only into an empty one, so it is one deep on mesh
+        # links; only injection can stack it higher.
+        self._pending: Optional[List["Packet"]] = None
+        # Receiver side: the sink router's input FIFO for this channel,
+        # at most the credit pool deep (see repro.noc.router).
+        self._arrivals: List["Packet"] = []
         self._busy_until = 0
         self._busy_accum_ps = 0
         self._transfer_in_progress = False
@@ -96,19 +113,19 @@ class Channel(Component):
             Callable[["Packet", "Channel"], bool]
         ] = None
         self._express_flight: Optional["ExpressFlight"] = None
-        # Static route cache for express walks launched here: destination
-        # address -> (channels, routers, final_router), or None when the
-        # route cannot be expressed (unroutable / single hop).  Topology
-        # never changes after build, so entries are computed once.
-        self._express_paths: dict = {}
+        # Static route cache for express walks launched here, allocated
+        # by the first walk: destination address -> (channels, routers,
+        # final_router, checks), or None when the route cannot be
+        # expressed (unroutable / single hop).  Topology never changes
+        # after build, so entries are computed once.
+        self._express_paths: Optional[dict] = None
         # Armed one-shot faults (see inject_corruption / inject_drop): a
         # ``(drops, corruptions)`` pair of queues, each entry applying to
         # one future transfer completion; None whenever nothing is armed,
-        # which is the only state the data path ever tests.  The fabric
-        # may supply ``_fault_log``, where a channel lists itself the
-        # first time it is armed.
+        # which is the only state the data path ever tests.  A mesh
+        # channel lists itself in ``Mesh.fault_channels`` the first time
+        # it is armed.
         self._faults: Optional[tuple] = None
-        self._fault_log: Optional[list] = None
         self._mesh = None  # a fabric counting messages in flight, if any
         # Statistics.
         self.sent = 0
@@ -117,9 +134,47 @@ class Channel(Component):
         self.dropped_flits = 0
         self.leaked_credits = 0
 
+    @property
+    def name(self) -> str:
+        """The channel's name.  On a mesh it is derived on read, never
+        stored: ``<mesh>.ch_<x>_<y>_<direction>`` for the link leaving
+        tile (x, y) that way, ``<mesh>.inj_<x>_<y>`` for the tile's
+        injection channel."""
+        sink = self._sink
+        label = self._label
+        if sink is None:
+            return label
+        if label == "inj":
+            return f"{sink._mesh.name}.inj_{sink.x}_{sink.y}"
+        dx, dy = STEPS[label]
+        return f"{sink._mesh.name}.ch_{sink.x - dx}_{sink.y - dy}_{label}"
+
     # ------------------------------------------------------------------
     # Sender interface
     # ------------------------------------------------------------------
+
+    @property
+    def address(self) -> int:
+        """NoC address of the tile this channel feeds: on an injection
+        channel (a port), its endpoint's own address."""
+        return self._sink.address
+
+    def send(self, packet: "Packet", dest_addr: int) -> None:
+        """Inject ``packet`` toward the endpoint at ``dest_addr``.
+
+        A tile's injection channel is its endpoint's port (what
+        :meth:`~repro.noc.mesh.Mesh.bind` returns): this writes the
+        transfer into the packet's own slots, counts the packet into the
+        mesh and submits it.
+        """
+        if dest_addr < 0:
+            raise ValueError(
+                f"engine addresses must be non-negative (dest={dest_addr})")
+        packet.dest_addr = dest_addr
+        packet.hops = 0
+        packet.bits = packet.chip_bits
+        self._mesh._inside += 1
+        self.submit(packet)
 
     def submit(self, packet: "Packet") -> bool:
         """Hand over a packet for transmission (never drops).
@@ -133,8 +188,12 @@ class Channel(Component):
             # New traffic on a reserved channel: de-speculate the express
             # flight first so this packet sees exact slow-path state.
             flight.materialize()
-        if self._pending or self._transfer_in_progress or self._credits <= 0:
-            self._pending.append(packet)
+        pending = self._pending
+        if pending or self._transfer_in_progress or self._credits <= 0:
+            if pending is None:
+                self._pending = [packet]
+            else:
+                pending.append(packet)
             return False
         self._start(packet)
         return True
@@ -142,7 +201,7 @@ class Channel(Component):
     @property
     def queue_len(self) -> int:
         """Messages waiting for the wire (sender side)."""
-        return len(self._pending)
+        return len(self._pending) if self._pending else 0
 
     @property
     def credits(self) -> int:
@@ -203,9 +262,9 @@ class Channel(Component):
             flight.materialize()
         if self._faults is None:
             self._faults = (deque(), deque())
-            log = self._fault_log
-            if log is not None and self not in log:
-                log.append(self)
+            mesh = self._mesh
+            if mesh is not None and self not in mesh.fault_channels:
+                mesh.fault_channels.append(self)
         return self._faults
 
     # ------------------------------------------------------------------

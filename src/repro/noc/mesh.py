@@ -2,8 +2,10 @@
 
 A :class:`Mesh` builds ``width x height`` routers, wires neighbouring
 routers with a pair of opposed channels, and binds endpoints (engines) to
-tiles.  Binding yields a :class:`NocPort`, the engine-side handle used to
-inject messages.
+tiles.  Binding yields the tile's injection :class:`Channel`, the
+endpoint's port: it has the endpoint's ``address`` and a ``send``.
+Routers and channels are not kernel components; their names derive from
+the mesh's name and their tiles.
 
 Address scheme: the endpoint on tile ``(x, y)`` has NoC address
 ``y * width + x``.  Engine addresses therefore double as tile coordinates,
@@ -15,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.noc.channel import Channel
+from repro.noc.channel import STEPS, Channel
 from repro.noc.express import ExpressFlight
 from repro.noc.router import Endpoint, Router
 from repro.packet.packet import Packet
 from repro.sim.clock import MHZ, Clock
-from repro.sim.kernel import SimError, Simulator
+from repro.sim.kernel import Simulator
 
 
 class MeshStuckError(RuntimeError):
@@ -63,31 +65,6 @@ class MeshConfig:
         return self.width * self.height
 
 
-class NocPort:
-    """An endpoint's handle for injecting messages into the mesh."""
-
-    def __init__(self, mesh: "Mesh", endpoint: Endpoint, channel: Channel):
-        self._mesh = mesh
-        self._endpoint = endpoint
-        self._channel = channel
-        self.injected = 0
-
-    @property
-    def address(self) -> int:
-        return self._endpoint.address
-
-    def send(self, packet: Packet, dest_addr: int) -> None:
-        """Inject ``packet`` toward ``dest_addr``."""
-        if dest_addr < 0:
-            raise ValueError(
-                f"engine addresses must be non-negative (dest={dest_addr})")
-        packet.dest_addr = dest_addr
-        packet.hops = 0
-        packet.bits = packet.chip_bits
-        self.injected += 1
-        self._mesh._inside += 1
-        self._channel.submit(packet)
-
 class Mesh:
     """A ``width x height`` mesh of routers with bound endpoints."""
 
@@ -99,8 +76,6 @@ class Mesh:
         self._routers: Dict[Tuple[int, int], Router] = {}
         self._endpoints: Dict[int, Endpoint] = {}
         self.channels: List[Channel] = []
-        # Receiver router of every channel, for express route walks.
-        self._channel_sink: Dict[Channel, Router] = {}
         # Every channel shares one width and clock, hence one table of
         # serialization delays by message size.
         self._ser_cache: Dict[int, int] = {}
@@ -136,23 +111,17 @@ class Mesh:
         for y in range(cfg.height):
             for x in range(cfg.width):
                 address = self.address_of(x, y)
-                self._routers[(x, y)] = Router(
-                    self.sim, f"{self.name}.r{x}_{y}", x, y, address, self)
+                self._routers[(x, y)] = Router(x, y, address, self)
         # Wire neighbours with one channel per direction.
         for (x, y), router in self._routers.items():
-            for dx, dy, direction in (
-                (1, 0, "east"),
-                (-1, 0, "west"),
-                (0, 1, "south"),
-                (0, -1, "north"),
-            ):
+            for direction, (dx, dy) in STEPS.items():
                 nx, ny = x + dx, y + dy
                 neighbour = self._routers.get((nx, ny))
                 if neighbour is None:
                     continue
                 channel = Channel(
                     self.sim,
-                    f"{self.name}.ch_{x}_{y}_{direction}",
+                    direction,
                     cfg.channel_bits,
                     self.clock,
                     neighbour.on_deliver,
@@ -168,8 +137,7 @@ class Mesh:
         """Register a new channel delivering into ``sink``."""
         sink.register_input(channel)
         self.channels.append(channel)
-        self._channel_sink[channel] = sink
-        channel._fault_log = self.fault_channels
+        channel._sink = sink
         channel._mesh = self
         channel._express_route = self._express_route
 
@@ -192,8 +160,9 @@ class Mesh:
     # Endpoint binding
     # ------------------------------------------------------------------
 
-    def bind(self, endpoint: Endpoint, x: int, y: int) -> NocPort:
-        """Attach an endpoint to tile ``(x, y)`` and return its port."""
+    def bind(self, endpoint: Endpoint, x: int, y: int) -> Channel:
+        """Attach an endpoint to tile ``(x, y)`` and return its port:
+        the tile's injection channel."""
         address = self.address_of(x, y)
         if address in self._endpoints:
             raise ValueError(f"tile ({x},{y}) already has an endpoint")
@@ -206,7 +175,7 @@ class Mesh:
         self._endpoints[address] = endpoint
         inject = Channel(
             self.sim,
-            f"{self.name}.inj_{x}_{y}",
+            "inj",
             self.config.channel_bits,
             self.clock,
             router.on_deliver,
@@ -214,7 +183,7 @@ class Mesh:
             ser_cache=self._ser_cache,
         )
         self._adopt(inject, router)
-        return NocPort(self, endpoint, inject)
+        return inject
 
     # ------------------------------------------------------------------
     # Cut-through fast path (see repro.noc.express)
@@ -226,9 +195,12 @@ class Mesh:
         """Trace the static dimension-ordered route from ``channel`` to
         ``dest``, or None when express can never apply (single-hop routes
         save no events; unroutable destinations must raise on the slow
-        path at their normal simulated time)."""
-        sink = self._channel_sink
-        router = sink[channel]
+        path at their normal simulated time).  The result joins the
+        channel's route cache, allocated here on first use."""
+        if channel._express_paths is None:
+            channel._express_paths = {}
+        channel._express_paths[dest] = None
+        router = channel._sink
         if not 0 <= dest < len(router._next_hop):
             return None
         channels = [channel]
@@ -239,13 +211,15 @@ class Mesh:
                 break
             routers.append(router)
             channels.append(out)
-            router = sink[out]
+            router = out._sink
         if not routers:
             return None
         # Pair each forwarding router with its outgoing channel so the
         # per-message idle scan is one fused loop.
         checks = tuple(zip(routers, channels[1:]))
-        return tuple(channels), tuple(routers), router, checks
+        path = tuple(channels), tuple(routers), router, checks
+        channel._express_paths[dest] = path
+        return path
 
     def _try_express(self, packet: Packet, channel: Channel) -> bool:
         """Attempt to cut a packet through an entirely idle route.
@@ -260,12 +234,11 @@ class Mesh:
         message, a queue or a reservation.)
         """
         dest = packet.dest_addr
-        cache = channel._express_paths
-        try:
-            path = cache[dest]
-        except KeyError:
+        paths = channel._express_paths
+        if paths is not None and dest in paths:
+            path = paths[dest]
+        else:
             path = self._build_express_path(channel, dest)
-            cache[dest] = path
         if path is None:
             return False
         channels, routers, final_router, checks = path
@@ -304,13 +277,10 @@ class Mesh:
 
     def channel(self, name: str) -> Channel:
         """Look up a channel by its full name (e.g. ``mesh.inj_0_0``)."""
-        try:
-            found = self.sim.component(name)  # the kernel's name registry
-        except SimError:
-            found = None
-        if found not in self._channel_sink:
-            raise ValueError(f"no channel named {name!r} in {self.name}")
-        return found
+        for channel in self.channels:
+            if channel.name == name:
+                return channel
+        raise ValueError(f"no channel named {name!r} in {self.name}")
 
     @property
     def routers(self) -> List[Router]:

@@ -8,7 +8,8 @@ virtual channels.  The mesh renders that rule once, into each router's
 static next-hop table (see ``Mesh._build_routes``).
 
 Input buffering is per-upstream-channel FIFO with credits (see
-:mod:`repro.noc.channel`); the router moves head-of-line messages to output
+:mod:`repro.noc.channel`), each FIFO kept on the channel that feeds it
+(``Channel._arrivals``); the router moves head-of-line messages to output
 channels whenever the output can accept, and stalls otherwise, propagating
 backpressure toward the source.
 
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.noc.channel import Channel
-from repro.sim.kernel import Component, Simulator
+from repro.noc.channel import STEPS, Channel
 
 if TYPE_CHECKING:
     from repro.noc.mesh import Mesh
@@ -57,45 +57,36 @@ class Endpoint:
         return True
 
 
-class Router(Component):
+class Router:
     """One tile's router.
 
     Parameters
     ----------
-    sim, name:
-        Kernel plumbing.
     x, y:
         Tile coordinates in the mesh.
     address:
         NoC address of the endpoint attached to this tile.
     mesh:
-        Counts the messages inside it; a local delivery takes one out.
+        Names the router, and counts the messages inside it; a local
+        delivery takes one out.
     """
 
-    DIRECTIONS = ("east", "west", "north", "south")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        x: int,
-        y: int,
-        address: int,
-        mesh: "Mesh",
-    ):
-        super().__init__(sim, name)
+    def __init__(self, x: int, y: int, address: int, mesh: "Mesh"):
         self.x = x
         self.y = y
         self.address = address
         self._mesh = mesh
+        # Bound once: the callbacks every channel and endpoint wired to
+        # this router share.
+        self.on_deliver = self.on_deliver
+        self.pump = self.pump
         self.endpoint: Optional[Endpoint] = None
         self._out: Dict[str, Channel] = {}
         # Destination address -> output channel toward it, None for this
         # tile's own endpoint; filled in by the mesh once it is wired.
         self._next_hop: List[Optional[Channel]] = []
-        # One FIFO per upstream channel, at most its credit pool deep.
-        self._inputs: Dict[Channel, List["Packet"]] = {}
-        # Served in this order rotated by ``_rr_shift`` (see module doc).
+        # Upstream channels, each holding its input FIFO; served in this
+        # order rotated by ``_rr_shift`` (see module doc).
         self._rr_inputs: List[Channel] = []
         self._rr_shift = 0
         self._pumping = False
@@ -108,12 +99,17 @@ class Router(Component):
         self.forwarded = 0
         self.delivered = 0
 
+    @property
+    def name(self) -> str:
+        """``<mesh>.r<x>_<y>``, derived on read."""
+        return f"{self._mesh.name}.r{self.x}_{self.y}"
+
     # ------------------------------------------------------------------
     # Wiring (done by the Mesh builder)
     # ------------------------------------------------------------------
 
     def attach_output(self, direction: str, channel: Channel) -> None:
-        if direction not in self.DIRECTIONS:
+        if direction not in STEPS:
             raise ValueError(f"unknown direction {direction!r}")
         if direction in self._out:
             raise ValueError(f"{self.name}: output {direction} already wired")
@@ -126,9 +122,8 @@ class Router(Component):
 
     def register_input(self, channel: Channel) -> None:
         """Declare an upstream channel (its deliveries arrive here)."""
-        if channel in self._inputs:
+        if channel in self._rr_inputs:
             raise ValueError(f"{self.name}: input channel already registered")
-        self._inputs[channel] = []
         if self._rr_shift:
             # Keep the current service order; the newcomer joins last.
             self._rr_inputs = self._rr_order
@@ -153,13 +148,8 @@ class Router(Component):
             # router: commit crossings already past, de-speculate the rest.
             for flight in list(self._express_flights):
                 flight.interfere(self)
-        try:
-            queue = self._inputs[channel]
-        except KeyError:
-            raise RuntimeError(
-                f"{self.name}: delivery from unregistered channel") from None
         if self._buffered or self._pumping:
-            queue.append(packet)
+            channel._arrivals.append(packet)
             self._buffered += 1
             self.pump()
             return
@@ -174,7 +164,7 @@ class Router(Component):
                 self._buffered = 0
                 channel.release_credit()
             else:
-                queue.append(packet)
+                channel._arrivals.append(packet)
             self._rr_shift += 1
             if self._pump_again:
                 if self._buffered:
@@ -223,7 +213,7 @@ class Router(Component):
                 # Negative indices wrap: order[start:], then order[:start].
                 for index in range(start - count, start):
                     channel = order[index]
-                    queue = self._inputs[channel]
+                    queue = channel._arrivals
                     if queue and self._forward(queue[0]):
                         del queue[0]
                         self._buffered -= 1
@@ -256,7 +246,8 @@ class Router(Component):
                 # consumed, backpressuring the upstream path.
                 ctx = packet.trace
                 if ctx is not None and ctx.tracer is not None:
-                    ctx.tracer.instant(ctx, "refused", self.name, self.now,
+                    ctx.tracer.instant(ctx, "refused", self.name,
+                                       self._mesh.sim.now,
                                        (("dest", packet.dest_addr),))
                 return False
             self.delivered += 1

@@ -168,29 +168,14 @@ class Table:
         self._notify()
         return entry
 
-    def remove(self, patterns: Sequence[Any]) -> None:
-        key = tuple(patterns)
-        if self._all_exact:
-            if key not in self._exact_index:
-                raise TableError(f"table {self.name!r}: no entry {key}")
-            del self._exact_index[key]
-            self._notify()
-            return
-        for i, entry in enumerate(self._scan_entries):
-            if entry.patterns == key:
-                del self._scan_entries[i]
-                self._notify()
-                return
-        raise TableError(f"table {self.name!r}: no entry {key}")
-
     def remove_entry(self, entry: TableEntry) -> None:
         """Remove one installed entry by identity (the object returned
         by :meth:`add`).
 
-        :meth:`remove` matches by patterns, which is ambiguous when
-        several entries share patterns and differ only by priority --
-        exactly the shape of versioned rule epochs (a new epoch masks
-        the old one until the control plane garbage-collects it).
+        Identity, not patterns, names the entry: several entries may
+        share patterns and differ only by priority -- exactly the shape
+        of versioned rule epochs (a new epoch masks the old one until
+        the control plane garbage-collects it).
         """
         if self._all_exact:
             key = entry.patterns

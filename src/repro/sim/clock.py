@@ -35,11 +35,7 @@ class Clock:
         default throughout the library.
     """
 
-    __slots__ = ("freq_hz", "period_ps", "_cycles_memo")
-
-    #: Bound on the per-clock conversion memo; hot callers use a small set
-    #: of cycle counts (1, per-hop serialization, fixed engine costs).
-    _MEMO_MAX = 1024
+    __slots__ = ("freq_hz", "period_ps")
 
     def __init__(self, freq_hz: float = 500 * MHZ):
         if freq_hz <= 0:
@@ -49,27 +45,20 @@ class Clock:
         if period < 1:
             raise ValueError(f"clock frequency {freq_hz} Hz is above 1 THz")
         self.period_ps = int(round(period))
-        self._cycles_memo: dict = {}
 
     def cycles_to_ps(self, cycles: float) -> int:
         """Return the duration of ``cycles`` clock cycles in picoseconds.
 
         Fractional cycle counts are allowed (e.g. an analytically derived
         service time); the result is rounded up to a whole picosecond.
-        Results for common cycle counts are memoised per clock.
+        A pure function of ``cycles``: a clock holds no state a run
+        changes, so every component of one frequency may share one.
         """
-        memo = self._cycles_memo
-        cached = memo.get(cycles)
-        if cached is not None:
-            return cached
         if cycles < 0:
             raise ValueError(f"cycle count must be non-negative, got {cycles}")
         ps = cycles * self.period_ps
         ips = int(ps)
-        result = ips if ips == ps else ips + 1
-        if len(memo) < self._MEMO_MAX:
-            memo[cycles] = result
-        return result
+        return ips if ips == ps else ips + 1
 
     def __repr__(self) -> str:
         return f"Clock({self.freq_hz / MHZ:g} MHz, period={self.period_ps} ps)"

@@ -1,9 +1,10 @@
 """The event-driven simulation kernel.
 
-A :class:`Simulator` owns an event heap.  Everything in the library --
-routers, links, RMT stages, offload engines, workload generators, hosts --
-is a :class:`Component` registered with one simulator, scheduling callbacks
-at future picosecond timestamps.
+A :class:`Simulator` owns an event heap.  RMT stages, offload engines,
+workload generators and hosts are each a :class:`Component` of one
+simulator, with a name unique in it; NoC routers and channels are not
+(a mesh derives their names).  All schedule callbacks at future
+picosecond timestamps.
 
 Determinism: events that share a timestamp fire in scheduling order (a
 monotonic sequence number breaks ties), so a run with a fixed RNG seed is
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.sim.clock import format_time
 
@@ -66,10 +67,14 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
+        # Bound once: every component stores this one object, and
+        # ``sim.schedule(...)`` makes no bound method per call.
+        self.schedule = self.schedule
         # Event records [when, seq, fn, args]; fn None = dead.
         self._heap: List[list] = []
         self._seq: int = 0
-        self._components: Dict[str, "Component"] = {}
+        # Names of the components built on this simulator: each unique.
+        self._names: Set[str] = set()
         self._events_fired: int = 0
         self._cancelled_pending = 0
         # Deadline of the run() call currently executing (None when the
@@ -86,24 +91,6 @@ class Simulator:
         # Optional caller-owned wall-time attribution sink: component
         # name -> [calls, seconds]; None (default) times nothing.
         self._profile: Optional[Dict[str, list]] = None
-
-    # ------------------------------------------------------------------
-    # Component registry
-    # ------------------------------------------------------------------
-
-    def register(self, component: "Component") -> None:
-        """Register a component under its (unique) name."""
-        name = component.name
-        if name in self._components:
-            raise SimError(f"duplicate component name: {name!r}")
-        self._components[name] = component
-
-    def component(self, name: str) -> "Component":
-        """Look up a registered component by name."""
-        try:
-            return self._components[name]
-        except KeyError:
-            raise SimError(f"no component named {name!r}") from None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -457,10 +444,13 @@ class Component:
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        # The simulator's bound method: ``self.schedule(...)`` dispatches
-        # straight into the kernel, with no Python frame of its own.
+        # The simulator's one bound method: ``self.schedule(...)``
+        # dispatches straight into the kernel, with no Python frame of
+        # its own.
         self.schedule = sim.schedule
-        sim.register(self)
+        if name in sim._names:
+            raise SimError(f"duplicate component name: {name!r}")
+        sim._names.add(name)
 
     @property
     def now(self) -> int:

@@ -13,6 +13,21 @@ cable ends -- and counts what no running code needs to be an object:
   latency trackers; the per-frame bit meters only tests ever read are
   gone.
 
+It also holds a tile to paying for its state, not its plumbing
+(EXPERIMENTS.md E46):
+
+* no router or channel is in the kernel's name registry, and their
+  derived names are the strings they always were;
+* every channel's ``deliver`` is its sink router's one bound
+  ``on_deliver``, every port's ``notify_space`` and every link's
+  ``on_drain`` that router's one bound ``pump``;
+* a simulator has one ``schedule`` object, which every component and
+  channel holds;
+* engines of one frequency share one clock;
+* no port wrapper exists: an engine's port is its tile's injection
+  channel;
+* the node's traced bytes stay under a ceiling.
+
 The run gate (EXPERIMENTS.md E30, E31) runs a plain 4-NIC rack and
 checks what a frame leaves behind:
 
@@ -26,15 +41,21 @@ checks what a frame leaves behind:
 Both run in well under a second, before the rest of the suite.
 """
 
+import gc
+import tracemalloc
 from array import array
 
 import pytest
 
+import repro.noc.mesh
+from repro.core import PanicConfig, PanicNic
 from repro.engines.base import Engine
 from repro.engines.ethernet import EthernetPort
+from repro.noc.channel import Channel
 from repro.packet.packet import MessageKind, Packet, PacketMetadata
 from repro.sim import Simulator, stats
 from repro.sim.clock import US
+from repro.sim.kernel import Component, SimError
 from repro.workloads.rack import RackNode, build_rack_nic, rack_port
 from repro.workloads.wire import LinkEnd, Wire
 
@@ -76,6 +97,90 @@ def test_mac_ports_hold_only_latency_trackers():
         owned = {type(value).__name__ for value in vars(port).values()
                  if type(value).__module__ == stats.__name__}
         assert owned == {"LatencyTracker"}, (port.name, owned)
+
+
+#: Traced bytes one incast node may allocate: 400,194 / 352,566 /
+#: 345,398 on Python 3.10 / 3.11 / 3.12 when routers and channels were
+#: registered components with stored names, per-router input dicts,
+#: per-channel callbacks and a port wrapper per engine, and a clock per
+#: engine; 299,628 / 255,456 / 250,096 without them.  Re-pin only
+#: downward, with the cause.
+NODE_BYTES_CEILING = 320_000
+
+
+def test_routers_and_channels_are_not_registered():
+    node = build_incast_node()
+    nic = node.nic
+    mesh = nic.mesh
+    assert [router.name for router in mesh.routers[:2]] == [
+        "nic0.mesh.r0_0", "nic0.mesh.r1_0"]
+    assert {"nic0.mesh.inj_0_0", "nic0.mesh.ch_0_0_east",
+            "nic0.mesh.ch_1_0_west", "nic0.mesh.ch_5_5_north"} \
+        <= {channel.name for channel in mesh.channels}
+    assert mesh.channel("nic0.mesh.ch_1_0_west").name \
+        == "nic0.mesh.ch_1_0_west"
+    names = ([router.name for router in mesh.routers]
+             + [channel.name for channel in mesh.channels])
+    assert len(names) == len(set(names)) == 36 + 120 + 35
+    for name in names:
+        Component(nic.sim, name)  # a registered name would raise
+    # Engines stay registered: a second NIC of the same name raises.
+    with pytest.raises(SimError):
+        PanicNic(nic.sim, PanicConfig(ports=1), name="nic0")
+
+
+def test_routers_bind_their_callbacks_once():
+    node = build_incast_node()
+    for router in node.nic.mesh.routers:
+        assert router.on_deliver is router.on_deliver
+        for channel in router._rr_inputs:
+            assert channel.deliver is router.on_deliver, channel.name
+        for channel in router._out.values():
+            assert channel.on_drain is router.pump, channel.name
+        if router.endpoint is not None:
+            assert router.endpoint.notify_space is router.pump
+
+
+def test_a_simulator_has_one_schedule():
+    node = build_incast_node()
+    nic = node.nic
+    schedule = nic.sim.schedule
+    assert schedule is nic.sim.schedule
+    for engine in nic.engines.values():
+        assert engine.schedule is schedule, engine.name
+    for channel in nic.mesh.channels:
+        assert channel.schedule is schedule, channel.name
+
+
+def test_engines_of_one_frequency_share_one_clock():
+    node = build_incast_node()
+    engines = list(node.nic.engines.values())
+    assert len(engines) == 35
+    assert len({id(engine.clock) for engine in engines}) == 1
+
+
+def test_a_port_is_its_tiles_injection_channel():
+    node = build_incast_node()
+    assert not hasattr(repro.noc.mesh, "NocPort")
+    mesh = node.nic.mesh
+    for engine in node.nic.engines.values():
+        port = engine.port
+        assert type(port) is Channel and port in mesh.channels
+        assert port.address == engine.address
+        assert port.name.startswith("nic0.mesh.inj_")
+
+
+def test_node_bytes_stay_under_the_ceiling():
+    build_incast_node()  # module-level memos fill here, not below
+    gc.collect()
+    tracemalloc.start()
+    try:
+        node = build_incast_node()
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert node.nic.mesh.config.width == 6
+    assert allocated <= NODE_BYTES_CEILING, allocated
 
 
 def run_plain_rack():

@@ -151,24 +151,24 @@ class TestRateController:
     def test_timer_recovers_toward_target(self):
         ctrl = DcqcnRateController(100e9)
         ctrl.on_cnp(1, 0)
-        before = ctrl.rate_bps(1)
+        before = ctrl.flow(1).current_bps
         for t in range(5):
             ctrl.on_timer(1, 1000 + t)
-        assert ctrl.rate_bps(1) > before
+        assert ctrl.flow(1).current_bps > before
         # Fast recovery converges to the pre-cut target.
-        assert ctrl.rate_bps(1) <= 100e9
+        assert ctrl.flow(1).current_bps <= 100e9
 
     def test_additive_increase_reaches_line_rate(self):
         ctrl = DcqcnRateController(10e9, additive_step_bps=1e9)
         ctrl.on_cnp(1, 0)
         for t in range(200):
             ctrl.on_timer(1, t)
-        assert ctrl.rate_bps(1) == pytest.approx(10e9, rel=0.01)
+        assert ctrl.flow(1).current_bps == pytest.approx(10e9, rel=0.01)
 
     def test_flows_independent(self):
         ctrl = DcqcnRateController(100e9)
         ctrl.on_cnp(1, 0)
-        assert ctrl.rate_bps(2) == 100e9
+        assert ctrl.flow(2).current_bps == 100e9
 
     def test_alpha_ewma(self):
         ctrl = DcqcnRateController(100e9, g=0.5)

@@ -254,7 +254,7 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
         "dropped": engine.queue.dropped,
         "max_occupancy": engine.queue.max_occupancy,
         "lookups": engine.lookup_table.lookups,
-        "injected": engine.port.injected,
+        "injected": engine.port.sent,
         "busy_lanes": engine._busy_lanes,
         "backlog": engine.backlog,
     }

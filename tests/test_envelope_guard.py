@@ -28,7 +28,6 @@ from repro.engines.base import FAULT_CRASH, Engine
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
 from repro.lb.rack import lb_rack_topology
 from repro.noc.channel import Channel
-from repro.noc.mesh import NocPort
 from repro.noc.router import Endpoint
 from repro.packet import Packet, build_udp_frame
 from repro.sched.pifo import PifoQueue
@@ -61,7 +60,7 @@ class EnvelopeGuard:
 
     def patches(self):
         guard = self
-        port_send = NocPort.send
+        port_send = Channel.send
         receive = Engine.receive
         loopback = Engine._loopback
         finish = Engine._finish
@@ -147,7 +146,7 @@ class EnvelopeGuard:
             return schedule_at(self, when_ps, fn, *args)
 
         return [
-            mock.patch.object(NocPort, "send", guarded_port_send),
+            mock.patch.object(Channel, "send", guarded_port_send),
             mock.patch.object(Engine, "_loopback", guarded_loopback),
             mock.patch.object(Engine, "receive", guarded_receive),
             mock.patch.object(Engine, "_finish", guarded_finish),

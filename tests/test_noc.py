@@ -188,7 +188,7 @@ class TestTransferSlots:
         mesh, _sinks, ports = build_mesh(sim, width=2, height=1)
         with pytest.raises(ValueError):
             ports[(0, 0)].send(Packet(b""), -1)
-        assert ports[(0, 0)].injected == 0
+        assert ports[(0, 0)].sent == 0
         assert mesh.in_flight == 0
 
 

@@ -187,11 +187,11 @@ class TestTable:
 
     def test_remove_entry(self):
         table = Table("t", [MatchKey("f")])
-        table.add([1], "x")
-        table.remove([1])
+        entry = table.add([1], "x")
+        table.remove_entry(entry)
         assert table.match(Phv({"f": 1})) is None
         with pytest.raises(TableError):
-            table.remove([1])
+            table.remove_entry(entry)
 
     def test_hit_counter(self):
         # The stage walk counts a hit; the matcher alone counts nothing.

@@ -92,7 +92,9 @@ def run_control_plane_churn(rmt_memo):
 
     def reroute():
         # Flow 5 now takes the compression lane instead.
-        nic.control.program.table("dscp_route").remove([b"rx", 5])
+        table = nic.control.program.table("dscp_route")
+        table.remove_entry(next(entry for entry in table.entries()
+                                if entry.patterns == (b"rx", 5)))
         nic.control.route_dscp(5, ["compression"])
 
     def add_slack():

@@ -253,18 +253,10 @@ class TestRunControl:
 
 
 class TestComponents:
-    def test_register_and_lookup(self, sim):
-        comp = Component(sim, "thing")
-        assert sim.component("thing") is comp
-
     def test_duplicate_name_rejected(self, sim):
         Component(sim, "dup")
         with pytest.raises(SimError):
             Component(sim, "dup")
-
-    def test_unknown_component_lookup_raises(self, sim):
-        with pytest.raises(SimError):
-            sim.component("ghost")
 
     def test_component_schedule_uses_sim_clock(self, sim):
         comp = Component(sim, "c")
