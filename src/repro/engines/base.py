@@ -139,7 +139,7 @@ class Engine(Component, Endpoint):
                 f"{name}: overflow must be one of {self.OVERFLOW_POLICIES}, "
                 f"got {overflow!r}"
             )
-        self.queue: PifoQueue[Packet] = PifoQueue(f"{name}.queue", queue_capacity)
+        self.queue: PifoQueue[Packet] = PifoQueue(name, queue_capacity)
         self.lookup_table = LocalLookupTable()
         self.port = None  # type: ignore[assignment]  # set by bind_port
         self.lanes = lanes
@@ -161,7 +161,7 @@ class Engine(Component, Endpoint):
         self.processed = 0
         self.rejected = 0
         self.blackholed = 0
-        self.queue_latency = LatencyTracker(f"{name}.queue_latency")
+        self.queue_latency = LatencyTracker(name)
 
     # ------------------------------------------------------------------
     # Wiring

@@ -10,6 +10,7 @@ from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.packet import Packet, PanicHeader
 from repro.packet.packet import Direction, MessageKind
 from repro.sim import Simulator
+from tests import udp_frame
 
 
 class Sink(Endpoint):
@@ -131,13 +132,7 @@ class TestRectangularMeshes:
         )
         delivered = []
         nic.host.software_handler = lambda p, q: delivered.append(p)
-        from repro.packet import build_udp_frame
-
-        nic.inject(Packet(build_udp_frame(
-            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1", dst_ip="10.0.0.2",
-            src_port=1, dst_port=2, payload=b"x",
-        )))
+        nic.inject(Packet(udp_frame(src_port=1, dst_port=2, payload=b"x")))
         sim.run()
         assert len(delivered) == 1
 

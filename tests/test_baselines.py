@@ -11,10 +11,11 @@ from repro.core import PanicConfig, PanicNic
 from repro.core.panic import _OFFLOAD_ENGINES
 from repro.core.pipeline_programs import DIR_RX
 from repro.engines import DmaEngine, EthernetPort, PcieEngine, RmtPipelineEngine
-from repro.packet import Packet, build_udp_frame
+from repro.packet import Packet
 from repro.sim import Simulator
 from repro.sim.clock import US
 from repro.telemetry import TelemetryConfig
+from tests import udp_frame
 
 #: Two-stage line: slow DPI then cheap checksum.
 LINE = ("regex", "checksum")
@@ -23,16 +24,7 @@ SLOW_DPI = {"regex": {"patterns": [b"x"], "cycles_per_byte": 200.0}}
 
 def plain_udp(payload=b"data", src_port=7777, dscp=0):
     return Packet(
-        build_udp_frame(
-            src_mac="02:00:00:00:00:01",
-            dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1",
-            dst_ip="10.0.0.2",
-            src_port=src_port,
-            dst_port=8888,
-            payload=payload,
-            dscp=dscp,
-        )
+        udp_frame(src_port=src_port, dst_port=8888, payload=payload, dscp=dscp)
     )
 
 

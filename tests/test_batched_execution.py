@@ -28,27 +28,20 @@ from repro.core import PanicConfig, PanicNic
 from repro.core.topology import LinkSpec, NicSpec, RackTopology
 from repro.engines.base import Engine
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
-from repro.packet import Packet, build_udp_frame
+from repro.packet import Packet
 from repro.sim import Simulator
 from repro.sim.clock import NS, US
 from repro.sim.shard import ShardError, run_monolithic, run_sharded
 from repro.telemetry.config import IntConfig, TelemetryConfig
 from repro.workloads.kvs import KvsWorkload, TenantSpec
 from repro.workloads.rack import rack_topology
+from tests import udp_frame
 
 
 def _udp_packet(payload, seq, dscp, src_port=7777):
-    frame = build_udp_frame(
-        src_mac="02:00:00:00:00:01",
-        dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1",
-        dst_ip="10.0.0.2",
-        src_port=src_port,
-        dst_port=8888,
-        payload=payload,
-        dscp=dscp,
-        identification=seq & 0xFFFF,
-    )
+    frame = udp_frame(
+        src_port=src_port, dst_port=8888, payload=payload, dscp=dscp,
+        identification=seq & 0xFFFF)
     packet = Packet(frame)
     packet.meta.annotations["seq"] = seq
     return packet

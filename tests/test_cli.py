@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from tests import pins
 
 
 class TestCli:
@@ -66,6 +67,18 @@ class TestCli:
         assert "monolithic" in out
         assert "sharded" in out
         assert "speedup" in out
+
+
+    @pytest.mark.parametrize("command", [
+        "table1", "table2", "table3", "demo", "faults", "lb", "trace",
+        "int-report"])
+    def test_stdout_is_pinned(self, command, capsys, tmp_path, monkeypatch):
+        """What a user sees, byte for byte.  ``rack`` prints wall times,
+        so only its bit-identity line is checked (above)."""
+        monkeypatch.chdir(tmp_path)  # ``trace`` writes trace.json here
+        assert main([command]) == 0
+        pins.stdout(f"repro_{command.replace('-', '_')}",
+                    capsys.readouterr().out)
 
 
 class TestIntReportCli:

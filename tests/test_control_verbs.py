@@ -25,10 +25,10 @@ import pytest
 from repro.core import PanicConfig, PanicNic
 from repro.core.pipeline_programs import DEFAULT_SLACK_PS, PanicControl
 from repro.packet import KvOpcode, KvRequest, Packet, build_kv_request_frame
-from repro.packet.builder import build_udp_frame
 from repro.packet.headers import RACK_TAG_BYTES, RACK_TAG_UDP_PORT
 from repro.sim import Simulator
 from repro.sim.clock import US
+from tests import udp_frame
 
 #: Methods that resolve names and program nothing.
 LOOKUPS = ("addr", "port_addr")
@@ -94,14 +94,11 @@ def build_frame(kind, key):
     if kind == "kv":
         return build_kv_request_frame(KvRequest(KvOpcode.GET, key, 1, b"k"))
     tag = kind == "tag"
-    return Packet(build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=7777,
-        dst_port=RACK_TAG_UDP_PORT if tag else 8888,
+    return Packet(udp_frame(
+        src_port=7777, dst_port=RACK_TAG_UDP_PORT if tag else 8888,
         payload=(key.to_bytes(RACK_TAG_BYTES, "big") if tag else b"")
         + bytes(40),
-        dscp=0 if tag else key,
-    ))
+        dscp=0 if tag else key))
 
 
 def stamp(verb, calls, frame):

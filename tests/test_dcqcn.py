@@ -18,30 +18,23 @@ from repro.engines.dcqcn import (
     build_cnp,
     parse_cnp,
 )
-from repro.noc import Endpoint, Mesh, MeshConfig
-from repro.packet import Packet, PanicHeader, build_udp_frame, parse_frame
-from repro.sim import Simulator
+from repro.noc import Mesh, MeshConfig
+from repro.packet import Packet, PanicHeader, parse_frame
 from repro.sim.clock import US
 from repro.telemetry.tracer import TraceCtx
+from tests import udp_frame
 
 
 def ect_frame(payload=b"data", ecn=ECN_ECT0, tenant=None):
-    packet = Packet(build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2",
-        src_port=1, dst_port=2, payload=payload, ecn=ecn,
-    ))
+    packet = Packet(udp_frame(
+        src_port=1, dst_port=2, payload=payload, ecn=ecn))
     packet.meta.tenant = tenant
     return packet
 
 
 class TestEcnHeader:
     def test_ecn_roundtrip_on_wire(self):
-        frame = build_udp_frame(
-            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1", dst_ip="10.0.0.2",
-            src_port=1, dst_port=2, payload=b"x", ecn=ECN_CE,
-        )
+        frame = udp_frame(src_port=1, dst_port=2, payload=b"x", ecn=ECN_CE)
         assert parse_frame(frame).ipv4.ecn == ECN_CE
 
     def test_ecn_validated(self):

@@ -4,21 +4,18 @@ These tests exercise whole-system scenarios that cut across every
 subpackage at once -- the closest thing to the paper's deployment story.
 """
 
-import pytest
-
 from repro.core import HostKvServer, PanicConfig, PanicNic
 from repro.packet import (
     KvOpcode,
     KvRequest,
-    KvStatus,
     Packet,
     build_kv_request_frame,
-    build_udp_frame,
     parse_frame,
 )
 from repro.sim import Simulator
 from repro.sim.clock import NS, US
 from repro.workloads import Wire
+from tests import udp_frame
 
 
 def kv_frame_bytes(opcode, tenant, request_id, key, value=b""):
@@ -130,12 +127,9 @@ class TestCombinedFeatures:
         delivered = []
         nic.host.software_handler = lambda p, q: delivered.append(p)
         for i in range(30):
-            frame = build_udp_frame(
-                src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-                src_ip="10.0.0.1", dst_ip="10.0.0.2",
-                src_port=1, dst_port=2, payload=bytes(800),
-                dscp=1, identification=i,
-            )
+            frame = udp_frame(
+                src_port=1, dst_port=2, payload=bytes(800), dscp=1,
+                identification=i)
             nic.inject(Packet(frame))
         sim.run()
         assert len(delivered) == 30
@@ -158,12 +152,8 @@ class TestCombinedFeatures:
         nic.control.route_dscp(9, ["compression"])
 
         original_payload = b"the quick brown fox " * 40
-        inner = build_udp_frame(
-            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1", dst_ip="10.0.0.2",
-            src_port=5, dst_port=6,
-            payload=compress(original_payload), dscp=9,
-        )
+        inner = udp_frame(
+            src_port=5, dst_port=6, payload=compress(original_payload), dscp=9)
         encrypted = ipsec.encrypt(Packet(inner), 0x42)
 
         delivered = []

@@ -5,27 +5,24 @@ cases."""
 import pytest
 
 from repro.core import PanicConfig, PanicNic
-from repro.engines import IpsecEngine, IpsecSa
+from repro.engines import IpsecSa
 from repro.packet import (
     KvOpcode,
     KvRequest,
     Packet,
     build_kv_request_frame,
-    build_udp_frame,
     parse_frame,
 )
 from repro.sim import Simulator
 from repro.sim.clock import US
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.config import IntConfig
+from tests import udp_frame
 
 
 def udp(payload=b"x", dscp=0):
-    return Packet(build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2",
-        src_port=1, dst_port=2, payload=payload, dscp=dscp,
-    ))
+    return Packet(udp_frame(
+        src_port=1, dst_port=2, payload=payload, dscp=dscp))
 
 
 class TestPointerModeInterplay:

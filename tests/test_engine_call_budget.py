@@ -13,12 +13,12 @@ budget: the NoC's in ``test_noc_call_budget.py``, the RMT pass's in
 ``test_rmt_call_budget.py``.
 
 Both kinds of tile finish through the same ``Engine._finish``; they are
-held to the exact counts the code reaches today, so a call put on the
+held to the exact counts the code reaches today (``tests/pins.py``
+counts by this rule for every budget), so a call put on the
 visit -- or taken off it -- shows up here as a one-line diff, to be made
 with the ledger numbers that justify it.
+EXPERIMENTS.md "Known deviations" lists every past move.
 """
-
-import cProfile
 
 from repro.engines.base import Engine
 from repro.engines.rmt_engine import RmtPipelineEngine
@@ -26,6 +26,7 @@ from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.packet import Packet, PanicHeader, build_udp_frame
 from repro.rmt import MatchKey, RmtProgram
 from repro.sim import Simulator
+from tests import pins
 
 VISITS = 20
 
@@ -60,28 +61,10 @@ def engine_calls_per_visit(build) -> int:
     sim.run()
     for index in range(VISITS):
         sim.schedule(index * 1_000_000, visit)
-    profile = cProfile.Profile()
-    profile.runcall(sim.run)
+    total = pins.calls("repro/engines/", sim.run)
     mesh.assert_drained()
     assert engine.processed == VISITS + 1
-
-    def in_engines(code):
-        return (not isinstance(code, str)
-                and "/repro/engines/" in code.co_filename)
-
-    total = 0
-    for entry in profile.getstats():
-        if not in_engines(entry.code):
-            continue
-        total += entry.callcount
-        # Builtins and the rest of repro only: hypothesis hangs gc
-        # callbacks on whatever frame is live when a collection fires.
-        total += sum(sub.callcount for sub in entry.calls or ()
-                     if isinstance(sub.code, str)
-                     or ("/repro/" in sub.code.co_filename
-                         and not in_engines(sub.code)))
-    assert total % VISITS == 0, "per-visit call count is not constant"
-    return total // VISITS
+    return pins.per(total, VISITS)
 
 
 def base_engine(sim):
@@ -96,33 +79,9 @@ def rmt_tile(sim):
         decision_handler=lambda packet, _phv: [(packet, None)])
 
 
-#: Calls per visit.  The RMT tile's was 41 on its own copy of the
-#: completion path (EXPERIMENTS.md E25 itemises the difference) and 39
-#: while it fed a rate meter nothing read (E26).  Both were 3 higher
-#: (29 / 38) while ``service_latency`` was observed and the enqueue
-#: stamp and trail lived in the annotations dict, and the RMT tile paid
-#: one more ``now`` read for the stamp's pop default (E31).  Both were 1
-#: higher (26 / 34) while ``_finish`` called ``_echo_heartbeat`` for
-#: every message instead of testing for a CONTROL packet first.  Both
-#: were 25 / 33 until a message reaching an idle base tile started
-#: service in ``receive`` (one PIFO ``pass_through`` instead of a push,
-#: a ``_try_start`` and a pop), ``_route_by_chain`` walked the chain
-#: cursor itself, a delayed send was scheduled straight at the port,
-#: the queue-latency sample became one ``record`` and ``now`` was read
-#: off the kernel once per step (EXPERIMENTS.md E36).  The RMT tile's
-#: was 22 while it fetched its intrinsic metadata from a process-global
-#: memo and handed it to ``process`` for a ``"meta."`` prefix per field;
-#: it now writes the fields into the PHV and calls ``run`` (E37).  Both
-#: were 1 higher (13 / 21) while ``_finish`` appended the tile's name to
-#: a trail every packet carried (``Packet.touch``); a packet's path is
-#: now read from its engine spans when it is traced.
-BASE_VISIT = 12
-RMT_VISIT = 20
-
-
 def test_base_engine_visit_call_budget():
-    assert engine_calls_per_visit(base_engine) == BASE_VISIT
+    pins.budget("calls.engine.base_visit", engine_calls_per_visit(base_engine))
 
 
 def test_rmt_tile_visit_call_budget():
-    assert engine_calls_per_visit(rmt_tile) == RMT_VISIT
+    pins.budget("calls.engine.rmt_visit", engine_calls_per_visit(rmt_tile))

@@ -42,27 +42,12 @@ arrival at that very picosecond, already scheduled, could tell the two
 apart; the off-grid drive cannot produce one and the on-grid drive
 happens not to (ten seeds tried), so both RMT digests are the parent's.
 
-Re-recorded once since, all six, when a message the router delivers to
-a crashed tile began leaving a ``blackholed`` instant on its trace (it
-was counted but left no span): the span lists gained exactly those
-instants, in place, and every other observable stayed the same.
-
-Re-recorded once more, all six, when a sampled packet began carrying
-its tracer on its trace context: every component it visits records
-through it, so the harness's own mesh now leaves hop and refusal spans
-on each trace (the harness used to wire the tracer into the tile
-alone).  The tile's spans are unchanged but for their ``seq``, which
-counts the mesh spans in between: dropping the spans of the mesh's
-channels and routers and renumbering ``seq`` within each trace gives
-back all six previous digests exactly.
-
-Re-recording is deliberate, never routine: say in the commit which
-behaviour changed and why the old digest was wrong.  Print the new
-values with ``python tests/test_engine_golden.py``.
+Re-recording is deliberate, never routine: say in the cause which
+behaviour changed and why the old digest was wrong, and record with
+``python -m tests.pins --cause "..." engine.`` (``tests/pins.py``);
+EXPERIMENTS.md "Known deviations" lists every past move.
 """
 
-import hashlib
-import json
 import random
 
 import pytest
@@ -76,6 +61,7 @@ from repro.rmt import MatchKey, RmtProgram
 from repro.sim import Simulator
 from repro.sim.rng import SeededRng
 from repro.telemetry import PacketTracer, TelemetryConfig
+from tests import pins
 
 PAYLOADS = (18, 18, 64, 200, 512, 1400)
 #: Far above any instant of the drive, so a heartbeat probe (ranked by
@@ -271,37 +257,26 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     }
 
 
-def digest(observables) -> str:
-    blob = json.dumps(observables, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-#: name -> ((tile, lanes, capacity, overflow, lossless, seed, ties), sha256)
+#: name -> (tile, lanes, capacity, overflow, lossless, seed, ties); each
+#: digest is pinned in tests/pins.json as ``engine.<name>``.
 CASES = {
-    "base_evict_l1": (("base", 1, 4, "raise", False, 31, True),
-        "95637cefc10dc854b8d20208ad8c3be3747526afb5cdaac1d5f2639a7cafcd06"),
-    "base_evict_l2": (("base", 2, 4, "raise", False, 32, True),
-        "2ff2efa3537fa820ab17c0e8f93f678f11c1256ff7847bdca5b1e4c730356286"),
-    "base_backpressure_l1": (("base", 1, 3, "backpressure", True, 33, True),
-        "0873c0b16160c651e6accaf456111ff0d3fbd0cb8dc66dc476c0b6d29952c422"),
-    "base_backpressure_l2": (("base", 2, 3, "backpressure", True, 34, False),
-        "f5421fa261fcaf2862f3e65bcfda22290c4e8dddf77fed3500ece8a7fdf9295b"),
-    "rmt_p2_c2": (("rmt", 1, None, "raise", True, 35, False),
-        "96b241e996e77b5d5ee2f87c15bbbfa600af68e417c64199aaaa1658f5b4ccad"),
-    "rmt_p2_c2_ties": (("rmt", 1, None, "raise", True, 36, True),
-        "85512e1736cf5eb0d03207c8db0c457638f4548ed433472f3d20ca062f36c598"),
+    "base_evict_l1": ("base", 1, 4, "raise", False, 31, True),
+    "base_evict_l2": ("base", 2, 4, "raise", False, 32, True),
+    "base_backpressure_l1": ("base", 1, 3, "backpressure", True, 33, True),
+    "base_backpressure_l2": ("base", 2, 3, "backpressure", True, 34, False),
+    "rmt_p2_c2": ("rmt", 1, None, "raise", True, 35, False),
+    "rmt_p2_c2_ties": ("rmt", 1, None, "raise", True, 36, True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tile_digest_is_pinned(name):
-    params, recorded = CASES[name]
-    assert digest(run_case(*params)) == recorded, name
+    pins.golden(f"engine.{name}", run_case(*CASES[name]))
 
 
 def test_cases_exercise_what_they_claim():
     """The digests pin something only if the script really bites."""
-    for name, (params, _recorded) in CASES.items():
+    for name, params in CASES.items():
         run = run_case(*params)
         counters = run["counters"]
         statuses = [dict(span[6]).get("status") for span in run["spans"]]
@@ -319,8 +294,3 @@ def test_cases_exercise_what_they_claim():
         if params[3] == "backpressure":
             assert counters["rejected"] > 0, name
         assert counters["dropped"] > 0, name
-
-
-if __name__ == "__main__":
-    for case, (params, _recorded) in CASES.items():
-        print(f'    "{case}": ({params!r},\n        "{digest(run_case(*params))}"),')

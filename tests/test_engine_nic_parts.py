@@ -18,13 +18,13 @@ from repro.packet import (
     Packet,
     PanicHeader,
     build_kv_request_frame,
-    build_udp_frame,
     parse_frame,
 )
-from repro.packet.packet import Direction, MessageKind
+from repro.packet.packet import Direction
 from repro.rmt import MatchKey, RmtProgram
 from repro.sim import Simulator
 from repro.sim.clock import MHZ, SEC, US
+from tests import udp_frame
 
 
 class Sink(Endpoint):
@@ -38,15 +38,7 @@ class Sink(Endpoint):
 
 def frame_of(size=64):
     payload = b"\x00" * max(0, size - 42)
-    return build_udp_frame(
-        src_mac="02:00:00:00:00:01",
-        dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1",
-        dst_ip="10.0.0.2",
-        src_port=1,
-        dst_port=2,
-        payload=payload,
-    )
+    return udp_frame(src_port=1, dst_port=2, payload=payload)
 
 
 class TestEthernetPort:

@@ -29,12 +29,13 @@ from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
 from repro.lb.rack import lb_rack_topology
 from repro.noc.channel import Channel
 from repro.noc.router import Endpoint
-from repro.packet import Packet, build_udp_frame
+from repro.packet import Packet
 from repro.sched.pifo import PifoQueue
 from repro.sim import Simulator
 from repro.sim.clock import NS, US
 from repro.sim.shard import run_monolithic
 from repro.workloads.rack import rack_topology
+from tests import udp_frame
 
 
 class EnvelopeGuard:
@@ -172,10 +173,8 @@ class EnvelopeGuard:
 
 
 def _frame(seq, payload=b"y" * 200, dscp=1):
-    return Packet(build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=7777 + seq % 8,
-        dst_port=8888, payload=payload, dscp=dscp,
+    return Packet(udp_frame(
+        src_port=7777 + seq % 8, dst_port=8888, payload=payload, dscp=dscp,
         identification=seq & 0xFFFF))
 
 

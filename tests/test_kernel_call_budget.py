@@ -2,83 +2,64 @@
 exactly.
 
 cProfile's ``ncalls`` are deterministic, so the gate needs no wall
-clock (the ``test_noc_call_budget.py`` pattern).
+clock (``tests/pins.py`` counts; the counts are pinned in
+``tests/pins.json``).
 
 * **The loop adds no calls.**  Every way of running the simulator --
   ``run()``, a deadline, a deadline plus a budget, a fired log, a
   profile sink -- goes through one drain loop inside
-  ``Simulator.run``, so per fired event the only Python-level calls into
-  ``repro/sim/kernel.py`` are the ``schedule`` / ``schedule_at`` calls the
-  callbacks make themselves.  Two run lengths are differenced so the
-  per-run constant (the ``run`` frame itself) drops out.  A second loop
-  behind some option, or a helper call per event, shows up here as a
-  non-zero count.
+  ``Simulator.run``, so per fired event the calls into and out of
+  ``repro/sim/kernel.py`` are the ``schedule`` / ``schedule_at`` call
+  the callback makes itself, its ``heappush`` and the loop's
+  ``heappop``: 3.  Two run lengths are differenced so the per-run
+  constant (the ``run`` frame itself) drops out, leaving 1,800 calls
+  for 600 events.  The fired log adds one ``append`` per distinct
+  instant and the profile sink its clock reads and its dict update; no
+  form adds a Python frame.  A second loop behind some option, or a
+  helper call per event, moves a pin.
 """
-
-import cProfile
 
 import pytest
 
-from repro.sim import Simulator, kernel
+from repro.sim import Simulator
+from tests import pins
 
 FAR = 10**12
 
 
-def _bare(sim):
-    sim.run()
+#: Every way of running the simulator, by name.
+FORMS = {
+    "bare": lambda sim: sim.run(),
+    "deadline": lambda sim: sim.run(until_ps=FAR),
+    "deadline_and_budget": lambda sim: sim.run(
+        until_ps=FAR, max_events=10**9, on_max_events="raise"),
+    "fired_log": lambda sim: (sim.set_fired_log([]), sim.run()),
+    "profiled": lambda sim: (sim.set_profile({}), sim.run(until_ps=FAR)),
+}
 
 
-def _deadline(sim):
-    sim.run(until_ps=FAR)
+def calls_per_600_events(form) -> int:
+    """Calls into and out of kernel.py while 600 more events fire: two
+    run lengths differenced, so the per-run constant (the ``run`` frame)
+    drops out."""
+    def counted(events):
+        sim = Simulator()
+
+        def tick(left):
+            if left:
+                if left % 3:
+                    sim.schedule(left % 2, tick, left - 1)  # zero delays too
+                else:
+                    sim.schedule_at(sim.now + 7, tick, left - 1)
+
+        sim.schedule(1, tick, events - 1)
+        count = pins.calls("repro/sim/kernel.py", form, sim)
+        assert sim.events_fired == events
+        return count
+
+    return counted(700) - counted(100)
 
 
-def _deadline_and_budget(sim):
-    sim.run(until_ps=FAR, max_events=10**9, on_max_events="raise")
-
-
-def _fired_log(sim):
-    sim.set_fired_log([])
-    sim.run()
-
-
-def _profiled(sim):
-    sim.set_profile({})
-    sim.run(until_ps=FAR)
-
-
-FORMS = [_bare, _deadline, _deadline_and_budget, _fired_log, _profiled]
-
-
-def loop_calls(form, events: int) -> int:
-    """Python-level calls into kernel.py while ``events`` events fire,
-    less the scheduling calls the callbacks made themselves."""
-    sim = Simulator()
-    scheduling = 0
-
-    def tick(left):
-        nonlocal scheduling
-        if left:
-            scheduling += 1
-            if left % 3:
-                sim.schedule(left % 2, tick, left - 1)  # zero delays too
-            else:
-                sim.schedule_at(sim.now + 7, tick, left - 1)
-
-    sim.schedule(1, tick, events - 1)
-    profile = cProfile.Profile()
-    profile.runcall(form, sim)
-    assert sim.events_fired == events
-    in_kernel = sum(
-        entry.callcount for entry in profile.getstats()
-        if not isinstance(entry.code, str)
-        and entry.code.co_filename == kernel.__file__)
-    return in_kernel - scheduling
-
-
-@pytest.mark.parametrize("form", FORMS, ids=lambda form: form.__name__[1:])
+@pytest.mark.parametrize("form", FORMS)
 def test_drain_loop_adds_no_calls_per_event(form):
-    added = loop_calls(form, 700) - loop_calls(form, 100)
-    assert added == 0, (
-        f"{added / 600:g} kernel calls per fired event beyond the "
-        f"callbacks' own scheduling")
-
+    pins.budget(f"calls.kernel.{form}", calls_per_600_events(FORMS[form]))

@@ -3,11 +3,12 @@
 The per-hop path is the simulator's largest layer on the rack workloads,
 and its cost is mostly interpreter frames.  cProfile's ``ncalls`` are
 deterministic, so this gate needs no wall clock: it counts every call
-made *by* ``repro.noc`` code -- its own functions plus the builtins they
-invoke (list/dict methods) -- while one message at a time crosses an
-otherwise idle standalone 4x4 mesh, and holds the count to a ceiling a
-few calls above what the code reaches today.  Calls the kernel makes on
-its own behalf (its heap) are not the NoC's and are not counted.
+into ``repro.noc`` code plus every call that code makes out of it, to
+builtins (list/dict methods) or the rest of ``repro`` (the kernel's
+``schedule``), while one message at a time crosses an otherwise idle
+standalone 4x4 mesh, and holds the count to what the code reaches today
+(``tests/pins.py``).  Calls the kernel makes on its own behalf (its
+heap) are not the NoC's and are not counted.
 
 * scalar hop (``fast_path=False``): the difference between a 7-hop and a
   4-hop route isolates three middle hops from per-message costs.  One
@@ -19,15 +20,15 @@ its own behalf (its heap) are not the NoC's and are not counted.
   endpoint's ``receive`` for one completed 7-hop flight, and what each
   further hop adds to it (the router's reservation and its release).
 
-A change that pushes a count over its ceiling has put frames back on the
-hot path; raise a ceiling only with the ledger numbers that justify it.
+A count that rises has put frames back on the hot path; re-record it
+only with the ledger numbers that justify it.
+EXPERIMENTS.md "Known deviations" lists every past move.
 """
-
-import cProfile
 
 from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.packet import Packet
 from repro.sim import Simulator
+from tests import pins
 
 MESSAGES = 20
 
@@ -37,8 +38,9 @@ class Sink(Endpoint):
         pass
 
 
-def noc_calls_per_message(fast_path: bool, far: tuple) -> float:
-    """Calls made by repro.noc code per corner-to-``far`` message."""
+def noc_calls_per_message(fast_path: bool, far: tuple) -> int:
+    """Calls into and out of repro.noc code per corner-to-``far``
+    message."""
     sim = Simulator()
     mesh = Mesh(sim, MeshConfig(width=4, height=4, fast_path=fast_path))
     port = mesh.bind(Sink(), 0, 0)
@@ -49,50 +51,20 @@ def noc_calls_per_message(fast_path: bool, far: tuple) -> float:
     sim.run()
     for index in range(MESSAGES):
         sim.schedule(index * 1_000_000, port.send, Packet(bytes(200)), dest)
-    profile = cProfile.Profile()
-    profile.runcall(sim.run)
+    total = pins.calls("repro/noc/", sim.run)
     mesh.assert_drained()
-    total = 0
-    for entry in profile.getstats():
-        code = entry.code
-        if isinstance(code, str) or "/repro/noc/" not in code.co_filename:
-            continue
-        total += entry.callcount
-        total += sum(sub.callcount for sub in entry.calls or ()
-                     if isinstance(sub.code, str))
-    assert total % MESSAGES == 0, "per-message call count is not constant"
-    return total // MESSAGES
-
-
-#: (calls reached when this gate was written, ceiling).  Set at 11, 55
-#: and 6 while each round-robin rotation was a list ``pop(0)`` plus an
-#: ``append``.  A flight read 29 of its ceiling 32 while every send
-#: built a separate envelope object; a packet is now its own envelope
-#: (the send writes three slots, no call), so the flight's ceiling is
-#: what it reaches.  A hop builds no envelope, so the per-hop counts
-#: did not move.
-SCALAR_HOP = (7, 9)
-EXPRESS_FLIGHT_7_HOPS = (28, 28)
-EXPRESS_EXTRA_HOP = (2, 3)
+    return pins.per(total, MESSAGES)
 
 
 def test_scalar_hop_call_budget():
     long_route = noc_calls_per_message(False, (3, 3))    # 7 hops
     short_route = noc_calls_per_message(False, (3, 0))   # 4 hops
-    per_hop, remainder = divmod(long_route - short_route, 3)
-    assert remainder == 0, "middle hops do not cost the same"
-    assert per_hop <= SCALAR_HOP[1], (
-        f"{per_hop} NoC calls per uncontended scalar hop "
-        f"(was {SCALAR_HOP[0]} when the budget was set)")
+    pins.budget("calls.noc.scalar_hop", pins.per(long_route - short_route, 3))
 
 
 def test_express_flight_call_budget():
     long_route = noc_calls_per_message(True, (3, 3))
     short_route = noc_calls_per_message(True, (3, 0))
-    assert long_route <= EXPRESS_FLIGHT_7_HOPS[1], (
-        f"{long_route} NoC calls per completed 7-hop express flight "
-        f"(was {EXPRESS_FLIGHT_7_HOPS[0]} when the budget was set)")
-    per_hop = (long_route - short_route) / 3
-    assert per_hop <= EXPRESS_EXTRA_HOP[1], (
-        f"each extra hop adds {per_hop} NoC calls to an express flight "
-        f"(was {EXPRESS_EXTRA_HOP[0]} when the budget was set)")
+    pins.budget("calls.noc.express_flight_7_hops", long_route)
+    pins.budget("calls.noc.express_extra_hop",
+                pins.per(long_route - short_route, 3))

@@ -16,11 +16,11 @@ from repro.packet import (
     PanicHeader,
     build_kv_request_frame,
     build_kv_response_frame,
-    build_udp_frame,
     parse_frame,
     wire_bits,
 )
 from repro.packet.packet import Direction, MessageKind
+from tests import udp_frame
 
 
 class TestWireBits:
@@ -164,16 +164,8 @@ class TestKvProtocol:
 
 class TestBuilders:
     def test_udp_frame_parses_back(self):
-        frame = build_udp_frame(
-            src_mac="02:00:00:00:00:01",
-            dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1",
-            dst_ip="10.0.0.2",
-            src_port=1111,
-            dst_port=2222,
-            payload=b"ping",
-            dscp=5,
-        )
+        frame = udp_frame(
+            src_port=1111, dst_port=2222, payload=b"ping", dscp=5)
         parsed = parse_frame(frame)
         assert parsed.ipv4 is not None and parsed.udp is not None
         assert str(parsed.ipv4.src) == "10.0.0.1"
@@ -197,30 +189,14 @@ class TestBuilders:
         assert parsed.udp.src_port == KV_UDP_PORT
 
     def test_parse_frame_respects_ip_total_length(self):
-        frame = build_udp_frame(
-            src_mac="02:00:00:00:00:01",
-            dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1",
-            dst_ip="10.0.0.2",
-            src_port=1,
-            dst_port=2,
-            payload=b"x",
-        )
+        frame = udp_frame(src_port=1, dst_port=2, payload=b"x")
         padded = frame + bytes(MIN_FRAME_BYTES - len(frame))
         parsed = parse_frame(padded)
         assert parsed.payload == b"x"
 
     def test_parse_frame_inconsistent_length_rejected(self):
         frame = bytearray(
-            build_udp_frame(
-                src_mac="02:00:00:00:00:01",
-                dst_mac="02:00:00:00:00:02",
-                src_ip="10.0.0.1",
-                dst_ip="10.0.0.2",
-                src_port=1,
-                dst_port=2,
-                payload=b"x",
-            )
+            udp_frame(src_port=1, dst_port=2, payload=b"x")
         )
         frame[16] = 0xFF  # total_length high byte absurdly large
         with pytest.raises(HeaderError):

@@ -7,7 +7,7 @@ from repro.noc.pktbuffer import PacketBuffer, PacketBufferError
 from repro.packet.packet import DESCRIPTOR_BITS
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame, parse_frame
 from repro.sim import Simulator
-from repro.sim.clock import MHZ
+from tests import udp_frame
 
 
 class TestPacketBuffer:
@@ -83,13 +83,9 @@ class TestPointerModeNic:
         nic = self.build(sim, "pointer")
         delivered = []
         nic.host.software_handler = lambda p, q: delivered.append(p)
-        from repro.packet import build_udp_frame, Packet
+        from repro.packet import Packet
 
-        frame = build_udp_frame(
-            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1", dst_ip="10.0.0.2",
-            src_port=1, dst_port=2, payload=b"data",
-        )
+        frame = udp_frame(src_port=1, dst_port=2, payload=b"data")
         nic.inject(Packet(frame))
         sim.run()
         assert len(delivered) == 1
@@ -101,16 +97,12 @@ class TestPointerModeNic:
         for mode in ("full", "pointer"):
             sim = Simulator()
             nic = self.build(sim, mode)
-            from repro.packet import build_udp_frame, Packet
+            from repro.packet import Packet
 
             for i in range(10):
-                frame = build_udp_frame(
-                    src_mac="02:00:00:00:00:01",
-                    dst_mac="02:00:00:00:00:02",
-                    src_ip="10.0.0.1", dst_ip="10.0.0.2",
-                    src_port=1, dst_port=2,
-                    payload=bytes(1000), identification=i,
-                )
+                frame = udp_frame(
+                    src_port=1, dst_port=2, payload=bytes(1000),
+                    identification=i)
                 nic.inject(Packet(frame))
             sim.run()
             loads[mode] = sum(c.bits_sent for c in nic.mesh.channels)
@@ -121,7 +113,7 @@ class TestPointerModeNic:
         MAC parks the payload; the TX MAC and DMA free it), never while
         a packet is on the wires -- so the size its send fixed at
         injection is still what the packet reports at every hop."""
-        from repro.packet import build_udp_frame, Packet
+        from repro.packet import Packet
 
         nic = PanicNic(sim, PanicConfig(ports=1, payload_mode="pointer",
                                         fast_path=False),
@@ -144,10 +136,8 @@ class TestPointerModeNic:
             channel.deliver = watch(channel.deliver)
         nic.offload("kvcache").cache_put(b"k", b"v")
         nic.inject(build_kv_request_frame(KvRequest(KvOpcode.GET, 1, 1, b"k")))
-        nic.inject(Packet(build_udp_frame(
-            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1", dst_ip="10.0.0.2",
-            src_port=1, dst_port=2, payload=bytes(600))))
+        nic.inject(Packet(
+            udp_frame(src_port=1, dst_port=2, payload=bytes(600))))
         sim.run()
         assert len(nic.transmitted) == 1                 # the GET's reply
         assert all(len(sizes) == 1 for sizes in seen)

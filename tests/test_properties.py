@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and codecs."""
 
-import heapq
-
 from hypothesis import given, settings, strategies as st
 
 from repro.engines import AhoCorasick, compress, decompress, keystream, xor_bytes
@@ -13,8 +11,6 @@ from repro.packet import (
     MacAddress,
     IPv4Address,
     PanicHeader,
-    UdpHeader,
-    build_udp_frame,
     internet_checksum,
     parse_frame,
     verify_internet_checksum,
@@ -23,6 +19,7 @@ from repro.packet import (
 from repro.sched import PifoQueue
 from repro.sim.clock import Clock
 from repro.sim.stats import Histogram
+from tests import udp_frame
 
 
 # ----------------------------------------------------------------------
@@ -125,15 +122,7 @@ def test_kv_request_roundtrip(opcode, tenant, request_id, key, value):
 @given(st.binary(max_size=900), st.integers(1, 0xFFFF), st.integers(1, 0xFFFF))
 @settings(max_examples=100, deadline=None)
 def test_udp_frame_parse_roundtrip(payload, sport, dport):
-    frame = build_udp_frame(
-        src_mac="02:00:00:00:00:01",
-        dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1",
-        dst_ip="10.0.0.2",
-        src_port=sport,
-        dst_port=dport,
-        payload=payload,
-    )
+    frame = udp_frame(src_port=sport, dst_port=dport, payload=payload)
     parsed = parse_frame(frame)
     assert parsed.payload == payload
     assert parsed.udp.src_port == sport

@@ -17,26 +17,19 @@ import pytest
 from repro.core import PanicConfig, PanicNic
 from repro.faults import FaultInjector, FaultPlan, attach_health_monitor
 from repro.packet import (
-    KvOpcode, KvRequest, Packet, build_kv_request_frame, build_udp_frame,
+    KvOpcode, KvRequest, Packet, build_kv_request_frame,
 )
-from repro.rmt.pipeline import RmtPipeline, TrajectoryMemo
+from repro.rmt.pipeline import RmtPipeline
 from repro.rmt.table import MatchKey
 from repro.sim import Simulator
 from repro.sim.clock import NS, US
+from tests import udp_frame
 
 
 def _udp_packet(payload, seq, dscp, src_port=7777):
-    frame = build_udp_frame(
-        src_mac="02:00:00:00:00:01",
-        dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1",
-        dst_ip="10.0.0.2",
-        src_port=src_port,
-        dst_port=8888,
-        payload=payload,
-        dscp=dscp,
-        identification=seq & 0xFFFF,
-    )
+    frame = udp_frame(
+        src_port=src_port, dst_port=8888, payload=payload, dscp=dscp,
+        identification=seq & 0xFFFF)
     packet = Packet(frame)
     packet.meta.annotations["seq"] = seq
     return packet
@@ -225,11 +218,7 @@ def test_memo_invalidates_on_register_write():
     program.add_table("t", [MatchKey("meta.direction")])
     program.table("t").add([b"rx"], "set_queue", {"queue": 1})
     pipeline = RmtPipeline(program, memo=True)
-    frame = build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2,
-        payload=bytes(20),
-    )
+    frame = udp_frame(src_port=1, dst_port=2, payload=bytes(20))
     for _ in range(3):
         pipeline.process(frame, metadata={"direction": b"rx"})
     assert pipeline.memo.hits == 2
@@ -251,11 +240,7 @@ def test_register_writing_flows_never_cached():
     program.add_table("t", [MatchKey("meta.direction")])
     program.table("t").add([b"rx"], "count", {"register": "ctr"})
     pipeline = RmtPipeline(program, memo=True)
-    frame = build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2,
-        payload=bytes(20),
-    )
+    frame = udp_frame(src_port=1, dst_port=2, payload=bytes(20))
     for _ in range(5):
         pipeline.process(frame, metadata={"direction": b"rx"})
     assert pipeline.memo.hits == 0
@@ -270,11 +255,7 @@ def test_memo_capacity_is_bounded():
     pipeline = RmtPipeline(program, memo=True)
     pipeline.memo.max_entries = 8
     for port in range(1, 40):
-        frame = build_udp_frame(
-            src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-            src_ip="10.0.0.1", dst_ip="10.0.0.2",
-            src_port=port, dst_port=2, payload=bytes(20),
-        )
+        frame = udp_frame(src_port=port, dst_port=2, payload=bytes(20))
         pipeline.process(frame)
     assert len(pipeline.memo._cache) <= 8
 
@@ -292,11 +273,7 @@ def test_replayed_register_write_that_moves_the_flow_key():
             register.write(0, 1)
             phv.set("meta.lane", 7)
 
-    frame = build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2,
-        payload=bytes(20),
-    )
+    frame = udp_frame(src_port=1, dst_port=2, payload=bytes(20))
     outcomes = []
     for memo in (False, True):
         program = RmtProgram("p")

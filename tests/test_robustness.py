@@ -13,21 +13,17 @@ from repro.packet import (
     MacAddress,
     Packet,
     build_kv_request_frame,
-    build_udp_frame,
     KvOpcode,
     KvRequest,
 )
 from repro.sim import Simulator
 from repro.sim.clock import US
 from repro.telemetry import TelemetryConfig
+from tests import udp_frame
 
 
 def good_frame(payload=b"ok", dscp=0):
-    return build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2",
-        src_port=1, dst_port=2, payload=payload, dscp=dscp,
-    )
+    return udp_frame(src_port=1, dst_port=2, payload=payload, dscp=dscp)
 
 
 class TestMalformedInput:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.config import PanicConfig
 from repro.core.panic import PanicNic
-from repro.packet import build_udp_frame
 from repro.packet.packet import MessageKind, Packet
 from repro.sim.clock import NS, US
 from repro.sim.kernel import Simulator
@@ -22,15 +21,12 @@ from repro.telemetry.export import (
     shard_window_counters,
     write_chrome_trace,
 )
+from tests import udp_frame
 
 
 def _frame(payload_bytes=200, dscp=1, src_port=1000):
-    return build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2",
-        src_port=src_port, dst_port=9, dscp=dscp,
-        payload=bytes(payload_bytes),
-    )
+    return udp_frame(
+        src_port=src_port, dst_port=9, dscp=dscp, payload=bytes(payload_bytes))
 
 
 def _run_chain(telemetry, fast_path=True, frames=20, gap_ps=700,

@@ -1,25 +1,25 @@
 """Unit tests for the external Wire, plus example-script smoke tests."""
 
+import pathlib
 import random
 import runpy
-import sys
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core import PanicConfig, PanicNic
-from repro.packet import Packet, build_udp_frame
+from repro.packet import Packet
 from repro.sim import Simulator
 from repro.sim.clock import NS
 from repro.workloads import LinkEnd, Wire
+from tests import pins, udp_frame
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 def frame(ident=0):
-    return build_udp_frame(
-        src_mac="02:00:00:00:00:01", dst_mac="02:00:00:00:00:02",
-        src_ip="10.0.0.1", dst_ip="10.0.0.2",
-        src_port=1, dst_port=2, payload=b"x", identification=ident,
-    )
+    return udp_frame(
+        src_port=1, dst_port=2, payload=b"x", identification=ident)
 
 
 class TestWireUnit:
@@ -216,10 +216,12 @@ class TestSharedEgress:
 
 
 class TestExampleScripts:
-    """Run the fast example scripts end to end (they self-assert)."""
+    """Run every example script end to end (they self-assert) and hold
+    what it prints to its recorded text, byte for byte."""
 
-    @pytest.mark.parametrize("script", ["quickstart", "custom_offload"])
-    def test_example_runs(self, script, capsys):
-        runpy.run_path(f"examples/{script}.py", run_name="__main__")
-        out = capsys.readouterr().out
-        assert out  # printed something sensible
+    @pytest.mark.parametrize("script", sorted(
+        path.stem for path in EXAMPLES.glob("*.py")))
+    def test_example_runs(self, script, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runpy.run_path(str(EXAMPLES / f"{script}.py"), run_name="__main__")
+        pins.stdout(f"example_{script}", capsys.readouterr().out)
