@@ -7,8 +7,6 @@ the qualitative *shape* (who wins, by roughly what factor).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 from repro.packet import Packet, build_udp_frame
 
 

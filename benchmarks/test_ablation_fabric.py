@@ -17,7 +17,7 @@ and compare makespan.
 from repro.analysis import format_table
 from repro.noc import Endpoint, Mesh, MeshAnalysis, MeshConfig
 from repro.sim import Simulator
-from repro.sim.clock import MHZ, SEC
+from repro.sim.clock import MHZ
 
 from _util import banner, plain_udp_packet, run_once
 

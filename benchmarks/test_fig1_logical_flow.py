@@ -9,9 +9,8 @@ the engines its spans name) and timing.
 """
 
 from repro.core import PanicConfig, PanicNic
-from repro.packet import KvOpcode, KvRequest, build_kv_request_frame, parse_frame
+from repro.packet import KvOpcode, KvRequest, build_kv_request_frame
 from repro.sim import Simulator
-from repro.sim.clock import US
 from repro.telemetry import TelemetryConfig
 
 from _util import banner, run_once

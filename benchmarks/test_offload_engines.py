@@ -25,7 +25,7 @@ from repro.packet import (
     build_udp_frame,
 )
 from repro.sim import Simulator
-from repro.sim.clock import SEC, US
+from repro.sim.clock import SEC
 
 from _util import banner, run_once
 

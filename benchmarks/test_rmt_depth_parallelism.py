@@ -18,7 +18,7 @@ from repro.engines import RmtPipelineEngine
 from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.rmt import MatchKey, RmtProgram
 from repro.sim import Simulator
-from repro.sim.clock import SEC, US
+from repro.sim.clock import SEC
 
 from _util import banner, plain_udp_packet, run_once
 

@@ -14,7 +14,6 @@ from repro.analysis import (
 )
 from repro.engines import RmtPipelineEngine
 from repro.noc import Mesh, MeshConfig
-from repro.packet import Packet
 from repro.rmt import RmtProgram
 from repro.sim import Simulator
 from repro.sim.clock import MHZ, SEC

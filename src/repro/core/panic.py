@@ -424,7 +424,7 @@ class PanicNic:
     def handle_engine_failure(self, key: str) -> Optional[str]:
         """Recover from a failed engine by recomputing routes around it.
 
-        Rewrites per-engine :class:`LocalLookupTable` entries and the RMT
+        Rewrites per-engine :class:`LocalLookupTable` default routes and the RMT
         program's offload chains to point at the configured backup, or to
         skip the hop entirely when no backup exists.  Idempotent per
         engine.  Returns the backup key used (None when the hop was

@@ -43,44 +43,29 @@ FAULT_STALL = "stall"
 class LocalLookupTable:
     """The lightweight per-engine lookup table.
 
-    Maps small keys (``packet.kind`` values, markers set by offloads) to
-    next-hop engine addresses, with a default route -- typically back to
-    the heavyweight RMT pipeline, per section 3.1.2: "either a default
-    route back to the heavyweight RMT pipeline is installed at the engine
-    or the RMT pipeline includes itself as a nexthop".
+    Steers a message whose chain is exhausted or unknown to its default
+    route -- typically back to the heavyweight RMT pipeline, per section
+    3.1.2: "either a default route back to the heavyweight RMT pipeline
+    is installed at the engine or the RMT pipeline includes itself as a
+    nexthop".
     """
 
     def __init__(self) -> None:
-        self._rules: dict = {}
         self.default_next: Optional[int] = None
         self.lookups = 0
 
-    def install(self, key, next_addr: int) -> None:
-        self._rules[key] = next_addr
-
-    def lookup(self, key) -> Optional[int]:
+    def lookup(self) -> Optional[int]:
         self.lookups += 1
-        hit = self._rules.get(key)
-        return hit if hit is not None else self.default_next
+        return self.default_next
 
     def remap(self, old_addr: int, new_addr: Optional[int]) -> int:
-        """Failover re-steering: rewrite every next-hop equal to
-        ``old_addr``.  ``new_addr=None`` deletes the rules instead (the
-        key falls back to the default route).  Returns the number of
-        rewritten entries (including the default)."""
-        changed = 0
-        for key, addr in list(self._rules.items()):
-            if addr != old_addr:
-                continue
-            if new_addr is None:
-                del self._rules[key]
-            else:
-                self._rules[key] = new_addr
-            changed += 1
-        if self.default_next == old_addr:
-            self.default_next = new_addr
-            changed += 1
-        return changed
+        """Failover re-steering: a default route to ``old_addr`` now
+        leads to ``new_addr`` (``None`` removes it).  Returns the number
+        of rewritten routes."""
+        if self.default_next != old_addr:
+            return 0
+        self.default_next = new_addr
+        return 1
 
 
 class Engine(Component, Endpoint):
@@ -367,7 +352,7 @@ class Engine(Component, Endpoint):
             else:
                 header.cursor = cursor + 1
                 return hop
-        return self.lookup_table.lookup(packet.kind)
+        return self.lookup_table.lookup()
 
     # ------------------------------------------------------------------
     # Fault injection and health (see repro.faults)

@@ -19,15 +19,10 @@ Wire format of the compressed payload::
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.engines.base import Engine, EngineOutput
-from repro.packet.headers import (
-    EthernetHeader,
-    HeaderError,
-    Ipv4Header,
-    UdpHeader,
-)
+from repro.packet.builder import rewrite_udp_frame, split_udp_frame
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
 
@@ -154,10 +149,10 @@ class CompressionEngine(Engine):
         return self.clock.cycles_to_ps(cycles)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
-        split = self._split_udp(packet.data)
+        split = split_udp_frame(packet.data)
         if split is None:
             return [(packet, None)]
-        headers, payload = split
+        record, payload = split
         if packet.meta.peek("compress"):
             del packet.meta.annotations["compress"]
             new_payload = compress(payload)
@@ -166,38 +161,10 @@ class CompressionEngine(Engine):
                 return [(packet, None)]
             self.compressed += 1
             self.bytes_saved += len(payload) - len(new_payload)
-            return [(self._rebuild(packet, headers, new_payload), None)]
-        if payload.startswith(MAGIC):
+        elif payload.startswith(MAGIC):
             new_payload = decompress(payload)
             self.decompressed += 1
-            return [(self._rebuild(packet, headers, new_payload), None)]
-        return [(packet, None)]
-
-    @staticmethod
-    def _split_udp(data: bytes) -> Optional[Tuple[Tuple, bytes]]:
-        try:
-            eth, rest = EthernetHeader.unpack(data)
-            ipv4, rest = Ipv4Header.unpack(rest)
-            if ipv4.protocol != 17:
-                return None
-            udp, rest = UdpHeader.unpack(rest)
-        except HeaderError:
-            return None
-        payload = rest[: udp.length - UdpHeader.LENGTH]
-        return (eth, ipv4, udp), payload
-
-    @staticmethod
-    def _rebuild(packet: Packet, headers: Tuple, payload: bytes) -> Packet:
-        eth, ipv4, udp = headers
-        new_udp = UdpHeader(udp.src_port, udp.dst_port, UdpHeader.LENGTH + len(payload))
-        new_ip = Ipv4Header(
-            src=ipv4.src,
-            dst=ipv4.dst,
-            protocol=ipv4.protocol,
-            total_length=Ipv4Header.LENGTH + new_udp.length,
-            ttl=ipv4.ttl,
-            dscp=ipv4.dscp,
-            identification=ipv4.identification,
-        )
-        frame = eth.pack() + new_ip.pack() + new_udp.pack_with_checksum(new_ip, payload) + payload
-        return packet.rewritten(frame)
+        else:
+            return [(packet, None)]
+        return [(packet.rewritten(rewrite_udp_frame(record, new_payload)),
+                 None)]

@@ -25,8 +25,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.engines.base import Engine, EngineOutput
-from repro.packet.builder import build_udp_frame, parse_frame
-from repro.packet.headers import EthernetHeader, HeaderError, Ipv4Header
+from repro.packet.builder import (
+    build_udp_frame,
+    ipv4_ecn,
+    parse_frame,
+    set_ipv4_ecn,
+)
+from repro.packet.headers import HeaderError
 from repro.packet.packet import Packet
 from repro.sim.clock import US
 from repro.sim.kernel import Simulator
@@ -104,24 +109,14 @@ class EcnMarkerEngine(Engine):
         return self.p_max * (depth - self.k_min) / (self.k_max - self.k_min)
 
     def handle(self, packet: Packet) -> List[EngineOutput]:
-        try:
-            eth, rest = EthernetHeader.unpack(packet.data)
-            ipv4, after = Ipv4Header.unpack(rest)
-        except HeaderError:
-            return [(packet, None)]
-        if ipv4.ecn not in (ECN_ECT0, ECN_ECT1):
+        data = packet.data
+        if ipv4_ecn(data) not in (ECN_ECT0, ECN_ECT1):
             return [(packet, None)]  # not ECN-capable transport
         self.eligible += 1
         if self.rng.random() >= self._mark_probability():
             return [(packet, None)]
         self.marked += 1
-        marked_ip = Ipv4Header(
-            src=ipv4.src, dst=ipv4.dst, protocol=ipv4.protocol,
-            total_length=ipv4.total_length, ttl=ipv4.ttl,
-            dscp=ipv4.dscp, ecn=ECN_CE,
-            identification=ipv4.identification,
-        )
-        return [(packet.rewritten(eth.pack() + marked_ip.pack() + after), None)]
+        return [(packet.rewritten(set_ipv4_ecn(data, ECN_CE)), None)]
 
 
 @dataclass

@@ -1,14 +1,18 @@
-"""Frame builders and a whole-frame parser.
+"""Frame builders, a whole-frame parser and the tiles' frame codec.
 
 These helpers assemble byte-accurate Ethernet/IPv4/UDP frames (optionally
 carrying KV protocol messages) and parse them back into header objects.
 They are used by workload generators, tests and the host model alike.
+The offload tiles verify and rewrite frames in place through the one RX
+verdict (:func:`checksum_verdict`), the one UDP rewrite
+(:func:`split_udp_frame`, :func:`rewrite_udp_frame`) and the one IPv4
+header patch (:func:`set_ipv4_ecn`) here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.packet.addresses import IPv4Address, MacAddress
 from repro.packet.checksum import verify_internet_checksum
@@ -95,36 +99,40 @@ def parse_frame(data: bytes) -> ParsedFrame:
     return parsed
 
 
-def frame_checksums_ok(data: bytes) -> bool:
-    """Verify the integrity checks a frame carries on the wire.
+def ipv4_ecn(data: bytes) -> Optional[int]:
+    """The ECN codepoint of an Ethernet frame carrying an option-less
+    IPv4 header, else ``None``: a runt, another EtherType, IPv4 options
+    or a ``total_length`` under 20 leaves nothing to read or patch."""
+    if (len(data) < 34 or (data[12] << 8) | data[13] != ETHERTYPE_IPV4
+            or data[14] != 0x45 or (data[16] << 8) | data[17] < 20):
+        return None
+    return data[15] & 3
 
-    Checks the IPv4 header checksum and, when present and non-zero, the
-    UDP checksum over the pseudo-header.  Frames without an IPv4 layer
-    (or too mangled to parse) return True -- there is nothing to verify,
-    and unparseable traffic is the host's problem, not a detected
-    corruption.  This is the RX-side detection point the fault-injection
-    harness relies on: link bit-flips land here (or at the IPSec ICV) and
-    are dropped with accounting instead of propagating.
 
-    The frame is read in place at its fixed offsets; each ``return True``
-    below is a shape the header classes would refuse to unpack, or a
-    length field that disagrees with the bytes present.
+def checksum_verdict(data: bytes) -> Optional[bool]:
+    """The RX verdict on the integrity checks a frame carries.
+
+    ``None`` when there is nothing to verify (see :func:`ipv4_ecn`),
+    else whether the IPv4 header checksum holds and, for UDP, whether
+    the datagram fits the bytes present (``total_length`` within the
+    frame, UDP length within [8, the IPv4 payload]) and its checksum,
+    when non-zero, holds over the pseudo-header.  The frame is read in
+    place at its fixed offsets.
     """
-    size = len(data)
-    if (size < 34 or (data[12] << 8) | data[13] != ETHERTYPE_IPV4
-            or data[14] != 0x45):
-        return True  # runt, not IPv4, or not an option-less IPv4 header
-    total_length = (data[16] << 8) | data[17]
-    if total_length < 20:
-        return True
+    if ipv4_ecn(data) is None:
+        return None
     if not verify_internet_checksum(data[14:34]):
         return False
-    if data[23] != IP_PROTO_UDP or total_length > size - 14 or size < 42:
-        return True  # not UDP, or lengths the bytes present cannot back
+    if data[23] != IP_PROTO_UDP:
+        return True
+    total_length = (data[16] << 8) | data[17]
+    if total_length > len(data) - 14 or total_length < 28:
+        return False  # the IPv4 payload runs past the bytes, or holds no UDP
     udp_len = (data[38] << 8) | data[39]
-    if (udp_len < 8 or udp_len > total_length - 20
-            or not (data[40] or data[41])):
-        return True  # bad length, or checksum zero: sender opted out
+    if udp_len < 8 or udp_len > total_length - 20:
+        return False
+    if not (data[40] or data[41]):
+        return True  # checksum zero: the sender opted out
     # Pseudo-header (addresses, protocol, length) + datagram, summed as
     # one integer mod 0xFFFF; an odd datagram is padded on the right.
     datagram = int.from_bytes(data[34:34 + udp_len], "big")
@@ -134,6 +142,59 @@ def frame_checksums_ok(data: bytes) -> bool:
             + datagram) % 0xFFFF == 0
 
 
+def frame_checksums_ok(data: bytes) -> bool:
+    """False exactly when :func:`checksum_verdict` finds a check broken.
+
+    This is the RX-side detection point the fault-injection harness
+    relies on: link bit-flips land here (or at the IPSec ICV) and are
+    dropped with accounting instead of propagating.  A frame with
+    nothing to verify passes: unparseable traffic is the host's
+    problem, not a detected corruption.
+    """
+    return checksum_verdict(data) is not False
+
+
+def set_ipv4_ecn(data: bytes, ecn: int) -> bytes:
+    """``data`` with its IPv4 ECN field set to ``ecn`` and the header
+    checksum recomputed; every other byte is kept.  ``data`` must be a
+    frame :func:`ipv4_ecn` reads."""
+    head = data[14:15] + bytes(((data[15] & 0xFC) | ecn,)) + data[16:24]
+    tail = data[26:34]
+    checksum = -(int.from_bytes(head, "big")
+                 + int.from_bytes(tail, "big")) % 0xFFFF
+    return (data[:14] + head + checksum.to_bytes(2, "big") + tail
+            + data[34:])
+
+
+def split_udp_frame(data: bytes) -> Optional[Tuple[tuple, bytes]]:
+    """``(record, payload)`` of an Ethernet/IPv4/UDP frame: its 42-byte
+    header as one ``ETH_IPV4_UDP.unpack_from``, and the payload its UDP
+    length covers.  ``None`` for any other frame, and for a UDP length
+    under 8."""
+    if len(data) < 42:
+        return None
+    record = ETH_IPV4_UDP.unpack_from(data)
+    if (record[2] != ETHERTYPE_IPV4 or record[3] != 0x45 or record[5] < 20
+            or record[9] != IP_PROTO_UDP or record[15] < 8):
+        return None
+    return record, data[42:34 + record[15]]
+
+
+def rewrite_udp_frame(record: tuple, payload: bytes) -> bytes:
+    """The frame ``record`` (from :func:`split_udp_frame`) heads, built
+    again around ``payload``: every header field is kept but the
+    lengths, the checksums and the flags word, which is DF as
+    :func:`build_udp_frame` writes it."""
+    (macs, src_mac_low, _ethertype, _version_ihl, tos, _total_length,
+     identification, _flags, ttl, _protocol, _ip_sum, src_ip, dst_ip,
+     src_port, dst_port, _udp_len, _udp_sum) = record
+    return build_udp_frame(
+        src_mac=(macs & 0xFFFF) << 32 | src_mac_low, dst_mac=macs >> 16,
+        src_ip=src_ip, dst_ip=dst_ip, src_port=src_port, dst_port=dst_port,
+        payload=payload, dscp=tos >> 2, ecn=tos & 3, ttl=ttl,
+        identification=identification)
+
+
 #: Text address -> int, per address family.  Workloads name endpoints by
 #: the same few strings frame after frame; bounded by wholesale clearing.
 _IP_INTS: dict = {}
@@ -141,12 +202,16 @@ _MAC_INTS: dict = {}
 _ADDRESS_MEMO_MAX = 4096
 
 
-def _address_int(value, kind, memo: dict) -> int:
+def _address_int(value, kind, memo: dict, limit: int) -> int:
     """``kind(value).value`` -- same validation, same errors -- with the
-    text spelling memoised."""
-    if value.__class__ is kind:
+    text spelling memoised; an int in ``[0, limit)`` is returned as it
+    came, without building an address."""
+    cls = value.__class__
+    if cls is int and 0 <= value < limit:
+        return value
+    if cls is kind:
         return value.value
-    if value.__class__ is not str:
+    if cls is not str:
         return kind(value).value
     number = memo.get(value)
     if number is None:
@@ -179,8 +244,8 @@ def build_udp_frame(
     addresses and the whole payload enter as single terms.
     """
     size = len(payload)
-    src = _address_int(src_ip, IPv4Address, _IP_INTS)
-    dst = _address_int(dst_ip, IPv4Address, _IP_INTS)
+    src = _address_int(src_ip, IPv4Address, _IP_INTS, 1 << 32)
+    dst = _address_int(dst_ip, IPv4Address, _IP_INTS, 1 << 32)
     udp_len = 8 + size
     total_length = 28 + size
     if not (total_length <= 0xFFFF and 0 <= ttl <= 0xFF and 0 <= dscp <= 0x3F
@@ -190,8 +255,8 @@ def build_udp_frame(
         Ipv4Header(src, dst, IP_PROTO_UDP, total_length, ttl, dscp, ecn,
                    identification)
         UdpHeader(src_port, dst_port, udp_len)
-    dst_hw = _address_int(dst_mac, MacAddress, _MAC_INTS)
-    src_hw = _address_int(src_mac, MacAddress, _MAC_INTS)
+    dst_hw = _address_int(dst_mac, MacAddress, _MAC_INTS, 1 << 48)
+    src_hw = _address_int(src_mac, MacAddress, _MAC_INTS, 1 << 48)
     tos = (dscp << 2) | ecn
     ip_sum = (0x4500 + tos + total_length + identification + 0x4000
               + (ttl << 8) + IP_PROTO_UDP + src + dst)

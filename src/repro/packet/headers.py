@@ -175,12 +175,6 @@ class Ipv4Header:
         header.flags_fragment = flags_fragment
         return header, data[cls.LENGTH :]
 
-    def pseudo_header(self, l4_length: int) -> bytes:
-        """RFC 768/793 pseudo-header for UDP/TCP checksumming."""
-        return self.src.to_bytes() + self.dst.to_bytes() + struct.pack(
-            "!BBH", 0, self.protocol, l4_length
-        )
-
 
 @dataclass
 class UdpHeader:
@@ -203,17 +197,6 @@ class UdpHeader:
     def pack(self) -> bytes:
         return struct.pack(
             "!HHHH", self.src_port, self.dst_port, self.length, self.checksum
-        )
-
-    def pack_with_checksum(self, ip: Ipv4Header, payload: bytes) -> bytes:
-        """Serialize with a valid checksum over the pseudo-header."""
-        datagram = self.pack() + payload
-        pseudo = ip.pseudo_header(len(datagram))
-        cksum = internet_checksum(pseudo + datagram)
-        if cksum == 0:
-            cksum = 0xFFFF  # per RFC 768, zero is transmitted as all-ones
-        return struct.pack(
-            "!HHHH", self.src_port, self.dst_port, self.length, cksum
         )
 
     @classmethod

@@ -21,11 +21,20 @@ what the code reaches today.
   ``len``).  A header, address or KV message object built on the walk
   would show as a dozen more.
 
+The tiles that read and rewrite frames through the codec are counted
+over everything of ``repro`` they run, on one 288-byte rack frame with
+its ``Packet``: the checksum tile's TX rewrite and RX verdict, the
+compression tile compressing the frame, and the ECN marker marking it
+CE.  A header object built on those paths would show as a dozen more.
+
 A count that rises has put frames back on the hot path; re-record it
 only with the ledger numbers that justify it.
 EXPERIMENTS.md "Known deviations" lists every past move.
 """
 
+from types import SimpleNamespace
+
+from repro.engines import ChecksumEngine, CompressionEngine, EcnMarkerEngine
 from repro.packet.builder import (
     build_kv_request_frame,
     build_kv_response_frame,
@@ -33,9 +42,12 @@ from repro.packet.builder import (
 )
 from repro.packet.headers import RACK_TAG_UDP_PORT
 from repro.packet.kv import KvOpcode, KvRequest, KvResponse, KvStatus
+from repro.packet.packet import Direction, Packet
 from repro.rmt.parser import default_parse_graph
 from repro.rmt.phv import Phv
+from repro.sim import Simulator
 from tests import pins
+from tests.test_rx_verdict import rack_frame
 
 REPEATS = 20
 
@@ -98,3 +110,43 @@ def test_plain_udp_parse_call_budget():
 def test_rack_tagged_parse_call_budget():
     pins.budget("calls.codec.parse_rack_tagged", _parse_calls(
         _udp_frame(RACK_TAG_UDP_PORT, b"\x12\x34" + bytes(62))))
+
+
+def _tile_calls(operation) -> int:
+    return calls_per_operation(operation, "repro/")
+
+
+def test_checksum_tx_call_budget():
+    tile, frame = ChecksumEngine(Simulator(), "csum"), rack_frame()
+
+    def transmit():
+        packet = Packet(frame)
+        packet.meta.direction = Direction.TX
+        tile.handle(packet)
+
+    pins.budget("calls.tile.checksum_tx", _tile_calls(transmit))
+
+
+def test_checksum_rx_call_budget():
+    tile, frame = ChecksumEngine(Simulator(), "csum"), rack_frame()
+    pins.budget("calls.tile.checksum_rx",
+                _tile_calls(lambda: tile.handle(Packet(frame))))
+
+
+def test_compression_call_budget():
+    tile, frame = CompressionEngine(Simulator(), "z"), rack_frame()
+
+    def compress():
+        packet = Packet(frame)
+        packet.meta.annotations["compress"] = True
+        tile.handle(packet)
+
+    pins.budget("calls.tile.compress", _tile_calls(compress))
+
+
+def test_ecn_mark_call_budget():
+    marker = EcnMarkerEngine(Simulator(), "mark", k_min=0, k_max=1)
+    marker.watch_engine = SimpleNamespace(backlog=5)    # always marks
+    frame = rack_frame(ecn=2)                           # ECT(0)
+    pins.budget("calls.tile.ecn_mark",
+                _tile_calls(lambda: marker.handle(Packet(frame))))

@@ -5,11 +5,12 @@ references that do not share code with the fast paths:
 
 * **Building.**  ``build_udp_frame`` must equal, byte for byte, the frame
   the public header classes compose (``EthernetHeader.pack() +
-  Ipv4Header.pack() + UdpHeader.pack_with_checksum(...) + payload``) --
-  over thousands of seeded random builds, every spelling of an address
-  (text, int, wire bytes, address object), the extreme payload sizes, a
-  payload whose UDP sum folds to zero, and every out-of-range field,
-  where the exception type and message must match too.  The checksums
+  Ipv4Header.pack() + UdpHeader.pack() + payload``, the UDP checksum
+  taken over a pseudo-header spelled with ``struct``) -- over thousands
+  of seeded random builds, every spelling of an address (text, int,
+  wire bytes, address object), the extreme payload sizes, a payload
+  whose UDP sum folds to zero, and every out-of-range field, where the
+  exception type and message must match too.  The checksums
   are cross-checked by a word-by-word RFC 1071 loop written here.
 * **Parsing.**  ``ParseGraph.parse`` -- one walk for every graph, whose
   spine extractors read fields in place -- must fill the PHV exactly as
@@ -37,7 +38,10 @@ from repro.packet.builder import (
     frame_checksums_ok,
     parse_frame,
 )
-from repro.packet.checksum import verify_internet_checksum
+from repro.packet.checksum import (
+    internet_checksum,
+    verify_internet_checksum,
+)
 from repro.packet.headers import (
     ETHERTYPE_IPV4,
     IP_PROTO_UDP,
@@ -98,8 +102,12 @@ def compose(*, src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
     udp = UdpHeader(src_port, dst_port, udp_len)
     eth = EthernetHeader(MacAddress(dst_mac), MacAddress(src_mac),
                          ETHERTYPE_IPV4)
-    return (eth.pack() + ipv4.pack()
-            + udp.pack_with_checksum(ipv4, payload) + payload)
+    pseudo = (ipv4.src.to_bytes() + ipv4.dst.to_bytes()
+              + struct.pack("!BBH", 0, IP_PROTO_UDP, udp_len))
+    datagram = udp.pack() + payload
+    udp_sum = internet_checksum(pseudo + datagram) or 0xFFFF  # RFC 768
+    return (eth.pack() + ipv4.pack() + datagram[:6]
+            + struct.pack("!H", udp_sum) + payload)
 
 
 def rfc1071(data: bytes) -> int:
@@ -140,14 +148,17 @@ def reference_checksums_ok(data: bytes) -> bool:
     if ipv4.protocol == IP_PROTO_UDP:
         l3_len = ipv4.total_length - Ipv4Header.LENGTH
         if not 0 <= l3_len <= len(after_ip):
-            return True
+            return False
         try:
             udp, _rest = UdpHeader.unpack(after_ip)
         except HeaderError:
-            return True
-        if udp.checksum != 0 and udp.length <= l3_len:
+            return False
+        if udp.length > l3_len:
+            return False
+        if udp.checksum != 0:
             datagram = after_ip[: udp.length]
-            pseudo = ipv4.pseudo_header(udp.length)
+            pseudo = (ipv4.src.to_bytes() + ipv4.dst.to_bytes()
+                      + struct.pack("!BBH", 0, IP_PROTO_UDP, udp.length))
             return verify_internet_checksum(pseudo + datagram)
     return True
 

@@ -27,7 +27,9 @@ are blanked before the word scan: a mention there runs nothing.
 * **R4** every public method or property of a ``src/repro`` class is
   named outside its own ``def`` by code that runs it, as in R1;
 * **R5** every name imported into a non-``__init__`` module of
-  ``src/repro`` is used there, or imported from there by another file;
+  ``src/repro``, ``tests/`` or the top level of ``benchmarks/`` is used
+  there, or imported from there by another file (``benchmarks/ledger/``
+  is the benchmark's own tree and is not scanned);
 * **R6** every annotation key ``src/repro`` writes
   (``....annotations["key"] = value``) is named again, as a string, by
   code that runs -- ``src/`` beyond its writes, ``benchmarks/``,
@@ -313,8 +315,16 @@ def test_r3_every_standard_action_is_installed_by_name():
 
 
 def _module_of(path):
-    """Dotted module name of a file under ``src/``."""
-    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    """Dotted module name a file is imported as: from ``src/`` for the
+    package, by its bare name for a top-level bench (the benches import
+    each other off ``sys.path``), else from the repository root."""
+    if path.is_relative_to(ROOT / "src"):
+        base = ROOT / "src"
+    elif path.parent == ROOT / "benchmarks":
+        base = path.parent
+    else:
+        base = ROOT
+    parts = path.relative_to(base).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -350,7 +360,14 @@ def _used_names(path):
     return used
 
 
+#: The files R5 scans.
+R5_FILES = _py_files("src", "tests") + sorted(
+    (ROOT / "benchmarks").glob("*.py"))
+
+
 def test_r5_every_import_in_src_is_used():
+    """R5, over ``src/repro``, the tests and the top-level benches (the
+    name predates the two trees beside ``src``)."""
     imported_from = set()           # (module, name) another file imports
     for path in _py_files(*SCANNED):
         in_src = path.is_relative_to(ROOT / "src")
@@ -359,7 +376,7 @@ def test_r5_every_import_in_src_is_used():
                 module = _source_module(path, node) if in_src else node.module
                 imported_from.update((module, a.name) for a in node.names)
     dead = []
-    for path in _py_files("src"):
+    for path in R5_FILES:
         if path.name == "__init__.py":
             continue
         used = _used_names(path)
@@ -372,7 +389,7 @@ def test_r5_every_import_in_src_is_used():
                 bound = (alias.asname or alias.name).split(".")[0]
                 if bound not in used and (module, bound) not in imported_from:
                     dead.append((path, node.lineno, bound, bound))
-    assert not dead, _report("imported into src/repro, never used there", dead)
+    assert not dead, _report("imported, never used there", dead)
 
 
 def _annotation_writes(path):

@@ -5,10 +5,7 @@ import pytest
 from repro.engines.base import Engine, LocalLookupTable
 from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.packet import Packet, PanicHeader
-from repro.packet.packet import MessageKind
 from repro.sched import PifoFullError
-from repro.sim import Simulator
-from repro.sim.clock import MHZ
 
 
 class Sink(Endpoint):
@@ -70,14 +67,6 @@ class TestChainFollowing:
         engine._loopback(packet)
         with pytest.raises(RuntimeError):
             sim.run()
-
-    def test_lookup_rule_overrides_default(self, sim):
-        mesh, engine, sink, sink2 = rig(sim)
-        engine.lookup_table.default_next = 1
-        engine.lookup_table.install(MessageKind.ETHERNET, 2)
-        engine._loopback(chained_packet([]))
-        sim.run()
-        assert len(sink2.got) == 1 and not sink.got
 
     def test_loopback_is_processed(self, sim):
         mesh, engine, sink, _ = rig(sim)
@@ -150,12 +139,10 @@ class TestScheduling:
 class TestLocalLookupTable:
     def test_default_and_rules(self):
         table = LocalLookupTable()
-        assert table.lookup("anything") is None
+        assert table.lookup() is None
         table.default_next = 7
-        assert table.lookup("anything") == 7
-        table.install("special", 9)
-        assert table.lookup("special") == 9
-        assert table.lookups == 3
+        assert table.lookup() == 7
+        assert table.lookups == 2
 
     def test_lanes_validation(self, sim):
         with pytest.raises(ValueError):

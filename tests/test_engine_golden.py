@@ -140,8 +140,7 @@ def run_case(tile, lanes, capacity, overflow, lossless, seed, ties):
     sources = [mesh.bind(Sink(sim), 0, y) for y in (0, 1)]
     sinks = [Sink(sim), Sink(sim)]
     sink_addrs = [mesh.bind(sink, 2, y).address for y, sink in enumerate(sinks)]
-    engine.lookup_table.default_next = sink_addrs[0]
-    engine.lookup_table.install(MessageKind.ETHERNET, sink_addrs[1])
+    engine.lookup_table.default_next = sink_addrs[1]
     tracer = PacketTracer(TelemetryConfig(sample_every=1), SeededRng(seed))
 
     def on_evict(packet):   # what Telemetry installs on every queue

@@ -34,7 +34,6 @@ from repro.packet import (
     parse_frame,
 )
 from repro.packet.packet import Direction, PacketMetadata
-from repro.sim import Simulator
 
 
 def udp_packet(payload=b"payload", dscp=0):
@@ -336,8 +335,8 @@ class TestChecksumEngine:
     def test_chained_tiles_verify_an_untouched_frame_once(self, sim):
         """The verdict rides the packet: later tiles reuse it."""
         nic, tiles, delivered = self._chain_nic(sim, 3)
-        with mock.patch.object(checksum_engine, "_rx_verdict",
-                               wraps=checksum_engine._rx_verdict) as verdict:
+        with mock.patch.object(checksum_engine, "checksum_verdict",
+                               wraps=checksum_engine.checksum_verdict) as verdict:
             nic.inject(udp_packet(dscp=10))
             sim.run()
         assert verdict.call_count == 1

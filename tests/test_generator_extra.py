@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.core import PanicConfig, PanicNic
 from repro.packet import parse_frame
-from repro.sim import Simulator
-from repro.sim.clock import US
 from repro.sim.rng import SeededRng
 from repro.workloads import CbrSource
 from repro.workloads.generator import IMIX_BLEND, imix_factory

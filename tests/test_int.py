@@ -32,7 +32,6 @@ from repro.telemetry.int_ import (
     RECORD_STRUCT,
     IntCollector,
     encode_stack,
-    flow_name,
     format_int_report,
     parse_stack,
 )

@@ -11,7 +11,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.rack import wire_target
 from repro.reliability.linklayer import LinkLayer
 from repro.reliability.rack import reliable_rack_topology
-from repro.sim.clock import NS, US
+from repro.sim.clock import NS
 from repro.sim.shard import run_monolithic, run_sharded
 from repro.telemetry import TelemetryConfig
 

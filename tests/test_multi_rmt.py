@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import PanicConfig, PanicNic
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame, parse_frame
-from repro.sim import Simulator
 
 
 class TestMultiTileRmt:

@@ -5,9 +5,7 @@ import pytest
 from repro.packet import (
     EthernetHeader,
     EspHeader,
-    ETHERTYPE_IPV4,
     HeaderError,
-    IP_PROTO_TCP,
     IP_PROTO_UDP,
     IPv4Address,
     Ipv4Header,
@@ -154,13 +152,6 @@ class TestIpv4Header:
         with pytest.raises(HeaderError):
             self._header(total_length=19)
 
-    def test_pseudo_header_layout(self):
-        header = self._header()
-        pseudo = header.pseudo_header(8)
-        assert len(pseudo) == 12
-        assert pseudo[9] == IP_PROTO_UDP
-        assert int.from_bytes(pseudo[10:12], "big") == 8
-
 
 class TestUdpTcpEsp:
     def test_udp_roundtrip(self):
@@ -168,13 +159,6 @@ class TestUdpTcpEsp:
         parsed, rest = UdpHeader.unpack(udp.pack() + b"zz")
         assert parsed == udp
         assert rest == b"zz"
-
-    def test_udp_checksum_valid_over_pseudo_header(self):
-        ip = Ipv4Header(src="10.0.0.1", dst="10.0.0.2", total_length=20 + 8 + 5)
-        payload = b"hello"
-        udp = UdpHeader(1000, 2000, 8 + 5)
-        datagram = udp.pack_with_checksum(ip, payload) + payload
-        assert verify_internet_checksum(ip.pseudo_header(len(datagram)) + datagram)
 
     def test_udp_port_validated(self):
         with pytest.raises(HeaderError):

@@ -6,7 +6,6 @@ from repro.core import PanicConfig, PanicNic
 from repro.engines import RateLimiterEngine, TokenBucket
 from repro.noc import Endpoint, Mesh, MeshConfig
 from repro.packet import Packet, PanicHeader, build_udp_frame
-from repro.sim import Simulator
 from repro.sim.clock import SEC, US
 
 

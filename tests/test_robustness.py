@@ -184,9 +184,9 @@ class TestEngineFailover:
         rewritten = nic.control.remap_engine(old, new)
         assert rewritten == 2  # dscp_route + ipsec_rx entries
         table = nic.offload("compression").lookup_table
-        table.install("marker", old)
+        table.default_next = old
         assert table.remap(old, new) == 1
-        assert table.lookup("marker") == new
+        assert table.lookup() == new
 
     def test_failover_without_backup_removes_the_hop(self, sim):
         nic = PanicNic(sim, PanicConfig(ports=1))

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim import Component, SimError, Simulator
-from repro.sim.clock import Clock, MHZ, NS, format_time
+from repro.sim import Component, SimError
+from repro.sim.clock import Clock, MHZ, format_time
 
 
 class TestScheduling:

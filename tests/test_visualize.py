@@ -1,7 +1,6 @@
 """Tests for the ASCII mesh map and utilization report."""
 
 from repro.analysis import mesh_map, utilization_report
-from repro.core import PanicConfig, PanicNic
 from repro.packet import KvOpcode, KvRequest, build_kv_request_frame
 
 
